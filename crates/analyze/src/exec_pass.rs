@@ -146,10 +146,10 @@ fn walk(
                 }
             }
             LogicalPlan::Project { exprs, .. } => {
-                // The batch-native pipeline (and the chunked row-path
-                // kernels) only run projection column-at-a-time when
-                // *every* output expression is in the error-free
-                // subset; one arithmetic expression poisons the claim.
+                // The batch-native pipeline only runs a projection
+                // column-at-a-time when *every* output expression is in
+                // the error-free subset (and the row engine never runs
+                // a kernel); one arithmetic expression poisons the claim.
                 let dishonest = input_schema_of(plan).ok().and_then(|s| {
                     exprs
                         .iter()

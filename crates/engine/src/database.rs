@@ -1,6 +1,6 @@
 //! The [`Database`] facade.
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use gbj_analyze::{
@@ -11,7 +11,7 @@ use gbj_core::{
     eager_aggregate, reverse_transform, CostModel, EagerOutcome, Partition, PlanCost,
     ReverseOutcome, Stats, TransformOptions,
 };
-use gbj_exec::{ExecOptions, Executor, ProfileNode, ResourceGuard, ResultSet};
+use gbj_exec::{ExecOptions, ExecPath, Executor, ProfileNode, ResourceGuard, ResultSet};
 use gbj_expr::Expr;
 use gbj_fd::FdContext;
 use gbj_optimizer::{shape_cost, CardTree, Optimizer, ShapeCost};
@@ -73,43 +73,61 @@ pub struct EngineOptions {
 }
 
 impl Default for EngineOptions {
-    /// Defaults everywhere, except that the `GBJ_TEST_THREADS`
-    /// environment variable (when set to a positive integer) overrides
-    /// the executor thread count, `GBJ_TEST_VECTORIZED` (`1`/`0`)
-    /// overrides the vectorized-kernel switch, and `GBJ_TEST_SHARDS`
-    /// (positive integer) overrides the in-process shard count — the
-    /// hooks `scripts/verify.sh` uses to push the whole engine-level
-    /// test suite through the parallel operators, the columnar path and
-    /// the sharded distributed runner without touching each test.
+    /// [`EngineOptions::from_env`]: defaults everywhere, overridden by
+    /// the `GBJ_*` environment variables.
     fn default() -> EngineOptions {
-        let mut exec = ExecOptions::default();
-        if let Some(threads) = gbj_exec::threads_from_env() {
-            exec.threads = threads;
-        }
-        if let Some(on) = gbj_exec::vectorized_from_env() {
-            exec.vectorized = on;
-        }
-        if let Some(shards) = gbj_exec::shards_from_env() {
-            exec.shards = shards;
-        }
-        let verify_rewrites = match std::env::var("GBJ_VERIFY_REWRITES").ok().as_deref() {
-            Some("1") => true,
-            Some("0") => false,
-            _ => cfg!(debug_assertions),
+        EngineOptions::from_env()
+    }
+}
+
+impl EngineOptions {
+    /// The one place the engine reads its environment. Defaults
+    /// everywhere, except:
+    ///
+    /// - `GBJ_TEST_THREADS` / `GBJ_TEST_SHARDS` (positive integer)
+    ///   override the executor thread / in-process shard count and
+    ///   `GBJ_TEST_VECTORIZED` (`1`/`true`/`0`/`false`) the vectorized
+    ///   switch — the hooks `scripts/verify.sh` uses to push the whole
+    ///   engine-level test suite through the parallel operators, the
+    ///   chunk pipeline and the shard runner without touching each test;
+    /// - `GBJ_VERIFY_REWRITES` (`1`/`0`, default: on in debug builds),
+    ///   `GBJ_ADAPTIVE` (`1`, default off) and `GBJ_CLAMP_ESTIMATES`
+    ///   (`0`, default on) set the fields of the same name.
+    ///
+    /// Unset, empty or unparsable values mean "no override".
+    #[must_use]
+    pub fn from_env() -> EngineOptions {
+        EngineOptions::from_lookup(|name| std::env::var(name).ok())
+    }
+
+    fn from_lookup(var: impl Fn(&str) -> Option<String>) -> EngineOptions {
+        let count = |name: &str| {
+            var(name)?
+                .trim()
+                .parse::<usize>()
+                .ok()
+                .and_then(std::num::NonZeroUsize::new)
         };
-        let adaptive = matches!(std::env::var("GBJ_ADAPTIVE").ok().as_deref(), Some("1"));
-        let clamp_estimates = !matches!(
-            std::env::var("GBJ_CLAMP_ESTIMATES").ok().as_deref(),
-            Some("0")
-        );
+        let mut exec = ExecOptions::default();
+        exec.threads = count("GBJ_TEST_THREADS").unwrap_or(exec.threads);
+        exec.shards = count("GBJ_TEST_SHARDS").unwrap_or(exec.shards);
+        exec.vectorized = match var("GBJ_TEST_VECTORIZED").as_deref().map(str::trim) {
+            Some("1" | "true") => true,
+            Some("0" | "false") => false,
+            _ => exec.vectorized,
+        };
         EngineOptions {
             policy: PushdownPolicy::default(),
             transform: TransformOptions::default(),
             cost_model: CostModel::default(),
             exec,
-            verify_rewrites,
-            adaptive,
-            clamp_estimates,
+            verify_rewrites: match var("GBJ_VERIFY_REWRITES").as_deref() {
+                Some("1") => true,
+                Some("0") => false,
+                _ => cfg!(debug_assertions),
+            },
+            adaptive: var("GBJ_ADAPTIVE").as_deref() == Some("1"),
+            clamp_estimates: var("GBJ_CLAMP_ESTIMATES").as_deref() != Some("0"),
         }
     }
 }
@@ -165,6 +183,27 @@ pub struct QueryReport {
 }
 
 impl QueryReport {
+    /// The report for a query with no valid alternative shape: the lazy
+    /// plan, nothing to compare it with.
+    fn lazy_only(reason: String, testfd: Option<String>, plan: LogicalPlan) -> QueryReport {
+        QueryReport {
+            choice: PlanChoice::Lazy,
+            reason,
+            testfd,
+            partition: None,
+            stats: None,
+            lazy_cost: None,
+            eager_cost: None,
+            lazy_shape: None,
+            eager_shape: None,
+            plan,
+            alternative: None,
+            certificate: None,
+            domains: String::new(),
+            pruning: PruningFacts::default(),
+        }
+    }
+
     /// Render the EXPLAIN text.
     #[must_use]
     pub fn explain(&self) -> String {
@@ -237,7 +276,10 @@ pub struct QueryMetrics {
     pub rows: usize,
     /// Memory high-water mark across all operator state (bytes).
     pub peak_memory_bytes: u64,
-    /// In-process shards the query ran on (1 = single-shard).
+    /// The execution path the plan ran on, with the reason when a
+    /// faster configured path refused it.
+    pub path: ExecPath,
+    /// In-process shards configured for the query (1 = single-shard).
     pub shards: usize,
     /// Measured rows shipped across shard boundaries (0 single-shard).
     pub shipped_rows: u64,
@@ -276,12 +318,24 @@ impl QueryMetrics {
         Some((predicted / measured).max(measured / predicted))
     }
 
+    /// The one-line answer to "which path ran, and why not a faster
+    /// one": `path: batch`, `path: sharded(4)`, or
+    /// `path: row (Filter: arithmetic in predicate)`.
+    #[must_use]
+    pub fn path_line(&self) -> String {
+        match self.path {
+            ExecPath::Sharded => format!("path: sharded({})\n", self.shards),
+            path => format!("path: {path}\n"),
+        }
+    }
+
     /// Render the full metrics view: timings, resource high-water, the
     /// estimate-vs-actual tree and the raw counter/timing tree.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("choice: {:?}\n", self.choice));
+        out.push_str(&self.path_line());
         out.push_str(&format!("planning time: {:?}\n", self.planning));
         out.push_str(&format!("execution time: {:?}\n", self.execution));
         out.push_str(&format!("rows: {}\n", self.rows));
@@ -327,6 +381,13 @@ impl QueryOutput {
             _ => None,
         }
     }
+}
+
+/// Lock a metrics/feedback slot. A poisoned lock only means another
+/// query panicked mid-store; the slot still holds a whole value, so
+/// recover it rather than poisoning every later query.
+fn locked<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// An embedded `gbj` database.
@@ -383,17 +444,11 @@ impl Database {
     /// on this database, if any ran yet.
     #[must_use]
     pub fn last_query_metrics(&self) -> Option<QueryMetrics> {
-        self.last_metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        locked(&self.last_metrics).clone()
     }
 
     fn record_metrics(&self, metrics: QueryMetrics) {
-        *self
-            .last_metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(metrics);
+        *locked(&self.last_metrics) = Some(metrics);
     }
 
     /// The engine options (mutable, e.g. to switch policies between
@@ -450,10 +505,7 @@ impl Database {
     /// changed a learned fact (see [`FeedbackStore::epoch`]). Monotone.
     #[must_use]
     pub fn stats_epoch(&self) -> u64 {
-        self.feedback
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .epoch()
+        locked(&self.feedback).epoch()
     }
 
     /// The planning epoch: data epoch + stats epoch. Two databases with
@@ -469,10 +521,7 @@ impl Database {
     /// A point-in-time copy of the learned feedback facts.
     #[must_use]
     pub fn feedback_snapshot(&self) -> FeedbackStore {
-        self.feedback
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        locked(&self.feedback).clone()
     }
 
     /// Merge measured-cardinality facts into the feedback store.
@@ -482,10 +531,7 @@ impl Database {
     /// automatically after every metered run; callers running the loop
     /// manually feed [`QueryMetrics::feedback`] here.
     pub fn absorb_feedback(&self, delta: &FeedbackDelta) -> bool {
-        self.feedback
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .absorb(delta)
+        locked(&self.feedback).absorb(delta)
     }
 
     /// A consistent point-in-time snapshot of this database.
@@ -562,61 +608,36 @@ impl Database {
         Ok(self.query_report(sql)?.0)
     }
 
+    /// Parse `sql`, which must be one SELECT, and bind it against the
+    /// catalog. `caller` names the entry point in the error.
+    fn bind_select_sql(&self, sql: &str, caller: &str) -> Result<BoundSelect> {
+        let Statement::Select(select) = gbj_sql::parse_sql(sql)? else {
+            return Err(Error::Unsupported(format!("{caller}() expects a SELECT")));
+        };
+        Binder::new(self.storage.catalog()).bind_select(&select)
+    }
+
     /// Run a SELECT, returning rows, the execution profile and the
     /// planning report.
     pub fn query_report(&self, sql: &str) -> Result<(ResultSet, ProfileNode, QueryReport)> {
-        let stmt = gbj_sql::parse_sql(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Err(Error::Unsupported("query() expects a SELECT".into()));
-        };
-        let binder = Binder::new(self.storage.catalog());
-        let bound = binder.bind_select(&select)?;
-        self.run_select(&bound, "query")
+        let (rows, metrics, report) =
+            self.run_select(&self.bind_select_sql(sql, "query")?, "query")?;
+        Ok((rows, metrics.profile, report))
     }
 
-    /// The shared SELECT path: plan (timed), execute (timed and
-    /// metered), and record [`QueryMetrics`] for
-    /// [`Database::last_query_metrics`].
+    /// The shared SELECT path: plan (timed), then [`Database::run_planned`]
+    /// under a guard built from the configured limits.
     fn run_select(
         &self,
         bound: &BoundSelect,
         sql_kind: &'static str,
-    ) -> Result<(ResultSet, ProfileNode, QueryReport)> {
+    ) -> Result<(ResultSet, QueryMetrics, QueryReport)> {
         let plan_start = Instant::now();
         let report = self.plan_bound(bound)?;
         let planning = plan_start.elapsed();
-        let exec_opts = self.exec_options_for(&report);
-        let executor = Executor::with_options(&self.storage, exec_opts);
-        let exec_start = Instant::now();
-        let (rows, profile, summary) = executor.execute_metered(&report.plan)?;
-        let execution = exec_start.elapsed();
-        let fb = self.feedback_snapshot();
-        let mut estimates =
-            Estimator::with_feedback(&self.storage, &fb).estimate_plan(&report.plan);
-        if self.options.clamp_estimates {
-            clamp_plan_estimate(&mut estimates, &self.bound_tree_for(&report.plan));
-        }
-        let predicted_shipped_rows = self.predict_shipped(&report.plan, &estimates, &exec_opts);
-        let feedback = delta_from_profile(&report.plan, &profile);
-        if self.options.adaptive {
-            self.absorb_feedback(&feedback);
-        }
-        self.record_metrics(QueryMetrics {
-            sql_kind,
-            choice: report.choice,
-            planning,
-            execution,
-            rows: rows.len(),
-            peak_memory_bytes: summary.peak_memory_bytes,
-            shards: exec_opts.shards.get(),
-            shipped_rows: summary.shipped_rows,
-            shipped_bytes: summary.shipped_bytes,
-            predicted_shipped_rows,
-            profile: profile.clone(),
-            estimates,
-            feedback,
-        });
-        Ok((rows, profile, report))
+        let guard = ResourceGuard::new(self.options.exec.limits);
+        let (rows, metrics) = self.run_planned(&report, sql_kind, planning, &guard)?;
+        Ok((rows, metrics, report))
     }
 
     /// Per-query executor options: the configured options plus the
@@ -630,28 +651,26 @@ impl Database {
         exec
     }
 
-    /// Predicted shipped rows for the audit, when the plan will really
-    /// run sharded (the prediction mirrors the runner's gating so a
-    /// single-shard fallback never gets charged a phantom exchange).
+    /// Predicted shipped rows for the audit, when the plan really ran
+    /// sharded (a single-shard fallback never gets charged a phantom
+    /// exchange).
     fn predict_shipped(
         &self,
         plan: &LogicalPlan,
         estimates: &PlanEstimate,
         exec_opts: &ExecOptions,
+        path: ExecPath,
     ) -> Option<f64> {
-        let shards = exec_opts.shards.get();
-        if shards > 1 && gbj_exec::shard_supported(plan, exec_opts) {
-            let dist = gbj_optimizer::plan_distribution(
+        (path == ExecPath::Sharded).then(|| {
+            gbj_optimizer::plan_distribution(
                 plan,
                 &card_tree(estimates),
-                shards,
+                exec_opts.shards.get(),
                 exec_opts.combiner,
                 &|t| self.storage.partition_key(t).map(<[usize]>::to_vec),
-            );
-            Some(dist.shipped_rows)
-        } else {
-            None
-        }
+            )
+            .shipped_rows
+        })
     }
 
     /// Run a SELECT under a caller-supplied [`ResourceGuard`] — the
@@ -666,18 +685,11 @@ impl Database {
         sql: &str,
         guard: &ResourceGuard,
     ) -> Result<(ResultSet, QueryReport, QueryMetrics)> {
-        let stmt = gbj_sql::parse_sql(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Err(Error::Unsupported(
-                "query_with_guard() expects a SELECT".into(),
-            ));
-        };
-        let binder = Binder::new(self.storage.catalog());
-        let bound = binder.bind_select(&select)?;
+        let bound = self.bind_select_sql(sql, "query_with_guard")?;
         let plan_start = Instant::now();
         let report = self.plan_bound(&bound)?;
         let planning = plan_start.elapsed();
-        let (rows, metrics) = self.run_planned(&report, planning, guard)?;
+        let (rows, metrics) = self.run_planned(&report, "query", planning, guard)?;
         Ok((rows, report, metrics))
     }
 
@@ -689,14 +701,15 @@ impl Database {
         report: &QueryReport,
         guard: &ResourceGuard,
     ) -> Result<(ResultSet, QueryMetrics)> {
-        self.run_planned(report, Duration::ZERO, guard)
+        self.run_planned(report, "query", Duration::ZERO, guard)
     }
 
-    /// Shared guarded execution tail: execute (timed and metered),
-    /// then build and record [`QueryMetrics`].
+    /// The one execution tail: execute (timed and metered), then build
+    /// and record [`QueryMetrics`].
     fn run_planned(
         &self,
         report: &QueryReport,
+        sql_kind: &'static str,
         planning: Duration,
         guard: &ResourceGuard,
     ) -> Result<(ResultSet, QueryMetrics)> {
@@ -711,18 +724,20 @@ impl Database {
         if self.options.clamp_estimates {
             clamp_plan_estimate(&mut estimates, &self.bound_tree_for(&report.plan));
         }
-        let predicted_shipped_rows = self.predict_shipped(&report.plan, &estimates, &exec_opts);
+        let predicted_shipped_rows =
+            self.predict_shipped(&report.plan, &estimates, &exec_opts, summary.path);
         let feedback = delta_from_profile(&report.plan, &profile);
         if self.options.adaptive {
             self.absorb_feedback(&feedback);
         }
         let metrics = QueryMetrics {
-            sql_kind: "query",
+            sql_kind,
             choice: report.choice,
             planning,
             execution,
             rows: rows.len(),
             peak_memory_bytes: summary.peak_memory_bytes,
+            path: summary.path,
             shards: exec_opts.shards.get(),
             shipped_rows: summary.shipped_rows,
             shipped_bytes: summary.shipped_bytes,
@@ -737,26 +752,15 @@ impl Database {
 
     /// Plan a SELECT without executing it.
     pub fn plan_query(&self, sql: &str) -> Result<QueryReport> {
-        let stmt = gbj_sql::parse_sql(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Err(Error::Unsupported("plan_query() expects a SELECT".into()));
-        };
-        let binder = Binder::new(self.storage.catalog());
-        let bound = binder.bind_select(&select)?;
-        self.plan_bound(&bound)
+        self.plan_bound(&self.bind_select_sql(sql, "plan_query")?)
     }
 
     /// Run the static analyzer over a SELECT without executing it:
     /// passes 1–3 ([`gbj_analyze`]) on the planned query, including the
     /// FD-derivation audit of the eager-aggregation attempt.
     pub fn lint_select(&self, sql: &str) -> Result<gbj_analyze::Report> {
-        let stmt = gbj_sql::parse_sql(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Err(Error::Unsupported("lint_select() expects a SELECT".into()));
-        };
-        let binder = Binder::new(self.storage.catalog());
-        let bound = binder.bind_select(&select)?;
-        Ok(self.lint_bound(&bound, sql)?.0)
+        let bound = self.bind_select_sql(sql, "lint_select")?;
+        self.lint_bound(&bound, sql)
     }
 
     /// Lint every statement of a `;`-separated script: DDL and DML are
@@ -777,10 +781,8 @@ impl Database {
             };
             match select {
                 Some(s) => {
-                    let binder = Binder::new(self.storage.catalog());
-                    let bound = binder.bind_select(&s)?;
-                    let subject = bound.block.to_string();
-                    reports.push(self.lint_bound(&bound, &subject)?.0);
+                    let bound = Binder::new(self.storage.catalog()).bind_select(&s)?;
+                    reports.push(self.lint_bound(&bound, &bound.block.to_string())?);
                 }
                 None => {
                     self.execute_statement(stmt)?;
@@ -793,11 +795,7 @@ impl Database {
     /// The shared lint path: plan the query, audit the transformation
     /// attempt (pass 2 + the `=ⁿ` grouping check), and run the
     /// schema/type and NULL-semantics passes over the chosen plan.
-    fn lint_bound(
-        &self,
-        bound: &BoundSelect,
-        subject: &str,
-    ) -> Result<(gbj_analyze::Report, Option<FdCertificate>)> {
+    fn lint_bound(&self, bound: &BoundSelect, subject: &str) -> Result<gbj_analyze::Report> {
         let block = &bound.block;
         let mut analysis = Analysis::new(subject);
         if block.is_aggregating() {
@@ -858,7 +856,7 @@ impl Database {
                 self.options.exec.shards.get()
             ));
         }
-        Ok(analysis.finish())
+        Ok(analysis.finish().0)
     }
 
     fn execute_statement(&mut self, stmt: Statement) -> Result<QueryOutput> {
@@ -915,8 +913,7 @@ impl Database {
                 Ok(QueryOutput::Affected(n))
             }
             Statement::Select(select) => {
-                let binder = Binder::new(self.storage.catalog());
-                let bound = binder.bind_select(&select)?;
+                let bound = Binder::new(self.storage.catalog()).bind_select(&select)?;
                 let (rows, _, _) = self.run_select(&bound, "select")?;
                 Ok(QueryOutput::Rows(rows))
             }
@@ -928,11 +925,9 @@ impl Database {
                 let Statement::Select(select) = *statement else {
                     return Err(Error::Unsupported("EXPLAIN expects a SELECT".into()));
                 };
-                let binder = Binder::new(self.storage.catalog());
-                let bound = binder.bind_select(&select)?;
+                let bound = Binder::new(self.storage.catalog()).bind_select(&select)?;
                 if lint {
-                    let subject = bound.block.to_string();
-                    let (lint_report, _) = self.lint_bound(&bound, &subject)?;
+                    let lint_report = self.lint_bound(&bound, &bound.block.to_string())?;
                     let plan_report = self.plan_bound(&bound)?;
                     let mut text = plan_report.explain();
                     text.push_str("lint:\n");
@@ -940,21 +935,18 @@ impl Database {
                     return Ok(QueryOutput::Explain(text));
                 }
                 if analyze {
-                    let (rows, _, report) = self.run_select(&bound, "explain analyze")?;
+                    let (rows, m, report) = self.run_select(&bound, "explain analyze")?;
                     let mut text = report.explain();
-                    // The run just recorded its metrics; render the
-                    // measured section from them. Planning and execution
-                    // time are separate labeled lines — planning can
-                    // dominate on small data and would otherwise hide
-                    // inside one combined number.
-                    if let Some(m) = self.last_query_metrics() {
-                        text.push_str(&format!("planning time: {:?}\n", m.planning));
-                        text.push_str(&format!("execution time: {:?}\n", m.execution));
-                        text.push_str(&format!("actual rows: {}\n", rows.len()));
-                        text.push_str(&format!("peak memory: {} B\n", m.peak_memory_bytes));
-                        text.push_str("estimate vs actual:\n");
-                        text.push_str(&annotated_tree(&m.audits()));
-                    }
+                    // Planning and execution time are separate labeled
+                    // lines — planning can dominate on small data and
+                    // would otherwise hide inside one combined number.
+                    text.push_str(&m.path_line());
+                    text.push_str(&format!("planning time: {:?}\n", m.planning));
+                    text.push_str(&format!("execution time: {:?}\n", m.execution));
+                    text.push_str(&format!("actual rows: {}\n", rows.len()));
+                    text.push_str(&format!("peak memory: {} B\n", m.peak_memory_bytes));
+                    text.push_str("estimate vs actual:\n");
+                    text.push_str(&annotated_tree(&m.audits()));
                     Ok(QueryOutput::Explain(text))
                 } else {
                     let report = self.plan_bound(&bound)?;
@@ -1068,7 +1060,6 @@ impl Database {
                     return self.choose_plans(
                         &merged,
                         block,
-                        &fd_ctx,
                         Some(testfd.to_string()),
                         PlanChoice::Unfolded,
                         bound,
@@ -1076,22 +1067,8 @@ impl Database {
                 }
                 ReverseOutcome::NotApplicable { reason } => {
                     let plan = self.lower(block, &bound.order_by)?;
-                    return Ok(QueryReport {
-                        choice: PlanChoice::Lazy,
-                        reason: format!("view not unfolded: {reason}"),
-                        testfd: None,
-                        partition: None,
-                        stats: None,
-                        lazy_cost: None,
-                        eager_cost: None,
-                        lazy_shape: None,
-                        eager_shape: None,
-                        plan,
-                        alternative: None,
-                        certificate: None,
-                        domains: String::new(),
-                        pruning: PruningFacts::default(),
-                    });
+                    let reason = format!("view not unfolded: {reason}");
+                    return Ok(QueryReport::lazy_only(reason, None, plan));
                 }
             }
         }
@@ -1123,7 +1100,7 @@ impl Database {
                 let constraints =
                     gbj_analyze::fd_audit::replay_constraints(&fd_ctx, &transform_opts);
                 let certificate = FdCertificate::replay(&partition, &fd_ctx, &constraints);
-                let mut report = self.choose_with_partition(
+                let mut report = self.decide(
                     block,
                     &eager_block,
                     &partition,
@@ -1136,22 +1113,12 @@ impl Database {
             }
             EagerOutcome::NotApplicable { reason, testfd } => {
                 let plan = self.lower(block, &bound.order_by)?;
-                Ok(QueryReport {
-                    choice: PlanChoice::Lazy,
-                    reason: format!("transformation not applied: {reason}"),
-                    testfd: testfd.map(|t| t.to_string()),
-                    partition: None,
-                    stats: None,
-                    lazy_cost: None,
-                    eager_cost: None,
-                    lazy_shape: None,
-                    eager_shape: None,
+                let reason = format!("transformation not applied: {reason}");
+                Ok(QueryReport::lazy_only(
+                    reason,
+                    testfd.map(|t| t.to_string()),
                     plan,
-                    alternative: None,
-                    certificate: None,
-                    domains: String::new(),
-                    pruning: PruningFacts::default(),
-                })
+                ))
             }
         }
     }
@@ -1162,7 +1129,6 @@ impl Database {
         &self,
         lazy_block: &QueryBlock,
         eager_block: &QueryBlock,
-        _fd_ctx: &FdContext,
         testfd: Option<String>,
         eager_choice: PlanChoice,
         bound: &BoundSelect,
@@ -1187,25 +1153,6 @@ impl Database {
             lazy_block,
             eager_block,
             &partition,
-            testfd,
-            eager_choice,
-            bound,
-        )
-    }
-
-    fn choose_with_partition(
-        &self,
-        lazy_block: &QueryBlock,
-        eager_block: &QueryBlock,
-        partition: &Partition,
-        testfd: Option<String>,
-        eager_choice: PlanChoice,
-        bound: &BoundSelect,
-    ) -> Result<QueryReport> {
-        self.decide(
-            lazy_block,
-            eager_block,
-            partition,
             testfd,
             eager_choice,
             bound,
@@ -1645,6 +1592,52 @@ mod tests {
          FROM Employee E, Department D \
          WHERE E.DeptID = D.DeptID \
          GROUP BY D.DeptID, D.Name";
+
+    /// Every `GBJ_*` variable, through the one lookup that reads them.
+    #[test]
+    fn from_env_parses_each_variable() {
+        type Read = fn(&EngineOptions) -> usize;
+        let threads: Read = |o| o.exec.threads.get();
+        let shards: Read = |o| o.exec.shards.get();
+        let vectorized: Read = |o| usize::from(o.exec.vectorized);
+        let verify: Read = |o| usize::from(o.verify_rewrites);
+        let adaptive: Read = |o| usize::from(o.adaptive);
+        let clamp: Read = |o| usize::from(o.clamp_estimates);
+        let debug = usize::from(cfg!(debug_assertions));
+        // (variable, value or "" for unset, field, expected)
+        let table: &[(&str, &str, Read, usize)] = &[
+            ("GBJ_TEST_THREADS", "", threads, 1),
+            ("GBJ_TEST_THREADS", " 4 ", threads, 4),
+            ("GBJ_TEST_THREADS", "0", threads, 1),
+            ("GBJ_TEST_THREADS", "many", threads, 1),
+            ("GBJ_TEST_SHARDS", "", shards, 1),
+            ("GBJ_TEST_SHARDS", "8", shards, 8),
+            ("GBJ_TEST_SHARDS", "-1", shards, 1),
+            ("GBJ_TEST_THREADS", "8", shards, 1),
+            ("GBJ_TEST_VECTORIZED", "", vectorized, 0),
+            ("GBJ_TEST_VECTORIZED", "1", vectorized, 1),
+            ("GBJ_TEST_VECTORIZED", "true\n", vectorized, 1),
+            ("GBJ_TEST_VECTORIZED", "0", vectorized, 0),
+            ("GBJ_TEST_VECTORIZED", "false", vectorized, 0),
+            ("GBJ_TEST_VECTORIZED", "yes", vectorized, 0),
+            ("GBJ_VERIFY_REWRITES", "", verify, debug),
+            ("GBJ_VERIFY_REWRITES", "1", verify, 1),
+            ("GBJ_VERIFY_REWRITES", "0", verify, 0),
+            ("GBJ_VERIFY_REWRITES", "on", verify, debug),
+            ("GBJ_ADAPTIVE", "", adaptive, 0),
+            ("GBJ_ADAPTIVE", "1", adaptive, 1),
+            ("GBJ_ADAPTIVE", "true", adaptive, 0),
+            ("GBJ_CLAMP_ESTIMATES", "", clamp, 1),
+            ("GBJ_CLAMP_ESTIMATES", "0", clamp, 0),
+            ("GBJ_CLAMP_ESTIMATES", "1", clamp, 1),
+        ];
+        for (var, value, read, expect) in table {
+            let options = EngineOptions::from_lookup(|name| {
+                (name == *var && !value.is_empty()).then(|| (*value).to_string())
+            });
+            assert_eq!(read(&options), *expect, "{var}={value:?}");
+        }
+    }
 
     #[test]
     fn example1_end_to_end_transforms_and_answers() {

@@ -8,10 +8,12 @@
 //! distinction would matter (see DESIGN.md).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use gbj_expr::{Accumulator, AggregateCall, BoundExpr};
-use gbj_types::{Error, GroupKey, Result, Value};
+use gbj_expr::{Accumulator, AggregateCall, BoundExpr, Expr};
+use gbj_types::{internal_err, GroupKey, Result, Schema, Value};
 
+use crate::batch::{ColumnVector, StringDict, NULL_CODE};
 use crate::guard::{row_bytes, ResourceGuard};
 use crate::metrics::MetricsSink;
 
@@ -38,6 +40,325 @@ impl CompiledAggregate {
     }
 }
 
+/// Bind a grouping list and its aggregate calls against the input
+/// schema.
+pub(crate) fn compile_aggregates(
+    schema: &Schema,
+    group_by: &[Expr],
+    aggregates: &[(AggregateCall, String)],
+) -> Result<(Vec<BoundExpr>, Vec<CompiledAggregate>)> {
+    let group_bound = group_by
+        .iter()
+        .map(|e| e.bind(schema))
+        .collect::<Result<_>>()?;
+    let compiled = aggregates
+        .iter()
+        .map(|(call, _)| {
+            let arg = call.arg.as_ref().map(|e| e.bind(schema)).transpose()?;
+            Ok(CompiledAggregate {
+                call: call.clone(),
+                arg,
+            })
+        })
+        .collect::<Result<_>>()?;
+    Ok((group_bound, compiled))
+}
+
+/// Fresh accumulators, one per aggregate.
+pub(crate) fn new_accumulators(aggregates: &[CompiledAggregate]) -> Vec<Accumulator> {
+    aggregates.iter().map(|a| a.call.accumulator()).collect()
+}
+
+/// Feed `row` to every aggregate's accumulator.
+pub(crate) fn update_all(
+    aggregates: &[CompiledAggregate],
+    accs: &mut [Accumulator],
+    row: &[Value],
+) -> Result<()> {
+    for (agg, acc) in aggregates.iter().zip(accs) {
+        agg.update(acc, row)?;
+    }
+    Ok(())
+}
+
+/// Evaluate the grouping expressions on `row` into an `=ⁿ` key.
+pub(crate) fn group_key(group_exprs: &[BoundExpr], row: &[Value]) -> Result<GroupKey> {
+    group_exprs
+        .iter()
+        .map(|e| e.eval(row))
+        .collect::<Result<_>>()
+        .map(GroupKey)
+}
+
+/// One group's key and accumulator states, as shipped between shards.
+pub(crate) type Partial = (GroupKey, Vec<Accumulator>);
+
+/// The slots of a [`Groups`] table: per group, the decoded `=ⁿ` key and
+/// the accumulators, plus the memory charge the table holds. Whatever
+/// was charged is released on drop, so error paths need no bookkeeping.
+struct Slots<'a> {
+    aggregates: &'a [CompiledAggregate],
+    guard: &'a ResourceGuard,
+    order: Vec<GroupKey>,
+    accs: Vec<Vec<Accumulator>>,
+    bytes: u64,
+}
+
+impl Drop for Slots<'_> {
+    fn drop(&mut self) {
+        self.guard.release_memory(self.bytes);
+    }
+}
+
+impl Slots<'_> {
+    /// Append a group. A new entry is charged before it is inserted
+    /// (decoded-key `row_bytes` + [`ACC_ENTRY_BYTES`] per aggregate);
+    /// `charge` is false only for an entry whose charge the table
+    /// already took over (see [`Groups::absorb`]).
+    fn push(&mut self, key: GroupKey, accs: Vec<Accumulator>, charge: bool) -> Result<usize> {
+        if charge {
+            let entry_bytes =
+                row_bytes(&key.0) + ACC_ENTRY_BYTES * self.aggregates.len().max(1) as u64;
+            self.bytes += entry_bytes;
+            self.guard.charge_memory(entry_bytes)?;
+        }
+        self.order.push(key);
+        self.accs.push(accs);
+        Ok(self.order.len() - 1)
+    }
+}
+
+/// Key → slot lookup. Row operators always use `Generic`; the chunk
+/// pipeline keys a single `Int` or dictionary column on the raw `i64` /
+/// `u32` code and demotes to `Generic` when a later chunk arrives in a
+/// different shape (the decoded keys are kept per slot, so demotion is
+/// lossless).
+enum Keyer {
+    Int(HashMap<Option<i64>, usize>),
+    Dict {
+        map: HashMap<u32, usize>,
+        dict: Arc<StringDict>,
+    },
+    Generic(HashMap<GroupKey, usize>),
+}
+
+/// The one aggregation table behind every hash-aggregate operator:
+/// groups under `=ⁿ` (NULL equals NULL) in first-seen order, which is
+/// the output order.
+pub(crate) struct Groups<'a> {
+    keyer: Keyer,
+    slots: Slots<'a>,
+}
+
+impl<'a> Groups<'a> {
+    pub(crate) fn new(aggregates: &'a [CompiledAggregate], guard: &'a ResourceGuard) -> Groups<'a> {
+        Groups {
+            keyer: Keyer::Generic(HashMap::new()),
+            slots: Slots {
+                aggregates,
+                guard,
+                order: Vec::new(),
+                accs: Vec::new(),
+                bytes: 0,
+            },
+        }
+    }
+
+    /// Distinct groups so far.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.order.len()
+    }
+
+    /// Bytes this table has charged to the guard and still holds.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.slots.bytes
+    }
+
+    /// A generic keyer over the decoded keys of the current slots.
+    fn generic_keyer(&self) -> Keyer {
+        Keyer::Generic(self.slots.order.iter().cloned().zip(0..).collect())
+    }
+
+    /// Slot of `key` under the generic keyer, demoting first if the
+    /// table was keyed on raw codes.
+    fn lookup(&mut self, key: &GroupKey) -> Option<usize> {
+        if !matches!(self.keyer, Keyer::Generic(_)) {
+            self.keyer = self.generic_keyer();
+        }
+        match &self.keyer {
+            Keyer::Generic(map) => map.get(key).copied(),
+            Keyer::Int(_) | Keyer::Dict { .. } => None,
+        }
+    }
+
+    fn insert(&mut self, key: GroupKey, accs: Vec<Accumulator>, charge: bool) -> Result<usize> {
+        let slot = self.slots.push(key.clone(), accs, charge)?;
+        if let Keyer::Generic(map) = &mut self.keyer {
+            map.insert(key, slot);
+        }
+        Ok(slot)
+    }
+
+    /// Fold one input row into the group `key`.
+    pub(crate) fn fold(&mut self, key: GroupKey, row: &[Value]) -> Result<()> {
+        let slot = match self.lookup(&key) {
+            Some(slot) => slot,
+            None => self.insert(key, new_accumulators(self.slots.aggregates), true)?,
+        };
+        update_all(self.slots.aggregates, self.accs_mut(slot)?, row)
+    }
+
+    /// Fold every row of `rows` into its group under `group_exprs`,
+    /// polling the guard per row.
+    pub(crate) fn fold_rows(
+        &mut self,
+        group_exprs: &[BoundExpr],
+        rows: &[Vec<Value>],
+    ) -> Result<()> {
+        rows.iter().try_for_each(|row| {
+            self.slots.guard.tick()?;
+            self.fold(group_key(group_exprs, row)?, row)
+        })
+    }
+
+    fn merge_entry(&mut self, (key, accs): Partial, charge: bool) -> Result<()> {
+        match self.lookup(&key) {
+            Some(slot) => {
+                for (merged, partial) in self.accs_mut(slot)?.iter_mut().zip(&accs) {
+                    merged.merge(partial)?;
+                }
+                Ok(())
+            }
+            None => self.insert(key, accs, charge).map(drop),
+        }
+    }
+
+    /// Merge a shipped partial through [`Accumulator::merge`]; a group
+    /// this table has not seen is charged like any new entry.
+    pub(crate) fn merge(&mut self, partial: Partial) -> Result<()> {
+        self.merge_entry(partial, true)
+    }
+
+    /// Merge a whole partial table, taking over its memory charge.
+    /// Absorbing partials in input order reproduces the first-seen
+    /// order of one fold over the concatenated input.
+    pub(crate) fn absorb(&mut self, mut other: Groups<'a>) -> Result<()> {
+        self.slots.bytes += std::mem::take(&mut other.slots.bytes);
+        other
+            .into_partials()
+            .into_iter()
+            .try_for_each(|p| self.merge_entry(p, false))
+    }
+
+    /// The groups as shippable partials, in first-seen order. Releases
+    /// this table's charge.
+    pub(crate) fn into_partials(mut self) -> Vec<Partial> {
+        let order = std::mem::take(&mut self.slots.order);
+        order
+            .into_iter()
+            .zip(std::mem::take(&mut self.slots.accs))
+            .collect()
+    }
+
+    /// Drain into output rows: decoded key values ++ aggregate results,
+    /// in first-seen group order.
+    pub(crate) fn finish(self) -> Vec<Vec<Value>> {
+        self.into_partials()
+            .into_iter()
+            .map(|(key, accs)| {
+                let mut row = key.0;
+                row.extend(accs.iter().map(Accumulator::finish));
+                row
+            })
+            .collect()
+    }
+
+    pub(crate) fn accs_mut(&mut self, slot: usize) -> Result<&mut Vec<Accumulator>> {
+        self.slots
+            .accs
+            .get_mut(slot)
+            .ok_or_else(|| internal_err!("group slot {slot} out of bounds"))
+    }
+
+    /// Pick the lookup strategy for a chunk whose group-key columns are
+    /// `key_cols`: raw codes while every chunk so far had this shape,
+    /// generic otherwise.
+    pub(crate) fn prepare(&mut self, key_cols: &[ColumnVector]) {
+        let fits = match (&self.keyer, key_cols) {
+            (Keyer::Int(_), [ColumnVector::Int { .. }]) => true,
+            (Keyer::Dict { dict, .. }, [ColumnVector::Dict { dict: d, .. }]) => {
+                Arc::ptr_eq(dict, d)
+            }
+            (Keyer::Generic(_), _) => self.len() > 0,
+            _ => false,
+        };
+        if fits {
+            return;
+        }
+        self.keyer = match key_cols {
+            [ColumnVector::Int { .. }] if self.len() == 0 => Keyer::Int(HashMap::new()),
+            [ColumnVector::Dict { dict, .. }] if self.len() == 0 => Keyer::Dict {
+                map: HashMap::new(),
+                dict: Arc::clone(dict),
+            },
+            _ => self.generic_keyer(),
+        };
+    }
+
+    /// Find or create the group slot for row `i` of `key_cols` (call
+    /// [`Groups::prepare`] once per chunk first).
+    pub(crate) fn slot(&mut self, key_cols: &[ColumnVector], i: usize) -> Result<usize> {
+        let fresh = |slots: &Slots| new_accumulators(slots.aggregates);
+        match &mut self.keyer {
+            Keyer::Int(map) => {
+                let k = match key_cols.first() {
+                    Some(ColumnVector::Int { values, validity }) if validity.get(i) => {
+                        values.get(i).copied()
+                    }
+                    _ => None,
+                };
+                if let Some(&s) = map.get(&k) {
+                    return Ok(s);
+                }
+                let key = GroupKey(vec![k.map_or(Value::Null, Value::Int)]);
+                let s = self.slots.push(key, fresh(&self.slots), true)?;
+                map.insert(k, s);
+                Ok(s)
+            }
+            Keyer::Dict { map, dict } => {
+                let c = match key_cols.first() {
+                    Some(ColumnVector::Dict { codes, .. }) => {
+                        codes.get(i).copied().unwrap_or(NULL_CODE)
+                    }
+                    _ => NULL_CODE,
+                };
+                // Every invalid code is the same `=ⁿ` NULL group.
+                let c = if (c as usize) < dict.len() {
+                    c
+                } else {
+                    NULL_CODE
+                };
+                if let Some(&s) = map.get(&c) {
+                    return Ok(s);
+                }
+                let key = GroupKey(vec![dict.get(c).map_or(Value::Null, Value::str)]);
+                let s = self.slots.push(key, fresh(&self.slots), true)?;
+                map.insert(c, s);
+                Ok(s)
+            }
+            Keyer::Generic(map) => {
+                let key = GroupKey(key_cols.iter().map(|c| c.value(i)).collect());
+                if let Some(&s) = map.get(&key) {
+                    return Ok(s);
+                }
+                let s = self.slots.push(key.clone(), fresh(&self.slots), true)?;
+                map.insert(key, s);
+                Ok(s)
+            }
+        }
+    }
+}
+
 /// Hash aggregation: one pass, grouping by the bound key expressions.
 ///
 /// Output rows are `group key values ++ aggregate results`, in
@@ -49,90 +370,27 @@ pub fn hash_aggregate(
     guard: &ResourceGuard,
     sink: &MetricsSink,
 ) -> Result<Vec<Vec<Value>>> {
-    hash_aggregate_with_keys(input, group_exprs, aggregates, None, guard, sink)
-}
-
-/// [`hash_aggregate`] with optionally precomputed grouping keys (one
-/// per input row, e.g. from the vectorized batch kernels). The keys
-/// must equal row-at-a-time evaluation of `group_exprs`; the executor
-/// only precomputes for error-free (vectorizable) key expressions, so
-/// the output — including error behavior — is identical either way.
-pub fn hash_aggregate_with_keys(
-    input: &[Vec<Value>],
-    group_exprs: &[BoundExpr],
-    aggregates: &[CompiledAggregate],
-    precomputed: Option<&[GroupKey]>,
-    guard: &ResourceGuard,
-    sink: &MetricsSink,
-) -> Result<Vec<Vec<Value>>> {
-    let mut order: Vec<GroupKey> = Vec::new();
-    let mut groups: HashMap<GroupKey, Vec<Accumulator>> = HashMap::new();
-
     if group_exprs.is_empty() {
         // Scalar aggregate: exactly one group, even over empty input.
         let scalar_timer = sink.start_timer();
-        let mut accs: Vec<Accumulator> = aggregates.iter().map(|a| a.call.accumulator()).collect();
+        let mut accs = new_accumulators(aggregates);
         for row in input {
             guard.tick()?;
-            for (agg, acc) in aggregates.iter().zip(&mut accs) {
-                agg.update(acc, row)?;
-            }
+            update_all(aggregates, &mut accs, row)?;
         }
         sink.record_build(scalar_timer);
         return Ok(vec![accs.iter().map(Accumulator::finish).collect()]);
     }
 
     let build_timer = sink.start_timer();
-    let mut table_bytes = 0u64;
-    let filled = (|| -> Result<()> {
-        for (i, row) in input.iter().enumerate() {
-            guard.tick()?;
-            let key = match precomputed {
-                Some(keys) => keys
-                    .get(i)
-                    .cloned()
-                    .ok_or_else(|| Error::Internal(format!("missing precomputed key {i}")))?,
-                None => GroupKey(
-                    group_exprs
-                        .iter()
-                        .map(|e| e.eval(row))
-                        .collect::<Result<_>>()?,
-                ),
-            };
-            if !groups.contains_key(&key) {
-                let entry_bytes =
-                    row_bytes(&key.0) + ACC_ENTRY_BYTES * aggregates.len().max(1) as u64;
-                table_bytes += entry_bytes;
-                guard.charge_memory(entry_bytes)?;
-            }
-            let accs = groups.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                aggregates.iter().map(|a| a.call.accumulator()).collect()
-            });
-            for (agg, acc) in aggregates.iter().zip(accs.iter_mut()) {
-                agg.update(acc, row)?;
-            }
-        }
-        Ok(())
-    })();
+    let mut groups = Groups::new(aggregates, guard);
+    let filled = groups.fold_rows(group_exprs, input);
     sink.record_build(build_timer);
-    sink.add_hash_entries(order.len() as u64);
-    sink.add_state_bytes(table_bytes);
+    sink.add_hash_entries(groups.len() as u64);
+    sink.add_state_bytes(groups.bytes());
     let probe_timer = sink.start_timer();
-    let out = filled.and_then(|()| {
-        let mut out = Vec::with_capacity(order.len());
-        for key in order.drain(..) {
-            let accs = groups
-                .remove(&key)
-                .ok_or_else(|| Error::Internal("group vanished".into()))?;
-            let mut row = key.0;
-            row.extend(accs.iter().map(Accumulator::finish));
-            out.push(row);
-        }
-        Ok(out)
-    });
+    let out = filled.map(|()| groups.finish());
     sink.record_probe(probe_timer);
-    guard.release_memory(table_bytes);
     out
 }
 
@@ -203,15 +461,10 @@ pub fn sort_aggregate(
                     r.extend(accs.iter().map(Accumulator::finish));
                     out.push(r);
                 }
-                current = Some((
-                    key,
-                    aggregates.iter().map(|a| a.call.accumulator()).collect(),
-                ));
+                current = Some((key, new_accumulators(aggregates)));
             }
             if let Some((_, accs)) = &mut current {
-                for (agg, acc) in aggregates.iter().zip(accs.iter_mut()) {
-                    agg.update(acc, row)?;
-                }
+                update_all(aggregates, accs, row)?;
             }
         }
         if let Some((k, accs)) = current {
@@ -227,7 +480,7 @@ pub fn sort_aggregate(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gbj_expr::{AggregateFunction, Expr};
     use gbj_types::{DataType, Field, Schema};
@@ -239,12 +492,12 @@ mod tests {
         ])
     }
 
-    fn compile(call: AggregateCall) -> CompiledAggregate {
+    pub(crate) fn compile(call: AggregateCall) -> CompiledAggregate {
         let arg = call.arg.as_ref().map(|e| e.bind(&schema()).unwrap());
         CompiledAggregate { call, arg }
     }
 
-    fn group_exprs() -> Vec<BoundExpr> {
+    pub(crate) fn group_exprs() -> Vec<BoundExpr> {
         vec![Expr::bare("g").bind(&schema()).unwrap()]
     }
 
@@ -252,7 +505,7 @@ mod tests {
         ResourceGuard::unlimited()
     }
 
-    fn sk() -> MetricsSink {
+    pub(crate) fn sk() -> MetricsSink {
         MetricsSink::new()
     }
 
@@ -406,35 +659,149 @@ mod tests {
         }
     }
 
+    fn all_calls() -> Vec<CompiledAggregate> {
+        [
+            AggregateFunction::Count,
+            AggregateFunction::Sum,
+            AggregateFunction::Min,
+            AggregateFunction::Max,
+            AggregateFunction::Avg,
+        ]
+        .into_iter()
+        .map(|f| compile(AggregateCall::new(f, Expr::bare("v"))))
+        .collect()
+    }
+
+    fn fold_all<'a>(
+        input: &[Vec<Value>],
+        calls: &'a [CompiledAggregate],
+        guard: &'a ResourceGuard,
+    ) -> Groups<'a> {
+        let mut groups = Groups::new(calls, guard);
+        groups.fold_rows(&group_exprs(), input).unwrap();
+        groups
+    }
+
     #[test]
-    fn precomputed_keys_are_byte_identical_to_inline_evaluation() {
+    fn groups_null_key_is_one_group_under_null_equals_null() {
+        let input = rows(&[(None, Some(1)), (Some(1), Some(5)), (None, Some(2))]);
+        let (calls, guard) = (all_calls(), g());
+        let groups = fold_all(&input, &calls, &guard);
+        assert_eq!(groups.len(), 2);
+        assert!(groups.bytes() > 0 && guard.memory_used() == groups.bytes());
+        let out = groups.finish();
+        assert_eq!(
+            out[0],
+            vec![
+                Value::Null,
+                Value::Int(2),
+                Value::Int(3),
+                Value::Int(1),
+                Value::Int(2),
+                Value::Float(1.5)
+            ]
+        );
+        assert_eq!(guard.memory_used(), 0, "dropping the table releases it");
+    }
+
+    /// Partials merged in input order — whole tables via `absorb` (the
+    /// morsel merge) or loose entries via `merge` (the combiner) — give
+    /// the rows and the first-seen order of one fold over the
+    /// concatenated input, for every mergeable aggregate.
+    #[test]
+    fn groups_merge_equals_one_fold_over_the_concatenation() {
         let input = rows(&[
-            (Some(1), Some(10)),
+            (Some(3), Some(10)),
             (None, Some(7)),
-            (Some(1), Some(5)),
-            (Some(2), None),
-            (None, Some(3)),
+            (Some(1), None),
+            (Some(3), Some(-4)),
+            (Some(2), Some(8)),
+            (None, None),
+            (Some(1), Some(6)),
+            (Some(3), Some(1)),
         ]);
-        let exprs = group_exprs();
-        let keys: Vec<GroupKey> = input
-            .iter()
-            .map(|r| GroupKey(exprs.iter().map(|e| e.eval(r).unwrap()).collect()))
-            .collect();
-        let inline = hash_aggregate(&input, &exprs, &[sum_call()], &g(), &sk()).unwrap();
-        let pre = hash_aggregate_with_keys(&input, &exprs, &[sum_call()], Some(&keys), &g(), &sk())
-            .unwrap();
-        assert_eq!(pre, inline, "rows and first-seen group order must match");
-        // A missing key is an internal error, not a panic.
-        let err = hash_aggregate_with_keys(
-            &input,
-            &exprs,
-            &[sum_call()],
-            Some(keys.get(..2).unwrap()),
-            &g(),
-            &sk(),
-        )
-        .unwrap_err();
-        assert_eq!(err.kind(), "internal");
+        let (calls, guard) = (all_calls(), g());
+        let whole = fold_all(&input, &calls, &guard).finish();
+        assert_eq!(
+            whole.iter().map(|r| &r[0]).collect::<Vec<_>>(),
+            [&Value::Int(3), &Value::Null, &Value::Int(1), &Value::Int(2)]
+        );
+        for split in [1usize, 3, 5] {
+            let (head, tail) = input.split_at(split);
+            let mut absorbed = Groups::new(&calls, &guard);
+            let mut merged = Groups::new(&calls, &guard);
+            for part in [head, tail] {
+                let partial = fold_all(part, &calls, &guard);
+                let held = partial.bytes();
+                absorbed.absorb(partial).unwrap();
+                assert!(absorbed.bytes() >= held, "absorb takes over the charge");
+                for p in fold_all(part, &calls, &guard).into_partials() {
+                    merged.merge(p).unwrap();
+                }
+            }
+            assert_eq!(merged.bytes(), guard.memory_used() - absorbed.bytes());
+            assert_eq!(absorbed.finish(), whole, "absorb, split at {split}");
+            assert_eq!(merged.finish(), whole, "merge, split at {split}");
+        }
+        assert_eq!(guard.memory_used(), 0);
+    }
+
+    /// A chunk of a different key shape demotes the raw-code keyer to
+    /// the generic one without moving a slot: `=ⁿ` still sends
+    /// Float(10.0) to the Int(10) group, a decoded string to its
+    /// dictionary group, and NULL to NULL.
+    #[test]
+    fn groups_demotion_from_int_and_dict_keys_is_lossless() {
+        use crate::batch::StringDictBuilder;
+        let guard = g();
+        let ints = [ColumnVector::from_values(
+            [Value::Int(10), Value::Null, Value::Int(10)].iter(),
+        )];
+        let mut groups = Groups::new(&[], &guard);
+        groups.prepare(&ints);
+        assert!(matches!(groups.keyer, Keyer::Int(_)));
+        let slots: Vec<usize> = (0..3).map(|i| groups.slot(&ints, i).unwrap()).collect();
+        assert_eq!(slots, [0, 1, 0]);
+        let floats = [ColumnVector::from_values(
+            [Value::Float(10.0), Value::Null, Value::Float(0.5)].iter(),
+        )];
+        groups.prepare(&floats);
+        assert!(matches!(groups.keyer, Keyer::Generic(_)));
+        let slots: Vec<usize> = (0..3).map(|i| groups.slot(&floats, i).unwrap()).collect();
+        assert_eq!(slots, [0, 1, 2]);
+
+        let mut b = StringDictBuilder::new();
+        let x = b.intern("x").unwrap();
+        let y = b.intern("y").unwrap();
+        let coded = [ColumnVector::Dict {
+            codes: vec![y, NULL_CODE, x, y],
+            dict: Arc::new(b.finish()),
+        }];
+        let mut groups = Groups::new(&[], &guard);
+        groups.prepare(&coded);
+        assert!(matches!(groups.keyer, Keyer::Dict { .. }));
+        let slots: Vec<usize> = (0..4).map(|i| groups.slot(&coded, i).unwrap()).collect();
+        assert_eq!(slots, [0, 1, 2, 0]);
+        let plain = [ColumnVector::from_values(
+            [Value::str("x"), Value::Null, Value::str("z")].iter(),
+        )];
+        groups.prepare(&plain);
+        assert!(matches!(groups.keyer, Keyer::Generic(_)));
+        let slots: Vec<usize> = (0..3).map(|i| groups.slot(&plain, i).unwrap()).collect();
+        assert_eq!(slots, [2, 1, 3]);
+        // The row operators' entry point sees the same table.
+        groups.fold(GroupKey(vec![Value::str("y")]), &[]).unwrap();
+        assert_eq!(groups.len(), 4);
+        let keys: Vec<Value> = groups.finish().into_iter().flatten().collect();
+        assert_eq!(
+            keys,
+            [
+                Value::str("y"),
+                Value::Null,
+                Value::str("x"),
+                Value::str("z")
+            ]
+        );
     }
 
     #[test]

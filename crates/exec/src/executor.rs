@@ -3,23 +3,18 @@
 use std::collections::HashSet;
 use std::num::NonZeroUsize;
 
-use gbj_expr::Expr;
+use gbj_expr::{BoundExpr, Expr};
 use gbj_plan::LogicalPlan;
 use gbj_storage::Storage;
-use gbj_types::{internal_err, GroupKey, Result, Truth, Value};
+use gbj_types::{internal_err, GroupKey, Result, Schema, Truth, Value};
 
-use crate::aggregate::{hash_aggregate_with_keys, sort_aggregate, CompiledAggregate};
-use crate::batch::ColumnarBatch;
+use crate::aggregate::{compile_aggregates, hash_aggregate, sort_aggregate};
 use crate::guard::{ResourceGuard, ResourceLimits};
-use crate::join::{hash_join_with_keys, nested_loop_join, sort_merge_join, split_equi_keys};
+use crate::join::{bind_join, hash_join, nested_loop_join, sort_merge_join};
 use crate::metrics::MetricsSink;
-use crate::parallel::{
-    morsel_rows, parallel_hash_aggregate_with_keys, parallel_hash_join_with_keys,
-};
+use crate::parallel::{morsel_rows, parallel_hash_aggregate, parallel_hash_join};
+use crate::path::{execution_path, ExecPath};
 use crate::result::{ProfileNode, ResultSet};
-use crate::vectorized::{
-    compute_group_keys, compute_join_keys, eval_truth_vec, eval_value_vec, vectorizable,
-};
 
 /// Join algorithm selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,20 +49,22 @@ pub struct ExecOptions {
     pub agg: AggAlgo,
     /// Resource budgets enforced during execution (default: unlimited).
     pub limits: ResourceLimits,
-    /// Worker threads for the morsel-driven parallel operators. `1`
-    /// (the default) keeps the serial operators; results are
-    /// byte-identical at every value (see `crate::parallel`).
+    /// Worker threads for the row engine's morsel-driven hash join and
+    /// hash aggregate (see `crate::parallel`) and for the shard
+    /// runner's per-shard workers. `1` (the default) keeps the serial
+    /// operators; the chunk pipeline is serial at every value. Results
+    /// are byte-identical at every value.
     pub threads: NonZeroUsize,
     /// Collect per-operator metrics (counters and phase timings) into
     /// each [`ProfileNode`]. On by default; turning it off replaces
     /// every sink with a no-op that skips its clock reads.
     pub metrics: bool,
-    /// Run the vectorized columnar kernels (see [`crate::vectorized`])
-    /// for filter, projection and the hash-key computations of join and
-    /// aggregate. Off by default. Results — including errors and the
-    /// metrics fingerprint — are byte-identical to the row path: the
-    /// kernels cover only the error-free expression subset and each
-    /// operator falls back to row-at-a-time evaluation otherwise.
+    /// Run plans that pass the whole-plan gate
+    /// ([`execution_path`](crate::execution_path)) on the batch-native
+    /// chunk pipeline (see [`crate::pipeline`]). Off by default. A plan
+    /// the gate refuses runs on the untouched row engine, so results —
+    /// including errors and the metrics fingerprint — are byte-identical
+    /// either way.
     pub vectorized: bool,
     /// In-process shard count for the distributed runner (see
     /// [`crate::shard`]). `1` (the default) keeps single-shard
@@ -100,8 +97,11 @@ impl Default for ExecOptions {
 
 /// Whole-query execution measurements that live on the
 /// [`ResourceGuard`] rather than any one operator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecSummary {
+    /// The path the plan ran on, with the reason when a faster
+    /// configured path refused it.
+    pub path: ExecPath,
     /// Memory high-water mark: largest operator-state footprint held at
     /// any one time (bytes).
     pub peak_memory_bytes: u64,
@@ -134,78 +134,92 @@ pub(crate) fn input_batches(len: usize) -> u64 {
     len.div_ceil(morsel_rows(len)) as u64
 }
 
-/// Vectorized filter: per morsel-sized chunk, build a
-/// [`ColumnarBatch`], evaluate the (vectorizable, hence error-free)
-/// predicate column-at-a-time, and keep the rows whose 3VL result is
-/// `true`. Row order and output are byte-identical to the row path.
-fn filter_vectorized(
-    bound: &gbj_expr::BoundExpr,
-    in_rows: Vec<Vec<Value>>,
-    arity: usize,
+/// The row filter: keep the rows whose predicate is `true` under 3VL.
+pub(crate) fn filter_rows(
+    predicate: &BoundExpr,
+    rows: Vec<Vec<Value>>,
     guard: &ResourceGuard,
-    sink: &MetricsSink,
 ) -> Result<Vec<Vec<Value>>> {
-    let chunk_len = morsel_rows(in_rows.len()).max(1);
-    let mut rows = Vec::new();
-    let mut it = in_rows.into_iter();
-    loop {
-        let chunk: Vec<Vec<Value>> = it.by_ref().take(chunk_len).collect();
-        if chunk.is_empty() {
-            break;
-        }
+    let mut out = Vec::new();
+    for row in rows {
         guard.tick()?;
-        let timer = sink.start_timer();
-        let batch = ColumnarBatch::from_rows(&chunk, arity)?;
-        sink.add_vectors(1);
-        let truths = eval_truth_vec(bound, &batch)?;
-        sink.record_kernel(timer);
-        for (row, t) in chunk.into_iter().zip(truths) {
-            if t == Truth::True {
-                rows.push(row);
-            }
+        if predicate.eval_truth(&row)? == Truth::True {
+            out.push(row);
         }
     }
-    sink.add_selected(rows.len() as u64);
-    Ok(rows)
+    Ok(out)
 }
 
-/// Vectorized projection: evaluate every (vectorizable) output
-/// expression column-at-a-time per chunk, then assemble output rows —
-/// with the same duplicate-elimination-under-`=ⁿ` dedup set as the row
-/// path when `distinct` is set.
-fn project_vectorized(
-    bound: &[gbj_expr::BoundExpr],
-    in_rows: &[Vec<Value>],
-    arity: usize,
-    distinct: bool,
+/// The row projection: evaluate `exprs` on every row.
+pub(crate) fn project_rows(
+    exprs: &[BoundExpr],
+    rows: &[Vec<Value>],
     guard: &ResourceGuard,
-    sink: &MetricsSink,
 ) -> Result<Vec<Vec<Value>>> {
-    let chunk_len = morsel_rows(in_rows.len()).max(1);
-    let mut rows = Vec::with_capacity(in_rows.len());
+    rows.iter()
+        .map(|row| {
+            guard.tick()?;
+            exprs.iter().map(|e| e.eval(row)).collect()
+        })
+        .collect()
+}
+
+/// Duplicate elimination under `=ⁿ` (NULL equals NULL), keeping the
+/// first occurrence of each row.
+pub(crate) fn distinct_rows(
+    rows: Vec<Vec<Value>>,
+    guard: &ResourceGuard,
+) -> Result<Vec<Vec<Value>>> {
     let mut seen: HashSet<GroupKey> = HashSet::new();
-    for chunk in in_rows.chunks(chunk_len) {
+    let mut out = Vec::new();
+    for row in rows {
         guard.tick()?;
-        let timer = sink.start_timer();
-        let batch = ColumnarBatch::from_rows(chunk, arity)?;
-        sink.add_vectors(1);
-        let cols: Vec<_> = bound
-            .iter()
-            .map(|b| eval_value_vec(b, &batch))
-            .collect::<Result<_>>()?;
-        sink.record_kernel(timer);
-        for i in 0..batch.len() {
-            let out: Vec<Value> = cols.iter().map(|c| c.value(i)).collect();
-            if distinct {
-                if seen.insert(GroupKey(out.clone())) {
-                    rows.push(out);
-                }
-            } else {
-                rows.push(out);
-            }
+        if seen.insert(GroupKey(row.clone())) {
+            out.push(row);
         }
     }
-    Ok(rows)
+    Ok(out)
+}
+
+/// Bind `(expression, ascending)` sort keys against the input schema.
+pub(crate) fn bind_sort_keys(
+    keys: &[(Expr, bool)],
+    schema: &Schema,
+) -> Result<Vec<(BoundExpr, bool)>> {
+    keys.iter()
+        .map(|(e, asc)| Ok((e.bind(schema)?, *asc)))
+        .collect()
+}
+
+/// Stable sort on the bound keys under the total order (NULLs last
+/// ascending), evaluating each key once per row.
+pub(crate) fn sort_rows(
+    rows: Vec<Vec<Value>>,
+    keys: &[(BoundExpr, bool)],
+    guard: &ResourceGuard,
+) -> Result<Vec<Vec<Value>>> {
+    let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = rows
+        .into_iter()
+        .map(|row| {
+            guard.tick()?;
+            let k: Vec<Value> = keys
+                .iter()
+                .map(|(e, _)| e.eval(&row))
+                .collect::<Result<_>>()?;
+            Ok((k, row))
+        })
+        .collect::<Result<_>>()?;
+    keyed.sort_by(|(a, _), (b, _)| {
+        for ((x, y), (_, asc)) in a.iter().zip(b).zip(keys) {
+            let ord = x.total_cmp(y);
+            let ord = if *asc { ord } else { ord.reverse() };
+            if ord != std::cmp::Ordering::Equal {
+                return ord;
+            }
+        }
+        std::cmp::Ordering::Equal
+    });
+    Ok(keyed.into_iter().map(|(_, r)| r).collect())
 }
 
 /// Executes logical plans against a [`Storage`].
@@ -258,23 +272,15 @@ impl<'a> Executor<'a> {
         plan: &LogicalPlan,
         guard: &ResourceGuard,
     ) -> Result<(ResultSet, ProfileNode, ExecSummary)> {
-        // Sharded distributed runner when more than one shard is
-        // configured and the plan is inside its byte-identity gate;
-        // otherwise the batch-native pipeline (late materialization,
-        // dictionary keys) when the whole plan is inside the error-free
-        // vectorization rule; the row engine wholesale otherwise, so
-        // error order is always exactly the oracle's. See
-        // `crate::shard` and `crate::pipeline`.
-        let (rows, profile) =
-            if self.options.shards.get() > 1 && crate::shard::supported(plan, &self.options) {
-                crate::shard::run_sharded(self, plan, guard)?
-            } else if self.options.vectorized && crate::pipeline::supported(plan, &self.options) {
-                self.run_batched(plan, guard)?
-            } else {
-                self.run(plan, guard)?
-            };
+        let path = execution_path(plan, &self.options);
+        let (rows, profile) = match path {
+            ExecPath::Sharded => crate::shard::run_sharded(self, plan, guard)?,
+            ExecPath::Batch => self.run_batched(plan, guard)?,
+            ExecPath::Row(_) => self.run(plan, guard)?,
+        };
         let (shipped_rows, shipped_bytes) = shipped_totals(&profile);
         let summary = ExecSummary {
+            path,
             peak_memory_bytes: guard.peak_memory(),
             rows_charged: guard.rows_used(),
             shipped_rows,
@@ -299,56 +305,53 @@ impl<'a> Executor<'a> {
         }
     }
 
+    /// The table scan every path but the chunk pipeline starts from.
+    /// The batched cursor is the fault-injection seam (short batches,
+    /// injected failures, NULL flips) and gives the guard a
+    /// cancellation point between batches; it always runs serial, so
+    /// cursor batches are thread- and shard-count invariant.
+    pub(crate) fn scan_rows(
+        &self,
+        plan: &LogicalPlan,
+        table: &str,
+        schema: &Schema,
+        guard: &ResourceGuard,
+    ) -> Result<(Vec<Vec<Value>>, ProfileNode)> {
+        let sink = self.sink();
+        let timer = sink.start_timer();
+        let mut cursor = self.storage.open_scan(table)?;
+        if cursor.arity() != schema.len() {
+            return Err(internal_err!("scan schema arity mismatch for {table}"));
+        }
+        let mut rows: Vec<Vec<Value>> = Vec::with_capacity(cursor.total_rows());
+        while let Some(batch) = cursor.next_batch()? {
+            guard.charge_rows(batch.len())?;
+            sink.add_batches(1);
+            rows.extend(batch);
+        }
+        sink.record_probe(timer);
+        let n = rows.len();
+        let profile =
+            ProfileNode::new(plan.label(), "Scan", n, vec![]).with_metrics(sink.finish(n, n));
+        Ok((rows, profile))
+    }
+
+    /// The row engine: the reference oracle every other path must match.
     fn run(
         &self,
         plan: &LogicalPlan,
         guard: &ResourceGuard,
     ) -> Result<(Vec<Vec<Value>>, ProfileNode)> {
         match plan {
-            LogicalPlan::Scan { table, schema, .. } => {
-                // The batched cursor is the fault-injection seam (short
-                // batches, injected failures, NULL flips) and gives the
-                // guard a cancellation point between batches.
-                let sink = self.sink();
-                let timer = sink.start_timer();
-                let mut cursor = self.storage.open_scan(table)?;
-                if cursor.arity() != schema.len() {
-                    return Err(internal_err!("scan schema arity mismatch for {table}"));
-                }
-                let mut rows: Vec<Vec<Value>> = Vec::with_capacity(cursor.total_rows());
-                while let Some(batch) = cursor.next_batch()? {
-                    guard.charge_rows(batch.len())?;
-                    // Scans always run serial, so real cursor batches
-                    // are already thread-count invariant.
-                    sink.add_batches(1);
-                    rows.extend(batch);
-                }
-                sink.record_probe(timer);
-                let n = rows.len();
-                let profile = ProfileNode::new(plan.label(), "Scan", n, vec![])
-                    .with_metrics(sink.finish(n, n));
-                Ok((rows, profile))
-            }
+            LogicalPlan::Scan { table, schema, .. } => self.scan_rows(plan, table, schema, guard),
 
             LogicalPlan::Filter { input, predicate } => {
                 let (in_rows, child) = self.run(input, guard)?;
                 let sink = self.sink();
                 let timer = sink.start_timer();
                 let n_in = in_rows.len();
-                let in_schema = input.schema()?;
-                let bound = predicate.bind(&in_schema)?;
-                let rows = if self.options.vectorized && vectorizable(&bound) {
-                    filter_vectorized(&bound, in_rows, in_schema.len(), guard, &sink)?
-                } else {
-                    let mut rows = Vec::new();
-                    for row in in_rows {
-                        guard.tick()?;
-                        if bound.eval_truth(&row)? == Truth::True {
-                            rows.push(row);
-                        }
-                    }
-                    rows
-                };
+                let bound = predicate.bind(&input.schema()?)?;
+                let rows = filter_rows(&bound, in_rows, guard)?;
                 guard.charge_rows(rows.len())?;
                 sink.add_batches(1);
                 sink.record_probe(timer);
@@ -365,39 +368,14 @@ impl<'a> Executor<'a> {
                 let (in_rows, child) = self.run(input, guard)?;
                 let sink = self.sink();
                 let timer = sink.start_timer();
-                let n_in = in_rows.len();
                 let in_schema = input.schema()?;
                 let bound: Vec<_> = exprs
                     .iter()
                     .map(|(e, _)| e.bind(&in_schema))
                     .collect::<Result<_>>()?;
-                let mut rows = Vec::with_capacity(in_rows.len());
-                if self.options.vectorized && bound.iter().all(vectorizable) {
-                    rows = project_vectorized(
-                        &bound,
-                        &in_rows,
-                        in_schema.len(),
-                        *distinct,
-                        guard,
-                        &sink,
-                    )?;
-                } else if *distinct {
-                    let mut seen: HashSet<GroupKey> = HashSet::new();
-                    for row in &in_rows {
-                        guard.tick()?;
-                        let out: Vec<Value> = bound
-                            .iter()
-                            .map(|b: &gbj_expr::BoundExpr| b.eval(row))
-                            .collect::<Result<_>>()?;
-                        if seen.insert(GroupKey(out.clone())) {
-                            rows.push(out);
-                        }
-                    }
-                } else {
-                    for row in &in_rows {
-                        guard.tick()?;
-                        rows.push(bound.iter().map(|b| b.eval(row)).collect::<Result<_>>()?);
-                    }
+                let mut rows = project_rows(&bound, &in_rows, guard)?;
+                if *distinct {
+                    rows = distinct_rows(rows, guard)?;
                 }
                 guard.charge_rows(rows.len())?;
                 let op = if *distinct {
@@ -411,7 +389,7 @@ impl<'a> Executor<'a> {
                 sink.add_batches(1);
                 sink.record_probe(timer);
                 let profile = ProfileNode::new(plan.label(), op, rows.len(), vec![child])
-                    .with_metrics(sink.finish(n_in, rows.len()));
+                    .with_metrics(sink.finish(in_rows.len(), rows.len()));
                 Ok((rows, profile))
             }
 
@@ -445,15 +423,8 @@ impl<'a> Executor<'a> {
             } => {
                 let (l, lp) = self.run(left, guard)?;
                 let (r, rp) = self.run(right, guard)?;
-                let lschema = left.schema()?;
-                let rschema = right.schema()?;
-                let joined_schema = lschema.join(&rschema);
-                let (keys, residual) = split_equi_keys(condition, &lschema, &rschema);
-                let residual_bound = Expr::conjunction(residual)
-                    .map(|e| e.bind(&joined_schema))
-                    .transpose()?;
-
-                let algo = match (self.options.join, keys.is_empty()) {
+                let join = bind_join(left, right, condition)?;
+                let algo = match (self.options.join, join.keys.is_empty()) {
                     (JoinAlgo::NestedLoop, _) | (_, true) => JoinAlgo::NestedLoop,
                     (JoinAlgo::Auto | JoinAlgo::Hash, false) => JoinAlgo::Hash,
                     (JoinAlgo::SortMerge, false) => JoinAlgo::SortMerge,
@@ -464,61 +435,30 @@ impl<'a> Executor<'a> {
                 sink.add_batches(input_batches(l.len()) + input_batches(r.len()));
                 let (rows, op) = match algo {
                     JoinAlgo::NestedLoop => {
-                        let bound = condition.bind(&joined_schema)?;
+                        let bound = condition.bind(&join.schema)?;
                         (
                             nested_loop_join(&l, &r, &bound, guard, &sink)?,
                             "NestedLoopJoin",
                         )
                     }
-                    JoinAlgo::Hash | JoinAlgo::Auto => {
-                        // Vectorized: extract both sides' equi keys
-                        // column-at-a-time up front; the join then skips
-                        // per-row key gathering. `None` keys (NULL in a
-                        // key column) never match — same as the row path.
-                        let (lk, rk) = if self.options.vectorized {
-                            let kt = sink.start_timer();
-                            let lords: Vec<usize> = keys.iter().map(|k| k.left).collect();
-                            let rords: Vec<usize> = keys.iter().map(|k| k.right).collect();
-                            let lk = compute_join_keys(&l, lschema.len(), &lords, &sink)?;
-                            let rk = compute_join_keys(&r, rschema.len(), &rords, &sink)?;
-                            sink.record_kernel(kt);
-                            (Some(lk), Some(rk))
-                        } else {
-                            (None, None)
-                        };
-                        if self.options.threads.get() > 1 {
-                            (
-                                parallel_hash_join_with_keys(
-                                    &l,
-                                    &r,
-                                    &keys,
-                                    &residual_bound,
-                                    lk.as_deref(),
-                                    rk.as_deref(),
-                                    guard,
-                                    self.options.threads,
-                                    &sink,
-                                )?,
-                                "ParallelHashJoin",
-                            )
-                        } else {
-                            (
-                                hash_join_with_keys(
-                                    &l,
-                                    &r,
-                                    &keys,
-                                    &residual_bound,
-                                    lk.as_deref(),
-                                    rk.as_deref(),
-                                    guard,
-                                    &sink,
-                                )?,
-                                "HashJoin",
-                            )
-                        }
-                    }
+                    JoinAlgo::Hash | JoinAlgo::Auto if self.options.threads.get() > 1 => (
+                        parallel_hash_join(
+                            &l,
+                            &r,
+                            &join.keys,
+                            &join.residual,
+                            guard,
+                            self.options.threads,
+                            &sink,
+                        )?,
+                        "ParallelHashJoin",
+                    ),
+                    JoinAlgo::Hash | JoinAlgo::Auto => (
+                        hash_join(&l, &r, &join.keys, &join.residual, guard, &sink)?,
+                        "HashJoin",
+                    ),
                     JoinAlgo::SortMerge => (
-                        sort_merge_join(&l, &r, &keys, &residual_bound, guard, &sink)?,
+                        sort_merge_join(&l, &r, &join.keys, &join.residual, guard, &sink)?,
                         "SortMergeJoin",
                     ),
                 };
@@ -534,46 +474,16 @@ impl<'a> Executor<'a> {
                 aggregates,
             } => {
                 let (in_rows, child) = self.run(input, guard)?;
-                let in_schema = input.schema()?;
-                let group_bound: Vec<_> = group_by
-                    .iter()
-                    .map(|e| e.bind(&in_schema))
-                    .collect::<Result<_>>()?;
-                let compiled: Vec<CompiledAggregate> = aggregates
-                    .iter()
-                    .map(|(call, _)| {
-                        let arg = call.arg.as_ref().map(|e| e.bind(&in_schema)).transpose()?;
-                        Ok(CompiledAggregate {
-                            call: call.clone(),
-                            arg,
-                        })
-                    })
-                    .collect::<Result<_>>()?;
+                let (group_bound, compiled) =
+                    compile_aggregates(&input.schema()?, group_by, aggregates)?;
                 let sink = self.sink();
                 sink.add_batches(input_batches(in_rows.len()));
-                // Vectorized: precompute the `=ⁿ` grouping keys
-                // column-at-a-time (only when every grouping expression
-                // is in the error-free vectorizable subset, so the row
-                // path could not have errored mid-stream either).
-                let precomputed = if self.options.vectorized
-                    && self.options.agg == AggAlgo::Hash
-                    && !group_bound.is_empty()
-                    && group_bound.iter().all(vectorizable)
-                {
-                    let kt = sink.start_timer();
-                    let keys = compute_group_keys(&in_rows, in_schema.len(), &group_bound, &sink)?;
-                    sink.record_kernel(kt);
-                    Some(keys)
-                } else {
-                    None
-                };
                 let (rows, op) = match self.options.agg {
                     AggAlgo::Hash if self.options.threads.get() > 1 => (
-                        parallel_hash_aggregate_with_keys(
+                        parallel_hash_aggregate(
                             &in_rows,
                             &group_bound,
                             &compiled,
-                            precomputed.as_deref(),
                             guard,
                             self.options.threads,
                             &sink,
@@ -581,14 +491,7 @@ impl<'a> Executor<'a> {
                         "ParallelHashAggregate",
                     ),
                     AggAlgo::Hash => (
-                        hash_aggregate_with_keys(
-                            &in_rows,
-                            &group_bound,
-                            &compiled,
-                            precomputed.as_deref(),
-                            guard,
-                            &sink,
-                        )?,
+                        hash_aggregate(&in_rows, &group_bound, &compiled, guard, &sink)?,
                         "HashAggregate",
                     ),
                     AggAlgo::Sort => (
@@ -615,39 +518,12 @@ impl<'a> Executor<'a> {
             }
 
             LogicalPlan::Sort { input, keys } => {
-                let (mut rows, child) = self.run(input, guard)?;
+                let (rows, child) = self.run(input, guard)?;
                 let sink = self.sink();
                 sink.add_batches(input_batches(rows.len()));
                 let timer = sink.start_timer();
-                let in_schema = input.schema()?;
-                let bound: Vec<(gbj_expr::BoundExpr, bool)> = keys
-                    .iter()
-                    .map(|(e, asc)| Ok((e.bind(&in_schema)?, *asc)))
-                    .collect::<Result<_>>()?;
-                // Precompute keys to avoid re-evaluating during sort.
-                let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = rows
-                    .drain(..)
-                    .map(|row| {
-                        guard.tick()?;
-                        let k: Vec<Value> = bound
-                            .iter()
-                            .map(|(e, _)| e.eval(&row))
-                            .collect::<Result<_>>()?;
-                        Ok((k, row))
-                    })
-                    .collect::<Result<_>>()?;
-                keyed.sort_by(|(a, _), (b, _)| {
-                    for ((x, y), (_, asc)) in a.iter().zip(b).zip(&bound) {
-                        let ord = x.total_cmp(y);
-                        let ord = if *asc { ord } else { ord.reverse() };
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
+                let rows = sort_rows(rows, &bind_sort_keys(keys, &input.schema()?)?, guard)?;
                 sink.record_build(timer);
-                let rows: Vec<Vec<Value>> = keyed.into_iter().map(|(_, r)| r).collect();
                 let n = rows.len();
                 Ok((
                     rows,
@@ -660,7 +536,7 @@ impl<'a> Executor<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gbj_catalog::{ColumnDef, Constraint, TableDef};
     use gbj_expr::{AggregateCall, AggregateFunction};
@@ -668,7 +544,7 @@ mod tests {
 
     /// Storage with the paper's Example 1 schema and a small instance:
     /// 3 departments, 7 employees (one with NULL DeptID).
-    fn setup() -> Storage {
+    pub(crate) fn setup() -> Storage {
         let mut s = Storage::new();
         s.create_table(
             TableDef::new(
@@ -716,8 +592,8 @@ mod tests {
         }
     }
 
-    /// Example 1's Plan 1 (lazy).
-    fn plan1(s: &Storage) -> LogicalPlan {
+    /// Example 1's Plan 1 (lazy): Aggregate over Join.
+    pub(crate) fn plan1(s: &Storage) -> LogicalPlan {
         LogicalPlan::Aggregate {
             input: Box::new(LogicalPlan::Join {
                 left: Box::new(scan(s, "Employee", "E")),
@@ -732,8 +608,9 @@ mod tests {
         }
     }
 
-    /// Example 1's Plan 2 (eager).
-    fn plan2(s: &Storage) -> LogicalPlan {
+    /// Example 1's Plan 2 (eager): aggregate below the join — the
+    /// shard runner's combiner site.
+    pub(crate) fn plan2(s: &Storage) -> LogicalPlan {
         let grouped = LogicalPlan::Aggregate {
             input: Box::new(scan(s, "Employee", "E")),
             group_by: vec![Expr::col("E", "DeptID")],
@@ -893,36 +770,47 @@ mod tests {
         }
     }
 
+    /// Pre-order `(operator, vectors)` of a profile.
+    fn operator_vectors(p: &ProfileNode, out: &mut Vec<(String, u64)>) {
+        out.push((p.operator.clone(), p.metrics.vectors));
+        for child in &p.children {
+            operator_vectors(child, out);
+        }
+    }
+
     #[test]
-    fn vectorized_execution_is_byte_identical_with_same_fingerprint() {
+    fn batch_pipeline_profile_is_identical_at_every_thread_count() {
         let s = setup();
         let row = Executor::new(&s);
         let (expect_lazy, row_p) = row.execute(&plan1(&s)).unwrap();
         let (expect_eager, _) = row.execute(&plan2(&s)).unwrap();
+        let mut serial_ops = Vec::new();
         for threads in [1usize, 2, 4, 8] {
-            let exec = Executor::with_options(
-                &s,
-                ExecOptions {
-                    vectorized: true,
-                    threads: NonZeroUsize::new(threads).unwrap(),
-                    ..ExecOptions::default()
-                },
-            );
+            let options = ExecOptions {
+                vectorized: true,
+                threads: NonZeroUsize::new(threads).unwrap(),
+                ..ExecOptions::default()
+            };
+            assert_eq!(execution_path(&plan1(&s), &options), ExecPath::Batch);
+            let exec = Executor::with_options(&s, options);
             let (lazy, p) = exec.execute(&plan1(&s)).unwrap();
             assert_eq!(lazy.rows, expect_lazy.rows, "threads={threads}");
             let (eager, _) = exec.execute(&plan2(&s)).unwrap();
             assert_eq!(eager.rows, expect_eager.rows, "threads={threads}");
+            // The pipeline's breakers are serial at every thread count:
+            // same operator names, same fingerprint as the row engine,
+            // same `vectors` — the counter that betrays the columnar
+            // path.
+            assert_eq!(p.operator, "HashAggregate", "threads={threads}");
+            assert_eq!(p.counter_fingerprint(), row_p.counter_fingerprint());
+            let mut ops = Vec::new();
+            operator_vectors(&p, &mut ops);
+            assert!(ops.iter().all(|(_, v)| *v > 0), "{ops:?}");
             if threads == 1 {
-                // Operator names are unchanged by vectorization; only
-                // the `vectors` counter betrays the columnar path, and
-                // the fingerprint matches the row engine exactly.
-                assert!(p.find_operator("HashJoin").is_some());
-                assert_eq!(p.counter_fingerprint(), row_p.counter_fingerprint());
-                assert!(p.metrics.vectors > 0, "aggregate used batched keys");
-                assert!(
-                    p.find_operator("HashJoin").unwrap().metrics.vectors > 0,
-                    "join used batched key extraction"
-                );
+                assert!(ops.iter().any(|(op, _)| op == "HashJoin"));
+                serial_ops = ops;
+            } else {
+                assert_eq!(ops, serial_ops, "threads={threads}");
             }
         }
     }
@@ -966,30 +854,65 @@ mod tests {
     }
 
     #[test]
-    fn vectorized_falls_back_on_arithmetic_predicates() {
+    fn refused_plans_run_the_pure_row_engine() {
         let s = setup();
-        // `DeptID + 1 = 2` contains arithmetic, which can error and is
-        // therefore outside the vectorizable subset: the filter must
-        // take the row path (vectors stays 0) yet still run correctly.
-        let plan = LogicalPlan::Filter {
-            input: Box::new(scan(&s, "Employee", "E")),
-            predicate: Expr::col("E", "DeptID")
-                .binary(gbj_expr::BinaryOp::Add, Expr::lit(1i64))
-                .eq(Expr::lit(2i64)),
-        };
-        let (expect, _) = Executor::new(&s).execute(&plan).unwrap();
-        let exec = Executor::with_options(
-            &s,
-            ExecOptions {
+        // `DeptID + 1 > 1` contains arithmetic, which can error and is
+        // therefore outside the error-free rule: the *whole* plan —
+        // including the join and aggregate above the filter, which are
+        // inside the rule — must run the untouched row engine.
+        let mut plan = plan1(&s);
+        if let LogicalPlan::Aggregate { input, .. } = &mut plan {
+            if let LogicalPlan::Join { left, .. } = input.as_mut() {
+                *left = Box::new(LogicalPlan::Filter {
+                    input: Box::new(scan(&s, "Employee", "E")),
+                    predicate: Expr::col("E", "DeptID")
+                        .binary(gbj_expr::BinaryOp::Add, Expr::lit(1i64))
+                        .binary(gbj_expr::BinaryOp::Gt, Expr::lit(1i64)),
+                });
+            }
+        }
+        let (expect, row_p) = Executor::new(&s).execute(&plan).unwrap();
+        assert!(row_p.find_operator("Filter").is_some());
+        for threads in [1usize, 4] {
+            let options = ExecOptions {
                 vectorized: true,
+                threads: NonZeroUsize::new(threads).unwrap(),
                 ..ExecOptions::default()
-            },
-        );
-        let (got, p) = exec.execute(&plan).unwrap();
-        assert_eq!(got.rows, expect.rows);
-        let filter = p.find_operator("Filter").unwrap();
-        assert_eq!(filter.metrics.vectors, 0, "row-path fallback");
-        assert_eq!(filter.rows_out, 3, "three employees in department 1");
+            };
+            assert_eq!(
+                execution_path(&plan, &options).to_string(),
+                "row (Filter: arithmetic in predicate)"
+            );
+            let (got, p) = Executor::with_options(&s, options).execute(&plan).unwrap();
+            assert_eq!(got.rows, expect.rows, "threads={threads}");
+            assert_eq!(p.counter_fingerprint(), row_p.counter_fingerprint());
+            let mut ops = Vec::new();
+            operator_vectors(&p, &mut ops);
+            assert!(
+                ops.iter().all(|(_, v)| *v == 0),
+                "row engine claimed kernels: {ops:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn order_by_an_error_free_key_stays_batch_native() {
+        let s = setup();
+        let plan = LogicalPlan::Sort {
+            input: Box::new(plan1(&s)),
+            keys: vec![(Expr::bare("cnt"), false), (Expr::col("D", "DeptID"), true)],
+        };
+        let (expect, row_p) = Executor::new(&s).execute(&plan).unwrap();
+        let options = ExecOptions {
+            vectorized: true,
+            ..ExecOptions::default()
+        };
+        assert_eq!(execution_path(&plan, &options), ExecPath::Batch);
+        let (got, p) = Executor::with_options(&s, options).execute(&plan).unwrap();
+        assert_eq!(got.rows, expect.rows, "same order, not just same multiset");
+        assert_eq!(p.operator, "Sort");
+        assert_eq!(p.counter_fingerprint(), row_p.counter_fingerprint());
+        assert!(p.find_operator("HashJoin").unwrap().metrics.vectors > 0);
     }
 
     #[test]

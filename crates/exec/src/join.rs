@@ -8,6 +8,7 @@
 use std::collections::HashMap;
 
 use gbj_expr::{conjuncts, BoundExpr, Expr};
+use gbj_plan::LogicalPlan;
 use gbj_types::{internal_err, GroupKey, Result, Schema, Truth, Value};
 
 use crate::guard::{row_bytes, ResourceGuard};
@@ -80,6 +81,39 @@ pub fn split_equi_keys(
     (keys, residual)
 }
 
+/// A join condition bound against its inputs: the equi keys, the
+/// residual over the concatenated row, and the schemas they refer to.
+pub(crate) struct BoundJoin {
+    /// Schema of `left ++ right`.
+    pub(crate) schema: Schema,
+    pub(crate) left_arity: usize,
+    pub(crate) right_arity: usize,
+    pub(crate) keys: Vec<EquiKey>,
+    pub(crate) residual: Option<BoundExpr>,
+}
+
+/// Split and bind `condition` for a join of `left` and `right`.
+pub(crate) fn bind_join(
+    left: &LogicalPlan,
+    right: &LogicalPlan,
+    condition: &Expr,
+) -> Result<BoundJoin> {
+    let lschema = left.schema()?;
+    let rschema = right.schema()?;
+    let schema = lschema.join(&rschema);
+    let (keys, residual) = split_equi_keys(condition, &lschema, &rschema);
+    let residual = Expr::conjunction(residual)
+        .map(|e| e.bind(&schema))
+        .transpose()?;
+    Ok(BoundJoin {
+        schema,
+        left_arity: lschema.len(),
+        right_arity: rschema.len(),
+        keys,
+        residual,
+    })
+}
+
 pub(crate) fn concat(l: &[Value], r: &[Value]) -> Vec<Value> {
     let mut row = Vec::with_capacity(l.len() + r.len());
     row.extend_from_slice(l);
@@ -117,64 +151,31 @@ pub fn nested_loop_join(
     Ok(out)
 }
 
+/// One side's join key for `row`, by cloning the key columns.
+/// `Ok(None)` for a key containing NULL: `NULL = NULL` is `unknown` in
+/// a search condition, so such rows never join.
+pub(crate) fn side_key(
+    row: &[Value],
+    ordinal: impl Fn(&EquiKey) -> usize,
+    keys: &[EquiKey],
+) -> Result<Option<GroupKey>> {
+    let kv: Vec<Value> = keys
+        .iter()
+        .map(|k| col(row, ordinal(k)).cloned())
+        .collect::<Result<_>>()?;
+    Ok((!kv.iter().any(Value::is_null)).then_some(GroupKey(kv)))
+}
+
 /// Hash join on the given equi keys, with an optional bound residual
 /// predicate over the concatenated row.
 ///
 /// Builds on the right side, probes with the left. Rows whose key
-/// contains NULL are skipped on both sides — `NULL = NULL` is `unknown`
-/// in a search condition, so they can never join.
+/// contains NULL are skipped on both sides (see [`side_key`]).
 pub fn hash_join(
     left: &[Vec<Value>],
     right: &[Vec<Value>],
     keys: &[EquiKey],
     residual: &Option<BoundExpr>,
-    guard: &ResourceGuard,
-    sink: &MetricsSink,
-) -> Result<Vec<Vec<Value>>> {
-    hash_join_with_keys(left, right, keys, residual, None, None, guard, sink)
-}
-
-/// Extract one side's join key from a row, either from a precomputed
-/// key slice (`None` entry = key contains NULL) or by cloning the key
-/// columns. Returns `Ok(None)` for NULL-keyed rows, which never join.
-pub(crate) fn side_key(
-    row: &[Value],
-    i: usize,
-    ordinal: impl Fn(&EquiKey) -> usize,
-    keys: &[EquiKey],
-    precomputed: Option<&[Option<GroupKey>]>,
-) -> Result<Option<GroupKey>> {
-    match precomputed {
-        Some(pre) => pre
-            .get(i)
-            .cloned()
-            .ok_or_else(|| internal_err!("missing precomputed join key {i}")),
-        None => {
-            let kv: Vec<Value> = keys
-                .iter()
-                .map(|k| col(row, ordinal(k)).cloned())
-                .collect::<Result<_>>()?;
-            if kv.iter().any(Value::is_null) {
-                Ok(None)
-            } else {
-                Ok(Some(GroupKey(kv)))
-            }
-        }
-    }
-}
-
-/// [`hash_join`] with optionally precomputed per-row keys for either
-/// side (one entry per row; `None` = key contains NULL), e.g. from the
-/// vectorized batch kernels. Precomputed keys must equal column-clone
-/// extraction, so output, metrics and memory charges are identical.
-#[allow(clippy::too_many_arguments)]
-pub fn hash_join_with_keys(
-    left: &[Vec<Value>],
-    right: &[Vec<Value>],
-    keys: &[EquiKey],
-    residual: &Option<BoundExpr>,
-    left_keys: Option<&[Option<GroupKey>]>,
-    right_keys: Option<&[Option<GroupKey>]>,
     guard: &ResourceGuard,
     sink: &MetricsSink,
 ) -> Result<Vec<Vec<Value>>> {
@@ -185,7 +186,7 @@ pub fn hash_join_with_keys(
     let build_result = (|| -> Result<()> {
         for (i, r) in right.iter().enumerate() {
             guard.tick()?;
-            let Some(key) = side_key(r, i, |k| k.right, keys, right_keys)? else {
+            let Some(key) = side_key(r, |k| k.right, keys)? else {
                 continue;
             };
             let entry_bytes = row_bytes(&key.0) + std::mem::size_of::<usize>() as u64;
@@ -202,9 +203,9 @@ pub fn hash_join_with_keys(
     let probe_timer = sink.start_timer();
     let probe = build_result.and_then(|()| {
         let mut out = Vec::new();
-        for (i, l) in left.iter().enumerate() {
+        for l in left {
             guard.tick()?;
-            let Some(key) = side_key(l, i, |k| k.left, keys, left_keys)? else {
+            let Some(key) = side_key(l, |k| k.left, keys)? else {
                 continue;
             };
             if let Some(matches) = table.get(&key) {
@@ -506,62 +507,6 @@ mod tests {
         assert_eq!(out.len(), 1);
         let out = sort_merge_join(&left, &right, &keys, &None, &g, &sink).unwrap();
         assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn precomputed_keys_are_byte_identical_to_column_extraction() {
-        let left = rows(&[(Some(1), 10), (None, 99), (Some(2), 20), (Some(1), 11)]);
-        let right = rows(&[(Some(1), 100), (None, 200), (Some(2), 300)]);
-        let ls = lschema();
-        let rs = rschema();
-        let (keys, _) = split_equi_keys(&condition(), &ls, &rs);
-        let extract = |rows: &[Vec<Value>], ord: fn(&EquiKey) -> usize| -> Vec<Option<GroupKey>> {
-            rows.iter()
-                .map(|r| {
-                    let kv: Vec<Value> = keys.iter().map(|k| r[ord(k)].clone()).collect();
-                    if kv.iter().any(Value::is_null) {
-                        None
-                    } else {
-                        Some(GroupKey(kv))
-                    }
-                })
-                .collect()
-        };
-        let lk = extract(&left, |k| k.left);
-        let rk = extract(&right, |k| k.right);
-        let g = ResourceGuard::unlimited();
-        let plain_sink = MetricsSink::new();
-        let plain = hash_join(&left, &right, &keys, &None, &g, &plain_sink).unwrap();
-        let pre_sink = MetricsSink::new();
-        let pre = hash_join_with_keys(
-            &left,
-            &right,
-            &keys,
-            &None,
-            Some(&lk),
-            Some(&rk),
-            &g,
-            &pre_sink,
-        )
-        .unwrap();
-        assert_eq!(pre, plain, "rows and order must match");
-        let pm = plain_sink.finish(0, 0);
-        let km = pre_sink.finish(0, 0);
-        assert_eq!(km.hash_entries, pm.hash_entries);
-        assert_eq!(km.state_bytes, pm.state_bytes, "identical memory charges");
-        // A short precomputed slice is an internal error, not a panic.
-        let err = hash_join_with_keys(
-            &left,
-            &right,
-            &keys,
-            &None,
-            Some(lk.get(..1).unwrap()),
-            None,
-            &g,
-            &MetricsSink::new(),
-        )
-        .unwrap_err();
-        assert_eq!(err.kind(), "internal");
     }
 
     #[test]

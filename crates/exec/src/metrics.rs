@@ -8,11 +8,11 @@
 //! **Determinism.** The counters `rows_in`, `rows_out`, `batches` and
 //! `hash_entries` are *thread-count invariant*: they depend only on the
 //! input data and the plan, never on scheduling. The morsel-driven
-//! parallel operators (see [`crate::parallel`]) count per-morsel into a
-//! thread-local [`MorselMetrics`] and the coordinator folds the partials
-//! back into the shared sink **in morsel order**, so the totals are
-//! byte-identical at every thread count — the same guarantee the
-//! operators make for their row output. Timings (`build_ns`,
+//! parallel operators (see [`crate::parallel`]) record the totals of
+//! their *merged* state — distinct groups of the merged table, build
+//! rows of the whole build side — so the counts are byte-identical at
+//! every thread count — the same guarantee the operators make for
+//! their row output. Timings (`build_ns`,
 //! `probe_ns`) and `state_bytes` are measurements of a particular run
 //! and are deliberately excluded from [`OperatorMetrics::fingerprint`].
 //!
@@ -73,16 +73,6 @@ impl OperatorMetrics {
     pub fn fingerprint(&self) -> [u64; 4] {
         [self.rows_in, self.rows_out, self.batches, self.hash_entries]
     }
-}
-
-/// One morsel's thread-local counters, folded into the shared
-/// [`MetricsSink`] by the coordinator in morsel order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MorselMetrics {
-    /// Hash-table entries this morsel inserted.
-    pub hash_entries: u64,
-    /// Operator-state bytes this morsel charged.
-    pub state_bytes: u64,
 }
 
 /// A per-operator metrics recorder.
@@ -180,13 +170,6 @@ impl MetricsSink {
         }
     }
 
-    /// Fold one morsel's thread-local counters into the sink (called by
-    /// the coordinator in morsel order).
-    pub fn fold_morsel(&self, m: &MorselMetrics) {
-        self.add_hash_entries(m.hash_entries);
-        self.add_state_bytes(m.state_bytes);
-    }
-
     /// Start a phase timer (`None` when the sink is disabled, so a
     /// disabled sink costs no clock reads).
     #[must_use]
@@ -268,10 +251,6 @@ mod tests {
         sink.add_vectors(2);
         sink.add_selected(5);
         sink.record_kernel(sink.start_timer());
-        sink.fold_morsel(&MorselMetrics {
-            hash_entries: 4,
-            state_bytes: 32,
-        });
         let m = sink.finish(1, 1);
         assert_eq!(m.batches, 0);
         assert_eq!(m.hash_entries, 0);
@@ -325,25 +304,5 @@ mod tests {
         assert!(m.build_ns > 0);
         // Timings never count toward the deterministic fingerprint.
         assert_eq!(m.fingerprint(), [0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn morsel_partials_fold_into_totals() {
-        let sink = MetricsSink::new();
-        for m in [
-            MorselMetrics {
-                hash_entries: 3,
-                state_bytes: 100,
-            },
-            MorselMetrics {
-                hash_entries: 2,
-                state_bytes: 50,
-            },
-        ] {
-            sink.fold_morsel(&m);
-        }
-        let m = sink.finish(0, 0);
-        assert_eq!(m.hash_entries, 5);
-        assert_eq!(m.state_bytes, 150);
     }
 }

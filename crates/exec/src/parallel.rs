@@ -28,7 +28,6 @@
 //! scheduling. The shared [`ResourceGuard`] is charged from every
 //! worker, so row/memory/deadline budgets are global per query.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,10 +37,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use gbj_expr::{Accumulator, BoundExpr};
 use gbj_types::{internal_err, GroupKey, Result, Value};
 
-use crate::aggregate::{CompiledAggregate, ACC_ENTRY_BYTES};
+use crate::aggregate::{new_accumulators, update_all, CompiledAggregate, Groups};
 use crate::guard::{row_bytes, ResourceGuard};
 use crate::join::{concat, residual_passes, side_key, EquiKey};
-use crate::metrics::{MetricsSink, MorselMetrics};
+use crate::metrics::MetricsSink;
 
 /// Rows per morsel, as a function of the input size only (so morsel
 /// boundaries — and therefore merge order and results — are identical
@@ -51,20 +50,6 @@ use crate::metrics::{MetricsSink, MorselMetrics};
 #[must_use]
 pub(crate) fn morsel_rows(total: usize) -> usize {
     (total / 8).clamp(16, 1024)
-}
-
-/// Thread-count override from the `GBJ_TEST_THREADS` environment
-/// variable (used by `scripts/verify.sh` to push the entire test suite
-/// through the parallel operators). Unset, empty, unparsable, or zero
-/// values mean "no override".
-#[must_use]
-pub fn threads_from_env() -> Option<NonZeroUsize> {
-    std::env::var("GBJ_TEST_THREADS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .and_then(NonZeroUsize::new)
 }
 
 /// Panic-free mutex lock: a poisoned mutex means a sibling worker
@@ -83,12 +68,11 @@ fn morsel_slice(rows: &[Vec<Value>], index: usize, morsel: usize) -> Result<&[Ve
         .ok_or_else(|| internal_err!("morsel {index} out of bounds"))
 }
 
+/// One build morsel's output: per-partition `(key, row index)` buckets.
+type BuildSlot = Vec<Vec<(GroupKey, usize)>>;
+
 /// Run `worker` over morsel indices `0..n_morsels` on a team of at most
 /// `threads` scoped worker threads. Returns one result slot per morsel;
-/// One build morsel's output: per-partition `(key, row index)` buckets
-/// plus the morsel's metrics partial, folded in morsel order later.
-type BuildSlot = (Vec<Vec<(GroupKey, usize)>>, MorselMetrics);
-
 /// `None` marks a morsel that was never claimed because an earlier
 /// morsel errored (claims are strictly sequential, so unclaimed morsels
 /// always form a suffix).
@@ -156,48 +140,23 @@ pub(crate) fn collect_in_order<T>(slots: Vec<Option<Result<T>>>) -> Result<Vec<T
     Ok(out)
 }
 
-/// One morsel's partial aggregation state.
-struct MorselAgg {
-    /// Group keys in this morsel's first-seen order.
-    order: Vec<GroupKey>,
-    /// Accumulators per group.
-    groups: HashMap<GroupKey, Vec<Accumulator>>,
-    /// This morsel's thread-local counters, folded into the shared sink
-    /// in morsel order by the coordinator. `hash_entries` stays zero
-    /// here: per-morsel distinct counts would over-count groups that
-    /// span morsels, so the coordinator records the *merged* distinct
-    /// group count instead (matching the serial operator exactly).
-    metrics: MorselMetrics,
-}
-
 /// Partitioned parallel hash aggregation.
 ///
 /// Byte-identical to [`crate::aggregate::hash_aggregate`] for integer
 /// aggregates (and for float aggregates whose inputs are exactly
-/// representable): group output order is the serial first-seen order,
-/// and per-group accumulator states are folded in morsel order through
-/// [`Accumulator::merge`]. See DESIGN.md §9 for the float-associativity
-/// caveat.
+/// representable): each morsel folds into its own [`Groups`] table and
+/// the coordinator absorbs the partials in morsel order, which
+/// reproduces the serial first-seen group order and folds per-group
+/// accumulator states through `Accumulator::merge`. See DESIGN.md §9
+/// for the float-associativity caveat.
+///
+/// Memory: a group spanning k morsels transiently holds k entries where
+/// serial holds one, so budgets bind slightly earlier than serial on
+/// duplicate-heavy data (documented in DESIGN.md §9).
 pub fn parallel_hash_aggregate(
     input: &[Vec<Value>],
     group_exprs: &[BoundExpr],
     aggregates: &[CompiledAggregate],
-    guard: &ResourceGuard,
-    threads: NonZeroUsize,
-    sink: &MetricsSink,
-) -> Result<Vec<Vec<Value>>> {
-    parallel_hash_aggregate_with_keys(input, group_exprs, aggregates, None, guard, threads, sink)
-}
-
-/// [`parallel_hash_aggregate`] with optionally precomputed grouping
-/// keys (one per input row, indexed by global row position — morsel
-/// workers index with `morsel_start + offset`). Mirrors
-/// [`crate::aggregate::hash_aggregate_with_keys`].
-pub fn parallel_hash_aggregate_with_keys(
-    input: &[Vec<Value>],
-    group_exprs: &[BoundExpr],
-    aggregates: &[CompiledAggregate],
-    precomputed: Option<&[GroupKey]>,
     guard: &ResourceGuard,
     threads: NonZeroUsize,
     sink: &MetricsSink,
@@ -210,21 +169,16 @@ pub fn parallel_hash_aggregate_with_keys(
         // folded in morsel order; zero morsels still produce one row.
         let scalar_timer = sink.start_timer();
         let slots = run_morsels(n_morsels, threads.get(), &|i| {
-            let rows = morsel_slice(input, i, morsel)?;
-            let mut accs: Vec<Accumulator> =
-                aggregates.iter().map(|a| a.call.accumulator()).collect();
-            for row in rows {
+            let mut accs = new_accumulators(aggregates);
+            for row in morsel_slice(input, i, morsel)? {
                 guard.tick()?;
-                for (agg, acc) in aggregates.iter().zip(accs.iter_mut()) {
-                    agg.update(acc, row)?;
-                }
+                update_all(aggregates, &mut accs, row)?;
             }
             Ok(accs)
         });
-        let partials = collect_in_order(slots)?;
-        let mut accs: Vec<Accumulator> = aggregates.iter().map(|a| a.call.accumulator()).collect();
-        for partial in &partials {
-            for (acc, p) in accs.iter_mut().zip(partial) {
+        let mut accs = new_accumulators(aggregates);
+        for partial in collect_in_order(slots)? {
+            for (acc, p) in accs.iter_mut().zip(&partial) {
                 acc.merge(p)?;
             }
         }
@@ -232,99 +186,26 @@ pub fn parallel_hash_aggregate_with_keys(
         return Ok(vec![accs.iter().map(Accumulator::finish).collect()]);
     }
 
-    // Memory accounting: every charge is also recorded here, so the one
-    // release at the end covers error paths (including the charge that
-    // itself exceeded the budget — `charge_memory` counts before it
-    // checks). Groups spanning k morsels transiently hold k entries
-    // where serial holds one, so budgets bind slightly earlier than
-    // serial on duplicate-heavy data (documented in DESIGN.md §9).
-    let charged = AtomicU64::new(0);
     let build_timer = sink.start_timer();
     let slots = run_morsels(n_morsels, threads.get(), &|i| {
-        let start = i.saturating_mul(morsel);
-        let rows = morsel_slice(input, i, morsel)?;
-        let mut order: Vec<GroupKey> = Vec::new();
-        let mut groups: HashMap<GroupKey, Vec<Accumulator>> = HashMap::new();
-        let mut metrics = MorselMetrics::default();
-        for (off, row) in rows.iter().enumerate() {
-            guard.tick()?;
-            let key = match precomputed {
-                Some(keys) => keys
-                    .get(start.saturating_add(off))
-                    .cloned()
-                    .ok_or_else(|| internal_err!("missing precomputed key {}", start + off))?,
-                None => GroupKey(
-                    group_exprs
-                        .iter()
-                        .map(|e| e.eval(row))
-                        .collect::<Result<_>>()?,
-                ),
-            };
-            if !groups.contains_key(&key) {
-                let entry_bytes =
-                    row_bytes(&key.0) + ACC_ENTRY_BYTES * aggregates.len().max(1) as u64;
-                charged.fetch_add(entry_bytes, Ordering::Relaxed);
-                metrics.state_bytes += entry_bytes;
-                guard.charge_memory(entry_bytes)?;
-            }
-            let accs = groups.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                aggregates.iter().map(|a| a.call.accumulator()).collect()
-            });
-            for (agg, acc) in aggregates.iter().zip(accs.iter_mut()) {
-                agg.update(acc, row)?;
-            }
-        }
-        Ok(MorselAgg {
-            order,
-            groups,
-            metrics,
-        })
+        let mut groups = Groups::new(aggregates, guard);
+        groups.fold_rows(group_exprs, morsel_slice(input, i, morsel)?)?;
+        Ok(groups)
     });
-    let merged = (|| -> Result<Vec<Vec<Value>>> {
-        let partials = collect_in_order(slots)?;
-        let mut order: Vec<GroupKey> = Vec::new();
-        let mut groups: HashMap<GroupKey, Vec<Accumulator>> = HashMap::new();
-        for mut partial in partials {
-            sink.fold_morsel(&partial.metrics);
-            for key in partial.order.drain(..) {
-                let accs = partial
-                    .groups
-                    .remove(&key)
-                    .ok_or_else(|| internal_err!("group vanished from a morsel table"))?;
-                match groups.entry(key) {
-                    Entry::Occupied(mut e) => {
-                        for (merged_acc, partial_acc) in e.get_mut().iter_mut().zip(&accs) {
-                            merged_acc.merge(partial_acc)?;
-                        }
-                    }
-                    Entry::Vacant(e) => {
-                        order.push(e.key().clone());
-                        e.insert(accs);
-                    }
-                }
-            }
-        }
-        // Distinct groups of the *merged* table — identical to the
-        // serial operator's count, unlike per-morsel sums (a group
-        // spanning k morsels appears k times in those).
-        sink.add_hash_entries(order.len() as u64);
-        sink.record_build(build_timer);
-        let probe_timer = sink.start_timer();
-        let mut out = Vec::with_capacity(order.len());
-        for key in order {
-            let accs = groups
-                .remove(&key)
-                .ok_or_else(|| internal_err!("group vanished from the merged table"))?;
-            let mut row = key.0;
-            row.extend(accs.iter().map(Accumulator::finish));
-            out.push(row);
-        }
-        sink.record_probe(probe_timer);
-        Ok(out)
-    })();
-    guard.release_memory(charged.load(Ordering::Relaxed));
-    merged
+    let mut merged = Groups::new(aggregates, guard);
+    for partial in collect_in_order(slots)? {
+        merged.absorb(partial)?;
+    }
+    // Distinct groups of the *merged* table — identical to the serial
+    // operator's count, unlike per-morsel sums (a group spanning k
+    // morsels appears k times in those).
+    sink.add_hash_entries(merged.len() as u64);
+    sink.add_state_bytes(merged.bytes());
+    sink.record_build(build_timer);
+    let probe_timer = sink.start_timer();
+    let out = merged.finish();
+    sink.record_probe(probe_timer);
+    Ok(out)
 }
 
 /// Deterministic partition assignment, delegating to
@@ -353,26 +234,6 @@ pub fn parallel_hash_join(
     threads: NonZeroUsize,
     sink: &MetricsSink,
 ) -> Result<Vec<Vec<Value>>> {
-    parallel_hash_join_with_keys(
-        left, right, keys, residual, None, None, guard, threads, sink,
-    )
-}
-
-/// [`parallel_hash_join`] with optionally precomputed per-row keys for
-/// either side (indexed by global row position; `None` entry = key
-/// contains NULL). Mirrors [`crate::join::hash_join_with_keys`].
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_hash_join_with_keys(
-    left: &[Vec<Value>],
-    right: &[Vec<Value>],
-    keys: &[EquiKey],
-    residual: &Option<BoundExpr>,
-    left_keys: Option<&[Option<GroupKey>]>,
-    right_keys: Option<&[Option<GroupKey>]>,
-    guard: &ResourceGuard,
-    threads: NonZeroUsize,
-    sink: &MetricsSink,
-) -> Result<Vec<Vec<Value>>> {
     let parts = threads.get();
     let charged = AtomicU64::new(0);
     let result = (|| -> Result<Vec<Vec<Value>>> {
@@ -387,39 +248,34 @@ pub fn parallel_hash_join_with_keys(
                 let rows = morsel_slice(right, i, build_morsel)?;
                 let mut buckets: Vec<Vec<(GroupKey, usize)>> =
                     (0..parts).map(|_| Vec::new()).collect();
-                let mut metrics = MorselMetrics::default();
                 for (off, r) in rows.iter().enumerate() {
                     guard.tick()?;
-                    let Some(key) =
-                        side_key(r, start.saturating_add(off), |k| k.right, keys, right_keys)?
-                    else {
+                    let Some(key) = side_key(r, |k| k.right, keys)? else {
                         continue;
                     };
                     let entry_bytes = row_bytes(&key.0) + std::mem::size_of::<usize>() as u64;
                     charged.fetch_add(entry_bytes, Ordering::Relaxed);
-                    metrics.hash_entries += 1;
-                    metrics.state_bytes += entry_bytes;
                     guard.charge_memory(entry_bytes)?;
                     let p = partition_of(&key, parts);
                     if let Some(bucket) = buckets.get_mut(p) {
                         bucket.push((key, start.saturating_add(off)));
                     }
                 }
-                Ok((buckets, metrics))
+                Ok(buckets)
             },
         );
         let per_morsel = collect_in_order(build_slots)?;
+        // One entry per non-NULL build row, each charged once — the
+        // serial operator's counts exactly.
+        sink.add_hash_entries(per_morsel.iter().flatten().map(|b| b.len() as u64).sum());
+        sink.add_state_bytes(charged.load(Ordering::Relaxed));
 
         // Transpose to per-partition inputs, preserving morsel order so
-        // each key's index list ends up in build-row order. Morsel order
-        // also makes the metrics fold deterministic (the counters are
-        // commutative sums, but the ordering rule keeps every fold path
-        // identical to the serial one by construction).
+        // each key's index list ends up in build-row order.
         let partition_inputs: Vec<Mutex<Vec<(GroupKey, usize)>>> =
             (0..parts).map(|_| Mutex::new(Vec::new())).collect();
-        for (mut buckets, metrics) in per_morsel {
-            sink.fold_morsel(&metrics);
-            for (p, bucket) in buckets.drain(..).enumerate() {
+        for buckets in per_morsel {
+            for (p, bucket) in buckets.into_iter().enumerate() {
                 if let Some(slot) = partition_inputs.get(p) {
                     lock(slot).extend(bucket);
                 }
@@ -449,14 +305,10 @@ pub fn parallel_hash_join_with_keys(
             left.len().div_ceil(probe_morsel),
             threads.get(),
             &|i| -> Result<Vec<Vec<Value>>> {
-                let start = i.saturating_mul(probe_morsel);
-                let rows = morsel_slice(left, i, probe_morsel)?;
                 let mut out = Vec::new();
-                for (off, l) in rows.iter().enumerate() {
+                for l in morsel_slice(left, i, probe_morsel)? {
                     guard.tick()?;
-                    let Some(key) =
-                        side_key(l, start.saturating_add(off), |k| k.left, keys, left_keys)?
-                    else {
+                    let Some(key) = side_key(l, |k| k.left, keys)? else {
                         continue;
                     };
                     let p = partition_of(&key, parts);
@@ -488,33 +340,13 @@ pub fn parallel_hash_join_with_keys(
 mod tests {
     use super::*;
     use crate::aggregate::hash_aggregate;
+    use crate::aggregate::tests::{compile, group_exprs, sk};
     use crate::guard::ResourceLimits;
     use crate::join::hash_join;
     use gbj_expr::{AggregateCall, AggregateFunction, Expr};
-    use gbj_types::{DataType, Field, Schema};
 
     fn nz(n: usize) -> NonZeroUsize {
         NonZeroUsize::new(n).unwrap()
-    }
-
-    fn sk() -> MetricsSink {
-        MetricsSink::new()
-    }
-
-    fn schema() -> Schema {
-        Schema::new(vec![
-            Field::new("g", DataType::Int64, true),
-            Field::new("v", DataType::Int64, true),
-        ])
-    }
-
-    fn group_exprs() -> Vec<BoundExpr> {
-        vec![Expr::bare("g").bind(&schema()).unwrap()]
-    }
-
-    fn compile(call: AggregateCall) -> CompiledAggregate {
-        let arg = call.arg.as_ref().map(|e| e.bind(&schema()).unwrap());
-        CompiledAggregate { call, arg }
     }
 
     fn agg_calls() -> Vec<CompiledAggregate> {
@@ -617,66 +449,6 @@ mod tests {
             }
         }
         assert_eq!(guard.memory_used(), 0, "all build memory released");
-    }
-
-    #[test]
-    fn precomputed_keys_match_serial_at_every_thread_count() {
-        let guard = ResourceGuard::unlimited();
-        let input = make_rows(700, 9, 0xfeed);
-        let exprs = group_exprs();
-        let agg_keys: Vec<GroupKey> = input
-            .iter()
-            .map(|r| GroupKey(exprs.iter().map(|e| e.eval(r).unwrap()).collect()))
-            .collect();
-        let serial = hash_aggregate(&input, &exprs, &agg_calls(), &guard, &sk()).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let par = parallel_hash_aggregate_with_keys(
-                &input,
-                &exprs,
-                &agg_calls(),
-                Some(&agg_keys),
-                &guard,
-                nz(threads),
-                &sk(),
-            )
-            .unwrap();
-            assert_eq!(par, serial, "threads={threads}");
-        }
-
-        let left = make_rows(500, 20, 3);
-        let right = make_rows(200, 20, 4);
-        let keys = [EquiKey { left: 0, right: 0 }];
-        let extract = |rows: &[Vec<Value>]| -> Vec<Option<GroupKey>> {
-            rows.iter()
-                .map(|r| {
-                    let v = r.first().cloned().unwrap();
-                    if v.is_null() {
-                        None
-                    } else {
-                        Some(GroupKey(vec![v]))
-                    }
-                })
-                .collect()
-        };
-        let lk = extract(&left);
-        let rk = extract(&right);
-        let serial = hash_join(&left, &right, &keys, &None, &guard, &sk()).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let par = parallel_hash_join_with_keys(
-                &left,
-                &right,
-                &keys,
-                &None,
-                Some(&lk),
-                Some(&rk),
-                &guard,
-                nz(threads),
-                &sk(),
-            )
-            .unwrap();
-            assert_eq!(par, serial, "threads={threads}");
-        }
-        assert_eq!(guard.memory_used(), 0);
     }
 
     #[test]
@@ -811,15 +583,5 @@ mod tests {
         assert_eq!(morsel_rows(100), 16);
         assert_eq!(morsel_rows(800), 100);
         assert_eq!(morsel_rows(1_000_000), 1024);
-    }
-
-    #[test]
-    fn env_threads_parsing() {
-        // Only checks the parse logic via the public contract: absent
-        // or bad values yield None. (Setting env vars in tests is racy,
-        // so only the unset path is asserted here.)
-        if std::env::var("GBJ_TEST_THREADS").is_err() {
-            assert!(threads_from_env().is_none());
-        }
     }
 }

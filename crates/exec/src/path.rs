@@ -1,0 +1,446 @@
+//! Which of the three execution paths runs a plan, and why a faster
+//! one was refused.
+//!
+//! The row engine is the oracle; the chunk pipeline
+//! ([`crate::pipeline`]) and the shard runner ([`crate::shard`]) must
+//! reproduce its rows, its first error and its counter fingerprint
+//! byte for byte. Both can promise that only for plans whose every
+//! expression is in the error-free rule (see [`crate::vectorized`]) and
+//! whose joins and aggregates use the hash algorithms, so one walker
+//! decides for both, over the whole plan: any refusal sends the *entire*
+//! plan to the row engine — never a per-operator mix.
+
+use std::fmt;
+
+use gbj_expr::Expr;
+use gbj_plan::LogicalPlan;
+use gbj_types::{Result, Schema};
+
+use crate::executor::{AggAlgo, ExecOptions, JoinAlgo};
+use crate::join::split_equi_keys;
+use crate::vectorized::vectorizable;
+
+/// The execution path [`execution_path`] picked for a plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecPath {
+    /// The multi-shard runner ([`ExecOptions::shards`] > 1).
+    Sharded,
+    /// The batch-native chunk pipeline ([`ExecOptions::vectorized`]).
+    Batch,
+    /// The row engine: `None` when the options asked for it, otherwise
+    /// the reason the last faster path tried refused the plan.
+    Row(Option<Refusal>),
+}
+
+/// Why a plan cannot leave the row engine: the first offending operator
+/// (children before parents, left before right) and what is wrong.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Refusal {
+    /// The logical operator kind, e.g. `"Filter"`.
+    pub operator: &'static str,
+    /// What about it is outside the gate.
+    pub reason: RefusalReason,
+}
+
+/// The ways an operator can fall outside the byte-identity gate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RefusalReason {
+    /// [`JoinAlgo`] / [`AggAlgo`] selects a non-hash algorithm.
+    NonHashAlgorithm,
+    /// The join condition has no `left column = right column` conjunct.
+    NoEquiKey,
+    /// A cross join has no key to probe or partition on.
+    CrossJoin,
+    /// A predicate, projection, residual, grouping or sort expression
+    /// is outside the error-free rule (arithmetic can error, and error
+    /// order must stay the oracle's).
+    Arithmetic,
+    /// An aggregate argument is outside the error-free rule under
+    /// shards, where per-shard accumulation could reorder its errors
+    /// (the chunk pipeline evaluates arguments row-major and only needs
+    /// them to bind).
+    AggregateArgument,
+}
+
+impl fmt::Display for Refusal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let op = self.operator;
+        match self.reason {
+            RefusalReason::NonHashAlgorithm => write!(f, "{op}: non-hash algorithm selected"),
+            RefusalReason::NoEquiKey => write!(f, "{op}: no equi-join key"),
+            RefusalReason::CrossJoin => write!(f, "{op}: no join key"),
+            RefusalReason::Arithmetic => {
+                let site = match op {
+                    "Filter" => "predicate",
+                    "Project" => "projection",
+                    "Join" => "join residual",
+                    "Aggregate" => "grouping key",
+                    _ => "sort key",
+                };
+                write!(f, "{op}: arithmetic in {site}")
+            }
+            RefusalReason::AggregateArgument => {
+                write!(f, "{op}: aggregate argument not error-free")
+            }
+        }
+    }
+}
+
+impl fmt::Display for ExecPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ExecPath::Sharded => f.write_str("sharded"),
+            ExecPath::Batch => f.write_str("batch"),
+            ExecPath::Row(None) => f.write_str("row"),
+            ExecPath::Row(Some(refusal)) => write!(f, "row ({refusal})"),
+        }
+    }
+}
+
+/// The path `plan` runs on under `options`: sharded when more than one
+/// shard is configured and the plan passes the gate, else batch-native
+/// when vectorized execution is on and the plan passes, else the row
+/// engine.
+#[must_use]
+pub fn execution_path(plan: &LogicalPlan, options: &ExecOptions) -> ExecPath {
+    let mut refused = None;
+    if options.shards.get() > 1 {
+        match refusal(plan, options, true) {
+            None => return ExecPath::Sharded,
+            some => refused = some,
+        }
+    }
+    if options.vectorized {
+        match refusal(plan, options, false) {
+            None => return ExecPath::Batch,
+            some => refused = some,
+        }
+    }
+    ExecPath::Row(refused)
+}
+
+/// Whether every expression binds against `schema` into the error-free
+/// vectorizable subset.
+fn error_free<'e>(schema: &Result<Schema>, mut exprs: impl Iterator<Item = &'e Expr>) -> bool {
+    schema
+        .as_ref()
+        .is_ok_and(|s| exprs.all(|e| e.bind(s).is_ok_and(|b| vectorizable(&b))))
+}
+
+/// The first operator of `plan` outside the gate, if any. `sharded`
+/// selects the one rule that differs between the two fast paths: how
+/// strict aggregate arguments are.
+fn refusal(plan: &LogicalPlan, options: &ExecOptions, sharded: bool) -> Option<Refusal> {
+    if let Some(below) = plan
+        .children()
+        .into_iter()
+        .find_map(|child| refusal(child, options, sharded))
+    {
+        return Some(below);
+    }
+    let (operator, reason) = match plan {
+        LogicalPlan::Scan { .. } | LogicalPlan::SubqueryAlias { .. } => return None,
+        LogicalPlan::Filter { input, predicate } => (
+            "Filter",
+            (!error_free(&input.schema(), std::iter::once(predicate)))
+                .then_some(RefusalReason::Arithmetic),
+        ),
+        LogicalPlan::Project { input, exprs, .. } => (
+            "Project",
+            (!error_free(&input.schema(), exprs.iter().map(|(e, _)| e)))
+                .then_some(RefusalReason::Arithmetic),
+        ),
+        LogicalPlan::Sort { input, keys } => (
+            "Sort",
+            (!error_free(&input.schema(), keys.iter().map(|(e, _)| e)))
+                .then_some(RefusalReason::Arithmetic),
+        ),
+        LogicalPlan::CrossJoin { .. } => ("CrossJoin", Some(RefusalReason::CrossJoin)),
+        LogicalPlan::Join {
+            left,
+            right,
+            condition,
+        } => ("Join", join_refusal(left, right, condition, options)),
+        LogicalPlan::Aggregate {
+            input,
+            group_by,
+            aggregates,
+        } => {
+            let schema = input.schema();
+            let mut args = aggregates.iter().filter_map(|(call, _)| call.arg.as_ref());
+            let reason = if options.agg != AggAlgo::Hash {
+                Some(RefusalReason::NonHashAlgorithm)
+            } else if !error_free(&schema, group_by.iter()) {
+                Some(RefusalReason::Arithmetic)
+            } else if sharded {
+                (!error_free(&schema, args)).then_some(RefusalReason::AggregateArgument)
+            } else {
+                (!schema.is_ok_and(|s| args.all(|e| e.bind(&s).is_ok())))
+                    .then_some(RefusalReason::AggregateArgument)
+            };
+            ("Aggregate", reason)
+        }
+    };
+    reason.map(|reason| Refusal { operator, reason })
+}
+
+fn join_refusal(
+    left: &LogicalPlan,
+    right: &LogicalPlan,
+    condition: &Expr,
+    options: &ExecOptions,
+) -> Option<RefusalReason> {
+    if !matches!(options.join, JoinAlgo::Auto | JoinAlgo::Hash) {
+        return Some(RefusalReason::NonHashAlgorithm);
+    }
+    let (Ok(ls), Ok(rs)) = (left.schema(), right.schema()) else {
+        return Some(RefusalReason::NoEquiKey);
+    };
+    let (keys, residual) = split_equi_keys(condition, &ls, &rs);
+    if keys.is_empty() {
+        return Some(RefusalReason::NoEquiKey);
+    }
+    let residual = Expr::conjunction(residual);
+    (!error_free(&Ok(ls.join(&rs)), residual.iter())).then_some(RefusalReason::Arithmetic)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gbj_expr::{AggregateCall, AggregateFunction, BinaryOp};
+    use gbj_types::{DataType, Field};
+    use std::num::NonZeroUsize;
+
+    fn scan(q: &str) -> LogicalPlan {
+        LogicalPlan::Scan {
+            table: q.into(),
+            qualifier: q.into(),
+            schema: Schema::new(vec![
+                Field::new("k", DataType::Int64, true).with_qualifier(q),
+                Field::new("v", DataType::Int64, true).with_qualifier(q),
+            ]),
+        }
+    }
+
+    fn col(q: &str, c: &str) -> Expr {
+        Expr::col(q, c)
+    }
+
+    /// `q.v + 1`: outside the error-free rule.
+    fn plus_one(q: &str) -> Expr {
+        col(q, "v").binary(BinaryOp::Add, Expr::lit(1i64))
+    }
+
+    fn filter(predicate: Expr) -> LogicalPlan {
+        let input = Box::new(scan("L"));
+        LogicalPlan::Filter { input, predicate }
+    }
+
+    fn project(expr: Expr, distinct: bool) -> LogicalPlan {
+        LogicalPlan::Project {
+            input: Box::new(scan("L")),
+            exprs: vec![(expr, "out".into())],
+            distinct,
+        }
+    }
+
+    fn sort(input: LogicalPlan, key: Expr) -> LogicalPlan {
+        LogicalPlan::Sort {
+            input: Box::new(input),
+            keys: vec![(key, false)],
+        }
+    }
+
+    fn sides() -> (Box<LogicalPlan>, Box<LogicalPlan>) {
+        (Box::new(scan("L")), Box::new(scan("R")))
+    }
+
+    fn join(condition: Expr) -> LogicalPlan {
+        let (left, right) = sides();
+        LogicalPlan::Join {
+            left,
+            right,
+            condition,
+        }
+    }
+
+    fn equi() -> Expr {
+        col("L", "k").eq(col("R", "k"))
+    }
+
+    fn aggregate(group: Expr, arg: Expr) -> LogicalPlan {
+        LogicalPlan::Aggregate {
+            input: Box::new(scan("L")),
+            group_by: vec![group],
+            aggregates: vec![(AggregateCall::new(AggregateFunction::Sum, arg), "s".into())],
+        }
+    }
+
+    type Expected = Option<(&'static str, RefusalReason)>;
+
+    /// Every `LogicalPlan` variant, admitted and refused: `(name, plan,
+    /// what the chunk pipeline says, what the shard runner says)`, with
+    /// `None` = admitted.
+    fn cases() -> Vec<(&'static str, LogicalPlan, Expected, Expected)> {
+        use RefusalReason::{AggregateArgument, Arithmetic, CrossJoin, NoEquiKey};
+        let both = |name, plan, refusal: Expected| (name, plan, refusal, refusal);
+        let alias = LogicalPlan::SubqueryAlias {
+            input: Box::new(scan("L")),
+            alias: "A".into(),
+        };
+        let (left, right) = sides();
+        let two = Expr::lit(2i64);
+        vec![
+            both("scan", scan("L"), None),
+            both("alias", alias, None),
+            both("filter", filter(col("L", "v").eq(two.clone())), None),
+            both(
+                "filter on arithmetic",
+                filter(plus_one("L").eq(two.clone())),
+                Some(("Filter", Arithmetic)),
+            ),
+            both("project distinct", project(col("L", "v"), true), None),
+            both(
+                "project arithmetic",
+                project(plus_one("L"), false),
+                Some(("Project", Arithmetic)),
+            ),
+            both("sort", sort(scan("L"), col("L", "v")), None),
+            both(
+                "sort on arithmetic",
+                sort(scan("L"), plus_one("L")),
+                Some(("Sort", Arithmetic)),
+            ),
+            both(
+                "cross join",
+                LogicalPlan::CrossJoin { left, right },
+                Some(("CrossJoin", CrossJoin)),
+            ),
+            both("equi join", join(equi()), None),
+            both(
+                "non-equi join",
+                join(col("L", "k").binary(BinaryOp::Lt, col("R", "k"))),
+                Some(("Join", NoEquiKey)),
+            ),
+            both(
+                "join with arithmetic residual",
+                join(equi().and(plus_one("L").eq(col("R", "v")))),
+                Some(("Join", Arithmetic)),
+            ),
+            both("aggregate", aggregate(col("L", "k"), col("L", "v")), None),
+            both(
+                "aggregate grouped on arithmetic",
+                aggregate(plus_one("L"), col("L", "v")),
+                Some(("Aggregate", Arithmetic)),
+            ),
+            (
+                "aggregate over an arithmetic argument",
+                aggregate(col("L", "k"), plus_one("L")),
+                None,
+                Some(("Aggregate", AggregateArgument)),
+            ),
+            both(
+                "refusal below an admitted parent",
+                sort(filter(plus_one("L").eq(two)), col("L", "v")),
+                Some(("Filter", Arithmetic)),
+            ),
+        ]
+    }
+
+    #[test]
+    fn execution_path_table() {
+        let refusal = |r: Expected| r.map(|(operator, reason)| Refusal { operator, reason });
+        for (name, plan, batch, sharded) in cases() {
+            for shards in [1usize, 4] {
+                for vectorized in [false, true] {
+                    let options = ExecOptions {
+                        shards: NonZeroUsize::new(shards).unwrap(),
+                        vectorized,
+                        ..ExecOptions::default()
+                    };
+                    let expect = match (shards > 1, vectorized) {
+                        (true, _) if sharded.is_none() => ExecPath::Sharded,
+                        (_, true) if batch.is_none() => ExecPath::Batch,
+                        (_, true) => ExecPath::Row(refusal(batch)),
+                        (true, false) => ExecPath::Row(refusal(sharded)),
+                        (false, false) => ExecPath::Row(None),
+                    };
+                    assert_eq!(
+                        execution_path(&plan, &options),
+                        expect,
+                        "{name} shards={shards} vectorized={vectorized}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Non-hash algorithms refuse exactly the operator they select, on
+    /// both fast paths; plans without that operator are unaffected.
+    #[test]
+    fn non_hash_algorithms_refuse_their_own_operator_only() {
+        let fast = |join, agg| ExecOptions {
+            join,
+            agg,
+            vectorized: true,
+            shards: NonZeroUsize::new(4).unwrap(),
+            ..ExecOptions::default()
+        };
+        let refused = |operator| {
+            ExecPath::Row(Some(Refusal {
+                operator,
+                reason: RefusalReason::NonHashAlgorithm,
+            }))
+        };
+        let agg_plan = aggregate(col("L", "k"), col("L", "v"));
+        for join_algo in [
+            JoinAlgo::Auto,
+            JoinAlgo::Hash,
+            JoinAlgo::NestedLoop,
+            JoinAlgo::SortMerge,
+        ] {
+            for agg_algo in [AggAlgo::Hash, AggAlgo::Sort] {
+                let options = fast(join_algo, agg_algo);
+                let hash_join = matches!(join_algo, JoinAlgo::Auto | JoinAlgo::Hash);
+                let ctx = format!("{join_algo:?}/{agg_algo:?}");
+                assert_eq!(
+                    execution_path(&join(equi()), &options),
+                    if hash_join {
+                        ExecPath::Sharded
+                    } else {
+                        refused("Join")
+                    },
+                    "{ctx}"
+                );
+                assert_eq!(
+                    execution_path(&agg_plan, &options),
+                    if agg_algo == AggAlgo::Hash {
+                        ExecPath::Sharded
+                    } else {
+                        refused("Aggregate")
+                    },
+                    "{ctx}"
+                );
+                assert_eq!(
+                    execution_path(&scan("L"), &options),
+                    ExecPath::Sharded,
+                    "{ctx}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn paths_render_as_one_line() {
+        assert_eq!(ExecPath::Batch.to_string(), "batch");
+        assert_eq!(ExecPath::Row(None).to_string(), "row");
+        let arithmetic = Refusal {
+            operator: "Filter",
+            reason: RefusalReason::Arithmetic,
+        };
+        assert_eq!(
+            ExecPath::Row(Some(arithmetic)).to_string(),
+            "row (Filter: arithmetic in predicate)"
+        );
+    }
+}

@@ -1,62 +1,59 @@
 //! The batch-native pipeline: end-to-end columnar execution with late
 //! materialization.
 //!
-//! When [`ExecOptions::vectorized`](crate::ExecOptions) is set and the
-//! *whole* plan passes [`supported`], the executor runs this pipeline
-//! instead of the row engine: the scan produces [`ColumnarBatch`]es
-//! directly ([`gbj_storage::ScanCursor::next_columnar`], no
-//! intermediate row vec), filters and probe phases carry row-id
-//! *selection vectors* over shared batches instead of copying rows,
-//! string join/group keys hash on dictionary codes
-//! ([`ColumnVector::Dict`]) or raw `i64`s instead of cloned [`Value`]s,
-//! and payload columns materialize only at the pipeline breakers (hash
-//! join and hash aggregate) — or at the very end, when the result set
-//! is assembled.
+//! When [`execution_path`](crate::execution_path) answers
+//! [`ExecPath::Batch`](crate::ExecPath) — vectorized execution is on
+//! and the *whole* plan passes the gate — the executor runs this
+//! pipeline instead of the row engine: the scan produces
+//! [`ColumnarBatch`]es directly
+//! ([`gbj_storage::ScanCursor::next_columnar`], no intermediate row
+//! vec), filters and probe phases carry row-id *selection vectors* over
+//! shared batches instead of copying rows, string join/group keys hash
+//! on dictionary codes ([`ColumnVector::Dict`]) or raw `i64`s instead
+//! of cloned [`Value`]s, and payload columns materialize only at the
+//! pipeline breakers (hash join, hash aggregate, sort) — or at the very
+//! end, when the result set is assembled.
 //!
 //! **The row engine stays the oracle.** Every operator here reproduces
 //! the row path's observable behaviour exactly:
 //!
 //! - *Results*: byte-identical rows in the same order.
-//! - *Errors*: [`supported`] admits only plans whose expressions are in
-//!   the error-free vectorizable domain (see [`crate::vectorized`]) and
+//! - *Errors*: the gate admits only plans whose expressions are in the
+//!   error-free vectorizable domain (see [`crate::vectorized`]) and
 //!   whose aggregate arguments are evaluated row-major, so the first
 //!   error — fault-injected scan failures included — is the same one
 //!   the row engine would raise. Anything outside the gate takes the
 //!   row engine wholesale; there is no per-operator mixing.
 //! - *Counters*: the `[rows_in, rows_out, batches, hash_entries]`
-//!   fingerprint, `state_bytes`, `selected`, and the guard's
-//!   rows/memory charges follow the row path call-for-call (same
-//!   charge order, same per-entry byte formulas), so profiles stay
-//!   thread-count- and engine-invariant. Only the non-fingerprint
-//!   `vectors`/`kernel_ns` observability counters differ in magnitude
-//!   (cursor batches here vs morsel chunks there).
+//!   fingerprint, `state_bytes`, and the guard's rows/memory charges
+//!   follow the row path call-for-call (same charge order, same
+//!   per-entry byte formulas; the aggregate shares the row engine's
+//!   [`Groups`] table), so profiles stay engine-invariant. Only the
+//!   non-fingerprint `vectors`/`selected`/`kernel_ns` observability
+//!   counters are specific to this path (the row engine reports 0).
 //!
-//! At `threads > 1` the pipeline keeps columnar scans/filters/projects
-//! but materializes rows at each breaker and delegates to the
-//! morsel-driven parallel operators, which are already byte-identical
-//! to serial — so results are identical at every thread count, with
-//! the same operator names (`ParallelHashJoin`/`ParallelHashAggregate`)
-//! the row engine reports.
+//! The pipeline is serial at every
+//! [`ExecOptions::threads`](crate::ExecOptions) value: its breakers are
+//! the columnar `join_columnar` / `aggregate_columnar`, and its profile
+//! is identical at every thread count.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use gbj_expr::{Accumulator, BoundExpr, Expr};
+use gbj_expr::{Accumulator, BoundExpr};
 use gbj_plan::LogicalPlan;
 use gbj_types::{internal_err, GroupKey, Result, Truth, Value};
 
-use crate::aggregate::{CompiledAggregate, ACC_ENTRY_BYTES};
-use crate::batch::{Bitmap, ColumnVector, ColumnarBatch, StringDict, NULL_CODE};
-use crate::executor::{input_batches, AggAlgo, ExecOptions, Executor, JoinAlgo};
-use crate::guard::{row_bytes, ResourceGuard};
-use crate::join::{split_equi_keys, EquiKey};
-use crate::metrics::MetricsSink;
-use crate::parallel::{parallel_hash_aggregate_with_keys, parallel_hash_join_with_keys};
-use crate::result::ProfileNode;
-use crate::vectorized::{
-    compute_group_keys, compute_join_keys, eval_truth_vec, eval_value_vec, filter_selection,
-    vectorizable,
+use crate::aggregate::{
+    compile_aggregates, new_accumulators, update_all, CompiledAggregate, Groups,
 };
+use crate::batch::{Bitmap, ColumnVector, ColumnarBatch, NULL_CODE};
+use crate::executor::{bind_sort_keys, input_batches, sort_rows, Executor};
+use crate::guard::{row_bytes, ResourceGuard};
+use crate::join::{bind_join, EquiKey};
+use crate::metrics::MetricsSink;
+use crate::result::ProfileNode;
+use crate::vectorized::{eval_truth_vec, eval_value_vec, filter_selection, vectorizable};
 
 /// A unit of the batch stream: a shared columnar batch plus an optional
 /// selection vector. `sel: None` means every row is live; `Some(sel)`
@@ -137,85 +134,6 @@ fn expr_columns(expr: &BoundExpr, req: &mut [bool]) {
 fn mark(req: &mut [bool], i: usize) {
     if let Some(slot) = req.get_mut(i) {
         *slot = true;
-    }
-}
-
-/// Whole-plan gate: can `plan` run batch-native end to end?
-///
-/// Requires every operator to be batch-implemented and every expression
-/// to be in the error-free vectorizable domain, with two carve-outs:
-/// aggregate *arguments* only need to bind (they are evaluated
-/// row-major inside the aggregate, preserving the row engine's error
-/// order), and a join merely needs extractable equi keys with a
-/// vectorizable (or absent) residual. A `false` anywhere sends the
-/// whole plan to the row engine — never a per-operator mix — so error
-/// behaviour is always exactly the oracle's.
-#[must_use]
-pub fn supported(plan: &LogicalPlan, options: &ExecOptions) -> bool {
-    match plan {
-        LogicalPlan::Scan { .. } => true,
-        LogicalPlan::Filter { input, predicate } => {
-            supported(input, options)
-                && input
-                    .schema()
-                    .ok()
-                    .and_then(|s| predicate.bind(&s).ok())
-                    .is_some_and(|b| vectorizable(&b))
-        }
-        LogicalPlan::Project { input, exprs, .. } => {
-            supported(input, options)
-                && input.schema().ok().is_some_and(|s| {
-                    exprs
-                        .iter()
-                        .all(|(e, _)| e.bind(&s).ok().is_some_and(|b| vectorizable(&b)))
-                })
-        }
-        LogicalPlan::SubqueryAlias { input, .. } => supported(input, options),
-        LogicalPlan::Join {
-            left,
-            right,
-            condition,
-        } => {
-            if !matches!(options.join, JoinAlgo::Auto | JoinAlgo::Hash) {
-                return false;
-            }
-            if !supported(left, options) || !supported(right, options) {
-                return false;
-            }
-            let (Ok(ls), Ok(rs)) = (left.schema(), right.schema()) else {
-                return false;
-            };
-            let (keys, residual) = split_equi_keys(condition, &ls, &rs);
-            if keys.is_empty() {
-                return false;
-            }
-            match Expr::conjunction(residual) {
-                None => true,
-                Some(e) => e.bind(&ls.join(&rs)).ok().is_some_and(|b| vectorizable(&b)),
-            }
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => {
-            if options.agg != AggAlgo::Hash {
-                return false;
-            }
-            if !supported(input, options) {
-                return false;
-            }
-            let Ok(s) = input.schema() else {
-                return false;
-            };
-            group_by
-                .iter()
-                .all(|e| e.bind(&s).ok().is_some_and(|b| vectorizable(&b)))
-                && aggregates
-                    .iter()
-                    .all(|(call, _)| call.arg.as_ref().is_none_or(|e| e.bind(&s).is_ok()))
-        }
-        LogicalPlan::CrossJoin { .. } | LogicalPlan::Sort { .. } => false,
     }
 }
 
@@ -337,7 +255,8 @@ fn concat_columns(parts: &[ColumnVector], total: usize) -> ColumnVector {
 
 impl Executor<'_> {
     /// Run `plan` batch-native and materialize the result rows at the
-    /// very end. Callers must have checked [`supported`] first.
+    /// very end. Callers must have checked that
+    /// [`execution_path`](crate::execution_path) admits the plan.
     pub(crate) fn run_batched(
         &self,
         plan: &LogicalPlan,
@@ -510,96 +429,38 @@ impl Executor<'_> {
                 right,
                 condition,
             } => {
-                let lschema = left.schema()?;
-                let rschema = right.schema()?;
-                let joined_schema = lschema.join(&rschema);
-                let (keys, residual) = split_equi_keys(condition, &lschema, &rschema);
-                let residual_bound = Expr::conjunction(residual)
-                    .map(|e| e.bind(&joined_schema))
-                    .transpose()?;
-                let l_arity = lschema.len();
-                let r_arity = rschema.len();
-                let parallel = self.options.threads.get() > 1;
-                let (lreq, rreq) = if parallel {
-                    (vec![true; l_arity], vec![true; r_arity])
-                } else {
-                    let mut lreq = vec![false; l_arity];
-                    let mut rreq = vec![false; r_arity];
-                    for (i, r) in required.iter().enumerate() {
-                        if !*r {
-                            continue;
-                        }
-                        if i < l_arity {
-                            mark(&mut lreq, i);
-                        } else {
-                            mark(&mut rreq, i - l_arity);
-                        }
-                    }
-                    for k in &keys {
-                        mark(&mut lreq, k.left);
-                        mark(&mut rreq, k.right);
-                    }
-                    if let Some(rb) = &residual_bound {
-                        let mut jreq = vec![false; l_arity + r_arity];
-                        expr_columns(rb, &mut jreq);
-                        for (i, r) in jreq.iter().enumerate() {
-                            if *r {
-                                if i < l_arity {
-                                    mark(&mut lreq, i);
-                                } else {
-                                    mark(&mut rreq, i - l_arity);
-                                }
-                            }
-                        }
-                    }
-                    (lreq, rreq)
-                };
+                let join = bind_join(left, right, condition)?;
+                let l_arity = join.left_arity;
+                let mut jreq = required.to_vec();
+                jreq.resize(l_arity + join.right_arity, false);
+                if let Some(rb) = &join.residual {
+                    expr_columns(rb, &mut jreq);
+                }
+                let mut rreq = jreq.split_off(l_arity);
+                let mut lreq = jreq;
+                for k in &join.keys {
+                    mark(&mut lreq, k.left);
+                    mark(&mut rreq, k.right);
+                }
                 let (l_chunks, lp) = self.run_chunks(left, &lreq, guard)?;
                 let (r_chunks, rp) = self.run_chunks(right, &rreq, guard)?;
                 let l_len = stream_len(&l_chunks);
                 let r_len = stream_len(&r_chunks);
                 let sink = self.sink();
                 sink.add_batches(input_batches(l_len) + input_batches(r_len));
-                let (out_chunk, op) = if parallel {
-                    let l = chunk_rows(&l_chunks);
-                    let r = chunk_rows(&r_chunks);
-                    let kt = sink.start_timer();
-                    let lords: Vec<usize> = keys.iter().map(|k| k.left).collect();
-                    let rords: Vec<usize> = keys.iter().map(|k| k.right).collect();
-                    let lk = compute_join_keys(&l, l_arity, &lords, &sink)?;
-                    let rk = compute_join_keys(&r, r_arity, &rords, &sink)?;
-                    sink.record_kernel(kt);
-                    let rows = parallel_hash_join_with_keys(
-                        &l,
-                        &r,
-                        &keys,
-                        &residual_bound,
-                        Some(&lk),
-                        Some(&rk),
-                        guard,
-                        self.options.threads,
-                        &sink,
-                    )?;
-                    let batch = ColumnarBatch::from_rows(&rows, l_arity + r_arity)?;
-                    (Chunk { batch, sel: None }, "ParallelHashJoin")
-                } else {
-                    (
-                        join_columnar(
-                            &l_chunks,
-                            &r_chunks,
-                            &lreq,
-                            &rreq,
-                            &keys,
-                            &residual_bound,
-                            guard,
-                            &sink,
-                        )?,
-                        "HashJoin",
-                    )
-                };
+                let out_chunk = join_columnar(
+                    &l_chunks,
+                    &r_chunks,
+                    &lreq,
+                    &rreq,
+                    &join.keys,
+                    &join.residual,
+                    guard,
+                    &sink,
+                )?;
                 let out_count = out_chunk.out_len();
                 guard.charge_rows(out_count)?;
-                let profile = ProfileNode::new(plan.label(), op, out_count, vec![lp, rp])
+                let profile = ProfileNode::new(plan.label(), "HashJoin", out_count, vec![lp, rp])
                     .with_metrics(sink.finish(l_len + r_len, out_count));
                 Ok((vec![out_chunk], profile))
             }
@@ -610,89 +471,53 @@ impl Executor<'_> {
                 aggregates,
             } => {
                 let in_schema = input.schema()?;
-                let group_bound: Vec<BoundExpr> = group_by
+                let (group_bound, compiled) = compile_aggregates(&in_schema, group_by, aggregates)?;
+                let mut child_req = vec![false; in_schema.len()];
+                for b in group_bound
                     .iter()
-                    .map(|e| e.bind(&in_schema))
-                    .collect::<Result<_>>()?;
-                let compiled: Vec<CompiledAggregate> = aggregates
-                    .iter()
-                    .map(|(call, _)| {
-                        let arg = call.arg.as_ref().map(|e| e.bind(&in_schema)).transpose()?;
-                        Ok(CompiledAggregate {
-                            call: call.clone(),
-                            arg,
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                let parallel = self.options.threads.get() > 1;
-                let args_vec = compiled
-                    .iter()
-                    .all(|c| c.arg.as_ref().is_none_or(vectorizable));
-                let child_req = if parallel {
-                    vec![true; in_schema.len()]
-                } else {
-                    let mut req = vec![false; in_schema.len()];
-                    for b in &group_bound {
-                        expr_columns(b, &mut req);
-                    }
-                    for c in &compiled {
-                        if let Some(a) = &c.arg {
-                            expr_columns(a, &mut req);
-                        }
-                    }
-                    req
-                };
+                    .chain(compiled.iter().filter_map(|c| c.arg.as_ref()))
+                {
+                    expr_columns(b, &mut child_req);
+                }
                 let (in_chunks, child) = self.run_chunks(input, &child_req, guard)?;
                 let n_in = stream_len(&in_chunks);
                 let sink = self.sink();
                 sink.add_batches(input_batches(n_in));
-                let (rows, op) = if parallel {
-                    let in_rows = chunk_rows(&in_chunks);
-                    let precomputed = if group_bound.is_empty() {
-                        None
-                    } else {
-                        let kt = sink.start_timer();
-                        let keys =
-                            compute_group_keys(&in_rows, in_schema.len(), &group_bound, &sink)?;
-                        sink.record_kernel(kt);
-                        Some(keys)
-                    };
-                    (
-                        parallel_hash_aggregate_with_keys(
-                            &in_rows,
-                            &group_bound,
-                            &compiled,
-                            precomputed.as_deref(),
-                            guard,
-                            self.options.threads,
-                            &sink,
-                        )?,
-                        "ParallelHashAggregate",
-                    )
-                } else {
-                    (
-                        aggregate_columnar(
-                            &in_chunks,
-                            &group_bound,
-                            &compiled,
-                            args_vec,
-                            guard,
-                            &sink,
-                        )?,
-                        "HashAggregate",
-                    )
-                };
+                let rows = aggregate_columnar(&in_chunks, &group_bound, &compiled, guard, &sink)?;
                 guard.charge_rows(rows.len())?;
                 let n_out = rows.len();
                 let batch = ColumnarBatch::from_rows(&rows, plan.schema()?.len())?;
-                let profile = ProfileNode::new(plan.label(), op, n_out, vec![child])
+                let profile = ProfileNode::new(plan.label(), "HashAggregate", n_out, vec![child])
                     .with_metrics(sink.finish(n_in, n_out));
                 Ok((vec![Chunk { batch, sel: None }], profile))
             }
 
-            LogicalPlan::CrossJoin { .. } | LogicalPlan::Sort { .. } => Err(internal_err!(
-                "operator {} is not batch-native; the supported() gate should have rejected it",
-                plan.label()
+            // A breaker like the row engine's: materialize, then the
+            // oracle's own stable sort with the oracle's charges.
+            LogicalPlan::Sort { input, keys } => {
+                let in_schema = input.schema()?;
+                let bound = bind_sort_keys(keys, &in_schema)?;
+                let mut child_req = required.to_vec();
+                child_req.resize(in_schema.len(), false);
+                for (b, _) in &bound {
+                    expr_columns(b, &mut child_req);
+                }
+                let (in_chunks, child) = self.run_chunks(input, &child_req, guard)?;
+                let rows = chunk_rows(&in_chunks);
+                let n = rows.len();
+                let sink = self.sink();
+                sink.add_batches(input_batches(n));
+                let timer = sink.start_timer();
+                let rows = sort_rows(rows, &bound, guard)?;
+                sink.record_build(timer);
+                let batch = ColumnarBatch::from_rows(&rows, in_schema.len())?;
+                let profile = ProfileNode::new(plan.label(), "Sort", n, vec![child])
+                    .with_metrics(sink.finish(n, n));
+                Ok((vec![Chunk { batch, sel: None }], profile))
+            }
+
+            LogicalPlan::CrossJoin { .. } => Err(internal_err!(
+                "CrossJoin is not batch-native; execution_path() should have refused it"
             )),
         }
     }
@@ -713,7 +538,7 @@ enum JoinIndex {
 /// batch, build on the right, probe with the left collecting `(l, r)`
 /// row-id pairs, gather payload columns once per output, and apply the
 /// residual as a selection vector. Counter and guard-charge order
-/// mirror [`crate::join::hash_join_with_keys`] call-for-call.
+/// mirror [`crate::join::hash_join`] call-for-call.
 #[allow(clippy::too_many_arguments)]
 fn join_columnar(
     l_chunks: &[Chunk],
@@ -912,250 +737,68 @@ fn join_columnar(
     Ok(Chunk { batch: out, sel })
 }
 
-/// Group lookup strategy for the columnar hash aggregate. Decided from
-/// the first chunk's key-column variant; a later chunk of a different
-/// shape demotes the table to the generic `=ⁿ` [`GroupKey`] map (the
-/// decoded keys are kept in `order`, so demotion is lossless).
-enum Keyer {
-    Unset,
-    Int(HashMap<Option<i64>, usize>),
-    Dict {
-        map: HashMap<u32, usize>,
-        dict: Arc<StringDict>,
-    },
-    Generic(HashMap<GroupKey, usize>),
-}
-
-/// The columnar aggregation table: a compact key → slot map (see
-/// [`Keyer`]) plus, per slot, the decoded `=ⁿ` group key (first-seen
-/// order — this is the output order) and the accumulators.
-struct Groups {
-    keyer: Keyer,
-    order: Vec<GroupKey>,
-    accs: Vec<Vec<Accumulator>>,
-}
-
-impl Groups {
-    fn new() -> Groups {
-        Groups {
-            keyer: Keyer::Unset,
-            order: Vec::new(),
-            accs: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Pick (or keep) the lookup strategy for a chunk whose group-key
-    /// columns are `key_cols`, demoting to generic on a shape change.
-    fn prepare(&mut self, key_cols: &[ColumnVector]) {
-        enum Want {
-            Int,
-            Dict(Arc<StringDict>),
-            Generic,
-        }
-        let want = match key_cols {
-            [ColumnVector::Int { .. }] => Want::Int,
-            [ColumnVector::Dict { dict, .. }] => Want::Dict(Arc::clone(dict)),
-            _ => Want::Generic,
-        };
-        match (&self.keyer, want) {
-            (Keyer::Unset, Want::Int) => self.keyer = Keyer::Int(HashMap::new()),
-            (Keyer::Unset, Want::Dict(d)) => {
-                self.keyer = Keyer::Dict {
-                    map: HashMap::new(),
-                    dict: d,
-                }
-            }
-            (Keyer::Unset, Want::Generic) => self.keyer = Keyer::Generic(HashMap::new()),
-            (Keyer::Int(_), Want::Int) | (Keyer::Generic(_), _) => {}
-            (Keyer::Dict { dict, .. }, Want::Dict(d)) if Arc::ptr_eq(dict, &d) => {}
-            _ => self.demote(),
-        }
-    }
-
-    /// Rebuild the lookup map as a generic `GroupKey` table from the
-    /// decoded keys already in `order`.
-    fn demote(&mut self) {
-        let mut map = HashMap::with_capacity(self.order.len());
-        for (slot, key) in self.order.iter().enumerate() {
-            map.insert(key.clone(), slot);
-        }
-        self.keyer = Keyer::Generic(map);
-    }
-
-    /// Find or create the group slot for row `i`, charging the guard
-    /// for new entries exactly as the row path does (decoded-key
-    /// `row_bytes` + `ACC_ENTRY_BYTES` per aggregate, charged before
-    /// insertion).
-    fn slot(
-        &mut self,
-        key_cols: &[ColumnVector],
-        i: usize,
-        compiled: &[CompiledAggregate],
-        table_bytes: &mut u64,
-        guard: &ResourceGuard,
-    ) -> Result<usize> {
-        let acc_bytes = ACC_ENTRY_BYTES * compiled.len().max(1) as u64;
-        match &mut self.keyer {
-            Keyer::Int(map) => {
-                let k = match key_cols.first() {
-                    Some(ColumnVector::Int { values, validity }) if validity.get(i) => {
-                        values.get(i).copied()
-                    }
-                    _ => None,
-                };
-                if let Some(&s) = map.get(&k) {
-                    return Ok(s);
-                }
-                let key = GroupKey(vec![k.map_or(Value::Null, Value::Int)]);
-                let entry_bytes = row_bytes(&key.0) + acc_bytes;
-                *table_bytes += entry_bytes;
-                guard.charge_memory(entry_bytes)?;
-                let s = self.order.len();
-                map.insert(k, s);
-                self.order.push(key);
-                self.accs
-                    .push(compiled.iter().map(|a| a.call.accumulator()).collect());
-                Ok(s)
-            }
-            Keyer::Dict { map, dict } => {
-                let c = match key_cols.first() {
-                    Some(ColumnVector::Dict { codes, .. }) => {
-                        codes.get(i).copied().unwrap_or(NULL_CODE)
-                    }
-                    _ => NULL_CODE,
-                };
-                // Every invalid code is the same `=ⁿ` NULL group.
-                let c = if (c as usize) < dict.len() {
-                    c
-                } else {
-                    NULL_CODE
-                };
-                if let Some(&s) = map.get(&c) {
-                    return Ok(s);
-                }
-                let key = GroupKey(vec![dict.get(c).map_or(Value::Null, Value::str)]);
-                let entry_bytes = row_bytes(&key.0) + acc_bytes;
-                *table_bytes += entry_bytes;
-                guard.charge_memory(entry_bytes)?;
-                let s = self.order.len();
-                map.insert(c, s);
-                self.order.push(key);
-                self.accs
-                    .push(compiled.iter().map(|a| a.call.accumulator()).collect());
-                Ok(s)
-            }
-            Keyer::Generic(map) => {
-                let key = GroupKey(key_cols.iter().map(|c| c.value(i)).collect());
-                if let Some(&s) = map.get(&key) {
-                    return Ok(s);
-                }
-                let entry_bytes = row_bytes(&key.0) + acc_bytes;
-                *table_bytes += entry_bytes;
-                guard.charge_memory(entry_bytes)?;
-                let s = self.order.len();
-                map.insert(key.clone(), s);
-                self.order.push(key);
-                self.accs
-                    .push(compiled.iter().map(|a| a.call.accumulator()).collect());
-                Ok(s)
-            }
-            Keyer::Unset => Err(internal_err!("group keyer used before prepare()")),
-        }
-    }
-
-    fn accs_mut(&mut self, slot: usize) -> Result<&mut Vec<Accumulator>> {
-        self.accs
-            .get_mut(slot)
-            .ok_or_else(|| internal_err!("group slot {slot} out of bounds"))
-    }
-
-    /// Drain into output rows: decoded key values ++ aggregate results,
-    /// in first-seen group order.
-    fn finish(self) -> Vec<Vec<Value>> {
-        self.order
-            .into_iter()
-            .zip(self.accs)
-            .map(|(key, accs)| {
-                let mut row = key.0;
-                row.extend(accs.iter().map(Accumulator::finish));
-                row
-            })
-            .collect()
-    }
-}
-
 /// Serial columnar hash aggregate: stream chunks (no concatenation),
 /// evaluating group keys — and, when every argument is vectorizable,
-/// aggregate arguments — column-at-a-time, and group via [`Groups`].
-/// Non-vectorizable arguments are evaluated row-major per live row, so
-/// the first error is the row engine's. Counter and guard-charge order
-/// mirror [`crate::aggregate::hash_aggregate_with_keys`] call-for-call.
+/// aggregate arguments — column-at-a-time, and group via the row
+/// engine's [`Groups`] table keyed on raw codes. Non-vectorizable
+/// arguments are evaluated row-major per live row, so the first error
+/// is the row engine's. Counter and guard-charge order mirror
+/// [`crate::aggregate::hash_aggregate`] call-for-call.
 fn aggregate_columnar(
     chunks: &[Chunk],
     group_bound: &[BoundExpr],
     compiled: &[CompiledAggregate],
-    args_vec: bool,
     guard: &ResourceGuard,
     sink: &MetricsSink,
 ) -> Result<Vec<Vec<Value>>> {
-    // One chunk's evaluated aggregate-argument columns: one entry per
-    // aggregate, `None` for `COUNT(*)`.
-    fn arg_columns(
-        compiled: &[CompiledAggregate],
-        batch: &ColumnarBatch,
-    ) -> Result<Vec<Option<ColumnVector>>> {
+    let args_vec = compiled
+        .iter()
+        .all(|c| c.arg.as_ref().is_none_or(vectorizable));
+    // One chunk's evaluated aggregate-argument columns (`None` for
+    // `COUNT(*)`), or `None` altogether on the row-major path.
+    let arg_columns = |batch: &ColumnarBatch| -> Result<Option<Vec<Option<ColumnVector>>>> {
+        if !args_vec {
+            return Ok(None);
+        }
         compiled
             .iter()
             .map(|c| match &c.arg {
                 Some(a) => Ok(Some(eval_value_vec(a, batch)?.into_owned())),
                 None => Ok(None),
             })
-            .collect()
-    }
-    fn update_from_cols(
-        cols: &[Option<ColumnVector>],
-        accs: &mut [Accumulator],
-        i: usize,
-    ) -> Result<()> {
-        for (ac, acc) in cols.iter().zip(accs.iter_mut()) {
-            match ac {
-                Some(col) => acc.update(&col.value(i))?,
-                None => acc.update(&Value::Int(1))?,
+            .collect::<Result<_>>()
+            .map(Some)
+    };
+    let feed = |accs: &mut [Accumulator],
+                cols: &Option<Vec<Option<ColumnVector>>>,
+                batch: &ColumnarBatch,
+                i: usize|
+     -> Result<()> {
+        match cols {
+            Some(cols) => cols.iter().zip(accs).try_for_each(|(col, acc)| {
+                acc.update(&col.as_ref().map_or(Value::Int(1), |c| c.value(i)))
+            }),
+            None => {
+                let row: Vec<Value> = batch.columns().iter().map(|c| c.value(i)).collect();
+                update_all(compiled, accs, &row)
             }
         }
-        Ok(())
-    }
+    };
 
     if group_bound.is_empty() {
         // Scalar aggregate: exactly one group, even over empty input.
         let scalar_timer = sink.start_timer();
-        let mut accs: Vec<Accumulator> = compiled.iter().map(|a| a.call.accumulator()).collect();
+        let mut accs = new_accumulators(compiled);
         for ch in chunks {
-            let cols = if args_vec {
-                let kt = sink.start_timer();
+            let kt = sink.start_timer();
+            let cols = arg_columns(&ch.batch)?;
+            if cols.is_some() {
                 sink.add_vectors(1);
-                let cols = arg_columns(compiled, &ch.batch)?;
                 sink.record_kernel(kt);
-                Some(cols)
-            } else {
-                None
-            };
+            }
             for i in ch.indices() {
                 guard.tick()?;
-                match &cols {
-                    Some(cols) => update_from_cols(cols, &mut accs, i)?,
-                    None => {
-                        let row: Vec<Value> =
-                            ch.batch.columns().iter().map(|c| c.value(i)).collect();
-                        for (agg, acc) in compiled.iter().zip(accs.iter_mut()) {
-                            agg.update(acc, &row)?;
-                        }
-                    }
-                }
+                feed(&mut accs, &cols, &ch.batch, i)?;
             }
         }
         sink.record_build(scalar_timer);
@@ -1163,48 +806,30 @@ fn aggregate_columnar(
     }
 
     let build_timer = sink.start_timer();
-    let mut table_bytes = 0u64;
-    let mut groups = Groups::new();
-    let filled = (|| -> Result<()> {
-        for ch in chunks {
-            let kt = sink.start_timer();
-            sink.add_vectors(1);
-            let key_cols: Vec<ColumnVector> = group_bound
-                .iter()
-                .map(|b| Ok(eval_value_vec(b, &ch.batch)?.into_owned()))
-                .collect::<Result<_>>()?;
-            let arg_cols = if args_vec {
-                Some(arg_columns(compiled, &ch.batch)?)
-            } else {
-                None
-            };
-            sink.record_kernel(kt);
-            groups.prepare(&key_cols);
-            for i in ch.indices() {
-                guard.tick()?;
-                let slot = groups.slot(&key_cols, i, compiled, &mut table_bytes, guard)?;
-                let accs = groups.accs_mut(slot)?;
-                match &arg_cols {
-                    Some(cols) => update_from_cols(cols, accs, i)?,
-                    None => {
-                        let row: Vec<Value> =
-                            ch.batch.columns().iter().map(|c| c.value(i)).collect();
-                        for (agg, acc) in compiled.iter().zip(accs.iter_mut()) {
-                            agg.update(acc, &row)?;
-                        }
-                    }
-                }
-            }
+    let mut groups = Groups::new(compiled, guard);
+    let filled = chunks.iter().try_for_each(|ch| {
+        let kt = sink.start_timer();
+        sink.add_vectors(1);
+        let key_cols: Vec<ColumnVector> = group_bound
+            .iter()
+            .map(|b| Ok(eval_value_vec(b, &ch.batch)?.into_owned()))
+            .collect::<Result<_>>()?;
+        let arg_cols = arg_columns(&ch.batch)?;
+        sink.record_kernel(kt);
+        groups.prepare(&key_cols);
+        for i in ch.indices() {
+            guard.tick()?;
+            let slot = groups.slot(&key_cols, i)?;
+            feed(groups.accs_mut(slot)?, &arg_cols, &ch.batch, i)?;
         }
         Ok(())
-    })();
+    });
     sink.record_build(build_timer);
     sink.add_hash_entries(groups.len() as u64);
-    sink.add_state_bytes(table_bytes);
+    sink.add_state_bytes(groups.bytes());
     let probe_timer = sink.start_timer();
     let out = filled.map(|()| groups.finish());
     sink.record_probe(probe_timer);
-    guard.release_memory(table_bytes);
     out
 }
 
@@ -1290,29 +915,5 @@ mod tests {
             }
             other => panic!("expected Dict, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn groups_demote_preserves_slots_and_order() {
-        let guard = ResourceGuard::new(crate::guard::ResourceLimits::default());
-        let mut groups = Groups::new();
-        let mut bytes = 0u64;
-        let ints = vec![int_col(&[Some(10), None, Some(10)])];
-        groups.prepare(&ints);
-        let s0 = groups.slot(&ints, 0, &[], &mut bytes, &guard).unwrap();
-        let s1 = groups.slot(&ints, 1, &[], &mut bytes, &guard).unwrap();
-        let s2 = groups.slot(&ints, 2, &[], &mut bytes, &guard).unwrap();
-        assert_eq!((s0, s1, s2), (0, 1, 0));
-        // A Float chunk arrives: demote to generic; `=ⁿ` still matches
-        // Float(10.0) into the Int(10) group and NULL into NULL.
-        let floats = vec![ColumnVector::from_values(
-            [Value::Float(10.0), Value::Null].iter(),
-        )];
-        groups.prepare(&floats);
-        assert!(matches!(groups.keyer, Keyer::Generic(_)));
-        let s3 = groups.slot(&floats, 0, &[], &mut bytes, &guard).unwrap();
-        let s4 = groups.slot(&floats, 1, &[], &mut bytes, &guard).unwrap();
-        assert_eq!((s3, s4), (0, 1));
-        assert_eq!(groups.len(), 2);
     }
 }

@@ -30,44 +30,38 @@
 //! with and without shards; downstream sharded work is fault-free
 //! in-memory compute.
 //!
-//! **Gating.** [`supported`] admits only plans whose scalar expressions
-//! sit in the error-free vectorizable subset (so per-shard evaluation
-//! order cannot change which error surfaces), with hash join/aggregate
-//! algorithms selected. Everything else falls back to the single-shard
-//! engine wholesale — the oracle path. Like the parallel operators,
+//! **Gating.** [`execution_path`](crate::execution_path) admits only
+//! plans whose scalar expressions sit in the error-free vectorizable
+//! subset (so per-shard evaluation order cannot change which error
+//! surfaces), with hash join/aggregate algorithms selected. Everything
+//! else falls back to the single-shard engine wholesale — the oracle
+//! path. The per-shard kernels *are* the row engine's operator bodies
+//! (`filter_rows`, `hash_join`, `hash_aggregate`, the `Groups` table …),
+//! called once per shard. Like the parallel operators,
 //! accumulator-state overflow (e.g. `SUM` crossing `i64::MAX` mid-
 //! stream) can differ from serial accumulation order; see DESIGN.md §9.
 
 use std::collections::{HashMap, HashSet};
-use std::num::NonZeroUsize;
 use std::sync::Mutex;
 
-use gbj_expr::{Accumulator, BoundExpr, Expr};
+use gbj_expr::BoundExpr;
 use gbj_plan::LogicalPlan;
 use gbj_storage::ShardedTable;
-use gbj_types::{internal_err, GroupKey, Result, Schema, Truth, Value};
+use gbj_types::{internal_err, GroupKey, Result, Value};
 
-use crate::aggregate::{hash_aggregate_with_keys, CompiledAggregate, ACC_ENTRY_BYTES};
+use crate::aggregate::{
+    compile_aggregates, group_key, hash_aggregate, CompiledAggregate, Groups, Partial,
+    ACC_ENTRY_BYTES,
+};
 use crate::exchange::{exchange, gather, ROW_FRAME_BYTES};
-use crate::executor::{input_batches, AggAlgo, ExecOptions, Executor, JoinAlgo};
+use crate::executor::{
+    bind_sort_keys, distinct_rows, filter_rows, input_batches, project_rows, sort_rows, Executor,
+};
 use crate::guard::{row_bytes, ResourceGuard};
-use crate::join::{hash_join_with_keys, split_equi_keys};
+use crate::join::{bind_join, hash_join};
 use crate::metrics::MetricsSink;
 use crate::parallel::{collect_in_order, lock, run_morsels};
 use crate::result::ProfileNode;
-use crate::vectorized::vectorizable;
-
-/// `GBJ_TEST_SHARDS`: shard-count override for the differential test
-/// matrix (mirrors `GBJ_TEST_THREADS`).
-#[must_use]
-pub fn shards_from_env() -> Option<NonZeroUsize> {
-    std::env::var("GBJ_TEST_SHARDS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .and_then(NonZeroUsize::new)
-}
 
 /// How one intermediate relation is distributed across the shards.
 #[derive(Debug, Clone)]
@@ -91,97 +85,17 @@ fn total(parts: &[Vec<Vec<Value>>]) -> usize {
     parts.iter().map(Vec::len).sum()
 }
 
-/// Whether `e` binds against `schema` into the error-free vectorizable
-/// subset — the same rule the vectorized pipeline uses, here guarding
-/// per-shard evaluation-order independence of errors.
-fn expr_safe(e: &Expr, schema: &Schema) -> bool {
-    e.bind(schema).map(|b| vectorizable(&b)).unwrap_or(false)
-}
-
-/// Whether the sharded runner can execute `plan` with byte-identical
-/// results to the single-shard engine. Anything unsupported falls back
-/// wholesale (the single-shard engine is the oracle). Public so the
-/// engine can tell whether a multi-shard configuration will actually
-/// shard a given plan (e.g. to gate shipped-rows predictions).
-#[must_use]
-pub fn supported(plan: &LogicalPlan, options: &ExecOptions) -> bool {
-    matches!(options.join, JoinAlgo::Auto | JoinAlgo::Hash)
-        && options.agg == AggAlgo::Hash
-        && node_ok(plan)
-}
-
-fn node_ok(plan: &LogicalPlan) -> bool {
-    match plan {
-        LogicalPlan::Scan { .. } => true,
-        LogicalPlan::Filter { input, predicate } => {
-            input
-                .schema()
-                .map(|s| expr_safe(predicate, &s))
-                .unwrap_or(false)
-                && node_ok(input)
-        }
-        LogicalPlan::Project { input, exprs, .. } => {
-            input
-                .schema()
-                .map(|s| exprs.iter().all(|(e, _)| expr_safe(e, &s)))
-                .unwrap_or(false)
-                && node_ok(input)
-        }
-        // A cross join has no key to partition on: broadcast semantics
-        // are out of scope, fall back.
-        LogicalPlan::CrossJoin { .. } => false,
-        LogicalPlan::Join {
-            left,
-            right,
-            condition,
-        } => {
-            let (Ok(ls), Ok(rs)) = (left.schema(), right.schema()) else {
-                return false;
-            };
-            let (keys, residual) = split_equi_keys(condition, &ls, &rs);
-            if keys.is_empty() {
-                return false;
-            }
-            let residual_ok = match Expr::conjunction(residual) {
-                None => true,
-                Some(e) => expr_safe(&e, &ls.join(&rs)),
-            };
-            residual_ok && node_ok(left) && node_ok(right)
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => {
-            let Ok(s) = input.schema() else {
-                return false;
-            };
-            group_by.iter().all(|e| expr_safe(e, &s))
-                && aggregates
-                    .iter()
-                    .all(|(c, _)| c.arg.as_ref().is_none_or(|e| expr_safe(e, &s)))
-                && node_ok(input)
-        }
-        LogicalPlan::SubqueryAlias { input, .. } => node_ok(input),
-        LogicalPlan::Sort { input, keys } => {
-            input
-                .schema()
-                .map(|s| keys.iter().all(|(e, _)| expr_safe(e, &s)))
-                .unwrap_or(false)
-                && node_ok(input)
-        }
-    }
-}
-
-/// Run each shard's rows through `f` on the morsel worker pool (one
-/// "morsel" per shard), collecting per-shard outputs in shard order
-/// with deterministic lowest-shard-first error selection.
-fn map_shards<T, F>(threads: usize, parts: Vec<Vec<Vec<Value>>>, f: &F) -> Result<Vec<T>>
+/// Run each shard's items (rows, or shipped partials) through `f` on
+/// the morsel worker pool (one "morsel" per shard), collecting
+/// per-shard outputs in shard order with deterministic
+/// lowest-shard-first error selection.
+fn map_shards<R, T, F>(threads: usize, parts: Vec<Vec<R>>, f: &F) -> Result<Vec<T>>
 where
+    R: Send,
     T: Send,
-    F: Fn(usize, Vec<Vec<Value>>) -> Result<T> + Sync,
+    F: Fn(usize, Vec<R>) -> Result<T> + Sync,
 {
-    let cells: Vec<Mutex<Vec<Vec<Value>>>> = parts.into_iter().map(Mutex::new).collect();
+    let cells: Vec<Mutex<Vec<R>>> = parts.into_iter().map(Mutex::new).collect();
     let slots = run_morsels(cells.len(), threads, &|i| {
         let cell = cells
             .get(i)
@@ -234,27 +148,23 @@ fn eval(
     under_join: bool,
 ) -> Result<(ShardedRows, ProfileNode)> {
     let threads = exec.options.threads.get();
+    // All rows on shard 0 (after a gather).
+    let on_shard_zero = |rows: Vec<Vec<Value>>| {
+        let mut parts: Vec<Vec<Vec<Value>>> = (0..n).map(|_| Vec::new()).collect();
+        if let Some(first) = parts.get_mut(0) {
+            *first = rows;
+        }
+        ShardedRows {
+            parts,
+            part: Partitioning::Single,
+        }
+    };
     match plan {
         LogicalPlan::Scan { table, schema, .. } => {
             // Stage 0 is the *single-shard* scan, bit for bit: same
             // cursor, same batch sizes, same fault-injection points.
             // Partitioning happens after the scan output materialises.
-            let sink = exec.sink();
-            let timer = sink.start_timer();
-            let mut cursor = exec.storage.open_scan(table)?;
-            if cursor.arity() != schema.len() {
-                return Err(internal_err!("scan schema arity mismatch for {table}"));
-            }
-            let mut rows: Vec<Vec<Value>> = Vec::with_capacity(cursor.total_rows());
-            while let Some(batch) = cursor.next_batch()? {
-                guard.charge_rows(batch.len())?;
-                sink.add_batches(1);
-                rows.extend(batch);
-            }
-            sink.record_probe(timer);
-            let n_rows = rows.len();
-            let profile = ProfileNode::new(plan.label(), "Scan", n_rows, vec![])
-                .with_metrics(sink.finish(n_rows, n_rows));
+            let (rows, profile) = exec.scan_rows(plan, table, schema, guard)?;
             let key = exec.storage.partition_key(table);
             let sharded = ShardedTable::partition(rows, key, n)?;
             let part = match sharded.key() {
@@ -274,19 +184,11 @@ fn eval(
             let (child, child_profile) = eval(exec, input, guard, n, under_join)?;
             let sink = exec.sink();
             let timer = sink.start_timer();
-            let in_schema = input.schema()?;
-            let bound = predicate.bind(&in_schema)?;
+            let bound = predicate.bind(&input.schema()?)?;
             let n_in = total(&child.parts);
             let part = child.part.clone();
             let parts = map_shards(threads, child.parts, &|_, rows| {
-                let mut out = Vec::new();
-                for row in rows {
-                    guard.tick()?;
-                    if bound.eval_truth(&row)? == Truth::True {
-                        out.push(row);
-                    }
-                }
-                Ok(out)
+                filter_rows(&bound, rows, guard)
             })?;
             let n_out = total(&parts);
             guard.charge_rows(n_out)?;
@@ -313,15 +215,7 @@ fn eval(
                 .collect::<Result<_>>()?;
             let n_in = total(&child.parts);
             let projected = map_shards(threads, child.parts, &|_, rows| {
-                rows.iter()
-                    .map(|row| {
-                        guard.tick()?;
-                        bound
-                            .iter()
-                            .map(|b| b.eval(row))
-                            .collect::<Result<Vec<Value>>>()
-                    })
-                    .collect::<Result<Vec<Vec<Value>>>>()
+                project_rows(&bound, &rows, guard)
             })?;
             let (parts, part, op) = if *distinct {
                 // Duplicate elimination is global: co-locate equal
@@ -329,21 +223,10 @@ fn eval(
                 // shard. The per-shard distinct counts are disjoint and
                 // sum to the single-shard dedup-set size.
                 let routed = exchange(projected, n, &sink, |row| Ok(GroupKey(row.to_vec())))?;
-                let parts = map_shards(threads, routed, &|_, rows| {
-                    let mut seen: HashSet<GroupKey> = HashSet::new();
-                    let mut out = Vec::new();
-                    for row in rows {
-                        guard.tick()?;
-                        if seen.insert(GroupKey(row.clone())) {
-                            out.push(row);
-                        }
-                    }
-                    Ok(out)
-                })?;
-                let arity = bound.len();
+                let parts = map_shards(threads, routed, &|_, rows| distinct_rows(rows, guard))?;
                 (
                     parts,
-                    Partitioning::Hash(vec![(0..arity).collect()]),
+                    Partitioning::Hash(vec![(0..bound.len()).collect()]),
                     "ShardedProjectDistinct",
                 )
             } else {
@@ -363,7 +246,7 @@ fn eval(
         }
 
         LogicalPlan::CrossJoin { .. } => Err(internal_err!(
-            "cross join reached the sharded runner (gated by supported())"
+            "cross join reached the sharded runner; execution_path() should have refused it"
         )),
 
         LogicalPlan::Join {
@@ -373,20 +256,14 @@ fn eval(
         } => {
             let (l_sh, lp) = eval(exec, left, guard, n, true)?;
             let (r_sh, rp) = eval(exec, right, guard, n, true)?;
-            let lschema = left.schema()?;
-            let rschema = right.schema()?;
-            let joined_schema = lschema.join(&rschema);
-            let (keys, residual) = split_equi_keys(condition, &lschema, &rschema);
-            if keys.is_empty() {
+            let join = bind_join(left, right, condition)?;
+            if join.keys.is_empty() {
                 return Err(internal_err!(
-                    "non-equi join reached the sharded runner (gated by supported())"
+                    "non-equi join reached the sharded runner; execution_path() should have refused it"
                 ));
             }
-            let residual_bound = Expr::conjunction(residual)
-                .map(|e| e.bind(&joined_schema))
-                .transpose()?;
-            let lords: Vec<usize> = keys.iter().map(|k| k.left).collect();
-            let rords: Vec<usize> = keys.iter().map(|k| k.right).collect();
+            let lords: Vec<usize> = join.keys.iter().map(|k| k.left).collect();
+            let rords: Vec<usize> = join.keys.iter().map(|k| k.right).collect();
             let sink = exec.sink();
             let l_n = total(&l_sh.parts);
             let r_n = total(&r_sh.parts);
@@ -409,35 +286,19 @@ fn eval(
             // exactly one shard, so the totals match single-shard.
             let r_cells: Vec<Mutex<Vec<Vec<Value>>>> =
                 r_parts.into_iter().map(Mutex::new).collect();
-            let cells: Vec<Mutex<Vec<Vec<Value>>>> = l_parts.into_iter().map(Mutex::new).collect();
-            let slots = run_morsels(cells.len(), threads, &|i| {
-                let l_rows = std::mem::take(&mut *lock(
-                    cells
-                        .get(i)
-                        .ok_or_else(|| internal_err!("shard {i} out of range"))?,
-                ));
+            let parts = map_shards(threads, l_parts, &|i, l_rows| {
                 let r_rows = std::mem::take(&mut *lock(
                     r_cells
                         .get(i)
                         .ok_or_else(|| internal_err!("shard {i} out of range"))?,
                 ));
-                hash_join_with_keys(
-                    &l_rows,
-                    &r_rows,
-                    &keys,
-                    &residual_bound,
-                    None,
-                    None,
-                    guard,
-                    &sink,
-                )
-            });
-            let parts = collect_in_order(slots)?;
+                hash_join(&l_rows, &r_rows, &join.keys, &join.residual, guard, &sink)
+            })?;
             let n_out = total(&parts);
             guard.charge_rows(n_out)?;
             let part = Partitioning::Hash(vec![
                 lords,
-                rords.iter().map(|r| r + lschema.len()).collect(),
+                rords.iter().map(|r| r + join.left_arity).collect(),
             ]);
             let profile = ProfileNode::new(plan.label(), "ShardedHashJoin", n_out, vec![lp, rp])
                 .with_metrics(sink.finish(l_n + r_n, n_out));
@@ -450,21 +311,8 @@ fn eval(
             aggregates,
         } => {
             let (child, child_profile) = eval(exec, input, guard, n, under_join)?;
-            let in_schema = input.schema()?;
-            let group_bound: Vec<BoundExpr> = group_by
-                .iter()
-                .map(|e| e.bind(&in_schema))
-                .collect::<Result<_>>()?;
-            let compiled: Vec<CompiledAggregate> = aggregates
-                .iter()
-                .map(|(call, _)| {
-                    let arg = call.arg.as_ref().map(|e| e.bind(&in_schema)).transpose()?;
-                    Ok(CompiledAggregate {
-                        call: call.clone(),
-                        arg,
-                    })
-                })
-                .collect::<Result<_>>()?;
+            let (group_bound, compiled) =
+                compile_aggregates(&input.schema()?, group_by, aggregates)?;
             let sink = exec.sink();
             let n_in = total(&child.parts);
             sink.add_batches(input_batches(n_in));
@@ -475,30 +323,13 @@ fn eval(
                 // kernel on shard 0 — which, like single-shard, records
                 // no hash entries for the scalar path.
                 let gathered = gather(child.parts, &sink);
-                let rows0 = hash_aggregate_with_keys(
-                    &gathered,
-                    &group_bound,
-                    &compiled,
-                    None,
-                    guard,
-                    &sink,
-                )?;
+                let rows0 = hash_aggregate(&gathered, &group_bound, &compiled, guard, &sink)?;
                 let n_out = rows0.len();
                 guard.charge_rows(n_out)?;
-                let mut parts: Vec<Vec<Vec<Value>>> = (0..n).map(|_| Vec::new()).collect();
-                if let Some(first) = parts.get_mut(0) {
-                    *first = rows0;
-                }
                 let profile =
                     ProfileNode::new(plan.label(), "GatherAggregate", n_out, vec![child_profile])
                         .with_metrics(sink.finish(n_in, n_out));
-                return Ok((
-                    ShardedRows {
-                        parts,
-                        part: Partitioning::Single,
-                    },
-                    profile,
-                ));
+                return Ok((on_shard_zero(rows0), profile));
             }
 
             let group_ords: Option<Vec<usize>> = group_bound
@@ -520,36 +351,25 @@ fn eval(
                     }
                     _ => false,
                 };
+            let aggregate_per_shard = |parts| {
+                map_shards(threads, parts, &|_, rows| {
+                    hash_aggregate(&rows, &group_bound, &compiled, guard, &sink)
+                })
+            };
+            let on_group_key = Partitioning::Hash(vec![(0..group_bound.len()).collect()]);
 
             let (parts, part, op) = if colocated {
-                let parts = map_shards(threads, child.parts, &|_, rows| {
-                    hash_aggregate_with_keys(&rows, &group_bound, &compiled, None, guard, &sink)
-                })?;
-                let part = match (&child.part, &group_ords) {
-                    (Partitioning::Single, _) => Partitioning::Single,
-                    (Partitioning::Hash(variants), Some(ords)) => {
-                        // Surviving variants, remapped to output
-                        // ordinals (group column i lands at position i).
-                        let remapped: Vec<Vec<usize>> = variants
-                            .iter()
-                            .filter_map(|pk| {
-                                pk.iter()
-                                    .map(|o| ords.iter().position(|g| g == o))
-                                    .collect::<Option<Vec<usize>>>()
-                            })
-                            .collect();
-                        if remapped.is_empty() {
-                            Partitioning::Arbitrary
-                        } else {
-                            Partitioning::Hash(remapped)
-                        }
-                    }
-                    _ => Partitioning::Arbitrary,
-                };
-                (parts, part, "ShardedHashAggregate")
+                // Partition-key variants survive where the grouping
+                // passes their columns through (group column i lands
+                // at output position i).
+                (
+                    aggregate_per_shard(child.parts)?,
+                    remap_partitioning(&child.part, &group_bound),
+                    "ShardedHashAggregate",
+                )
             } else if exec.options.combiner && under_join {
                 let parts = combiner_aggregate(
-                    exec,
+                    threads,
                     child.parts,
                     &group_bound,
                     &compiled,
@@ -557,27 +377,14 @@ fn eval(
                     n,
                     &sink,
                 )?;
-                (
-                    parts,
-                    Partitioning::Hash(vec![(0..group_bound.len()).collect()]),
-                    "CombinerHashAggregate",
-                )
+                (parts, on_group_key, "CombinerHashAggregate")
             } else {
                 // Raw-row exchange on the grouping key, then per-shard
                 // full aggregation (the uncertified path GBJ502 flags).
-                let routed = exchange(child.parts, n, &sink, |row| {
-                    group_bound
-                        .iter()
-                        .map(|e| e.eval(row))
-                        .collect::<Result<Vec<Value>>>()
-                        .map(GroupKey)
-                })?;
-                let parts = map_shards(threads, routed, &|_, rows| {
-                    hash_aggregate_with_keys(&rows, &group_bound, &compiled, None, guard, &sink)
-                })?;
+                let routed = exchange(child.parts, n, &sink, |row| group_key(&group_bound, row))?;
                 (
-                    parts,
-                    Partitioning::Hash(vec![(0..group_bound.len()).collect()]),
+                    aggregate_per_shard(routed)?,
+                    on_group_key,
                     "ShardedHashAggregate",
                 )
             };
@@ -605,61 +412,25 @@ fn eval(
             let n_in = total(&child.parts);
             sink.add_batches(input_batches(n_in));
             let timer = sink.start_timer();
-            let in_schema = input.schema()?;
-            let bound: Vec<(BoundExpr, bool)> = keys
-                .iter()
-                .map(|(e, asc)| Ok((e.bind(&in_schema)?, *asc)))
-                .collect::<Result<_>>()?;
+            let bound = bind_sort_keys(keys, &input.schema()?)?;
             // A global order needs all rows in one place: gather, then
             // the single-shard sort. Ties may interleave differently
             // than single-shard input order (the sort is stable over
             // the *gathered* order), which canonical comparison — and
             // any ORDER BY contract — permits.
-            let gathered = gather(child.parts, &sink);
-            let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = gathered
-                .into_iter()
-                .map(|row| {
-                    guard.tick()?;
-                    let k: Vec<Value> = bound
-                        .iter()
-                        .map(|(e, _)| e.eval(&row))
-                        .collect::<Result<_>>()?;
-                    Ok((k, row))
-                })
-                .collect::<Result<_>>()?;
-            keyed.sort_by(|(a, _), (b, _)| {
-                for ((x, y), (_, asc)) in a.iter().zip(b).zip(&bound) {
-                    let ord = x.total_cmp(y);
-                    let ord = if *asc { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
+            let sorted = sort_rows(gather(child.parts, &sink), &bound, guard)?;
             sink.record_build(timer);
-            let sorted: Vec<Vec<Value>> = keyed.into_iter().map(|(_, r)| r).collect();
             let n_out = sorted.len();
-            let mut parts: Vec<Vec<Vec<Value>>> = (0..n).map(|_| Vec::new()).collect();
-            if let Some(first) = parts.get_mut(0) {
-                *first = sorted;
-            }
             let profile = ProfileNode::new(plan.label(), "GatherSort", n_out, vec![child_profile])
                 .with_metrics(sink.finish(n_in, n_out));
-            Ok((
-                ShardedRows {
-                    parts,
-                    part: Partitioning::Single,
-                },
-                profile,
-            ))
+            Ok((on_shard_zero(sorted), profile))
         }
     }
 }
 
-/// Remap a partitioning through a projection: a `Hash` variant survives
-/// iff every one of its input ordinals is passed through as a plain
-/// column (first such output position wins).
+/// Remap a partitioning through a projection or grouping list: a `Hash`
+/// variant survives iff every one of its input ordinals is passed
+/// through as a plain column (first such output position wins).
 fn remap_partitioning(part: &Partitioning, bound: &[BoundExpr]) -> Partitioning {
     match part {
         Partitioning::Single => Partitioning::Single,
@@ -688,14 +459,10 @@ fn remap_partitioning(part: &Partitioning, bound: &[BoundExpr]) -> Partitioning 
     }
 }
 
-/// One shipped partial-aggregate: a group key plus its accumulator
-/// states.
-type Partial = (GroupKey, Vec<Accumulator>);
-
 /// The eager pre-aggregation pushed below the exchange: per-origin-
 /// shard partial aggregation, partials shipped by key hash, merged at
-/// the destination through [`Accumulator::merge`] in `(origin shard,
-/// origin first-seen)` order.
+/// the destination through `Accumulator::merge` in `(origin shard,
+/// origin first-seen)` order — three uses of the one [`Groups`] table.
 ///
 /// Metrics: partial tables are invisible (per-shard distinct counts
 /// would over-count groups spanning origin shards); the merge phase
@@ -704,7 +471,7 @@ type Partial = (GroupKey, Vec<Accumulator>);
 /// each partial as framing + key payload + one accumulator-state entry
 /// per aggregate ([`ACC_ENTRY_BYTES`]).
 fn combiner_aggregate(
-    exec: &Executor,
+    threads: usize,
     parts: Vec<Vec<Vec<Value>>>,
     group_bound: &[BoundExpr],
     compiled: &[CompiledAggregate],
@@ -712,47 +479,13 @@ fn combiner_aggregate(
     n: usize,
     sink: &MetricsSink,
 ) -> Result<Vec<Vec<Vec<Value>>>> {
-    let threads = exec.options.threads.get();
     let timer = sink.start_timer();
 
     // Phase 1: partial aggregation on each origin shard.
     let partials: Vec<Vec<Partial>> = map_shards(threads, parts, &|_, rows| {
-        let mut order: Vec<GroupKey> = Vec::new();
-        let mut groups: HashMap<GroupKey, Vec<Accumulator>> = HashMap::new();
-        let mut charged = 0u64;
-        let filled = (|| -> Result<()> {
-            for row in &rows {
-                guard.tick()?;
-                let key = GroupKey(
-                    group_bound
-                        .iter()
-                        .map(|e| e.eval(row))
-                        .collect::<Result<_>>()?,
-                );
-                if !groups.contains_key(&key) {
-                    let entry_bytes =
-                        row_bytes(&key.0) + ACC_ENTRY_BYTES * compiled.len().max(1) as u64;
-                    charged += entry_bytes;
-                    guard.charge_memory(entry_bytes)?;
-                }
-                let accs = groups.entry(key.clone()).or_insert_with(|| {
-                    order.push(key);
-                    compiled.iter().map(|a| a.call.accumulator()).collect()
-                });
-                for (agg, acc) in compiled.iter().zip(accs.iter_mut()) {
-                    agg.update(acc, row)?;
-                }
-            }
-            Ok(())
-        })();
-        let out = filled.map(|()| {
-            order
-                .into_iter()
-                .filter_map(|k| groups.remove(&k).map(|accs| (k, accs)))
-                .collect::<Vec<Partial>>()
-        });
-        guard.release_memory(charged);
-        out
+        let mut groups = Groups::new(compiled, guard);
+        groups.fold_rows(group_bound, &rows)?;
+        Ok(groups.into_partials())
     })?;
 
     // Phase 2: ship partials to the shard their key hashes to.
@@ -777,52 +510,16 @@ fn combiner_aggregate(
     sink.add_shipped(shipped_rows, shipped_bytes);
 
     // Phase 3: merge at each destination shard.
-    let cells: Vec<Mutex<Vec<Partial>>> = routed.into_iter().map(Mutex::new).collect();
-    let slots = run_morsels(cells.len(), threads, &|i| {
-        let shard_partials = std::mem::take(&mut *lock(
-            cells
-                .get(i)
-                .ok_or_else(|| internal_err!("shard {i} out of range"))?,
-        ));
-        let mut order: Vec<GroupKey> = Vec::new();
-        let mut groups: HashMap<GroupKey, Vec<Accumulator>> = HashMap::new();
-        let mut charged = 0u64;
-        let merged = (|| -> Result<()> {
-            for (key, accs) in shard_partials {
-                guard.tick()?;
-                if let Some(existing) = groups.get_mut(&key) {
-                    for (e, a) in existing.iter_mut().zip(&accs) {
-                        e.merge(a)?;
-                    }
-                } else {
-                    let entry_bytes =
-                        row_bytes(&key.0) + ACC_ENTRY_BYTES * compiled.len().max(1) as u64;
-                    charged += entry_bytes;
-                    guard.charge_memory(entry_bytes)?;
-                    order.push(key.clone());
-                    groups.insert(key, accs);
-                }
-            }
-            Ok(())
-        })();
-        let out = merged.and_then(|()| {
-            sink.add_hash_entries(order.len() as u64);
-            sink.add_state_bytes(charged);
-            let mut out = Vec::with_capacity(order.len());
-            for key in order {
-                let accs = groups
-                    .remove(&key)
-                    .ok_or_else(|| internal_err!("combiner group vanished"))?;
-                let mut row = key.0;
-                row.extend(accs.iter().map(Accumulator::finish));
-                out.push(row);
-            }
-            Ok(out)
-        });
-        guard.release_memory(charged);
-        out
+    let out = map_shards(threads, routed, &|_, shard_partials| {
+        let mut merged = Groups::new(compiled, guard);
+        for partial in shard_partials {
+            guard.tick()?;
+            merged.merge(partial)?;
+        }
+        sink.add_hash_entries(merged.len() as u64);
+        sink.add_state_bytes(merged.bytes());
+        Ok(merged.finish())
     });
-    let out = collect_in_order(slots);
     sink.record_build(timer);
     out
 }
@@ -830,100 +527,9 @@ fn combiner_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::Executor;
-    use gbj_catalog::{ColumnDef, Constraint, TableDef};
-    use gbj_expr::{AggregateCall, AggregateFunction};
-    use gbj_storage::Storage;
-    use gbj_types::DataType;
-
-    fn setup() -> Storage {
-        let mut s = Storage::new();
-        s.create_table(
-            TableDef::new(
-                "Department",
-                vec![
-                    ColumnDef::new("DeptID", DataType::Int64),
-                    ColumnDef::new("Name", DataType::Utf8),
-                ],
-            )
-            .with_constraint(Constraint::PrimaryKey(vec!["DeptID".into()])),
-        )
-        .unwrap();
-        s.create_table(
-            TableDef::new(
-                "Employee",
-                vec![
-                    ColumnDef::new("EmpID", DataType::Int64),
-                    ColumnDef::new("DeptID", DataType::Int64),
-                ],
-            )
-            .with_constraint(Constraint::PrimaryKey(vec!["EmpID".into()])),
-        )
-        .unwrap();
-        for (id, name) in [(1, "R&D"), (2, "Sales"), (3, "HR")] {
-            s.insert("Department", vec![Value::Int(id), Value::str(name)])
-                .unwrap();
-        }
-        let depts = [Some(1), Some(1), Some(1), Some(2), Some(2), None, Some(3)];
-        for (i, d) in depts.iter().enumerate() {
-            s.insert(
-                "Employee",
-                vec![Value::Int(i as i64 + 1), d.map_or(Value::Null, Value::Int)],
-            )
-            .unwrap();
-        }
-        s
-    }
-
-    fn scan(s: &Storage, table: &str, alias: &str) -> LogicalPlan {
-        let def = s.catalog().table(table).unwrap();
-        LogicalPlan::Scan {
-            table: table.into(),
-            qualifier: alias.into(),
-            schema: def.schema(alias),
-        }
-    }
-
-    /// Example 1's lazy shape: Aggregate over Join.
-    fn lazy_plan(s: &Storage) -> LogicalPlan {
-        LogicalPlan::Aggregate {
-            input: Box::new(LogicalPlan::Join {
-                left: Box::new(scan(s, "Employee", "E")),
-                right: Box::new(scan(s, "Department", "D")),
-                condition: Expr::col("E", "DeptID").eq(Expr::col("D", "DeptID")),
-            }),
-            group_by: vec![Expr::col("D", "DeptID"), Expr::col("D", "Name")],
-            aggregates: vec![(
-                AggregateCall::new(AggregateFunction::Count, Expr::col("E", "EmpID")),
-                "cnt".into(),
-            )],
-        }
-    }
-
-    /// Example 1's eager shape: aggregate-below-join, the combiner site.
-    fn eager_plan(s: &Storage) -> LogicalPlan {
-        let grouped = LogicalPlan::Aggregate {
-            input: Box::new(scan(s, "Employee", "E")),
-            group_by: vec![Expr::col("E", "DeptID")],
-            aggregates: vec![(
-                AggregateCall::new(AggregateFunction::Count, Expr::col("E", "EmpID")),
-                "cnt".into(),
-            )],
-        };
-        LogicalPlan::Project {
-            input: Box::new(LogicalPlan::Join {
-                left: Box::new(grouped),
-                right: Box::new(scan(s, "Department", "D")),
-                condition: Expr::col("E", "DeptID").eq(Expr::col("D", "DeptID")),
-            }),
-            exprs: vec![
-                (Expr::col("D", "DeptID"), "DeptID".into()),
-                (Expr::col("D", "Name"), "Name".into()),
-                (Expr::bare("cnt"), "cnt".into()),
-            ],
-            distinct: false,
-        }
-    }
+    use crate::executor::tests::{plan1 as lazy_plan, plan2 as eager_plan, setup};
+    use crate::executor::ExecOptions;
+    use std::num::NonZeroUsize;
 
     fn canon(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
         rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
@@ -936,40 +542,6 @@ mod tests {
             combiner,
             ..ExecOptions::default()
         }
-    }
-
-    #[test]
-    fn supported_gates_cross_and_non_equi_joins_and_unsafe_exprs() {
-        let s = setup();
-        let opts = ExecOptions::default();
-        assert!(supported(&lazy_plan(&s), &opts));
-        assert!(supported(&eager_plan(&s), &opts));
-        let cross = LogicalPlan::CrossJoin {
-            left: Box::new(scan(&s, "Employee", "E")),
-            right: Box::new(scan(&s, "Department", "D")),
-        };
-        assert!(!supported(&cross, &opts));
-        let non_equi = LogicalPlan::Join {
-            left: Box::new(scan(&s, "Employee", "E")),
-            right: Box::new(scan(&s, "Department", "D")),
-            condition: Expr::col("E", "DeptID")
-                .binary(gbj_expr::BinaryOp::Lt, Expr::col("D", "DeptID")),
-        };
-        assert!(!supported(&non_equi, &opts));
-        // Arithmetic can error: per-shard evaluation order must not
-        // change which error surfaces, so it falls back wholesale.
-        let arithmetic = LogicalPlan::Filter {
-            input: Box::new(scan(&s, "Employee", "E")),
-            predicate: Expr::col("E", "DeptID")
-                .binary(gbj_expr::BinaryOp::Add, Expr::lit(1i64))
-                .eq(Expr::lit(2i64)),
-        };
-        assert!(!supported(&arithmetic, &opts));
-        let sort_merge = ExecOptions {
-            join: JoinAlgo::SortMerge,
-            ..ExecOptions::default()
-        };
-        assert!(!supported(&lazy_plan(&s), &sort_merge));
     }
 
     #[test]

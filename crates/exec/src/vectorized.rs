@@ -15,9 +15,10 @@
 //! can overflow or divide by zero, and the row engine's error — the
 //! first one in row-major, depth-first, short-circuit order — is
 //! impossible to reproduce when evaluation is reordered column-major.
-//! Rather than approximate it, an operator whose expression isn't
-//! vectorizable falls back to the row engine wholesale, so error
-//! behavior is always exactly the oracle's.
+//! Rather than approximate it, a plan with any expression outside the
+//! rule runs on the row engine wholesale (see
+//! [`execution_path`](crate::execution_path)), so error behavior is
+//! always exactly the oracle's.
 //!
 //! Within the error-free domain, `AND`/`OR` are evaluated *without*
 //! short-circuiting (both sides fully, combined element-wise through
@@ -28,11 +29,9 @@
 use std::borrow::Cow;
 
 use gbj_expr::{compare_values, ordering_truth, value_to_truth, BinaryOp, BoundExpr};
-use gbj_types::{internal_err, GroupKey, Result, Truth, Value};
+use gbj_types::{internal_err, Result, Truth, Value};
 
 use crate::batch::{Bitmap, ColumnVector, ColumnarBatch};
-use crate::metrics::MetricsSink;
-use crate::parallel::morsel_rows;
 
 /// Whether `expr` is in the error-free vectorizable domain: columns,
 /// literals, comparisons, logical connectives and `IS [NOT] NULL`.
@@ -542,75 +541,6 @@ pub fn filter_selection(expr: &BoundExpr, batch: &ColumnarBatch) -> Result<Vec<u
         .collect())
 }
 
-/// Batched `=ⁿ` grouping-key computation: evaluate the (vectorizable)
-/// grouping expressions column-at-a-time over morsel-sized chunks and
-/// assemble one [`GroupKey`] per row. Bit-identical to evaluating the
-/// expressions row-at-a-time, so the hash aggregate's group order and
-/// NULL-group behavior are unchanged.
-pub fn compute_group_keys(
-    rows: &[Vec<Value>],
-    arity: usize,
-    exprs: &[BoundExpr],
-    sink: &MetricsSink,
-) -> Result<Vec<GroupKey>> {
-    let mut keys = Vec::with_capacity(rows.len());
-    for chunk in rows.chunks(morsel_rows(rows.len()).max(1)) {
-        let batch = ColumnarBatch::from_rows(chunk, arity)?;
-        sink.add_vectors(1);
-        let cols = exprs
-            .iter()
-            .map(|e| eval_value_vec(e, &batch))
-            .collect::<Result<Vec<_>>>()?;
-        for i in 0..batch.len() {
-            keys.push(GroupKey(cols.iter().map(|c| c.value(i)).collect()));
-        }
-    }
-    Ok(keys)
-}
-
-/// Batched hash-join key extraction for one side: gather the key
-/// columns per morsel-sized chunk; `None` marks a row whose key
-/// contains NULL (such rows never join — `NULL = NULL` is `unknown`).
-pub fn compute_join_keys(
-    rows: &[Vec<Value>],
-    arity: usize,
-    ordinals: &[usize],
-    sink: &MetricsSink,
-) -> Result<Vec<Option<GroupKey>>> {
-    let mut keys = Vec::with_capacity(rows.len());
-    for chunk in rows.chunks(morsel_rows(rows.len()).max(1)) {
-        let batch = ColumnarBatch::from_rows(chunk, arity)?;
-        sink.add_vectors(1);
-        let cols = ordinals
-            .iter()
-            .map(|&o| batch.column(o))
-            .collect::<Result<Vec<_>>>()?;
-        for i in 0..batch.len() {
-            if cols.iter().any(|c| !c.is_valid(i)) {
-                keys.push(None);
-            } else {
-                keys.push(Some(GroupKey(cols.iter().map(|c| c.value(i)).collect())));
-            }
-        }
-    }
-    Ok(keys)
-}
-
-/// `GBJ_TEST_VECTORIZED` environment override for
-/// [`ExecOptions::vectorized`](crate::ExecOptions::vectorized): `1` /
-/// `true` turns the vectorized kernels on, `0` / `false` forces them
-/// off, anything else (or unset) means "no override". The hook
-/// `scripts/verify.sh` and CI use to push the whole test suite through
-/// the columnar path.
-#[must_use]
-pub fn vectorized_from_env() -> Option<bool> {
-    match std::env::var("GBJ_TEST_VECTORIZED").ok()?.trim() {
-        "1" | "true" => Some(true),
-        "0" | "false" => Some(false),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -748,32 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn group_keys_match_row_evaluation() {
-        let exprs = vec![bind(Expr::bare("a")), bind(Expr::bare("s"))];
-        let sink = MetricsSink::new();
-        let keys = compute_group_keys(&rows(), 4, &exprs, &sink).unwrap();
-        for (i, row) in rows().iter().enumerate() {
-            let expect = GroupKey(exprs.iter().map(|e| e.eval(row).unwrap()).collect());
-            assert_eq!(keys.get(i).unwrap(), &expect, "row {i}");
-        }
-        assert!(sink.finish(0, 0).vectors > 0);
-    }
-
-    #[test]
-    fn join_keys_mark_null_rows() {
-        let sink = MetricsSink::new();
-        let keys = compute_join_keys(&rows(), 4, &[0, 1], &sink).unwrap();
-        assert_eq!(keys.len(), 4);
-        assert!(keys.first().unwrap().is_some());
-        assert!(keys.get(1).unwrap().is_none(), "NULL a");
-        assert!(keys.get(2).unwrap().is_none(), "NULL b");
-        assert_eq!(
-            keys.get(3).unwrap(),
-            &Some(GroupKey(vec![Value::Int(-4), Value::Int(-4)]))
-        );
-    }
-
-    #[test]
     fn dict_kernels_match_decoded_strings() {
         use crate::batch::{StringDictBuilder, NULL_CODE};
         use std::sync::Arc;
@@ -831,13 +735,5 @@ mod tests {
         let e = bind(Expr::bare("a").binary(BinaryOp::Lt, Expr::lit(Value::Int(2))));
         let sel = filter_selection(&e, &batch()).unwrap();
         assert_eq!(sel, vec![0, 3]);
-    }
-
-    #[test]
-    fn env_vectorized_parsing() {
-        // Only the unset path is asserted (env mutation in tests races).
-        if std::env::var("GBJ_TEST_VECTORIZED").is_err() {
-            assert!(vectorized_from_env().is_none());
-        }
     }
 }

@@ -15,13 +15,20 @@
 # EXPLAIN ANALYZE output are checked serial and parallel.
 #
 # The GBJ_TEST_VECTORIZED=1 pass re-runs the whole suite with the
-# vectorized kernels on by default, so every engine-level test doubles
+# chunk pipeline on by default, so every engine-level test doubles
 # as a row-vs-columnar differential; the combined
-# GBJ_TEST_VECTORIZED=1 GBJ_TEST_THREADS=4 pass covers vectorized key
-# computation feeding the *parallel* join/aggregate operators.
+# GBJ_TEST_VECTORIZED=1 GBJ_TEST_THREADS=4 pass checks that the
+# pipeline is thread-count invariant and that plans it refuses run the
+# parallel row operators.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# gbj-exec takes its configuration from ExecOptions only; the one place
+# that reads the environment is EngineOptions::from_env.
+if grep -rn "std::env" crates/exec/src; then
+  echo "verify: gbj-exec must not read the environment" >&2
+  exit 1
+fi
 cargo build --release
 cargo test -q --workspace
 GBJ_TEST_THREADS=4 cargo test -q --workspace
@@ -32,13 +39,13 @@ for t in 1 4; do
   GBJ_TEST_THREADS=$t cargo test -q \
     --test estimator_accuracy --test explain_golden --test parallel_differential
 done
-# Vectorized kernels through the parallel operators, on the suites
-# that fingerprint them.
+# Chunk pipeline at threads=4 (serial breakers, same profile), on the
+# suites that fingerprint it.
 GBJ_TEST_VECTORIZED=1 GBJ_TEST_THREADS=4 cargo test -q \
   --test parallel_differential --test equivalence_prop --test explain_golden
 # Batch-native pipeline: the batch-boundary differential (batch sizes
 # 1/2/7/default x seeded faults on NULL-heavy / empty / all-NULL data)
-# with the vectorized path forced on, serial and parallel.
+# with the vectorized path forced on, at both thread settings.
 for t in 1 4; do
   GBJ_TEST_THREADS=$t GBJ_TEST_VECTORIZED=1 cargo test -q --test columnar_differential
 done
@@ -110,6 +117,13 @@ cargo run --release -q --bin gbj-lint -- --codes corpus/counterexamples.sql \
 # diagnostic from the range/NULL-ness/NDV pass, in file order.
 cargo run --release -q --bin gbj-lint -- --codes corpus/domain_counterexamples.sql \
   | diff <(printf 'GBJ601\nGBJ602\nGBJ603\nGBJ604\nGBJ605\n') -
+# The benchmark harness is a separate package that builds EngineOptions
+# / ExecOptions / ServerConfig field by field against this workspace's
+# public API: build it, run its unit tests and its smoke run, so an API
+# break fails here and not in the benchmark pipeline.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- run --smoke > /dev/null
 # Unsafe-code gate: every crate forbids unsafe, no unsafe blocks.
 scripts/check_unsafe.sh
 cargo clippy --all-targets

@@ -35,18 +35,10 @@ const QUERIES: &[&str] = &[
     "SELECT F.Tag, COUNT(*) FROM Fact F WHERE F.V > 0 OR F.Tag = 'a' GROUP BY F.Tag",
 ];
 
-/// Thread counts the batch-native side runs at: serial (fully columnar
-/// breakers) and parallel (columnar scan, morsel-driven breakers), plus
-/// any `GBJ_TEST_THREADS` override from the CI matrix.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 4];
-    if let Some(n) = common::test_threads() {
-        if !counts.contains(&n.get()) {
-            counts.push(n.get());
-        }
-    }
-    counts
-}
+// The batch-native side runs at several thread counts although its
+// breakers are serial at all of them: the profile must not depend on
+// the setting.
+use common::thread_counts;
 
 fn schema(db: &mut Database) {
     db.run_script(

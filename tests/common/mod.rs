@@ -17,8 +17,6 @@
 //! so not every binary uses every helper.
 #![allow(dead_code)]
 
-use std::num::NonZeroUsize;
-
 use gbj::exec::{ProfileNode, ResultSet};
 use gbj::Value;
 
@@ -64,9 +62,14 @@ pub fn find_agg(profile: &ProfileNode) -> Option<&ProfileNode> {
         .find_map(|op| profile.find_operator(op))
 }
 
-/// The `GBJ_TEST_THREADS` override the engine default picks up (see
-/// `gbj_exec::threads_from_env`), for tests that want to know whether
-/// the suite is running its parallel pass.
-pub fn test_threads() -> Option<NonZeroUsize> {
-    gbj::exec::threads_from_env()
+/// Thread counts a differential sweeps: serial, 4, and the engine's
+/// default when `GBJ_TEST_THREADS` overrides it (see
+/// `EngineOptions::from_env`).
+pub fn thread_counts() -> Vec<usize> {
+    let mut counts = vec![1usize, 4];
+    let default = gbj::engine::EngineOptions::default().exec.threads.get();
+    if !counts.contains(&default) {
+        counts.push(default);
+    }
+    counts
 }

@@ -28,17 +28,7 @@ use gbj::Database;
 
 mod common;
 
-/// Thread counts to sweep: serial and parallel, plus any
-/// `GBJ_TEST_THREADS` override from the CI matrix.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 4];
-    if let Some(n) = common::test_threads() {
-        if !counts.contains(&n.get()) {
-            counts.push(n.get());
-        }
-    }
-    counts
-}
+use common::thread_counts;
 
 /// Canonical rows, counter fingerprint and plan choice of one run.
 type Observation = (Vec<Vec<gbj::Value>>, Vec<(String, [u64; 4])>, PlanChoice);

@@ -28,6 +28,19 @@ fn explain_text(db: &mut Database, sql: &str) -> String {
     }
 }
 
+/// The `path:` lines of an EXPLAIN ANALYZE / `\metrics` text.
+fn path_lines(text: &str) -> Vec<&str> {
+    text.lines().filter(|l| l.starts_with("path: ")).collect()
+}
+
+/// Pin the three execution-path knobs, whatever the `GBJ_TEST_*`
+/// environment defaulted them to.
+fn configure(db: &mut Database, vectorized: bool, threads: usize, shards: usize) {
+    db.set_vectorized(vectorized);
+    db.set_threads(std::num::NonZeroUsize::new(threads).expect("nonzero"));
+    db.set_shards(std::num::NonZeroUsize::new(shards).expect("nonzero"));
+}
+
 /// Drop the lines whose content legitimately varies between runs —
 /// everything else must be reproducible.
 fn stable_lines(text: &str) -> Vec<&str> {
@@ -88,6 +101,7 @@ fn explain_analyze_has_timing_lines_and_audit_columns() {
         execution_lines, 1,
         "exactly one execution-time line:\n{text}"
     );
+    assert_eq!(path_lines(&text).len(), 1, "exactly one path line:\n{text}");
     assert!(
         text.contains("actual rows: 10"),
         "row count line in:\n{text}"
@@ -209,6 +223,8 @@ fn batch_native_profile_reports_vector_counters_with_row_engine_fingerprint() {
     db.options_mut().policy = PushdownPolicy::Never;
     let analyze = format!("EXPLAIN ANALYZE {sql}");
 
+    // Single-shard: the shard runner ignores `vectorized`.
+    db.set_shards(std::num::NonZeroUsize::MIN);
     db.set_vectorized(false);
     explain_text(&mut db, &analyze);
     let row_metrics = db.last_query_metrics().expect("row engine records metrics");
@@ -257,6 +273,75 @@ fn batch_native_profile_reports_vector_counters_with_row_engine_fingerprint() {
             .iter()
             .all(|l| l.contains("vec=0 ")),
         "row engine claimed vectorized kernels in:\n{row_render}"
+    );
+}
+
+/// The `path:` golden: `EXPLAIN ANALYZE` and `\metrics` say which of the
+/// three execution paths ran and why a faster one was refused — and the
+/// profile agrees. `ORDER BY` over an error-free key stays batch-native;
+/// one `+` in a predicate sends the whole plan to the row engine, which
+/// claims no kernel anywhere; a supported plan at `threads = 4` is the
+/// same serial pipeline, same fingerprint, as at `threads = 1`.
+#[test]
+fn path_line_names_the_path_and_the_refusal() {
+    let (mut db, sql) = build();
+    db.options_mut().policy = PushdownPolicy::Never;
+    let vectors = |db: &Database| -> Vec<u64> {
+        fn walk(p: &gbj::exec::ProfileNode, out: &mut Vec<u64>) {
+            out.push(p.metrics.vectors);
+            p.children.iter().for_each(|c| walk(c, out));
+        }
+        let mut out = Vec::new();
+        walk(&db.last_query_metrics().expect("metrics").profile, &mut out);
+        out
+    };
+
+    configure(&mut db, false, 1, 1);
+    let text = explain_text(&mut db, &format!("EXPLAIN ANALYZE {sql}"));
+    assert_eq!(path_lines(&text), ["path: row"], "{text}");
+
+    configure(&mut db, true, 1, 1);
+    let ordered = format!("EXPLAIN ANALYZE {sql} ORDER BY DeptID");
+    let text = explain_text(&mut db, &ordered);
+    assert_eq!(path_lines(&text), ["path: batch"], "{text}");
+    let serial = db.last_query_metrics().expect("metrics");
+    assert_eq!(serial.profile.operator, "Sort");
+    assert!(vectors(&db).iter().skip(1).all(|v| *v > 0), "{text}");
+    assert_eq!(path_lines(&serial.render()), ["path: batch"]);
+
+    configure(&mut db, true, 4, 1);
+    let text = explain_text(&mut db, &ordered);
+    assert_eq!(path_lines(&text), ["path: batch"], "{text}");
+    let parallel = db.last_query_metrics().expect("metrics");
+    for op in ["HashJoin", "HashAggregate"] {
+        assert!(parallel.profile.find_operator(op).is_some(), "serial {op}");
+    }
+    assert_eq!(
+        parallel.profile.counter_fingerprint(),
+        serial.profile.counter_fingerprint(),
+        "threads must not change the pipeline's profile"
+    );
+
+    let arithmetic = "EXPLAIN ANALYZE SELECT E.EmpID FROM Employee E WHERE E.DeptID + 1 > 2";
+    let text = explain_text(&mut db, arithmetic);
+    assert_eq!(
+        path_lines(&text),
+        ["path: row (Filter: arithmetic in predicate)"],
+        "{text}"
+    );
+    assert!(
+        vectors(&db).iter().all(|v| *v == 0),
+        "row engine ran a kernel"
+    );
+
+    configure(&mut db, false, 1, 4);
+    let text = explain_text(&mut db, &format!("EXPLAIN ANALYZE {sql}"));
+    assert_eq!(path_lines(&text), ["path: sharded(4)"], "{text}");
+    let text = explain_text(&mut db, arithmetic);
+    assert_eq!(
+        path_lines(&text),
+        ["path: row (Filter: arithmetic in predicate)"],
+        "{text}"
     );
 }
 

@@ -1,0 +1,93 @@
+//! Fallback census: which execution path every SELECT in `corpus/*.sql`
+//! takes, per refusal reason.
+//!
+//! `gbj_exec::execution_path` is the one gate in front of the chunk
+//! pipeline and the shard runner; a plan it refuses runs on the row
+//! engine. This test pins how many corpus queries each reason sends
+//! there, for both plan shapes, so the next change to the gate (or to
+//! the planner's output) shows up as a diff in the expected table
+//! rather than as a silent shift in what the fast paths cover.
+
+use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
+
+use gbj::engine::PushdownPolicy;
+use gbj::exec::{execution_path, ExecOptions};
+use gbj::Database;
+
+/// `(policy, path rendering) → queries`, over every SELECT of the
+/// corpus, under `options`.
+fn census(options: &ExecOptions) -> BTreeMap<(String, String), usize> {
+    let mut counts = BTreeMap::new();
+    let mut files: Vec<_> = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/corpus"))
+        .expect("corpus directory")
+        .map(|e| e.expect("corpus entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "sql"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 4, "a new corpus file needs a census row");
+    for file in files {
+        let text: String = std::fs::read_to_string(&file)
+            .expect("corpus file")
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("--"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let mut db = Database::new();
+        for stmt in text.split(';').map(str::trim).filter(|s| !s.is_empty()) {
+            if !stmt.to_ascii_uppercase().starts_with("SELECT") {
+                db.execute(stmt).expect("corpus DDL/DML runs");
+                continue;
+            }
+            for policy in [PushdownPolicy::Never, PushdownPolicy::Always] {
+                db.options_mut().policy = policy;
+                let plan = db.plan_query(stmt).expect("corpus query plans").plan;
+                let key = (
+                    format!("{policy:?}"),
+                    execution_path(&plan, options).to_string(),
+                );
+                *counts.entry(key).or_insert(0) += 1;
+            }
+        }
+    }
+    counts
+}
+
+fn expect(rows: &[(&str, &str, usize)]) -> BTreeMap<(String, String), usize> {
+    rows.iter()
+        .map(|(policy, path, n)| ((policy.to_string(), path.to_string()), *n))
+        .collect()
+}
+
+#[test]
+fn corpus_fallbacks_per_reason_are_pinned() {
+    let batch = census(&ExecOptions {
+        vectorized: true,
+        ..ExecOptions::default()
+    });
+    assert_eq!(
+        batch,
+        expect(&[
+            ("Always", "batch", 15),
+            ("Always", "row (CrossJoin: no join key)", 1),
+            ("Never", "batch", 15),
+            ("Never", "row (CrossJoin: no join key)", 1),
+        ]),
+        "chunk pipeline census moved"
+    );
+
+    let sharded = census(&ExecOptions {
+        shards: NonZeroUsize::new(4).expect("nonzero"),
+        ..ExecOptions::default()
+    });
+    assert_eq!(
+        sharded,
+        expect(&[
+            ("Always", "sharded", 15),
+            ("Always", "row (CrossJoin: no join key)", 1),
+            ("Never", "sharded", 15),
+            ("Never", "row (CrossJoin: no join key)", 1),
+        ]),
+        "shard runner census moved"
+    );
+}

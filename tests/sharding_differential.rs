@@ -28,23 +28,14 @@ mod common;
 /// plus any `GBJ_TEST_SHARDS` override from the CI matrix.
 fn shard_counts() -> Vec<usize> {
     let mut counts = vec![1usize, 2, 4, 8];
-    if let Some(n) = gbj::exec::shards_from_env() {
-        if !counts.contains(&n.get()) {
-            counts.push(n.get());
-        }
+    let default = gbj::engine::EngineOptions::default().exec.shards.get();
+    if !counts.contains(&default) {
+        counts.push(default);
     }
     counts
 }
 
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 4];
-    if let Some(n) = common::test_threads() {
-        if !counts.contains(&n.get()) {
-            counts.push(n.get());
-        }
-    }
-    counts
-}
+use common::thread_counts;
 
 /// Canonical rows, counter fingerprint, plan choice and shipped
 /// counters of one configured run.
