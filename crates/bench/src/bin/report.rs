@@ -11,14 +11,15 @@ use std::time::Instant;
 
 use gbj_bench::{compare, ExperimentRow};
 use gbj_catalog::{ColumnDef, Constraint, TableDef};
-use gbj_core::{CostModel, Stats};
 use gbj_datagen::{
     AdversarialConfig, EmpDeptConfig, PartSupplierConfig, PrinterConfig, SweepConfig,
 };
 use gbj_engine::{Database, PushdownPolicy};
 use gbj_expr::Expr;
 use gbj_fd::{Fd, FdContext, FdSet};
-use gbj_types::{ColumnRef, DataType, Result, Truth, Value};
+use gbj_optimizer::{shape_cost, CardTree, CostModel};
+use gbj_plan::LogicalPlan;
+use gbj_types::{ColumnRef, DataType, Field, Result, Schema, Truth, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -437,24 +438,48 @@ fn x9_sweeps() -> Result<Vec<ExperimentRow>> {
 
 // --------------------------------------------------------------- X10
 
-/// Section 7, distributed: rows shipped under the communication model.
+/// Section 7, distributed: rows shipped under the communication model —
+/// Figure 1's cardinalities, scaled, fed to the engine's one cost model
+/// over the lazy `Aggregate(Join(E, D))` and eager
+/// `Join(Aggregate(E), D)` shapes.
 fn x10_distributed() -> Result<Vec<ExperimentRow>> {
     let model = CostModel::distributed();
+    let scan = |table: &str, q: &str| LogicalPlan::Scan {
+        table: table.into(),
+        qualifier: q.into(),
+        schema: Schema::new(vec![
+            Field::new("DeptID", DataType::Int64, false).with_qualifier(q)
+        ]),
+    };
+    let join = |left: LogicalPlan| LogicalPlan::Join {
+        left: Box::new(left),
+        right: Box::new(scan("Department", "D")),
+        condition: Expr::col("E", "DeptID").eq(Expr::col("D", "DeptID")),
+    };
+    let group = |input: LogicalPlan| LogicalPlan::Aggregate {
+        input: Box::new(input),
+        group_by: vec![Expr::col("E", "DeptID")],
+        aggregates: vec![],
+    };
+    let node = |rows: f64, children: Vec<CardTree>| CardTree { rows, children };
     println!(
         "{:>8} {:>12} {:>12} {:>14} {:>14}",
         "scale", "lazy ships", "eager ships", "lazy cost", "eager cost"
     );
     let mut out = Vec::new();
     for scale in [1.0, 10.0, 100.0] {
-        let stats = Stats {
-            r1_rows: 10_000.0 * scale,
-            r2_rows: 100.0 * scale,
-            r1_groups: 100.0 * scale,
-            join_rows: 10_000.0 * scale,
-            final_groups: 100.0 * scale,
-        };
-        let lazy = model.lazy(&stats);
-        let eager = model.eager(&stats);
+        let (emps, depts) = (10_000.0 * scale, 100.0 * scale);
+        let leaves = |left: CardTree| vec![left, CardTree::leaf(depts)];
+        let lazy = shape_cost(
+            &model,
+            &group(join(scan("Employee", "E"))),
+            &node(depts, vec![node(emps, leaves(CardTree::leaf(emps)))]),
+        );
+        let eager = shape_cost(
+            &model,
+            &join(group(scan("Employee", "E"))),
+            &node(depts, leaves(node(depts, vec![CardTree::leaf(emps)]))),
+        );
         println!(
             "{:>8} {:>12.0} {:>12.0} {:>14.0} {:>14.0}",
             scale, lazy.shipped_rows, eager.shipped_rows, lazy.total, eager.total

@@ -51,12 +51,12 @@
 //!   become available;
 //! * [`reverse`] — Section 8: unfolding an aggregated view
 //!   (join-before-group-by → the single-block form), validated by the
-//!   same conditions;
-//! * [`cost`] — the Section 7 trade-off analysis as an explicit cost
-//!   model (local and distributed), used to decide *whether* to apply a
-//!   valid transformation.
+//!   same conditions.
+//!
+//! *Whether* to apply a valid transformation is not decided here: the
+//! Section 7 cost model lives beside the lowered plan shapes it prices,
+//! in `gbj_optimizer::cost`.
 
-pub mod cost;
 pub mod partition;
 pub mod reverse;
 pub mod substitute;
@@ -64,7 +64,6 @@ pub mod testfd;
 pub mod theorem3;
 pub mod transform;
 
-pub use cost::{CostModel, PlanCost, Stats};
 pub use partition::{Partition, PartitionError};
 pub use reverse::{reverse_transform, ReverseOutcome};
 pub use substitute::substitution_candidates;

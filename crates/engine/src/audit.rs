@@ -2,7 +2,7 @@
 //!
 //! The optimizer's [`Estimator`](crate::Estimator) predicts an output
 //! cardinality for every node of the chosen plan
-//! ([`PlanEstimate`](crate::stats::PlanEstimate)); the executor measures
+//! ([`CardTree`]); the executor measures
 //! what actually flowed ([`ProfileNode`]). Both trees mirror the logical
 //! plan exactly, so zipping them node by node yields an estimate-vs-
 //! actual table with a **Q-error** per node — `max(est, actual) /
@@ -12,8 +12,9 @@
 //! from this module.
 
 use gbj_exec::ProfileNode;
+use gbj_optimizer::CardTree;
 
-use crate::stats::{q_error, PlanEstimate};
+use crate::stats::q_error;
 
 /// One plan node's estimate-vs-actual record.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,18 +33,18 @@ pub struct NodeAudit {
     pub depth: usize,
 }
 
-/// Zip an estimate tree onto the measured profile tree, pre-order. The
-/// trees mirror the same logical plan, so they are congruent; if a
-/// defensive mismatch ever appears, the surplus children are skipped
-/// rather than misattributed.
+/// Zip an estimate tree onto the measured profile tree, pre-order; the
+/// labels come from the profile. The trees mirror the same logical
+/// plan, so they are congruent; if a defensive mismatch ever appears,
+/// the surplus children are skipped rather than misattributed.
 #[must_use]
-pub fn audit_nodes(est: &PlanEstimate, profile: &ProfileNode) -> Vec<NodeAudit> {
+pub fn audit_nodes(est: &CardTree, profile: &ProfileNode) -> Vec<NodeAudit> {
     let mut out = Vec::new();
     zip_nodes(est, profile, 0, &mut out);
     out
 }
 
-fn zip_nodes(est: &PlanEstimate, profile: &ProfileNode, depth: usize, out: &mut Vec<NodeAudit>) {
+fn zip_nodes(est: &CardTree, profile: &ProfileNode, depth: usize, out: &mut Vec<NodeAudit>) {
     let actual = profile.metrics.rows_out.max(profile.rows_out as u64);
     out.push(NodeAudit {
         label: profile.label.clone(),
@@ -123,12 +124,8 @@ mod tests {
     use super::*;
     use gbj_exec::OperatorMetrics;
 
-    fn est(label: &str, rows: f64, children: Vec<PlanEstimate>) -> PlanEstimate {
-        PlanEstimate {
-            label: label.into(),
-            rows,
-            children,
-        }
+    fn est(rows: f64, children: Vec<CardTree>) -> CardTree {
+        CardTree { rows, children }
     }
 
     fn prof(label: &str, op: &str, rows: usize, children: Vec<ProfileNode>) -> ProfileNode {
@@ -140,11 +137,7 @@ mod tests {
 
     #[test]
     fn zip_walks_both_trees_in_lockstep() {
-        let e = est(
-            "Agg",
-            10.0,
-            vec![est("Join", 100.0, vec![est("Scan E", 1000.0, vec![])])],
-        );
+        let e = est(10.0, vec![est(100.0, vec![est(1000.0, vec![])])]);
         let p = prof(
             "Agg",
             "HashAggregate",
@@ -166,25 +159,43 @@ mod tests {
         assert_eq!(median_q(&audits), 1.2);
     }
 
-    #[test]
-    fn tree_rendering_is_deterministic_and_indented() {
-        let e = est("Agg", 10.0, vec![est("Scan", 100.0, vec![])]);
-        let p = prof(
+    /// The golden rendering: a 10-group aggregate over a 100-row scan,
+    /// both estimated exactly.
+    const AGG_OVER_SCAN: &str =
+        "Agg [HashAggregate] est=10 actual=10 q=1.00\n  Scan [Scan] est=100 actual=100 q=1.00\n";
+
+    fn agg_over_scan_profile() -> ProfileNode {
+        prof(
             "Agg",
             "HashAggregate",
             10,
             vec![prof("Scan", "Scan", 100, vec![])],
-        );
-        let text = annotated_tree(&audit_nodes(&e, &p));
-        assert_eq!(
-            text,
-            "Agg [HashAggregate] est=10 actual=10 q=1.00\n  Scan [Scan] est=100 actual=100 q=1.00\n"
-        );
+        )
+    }
+
+    #[test]
+    fn tree_rendering_is_deterministic_and_indented() {
+        let e = est(10.0, vec![est(100.0, vec![])]);
+        let text = annotated_tree(&audit_nodes(&e, &agg_over_scan_profile()));
+        assert_eq!(text, AGG_OVER_SCAN);
+    }
+
+    /// The audit zips the one estimate tree, clamped by the one clamp:
+    /// an over-estimate cut to its proven bound renders the same `est=`
+    /// / `q=` columns as an exact estimate, and an unbounded node keeps
+    /// its estimate.
+    #[test]
+    fn clamped_card_tree_renders_the_same_columns() {
+        let mut e = est(40.0, vec![est(100.0, vec![])]);
+        e.clamp(&est(10.0, vec![est(f64::INFINITY, vec![])]));
+        let audits = audit_nodes(&e, &agg_over_scan_profile());
+        assert_eq!(annotated_tree(&audits), AGG_OVER_SCAN);
+        assert_eq!(max_q(&audits), 1.0);
     }
 
     #[test]
     fn json_escapes_and_shapes() {
-        let e = est("a\"b", 2.0, vec![]);
+        let e = est(2.0, vec![]);
         let p = prof("a\"b", "Scan", 2, vec![]);
         let json = audits_to_json(&audit_nodes(&e, &p));
         assert!(json.starts_with('[') && json.ends_with(']'));

@@ -8,13 +8,12 @@ use gbj_analyze::{
 };
 use gbj_catalog::{Assertion, Catalog};
 use gbj_core::{
-    eager_aggregate, reverse_transform, CostModel, EagerOutcome, Partition, PlanCost,
-    ReverseOutcome, Stats, TransformOptions,
+    eager_aggregate, reverse_transform, EagerOutcome, Partition, ReverseOutcome, TransformOptions,
 };
 use gbj_exec::{ExecOptions, ExecPath, Executor, ProfileNode, ResourceGuard, ResultSet};
 use gbj_expr::Expr;
 use gbj_fd::FdContext;
-use gbj_optimizer::{shape_cost, CardTree, Optimizer, ShapeCost};
+use gbj_optimizer::{shape_cost, CardTree, CostModel, Optimizer, ShapeCost};
 use gbj_plan::{BlockRelation, LogicalPlan, QueryBlock};
 use gbj_sql::{parse_statements, Binder, BoundSelect, Statement};
 use gbj_storage::Storage;
@@ -22,7 +21,7 @@ use gbj_types::{ColumnRef, Error, Result};
 
 use crate::audit::{annotated_tree, audit_nodes, NodeAudit};
 use crate::feedback::{delta_from_profile, FeedbackDelta, FeedbackStore};
-use crate::stats::{Estimator, PlanEstimate};
+use crate::stats::Estimator;
 
 /// When to apply a *valid* group-by-before-join transformation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -155,12 +154,6 @@ pub struct QueryReport {
     pub testfd: Option<String>,
     /// The partition display, when one was formed.
     pub partition: Option<String>,
-    /// Estimated cardinalities, when a cost decision was made.
-    pub stats: Option<Stats>,
-    /// Estimated cost of the lazy plan (block-level §7 model).
-    pub lazy_cost: Option<PlanCost>,
-    /// Estimated cost of the eager plan (block-level §7 model).
-    pub eager_cost: Option<PlanCost>,
     /// Itemised cost of the *lowered* lazy plan shape (per-operator
     /// walk; this is what the cost-based choice compares).
     pub lazy_shape: Option<ShapeCost>,
@@ -191,9 +184,6 @@ impl QueryReport {
             reason,
             testfd,
             partition: None,
-            stats: None,
-            lazy_cost: None,
-            eager_cost: None,
             lazy_shape: None,
             eager_shape: None,
             plan,
@@ -214,15 +204,6 @@ impl QueryReport {
         ));
         if let Some(p) = &self.partition {
             out.push_str(&format!("partition:\n{p}\n"));
-        }
-        if let Some(s) = &self.stats {
-            out.push_str(&format!(
-                "estimates: |R1|={:.0} |R2|={:.0} groups(R1)={:.0} join={:.0} groups={:.0}\n",
-                s.r1_rows, s.r2_rows, s.r1_groups, s.join_rows, s.final_groups
-            ));
-        }
-        if let (Some(l), Some(e)) = (&self.lazy_cost, &self.eager_cost) {
-            out.push_str(&format!("cost: lazy={:.0} eager={:.0}\n", l.total, e.total));
         }
         if let (Some(l), Some(e)) = (&self.lazy_shape, &self.eager_shape) {
             out.push_str(&format!(
@@ -291,8 +272,9 @@ pub struct QueryMetrics {
     /// The measured per-operator profile (with counters and timings).
     pub profile: ProfileNode,
     /// The estimator's per-node cardinality predictions (as of
-    /// planning: feedback-aware when facts were already learned).
-    pub estimates: PlanEstimate,
+    /// planning: feedback-aware when facts were already learned),
+    /// clamped when [`EngineOptions::clamp_estimates`] is on.
+    pub estimates: CardTree,
     /// The facts this run's measurements would teach the feedback
     /// store. Already absorbed when [`EngineOptions::adaptive`] is on;
     /// otherwise pass to [`Database::absorb_feedback`] to close the
@@ -657,14 +639,14 @@ impl Database {
     fn predict_shipped(
         &self,
         plan: &LogicalPlan,
-        estimates: &PlanEstimate,
+        estimates: &CardTree,
         exec_opts: &ExecOptions,
         path: ExecPath,
     ) -> Option<f64> {
         (path == ExecPath::Sharded).then(|| {
             gbj_optimizer::plan_distribution(
                 plan,
-                &card_tree(estimates),
+                estimates,
                 exec_opts.shards.get(),
                 exec_opts.combiner,
                 &|t| self.storage.partition_key(t).map(<[usize]>::to_vec),
@@ -722,7 +704,7 @@ impl Database {
         let mut estimates =
             Estimator::with_feedback(&self.storage, &fb).estimate_plan(&report.plan);
         if self.options.clamp_estimates {
-            clamp_plan_estimate(&mut estimates, &self.bound_tree_for(&report.plan));
+            estimates.clamp(&self.bound_tree_for(&report.plan));
         }
         let predicted_shipped_rows =
             self.predict_shipped(&report.plan, &estimates, &exec_opts, summary.path);
@@ -799,16 +781,7 @@ impl Database {
         let block = &bound.block;
         let mut analysis = Analysis::new(subject);
         if block.is_aggregating() {
-            let fd_ctx = self.build_fd_context(block);
-            let assertion_exprs: Vec<Expr> = self
-                .storage
-                .catalog()
-                .assertions()
-                .map(|a| a.check.clone())
-                .collect();
-            let mut transform_opts = self.options.transform.clone();
-            transform_opts.extra_conjuncts =
-                gbj_core::theorem3::assertion_conjuncts(&fd_ctx, &assertion_exprs);
+            let (fd_ctx, transform_opts) = self.transform_inputs(block);
             let outcome = eager_aggregate(block, &fd_ctx, &transform_opts)?;
             analysis.check_rewrite(block, &outcome, &fd_ctx, &transform_opts);
         }
@@ -828,9 +801,9 @@ impl Database {
             && report.choice == PlanChoice::Lazy
             && report.certificate.is_some()
         {
-            let populated = base_tables(&bound.block)
+            let populated = plan_scan_tables(&report.plan)
                 .iter()
-                .any(|(_, t)| self.storage.table_data(t).is_some_and(|d| !d.is_empty()));
+                .any(|t| self.storage.table_data(t).is_some_and(|d| !d.is_empty()));
             if populated {
                 let detail = match (&report.lazy_shape, &report.eager_shape) {
                     (Some(l), Some(e)) => format!(
@@ -1029,16 +1002,7 @@ impl Database {
 
     fn plan_bound_shapes(&self, bound: &BoundSelect) -> Result<QueryReport> {
         let block = &bound.block;
-        let fd_ctx = self.build_fd_context(block);
-        let assertion_exprs: Vec<Expr> = self
-            .storage
-            .catalog()
-            .assertions()
-            .map(|a| a.check.clone())
-            .collect();
-        let mut transform_opts = self.options.transform.clone();
-        transform_opts.extra_conjuncts =
-            gbj_core::theorem3::assertion_conjuncts(&fd_ctx, &assertion_exprs);
+        let (fd_ctx, transform_opts) = self.transform_inputs(block);
 
         // Section 8: a non-aggregating query over one aggregated view —
         // the written form is the eager shape; unfolding gives the lazy
@@ -1133,7 +1097,7 @@ impl Database {
         eager_choice: PlanChoice,
         bound: &BoundSelect,
     ) -> Result<QueryReport> {
-        // Partition the merged (lazy) block to estimate stats: R1 = the
+        // Partition the merged (lazy) block for the report: R1 = the
         // relations of the view side = relations not present in the
         // eager block's base list.
         let eager_bases: std::collections::BTreeSet<String> = eager_block
@@ -1168,23 +1132,16 @@ impl Database {
         eager_choice: PlanChoice,
         bound: &BoundSelect,
     ) -> Result<QueryReport> {
-        let tables = base_tables(lazy_block);
         let feedback = self.feedback_snapshot();
         let estimator = Estimator::with_feedback(&self.storage, &feedback);
-        // The block-level §7 summary (kept for EXPLAIN's `estimates:` /
-        // `cost:` lines and the bench reporters)…
-        let stats = estimator.estimate(partition, &tables);
-        let lazy_cost = self.options.cost_model.lazy(&stats);
-        let eager_cost = self.options.cost_model.eager(&stats);
-
-        // …and the decision itself: lower *both* candidates to their
-        // optimized physical-ready shapes, attach per-node (feedback-
-        // aware) cardinality estimates, and fold the cost model over
-        // every operator each shape would actually run.
+        // Lower *both* candidates to their optimized physical-ready
+        // shapes, attach per-node (feedback-aware) cardinality
+        // estimates, and fold the cost model over every operator each
+        // shape would actually run.
         let lazy_plan = self.lower(lazy_block, &bound.order_by)?;
         let eager_plan = self.lower(eager_block, &bound.order_by)?;
-        let mut lazy_card = card_tree(&estimator.estimate_plan(&lazy_plan));
-        let mut eager_card = card_tree(&estimator.estimate_plan(&eager_plan));
+        let mut lazy_card = estimator.estimate_plan(&lazy_plan);
+        let mut eager_card = estimator.estimate_plan(&eager_plan);
         if self.options.clamp_estimates {
             // Both candidates costed against bound-clamped cardinality
             // trees: a shape can never be charged more rows at an
@@ -1222,9 +1179,6 @@ impl Database {
             reason: format!("transformation valid; {why}"),
             testfd,
             partition: Some(partition.to_string()),
-            stats: Some(stats),
-            lazy_cost: Some(lazy_cost),
-            eager_cost: Some(eager_cost),
             lazy_shape: Some(lazy_shape),
             eager_shape: Some(eager_shape),
             plan,
@@ -1259,9 +1213,7 @@ impl Database {
     /// `INFINITY` marks nodes with no proven bound.
     fn bound_tree_for(&self, plan: &LogicalPlan) -> CardTree {
         let mut seeds = SeedDomains::from_catalog(self.storage.catalog());
-        let mut tables = std::collections::BTreeSet::new();
-        plan_scan_tables(plan, &mut tables);
-        for table in &tables {
+        for table in &plan_scan_tables(plan) {
             let (Some(def), Some(data)) = (
                 self.storage.catalog().table(table),
                 self.storage.table_data(table),
@@ -1277,10 +1229,23 @@ impl Database {
         bound_tree(plan, &analysis.root, &self.storage)
     }
 
-    fn build_fd_context(&self, block: &QueryBlock) -> FdContext {
-        let mut ctx = FdContext::new();
-        collect_tables(block, self.storage.catalog(), &mut ctx);
-        ctx
+    /// What both planning and linting hand to [`eager_aggregate`]: the
+    /// FD context over the block's base tables, and the transform
+    /// options extended with the catalog assertions' conjuncts
+    /// (Theorem 3).
+    fn transform_inputs(&self, block: &QueryBlock) -> (FdContext, TransformOptions) {
+        let mut fd_ctx = FdContext::new();
+        collect_tables(block, self.storage.catalog(), &mut fd_ctx);
+        let assertion_exprs: Vec<Expr> = self
+            .storage
+            .catalog()
+            .assertions()
+            .map(|a| a.check.clone())
+            .collect();
+        let mut transform_opts = self.options.transform.clone();
+        transform_opts.extra_conjuncts =
+            gbj_core::theorem3::assertion_conjuncts(&fd_ctx, &assertion_exprs);
+        (fd_ctx, transform_opts)
     }
 }
 
@@ -1322,15 +1287,6 @@ fn has_aggregate_below_join(plan: &LogicalPlan) -> bool {
         }
     }
     walk(plan, false)
-}
-
-/// Convert the estimator's per-node predictions into the optimizer's
-/// shape-congruent cardinality tree.
-fn card_tree(e: &PlanEstimate) -> CardTree {
-    CardTree {
-        rows: e.rows,
-        children: e.children.iter().map(card_tree).collect(),
-    }
 }
 
 /// The per-column facts actually observed in a stored table's rows:
@@ -1398,12 +1354,14 @@ fn observed_domain(
 }
 
 /// The base-table names a plan scans, deduplicated.
-fn plan_scan_tables(plan: &LogicalPlan, out: &mut std::collections::BTreeSet<String>) {
-    if let LogicalPlan::Scan { table, .. } = plan {
-        out.insert(table.clone());
-    }
-    for child in plan.children() {
-        plan_scan_tables(child, out);
+fn plan_scan_tables(plan: &LogicalPlan) -> std::collections::BTreeSet<String> {
+    match plan {
+        LogicalPlan::Scan { table, .. } => [table.clone()].into(),
+        _ => plan
+            .children()
+            .into_iter()
+            .flat_map(plan_scan_tables)
+            .collect(),
     }
 }
 
@@ -1498,34 +1456,6 @@ fn groups_bound_from(node: &gbj_analyze::DomainNode, plan: &LogicalPlan) -> Opti
         product *= dom.group_ndv_upper()?;
     }
     Some(product)
-}
-
-/// Clamp the estimator's per-node predictions to the proven bound tree
-/// (shape-congruent; `INFINITY` = unbounded).
-fn clamp_plan_estimate(est: &mut PlanEstimate, bound: &CardTree) {
-    if bound.rows.is_finite() && est.rows > bound.rows {
-        est.rows = bound.rows;
-    }
-    for (child, b) in est.children.iter_mut().zip(&bound.children) {
-        clamp_plan_estimate(child, b);
-    }
-}
-
-/// The (qualifier, base table) pairs of a block, recursively.
-fn base_tables(block: &QueryBlock) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    fn walk(block: &QueryBlock, out: &mut Vec<(String, String)>) {
-        for rel in &block.relations {
-            match rel {
-                BlockRelation::Base {
-                    table, qualifier, ..
-                } => out.push((qualifier.clone(), table.clone())),
-                BlockRelation::Derived { block, .. } => walk(block, out),
-            }
-        }
-    }
-    walk(block, &mut out);
-    out
 }
 
 /// Convert an assertion AST into a raw (table-name-qualified) expression.
@@ -1695,7 +1625,7 @@ mod tests {
         assert!(text.contains("TestFD"));
         assert!(text.contains("partition"));
         assert!(text.contains("alternative plan:"));
-        assert!(text.contains("cost:"));
+        assert!(text.contains("\nshape cost: "), "{text}");
     }
 
     #[test]

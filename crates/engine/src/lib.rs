@@ -19,8 +19,9 @@
 //! The decision point is the paper's contribution: for every grouped
 //! join query the engine attempts the group-by-before-join rewrite
 //! (`gbj-core`), and — when `TestFD` proves it valid — chooses between
-//! the lazy (`E1`) and eager (`E2`) plans with the Section 7 cost model
-//! over estimated cardinalities ([`stats`]). Queries over aggregated
+//! the lazy (`E1`) and eager (`E2`) plans by folding the Section 7 cost
+//! model (`gbj_optimizer::cost`) over both lowered shapes and their
+//! estimated cardinalities ([`stats`]). Queries over aggregated
 //! views additionally get the Section 8 reverse transformation as a
 //! candidate. `EXPLAIN` prints both candidate plans, the TestFD trace
 //! and the cost comparison.
@@ -35,4 +36,4 @@ pub use database::{
     Database, EngineOptions, PlanChoice, PushdownPolicy, QueryMetrics, QueryOutput, QueryReport,
 };
 pub use feedback::{delta_from_profile, FeedbackDelta, FeedbackStore};
-pub use stats::{q_error, DistinctSketch, EquiDepthHistogram, Estimator, PlanEstimate};
+pub use stats::{q_error, DistinctSketch, EquiDepthHistogram, Estimator};

@@ -14,20 +14,23 @@
 //!   independence-assumption overestimate disappears for correlated
 //!   columns), `min(rows, Π ndv)` otherwise.
 //!
-//! These feed [`gbj_core::Stats`], which the
-//! [`CostModel`](gbj_core::CostModel) compares for the lazy and eager
-//! plans. When planned with [`Estimator::with_feedback`], learned facts
-//! from past measured executions
-//! ([`FeedbackStore`](crate::FeedbackStore)) override the model
-//! assumptions: an observed join selectivity replaces the `1/max(ndv)`
-//! guess and an observed group count replaces the distinct estimate —
-//! this is the adaptive half of the cost-based eager/lazy choice.
+//! [`Estimator::estimate_plan`] is the one entry point: it attaches an
+//! estimate to every node of a lowered plan as a
+//! [`CardTree`], which the engine clamps, costs
+//! ([`shape_cost`](gbj_optimizer::shape_cost)), prices exchanges with
+//! and audits against the measured profile. When planned with
+//! [`Estimator::with_feedback`], learned facts from past measured
+//! executions ([`FeedbackStore`](crate::FeedbackStore)) override the
+//! model assumptions: an observed join selectivity replaces the
+//! `1/max(ndv)` guess and an observed group count replaces the distinct
+//! estimate — this is the adaptive half of the cost-based eager/lazy
+//! choice.
 
 use std::collections::{BTreeSet, HashSet};
 use std::hash::{Hash, Hasher};
 
-use gbj_core::{Partition, Stats};
 use gbj_expr::{conjuncts, AtomClass, BinaryOp, Expr};
+use gbj_optimizer::CardTree;
 use gbj_plan::LogicalPlan;
 use gbj_storage::Storage;
 use gbj_types::{ColumnRef, GroupKey, Value};
@@ -101,12 +104,15 @@ impl EquiDepthHistogram {
                 lower = upper;
                 continue;
             }
-            // x falls inside bucket i: interpolate linearly.
-            let width = (upper - lower) as f64;
+            // x falls inside bucket i: interpolate linearly. The span
+            // of an `i64` column can exceed `i64::MAX`, so subtract in
+            // `i128`.
+            let span = |hi: i64, lo: i64| (i128::from(hi) - i128::from(lo)) as f64;
+            let width = span(upper, lower);
             let within = if width <= 0.0 {
                 1.0
             } else {
-                ((x - lower) as f64 / width).clamp(0.0, 1.0)
+                (span(x, lower) / width).clamp(0.0, 1.0)
             };
             return ((i as f64 + within) / n).clamp(0.0, 1.0);
         }
@@ -118,8 +124,11 @@ impl EquiDepthHistogram {
     #[must_use]
     pub fn selectivity(&self, op: BinaryOp, lit: i64) -> f64 {
         let le = self.fraction_le(lit);
-        // `fraction_lt` via the predecessor; exact enough for integers.
-        let lt = self.fraction_le(lit.saturating_sub(1));
+        // `fraction_lt` via the predecessor, exact enough for integers;
+        // nothing lies below the type minimum.
+        let lt = lit
+            .checked_sub(1)
+            .map_or(0.0, |pred| self.fraction_le(pred));
         let frac = match op {
             BinaryOp::Lt => lt,
             BinaryOp::LtEq => le,
@@ -191,19 +200,6 @@ pub fn q_error(estimated: f64, actual: f64) -> f64 {
     let e = estimated.max(1.0);
     let a = actual.max(1.0);
     e.max(a) / e.min(a)
-}
-
-/// Estimated output cardinality for one plan node; mirrors the
-/// [`LogicalPlan`] tree shape exactly, so it can be zipped against the
-/// measured [`ProfileNode`](gbj_exec::ProfileNode) tree node by node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanEstimate {
-    /// The plan node's label (same as the profile node's label).
-    pub label: String,
-    /// Estimated output rows.
-    pub rows: f64,
-    /// Child estimates, in plan order.
-    pub children: Vec<PlanEstimate>,
 }
 
 /// Estimates cardinalities against live storage, optionally corrected
@@ -373,132 +369,49 @@ impl<'a> Estimator<'a> {
         Some(sketch.estimate().max(1.0))
     }
 
-    /// Estimate the side cardinality: product of member table rows times
-    /// the selectivity of the side's local predicate.
-    fn side_rows(
-        &self,
-        qualifiers: &std::collections::BTreeSet<String>,
-        local_preds: &[Expr],
-        tables: &[(String, String)],
-    ) -> f64 {
-        let mut rows = 1.0;
-        for q in qualifiers {
-            if let Some((_, table)) = tables.iter().find(|(qual, _)| qual.eq_ignore_ascii_case(q)) {
-                rows *= self.table_rows(table).max(1.0);
-            }
-        }
-        for p in local_preds {
-            rows *= self.selectivity(p, tables);
-        }
-        rows.max(1.0)
-    }
-
-    /// Distinct-group estimate for a column set within `rows` rows:
-    /// the joint-sketch count when available, else `min(rows, Π ndv)`.
-    fn group_count(
-        &self,
-        cols: &std::collections::BTreeSet<ColumnRef>,
-        rows: f64,
-        tables: &[(String, String)],
-    ) -> f64 {
-        self.column_set_groups(cols, rows, tables)
-    }
-
-    /// Build the [`Stats`] for one partitioned query.
-    ///
-    /// `tables` maps each qualifier to its base-table name (the engine
-    /// collects it from the block's relations).
-    #[must_use]
-    pub fn estimate(&self, partition: &Partition, tables: &[(String, String)]) -> Stats {
-        let r1_rows = self.side_rows(&partition.r1, &partition.parts.c1, tables);
-        let r2_rows = self.side_rows(&partition.r2, &partition.parts.c2, tables);
-        let r1_groups = self.group_count(&partition.ga1_plus, r1_rows, tables);
-
-        let mut join_sel = 1.0;
-        for c0 in &partition.parts.c0 {
-            join_sel *= self.selectivity(c0, tables);
-        }
-        let join_rows = (r1_rows * r2_rows * join_sel).max(1.0);
-        let final_groups = self
-            .group_count(&partition.grouping_columns(), join_rows, tables)
-            .max(1.0);
-
-        Stats {
-            r1_rows,
-            r2_rows,
-            r1_groups,
-            join_rows,
-            final_groups,
-        }
-    }
-
     /// Estimate the output cardinality of every node in a physical-ready
-    /// logical plan, mirroring the tree shape. The same System-R rules
-    /// as [`Estimator::estimate`] apply per node: scans report table
-    /// rows, filters and joins multiply conjunct selectivities, and
-    /// grouping is capped by `min(input, Π ndv)`.
+    /// logical plan, mirroring the tree shape so the result zips against
+    /// the plan, its bound tree and the measured
+    /// [`ProfileNode`](gbj_exec::ProfileNode) tree node by node.
+    /// System-R rules per node: scans report table rows, filters and
+    /// joins multiply conjunct selectivities, and grouping is capped by
+    /// `min(input, Π ndv)`.
     #[must_use]
-    pub fn estimate_plan(&self, plan: &LogicalPlan) -> PlanEstimate {
+    pub fn estimate_plan(&self, plan: &LogicalPlan) -> CardTree {
         let mut tables = Vec::new();
         collect_plan_tables(plan, &mut tables);
         self.node_estimate(plan, &tables)
     }
 
-    fn node_estimate(&self, plan: &LogicalPlan, tables: &[(String, String)]) -> PlanEstimate {
-        let label = plan.label();
-        match plan {
-            LogicalPlan::Scan { table, .. } => PlanEstimate {
-                label,
-                rows: self.table_rows(table),
-                children: vec![],
-            },
-            LogicalPlan::Filter { input, predicate } => {
-                let child = self.node_estimate(input, tables);
-                let mut rows = child.rows;
+    fn node_estimate(&self, plan: &LogicalPlan, tables: &[(String, String)]) -> CardTree {
+        let children: Vec<CardTree> = plan
+            .children()
+            .into_iter()
+            .map(|child| self.node_estimate(child, tables))
+            .collect();
+        let input_rows = |i: usize| children.get(i).map_or(0.0, |c| c.rows);
+        let rows = match plan {
+            LogicalPlan::Scan { table, .. } => self.table_rows(table),
+            LogicalPlan::Filter { predicate, .. } => {
+                let mut rows = input_rows(0);
                 for c in conjuncts(predicate) {
                     rows *= self.selectivity(&c, tables);
                 }
-                PlanEstimate {
-                    label,
-                    rows,
-                    children: vec![child],
-                }
+                rows
             }
             LogicalPlan::Project {
-                input,
-                exprs,
-                distinct,
+                exprs, distinct, ..
             } => {
-                let child = self.node_estimate(input, tables);
-                let rows = if *distinct {
-                    let cols: std::collections::BTreeSet<ColumnRef> =
+                if *distinct {
+                    let cols: BTreeSet<ColumnRef> =
                         exprs.iter().flat_map(|(e, _)| e.columns()).collect();
-                    self.column_set_groups(&cols, child.rows, tables)
+                    self.column_set_groups(&cols, input_rows(0), tables)
                 } else {
-                    child.rows
-                };
-                PlanEstimate {
-                    label,
-                    rows,
-                    children: vec![child],
+                    input_rows(0)
                 }
             }
-            LogicalPlan::CrossJoin { left, right } => {
-                let l = self.node_estimate(left, tables);
-                let r = self.node_estimate(right, tables);
-                PlanEstimate {
-                    label,
-                    rows: l.rows * r.rows,
-                    children: vec![l, r],
-                }
-            }
-            LogicalPlan::Join {
-                left,
-                right,
-                condition,
-            } => {
-                let l = self.node_estimate(left, tables);
-                let r = self.node_estimate(right, tables);
+            LogicalPlan::CrossJoin { .. } => input_rows(0) * input_rows(1),
+            LogicalPlan::Join { condition, .. } => {
                 // A learned selectivity for this exact join (by
                 // canonical base-table signature) replaces the
                 // 1/max(ndv) assumption.
@@ -506,52 +419,35 @@ impl<'a> Estimator<'a> {
                     join_signature(condition, plan, tables)
                         .and_then(|sig| fb.join_selectivity(&sig))
                 });
-                let rows = if let Some(sel) = learned {
-                    (l.rows * r.rows * sel).max(0.0)
+                if let Some(sel) = learned {
+                    (input_rows(0) * input_rows(1) * sel).max(0.0)
                 } else {
-                    let mut rows = l.rows * r.rows;
+                    let mut rows = input_rows(0) * input_rows(1);
                     for c in conjuncts(condition) {
                         rows *= self.selectivity(&c, tables);
                     }
                     rows
-                };
-                PlanEstimate {
-                    label,
-                    rows,
-                    children: vec![l, r],
                 }
             }
             LogicalPlan::Aggregate {
                 input, group_by, ..
             } => {
-                let child = self.node_estimate(input, tables);
                 let learned = self.feedback.and_then(|fb| {
                     group_signature(group_by, input, tables).and_then(|sig| fb.group_count(&sig))
                 });
-                let rows = if group_by.is_empty() {
+                if group_by.is_empty() {
                     1.0
                 } else if let Some(groups) = learned {
                     groups.max(1.0)
                 } else {
-                    let cols: std::collections::BTreeSet<ColumnRef> =
+                    let cols: BTreeSet<ColumnRef> =
                         group_by.iter().flat_map(Expr::columns).collect();
-                    self.column_set_groups(&cols, child.rows, tables)
-                };
-                PlanEstimate {
-                    label,
-                    rows,
-                    children: vec![child],
+                    self.column_set_groups(&cols, input_rows(0), tables)
                 }
             }
-            LogicalPlan::SubqueryAlias { input, .. } | LogicalPlan::Sort { input, .. } => {
-                let child = self.node_estimate(input, tables);
-                PlanEstimate {
-                    label,
-                    rows: child.rows,
-                    children: vec![child],
-                }
-            }
-        }
+            LogicalPlan::SubqueryAlias { .. } | LogicalPlan::Sort { .. } => input_rows(0),
+        };
+        CardTree { rows, children }
     }
 
     /// Distinct-group estimate over a column set, never below one row.
@@ -560,7 +456,7 @@ impl<'a> Estimator<'a> {
     /// `min(rows, Π ndv(col))`.
     fn column_set_groups(
         &self,
-        cols: &std::collections::BTreeSet<ColumnRef>,
+        cols: &BTreeSet<ColumnRef>,
         rows: f64,
         tables: &[(String, String)],
     ) -> f64 {
@@ -619,7 +515,6 @@ pub(crate) fn collect_plan_tables(plan: &LogicalPlan, out: &mut Vec<(String, Str
 mod tests {
     use super::*;
     use gbj_catalog::{ColumnDef, Constraint, TableDef};
-    use gbj_plan::{BlockRelation, QueryBlock, SelectItem};
     use gbj_types::{DataType, Value};
 
     /// Example 1 at 1/10 scale: 1000 employees over 10 departments.
@@ -661,56 +556,6 @@ mod tests {
         s
     }
 
-    fn example1_partition() -> Partition {
-        let schema_e = gbj_types::Schema::new(vec![
-            gbj_types::Field::new("EmpID", DataType::Int64, false).with_qualifier("E"),
-            gbj_types::Field::new("DeptID", DataType::Int64, true).with_qualifier("E"),
-        ]);
-        let schema_d = gbj_types::Schema::new(vec![
-            gbj_types::Field::new("DeptID", DataType::Int64, false).with_qualifier("D"),
-            gbj_types::Field::new("Name", DataType::Utf8, true).with_qualifier("D"),
-        ]);
-        let mut b = QueryBlock::new(vec![
-            BlockRelation::Base {
-                table: "Employee".into(),
-                qualifier: "E".into(),
-                schema: schema_e,
-            },
-            BlockRelation::Base {
-                table: "Department".into(),
-                qualifier: "D".into(),
-                schema: schema_d,
-            },
-        ]);
-        b.predicate = vec![Expr::col("E", "DeptID").eq(Expr::col("D", "DeptID"))];
-        b.group_by = vec![
-            ColumnRef::qualified("D", "DeptID"),
-            ColumnRef::qualified("D", "Name"),
-        ];
-        b.aggregates = vec![(
-            gbj_expr::AggregateCall::new(
-                gbj_expr::AggregateFunction::Count,
-                Expr::col("E", "EmpID"),
-            ),
-            "cnt".into(),
-        )];
-        b.select = vec![
-            SelectItem::Column {
-                col: ColumnRef::qualified("D", "DeptID"),
-                alias: "DeptID".into(),
-            },
-            SelectItem::Aggregate { index: 0 },
-        ];
-        Partition::minimal(&b).unwrap()
-    }
-
-    fn tables() -> Vec<(String, String)> {
-        vec![
-            ("E".into(), "Employee".into()),
-            ("D".into(), "Department".into()),
-        ]
-    }
-
     #[test]
     fn ndv_and_rows() {
         let s = setup();
@@ -722,23 +567,31 @@ mod tests {
         assert_eq!(est.column_ndv("Employee", "Nope"), 1.0);
     }
 
+    fn histogram_of(vals: &[i64], buckets: usize) -> EquiDepthHistogram {
+        let vals: Vec<Option<i64>> = vals.iter().copied().map(Some).collect();
+        EquiDepthHistogram::build(&vals, buckets).unwrap()
+    }
+
+    /// `< i64::MIN` has no predecessor to ask about (the saturated one
+    /// is `MIN` itself, which holds a third of this column), and the
+    /// bucket `(MIN, 0]` is wider than `i64::MAX`.
     #[test]
-    fn example1_estimates_match_intuition() {
-        let s = setup();
-        let est = Estimator::new(&s);
-        let stats = est.estimate(&example1_partition(), &tables());
-        assert_eq!(stats.r1_rows, 1000.0);
-        assert_eq!(stats.r2_rows, 10.0);
-        assert_eq!(stats.r1_groups, 10.0, "10 distinct E.DeptID values");
-        // Join selectivity 1/max(10,10) = 0.1 → 1000×10×0.1 = 1000.
-        assert_eq!(stats.join_rows, 1000.0);
-        // Name is perfectly correlated with DeptID; the joint KMV
-        // sketch sees the real pair count (10), where the old
-        // independence-assuming Π ndv produced 100.
-        assert_eq!(stats.final_groups, 10.0);
-        // The cost model then prefers the eager plan here.
-        let model = gbj_core::CostModel::default();
-        assert!(model.should_transform(&stats));
+    fn lt_at_the_type_minimum_selects_nothing() {
+        let hist = histogram_of(&[i64::MIN, 0, i64::MAX], HISTOGRAM_BUCKETS);
+        assert_eq!(hist.selectivity(BinaryOp::Lt, i64::MIN), 0.0);
+        assert_eq!(hist.selectivity(BinaryOp::GtEq, i64::MIN), 1.0);
+        assert_eq!(hist.selectivity(BinaryOp::LtEq, i64::MAX), 1.0);
+    }
+
+    /// One bucket spanning the whole type: `upper - lower` overflows
+    /// `i64`, yet zero sits exactly half way.
+    #[test]
+    fn bucket_wider_than_i64_interpolates() {
+        let hist = histogram_of(&[i64::MIN, i64::MAX], 1);
+        assert_eq!(hist.fraction_le(0), 0.5);
+        for x in [i64::MIN, -1, 1, i64::MAX] {
+            assert!((0.0..=1.0).contains(&hist.fraction_le(x)), "x={x}");
+        }
     }
 
     #[test]
@@ -793,15 +646,6 @@ mod tests {
         assert_eq!(join.rows, 1000.0);
         assert_eq!(join.children[0].rows, 1000.0, "Employee scan");
         assert_eq!(join.children[1].rows, 10.0, "Department scan");
-        // The estimate tree mirrors the plan tree's labels.
-        assert_eq!(join.label, plan_child_label(&plan));
-    }
-
-    fn plan_child_label(plan: &LogicalPlan) -> String {
-        match plan {
-            LogicalPlan::Aggregate { input, .. } => input.label(),
-            _ => unreachable!(),
-        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 
 use std::collections::HashMap;
 
-use gbj_expr::{conjuncts, BoundExpr, Expr};
-use gbj_plan::LogicalPlan;
+use gbj_expr::{BoundExpr, Expr};
+use gbj_plan::{split_equi_keys, EquiKey, LogicalPlan};
 use gbj_types::{internal_err, GroupKey, Result, Schema, Truth, Value};
 
 use crate::guard::{row_bytes, ResourceGuard};
@@ -23,62 +23,6 @@ pub(crate) fn col(row: &[Value], idx: usize) -> Result<&Value> {
             row.len()
         )
     })
-}
-
-/// An equi-join key pair: ordinal in the left schema, ordinal in the
-/// right schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EquiKey {
-    /// Left-side column ordinal.
-    pub left: usize,
-    /// Right-side column ordinal.
-    pub right: usize,
-}
-
-/// Split a join condition into equi-key pairs and a residual predicate.
-///
-/// A conjunct `a = b` becomes an [`EquiKey`] when one side resolves in
-/// the left schema and the other in the right schema; everything else
-/// stays in the residual.
-pub fn split_equi_keys(
-    condition: &Expr,
-    left: &Schema,
-    right: &Schema,
-) -> (Vec<EquiKey>, Vec<Expr>) {
-    let mut keys = Vec::new();
-    let mut residual = Vec::new();
-    for conjunct in conjuncts(condition) {
-        if let Expr::Binary {
-            left: l,
-            op: gbj_expr::BinaryOp::Eq,
-            right: r,
-        } = &conjunct
-        {
-            if let (Expr::Column(lc), Expr::Column(rc)) = (l.as_ref(), r.as_ref()) {
-                match (left.index_of(lc), right.index_of(rc)) {
-                    (Ok(li), Ok(ri)) => {
-                        keys.push(EquiKey {
-                            left: li,
-                            right: ri,
-                        });
-                        continue;
-                    }
-                    _ => {
-                        // Try the flipped orientation.
-                        if let (Ok(li), Ok(ri)) = (left.index_of(rc), right.index_of(lc)) {
-                            keys.push(EquiKey {
-                                left: li,
-                                right: ri,
-                            });
-                            continue;
-                        }
-                    }
-                }
-            }
-        }
-        residual.push(conjunct);
-    }
-    (keys, residual)
 }
 
 /// A join condition bound against its inputs: the equi keys, the
@@ -443,32 +387,6 @@ mod tests {
             assert_eq!(out.len(), 1, "only x=10 < y=100 passes");
             assert_eq!(out[0][1], Value::Int(10));
         }
-    }
-
-    #[test]
-    fn split_equi_keys_both_orientations() {
-        let ls = lschema();
-        let rs = rschema();
-        let cond = Expr::col("R", "id").eq(Expr::col("L", "id"));
-        let (keys, residual) = split_equi_keys(&cond, &ls, &rs);
-        assert_eq!(keys, vec![EquiKey { left: 0, right: 0 }]);
-        assert!(residual.is_empty());
-    }
-
-    #[test]
-    fn split_equi_keys_keeps_non_equi_residual() {
-        let ls = lschema();
-        let rs = rschema();
-        let cond = condition()
-            .and(Expr::col("L", "x").binary(gbj_expr::BinaryOp::Lt, Expr::col("R", "y")));
-        let (keys, residual) = split_equi_keys(&cond, &ls, &rs);
-        assert_eq!(keys.len(), 1);
-        assert_eq!(residual.len(), 1);
-        // A single-side equality is residual, not a key.
-        let cond = Expr::col("L", "id").eq(Expr::col("L", "x"));
-        let (keys, residual) = split_equi_keys(&cond, &ls, &rs);
-        assert!(keys.is_empty());
-        assert_eq!(residual.len(), 1);
     }
 
     #[test]

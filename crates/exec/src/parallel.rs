@@ -35,11 +35,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use gbj_expr::{Accumulator, BoundExpr};
+use gbj_plan::EquiKey;
 use gbj_types::{internal_err, GroupKey, Result, Value};
 
 use crate::aggregate::{new_accumulators, update_all, CompiledAggregate, Groups};
 use crate::guard::{row_bytes, ResourceGuard};
-use crate::join::{concat, residual_passes, side_key, EquiKey};
+use crate::join::{concat, residual_passes, side_key};
 use crate::metrics::MetricsSink;
 
 /// Rows per morsel, as a function of the input size only (so morsel

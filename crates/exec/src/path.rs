@@ -13,11 +13,10 @@
 use std::fmt;
 
 use gbj_expr::Expr;
-use gbj_plan::LogicalPlan;
+use gbj_plan::{split_equi_keys, LogicalPlan};
 use gbj_types::{Result, Schema};
 
 use crate::executor::{AggAlgo, ExecOptions, JoinAlgo};
-use crate::join::split_equi_keys;
 use crate::vectorized::vectorizable;
 
 /// The execution path [`execution_path`] picked for a plan.

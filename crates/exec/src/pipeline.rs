@@ -41,7 +41,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use gbj_expr::{Accumulator, BoundExpr};
-use gbj_plan::LogicalPlan;
+use gbj_plan::{EquiKey, LogicalPlan};
 use gbj_types::{internal_err, GroupKey, Result, Truth, Value};
 
 use crate::aggregate::{
@@ -50,7 +50,7 @@ use crate::aggregate::{
 use crate::batch::{Bitmap, ColumnVector, ColumnarBatch, NULL_CODE};
 use crate::executor::{bind_sort_keys, input_batches, sort_rows, Executor};
 use crate::guard::{row_bytes, ResourceGuard};
-use crate::join::{bind_join, EquiKey};
+use crate::join::bind_join;
 use crate::metrics::MetricsSink;
 use crate::result::ProfileNode;
 use crate::vectorized::{eval_truth_vec, eval_value_vec, filter_selection, vectorizable};

@@ -10,6 +10,16 @@
 //! pushed *below* the join's exchange (a combiner), partial aggregates
 //! travel instead of raw rows and `shipped_bytes` records the win.
 //!
+//! **The runner executes, it does not decide.** Where rows live and
+//! which inputs must move is [`gbj_plan::distribute`]'s answer — a
+//! [`Distribution`] tree computed once per run, the same tree the
+//! optimizer's `plan_distribution` prices — and `eval` carries out each
+//! input's [`Movement`]: `Stay`, `Repartition` (an exchange on the
+//! named key columns, under `=ⁿ`, so NULL keys share one shard),
+//! `Combine` (the certified pre-aggregation, legal only under the
+//! FD1/FD2 certificate the engine sets [`ExecOptions::combiner`](crate::ExecOptions::combiner) from)
+//! or `Gather`.
+//!
 //! **Byte-identity contract.** For every supported plan the sharded run
 //! produces the same result multiset as the single-shard engine and the
 //! same counter fingerprint (`rows_in`/`rows_out`/`batches`/
@@ -41,17 +51,15 @@
 //! accumulator-state overflow (e.g. `SUM` crossing `i64::MAX` mid-
 //! stream) can differ from serial accumulation order; see DESIGN.md §9.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
 use gbj_expr::BoundExpr;
-use gbj_plan::LogicalPlan;
+use gbj_plan::{distribute, Distribution, LogicalPlan, Movement};
 use gbj_storage::ShardedTable;
 use gbj_types::{internal_err, GroupKey, Result, Value};
 
 use crate::aggregate::{
-    compile_aggregates, group_key, hash_aggregate, CompiledAggregate, Groups, Partial,
-    ACC_ENTRY_BYTES,
+    compile_aggregates, hash_aggregate, CompiledAggregate, Groups, Partial, ACC_ENTRY_BYTES,
 };
 use crate::exchange::{exchange, gather, ROW_FRAME_BYTES};
 use crate::executor::{
@@ -63,25 +71,11 @@ use crate::metrics::MetricsSink;
 use crate::parallel::{collect_in_order, lock, run_morsels};
 use crate::result::ProfileNode;
 
-/// How one intermediate relation is distributed across the shards.
-#[derive(Debug, Clone)]
-enum Partitioning {
-    /// Hash-partitioned on any of these equivalent ordinal vectors
-    /// (e.g. after an equi join, both sides' key columns).
-    Hash(Vec<Vec<usize>>),
-    /// Unknown placement (round-robin scans, remapped-away keys).
-    Arbitrary,
-    /// Everything on shard 0 (after a gather).
-    Single,
-}
+/// One intermediate relation: rows per shard. Where they live is the
+/// plan node's [`Distribution::partitioning`].
+type Parts = Vec<Vec<Vec<Value>>>;
 
-/// One intermediate relation: rows per shard plus their distribution.
-struct ShardedRows {
-    parts: Vec<Vec<Vec<Value>>>,
-    part: Partitioning,
-}
-
-fn total(parts: &[Vec<Vec<Value>>]) -> usize {
+fn total(parts: &Parts) -> usize {
     parts.iter().map(Vec::len).sum()
 }
 
@@ -118,11 +112,26 @@ fn ordinal_key(row: &[Value], ords: &[usize]) -> Result<GroupKey> {
         .map(GroupKey)
 }
 
-/// Whether data hash-partitioned as `part` is already routed exactly as
-/// an exchange on `ords` would route it (same key sequence → same
-/// [`GroupKey::shard`] mapping).
-fn already_partitioned_on(part: &Partitioning, ords: &[usize]) -> bool {
-    matches!(part, Partitioning::Hash(variants) if variants.iter().any(|v| v == ords))
+/// All of `rows` on shard 0 of `n` (after a gather).
+fn on_shard_zero(rows: Vec<Vec<Value>>, n: usize) -> Parts {
+    let mut parts: Parts = (0..n).map(|_| Vec::new()).collect();
+    if let Some(first) = parts.first_mut() {
+        *first = rows;
+    }
+    parts
+}
+
+/// Carry out one input's [`Movement`] on its rows, metering what
+/// crosses shard boundaries into `sink`. [`Movement::Combine`] is not a
+/// row movement — only an aggregate can perform it (see
+/// [`combiner_aggregate`]).
+fn move_rows(parts: Parts, movement: &Movement, n: usize, sink: &MetricsSink) -> Result<Parts> {
+    match movement {
+        Movement::Stay => Ok(parts),
+        Movement::Repartition(ords) => exchange(parts, n, sink, |row| ordinal_key(row, ords)),
+        Movement::Gather => Ok(on_shard_zero(gather(parts, sink), n)),
+        Movement::Combine(_) => Err(internal_err!("combine movement outside an aggregate")),
+    }
 }
 
 /// Execute `plan` across `options.shards` in-process shards and
@@ -133,63 +142,58 @@ pub(crate) fn run_sharded(
     guard: &ResourceGuard,
 ) -> Result<(Vec<Vec<Value>>, ProfileNode)> {
     let n = exec.options.shards.get();
-    let (sh, profile) = eval(exec, plan, guard, n, false)?;
+    let dist = distribute(plan, exec.options.combiner, &|table| {
+        exec.storage.partition_key(table).map(<[usize]>::to_vec)
+    });
+    let (parts, profile) = eval(exec, plan, &dist, guard, n)?;
     // Final delivery to the client is not an exchange: both plan shapes
     // return the same result rows, so it is never metered as shipped.
-    Ok((sh.parts.into_iter().flatten().collect(), profile))
+    Ok((parts.into_iter().flatten().collect(), profile))
+}
+
+/// Evaluate input `i` of a node and hand back its rows, its profile and
+/// the movement `dist` prescribes for it.
+fn eval_input<'d>(
+    exec: &Executor,
+    input: &LogicalPlan,
+    dist: &'d Distribution,
+    i: usize,
+    guard: &ResourceGuard,
+    n: usize,
+) -> Result<(Parts, ProfileNode, &'d Movement)> {
+    let (movement, child_dist) = dist
+        .input(i)
+        .ok_or_else(|| internal_err!("distribution tree lacks input {i}"))?;
+    let (parts, profile) = eval(exec, input, child_dist, guard, n)?;
+    Ok((parts, profile, movement))
 }
 
 #[allow(clippy::too_many_lines)]
 fn eval(
     exec: &Executor,
     plan: &LogicalPlan,
+    dist: &Distribution,
     guard: &ResourceGuard,
     n: usize,
-    under_join: bool,
-) -> Result<(ShardedRows, ProfileNode)> {
+) -> Result<(Parts, ProfileNode)> {
     let threads = exec.options.threads.get();
-    // All rows on shard 0 (after a gather).
-    let on_shard_zero = |rows: Vec<Vec<Value>>| {
-        let mut parts: Vec<Vec<Vec<Value>>> = (0..n).map(|_| Vec::new()).collect();
-        if let Some(first) = parts.get_mut(0) {
-            *first = rows;
-        }
-        ShardedRows {
-            parts,
-            part: Partitioning::Single,
-        }
-    };
     match plan {
         LogicalPlan::Scan { table, schema, .. } => {
             // Stage 0 is the *single-shard* scan, bit for bit: same
             // cursor, same batch sizes, same fault-injection points.
             // Partitioning happens after the scan output materialises.
             let (rows, profile) = exec.scan_rows(plan, table, schema, guard)?;
-            let key = exec.storage.partition_key(table);
-            let sharded = ShardedTable::partition(rows, key, n)?;
-            let part = match sharded.key() {
-                Some(k) => Partitioning::Hash(vec![k.to_vec()]),
-                None => Partitioning::Arbitrary,
-            };
-            Ok((
-                ShardedRows {
-                    parts: sharded.into_parts(),
-                    part,
-                },
-                profile,
-            ))
+            let sharded = ShardedTable::partition(rows, dist.partitioning.key(), n)?;
+            Ok((sharded.into_parts(), profile))
         }
 
         LogicalPlan::Filter { input, predicate } => {
-            let (child, child_profile) = eval(exec, input, guard, n, under_join)?;
+            let (child, child_profile, _) = eval_input(exec, input, dist, 0, guard, n)?;
             let sink = exec.sink();
             let timer = sink.start_timer();
             let bound = predicate.bind(&input.schema()?)?;
-            let n_in = total(&child.parts);
-            let part = child.part.clone();
-            let parts = map_shards(threads, child.parts, &|_, rows| {
-                filter_rows(&bound, rows, guard)
-            })?;
+            let n_in = total(&child);
+            let parts = map_shards(threads, child, &|_, rows| filter_rows(&bound, rows, guard))?;
             let n_out = total(&parts);
             guard.charge_rows(n_out)?;
             sink.add_batches(1);
@@ -197,7 +201,7 @@ fn eval(
             let profile =
                 ProfileNode::new(plan.label(), "ShardedFilter", n_out, vec![child_profile])
                     .with_metrics(sink.finish(n_in, n_out));
-            Ok((ShardedRows { parts, part }, profile))
+            Ok((parts, profile))
         }
 
         LogicalPlan::Project {
@@ -205,7 +209,7 @@ fn eval(
             exprs,
             distinct,
         } => {
-            let (child, child_profile) = eval(exec, input, guard, n, under_join)?;
+            let (child, child_profile, movement) = eval_input(exec, input, dist, 0, guard, n)?;
             let sink = exec.sink();
             let timer = sink.start_timer();
             let in_schema = input.schema()?;
@@ -213,25 +217,20 @@ fn eval(
                 .iter()
                 .map(|(e, _)| e.bind(&in_schema))
                 .collect::<Result<_>>()?;
-            let n_in = total(&child.parts);
-            let projected = map_shards(threads, child.parts, &|_, rows| {
+            let n_in = total(&child);
+            let projected = map_shards(threads, child, &|_, rows| {
                 project_rows(&bound, &rows, guard)
             })?;
-            let (parts, part, op) = if *distinct {
-                // Duplicate elimination is global: co-locate equal
-                // output rows (whole row = `=ⁿ` key), then dedup per
-                // shard. The per-shard distinct counts are disjoint and
-                // sum to the single-shard dedup-set size.
-                let routed = exchange(projected, n, &sink, |row| Ok(GroupKey(row.to_vec())))?;
+            // DISTINCT moves the *projected* rows: equal output rows
+            // co-locate (whole row = `=ⁿ` key), then dedup per shard.
+            // The per-shard distinct counts are disjoint and sum to the
+            // single-shard dedup-set size.
+            let routed = move_rows(projected, movement, n, &sink)?;
+            let (parts, op) = if *distinct {
                 let parts = map_shards(threads, routed, &|_, rows| distinct_rows(rows, guard))?;
-                (
-                    parts,
-                    Partitioning::Hash(vec![(0..bound.len()).collect()]),
-                    "ShardedProjectDistinct",
-                )
+                (parts, "ShardedProjectDistinct")
             } else {
-                let part = remap_partitioning(&child.part, &bound);
-                (projected, part, "ShardedProject")
+                (routed, "ShardedProject")
             };
             let n_out = total(&parts);
             guard.charge_rows(n_out)?;
@@ -242,7 +241,7 @@ fn eval(
             sink.record_probe(timer);
             let profile = ProfileNode::new(plan.label(), op, n_out, vec![child_profile])
                 .with_metrics(sink.finish(n_in, n_out));
-            Ok((ShardedRows { parts, part }, profile))
+            Ok((parts, profile))
         }
 
         LogicalPlan::CrossJoin { .. } => Err(internal_err!(
@@ -254,33 +253,25 @@ fn eval(
             right,
             condition,
         } => {
-            let (l_sh, lp) = eval(exec, left, guard, n, true)?;
-            let (r_sh, rp) = eval(exec, right, guard, n, true)?;
+            let (l_parts, lp, l_move) = eval_input(exec, left, dist, 0, guard, n)?;
+            let (r_parts, rp, r_move) = eval_input(exec, right, dist, 1, guard, n)?;
             let join = bind_join(left, right, condition)?;
             if join.keys.is_empty() {
                 return Err(internal_err!(
                     "non-equi join reached the sharded runner; execution_path() should have refused it"
                 ));
             }
-            let lords: Vec<usize> = join.keys.iter().map(|k| k.left).collect();
-            let rords: Vec<usize> = join.keys.iter().map(|k| k.right).collect();
             let sink = exec.sink();
-            let l_n = total(&l_sh.parts);
-            let r_n = total(&r_sh.parts);
+            let l_n = total(&l_parts);
+            let r_n = total(&r_parts);
             sink.add_batches(input_batches(l_n) + input_batches(r_n));
-            // Repartition each side on its key columns unless already
+            // Each side repartitions on its key columns unless already
             // hash-distributed exactly that way (the combiner's output,
-            // or a declared partition key, makes this free).
-            let l_parts = if already_partitioned_on(&l_sh.part, &lords) {
-                l_sh.parts
-            } else {
-                exchange(l_sh.parts, n, &sink, |row| ordinal_key(row, &lords))?
-            };
-            let r_parts = if already_partitioned_on(&r_sh.part, &rords) {
-                r_sh.parts
-            } else {
-                exchange(r_sh.parts, n, &sink, |row| ordinal_key(row, &rords))?
-            };
+            // or a declared partition key, makes this free). Join keys
+            // compare under 3VL, so NULL-key rows are routed (to one
+            // shard, under `=ⁿ`) but never matched.
+            let l_parts = move_rows(l_parts, l_move, n, &sink)?;
+            let r_parts = move_rows(r_parts, r_move, n, &sink)?;
             // Per-shard serial hash joins sharing one sink: build-side
             // entry counts are per-row and each build row lives on
             // exactly one shard, so the totals match single-shard.
@@ -296,13 +287,9 @@ fn eval(
             })?;
             let n_out = total(&parts);
             guard.charge_rows(n_out)?;
-            let part = Partitioning::Hash(vec![
-                lords,
-                rords.iter().map(|r| r + join.left_arity).collect(),
-            ]);
             let profile = ProfileNode::new(plan.label(), "ShardedHashJoin", n_out, vec![lp, rp])
                 .with_metrics(sink.finish(l_n + r_n, n_out));
-            Ok((ShardedRows { parts, part }, profile))
+            Ok((parts, profile))
         }
 
         LogicalPlan::Aggregate {
@@ -310,96 +297,53 @@ fn eval(
             group_by,
             aggregates,
         } => {
-            let (child, child_profile) = eval(exec, input, guard, n, under_join)?;
+            let (child, child_profile, movement) = eval_input(exec, input, dist, 0, guard, n)?;
             let (group_bound, compiled) =
                 compile_aggregates(&input.schema()?, group_by, aggregates)?;
             let sink = exec.sink();
-            let n_in = total(&child.parts);
+            let n_in = total(&child);
             sink.add_batches(input_batches(n_in));
-
-            if group_bound.is_empty() {
-                // Scalar aggregate: inherently global (one row even
-                // over empty input), so gather and run the serial
-                // kernel on shard 0 — which, like single-shard, records
-                // no hash entries for the scalar path.
-                let gathered = gather(child.parts, &sink);
-                let rows0 = hash_aggregate(&gathered, &group_bound, &compiled, guard, &sink)?;
-                let n_out = rows0.len();
-                guard.charge_rows(n_out)?;
-                let profile =
-                    ProfileNode::new(plan.label(), "GatherAggregate", n_out, vec![child_profile])
-                        .with_metrics(sink.finish(n_in, n_out));
-                return Ok((on_shard_zero(rows0), profile));
-            }
-
-            let group_ords: Option<Vec<usize>> = group_bound
-                .iter()
-                .map(|b| match b {
-                    BoundExpr::Column(o) => Some(*o),
-                    _ => None,
-                })
-                .collect();
-            // Equal group keys already co-located? True when all rows
-            // sit on shard 0, or when some partition-key variant's
-            // ordinals are a subset of the grouping columns (equal
-            // group values ⇒ equal partition-key values ⇒ same shard).
-            let colocated = matches!(child.part, Partitioning::Single)
-                || match (&child.part, &group_ords) {
-                    (Partitioning::Hash(variants), Some(ords)) => {
-                        let set: HashSet<usize> = ords.iter().copied().collect();
-                        variants.iter().any(|pk| pk.iter().all(|o| set.contains(o)))
-                    }
-                    _ => false,
-                };
             let aggregate_per_shard = |parts| {
                 map_shards(threads, parts, &|_, rows| {
                     hash_aggregate(&rows, &group_bound, &compiled, guard, &sink)
                 })
             };
-            let on_group_key = Partitioning::Hash(vec![(0..group_bound.len()).collect()]);
-
-            let (parts, part, op) = if colocated {
-                // Partition-key variants survive where the grouping
-                // passes their columns through (group column i lands
-                // at output position i).
-                (
-                    aggregate_per_shard(child.parts)?,
-                    remap_partitioning(&child.part, &group_bound),
+            let (parts, op) = match movement {
+                // Inherently global (a scalar aggregate yields one row
+                // even over empty input): gather and run the serial
+                // kernel on shard 0 — which, like single-shard, records
+                // no hash entries for the scalar path.
+                Movement::Gather => {
+                    let gathered = gather(child, &sink);
+                    let rows0 = hash_aggregate(&gathered, &group_bound, &compiled, guard, &sink)?;
+                    (on_shard_zero(rows0, n), "GatherAggregate")
+                }
+                // The certified pre-aggregation below the exchange.
+                Movement::Combine(_) => (
+                    combiner_aggregate(threads, child, &group_bound, &compiled, guard, n, &sink)?,
+                    "CombinerHashAggregate",
+                ),
+                // Equal groups already share a shard, or get there by a
+                // raw-row exchange on the grouping columns (the
+                // uncertified path GBJ502 flags): NULL is one `=ⁿ`
+                // group on one shard. Then full aggregation per shard.
+                Movement::Stay | Movement::Repartition(_) => (
+                    aggregate_per_shard(move_rows(child, movement, n, &sink)?)?,
                     "ShardedHashAggregate",
-                )
-            } else if exec.options.combiner && under_join {
-                let parts = combiner_aggregate(
-                    threads,
-                    child.parts,
-                    &group_bound,
-                    &compiled,
-                    guard,
-                    n,
-                    &sink,
-                )?;
-                (parts, on_group_key, "CombinerHashAggregate")
-            } else {
-                // Raw-row exchange on the grouping key, then per-shard
-                // full aggregation (the uncertified path GBJ502 flags).
-                let routed = exchange(child.parts, n, &sink, |row| group_key(&group_bound, row))?;
-                (
-                    aggregate_per_shard(routed)?,
-                    on_group_key,
-                    "ShardedHashAggregate",
-                )
+                ),
             };
             let n_out = total(&parts);
             guard.charge_rows(n_out)?;
             let profile = ProfileNode::new(plan.label(), op, n_out, vec![child_profile])
                 .with_metrics(sink.finish(n_in, n_out));
-            Ok((ShardedRows { parts, part }, profile))
+            Ok((parts, profile))
         }
 
         LogicalPlan::SubqueryAlias { input, .. } => {
-            let (child, child_profile) = eval(exec, input, guard, n, under_join)?;
+            let (child, child_profile, _) = eval_input(exec, input, dist, 0, guard, n)?;
             let sink = exec.sink();
             sink.add_batches(1);
-            let n_rows = total(&child.parts);
+            let n_rows = total(&child);
             let profile =
                 ProfileNode::new(plan.label(), "SubqueryAlias", n_rows, vec![child_profile])
                     .with_metrics(sink.finish(n_rows, n_rows));
@@ -407,9 +351,9 @@ fn eval(
         }
 
         LogicalPlan::Sort { input, keys } => {
-            let (child, child_profile) = eval(exec, input, guard, n, under_join)?;
+            let (child, child_profile, _) = eval_input(exec, input, dist, 0, guard, n)?;
             let sink = exec.sink();
-            let n_in = total(&child.parts);
+            let n_in = total(&child);
             sink.add_batches(input_batches(n_in));
             let timer = sink.start_timer();
             let bound = bind_sort_keys(keys, &input.schema()?)?;
@@ -418,43 +362,12 @@ fn eval(
             // than single-shard input order (the sort is stable over
             // the *gathered* order), which canonical comparison — and
             // any ORDER BY contract — permits.
-            let sorted = sort_rows(gather(child.parts, &sink), &bound, guard)?;
+            let sorted = sort_rows(gather(child, &sink), &bound, guard)?;
             sink.record_build(timer);
             let n_out = sorted.len();
             let profile = ProfileNode::new(plan.label(), "GatherSort", n_out, vec![child_profile])
                 .with_metrics(sink.finish(n_in, n_out));
-            Ok((on_shard_zero(sorted), profile))
-        }
-    }
-}
-
-/// Remap a partitioning through a projection or grouping list: a `Hash`
-/// variant survives iff every one of its input ordinals is passed
-/// through as a plain column (first such output position wins).
-fn remap_partitioning(part: &Partitioning, bound: &[BoundExpr]) -> Partitioning {
-    match part {
-        Partitioning::Single => Partitioning::Single,
-        Partitioning::Arbitrary => Partitioning::Arbitrary,
-        Partitioning::Hash(variants) => {
-            let mut first_output: HashMap<usize, usize> = HashMap::new();
-            for (j, b) in bound.iter().enumerate() {
-                if let BoundExpr::Column(o) = b {
-                    first_output.entry(*o).or_insert(j);
-                }
-            }
-            let remapped: Vec<Vec<usize>> = variants
-                .iter()
-                .filter_map(|pk| {
-                    pk.iter()
-                        .map(|o| first_output.get(o).copied())
-                        .collect::<Option<Vec<usize>>>()
-                })
-                .collect();
-            if remapped.is_empty() {
-                Partitioning::Arbitrary
-            } else {
-                Partitioning::Hash(remapped)
-            }
+            Ok((on_shard_zero(sorted, n), profile))
         }
     }
 }

@@ -1,25 +1,82 @@
-//! Shape-level costing of fully lowered plans.
+//! The Section 7 trade-off as the engine's one cost model: per-row
+//! constants ([`CostModel`]) folded over a fully lowered plan.
 //!
-//! [`gbj_core::CostModel`] encodes the Section 7 trade-off over one
-//! abstract grouped-join query (five summary cardinalities). After PR 8
-//! the engine costs the *actual lowered plan trees* instead: the lazy
-//! and eager candidates are both optimized to their physical-ready
-//! shape, a per-node cardinality estimate is attached to each
-//! ([`CardTree`], shape-congruent with the plan), and [`shape_cost`]
-//! folds the same per-row constants over every operator the executor
-//! will really run. This keeps the §7 decision (join-input shrinkage
-//! vs. group-input growth, the duplicate-factor term) while also
-//! charging for whatever else the optimizer produced — extra
-//! projections cost nothing, but every scan, filter, sort, join and
-//! aggregation touch is itemised.
+//! The paper's observations, encoded:
+//!
+//! * the transformation **cannot increase the join input cardinality**
+//!   (the aggregated side has at most as many rows as its input);
+//! * it **may increase or decrease the group-by input cardinality** —
+//!   lazy grouping sees the join output, eager grouping sees `σ[C1]R1`;
+//!   with a selective join (Figure 8) the join output can be far
+//!   smaller than `R1`, making eager grouping a loss;
+//! * in a **distributed** setting, eager aggregation ships one row per
+//!   group instead of all of `R1`, which can dominate everything else.
+//!
+//! The lazy and eager candidates are both optimized to their
+//! physical-ready shape, a per-node cardinality estimate is attached to
+//! each ([`CardTree`], shape-congruent with the plan, clamped by
+//! [`CardTree::clamp`]), and [`shape_cost`] folds the constants over
+//! every operator the executor will really run: join-input shrinkage
+//! vs. group-input growth, the duplicate-factor term, and whatever else
+//! the optimizer produced — extra projections cost nothing, but every
+//! scan, filter, sort, join and aggregation touch is itemised. The
+//! model is deliberately linear, because the *decision* only needs the
+//! relative order of two plans over the same data, not absolute times.
 //!
 //! The optimizer crate cannot see the engine's `Estimator` (the engine
-//! depends on the optimizer, not vice versa), so callers supply the
-//! cardinalities as a plain [`CardTree`]; the engine converts its
-//! `PlanEstimate` tree into one.
+//! depends on the optimizer, not vice versa), so the estimator hands
+//! its cardinalities over as a plain [`CardTree`] — the one estimate
+//! tree, also what the audit zips against the measured profile and
+//! what [`crate::plan_distribution`] prices exchanges with.
 
-use gbj_core::CostModel;
 use gbj_plan::LogicalPlan;
+
+/// Per-row cost constants. The defaults make hashing a row cost 1 unit
+/// and producing an output row 1 unit; network transfer defaults to 50×
+/// a local row touch, in line with the paper's remark that
+/// "communication costs often dominate the query processing cost".
+#[derive(Debug, Clone, Copy)]
+pub struct CostModel {
+    /// Cost to build/probe one hash-table row in a join.
+    pub c_join_row: f64,
+    /// Cost to emit one join output row.
+    pub c_join_out: f64,
+    /// Cost to hash one row into the aggregation table.
+    pub c_group_row: f64,
+    /// Cost to finalise one group.
+    pub c_group_out: f64,
+    /// Cost to ship one row between sites (only counted when
+    /// `distributed`).
+    pub c_net_row: f64,
+    /// Whether R1 and R2 live on different sites (the Section 7
+    /// distributed scenario: the aggregation side is shipped to R2's
+    /// site before the join).
+    pub distributed: bool,
+}
+
+impl Default for CostModel {
+    fn default() -> CostModel {
+        CostModel {
+            c_join_row: 1.0,
+            c_join_out: 1.0,
+            c_group_row: 1.0,
+            c_group_out: 1.0,
+            c_net_row: 50.0,
+            distributed: false,
+        }
+    }
+}
+
+impl CostModel {
+    /// A distributed variant of the model.
+    #[must_use]
+    pub fn distributed() -> CostModel {
+        CostModel {
+            distributed: true,
+            ..CostModel::default()
+        }
+    }
+}
 
 /// Estimated output cardinality for every node of a plan, mirroring the
 /// plan's tree shape exactly (same arity at every node, children in plan
@@ -58,11 +115,10 @@ impl CardTree {
     }
 }
 
-/// The itemised cost of one lowered plan shape under the model. Mirrors
-/// [`gbj_core::PlanCost`] but is summed over *every* operator in the
-/// tree, plus a `scan_rows` term for the base-table touches that the
-/// block-level model leaves implicit (both shapes scan the same tables,
-/// so the term cancels in the comparison but keeps totals honest).
+/// The itemised cost of one lowered plan shape under the model, summed
+/// over *every* operator in the tree, including a `scan_rows` term for
+/// the base-table touches (both shapes scan the same tables, so the
+/// term cancels in the comparison but keeps totals honest).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShapeCost {
     /// Rows produced by scans, filters and sorts (one touch each).
@@ -152,8 +208,7 @@ fn walk(model: &CostModel, plan: &LogicalPlan, card: &CardTree, acc: &mut ShapeC
                 // site. At shape level that is the *larger* input — and
                 // pre-aggregating below the join shrinks exactly that
                 // side to one row per group, which is the distributed
-                // payoff the block-level model encodes as
-                // `r1_rows` vs `r1_groups` shipped.
+                // payoff.
                 acc.shipped_rows += l.rows.max(0.0).max(r.rows.max(0.0));
             }
             walk(model, left, &l, acc);
@@ -184,115 +239,108 @@ mod tests {
         }
     }
 
-    /// Lazy shape: Aggregate(Join(Scan E, Scan D)) with Figure 1
-    /// cardinalities — and the eager shape of the same query with the
-    /// aggregate pushed below the join. The shape costs must order the
-    /// two plans exactly as the block-level model does.
-    #[test]
-    fn figure1_shape_costs_agree_with_block_model() {
-        let model = CostModel::default();
+    /// The §7 summary of one grouped join: `|σ[C1]R1|`, `|σ[C2]R2|`,
+    /// the `GA1+` groups of R1, the lazy join's output and the final
+    /// group count.
+    struct Cards {
+        r1: f64,
+        r2: f64,
+        r1_groups: f64,
+        join: f64,
+        groups: f64,
+    }
 
-        let lazy_plan = LogicalPlan::Aggregate {
-            input: Box::new(LogicalPlan::Join {
-                left: Box::new(scan("Employee", "E")),
-                right: Box::new(scan("Department", "D")),
-                condition: Expr::col("E", "id").eq(Expr::col("D", "id")),
-            }),
-            group_by: vec![Expr::col("D", "id")],
+    /// Figure 1 / Example 1: 10000 employees, 100 departments, FK join.
+    const FIGURE1: Cards = Cards {
+        r1: 10_000.0,
+        r2: 100.0,
+        r1_groups: 100.0,
+        join: 10_000.0,
+        groups: 100.0,
+    };
+
+    /// Figure 8 / Example 4: the adversarial case — 10000 rows grouping
+    /// into 9000 groups, but the join keeps only 50 rows.
+    const FIGURE8: Cards = Cards {
+        r1: 10_000.0,
+        r2: 100.0,
+        r1_groups: 9_000.0,
+        join: 50.0,
+        groups: 10.0,
+    };
+
+    fn join(left: LogicalPlan) -> LogicalPlan {
+        LogicalPlan::Join {
+            left: Box::new(left),
+            right: Box::new(scan("R2", "R2")),
+            condition: Expr::col("R1", "id").eq(Expr::col("R2", "id")),
+        }
+    }
+
+    fn group(input: LogicalPlan) -> LogicalPlan {
+        LogicalPlan::Aggregate {
+            input: Box::new(input),
+            group_by: vec![Expr::col("R1", "id")],
             aggregates: vec![],
-        };
+        }
+    }
+
+    /// Cost the lazy shape `Aggregate(Join(R1, R2))` and the eager
+    /// shape `Join(Aggregate(R1), R2)` of one query. Under FD1 ∧ FD2
+    /// the eager join emits exactly the final result rows.
+    fn lazy_and_eager(model: &CostModel, c: &Cards) -> (ShapeCost, ShapeCost) {
         let lazy_card = CardTree {
-            rows: 100.0,
+            rows: c.groups,
             children: vec![CardTree {
-                rows: 10_000.0,
-                children: vec![CardTree::leaf(10_000.0), CardTree::leaf(100.0)],
+                rows: c.join,
+                children: vec![CardTree::leaf(c.r1), CardTree::leaf(c.r2)],
             }],
         };
-
-        let eager_plan = LogicalPlan::Join {
-            left: Box::new(LogicalPlan::Aggregate {
-                input: Box::new(scan("Employee", "E")),
-                group_by: vec![Expr::col("E", "id")],
-                aggregates: vec![],
-            }),
-            right: Box::new(scan("Department", "D")),
-            condition: Expr::col("E", "id").eq(Expr::col("D", "id")),
-        };
         let eager_card = CardTree {
-            rows: 100.0,
+            rows: c.groups,
             children: vec![
                 CardTree {
-                    rows: 100.0,
-                    children: vec![CardTree::leaf(10_000.0)],
+                    rows: c.r1_groups,
+                    children: vec![CardTree::leaf(c.r1)],
                 },
-                CardTree::leaf(100.0),
+                CardTree::leaf(c.r2),
             ],
         };
+        (
+            shape_cost(model, &group(join(scan("R1", "R1"))), &lazy_card),
+            shape_cost(model, &join(group(scan("R1", "R1"))), &eager_card),
+        )
+    }
 
-        let lazy = shape_cost(&model, &lazy_plan, &lazy_card);
-        let eager = shape_cost(&model, &eager_plan, &eager_card);
+    #[test]
+    fn figure1_eager_wins() {
+        let (lazy, eager) = lazy_and_eager(&CostModel::default(), &FIGURE1);
         assert_eq!(lazy.join_input, 10_100.0);
         assert_eq!(lazy.group_input, 10_000.0);
         assert_eq!(eager.join_input, 200.0);
-        assert_eq!(eager.group_input, 10_000.0);
+        assert_eq!(eager.join_output, 100.0);
+        // §7: the group-by input may move either way; here it ties.
+        assert_eq!(eager.group_input, lazy.group_input);
         assert!(
-            eager.total < lazy.total,
-            "Figure 1: eager must win ({} vs {})",
+            lazy.total / eager.total > 1.5,
+            "Figure 1: eager must win clearly ({} vs {})",
             eager.total,
             lazy.total
         );
-
         // Both shapes scan the same base tables, so the scan term is
         // identical and cancels in the comparison.
         assert_eq!(lazy.scan_rows, eager.scan_rows);
+        // The local model ships nothing.
+        assert_eq!((lazy.shipped_rows, eager.shipped_rows), (0.0, 0.0));
     }
 
-    /// Figure 8 in tree form: a selective join (50 output rows) under a
-    /// near-key grouping (9000 eager groups) — lazy must win.
+    /// A selective join (50 output rows) under a near-key grouping
+    /// (9000 eager groups) — lazy must win.
     #[test]
-    fn figure8_shape_costs_prefer_lazy() {
-        let model = CostModel::default();
-        let join = |l: f64, r: f64, out: f64| CardTree {
-            rows: out,
-            children: vec![CardTree::leaf(l), CardTree::leaf(r)],
-        };
-
-        let lazy_plan = LogicalPlan::Aggregate {
-            input: Box::new(LogicalPlan::Join {
-                left: Box::new(scan("R1", "R1")),
-                right: Box::new(scan("R2", "R2")),
-                condition: Expr::col("R1", "id").eq(Expr::col("R2", "id")),
-            }),
-            group_by: vec![Expr::col("R1", "id")],
-            aggregates: vec![],
-        };
-        let lazy_card = CardTree {
-            rows: 10.0,
-            children: vec![join(10_000.0, 100.0, 50.0)],
-        };
-
-        let eager_plan = LogicalPlan::Join {
-            left: Box::new(LogicalPlan::Aggregate {
-                input: Box::new(scan("R1", "R1")),
-                group_by: vec![Expr::col("R1", "id")],
-                aggregates: vec![],
-            }),
-            right: Box::new(scan("R2", "R2")),
-            condition: Expr::col("R1", "id").eq(Expr::col("R2", "id")),
-        };
-        let eager_card = CardTree {
-            rows: 10.0,
-            children: vec![
-                CardTree {
-                    rows: 9_000.0,
-                    children: vec![CardTree::leaf(10_000.0)],
-                },
-                CardTree::leaf(100.0),
-            ],
-        };
-
-        let lazy = shape_cost(&model, &lazy_plan, &lazy_card);
-        let eager = shape_cost(&model, &eager_plan, &eager_card);
+    fn figure8_lazy_wins() {
+        let (lazy, eager) = lazy_and_eager(&CostModel::default(), &FIGURE8);
+        // Eager groups all of R1, lazy only the join's 50 survivors.
+        assert!(eager.group_input > lazy.group_input);
         assert!(
             lazy.total < eager.total,
             "Figure 8: lazy must win ({} vs {})",
@@ -301,49 +349,53 @@ mod tests {
         );
     }
 
-    /// Distributed mode ships the aggregation (larger) join input, so
-    /// an eager shape that pre-aggregates it ships one row per group
-    /// instead of the whole table.
+    /// Paper §7: "It cannot increase the input cardinality of the join"
+    /// — even when every row is its own group the inputs tie, never
+    /// invert — while a duplicate-producing R2 side makes the lazy
+    /// group-by input *larger* than eager's.
     #[test]
-    fn distributed_ships_aggregation_side() {
-        let model = CostModel::distributed();
-        let plan = LogicalPlan::Join {
-            left: Box::new(scan("R1", "R1")),
-            right: Box::new(scan("R2", "R2")),
-            condition: Expr::col("R1", "id").eq(Expr::col("R2", "id")),
+    fn eager_never_increases_join_input() {
+        let model = CostModel::default();
+        let all_distinct = Cards {
+            r1: 1000.0,
+            r2: 10.0,
+            r1_groups: 1000.0,
+            join: 1000.0,
+            groups: 1000.0,
         };
-        let card = CardTree {
-            rows: 100.0,
-            children: vec![CardTree::leaf(10_000.0), CardTree::leaf(100.0)],
+        let fan_out = Cards {
+            join: 20_000.0,
+            ..FIGURE1
         };
-        let cost = shape_cost(&model, &plan, &card);
-        assert_eq!(cost.shipped_rows, 10_000.0);
-        assert!(cost.total > model.c_net_row * 10_000.0);
+        for cards in [&FIGURE1, &FIGURE8, &all_distinct, &fan_out] {
+            let (lazy, eager) = lazy_and_eager(&model, cards);
+            assert!(eager.join_input <= lazy.join_input);
+        }
+        let (lazy, eager) = lazy_and_eager(&model, &fan_out);
+        assert!(eager.group_input < lazy.group_input);
+    }
 
-        // Pre-aggregating R1 below the join shrinks the shipped side to
-        // one row per group.
-        let eager = LogicalPlan::Join {
-            left: Box::new(LogicalPlan::Aggregate {
-                input: Box::new(scan("R1", "R1")),
-                group_by: vec![Expr::col("R1", "id")],
-                aggregates: vec![],
-            }),
-            right: Box::new(scan("R2", "R2")),
-            condition: Expr::col("R1", "id").eq(Expr::col("R2", "id")),
+    /// §7 distributed: the larger join input travels, so the eager
+    /// shape ships one row per group instead of all of R1 — and with
+    /// network costs dominating, eager's standing improves even in the
+    /// Figure 8 counter-example.
+    #[test]
+    fn distributed_ships_groups_not_rows() {
+        let model = CostModel::distributed();
+        let (lazy, eager) = lazy_and_eager(&model, &FIGURE1);
+        assert_eq!(lazy.shipped_rows, 10_000.0);
+        assert_eq!(eager.shipped_rows, 100.0);
+        assert!(lazy.total > model.c_net_row * 10_000.0);
+        assert!(lazy.total / eager.total > 10.0);
+
+        let speedup = |model: &CostModel| {
+            let (lazy, eager) = lazy_and_eager(model, &FIGURE8);
+            lazy.total / eager.total
         };
-        let eager_card = CardTree {
-            rows: 100.0,
-            children: vec![
-                CardTree {
-                    rows: 150.0,
-                    children: vec![CardTree::leaf(10_000.0)],
-                },
-                CardTree::leaf(100.0),
-            ],
-        };
-        let eager_cost = shape_cost(&model, &eager, &eager_card);
-        assert_eq!(eager_cost.shipped_rows, 150.0);
-        assert!(eager_cost.total < cost.total);
+        assert!(
+            speedup(&model) > speedup(&CostModel::default()),
+            "network savings improve eager's standing"
+        );
     }
 
     /// Missing estimates degrade to zero-row leaves instead of

@@ -2,32 +2,22 @@
 //! boundaries when a lowered plan runs on the sharded executor.
 //!
 //! This is the cost-model side of the paper's §7 distributed argument,
-//! made checkable: [`plan_distribution`] walks a lowered plan with its
-//! cardinality estimates ([`CardTree`]) and symbolically mirrors the
-//! sharded runner's partitioning rules — declared partition keys make
-//! scans co-partitioned, equi joins repartition each side on its key
-//! unless already distributed that way, grouped aggregation exchanges
-//! on the grouping key (or, when the eager rewrite is certified, ships
-//! one partial per group per origin shard instead), scalar aggregates
-//! and sorts gather to one shard. The result is a predicted
-//! `shipped_rows` the engine audits against the executor's measured
-//! counters (a Q-error, like the cardinality audit feeding the
-//! `FeedbackStore`).
-//!
-//! The partition-tracking rules here intentionally duplicate
-//! `gbj-exec`'s `shard` module (the optimizer cannot depend on the
-//! executor — the dependency points the other way). The differential
-//! test suite keeps the two in agreement by bounding the Q-error
-//! between prediction and measurement.
+//! made checkable. Which exchanges happen is not decided here:
+//! [`gbj_plan::distribute`] maps the plan to a [`Distribution`] tree —
+//! the same tree the shard runner executes — and [`plan_distribution`]
+//! folds the cardinality estimates ([`CardTree`]) over that tree's
+//! [`Movement`]s. The result is a predicted `shipped_rows` the engine
+//! audits against the executor's measured counters (a Q-error, like the
+//! cardinality audit feeding the `FeedbackStore`); with one tracker
+//! under both, the two can disagree only about row counts.
 //!
 //! Under uniform hashing a repartition moves an expected `(s-1)/s` of
 //! its input (each row's destination matches its origin with
 //! probability `1/s`); a gather moves everything not already on the
-//! target shard, the same `(s-1)/s` in expectation.
+//! target shard, the same `(s-1)/s` in expectation; a combiner ships
+//! one partial per group per origin shard, at most one per input row.
 
-use gbj_expr::Expr;
-use gbj_plan::LogicalPlan;
-use gbj_types::Schema;
+use gbj_plan::{distribute, Distribution, LogicalPlan, Movement};
 
 use crate::cost::CardTree;
 
@@ -57,14 +47,6 @@ impl DistPlan {
     }
 }
 
-/// Symbolic mirror of the runner's `Partitioning`.
-#[derive(Debug, Clone)]
-enum Part {
-    Hash(Vec<Vec<usize>>),
-    Arbitrary,
-    Single,
-}
-
 /// Predict the distributed profile of `plan` at `shards` shards.
 ///
 /// `card` is the engine's per-node cardinality estimate tree
@@ -84,270 +66,49 @@ pub fn plan_distribution(
 ) -> DistPlan {
     let mut acc = DistPlan::zero();
     if shards > 1 {
-        walk(plan, card, shards, combiner, partition_key, false, &mut acc);
+        let dist = distribute(plan, combiner, partition_key);
+        price(&dist, card, shards, &mut acc);
     }
     acc
 }
 
-fn child(card: &CardTree, idx: usize) -> CardTree {
-    card.children
-        .get(idx)
-        .cloned()
-        .unwrap_or_else(|| CardTree::leaf(0.0))
-}
-
-/// Expected fraction of rows that change shard in a uniform-hash
-/// repartition (or a gather of uniformly spread rows).
-fn moved_fraction(shards: usize) -> f64 {
-    if shards <= 1 {
-        0.0
-    } else {
-        (shards as f64 - 1.0) / shards as f64
+/// Charge every movement of `dist` (inputs first, so a node's own
+/// exchanges are added after everything below it).
+fn price(dist: &Distribution, card: &CardTree, shards: usize, acc: &mut DistPlan) {
+    let zero = CardTree::leaf(0.0);
+    let input_card = |i: usize| card.children.get(i).unwrap_or(&zero);
+    for (i, child) in dist.children.iter().enumerate() {
+        price(child, input_card(i), shards, acc);
     }
-}
-
-fn already_on(part: &Part, ords: &[usize]) -> bool {
-    matches!(part, Part::Hash(variants) if variants.iter().any(|v| v == ords))
-}
-
-/// Equi-key ordinals of a join condition: conjuncts of the form
-/// `left-column = right-column`, mirroring the executor's key split.
-fn equi_key_ords(cond: &Expr, ls: &Schema, rs: &Schema) -> (Vec<usize>, Vec<usize>) {
-    let mut lords = Vec::new();
-    let mut rords = Vec::new();
-    for conjunct in gbj_expr::conjuncts(cond) {
-        if let Expr::Binary { left, op, right } = &conjunct {
-            if *op == gbj_expr::BinaryOp::Eq {
-                let (a, b) = (left.bind(ls).ok(), right.bind(rs).ok());
-                let (c, d) = (right.bind(ls).ok(), left.bind(rs).ok());
-                if let (
-                    Some(gbj_expr::BoundExpr::Column(l)),
-                    Some(gbj_expr::BoundExpr::Column(r)),
-                ) = (&a, &b)
-                {
-                    lords.push(*l);
-                    rords.push(*r);
-                } else if let (
-                    Some(gbj_expr::BoundExpr::Column(l)),
-                    Some(gbj_expr::BoundExpr::Column(r)),
-                ) = (&c, &d)
-                {
-                    lords.push(*l);
-                    rords.push(*r);
-                }
-            }
-        }
-    }
-    (lords, rords)
-}
-
-/// Group-by ordinals when every grouping expression is a plain column
-/// of the input.
-fn group_ords(group_by: &[Expr], schema: &Schema) -> Option<Vec<usize>> {
-    group_by
-        .iter()
-        .map(|e| match e.bind(schema) {
-            Ok(gbj_expr::BoundExpr::Column(o)) => Some(o),
-            _ => None,
-        })
-        .collect()
-}
-
-#[allow(clippy::too_many_lines)]
-fn walk(
-    plan: &LogicalPlan,
-    card: &CardTree,
-    shards: usize,
-    combiner: bool,
-    partition_key: &impl Fn(&str) -> Option<Vec<usize>>,
-    under_join: bool,
-    acc: &mut DistPlan,
-) -> Part {
-    match plan {
-        LogicalPlan::Scan { table, .. } => match partition_key(table) {
-            Some(key) => Part::Hash(vec![key]),
-            None => Part::Arbitrary,
-        },
-        LogicalPlan::Filter { input, .. } => walk(
-            input,
-            &child(card, 0),
-            shards,
-            combiner,
-            partition_key,
-            under_join,
-            acc,
-        ),
-        LogicalPlan::Project {
-            input,
-            exprs,
-            distinct,
-        } => {
-            let c = child(card, 0);
-            let part = walk(input, &c, shards, combiner, partition_key, under_join, acc);
-            if *distinct {
-                // Global dedup: whole-row exchange of the projected rows.
+    // Expected fraction of rows that change shard in a uniform-hash
+    // repartition (or a gather of uniformly spread rows).
+    let moved_fraction = (shards as f64 - 1.0) / shards as f64;
+    for (i, movement) in dist.movements.iter().enumerate() {
+        let rows = input_card(i).rows.max(0.0);
+        let moved = match movement {
+            Movement::Stay => continue,
+            Movement::Repartition(_) => {
                 acc.exchanges += 1;
-                acc.shipped_rows += c.rows.max(0.0) * moved_fraction(shards);
-                return Part::Hash(vec![(0..exprs.len()).collect()]);
+                rows
             }
-            let Ok(schema) = input.schema() else {
-                return Part::Arbitrary;
-            };
-            remap(&part, exprs, &schema)
-        }
-        LogicalPlan::CrossJoin { left, right } => {
-            // Unsupported by the sharded runner (falls back wholesale);
-            // contribute children for completeness, ship nothing.
-            walk(
-                left,
-                &child(card, 0),
-                shards,
-                combiner,
-                partition_key,
-                under_join,
-                acc,
-            );
-            walk(
-                right,
-                &child(card, 1),
-                shards,
-                combiner,
-                partition_key,
-                under_join,
-                acc,
-            );
-            Part::Arbitrary
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            condition,
-        } => {
-            let lc = child(card, 0);
-            let rc = child(card, 1);
-            let l_part = walk(left, &lc, shards, combiner, partition_key, true, acc);
-            let r_part = walk(right, &rc, shards, combiner, partition_key, true, acc);
-            let (Ok(ls), Ok(rs)) = (left.schema(), right.schema()) else {
-                return Part::Arbitrary;
-            };
-            let (lords, rords) = equi_key_ords(condition, &ls, &rs);
-            if lords.is_empty() {
-                return Part::Arbitrary;
-            }
-            if !already_on(&l_part, &lords) {
-                acc.exchanges += 1;
-                acc.shipped_rows += lc.rows.max(0.0) * moved_fraction(shards);
-            }
-            if !already_on(&r_part, &rords) {
-                acc.exchanges += 1;
-                acc.shipped_rows += rc.rows.max(0.0) * moved_fraction(shards);
-            }
-            Part::Hash(vec![lords, rords.iter().map(|r| r + ls.len()).collect()])
-        }
-        LogicalPlan::Aggregate {
-            input, group_by, ..
-        } => {
-            let c = child(card, 0);
-            let part = walk(input, &c, shards, combiner, partition_key, under_join, acc);
-            if group_by.is_empty() {
-                // Scalar: gather everything to one shard.
-                acc.gathers += 1;
-                acc.shipped_rows += c.rows.max(0.0) * moved_fraction(shards);
-                return Part::Single;
-            }
-            let Ok(schema) = input.schema() else {
-                return Part::Arbitrary;
-            };
-            let ords = group_ords(group_by, &schema);
-            let colocated = matches!(part, Part::Single)
-                || match (&part, &ords) {
-                    (Part::Hash(variants), Some(o)) => {
-                        let set: std::collections::HashSet<usize> = o.iter().copied().collect();
-                        variants.iter().any(|pk| pk.iter().all(|x| set.contains(x)))
-                    }
-                    _ => false,
-                };
-            let out_part = || Part::Hash(vec![(0..group_by.len()).collect()]);
-            if colocated {
-                if matches!(part, Part::Single) {
-                    return Part::Single;
-                }
-                // Stays put; output keyed on the grouping columns only
-                // when the surviving variant maps onto them — keep it
-                // simple and conservative: the full grouping key holds
-                // iff the partition variant *is* the grouping key.
-                if let (Part::Hash(variants), Some(o)) = (&part, &ords) {
-                    if variants.iter().any(|pk| pk == o) {
-                        return out_part();
-                    }
-                }
-                return Part::Arbitrary;
-            }
-            if combiner && under_join {
-                // One partial per group per origin shard, at most all
-                // input rows; an expected (s-1)/s of the partials move.
-                let groups = card.rows.max(0.0);
-                let partials = (groups * shards as f64).min(c.rows.max(0.0));
+            Movement::Combine(_) => {
                 acc.combiners += 1;
-                acc.shipped_rows += partials * moved_fraction(shards);
-            } else {
-                acc.exchanges += 1;
-                acc.shipped_rows += c.rows.max(0.0) * moved_fraction(shards);
+                (card.rows.max(0.0) * shards as f64).min(rows)
             }
-            out_part()
-        }
-        LogicalPlan::SubqueryAlias { input, .. } => walk(
-            input,
-            &child(card, 0),
-            shards,
-            combiner,
-            partition_key,
-            under_join,
-            acc,
-        ),
-        LogicalPlan::Sort { input, .. } => {
-            let c = child(card, 0);
-            walk(input, &c, shards, combiner, partition_key, under_join, acc);
-            acc.gathers += 1;
-            acc.shipped_rows += c.rows.max(0.0) * moved_fraction(shards);
-            Part::Single
-        }
-    }
-}
-
-/// Remap a partitioning through projection expressions: a variant
-/// survives iff every ordinal is passed through as a plain column.
-fn remap(part: &Part, exprs: &[(Expr, String)], schema: &Schema) -> Part {
-    match part {
-        Part::Single => Part::Single,
-        Part::Arbitrary => Part::Arbitrary,
-        Part::Hash(variants) => {
-            let outputs: Vec<Option<usize>> = exprs
-                .iter()
-                .map(|(e, _)| match e.bind(schema) {
-                    Ok(gbj_expr::BoundExpr::Column(o)) => Some(o),
-                    _ => None,
-                })
-                .collect();
-            let first_output =
-                |o: usize| -> Option<usize> { outputs.iter().position(|x| *x == Some(o)) };
-            let remapped: Vec<Vec<usize>> = variants
-                .iter()
-                .filter_map(|pk| pk.iter().map(|&o| first_output(o)).collect())
-                .collect();
-            if remapped.is_empty() {
-                Part::Arbitrary
-            } else {
-                Part::Hash(remapped)
+            Movement::Gather => {
+                acc.gathers += 1;
+                rows
             }
-        }
+        };
+        acc.shipped_rows += moved * moved_fraction;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbj_types::{DataType, Field};
+    use gbj_expr::Expr;
+    use gbj_types::{DataType, Field, Schema};
 
     fn scan(table: &str, q: &str, cols: &[&str]) -> LogicalPlan {
         LogicalPlan::Scan {
@@ -437,28 +198,6 @@ mod tests {
         assert_eq!(eager.exchanges, 1);
         assert!((eager.shipped_rows - (400.0 + 100.0) * 0.75).abs() < 1e-9);
         assert!(eager.shipped_rows < lazy.shipped_rows);
-    }
-
-    #[test]
-    fn uncertified_eager_ships_raw_rows_into_the_group_exchange() {
-        let eager = plan_distribution(&eager_plan(), &eager_card(), 4, false, &no_keys);
-        assert_eq!(eager.combiners, 0);
-        assert_eq!(eager.exchanges, 2);
-        assert!((eager.shipped_rows - (10_000.0 + 100.0) * 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn declared_partition_keys_remove_exchanges() {
-        let keys = |t: &str| -> Option<Vec<usize>> {
-            match t {
-                "Fact" => Some(vec![1]), // DimId
-                "Dim" => Some(vec![0]),  // DimId
-                _ => None,
-            }
-        };
-        let d = plan_distribution(&lazy_plan(), &lazy_card(), 4, false, &keys);
-        assert_eq!(d.exchanges, 0);
-        assert_eq!(d.shipped_rows, 0.0);
     }
 
     #[test]

@@ -32,7 +32,10 @@
 //!
 //! The eager-aggregation transformation itself lives in `gbj-core` and
 //! runs at the query-block level *before* lowering; these rules clean
-//! up whichever block was chosen.
+//! up whichever block was chosen. Choosing between the two lowered
+//! shapes is [`cost`]'s job — the Section 7 [`CostModel`] folded over a
+//! plan and its [`CardTree`] by [`shape_cost`] — and [`distributed`]
+//! prices the same tree's exchanges for sharded execution.
 
 pub mod cost;
 pub mod distributed;
@@ -40,7 +43,7 @@ pub mod join_order;
 pub mod optimizer;
 pub mod rules;
 
-pub use cost::{shape_cost, CardTree, ShapeCost};
+pub use cost::{shape_cost, CardTree, CostModel, ShapeCost};
 pub use distributed::{plan_distribution, DistPlan};
 pub use join_order::JoinOrdering;
 pub use optimizer::{Optimizer, OptimizerRule};

@@ -27,9 +27,18 @@
 //!   The optimizer's transformation (`gbj-core`) reasons over blocks
 //!   and lowers them back to plans. Derived relations nest blocks, which
 //!   is how Section 8's aggregated views are represented.
+//!
+//! [`distribution`] decides, for a plan run over hash-partitioned
+//! shards, where each node's rows live and which inputs must move —
+//! the one partition tracker the shard runner executes and the
+//! optimizer's shipped-rows predictor prices.
 
 pub mod block;
+pub mod distribution;
 pub mod plan;
 
 pub use block::{BlockRelation, QueryBlock, SelectItem};
+pub use distribution::{
+    distribute, split_equi_keys, Distribution, EquiKey, Movement, Partitioning,
+};
 pub use plan::LogicalPlan;

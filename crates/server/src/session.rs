@@ -610,7 +610,12 @@ mod tests {
         // rows and thread-invariant counter fingerprint.
         let server = seeded_server(ServerConfig::default().with_plan_cache(16));
         let session = server.connect();
-        server.reconfigure(|db| db.set_vectorized(false));
+        // Single-shard: the shard runner takes precedence over
+        // `vectorized`, whatever `GBJ_TEST_SHARDS` defaulted to.
+        server.reconfigure(|db| {
+            db.set_shards(std::num::NonZeroUsize::MIN);
+            db.set_vectorized(false);
+        });
         let row = session.query(AGG).unwrap();
         let row_fp = row.metrics.profile.counter_fingerprint();
 

@@ -20,6 +20,11 @@
 # GBJ_TEST_VECTORIZED=1 GBJ_TEST_THREADS=4 pass checks that the
 # pipeline is thread-count invariant and that plans it refuses run the
 # parallel row operators.
+#
+# The GBJ_TEST_SHARDS=4 pass re-runs the whole suite on the shard
+# runner (every plan inside the error-free gate executes
+# gbj_plan::distribute's movements across 4 in-process shards), so
+# every engine-level test doubles as a sharded-vs-oracle differential.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,10 +34,17 @@ if grep -rn "std::env" crates/exec/src; then
   echo "verify: gbj-exec must not read the environment" >&2
   exit 1
 fi
+# One cost model, one estimate tree, one partition tracker: the twins
+# this gate names were deleted and must not grow back.
+if grep -rnE "PlanEstimate|PlanCost|enum Part\b|fn equi_key_ords|fn remap_partitioning" crates src tests; then
+  echo "verify: a second cost model / estimate tree / partition tracker reappeared" >&2
+  exit 1
+fi
 cargo build --release
 cargo test -q --workspace
 GBJ_TEST_THREADS=4 cargo test -q --workspace
 GBJ_TEST_VECTORIZED=1 cargo test -q --workspace
+GBJ_TEST_SHARDS=4 cargo test -q --workspace
 # Explicit 1- and 4-thread passes over the observability suites (cheap,
 # and keeps them covered even if the workspace matrix above changes).
 for t in 1 4; do

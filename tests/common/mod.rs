@@ -7,11 +7,14 @@
 //!   order, so results are canonicalised (sorted by the engine's total
 //!   order, NULLs last) before comparing instead of each test rolling
 //!   its own sort;
-//! * **operator matching that tolerates the parallel executor** — at
-//!   `threads > 1` the profile says `ParallelHashJoin` /
-//!   `ParallelHashAggregate` where the serial executor says `HashJoin`
-//!   / `HashAggregate`, so tests that pin cardinalities (not names)
-//!   look operators up through [`find_join`] / [`find_agg`].
+//! * **operator matching that tolerates the parallel and sharded
+//!   executors** — at `threads > 1` the profile says
+//!   `ParallelHashJoin` / `ParallelHashAggregate` where the serial
+//!   executor says `HashJoin` / `HashAggregate`, and at `shards > 1`
+//!   `ShardedHashJoin` / `ShardedHashAggregate` /
+//!   `CombinerHashAggregate` / `GatherAggregate`, so tests that pin
+//!   cardinalities (not names) look operators up through [`find_join`]
+//!   / [`find_agg`].
 //!
 //! Each integration-test binary compiles its own copy of this module,
 //! so not every binary uses every helper.
@@ -35,27 +38,36 @@ pub fn assert_same_rows(a: &ResultSet, b: &ResultSet, ctx: &str) {
     );
 }
 
-/// Every operator name a join can report, serial or parallel.
+/// Every operator name a join can report: serial, parallel or sharded.
 pub const JOIN_OPERATORS: &[&str] = &[
     "HashJoin",
     "ParallelHashJoin",
+    "ShardedHashJoin",
     "NestedLoopJoin",
     "SortMergeJoin",
     "CrossJoin",
 ];
 
-/// Every operator name a group-by can report, serial or parallel.
-pub const AGG_OPERATORS: &[&str] = &["HashAggregate", "ParallelHashAggregate", "SortAggregate"];
+/// Every operator name a group-by can report: serial, parallel or
+/// sharded.
+pub const AGG_OPERATORS: &[&str] = &[
+    "HashAggregate",
+    "ParallelHashAggregate",
+    "ShardedHashAggregate",
+    "CombinerHashAggregate",
+    "GatherAggregate",
+    "SortAggregate",
+];
 
-/// The first join operator in the profile, whatever its algorithm or
-/// thread count.
+/// The first join operator in the profile, whatever its algorithm,
+/// thread count or shard count.
 pub fn find_join(profile: &ProfileNode) -> Option<&ProfileNode> {
     JOIN_OPERATORS
         .iter()
         .find_map(|op| profile.find_operator(op))
 }
 
-/// The first aggregate operator in the profile, serial or parallel.
+/// The first aggregate operator in the profile, on any path.
 pub fn find_agg(profile: &ProfileNode) -> Option<&ProfileNode> {
     AGG_OPERATORS
         .iter()

@@ -393,3 +393,32 @@ fn clamp_option_defaults_on() {
     let db = cfg.build().expect("build");
     drop(db);
 }
+
+/// A column holding both `i64` extremes: the histogram's bucket widths
+/// exceed `i64::MAX`. A range predicate over it must plan and run
+/// without panicking (it overflowed in debug builds), with a
+/// selectivity in `[0, 1]` — the filter's estimate stays within the
+/// table's two rows.
+#[test]
+fn range_predicate_over_the_i64_extremes_estimates_sanely() {
+    use gbj::Value;
+    let mut db = Database::new();
+    db.execute("CREATE TABLE T (x INTEGER)").expect("ddl");
+    db.insert_rows("T", [i64::MIN, i64::MAX].map(|v| vec![Value::Int(v)]))
+        .expect("insert");
+    let out = db
+        .execute("EXPLAIN ANALYZE SELECT T.x FROM T WHERE T.x < 0")
+        .expect("explain analyze runs");
+    assert!(matches!(out, gbj::engine::QueryOutput::Explain(_)));
+    let audits = db.last_query_metrics().expect("metrics").audits();
+    let filter = audits
+        .iter()
+        .find(|a| a.label.starts_with("Filter"))
+        .expect("filter node audited");
+    assert_eq!(filter.actual, 1);
+    assert!(
+        (0.0..=2.0).contains(&filter.estimated),
+        "estimate {} outside [0, |T|]",
+        filter.estimated
+    );
+}

@@ -177,7 +177,7 @@ fn reverse_with_constant_on_view_output() {
 /// dominates.
 #[test]
 fn distributed_cost_model_changes_the_decision() {
-    use gbj::core::CostModel;
+    use gbj::optimizer::CostModel;
     let mut db = Database::new();
     db.run_script(
         "CREATE TABLE D (K INTEGER PRIMARY KEY, T VARCHAR(5)); \

@@ -45,6 +45,9 @@ struct Obs {
     choice: PlanChoice,
     shipped_rows: u64,
     shipped_bytes: u64,
+    /// The distribution planner's prediction (`None` unless the run was
+    /// sharded).
+    predicted_shipped_rows: Option<f64>,
 }
 
 fn observe(
@@ -67,6 +70,7 @@ fn observe(
         choice: m.choice,
         shipped_rows: m.shipped_rows,
         shipped_bytes: m.shipped_bytes,
+        predicted_shipped_rows: m.predicted_shipped_rows,
     }
 }
 
@@ -74,7 +78,9 @@ fn observe(
 /// vectorized combination must reproduce the single-shard serial
 /// oracle's rows and counter fingerprint; single-shard runs ship
 /// nothing; and at a fixed shard count the shipped counters are
-/// thread- and vectorized-invariant.
+/// thread- and vectorized-invariant, and the planner predicts zero
+/// shipped rows exactly when none were shipped (the runner executes the
+/// tree the planner prices, so they agree on *which* exchanges happen).
 fn assert_point(db: &mut Database, sql: &str, ctx: &str) {
     for policy in [
         PushdownPolicy::Never,
@@ -106,6 +112,15 @@ fn assert_point(db: &mut Database, sql: &str, ctx: &str) {
                         "{ctx}: {policy:?} counter fingerprint diverged at \
                          shards={shards} threads={threads} vectorized={vectorized}"
                     );
+                    if let Some(predicted) = got.predicted_shipped_rows {
+                        assert_eq!(
+                            predicted == 0.0,
+                            got.shipped_rows == 0,
+                            "{ctx}: {policy:?} predicted {predicted} shipped rows, measured {} \
+                             at shards={shards}",
+                            got.shipped_rows
+                        );
+                    }
                     let shipped = (got.shipped_rows, got.shipped_bytes);
                     match shipped_at {
                         None => shipped_at = Some(shipped),
@@ -237,6 +252,49 @@ fn declared_partition_key_reduces_shipping() {
         b.shipped_bytes,
         a.shipped_bytes
     );
+}
+
+/// Grouping on the partition key plus one more column, both tables
+/// keyed on the join column: the pre-aggregation is co-located, the key
+/// survives it, and the join above needs no exchange. The runner has
+/// shipped nothing here since it learned to keep the key through a
+/// co-located aggregate; the planner, then a separate walk, still
+/// predicted a repartition (105 rows, a shipped q-error of 105).
+#[test]
+fn key_surviving_a_colocated_aggregate_predicts_no_shipping() {
+    let mut db = Database::new();
+    db.run_script(
+        "CREATE TABLE Dim (DimId INTEGER PRIMARY KEY, Cat VARCHAR(8)); \
+         CREATE TABLE Fact (FId INTEGER PRIMARY KEY, DimId INTEGER, Tag INTEGER);",
+    )
+    .expect("ddl");
+    for d in 0..20i64 {
+        db.execute(&format!("INSERT INTO Dim VALUES ({d}, 'c{d}')"))
+            .expect("insert");
+    }
+    // 20 x 7 = 140 distinct (DimId, Tag) groups.
+    for i in 0..560i64 {
+        db.execute(&format!(
+            "INSERT INTO Fact VALUES ({i}, {}, {})",
+            i % 20,
+            i % 7
+        ))
+        .expect("insert");
+    }
+    db.declare_partition_key("Fact", &["DimId"])
+        .expect("declare");
+    db.declare_partition_key("Dim", &["DimId"])
+        .expect("declare");
+    let sql = "SELECT D.DimId, F.Tag, COUNT(F.FId) FROM Fact F, Dim D \
+               WHERE F.DimId = D.DimId GROUP BY D.DimId, F.Tag";
+    for policy in [PushdownPolicy::Always, PushdownPolicy::Never] {
+        let got = observe(&mut db, policy, 4, 1, false, sql);
+        assert_eq!(got.shipped_rows, 0, "{policy:?}: co-partitioned throughout");
+        assert_eq!(got.predicted_shipped_rows, Some(0.0), "{policy:?}");
+        let m = db.last_query_metrics().expect("metrics");
+        assert_eq!(m.shipped_q_error(), Some(1.0), "{policy:?}");
+    }
+    assert_point(&mut db, sql, "group by partition key + tag");
 }
 
 /// **The acceptance criterion.** On the fan-in workload at 4 shards
