@@ -87,8 +87,9 @@ impl EngineOptions {
     ///   override the executor thread / in-process shard count and
     ///   `GBJ_TEST_VECTORIZED` (`1`/`true`/`0`/`false`) the vectorized
     ///   switch — the hooks `scripts/verify.sh` uses to push the whole
-    ///   engine-level test suite through the parallel operators, the
-    ///   chunk pipeline and the shard runner without touching each test;
+    ///   engine-level test suite through the parallel operators and the
+    ///   chunk pipeline, at one part and over several, without touching
+    ///   each test;
     /// - `GBJ_VERIFY_REWRITES` (`1`/`0`, default: on in debug builds),
     ///   `GBJ_ADAPTIVE` (`1`, default off) and `GBJ_CLAMP_ESTIMATES`
     ///   (`0`, default on) set the fields of the same name.
@@ -258,9 +259,10 @@ pub struct QueryMetrics {
     /// Memory high-water mark across all operator state (bytes).
     pub peak_memory_bytes: u64,
     /// The execution path the plan ran on, with the reason when a
-    /// faster configured path refused it.
+    /// faster configuration refused it.
     pub path: ExecPath,
-    /// In-process shards configured for the query (1 = single-shard).
+    /// In-process shards the query actually ran at (1 = single-shard,
+    /// whatever was configured).
     pub shards: usize,
     /// Measured rows shipped across shard boundaries (0 single-shard).
     pub shipped_rows: u64,
@@ -301,14 +303,13 @@ impl QueryMetrics {
     }
 
     /// The one-line answer to "which path ran, and why not a faster
-    /// one": `path: batch`, `path: sharded(4)`, or
-    /// `path: row (Filter: arithmetic in predicate)`.
+    /// one": `path: batch`, `path: sharded(4)`,
+    /// `path: row (Filter: arithmetic in predicate)`, or
+    /// `path: batch (4 shards refused — Aggregate: aggregate argument
+    /// not error-free)`.
     #[must_use]
     pub fn path_line(&self) -> String {
-        match self.path {
-            ExecPath::Sharded => format!("path: sharded({})\n", self.shards),
-            path => format!("path: {path}\n"),
-        }
+        format!("path: {}\n", self.path)
     }
 
     /// Render the full metrics view: timings, resource high-water, the
@@ -643,11 +644,11 @@ impl Database {
         exec_opts: &ExecOptions,
         path: ExecPath,
     ) -> Option<f64> {
-        (path == ExecPath::Sharded).then(|| {
+        (path.shards() > 1).then(|| {
             gbj_optimizer::plan_distribution(
                 plan,
                 estimates,
-                exec_opts.shards.get(),
+                path.shards(),
                 exec_opts.combiner,
                 &|t| self.storage.partition_key(t).map(<[usize]>::to_vec),
             )
@@ -720,7 +721,7 @@ impl Database {
             rows: rows.len(),
             peak_memory_bytes: summary.peak_memory_bytes,
             path: summary.path,
-            shards: exec_opts.shards.get(),
+            shards: summary.path.shards(),
             shipped_rows: summary.shipped_rows,
             shipped_bytes: summary.shipped_bytes,
             predicted_shipped_rows,
@@ -742,7 +743,7 @@ impl Database {
     /// FD-derivation audit of the eager-aggregation attempt.
     pub fn lint_select(&self, sql: &str) -> Result<gbj_analyze::Report> {
         let bound = self.bind_select_sql(sql, "lint_select")?;
-        self.lint_bound(&bound, sql)
+        Ok(self.lint_bound(&bound, sql)?.0)
     }
 
     /// Lint every statement of a `;`-separated script: DDL and DML are
@@ -764,7 +765,7 @@ impl Database {
             match select {
                 Some(s) => {
                     let bound = Binder::new(self.storage.catalog()).bind_select(&s)?;
-                    reports.push(self.lint_bound(&bound, &bound.block.to_string())?);
+                    reports.push(self.lint_bound(&bound, &bound.block.to_string())?.0);
                 }
                 None => {
                     self.execute_statement(stmt)?;
@@ -774,18 +775,18 @@ impl Database {
         Ok(reports)
     }
 
-    /// The shared lint path: plan the query, audit the transformation
-    /// attempt (pass 2 + the `=ⁿ` grouping check), and run the
-    /// schema/type and NULL-semantics passes over the chosen plan.
-    fn lint_bound(&self, bound: &BoundSelect, subject: &str) -> Result<gbj_analyze::Report> {
-        let block = &bound.block;
+    /// The shared lint path: plan the query — planning audits its own
+    /// transformation attempt into the analysis (pass 2 + the `=ⁿ`
+    /// grouping check) — and run the schema/type and NULL-semantics
+    /// passes over the chosen plan. Returns the planning report too, so
+    /// a caller that shows both never plans twice.
+    fn lint_bound(
+        &self,
+        bound: &BoundSelect,
+        subject: &str,
+    ) -> Result<(gbj_analyze::Report, QueryReport)> {
         let mut analysis = Analysis::new(subject);
-        if block.is_aggregating() {
-            let (fd_ctx, transform_opts) = self.transform_inputs(block);
-            let outcome = eager_aggregate(block, &fd_ctx, &transform_opts)?;
-            analysis.check_rewrite(block, &outcome, &fd_ctx, &transform_opts);
-        }
-        let report = self.plan_bound_inner(bound)?;
+        let report = self.plan_bound_inner(bound, Some(&mut analysis))?;
         analysis.check_logical(&report.plan);
         // Pass 6 (range/NULL-ness/NDV domains): catalog-only seeds so
         // lint findings are data-independent — the same corpus yields
@@ -829,7 +830,7 @@ impl Database {
                 self.options.exec.shards.get()
             ));
         }
-        Ok(analysis.finish().0)
+        Ok((analysis.finish().0, report))
     }
 
     fn execute_statement(&mut self, stmt: Statement) -> Result<QueryOutput> {
@@ -900,8 +901,8 @@ impl Database {
                 };
                 let bound = Binder::new(self.storage.catalog()).bind_select(&select)?;
                 if lint {
-                    let lint_report = self.lint_bound(&bound, &bound.block.to_string())?;
-                    let plan_report = self.plan_bound(&bound)?;
+                    let (lint_report, plan_report) =
+                        self.lint_bound(&bound, &bound.block.to_string())?;
                     let mut text = plan_report.explain();
                     text.push_str("lint:\n");
                     text.push_str(&lint_report.render_text());
@@ -968,7 +969,7 @@ impl Database {
     // ------------------------------------------------------------ planning
 
     fn plan_bound(&self, bound: &BoundSelect) -> Result<QueryReport> {
-        let report = self.plan_bound_inner(bound)?;
+        let report = self.plan_bound_inner(bound, None)?;
         if self.options.verify_rewrites {
             // Verify-every-rewrite mode: pass 1 (schema/type soundness)
             // over the chosen plan; Error-severity findings abort
@@ -988,9 +989,14 @@ impl Database {
     /// Plan the query, then annotate the report with the range pass's
     /// catalog-seeded per-column domains and pruning side-table (both
     /// data-independent, so EXPLAIN output stays deterministic across
-    /// data variations).
-    fn plan_bound_inner(&self, bound: &BoundSelect) -> Result<QueryReport> {
-        let mut report = self.plan_bound_shapes(bound)?;
+    /// data variations). `lint`, when given, receives the audit of the
+    /// transformation attempt.
+    fn plan_bound_inner(
+        &self,
+        bound: &BoundSelect,
+        lint: Option<&mut Analysis>,
+    ) -> Result<QueryReport> {
+        let mut report = self.plan_bound_shapes(bound, lint)?;
         let seeds = SeedDomains::from_catalog(self.storage.catalog());
         let analysis = analyze_plan(&report.plan, &seeds);
         if let Ok(schema) = report.plan.schema() {
@@ -1000,7 +1006,11 @@ impl Database {
         Ok(report)
     }
 
-    fn plan_bound_shapes(&self, bound: &BoundSelect) -> Result<QueryReport> {
+    fn plan_bound_shapes(
+        &self,
+        bound: &BoundSelect,
+        lint: Option<&mut Analysis>,
+    ) -> Result<QueryReport> {
         let block = &bound.block;
         let (fd_ctx, transform_opts) = self.transform_inputs(block);
 
@@ -1039,18 +1049,25 @@ impl Database {
 
         // The forward transformation.
         let outcome = eager_aggregate(block, &fd_ctx, &transform_opts)?;
-        if self.options.verify_rewrites && block.is_aggregating() {
+        if block.is_aggregating() {
             // Pass 2 (FD-derivation audit) + the =ⁿ grouping-shape
-            // check: replay TestFD independently of the planner; a
-            // chosen rewrite without a replayable FD1/FD2 derivation
-            // is a planning error (refusals are warnings, not errors).
-            let mut analysis = Analysis::new("verify");
-            analysis.check_rewrite(block, &outcome, &fd_ctx, &transform_opts);
-            if analysis.has_errors() {
-                return Err(Error::Plan(format!(
-                    "rewrite verification failed:\n{}",
-                    analysis.report().render_text()
-                )));
+            // check: replay TestFD independently of the planner, into
+            // the linting caller's analysis or, in verify-every-rewrite
+            // mode, a private one. There a chosen rewrite without a
+            // replayable FD1/FD2 derivation is a planning error
+            // (refusals are warnings, not errors).
+            let mut verify = self
+                .options
+                .verify_rewrites
+                .then(|| Analysis::new("verify"));
+            if let Some(analysis) = lint.or(verify.as_mut()) {
+                analysis.check_rewrite(block, &outcome, &fd_ctx, &transform_opts);
+                if self.options.verify_rewrites && analysis.has_errors() {
+                    return Err(Error::Plan(format!(
+                        "rewrite verification failed:\n{}",
+                        analysis.report().render_text()
+                    )));
+                }
             }
         }
         match outcome {
@@ -1229,10 +1246,9 @@ impl Database {
         bound_tree(plan, &analysis.root, &self.storage)
     }
 
-    /// What both planning and linting hand to [`eager_aggregate`]: the
-    /// FD context over the block's base tables, and the transform
-    /// options extended with the catalog assertions' conjuncts
-    /// (Theorem 3).
+    /// What planning hands to [`eager_aggregate`]: the FD context over
+    /// the block's base tables, and the transform options extended with
+    /// the catalog assertions' conjuncts (Theorem 3).
     fn transform_inputs(&self, block: &QueryBlock) -> (FdContext, TransformOptions) {
         let mut fd_ctx = FdContext::new();
         collect_tables(block, self.storage.catalog(), &mut fd_ctx);

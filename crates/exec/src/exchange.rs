@@ -1,12 +1,13 @@
-//! Exchange and gather: repartitioning rows between in-process shards
-//! with bytes-over-the-wire metering.
+//! Exchange and gather: moving rows between the parts of the chunk
+//! pipeline, with bytes-over-the-wire metering.
 //!
-//! The sharded runner (see [`crate::shard`]) keeps every intermediate
-//! relation as one `Vec<rows>` per shard. An *exchange* re-routes each
-//! row to the shard its key hashes to ([`GroupKey::shard`], so `=ⁿ`
-//! semantics apply and NULL keys land deterministically on one shard);
-//! a *gather* concentrates all rows on shard 0 for inherently global
-//! operators (scalar aggregates, sorts).
+//! The pipeline (see [`crate::pipeline`]) keeps every intermediate
+//! relation as one chunk stream per shard. An *exchange* re-routes each
+//! live row to the part its key hashes to ([`GroupKey::shard`], so `=ⁿ`
+//! semantics apply and NULL keys land deterministically on one part);
+//! a *gather* concentrates all rows on part 0 for inherently global
+//! operators (scalar aggregates, sorts). Both are built on [`route`],
+//! which also deals a scan's batches out to the parts.
 //!
 //! Only rows whose destination differs from their origin are metered as
 //! shipped: co-located rows never cross the wire, which is precisely
@@ -16,66 +17,104 @@
 //! per-row framing — not a measurement, so `shipped_bytes` is identical
 //! across thread counts and runs.
 //!
-//! Routing iterates origins in shard order and rows in shard-local
-//! order, so every destination receives rows in a deterministic
+//! Routing iterates origins in part order and rows in stream order, so
+//! every destination receives rows in a deterministic
 //! `(origin, position)` order at any thread count.
 
-use gbj_types::{GroupKey, Result, Value};
+use gbj_types::{internal_err, GroupKey, Result};
 
+use crate::batch::ColumnarBatch;
 use crate::metrics::MetricsSink;
+use crate::pipeline::{Chunk, Parts};
 
 /// Fixed per-row wire framing overhead (length prefix + shard header)
 /// in the deterministic byte model.
 pub(crate) const ROW_FRAME_BYTES: u64 = 8;
 
-/// Modelled wire size of one shipped row.
-pub(crate) fn wire_row_bytes(row: &[Value]) -> u64 {
-    ROW_FRAME_BYTES + crate::guard::row_bytes(row)
+/// Modelled wire size of row `i` of `batch`: the row form's
+/// `8 + row_bytes(row)`, which is why a moved input materializes every
+/// column (a NULL placeholder would under-count a string).
+fn wire_row_bytes(batch: &ColumnarBatch, i: usize) -> u64 {
+    ROW_FRAME_BYTES + crate::guard::row_bytes(&batch.row(i))
 }
 
-/// Route every row to `key_of(row).shard(n)`, metering rows that leave
-/// their origin shard into `sink`. Destinations receive rows in
-/// `(origin shard, origin position)` order.
-pub(crate) fn exchange<F>(
-    parts: Vec<Vec<Vec<Value>>>,
-    n: usize,
-    sink: &MetricsSink,
-    key_of: F,
-) -> Result<Vec<Vec<Vec<Value>>>>
-where
-    F: Fn(&[Value]) -> Result<GroupKey>,
-{
-    let mut out: Vec<Vec<Vec<Value>>> = (0..n.max(1)).map(|_| Vec::new()).collect();
-    let mut shipped_rows = 0u64;
-    let mut shipped_bytes = 0u64;
-    for (origin, rows) in parts.into_iter().enumerate() {
-        for row in rows {
-            let dest = key_of(&row)?.shard(n);
-            if dest != origin {
-                shipped_rows += 1;
-                shipped_bytes += wire_row_bytes(&row);
-            }
-            out.get_mut(dest)
-                .ok_or_else(|| gbj_types::Error::Internal("exchange routed out of range".into()))?
-                .push(row);
+/// The `=ⁿ` key of row `i` of `batch` over the columns `ords`.
+pub(crate) fn key_at(batch: &ColumnarBatch, ords: &[usize], i: usize) -> Result<GroupKey> {
+    ords.iter()
+        .map(|&o| Ok(batch.column(o)?.value(i)))
+        .collect::<Result<_>>()
+        .map(GroupKey)
+}
+
+/// Append each live row of `chunk` to the stream `dest_of(batch, row)`
+/// names, as one dense chunk per destination (rows keep their order).
+/// With a single destination the chunk is handed over untouched.
+pub(crate) fn route(
+    chunk: Chunk,
+    out: &mut [Vec<Chunk>],
+    mut dest_of: impl FnMut(&ColumnarBatch, usize) -> Result<usize>,
+) -> Result<()> {
+    if let [only] = out {
+        only.push(chunk);
+        return Ok(());
+    }
+    let mut sels: Vec<Vec<u32>> = vec![Vec::new(); out.len()];
+    for i in chunk.indices() {
+        let dest = dest_of(&chunk.batch, i)?;
+        sels.get_mut(dest)
+            .ok_or_else(|| internal_err!("row routed to part {dest} out of range"))?
+            .push(i as u32);
+    }
+    for (stream, sel) in out.iter_mut().zip(sels) {
+        if !sel.is_empty() {
+            let cols = chunk.batch.columns().iter().map(|c| c.gather(&sel));
+            let batch = ColumnarBatch::from_columns(cols.collect(), sel.len())?;
+            stream.push(Chunk { batch, sel: None });
+        }
+    }
+    Ok(())
+}
+
+/// Route every live row to the part its key over `ords` hashes to,
+/// metering rows that leave their origin part into `sink`. Destinations
+/// receive rows in `(origin part, origin position)` order.
+pub(crate) fn exchange(parts: Parts, ords: &[usize], sink: &MetricsSink) -> Result<Parts> {
+    let n = parts.len();
+    let mut out: Parts = (0..n).map(|_| Vec::new()).collect();
+    let (mut shipped_rows, mut shipped_bytes) = (0u64, 0u64);
+    for (origin, chunks) in parts.into_iter().enumerate() {
+        for chunk in chunks {
+            route(chunk, &mut out, |batch, i| {
+                let dest = key_at(batch, ords, i)?.shard(n);
+                if dest != origin {
+                    shipped_rows += 1;
+                    shipped_bytes += wire_row_bytes(batch, i);
+                }
+                Ok(dest)
+            })?;
         }
     }
     sink.add_shipped(shipped_rows, shipped_bytes);
     Ok(out)
 }
 
-/// Concentrate all rows on shard 0 (for scalar aggregates and global
-/// sorts), metering everything that moves off its origin shard.
-pub(crate) fn gather(parts: Vec<Vec<Vec<Value>>>, sink: &MetricsSink) -> Vec<Vec<Value>> {
-    let mut shipped_rows = 0u64;
-    let mut shipped_bytes = 0u64;
+/// Concentrate all rows on one stream in part order (for scalar
+/// aggregates and global sorts), metering everything that leaves a part
+/// other than 0.
+pub(crate) fn gather(parts: Parts, sink: &MetricsSink) -> Vec<Chunk> {
+    let (mut shipped_rows, mut shipped_bytes) = (0u64, 0u64);
     let mut out = Vec::new();
-    for (origin, rows) in parts.into_iter().enumerate() {
+    for (origin, chunks) in parts.into_iter().enumerate() {
         if origin != 0 {
-            shipped_rows += rows.len() as u64;
-            shipped_bytes += rows.iter().map(|r| wire_row_bytes(r)).sum::<u64>();
+            for chunk in &chunks {
+                shipped_rows += chunk.out_len() as u64;
+                shipped_bytes += chunk
+                    .indices()
+                    .map(|i| wire_row_bytes(&chunk.batch, i))
+                    .sum::<u64>();
+            }
         }
-        out.extend(rows);
+        out.extend(chunks);
     }
     sink.add_shipped(shipped_rows, shipped_bytes);
     out
@@ -84,52 +123,173 @@ pub(crate) fn gather(parts: Vec<Vec<Vec<Value>>>, sink: &MetricsSink) -> Vec<Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{ColumnVector, StringDictBuilder, NULL_CODE};
+    use crate::guard::row_bytes;
+    use gbj_types::Value;
+    use std::sync::Arc;
 
-    fn int_rows(vals: &[i64]) -> Vec<Vec<Value>> {
-        vals.iter().map(|&v| vec![Value::Int(v)]).collect()
-    }
-
-    #[test]
-    fn exchange_colocates_equal_keys_and_meters_only_movers() {
-        let parts = vec![int_rows(&[1, 2, 1]), int_rows(&[2, 1])];
-        let sink = MetricsSink::new();
-        let out = exchange(parts, 2, &sink, |row| Ok(GroupKey(row.to_vec()))).unwrap();
-        // Every key value lives on exactly one destination shard.
-        for v in [1i64, 2] {
-            let holders = out
-                .iter()
-                .filter(|p| p.iter().any(|r| r == &vec![Value::Int(v)]))
-                .count();
-            assert_eq!(holders, 1, "key {v} split across shards");
-        }
-        let m = sink.finish(5, 5);
-        assert!(m.shipped_rows <= 5, "no double counting");
-        assert_eq!(
-            m.shipped_rows == 0,
-            m.shipped_bytes == 0,
-            "bytes iff rows moved"
+    /// One column of every [`ColumnVector`] variant, six rows each, with
+    /// NULLs everywhere a variant can hold one.
+    fn every_variant() -> Vec<(&'static str, ColumnVector)> {
+        let typed = |vals: [Value; 6]| ColumnVector::from_values(vals.iter());
+        let mut dict = StringDictBuilder::new();
+        let (x, long) = (
+            dict.intern("x").unwrap(),
+            dict.intern("a longer string").unwrap(),
         );
+        let int = |i| Value::Int(i);
+        vec![
+            (
+                "Int",
+                typed([int(1), Value::Null, int(2), int(1), int(-7), int(2)]),
+            ),
+            (
+                "Float",
+                typed([
+                    Value::Float(0.5),
+                    Value::Float(0.5),
+                    Value::Null,
+                    Value::Float(-1.0),
+                    Value::Float(2.0),
+                    Value::Null,
+                ]),
+            ),
+            (
+                "Bool",
+                typed([
+                    Value::Bool(true),
+                    Value::Bool(false),
+                    Value::Bool(true),
+                    Value::Null,
+                    Value::Null,
+                    Value::Bool(false),
+                ]),
+            ),
+            (
+                "Str",
+                typed([
+                    Value::str("p"),
+                    Value::Null,
+                    Value::str("quite long payload"),
+                    Value::str(""),
+                    Value::str("p"),
+                    Value::str("q"),
+                ]),
+            ),
+            (
+                "Dict",
+                ColumnVector::Dict {
+                    codes: vec![x, long, NULL_CODE, x, long, NULL_CODE],
+                    dict: Arc::new(dict.finish()),
+                },
+            ),
+            (
+                "Mixed",
+                ColumnVector::Mixed {
+                    values: vec![
+                        int(1),
+                        Value::str("one"),
+                        Value::Null,
+                        Value::Float(1.0),
+                        Value::Bool(true),
+                        Value::str("one"),
+                    ],
+                },
+            ),
+            ("all-NULL", ColumnVector::all_null(6)),
+        ]
     }
 
+    /// The chunk exchange against its row-form definition: every live
+    /// row lands on `GroupKey(key values).shard(n)`, in `(origin,
+    /// position)` order, and exactly the rows that change part are
+    /// metered at `8 + row_bytes(row)`.
     #[test]
-    fn single_shard_exchange_ships_nothing() {
-        let parts = vec![int_rows(&[1, 2, 3])];
-        let sink = MetricsSink::new();
-        let out = exchange(parts, 1, &sink, |row| Ok(GroupKey(row.to_vec()))).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.first().unwrap().len(), 3);
-        let m = sink.finish(3, 3);
-        assert_eq!((m.shipped_rows, m.shipped_bytes), (0, 0));
+    fn chunk_exchange_matches_its_row_form_definition() {
+        let variants = every_variant();
+        for (key_name, key_col) in &variants {
+            for (payload_name, payload_col) in &variants {
+                let batch =
+                    ColumnarBatch::from_columns(vec![key_col.clone(), payload_col.clone()], 6)
+                        .unwrap();
+                for sel in [None, Some(vec![5u32, 0, 3, 2])] {
+                    for n in [1usize, 2, 4, 8] {
+                        let ctx =
+                            format!("key={key_name} payload={payload_name} sel={sel:?} n={n}");
+                        // Origin `o` holds the chunk `o + 1` times, so
+                        // position order within an origin is exercised.
+                        let parts: Parts = (0..n)
+                            .map(|o| {
+                                (0..=o.min(1))
+                                    .map(|_| Chunk {
+                                        batch: batch.clone(),
+                                        sel: sel.clone(),
+                                    })
+                                    .collect()
+                            })
+                            .collect();
+                        let mut expect: Vec<Vec<Vec<Value>>> = vec![Vec::new(); n];
+                        let (mut rows, mut bytes) = (0u64, 0u64);
+                        for (origin, chunks) in parts.iter().enumerate() {
+                            for chunk in chunks {
+                                for i in chunk.indices() {
+                                    let row = chunk.batch.row(i);
+                                    let dest = GroupKey(vec![row[0].clone()]).shard(n);
+                                    if dest != origin {
+                                        rows += 1;
+                                        bytes += 8 + row_bytes(&row);
+                                    }
+                                    expect[dest].push(row);
+                                }
+                            }
+                        }
+                        let sink = MetricsSink::new();
+                        let out = exchange(parts, &[0], &sink).unwrap();
+                        let got: Vec<Vec<Vec<Value>>> = out
+                            .iter()
+                            .map(|chunks| crate::pipeline::chunk_rows(chunks))
+                            .collect();
+                        assert_eq!(got, expect, "{ctx}");
+                        if *key_name == "all-NULL" {
+                            let holders = got.iter().filter(|p| !p.is_empty()).count();
+                            assert_eq!(holders, 1, "{ctx}: =ⁿ NULL keys must not spray");
+                        }
+                        let m = sink.finish(0, 0);
+                        assert_eq!((m.shipped_rows, m.shipped_bytes), (rows, bytes), "{ctx}");
+                        if n == 1 {
+                            assert_eq!((rows, bytes), (0, 0), "{ctx}: one part ships nothing");
+                        }
+                    }
+                }
+            }
+        }
     }
 
+    /// Gather keeps `(origin, position)` order and meters every row that
+    /// was not already on part 0; an out-of-range key ordinal is an
+    /// error, not a panic.
     #[test]
-    fn gather_meters_all_non_resident_rows() {
-        let parts = vec![int_rows(&[1]), int_rows(&[2, 3]), vec![]];
+    fn gather_meters_all_non_resident_rows_and_bad_ordinals_error() {
+        let ints = |vals: &[i64]| -> Vec<Vec<Value>> {
+            vals.iter().map(|&v| vec![Value::Int(v)]).collect()
+        };
+        let chunk = |vals: &[i64], sel: Option<Vec<u32>>| Chunk {
+            batch: ColumnarBatch::from_rows(&ints(vals), 1).unwrap(),
+            sel,
+        };
+        let parts = vec![
+            vec![chunk(&[1], None)],
+            vec![chunk(&[2, 9, 3], Some(vec![0, 2]))],
+            vec![],
+        ];
         let sink = MetricsSink::new();
-        let out = gather(parts, &sink);
-        assert_eq!(out, int_rows(&[1, 2, 3]), "origin order preserved");
+        let out = crate::pipeline::chunk_rows(&gather(parts, &sink));
+        assert_eq!(out, ints(&[1, 2, 3]), "origin order, live rows only");
         let m = sink.finish(3, 3);
-        assert_eq!(m.shipped_rows, 2, "shard 0's row stays home");
-        assert!(m.shipped_bytes >= 2 * ROW_FRAME_BYTES);
+        assert_eq!(m.shipped_rows, 2, "part 0's row stays home");
+        assert_eq!(m.shipped_bytes, 2 * (8 + row_bytes(&[Value::Int(0)])));
+
+        let parts = vec![vec![chunk(&[1], None)], vec![]];
+        assert!(exchange(parts, &[3], &MetricsSink::new()).is_err());
     }
 }

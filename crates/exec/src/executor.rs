@@ -50,27 +50,28 @@ pub struct ExecOptions {
     /// Resource budgets enforced during execution (default: unlimited).
     pub limits: ResourceLimits,
     /// Worker threads for the row engine's morsel-driven hash join and
-    /// hash aggregate (see `crate::parallel`) and for the shard
-    /// runner's per-shard workers. `1` (the default) keeps the serial
-    /// operators; the chunk pipeline is serial at every value. Results
+    /// hash aggregate (see `crate::parallel`) and for the chunk
+    /// pipeline's parts (one part is always inline on the calling
+    /// thread). `1` (the default) keeps the serial operators. Results
     /// are byte-identical at every value.
     pub threads: NonZeroUsize,
     /// Collect per-operator metrics (counters and phase timings) into
     /// each [`ProfileNode`]. On by default; turning it off replaces
     /// every sink with a no-op that skips its clock reads.
     pub metrics: bool,
-    /// Run plans that pass the whole-plan gate
-    /// ([`execution_path`](crate::execution_path)) on the batch-native
-    /// chunk pipeline (see [`crate::pipeline`]). Off by default. A plan
-    /// the gate refuses runs on the untouched row engine, so results —
-    /// including errors and the metrics fingerprint — are byte-identical
-    /// either way.
+    /// At one shard, run plans that pass the whole-plan gate
+    /// ([`execution_path`](crate::execution_path)) on the chunk pipeline
+    /// (see [`crate::pipeline`]) instead of the row engine. Off by
+    /// default. A plan the gate refuses runs on the untouched row
+    /// engine, so results — including errors and the metrics
+    /// fingerprint — are byte-identical either way.
     pub vectorized: bool,
-    /// In-process shard count for the distributed runner (see
-    /// [`crate::shard`]). `1` (the default) keeps single-shard
-    /// execution; at higher values supported plans run hash-partitioned
-    /// across shards with exchanges metering `shipped_rows` /
-    /// `shipped_bytes`, byte-identical to single-shard output.
+    /// In-process shard count. `1` (the default) keeps single-shard
+    /// execution; at higher values plans that pass the strict gate run
+    /// on the chunk pipeline over that many hash-partitioned parts —
+    /// whatever `vectorized` says — with exchanges metering
+    /// `shipped_rows` / `shipped_bytes`, byte-identical to single-shard
+    /// output.
     pub shards: NonZeroUsize,
     /// Push certified eager pre-aggregations below the exchange as
     /// combiners (partial aggregation per origin shard, merge at the
@@ -99,8 +100,8 @@ impl Default for ExecOptions {
 /// [`ResourceGuard`] rather than any one operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecSummary {
-    /// The path the plan ran on, with the reason when a faster
-    /// configured path refused it.
+    /// The path the plan ran on and at how many shards, with the reason
+    /// when a faster configuration refused it.
     pub path: ExecPath,
     /// Memory high-water mark: largest operator-state footprint held at
     /// any one time (bytes).
@@ -135,7 +136,7 @@ pub(crate) fn input_batches(len: usize) -> u64 {
 }
 
 /// The row filter: keep the rows whose predicate is `true` under 3VL.
-pub(crate) fn filter_rows(
+fn filter_rows(
     predicate: &BoundExpr,
     rows: Vec<Vec<Value>>,
     guard: &ResourceGuard,
@@ -151,7 +152,7 @@ pub(crate) fn filter_rows(
 }
 
 /// The row projection: evaluate `exprs` on every row.
-pub(crate) fn project_rows(
+fn project_rows(
     exprs: &[BoundExpr],
     rows: &[Vec<Value>],
     guard: &ResourceGuard,
@@ -166,10 +167,7 @@ pub(crate) fn project_rows(
 
 /// Duplicate elimination under `=ⁿ` (NULL equals NULL), keeping the
 /// first occurrence of each row.
-pub(crate) fn distinct_rows(
-    rows: Vec<Vec<Value>>,
-    guard: &ResourceGuard,
-) -> Result<Vec<Vec<Value>>> {
+fn distinct_rows(rows: Vec<Vec<Value>>, guard: &ResourceGuard) -> Result<Vec<Vec<Value>>> {
     let mut seen: HashSet<GroupKey> = HashSet::new();
     let mut out = Vec::new();
     for row in rows {
@@ -274,8 +272,7 @@ impl<'a> Executor<'a> {
     ) -> Result<(ResultSet, ProfileNode, ExecSummary)> {
         let path = execution_path(plan, &self.options);
         let (rows, profile) = match path {
-            ExecPath::Sharded => crate::shard::run_sharded(self, plan, guard)?,
-            ExecPath::Batch => self.run_batched(plan, guard)?,
+            ExecPath::Pipeline { shards, .. } => self.run_pipeline(plan, shards, guard)?,
             ExecPath::Row(_) => self.run(plan, guard)?,
         };
         let (shipped_rows, shipped_bytes) = shipped_totals(&profile);
@@ -305,12 +302,13 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// The table scan every path but the chunk pipeline starts from.
-    /// The batched cursor is the fault-injection seam (short batches,
-    /// injected failures, NULL flips) and gives the guard a
-    /// cancellation point between batches; it always runs serial, so
-    /// cursor batches are thread- and shard-count invariant.
-    pub(crate) fn scan_rows(
+    /// The row engine's table scan (the chunk pipeline drains the same
+    /// cursor through `next_columnar`). The batched cursor is the
+    /// fault-injection seam (short batches, injected failures, NULL
+    /// flips) and gives the guard a cancellation point between batches;
+    /// it always runs serial, so cursor batches are thread-count
+    /// invariant.
+    fn scan_rows(
         &self,
         plan: &LogicalPlan,
         table: &str,
@@ -583,7 +581,7 @@ pub(crate) mod tests {
         s
     }
 
-    fn scan(s: &Storage, table: &str, alias: &str) -> LogicalPlan {
+    pub(crate) fn scan(s: &Storage, table: &str, alias: &str) -> LogicalPlan {
         let def = s.catalog().table(table).unwrap();
         LogicalPlan::Scan {
             table: table.into(),
@@ -609,7 +607,7 @@ pub(crate) mod tests {
     }
 
     /// Example 1's Plan 2 (eager): aggregate below the join — the
-    /// shard runner's combiner site.
+    /// sharded pipeline's combiner site.
     pub(crate) fn plan2(s: &Storage) -> LogicalPlan {
         let grouped = LogicalPlan::Aggregate {
             input: Box::new(scan(s, "Employee", "E")),
@@ -791,7 +789,7 @@ pub(crate) mod tests {
                 threads: NonZeroUsize::new(threads).unwrap(),
                 ..ExecOptions::default()
             };
-            assert_eq!(execution_path(&plan1(&s), &options), ExecPath::Batch);
+            assert_eq!(execution_path(&plan1(&s), &options).to_string(), "batch");
             let exec = Executor::with_options(&s, options);
             let (lazy, p) = exec.execute(&plan1(&s)).unwrap();
             assert_eq!(lazy.rows, expect_lazy.rows, "threads={threads}");
@@ -907,7 +905,7 @@ pub(crate) mod tests {
             vectorized: true,
             ..ExecOptions::default()
         };
-        assert_eq!(execution_path(&plan, &options), ExecPath::Batch);
+        assert_eq!(execution_path(&plan, &options).to_string(), "batch");
         let (got, p) = Executor::with_options(&s, options).execute(&plan).unwrap();
         assert_eq!(got.rows, expect.rows, "same order, not just same multiset");
         assert_eq!(p.operator, "Sort");

@@ -1,14 +1,14 @@
-//! Which of the three execution paths runs a plan, and why a faster
-//! one was refused.
+//! Which of the two execution paths runs a plan, and why a faster
+//! configuration was refused.
 //!
 //! The row engine is the oracle; the chunk pipeline
-//! ([`crate::pipeline`]) and the shard runner ([`crate::shard`]) must
-//! reproduce its rows, its first error and its counter fingerprint
-//! byte for byte. Both can promise that only for plans whose every
-//! expression is in the error-free rule (see [`crate::vectorized`]) and
-//! whose joins and aggregates use the hash algorithms, so one walker
-//! decides for both, over the whole plan: any refusal sends the *entire*
-//! plan to the row engine — never a per-operator mix.
+//! ([`crate::pipeline`]), at one part or over several, must reproduce
+//! its rows, its first error and its counter fingerprint byte for byte.
+//! It can promise that only for plans whose every expression is in the
+//! error-free rule (see [`crate::vectorized`]) and whose joins and
+//! aggregates use the hash algorithms, so one walker decides, over the
+//! whole plan: any refusal sends the *entire* plan to the next slower
+//! configuration — never a per-operator mix.
 
 use std::fmt;
 
@@ -22,13 +22,30 @@ use crate::vectorized::vectorizable;
 /// The execution path [`execution_path`] picked for a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPath {
-    /// The multi-shard runner ([`ExecOptions::shards`] > 1).
-    Sharded,
-    /// The batch-native chunk pipeline ([`ExecOptions::vectorized`]).
-    Batch,
     /// The row engine: `None` when the options asked for it, otherwise
-    /// the reason the last faster path tried refused the plan.
+    /// the reason the last pipeline configuration tried refused the
+    /// plan.
     Row(Option<Refusal>),
+    /// The chunk pipeline.
+    Pipeline {
+        /// The part count the plan runs at: [`ExecOptions::shards`] when
+        /// the strict gate admits it, else 1.
+        shards: usize,
+        /// When more than one shard was configured but the plan runs at
+        /// one: the configured count and why the strict gate refused.
+        refused: Option<(usize, Refusal)>,
+    },
+}
+
+impl ExecPath {
+    /// The shard count the plan runs at (1 on the row engine).
+    #[must_use]
+    pub fn shards(&self) -> usize {
+        match self {
+            ExecPath::Row(_) => 1,
+            ExecPath::Pipeline { shards, .. } => *shards,
+        }
+    }
 }
 
 /// Why a plan cannot leave the row engine: the first offending operator
@@ -54,10 +71,10 @@ pub enum RefusalReason {
     /// is outside the error-free rule (arithmetic can error, and error
     /// order must stay the oracle's).
     Arithmetic,
-    /// An aggregate argument is outside the error-free rule under
-    /// shards, where per-shard accumulation could reorder its errors
-    /// (the chunk pipeline evaluates arguments row-major and only needs
-    /// them to bind).
+    /// An aggregate argument is outside the error-free rule over
+    /// several parts, where per-part accumulation could reorder its
+    /// errors (at one part the pipeline evaluates arguments row-major
+    /// and only needs them to bind).
     AggregateArgument,
 }
 
@@ -88,30 +105,46 @@ impl fmt::Display for Refusal {
 impl fmt::Display for ExecPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecPath::Sharded => f.write_str("sharded"),
-            ExecPath::Batch => f.write_str("batch"),
             ExecPath::Row(None) => f.write_str("row"),
             ExecPath::Row(Some(refusal)) => write!(f, "row ({refusal})"),
+            ExecPath::Pipeline {
+                refused: Some((configured, refusal)),
+                ..
+            } => write!(f, "batch ({configured} shards refused — {refusal})"),
+            ExecPath::Pipeline { shards: 1, .. } => f.write_str("batch"),
+            ExecPath::Pipeline { shards, .. } => write!(f, "sharded({shards})"),
         }
     }
 }
 
-/// The path `plan` runs on under `options`: sharded when more than one
-/// shard is configured and the plan passes the gate, else batch-native
-/// when vectorized execution is on and the plan passes, else the row
-/// engine.
+/// The path `plan` runs on under `options`: the pipeline over
+/// [`ExecOptions::shards`] parts when more than one shard is configured
+/// and the plan passes the strict gate, else the pipeline at one part
+/// when vectorized execution is on and the plan passes the lax gate,
+/// else the row engine.
 #[must_use]
 pub fn execution_path(plan: &LogicalPlan, options: &ExecOptions) -> ExecPath {
+    let shards = options.shards.get();
     let mut refused = None;
-    if options.shards.get() > 1 {
+    if shards > 1 {
         match refusal(plan, options, true) {
-            None => return ExecPath::Sharded,
+            None => {
+                return ExecPath::Pipeline {
+                    shards,
+                    refused: None,
+                }
+            }
             some => refused = some,
         }
     }
     if options.vectorized {
         match refusal(plan, options, false) {
-            None => return ExecPath::Batch,
+            None => {
+                return ExecPath::Pipeline {
+                    shards: 1,
+                    refused: refused.map(|refusal| (shards, refusal)),
+                }
+            }
             some => refused = some,
         }
     }
@@ -127,7 +160,7 @@ fn error_free<'e>(schema: &Result<Schema>, mut exprs: impl Iterator<Item = &'e E
 }
 
 /// The first operator of `plan` outside the gate, if any. `sharded`
-/// selects the one rule that differs between the two fast paths: how
+/// selects the one rule that differs between one part and several: how
 /// strict aggregate arguments are.
 fn refusal(plan: &LogicalPlan, options: &ExecOptions, sharded: bool) -> Option<Refusal> {
     if let Some(below) = plan
@@ -278,8 +311,8 @@ mod tests {
     type Expected = Option<(&'static str, RefusalReason)>;
 
     /// Every `LogicalPlan` variant, admitted and refused: `(name, plan,
-    /// what the chunk pipeline says, what the shard runner says)`, with
-    /// `None` = admitted.
+    /// what the lax one-part gate says, what the strict gate says)`,
+    /// with `None` = admitted.
     fn cases() -> Vec<(&'static str, LogicalPlan, Expected, Expected)> {
         use RefusalReason::{AggregateArgument, Arithmetic, CrossJoin, NoEquiKey};
         let both = |name, plan, refusal: Expected| (name, plan, refusal, refusal);
@@ -346,6 +379,10 @@ mod tests {
         ]
     }
 
+    fn pipeline(shards: usize, refused: Option<(usize, Refusal)>) -> ExecPath {
+        ExecPath::Pipeline { shards, refused }
+    }
+
     #[test]
     fn execution_path_table() {
         let refusal = |r: Expected| r.map(|(operator, reason)| Refusal { operator, reason });
@@ -358,8 +395,10 @@ mod tests {
                         ..ExecOptions::default()
                     };
                     let expect = match (shards > 1, vectorized) {
-                        (true, _) if sharded.is_none() => ExecPath::Sharded,
-                        (_, true) if batch.is_none() => ExecPath::Batch,
+                        (true, _) if sharded.is_none() => pipeline(shards, None),
+                        (many, true) if batch.is_none() => {
+                            pipeline(1, refusal(sharded).filter(|_| many).map(|r| (shards, r)))
+                        }
                         (_, true) => ExecPath::Row(refusal(batch)),
                         (true, false) => ExecPath::Row(refusal(sharded)),
                         (false, false) => ExecPath::Row(None),
@@ -405,7 +444,7 @@ mod tests {
                 assert_eq!(
                     execution_path(&join(equi()), &options),
                     if hash_join {
-                        ExecPath::Sharded
+                        pipeline(4, None)
                     } else {
                         refused("Join")
                     },
@@ -414,7 +453,7 @@ mod tests {
                 assert_eq!(
                     execution_path(&agg_plan, &options),
                     if agg_algo == AggAlgo::Hash {
-                        ExecPath::Sharded
+                        pipeline(4, None)
                     } else {
                         refused("Aggregate")
                     },
@@ -422,7 +461,7 @@ mod tests {
                 );
                 assert_eq!(
                     execution_path(&scan("L"), &options),
-                    ExecPath::Sharded,
+                    pipeline(4, None),
                     "{ctx}"
                 );
             }
@@ -431,8 +470,17 @@ mod tests {
 
     #[test]
     fn paths_render_as_one_line() {
-        assert_eq!(ExecPath::Batch.to_string(), "batch");
+        assert_eq!(pipeline(1, None).to_string(), "batch");
+        assert_eq!(pipeline(4, None).to_string(), "sharded(4)");
         assert_eq!(ExecPath::Row(None).to_string(), "row");
+        let argument = Refusal {
+            operator: "Aggregate",
+            reason: RefusalReason::AggregateArgument,
+        };
+        assert_eq!(
+            pipeline(1, Some((4, argument))).to_string(),
+            "batch (4 shards refused — Aggregate: aggregate argument not error-free)"
+        );
         let arithmetic = Refusal {
             operator: "Filter",
             reason: RefusalReason::Arithmetic,

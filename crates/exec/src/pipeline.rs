@@ -1,11 +1,10 @@
-//! The batch-native pipeline: end-to-end columnar execution with late
-//! materialization.
+//! The chunk pipeline: end-to-end columnar execution with late
+//! materialization, over one chunk stream per shard.
 //!
 //! When [`execution_path`](crate::execution_path) answers
-//! [`ExecPath::Batch`](crate::ExecPath) — vectorized execution is on
-//! and the *whole* plan passes the gate — the executor runs this
-//! pipeline instead of the row engine: the scan produces
-//! [`ColumnarBatch`]es directly
+//! [`ExecPath::Pipeline`](crate::ExecPath) — the *whole* plan passes
+//! the gate — the executor runs this pipeline instead of the row
+//! engine: the scan produces [`ColumnarBatch`]es directly
 //! ([`gbj_storage::ScanCursor::next_columnar`], no intermediate row
 //! vec), filters and probe phases carry row-id *selection vectors* over
 //! shared batches instead of copying rows, string join/group keys hash
@@ -14,44 +13,74 @@
 //! pipeline breakers (hash join, hash aggregate, sort) — or at the very
 //! end, when the result set is assembled.
 //!
+//! **Parts.** What flows between operators is [`Parts`]: one chunk
+//! stream per shard, `n` = the shard count the path was admitted at.
+//! [`Executor::run_chunks`] walks the plan together with
+//! [`gbj_plan::distribute`]'s [`Distribution`] tree — the same tree the
+//! optimizer's `plan_distribution` prices — so the pipeline *executes*
+//! placement, it does not decide it. The scan deals its batches out to
+//! the parts (by the declared partition key, else round-robin); every
+//! operator body then maps over parts on
+//! [`ExecOptions::threads`](crate::ExecOptions) workers; and an input's
+//! [`Movement`] is one more breaker in front of the operator:
+//! `Repartition` is an [`exchange`] on the named key columns (under
+//! `=ⁿ`, so NULL keys share one part, while join keys still compare
+//! under 3VL), `Gather` concentrates on part 0, `Combine` — legal only
+//! under the FD1/FD2 certificate the engine sets
+//! [`ExecOptions::combiner`](crate::ExecOptions::combiner) from — ships
+//! one partial per group per origin instead of raw rows. Exchanges
+//! meter `shipped_rows` / `shipped_bytes`; an input that moves
+//! materializes every column, so the modelled wire size of a row never
+//! depends on late materialization. One part is the degenerate case:
+//! nothing can move, the part runs inline on the calling thread, and
+//! the operators carry their single-shard names.
+//!
 //! **The row engine stays the oracle.** Every operator here reproduces
 //! the row path's observable behaviour exactly:
 //!
-//! - *Results*: byte-identical rows in the same order.
+//! - *Results*: byte-identical rows — in the same order at one part, as
+//!   the same multiset over several.
 //! - *Errors*: the gate admits only plans whose expressions are in the
-//!   error-free vectorizable domain (see [`crate::vectorized`]) and
-//!   whose aggregate arguments are evaluated row-major, so the first
-//!   error — fault-injected scan failures included — is the same one
-//!   the row engine would raise. Anything outside the gate takes the
-//!   row engine wholesale; there is no per-operator mixing.
+//!   error-free vectorizable domain (see [`crate::vectorized`]); at one
+//!   part aggregate arguments may fall outside it because they are
+//!   evaluated row-major, over several they may not, because per-part
+//!   accumulation could reorder their errors. So the first error —
+//!   fault-injected scan failures included, the scan being the same
+//!   serial cursor at every part count — is the one the row engine
+//!   would raise. Anything outside the gate takes the row engine
+//!   wholesale; there is no per-operator mixing. Like the parallel row
+//!   operators, accumulator-state overflow (`SUM` crossing `i64::MAX`
+//!   mid-stream) can differ from serial accumulation order over several
+//!   parts; see DESIGN.md §9.
 //! - *Counters*: the `[rows_in, rows_out, batches, hash_entries]`
-//!   fingerprint, `state_bytes`, and the guard's rows/memory charges
-//!   follow the row path call-for-call (same charge order, same
-//!   per-entry byte formulas; the aggregate shares the row engine's
-//!   [`Groups`] table), so profiles stay engine-invariant. Only the
-//!   non-fingerprint `vectors`/`selected`/`kernel_ns` observability
-//!   counters are specific to this path (the row engine reports 0).
-//!
-//! The pipeline is serial at every
-//! [`ExecOptions::threads`](crate::ExecOptions) value: its breakers are
-//! the columnar `join_columnar` / `aggregate_columnar`, and its profile
-//! is identical at every thread count.
+//!   fingerprint and the guard's row charges follow the row path
+//!   call-for-call at every part count: totals are charged from logical
+//!   input sizes, parts share one [`MetricsSink`] and their disjoint
+//!   contributions (build rows, distinct groups) sum to the one-part
+//!   numbers, and the combiner records the *merged* group count. Only
+//!   the non-fingerprint `vectors`/`selected`/`kernel_ns` counters are
+//!   specific to this path (the row engine reports 0), and the shipped
+//!   counters scale with the part count — deterministically: identical
+//!   across thread counts and repeated runs.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use gbj_expr::{Accumulator, BoundExpr};
-use gbj_plan::{EquiKey, LogicalPlan};
+use gbj_plan::{distribute, Distribution, EquiKey, LogicalPlan, Movement};
 use gbj_types::{internal_err, GroupKey, Result, Truth, Value};
 
 use crate::aggregate::{
-    compile_aggregates, new_accumulators, update_all, CompiledAggregate, Groups,
+    compile_aggregates, new_accumulators, update_all, CompiledAggregate, Groups, Partial,
+    ACC_ENTRY_BYTES,
 };
 use crate::batch::{Bitmap, ColumnVector, ColumnarBatch, NULL_CODE};
+use crate::exchange::{exchange, gather, key_at, route, ROW_FRAME_BYTES};
 use crate::executor::{bind_sort_keys, input_batches, sort_rows, Executor};
 use crate::guard::{row_bytes, ResourceGuard};
 use crate::join::bind_join;
 use crate::metrics::MetricsSink;
+use crate::parallel::{collect_in_order, lock, run_morsels};
 use crate::result::ProfileNode;
 use crate::vectorized::{eval_truth_vec, eval_value_vec, filter_selection, vectorizable};
 
@@ -68,12 +97,12 @@ pub(crate) struct Chunk {
 
 impl Chunk {
     /// Number of live rows.
-    fn out_len(&self) -> usize {
+    pub(crate) fn out_len(&self) -> usize {
         self.sel.as_ref().map_or(self.batch.len(), Vec::len)
     }
 
     /// Iterate live row ids in output order.
-    fn indices(&self) -> SelIter<'_> {
+    pub(crate) fn indices(&self) -> SelIter<'_> {
         match &self.sel {
             Some(sel) => SelIter::Sel(sel.iter()),
             None => SelIter::All(0..self.batch.len()),
@@ -82,7 +111,7 @@ impl Chunk {
 }
 
 /// Iterator over a chunk's live row ids.
-enum SelIter<'a> {
+pub(crate) enum SelIter<'a> {
     All(std::ops::Range<usize>),
     Sel(std::slice::Iter<'a, u32>),
 }
@@ -97,20 +126,84 @@ impl Iterator for SelIter<'_> {
     }
 }
 
+/// One chunk stream per shard: the unit that flows between operators.
+/// One part is single-shard execution.
+pub(crate) type Parts = Vec<Vec<Chunk>>;
+
 /// Total live rows across a chunk stream.
 fn stream_len(chunks: &[Chunk]) -> usize {
     chunks.iter().map(Chunk::out_len).sum()
 }
 
-/// Materialize a chunk stream as rows (live rows only, in order).
-fn chunk_rows(chunks: &[Chunk]) -> Vec<Vec<Value>> {
-    let mut rows = Vec::with_capacity(stream_len(chunks));
+/// Total live rows across all parts.
+fn parts_len(parts: &Parts) -> usize {
+    parts.iter().map(|chunks| stream_len(chunks)).sum()
+}
+
+/// Materialize chunks as rows (live rows only, in order).
+pub(crate) fn chunk_rows<'a, I>(chunks: I) -> Vec<Vec<Value>>
+where
+    I: IntoIterator<Item = &'a Chunk>,
+    I::IntoIter: Clone,
+{
+    let chunks = chunks.into_iter();
+    let mut rows = Vec::with_capacity(chunks.clone().map(Chunk::out_len).sum());
     for ch in chunks {
-        for i in ch.indices() {
-            rows.push(ch.batch.columns().iter().map(|c| c.value(i)).collect());
-        }
+        rows.extend(ch.indices().map(|i| ch.batch.row(i)));
     }
     rows
+}
+
+/// A breaker's materialized output rows as a one-chunk stream.
+fn rows_chunk(rows: &[Vec<Value>], arity: usize) -> Result<Vec<Chunk>> {
+    let batch = ColumnarBatch::from_rows(rows, arity)?;
+    Ok(vec![Chunk { batch, sel: None }])
+}
+
+/// `chunks` on part 0 of `n` — where a gather leaves its rows.
+fn on_part_zero(chunks: Vec<Chunk>, n: usize) -> Parts {
+    let mut parts = vec![chunks];
+    parts.resize_with(n, Vec::new);
+    parts
+}
+
+/// Run `f` over every part (its rows, or its shipped partials) and
+/// collect the outputs in part order: inline on the calling thread for
+/// one part, else one morsel per part on the worker pool, with
+/// deterministic lowest-part-first error selection.
+fn map_parts<R, T, F>(threads: usize, parts: Vec<R>, f: &F) -> Result<Vec<T>>
+where
+    R: Send,
+    T: Send,
+    F: Fn(R) -> Result<T> + Sync,
+{
+    if parts.len() == 1 {
+        return parts.into_iter().map(f).collect();
+    }
+    let cells: Vec<Mutex<Option<R>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    collect_in_order(run_morsels(cells.len(), threads, &|i| {
+        let part = cells.get(i).and_then(|cell| lock(cell).take());
+        f(part.ok_or_else(|| internal_err!("part {i} claimed twice or out of range"))?)
+    }))
+}
+
+/// Input `i`'s movement and distribution. One part moves nothing.
+fn input_of(dist: &Distribution, i: usize, n: usize) -> Result<(&Movement, &Distribution)> {
+    let (movement, child) = dist
+        .input(i)
+        .ok_or_else(|| internal_err!("distribution tree lacks input {i}"))?;
+    Ok((if n == 1 { &Movement::Stay } else { movement }, child))
+}
+
+/// Carry out a row movement in front of a per-part operator body,
+/// metering what crosses part boundaries into `sink`. Gathers and
+/// combiners belong to the operators that can perform them.
+fn repartition(parts: Parts, movement: &Movement, sink: &MetricsSink) -> Result<Parts> {
+    match movement {
+        Movement::Stay => Ok(parts),
+        Movement::Repartition(ords) => exchange(parts, ords, sink),
+        other => Err(internal_err!("{other:?} is not a per-part row movement")),
+    }
 }
 
 /// Mark every column ordinal `expr` reads in `req`.
@@ -254,31 +347,72 @@ fn concat_columns(parts: &[ColumnVector], total: usize) -> ColumnVector {
 }
 
 impl Executor<'_> {
-    /// Run `plan` batch-native and materialize the result rows at the
-    /// very end. Callers must have checked that
-    /// [`execution_path`](crate::execution_path) admits the plan.
-    pub(crate) fn run_batched(
+    /// Run `plan` on the chunk pipeline over `n` parts and materialize
+    /// the result rows at the very end, in part order. Callers must
+    /// have checked that [`execution_path`](crate::execution_path)
+    /// admits the plan at `n`.
+    pub(crate) fn run_pipeline(
         &self,
         plan: &LogicalPlan,
+        n: usize,
         guard: &ResourceGuard,
     ) -> Result<(Vec<Vec<Value>>, ProfileNode)> {
+        let dist = distribute(plan, self.options.combiner, &|table| {
+            self.storage.partition_key(table).map(<[usize]>::to_vec)
+        });
         let required = vec![true; plan.schema()?.len()];
-        let (chunks, profile) = self.run_chunks(plan, &required, guard)?;
-        Ok((chunk_rows(&chunks), profile))
+        let (parts, profile) = self.run_chunks(plan, &dist, &required, n, guard)?;
+        // Final delivery to the client is not an exchange: both plan
+        // shapes return the same result rows, so it is never metered.
+        Ok((chunk_rows(parts.iter().flatten()), profile))
     }
 
-    /// Recursively execute `plan`, producing a chunk stream. `required`
-    /// flags which output columns the parent will read; operators may
-    /// emit all-NULL placeholders for the rest (late materialization) —
-    /// except scans, which always build every column so fault-injection
-    /// counters stay identical to the row path.
+    /// Run input `i` of an operator whose *input* rows are what its
+    /// movement moves (joins, aggregates, sorts), handing back the
+    /// movement to carry out. A moved row is priced as a whole row, so
+    /// an input that moves must materialize every column.
+    fn run_input<'d>(
+        &self,
+        input: &LogicalPlan,
+        i: usize,
+        dist: &'d Distribution,
+        required: &mut [bool],
+        n: usize,
+        guard: &ResourceGuard,
+    ) -> Result<(Parts, ProfileNode, &'d Movement)> {
+        let (movement, child_dist) = input_of(dist, i, n)?;
+        if *movement != Movement::Stay {
+            required.fill(true);
+        }
+        let (parts, profile) = self.run_chunks(input, child_dist, required, n, guard)?;
+        Ok((parts, profile, movement))
+    }
+
+    /// Recursively execute `plan` over `n` parts, carrying out the
+    /// movements `dist` prescribes. `required` flags which output
+    /// columns the parent will read; operators may emit all-NULL
+    /// placeholders for the rest (late materialization) — except scans,
+    /// which always build every column so fault-injection counters stay
+    /// identical to the row path.
+    #[allow(clippy::too_many_lines)]
     fn run_chunks(
         &self,
         plan: &LogicalPlan,
+        dist: &Distribution,
         required: &[bool],
+        n: usize,
         guard: &ResourceGuard,
-    ) -> Result<(Vec<Chunk>, ProfileNode)> {
+    ) -> Result<(Parts, ProfileNode)> {
+        let threads = self.options.threads.get();
+        // Operator names say whether the body ran over several parts.
+        let named = |one: &'static str, many: &'static str| if n > 1 { many } else { one };
         match plan {
+            // One serial cursor at every part count — same batches, same
+            // global batch ordinals, same row-id-keyed NULL flips — so a
+            // seeded fault injector cannot tell how many parts there
+            // are. Each batch is then dealt out: by the declared
+            // partition key under `=ⁿ`, else round-robin on the global
+            // row ordinal, as a loader without placement knowledge would.
             LogicalPlan::Scan { table, schema, .. } => {
                 let sink = self.sink();
                 let timer = sink.start_timer();
@@ -286,19 +420,28 @@ impl Executor<'_> {
                 if cursor.arity() != schema.len() {
                     return Err(internal_err!("scan schema arity mismatch for {table}"));
                 }
-                let mut chunks = Vec::new();
-                let mut n = 0usize;
+                let key = dist.partitioning.key();
+                let mut parts: Parts = (0..n).map(|_| Vec::new()).collect();
+                let mut scanned = 0usize;
                 while let Some(batch) = cursor.next_columnar()? {
                     guard.charge_rows(batch.len())?;
                     sink.add_batches(1);
                     sink.add_vectors(1);
-                    n += batch.len();
-                    chunks.push(Chunk { batch, sel: None });
+                    let first = scanned;
+                    scanned += batch.len();
+                    route(
+                        Chunk { batch, sel: None },
+                        &mut parts,
+                        |batch, i| match key {
+                            Some(ords) => Ok(key_at(batch, ords, i)?.shard(n)),
+                            None => Ok((first + i) % n),
+                        },
+                    )?;
                 }
                 sink.record_probe(timer);
-                let profile = ProfileNode::new(plan.label(), "Scan", n, vec![])
-                    .with_metrics(sink.finish(n, n));
-                Ok((chunks, profile))
+                let profile = ProfileNode::new(plan.label(), "Scan", scanned, vec![])
+                    .with_metrics(sink.finish(scanned, scanned));
+                Ok((parts, profile))
             }
 
             LogicalPlan::Filter { input, predicate } => {
@@ -307,44 +450,48 @@ impl Executor<'_> {
                 let mut child_req = required.to_vec();
                 child_req.resize(in_schema.len(), false);
                 expr_columns(&bound, &mut child_req);
-                let (in_chunks, child) = self.run_chunks(input, &child_req, guard)?;
+                let (_, child_dist) = input_of(dist, 0, n)?;
+                let (in_parts, child) = self.run_chunks(input, child_dist, &child_req, n, guard)?;
                 let sink = self.sink();
                 let timer = sink.start_timer();
-                let n_in = stream_len(&in_chunks);
-                let mut out_chunks = Vec::with_capacity(in_chunks.len());
-                let mut out_count = 0usize;
-                for ch in in_chunks {
-                    guard.tick()?;
-                    let kt = sink.start_timer();
-                    sink.add_vectors(1);
-                    let truths = eval_truth_vec(&bound, &ch.batch)?;
-                    sink.record_kernel(kt);
-                    let sel: Vec<u32> = match &ch.sel {
-                        Some(sel) => sel
-                            .iter()
-                            .copied()
-                            .filter(|&i| truths.get(i as usize) == Some(&Truth::True))
-                            .collect(),
-                        None => truths
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, t)| **t == Truth::True)
-                            .map(|(i, _)| i as u32)
-                            .collect(),
-                    };
-                    out_count += sel.len();
-                    out_chunks.push(Chunk {
-                        batch: ch.batch,
-                        sel: Some(sel),
-                    });
-                }
+                let n_in = parts_len(&in_parts);
+                let parts = map_parts(threads, in_parts, &|chunks: Vec<Chunk>| {
+                    let mut out = Vec::with_capacity(chunks.len());
+                    for ch in chunks {
+                        guard.tick()?;
+                        let kt = sink.start_timer();
+                        sink.add_vectors(1);
+                        let truths = eval_truth_vec(&bound, &ch.batch)?;
+                        sink.record_kernel(kt);
+                        let sel: Vec<u32> = match &ch.sel {
+                            Some(sel) => sel
+                                .iter()
+                                .copied()
+                                .filter(|&i| truths.get(i as usize) == Some(&Truth::True))
+                                .collect(),
+                            None => truths
+                                .iter()
+                                .enumerate()
+                                .filter(|(_, t)| **t == Truth::True)
+                                .map(|(i, _)| i as u32)
+                                .collect(),
+                        };
+                        out.push(Chunk {
+                            batch: ch.batch,
+                            sel: Some(sel),
+                        });
+                    }
+                    Ok(out)
+                })?;
+                let out_count = parts_len(&parts);
                 sink.add_selected(out_count as u64);
                 guard.charge_rows(out_count)?;
                 sink.add_batches(1);
                 sink.record_probe(timer);
-                let profile = ProfileNode::new(plan.label(), "Filter", out_count, vec![child])
+                let op = named("Filter", "ShardedFilter");
+                let profile = ProfileNode::new(plan.label(), op, out_count, vec![child])
                     .with_metrics(sink.finish(n_in, out_count));
-                Ok((out_chunks, profile))
+                Ok((parts, profile))
             }
 
             LogicalPlan::Project {
@@ -361,67 +508,73 @@ impl Executor<'_> {
                 for b in &bound {
                     expr_columns(b, &mut child_req);
                 }
-                let (in_chunks, child) = self.run_chunks(input, &child_req, guard)?;
+                let (movement, child_dist) = input_of(dist, 0, n)?;
+                let (in_parts, child) = self.run_chunks(input, child_dist, &child_req, n, guard)?;
                 let sink = self.sink();
                 let timer = sink.start_timer();
-                let n_in = stream_len(&in_chunks);
-                let mut out_chunks = Vec::with_capacity(in_chunks.len());
-                let mut out_count = 0usize;
-                let mut seen: HashSet<GroupKey> = HashSet::new();
-                for ch in in_chunks {
-                    guard.tick()?;
-                    let kt = sink.start_timer();
-                    sink.add_vectors(1);
-                    let cols: Vec<ColumnVector> = bound
-                        .iter()
-                        .map(|b| Ok(eval_value_vec(b, &ch.batch)?.into_owned()))
-                        .collect::<Result<_>>()?;
-                    sink.record_kernel(kt);
-                    let len = ch.batch.len();
-                    let out_batch = ColumnarBatch::from_columns(cols, len)?;
-                    let sel = if *distinct {
-                        let mut kept: Vec<u32> = Vec::new();
-                        for i in ch.indices() {
-                            let key =
-                                GroupKey(out_batch.columns().iter().map(|c| c.value(i)).collect());
-                            if seen.insert(key) {
-                                kept.push(i as u32);
+                let n_in = parts_len(&in_parts);
+                let projected = map_parts(threads, in_parts, &|chunks: Vec<Chunk>| {
+                    let mut out = Vec::with_capacity(chunks.len());
+                    for ch in chunks {
+                        guard.tick()?;
+                        let kt = sink.start_timer();
+                        sink.add_vectors(1);
+                        let cols: Vec<ColumnVector> = bound
+                            .iter()
+                            .map(|b| Ok(eval_value_vec(b, &ch.batch)?.into_owned()))
+                            .collect::<Result<_>>()?;
+                        sink.record_kernel(kt);
+                        let batch = ColumnarBatch::from_columns(cols, ch.batch.len())?;
+                        out.push(Chunk { batch, sel: ch.sel });
+                    }
+                    Ok(out)
+                })?;
+                // DISTINCT moves the *projected* rows: equal output rows
+                // co-locate (whole row = the `=ⁿ` key), then each part
+                // dedups its own. The per-part distinct counts are
+                // disjoint and sum to the one-part dedup-set size.
+                let mut parts = repartition(projected, movement, &sink)?;
+                if *distinct {
+                    parts = map_parts(threads, parts, &|chunks: Vec<Chunk>| {
+                        let mut seen: HashSet<GroupKey> = HashSet::new();
+                        let dedup = |ch: Chunk| {
+                            let kept = ch
+                                .indices()
+                                .filter(|&i| seen.insert(GroupKey(ch.batch.row(i))))
+                                .map(|i| i as u32)
+                                .collect();
+                            Chunk {
+                                batch: ch.batch,
+                                sel: Some(kept),
                             }
-                        }
-                        Some(kept)
-                    } else {
-                        ch.sel
-                    };
-                    out_count += sel.as_ref().map_or(len, Vec::len);
-                    out_chunks.push(Chunk {
-                        batch: out_batch,
-                        sel,
-                    });
+                        };
+                        Ok(chunks.into_iter().map(dedup).collect())
+                    })?;
                 }
+                let out_count = parts_len(&parts);
                 guard.charge_rows(out_count)?;
                 let op = if *distinct {
                     sink.add_hash_entries(out_count as u64);
-                    "ProjectDistinct"
+                    named("ProjectDistinct", "ShardedProjectDistinct")
                 } else {
-                    "Project"
+                    named("Project", "ShardedProject")
                 };
                 sink.add_batches(1);
                 sink.record_probe(timer);
                 let profile = ProfileNode::new(plan.label(), op, out_count, vec![child])
                     .with_metrics(sink.finish(n_in, out_count));
-                Ok((out_chunks, profile))
+                Ok((parts, profile))
             }
 
             LogicalPlan::SubqueryAlias { input, .. } => {
-                let (chunks, child) = self.run_chunks(input, required, guard)?;
+                let (_, child_dist) = input_of(dist, 0, n)?;
+                let (parts, child) = self.run_chunks(input, child_dist, required, n, guard)?;
                 let sink = self.sink();
                 sink.add_batches(1);
-                let n = stream_len(&chunks);
-                Ok((
-                    chunks,
-                    ProfileNode::new(plan.label(), "SubqueryAlias", n, vec![child])
-                        .with_metrics(sink.finish(n, n)),
-                ))
+                let rows = parts_len(&parts);
+                let profile = ProfileNode::new(plan.label(), "SubqueryAlias", rows, vec![child])
+                    .with_metrics(sink.finish(rows, rows));
+                Ok((parts, profile))
             }
 
             LogicalPlan::Join {
@@ -442,27 +595,33 @@ impl Executor<'_> {
                     mark(&mut lreq, k.left);
                     mark(&mut rreq, k.right);
                 }
-                let (l_chunks, lp) = self.run_chunks(left, &lreq, guard)?;
-                let (r_chunks, rp) = self.run_chunks(right, &rreq, guard)?;
-                let l_len = stream_len(&l_chunks);
-                let r_len = stream_len(&r_chunks);
+                let (l_parts, lp, l_move) = self.run_input(left, 0, dist, &mut lreq, n, guard)?;
+                let (r_parts, rp, r_move) = self.run_input(right, 1, dist, &mut rreq, n, guard)?;
+                let l_len = parts_len(&l_parts);
+                let r_len = parts_len(&r_parts);
                 let sink = self.sink();
                 sink.add_batches(input_batches(l_len) + input_batches(r_len));
-                let out_chunk = join_columnar(
-                    &l_chunks,
-                    &r_chunks,
-                    &lreq,
-                    &rreq,
-                    &join.keys,
-                    &join.residual,
-                    guard,
-                    &sink,
-                )?;
-                let out_count = out_chunk.out_len();
+                // Each side repartitions on its key columns unless it is
+                // already routed exactly that way (a declared partition
+                // key, a combiner's output). NULL-key rows are routed
+                // but — join keys compare under 3VL — never matched.
+                // Every build row lives on exactly one part, so the
+                // parts' entry counts sum to the one-part count.
+                let l_parts = repartition(l_parts, l_move, &sink)?;
+                let r_parts = repartition(r_parts, r_move, &sink)?;
+                let sides: Vec<(Vec<Chunk>, Vec<Chunk>)> =
+                    l_parts.into_iter().zip(r_parts).collect();
+                let parts = map_parts(threads, sides, &|(l, r): (Vec<Chunk>, Vec<Chunk>)| {
+                    let (keys, residual) = (&join.keys, &join.residual);
+                    join_columnar(&l, &r, &lreq, &rreq, keys, residual, guard, &sink)
+                        .map(|chunk| vec![chunk])
+                })?;
+                let out_count = parts_len(&parts);
                 guard.charge_rows(out_count)?;
-                let profile = ProfileNode::new(plan.label(), "HashJoin", out_count, vec![lp, rp])
+                let op = named("HashJoin", "ShardedHashJoin");
+                let profile = ProfileNode::new(plan.label(), op, out_count, vec![lp, rp])
                     .with_metrics(sink.finish(l_len + r_len, out_count));
-                Ok((vec![out_chunk], profile))
+                Ok((parts, profile))
             }
 
             LogicalPlan::Aggregate {
@@ -479,21 +638,59 @@ impl Executor<'_> {
                 {
                     expr_columns(b, &mut child_req);
                 }
-                let (in_chunks, child) = self.run_chunks(input, &child_req, guard)?;
-                let n_in = stream_len(&in_chunks);
+                let (in_parts, child, movement) =
+                    self.run_input(input, 0, dist, &mut child_req, n, guard)?;
+                let n_in = parts_len(&in_parts);
                 let sink = self.sink();
                 sink.add_batches(input_batches(n_in));
-                let rows = aggregate_columnar(&in_chunks, &group_bound, &compiled, guard, &sink)?;
-                guard.charge_rows(rows.len())?;
-                let n_out = rows.len();
-                let batch = ColumnarBatch::from_rows(&rows, plan.schema()?.len())?;
-                let profile = ProfileNode::new(plan.label(), "HashAggregate", n_out, vec![child])
+                let fold = ChunkFold {
+                    group_bound: &group_bound,
+                    compiled: &compiled,
+                    vectorized_args: compiled
+                        .iter()
+                        .all(|c| c.arg.as_ref().is_none_or(vectorizable)),
+                    arity: plan.schema()?.len(),
+                    guard,
+                    sink: &sink,
+                };
+                let (parts, op) = match movement {
+                    // Inherently global (a scalar aggregate yields one
+                    // row even over empty input): gather and run the
+                    // one body on part 0.
+                    Movement::Gather => (
+                        on_part_zero(fold.aggregate(&gather(in_parts, &sink))?, n),
+                        "GatherAggregate",
+                    ),
+                    // The certified pre-aggregation below the exchange.
+                    Movement::Combine(_) => {
+                        (fold.combine(threads, in_parts)?, "CombinerHashAggregate")
+                    }
+                    // Equal groups already share a part, or get there by
+                    // a raw-row exchange on the grouping columns (the
+                    // uncertified path GBJ502 flags): NULL is one `=ⁿ`
+                    // group on one part. Then full aggregation per part.
+                    Movement::Stay | Movement::Repartition(_) => (
+                        map_parts(
+                            threads,
+                            repartition(in_parts, movement, &sink)?,
+                            &|chunks: Vec<Chunk>| fold.aggregate(&chunks),
+                        )?,
+                        named("HashAggregate", "ShardedHashAggregate"),
+                    ),
+                };
+                let n_out = parts_len(&parts);
+                guard.charge_rows(n_out)?;
+                let profile = ProfileNode::new(plan.label(), op, n_out, vec![child])
                     .with_metrics(sink.finish(n_in, n_out));
-                Ok((vec![Chunk { batch, sel: None }], profile))
+                Ok((parts, profile))
             }
 
-            // A breaker like the row engine's: materialize, then the
-            // oracle's own stable sort with the oracle's charges.
+            // A breaker like the row engine's: a global order needs all
+            // rows in one place, so gather, materialize, then the
+            // oracle's own stable sort with the oracle's charges. Over
+            // several parts ties may interleave differently than in
+            // one-part input order (the sort is stable over the
+            // *gathered* order), which any ORDER BY contract permits.
             LogicalPlan::Sort { input, keys } => {
                 let in_schema = input.schema()?;
                 let bound = bind_sort_keys(keys, &in_schema)?;
@@ -502,18 +699,22 @@ impl Executor<'_> {
                 for (b, _) in &bound {
                     expr_columns(b, &mut child_req);
                 }
-                let (in_chunks, child) = self.run_chunks(input, &child_req, guard)?;
-                let rows = chunk_rows(&in_chunks);
-                let n = rows.len();
+                let (in_parts, child, _) =
+                    self.run_input(input, 0, dist, &mut child_req, n, guard)?;
                 let sink = self.sink();
-                sink.add_batches(input_batches(n));
+                let rows = chunk_rows(&gather(in_parts, &sink));
+                let n_rows = rows.len();
+                sink.add_batches(input_batches(n_rows));
                 let timer = sink.start_timer();
                 let rows = sort_rows(rows, &bound, guard)?;
                 sink.record_build(timer);
-                let batch = ColumnarBatch::from_rows(&rows, in_schema.len())?;
-                let profile = ProfileNode::new(plan.label(), "Sort", n, vec![child])
-                    .with_metrics(sink.finish(n, n));
-                Ok((vec![Chunk { batch, sel: None }], profile))
+                let op = named("Sort", "GatherSort");
+                let profile = ProfileNode::new(plan.label(), op, n_rows, vec![child])
+                    .with_metrics(sink.finish(n_rows, n_rows));
+                Ok((
+                    on_part_zero(rows_chunk(&rows, in_schema.len())?, n),
+                    profile,
+                ))
             }
 
             LogicalPlan::CrossJoin { .. } => Err(internal_err!(
@@ -737,30 +938,34 @@ fn join_columnar(
     Ok(Chunk { batch: out, sel })
 }
 
-/// Serial columnar hash aggregate: stream chunks (no concatenation),
-/// evaluating group keys — and, when every argument is vectorizable,
-/// aggregate arguments — column-at-a-time, and group via the row
-/// engine's [`Groups`] table keyed on raw codes. Non-vectorizable
-/// arguments are evaluated row-major per live row, so the first error
-/// is the row engine's. Counter and guard-charge order mirror
-/// [`crate::aggregate::hash_aggregate`] call-for-call.
-fn aggregate_columnar(
-    chunks: &[Chunk],
-    group_bound: &[BoundExpr],
-    compiled: &[CompiledAggregate],
-    guard: &ResourceGuard,
-    sink: &MetricsSink,
-) -> Result<Vec<Vec<Value>>> {
-    let args_vec = compiled
-        .iter()
-        .all(|c| c.arg.as_ref().is_none_or(vectorizable));
-    // One chunk's evaluated aggregate-argument columns (`None` for
-    // `COUNT(*)`), or `None` altogether on the row-major path.
-    let arg_columns = |batch: &ColumnarBatch| -> Result<Option<Vec<Option<ColumnVector>>>> {
-        if !args_vec {
+/// One chunk's evaluated aggregate-argument columns (`None` for
+/// `COUNT(*)`), or `None` altogether on the row-major path.
+type ArgColumns = Option<Vec<Option<ColumnVector>>>;
+
+/// The columnar hash aggregate over one part's chunk stream: stream
+/// chunks (no concatenation), evaluating group keys — and, when every
+/// argument is vectorizable, aggregate arguments — column-at-a-time,
+/// and group via the row engine's [`Groups`] table keyed on raw codes.
+/// Non-vectorizable arguments are evaluated row-major per live row, so
+/// the first error is the row engine's. Counter and guard-charge order
+/// mirror [`crate::aggregate::hash_aggregate`] call-for-call.
+struct ChunkFold<'a> {
+    group_bound: &'a [BoundExpr],
+    compiled: &'a [CompiledAggregate],
+    /// Whether every aggregate argument is vectorizable.
+    vectorized_args: bool,
+    /// Output arity: grouping columns plus aggregates.
+    arity: usize,
+    guard: &'a ResourceGuard,
+    sink: &'a MetricsSink,
+}
+
+impl<'a> ChunkFold<'a> {
+    fn arg_columns(&self, batch: &ColumnarBatch) -> Result<ArgColumns> {
+        if !self.vectorized_args {
             return Ok(None);
         }
-        compiled
+        self.compiled
             .iter()
             .map(|c| match &c.arg {
                 Some(a) => Ok(Some(eval_value_vec(a, batch)?.into_owned())),
@@ -768,69 +973,135 @@ fn aggregate_columnar(
             })
             .collect::<Result<_>>()
             .map(Some)
-    };
-    let feed = |accs: &mut [Accumulator],
-                cols: &Option<Vec<Option<ColumnVector>>>,
-                batch: &ColumnarBatch,
-                i: usize|
-     -> Result<()> {
+    }
+
+    /// Feed live row `i` of `batch` to one group's accumulators.
+    fn feed(
+        &self,
+        accs: &mut [Accumulator],
+        cols: &ArgColumns,
+        batch: &ColumnarBatch,
+        i: usize,
+    ) -> Result<()> {
         match cols {
             Some(cols) => cols.iter().zip(accs).try_for_each(|(col, acc)| {
                 acc.update(&col.as_ref().map_or(Value::Int(1), |c| c.value(i)))
             }),
-            None => {
-                let row: Vec<Value> = batch.columns().iter().map(|c| c.value(i)).collect();
-                update_all(compiled, accs, &row)
-            }
+            None => update_all(self.compiled, accs, &batch.row(i)),
         }
-    };
-
-    if group_bound.is_empty() {
-        // Scalar aggregate: exactly one group, even over empty input.
-        let scalar_timer = sink.start_timer();
-        let mut accs = new_accumulators(compiled);
-        for ch in chunks {
-            let kt = sink.start_timer();
-            let cols = arg_columns(&ch.batch)?;
-            if cols.is_some() {
-                sink.add_vectors(1);
-                sink.record_kernel(kt);
-            }
-            for i in ch.indices() {
-                guard.tick()?;
-                feed(&mut accs, &cols, &ch.batch, i)?;
-            }
-        }
-        sink.record_build(scalar_timer);
-        return Ok(vec![accs.iter().map(Accumulator::finish).collect()]);
     }
 
-    let build_timer = sink.start_timer();
-    let mut groups = Groups::new(compiled, guard);
-    let filled = chunks.iter().try_for_each(|ch| {
-        let kt = sink.start_timer();
-        sink.add_vectors(1);
-        let key_cols: Vec<ColumnVector> = group_bound
-            .iter()
-            .map(|b| Ok(eval_value_vec(b, &ch.batch)?.into_owned()))
-            .collect::<Result<_>>()?;
-        let arg_cols = arg_columns(&ch.batch)?;
-        sink.record_kernel(kt);
-        groups.prepare(&key_cols);
-        for i in ch.indices() {
-            guard.tick()?;
-            let slot = groups.slot(&key_cols, i)?;
-            feed(groups.accs_mut(slot)?, &arg_cols, &ch.batch, i)?;
+    /// Fold `chunks` into a fresh group table. The table comes back even
+    /// when the fold failed, so the caller can still record what it
+    /// charged.
+    fn fold(&self, chunks: &[Chunk]) -> (Groups<'a>, Result<()>) {
+        let mut groups = Groups::new(self.compiled, self.guard);
+        let filled = chunks.iter().try_for_each(|ch| {
+            let kt = self.sink.start_timer();
+            self.sink.add_vectors(1);
+            let key_cols: Vec<ColumnVector> = self
+                .group_bound
+                .iter()
+                .map(|b| Ok(eval_value_vec(b, &ch.batch)?.into_owned()))
+                .collect::<Result<_>>()?;
+            let arg_cols = self.arg_columns(&ch.batch)?;
+            self.sink.record_kernel(kt);
+            groups.prepare(&key_cols);
+            for i in ch.indices() {
+                self.guard.tick()?;
+                let slot = groups.slot(&key_cols, i)?;
+                self.feed(groups.accs_mut(slot)?, &arg_cols, &ch.batch, i)?;
+            }
+            Ok(())
+        });
+        (groups, filled)
+    }
+
+    /// Aggregate one part's stream into its output stream.
+    fn aggregate(&self, chunks: &[Chunk]) -> Result<Vec<Chunk>> {
+        let sink = self.sink;
+        if self.group_bound.is_empty() {
+            // Scalar aggregate: exactly one group, even over empty input.
+            let scalar_timer = sink.start_timer();
+            let mut accs = new_accumulators(self.compiled);
+            for ch in chunks {
+                let kt = sink.start_timer();
+                let cols = self.arg_columns(&ch.batch)?;
+                if cols.is_some() {
+                    sink.add_vectors(1);
+                    sink.record_kernel(kt);
+                }
+                for i in ch.indices() {
+                    self.guard.tick()?;
+                    self.feed(&mut accs, &cols, &ch.batch, i)?;
+                }
+            }
+            sink.record_build(scalar_timer);
+            let row = accs.iter().map(Accumulator::finish).collect();
+            return rows_chunk(&[row], self.arity);
         }
-        Ok(())
-    });
-    sink.record_build(build_timer);
-    sink.add_hash_entries(groups.len() as u64);
-    sink.add_state_bytes(groups.bytes());
-    let probe_timer = sink.start_timer();
-    let out = filled.map(|()| groups.finish());
-    sink.record_probe(probe_timer);
-    out
+        let build_timer = sink.start_timer();
+        let (groups, filled) = self.fold(chunks);
+        sink.record_build(build_timer);
+        sink.add_hash_entries(groups.len() as u64);
+        sink.add_state_bytes(groups.bytes());
+        let probe_timer = sink.start_timer();
+        let out = filled.and_then(|()| rows_chunk(&groups.finish(), self.arity));
+        sink.record_probe(probe_timer);
+        out
+    }
+
+    /// The eager pre-aggregation pushed below the exchange: fold each
+    /// origin part, ship the partials by key hash, and merge at the
+    /// destination through `Accumulator::merge` in `(origin part, origin
+    /// first-seen)` order — three uses of the one [`Groups`] table.
+    ///
+    /// Metrics: partial tables are invisible (per-part distinct counts
+    /// would over-count groups spanning origins); the merge phase
+    /// records the merged group count and state bytes, reproducing the
+    /// one-part aggregate's `hash_entries` exactly. Shipped bytes price
+    /// each partial as framing + key payload + one accumulator-state
+    /// entry per aggregate ([`ACC_ENTRY_BYTES`]).
+    fn combine(&self, threads: usize, parts: Parts) -> Result<Parts> {
+        let n = parts.len();
+        let timer = self.sink.start_timer();
+        let partials: Vec<Vec<Partial>> = map_parts(threads, parts, &|chunks: Vec<Chunk>| {
+            let (groups, filled) = self.fold(&chunks);
+            filled.map(|()| groups.into_partials())
+        })?;
+
+        let mut routed: Vec<Vec<Partial>> = (0..n).map(|_| Vec::new()).collect();
+        let (mut shipped_rows, mut shipped_bytes) = (0u64, 0u64);
+        for (origin, part_partials) in partials.into_iter().enumerate() {
+            for (key, accs) in part_partials {
+                let dest = key.shard(n);
+                if dest != origin {
+                    shipped_rows += 1;
+                    shipped_bytes += ROW_FRAME_BYTES
+                        + row_bytes(&key.0)
+                        + ACC_ENTRY_BYTES * accs.len().max(1) as u64;
+                }
+                routed
+                    .get_mut(dest)
+                    .ok_or_else(|| internal_err!("combiner routed out of range"))?
+                    .push((key, accs));
+            }
+        }
+        self.sink.add_shipped(shipped_rows, shipped_bytes);
+
+        let out = map_parts(threads, routed, &|part_partials: Vec<Partial>| {
+            let mut merged = Groups::new(self.compiled, self.guard);
+            for partial in part_partials {
+                self.guard.tick()?;
+                merged.merge(partial)?;
+            }
+            self.sink.add_hash_entries(merged.len() as u64);
+            self.sink.add_state_bytes(merged.bytes());
+            rows_chunk(&merged.finish(), self.arity)
+        });
+        self.sink.record_build(timer);
+        out
+    }
 }
 
 #[cfg(test)]
@@ -914,6 +1185,136 @@ mod tests {
                 assert_eq!(codes, &vec![c0, NULL_CODE, c1]);
             }
             other => panic!("expected Dict, got {other:?}"),
+        }
+    }
+
+    use crate::executor::tests::{plan1 as lazy_plan, plan2 as eager_plan, setup};
+    use crate::executor::ExecOptions;
+    use std::num::NonZeroUsize;
+
+    fn canon(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+        rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+        rows
+    }
+
+    fn sharded_opts(shards: usize, combiner: bool) -> ExecOptions {
+        ExecOptions {
+            shards: NonZeroUsize::new(shards).unwrap(),
+            combiner,
+            ..ExecOptions::default()
+        }
+    }
+
+    #[test]
+    fn sharded_runs_match_single_shard_rows_and_fingerprint() {
+        let s = setup();
+        let single = Executor::new(&s);
+        for plan in [lazy_plan(&s), eager_plan(&s)] {
+            let (expect, expect_p, _) = single.execute_metered(&plan).unwrap();
+            for shards in [2usize, 4, 8] {
+                for combiner in [false, true] {
+                    let exec = Executor::with_options(&s, sharded_opts(shards, combiner));
+                    let (got, p, _) = exec.execute_metered(&plan).unwrap();
+                    assert_eq!(
+                        canon(got.rows),
+                        canon(expect.rows.clone()),
+                        "shards={shards} combiner={combiner}"
+                    );
+                    assert_eq!(
+                        p.counter_fingerprint(),
+                        expect_p.counter_fingerprint(),
+                        "shards={shards} combiner={combiner}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn combiner_renames_the_below_join_aggregate_and_ships_partials() {
+        let s = setup();
+        let exec = Executor::with_options(&s, sharded_opts(4, true));
+        let (_, p, _) = exec.execute_metered(&eager_plan(&s)).unwrap();
+        let agg = p.find_operator("CombinerHashAggregate").unwrap();
+        assert_eq!(agg.metrics.hash_entries, 4, "4 distinct DeptID groups");
+        // Without the combiner flag the same site ships raw rows.
+        let raw = Executor::with_options(&s, sharded_opts(4, false));
+        let (_, p_raw, _) = raw.execute_metered(&eager_plan(&s)).unwrap();
+        assert!(p_raw.find_operator("CombinerHashAggregate").is_none());
+        assert!(p_raw.find_operator("ShardedHashAggregate").is_some());
+    }
+
+    #[test]
+    fn the_top_level_aggregate_never_becomes_a_combiner() {
+        let s = setup();
+        let exec = Executor::with_options(&s, sharded_opts(4, true));
+        let (_, p, _) = exec.execute_metered(&lazy_plan(&s)).unwrap();
+        // Lazy shape: the aggregate sits above the join, so even with
+        // the combiner enabled it must aggregate exactly once.
+        assert!(p.find_operator("CombinerHashAggregate").is_none());
+    }
+
+    #[test]
+    fn declared_partition_keys_make_the_scan_side_exchange_free() {
+        let mut s = setup();
+        s.declare_partition_key("Employee", &["DeptID"]).unwrap();
+        s.declare_partition_key("Department", &["DeptID"]).unwrap();
+        let exec = Executor::with_options(&s, sharded_opts(4, false));
+        let (res, p, _) = exec.execute_metered(&lazy_plan(&s)).unwrap();
+        let join = p.find_operator("ShardedHashJoin").unwrap();
+        assert_eq!(
+            (join.metrics.shipped_rows, join.metrics.shipped_bytes),
+            (0, 0),
+            "both sides arrive co-partitioned on the join key"
+        );
+        let single = Executor::new(&s);
+        let (expect, _, _) = single.execute_metered(&lazy_plan(&s)).unwrap();
+        assert_eq!(canon(res.rows), canon(expect.rows));
+    }
+
+    /// The scan deals rows round-robin on the global row ordinal —
+    /// across cursor batches — without a declared key, and by
+    /// `GroupKey::shard` of the key columns (all NULL keys on one part)
+    /// with one. Either way the parts hold the table's multiset.
+    #[test]
+    fn scan_split_is_round_robin_or_the_declared_key_hash() {
+        use gbj_storage::{FaultConfig, FaultInjector};
+        let mut s = setup();
+        // Batches of three over seven employees: ordinals must not
+        // restart at a batch boundary.
+        s.set_fault_injector(Some(FaultInjector::new(FaultConfig {
+            batch_size: Some(3),
+            ..FaultConfig::default()
+        })));
+        let plan = crate::executor::tests::scan(&s, "Employee", "E");
+        let split = |s: &gbj_storage::Storage, n: usize| -> Vec<Vec<Vec<Value>>> {
+            let exec = Executor::new(s);
+            let dist = distribute(&plan, false, &|t| s.partition_key(t).map(<[usize]>::to_vec));
+            let guard = ResourceGuard::unlimited();
+            let (parts, _) = exec
+                .run_chunks(&plan, &dist, &[true, true], n, &guard)
+                .unwrap();
+            parts.iter().map(|chunks| chunk_rows(chunks)).collect()
+        };
+        let all = split(&s, 1).remove(0);
+        assert_eq!(all.len(), 7);
+        for n in [2usize, 3, 4] {
+            let parts = split(&s, n);
+            for (i, row) in all.iter().enumerate() {
+                let at = i / n;
+                assert_eq!(parts[i % n].get(at), Some(row), "n={n} ordinal {i}");
+            }
+            assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 7);
+        }
+        s.declare_partition_key("Employee", &["DeptID"]).unwrap();
+        for n in [2usize, 4, 8] {
+            let parts = split(&s, n);
+            for (p, rows) in parts.iter().enumerate() {
+                for row in rows {
+                    assert_eq!(GroupKey(vec![row[1].clone()]).shard(n), p, "n={n} {row:?}");
+                }
+            }
+            assert_eq!(canon(parts.concat()), canon(all.clone()), "n={n}");
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Predictive distribution planning: how many rows *will* cross shard
-//! boundaries when a lowered plan runs on the sharded executor.
+//! boundaries when a lowered plan runs over more than one shard.
 //!
 //! This is the cost-model side of the paper's §7 distributed argument,
 //! made checkable. Which exchanges happen is not decided here:
 //! [`gbj_plan::distribute`] maps the plan to a [`Distribution`] tree —
-//! the same tree the shard runner executes — and [`plan_distribution`]
+//! the same tree the chunk pipeline executes — and [`plan_distribution`]
 //! folds the cardinality estimates ([`CardTree`]) over that tree's
 //! [`Movement`]s. The result is a predicted `shipped_rows` the engine
 //! audits against the executor's measured counters (a Q-error, like the

@@ -4,8 +4,9 @@
 //! operator input — may the rows stay where they are, or must they be
 //! re-routed first? [`distribute`] makes that decision for a whole plan
 //! and returns it as a [`Distribution`], a tree shape-congruent with
-//! the plan. The shard runner (`gbj_exec::shard`) *executes* the tree's
-//! [`Movement`]s and the optimizer's shipped-rows predictor
+//! the plan. The chunk pipeline (`gbj_exec::pipeline`) *executes* the
+//! tree's [`Movement`]s as breakers and the optimizer's shipped-rows
+//! predictor
 //! (`gbj_optimizer::distributed`) *prices* them, so a prediction and a
 //! measurement can only disagree about cardinalities, never about
 //! which exchanges happen.
@@ -188,7 +189,7 @@ impl Distribution {
     }
 
     /// A cross or non-equi join: no key to route on, so nothing moves
-    /// and nothing is known — the shard runner refuses such plans.
+    /// and nothing is known — `execution_path` refuses such plans.
     fn keyless_join(left: Distribution, right: Distribution) -> Distribution {
         Distribution {
             partitioning: Partitioning::Arbitrary,

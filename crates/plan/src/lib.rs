@@ -30,7 +30,7 @@
 //!
 //! [`distribution`] decides, for a plan run over hash-partitioned
 //! shards, where each node's rows live and which inputs must move —
-//! the one partition tracker the shard runner executes and the
+//! the one partition tracker the chunk pipeline executes and the
 //! optimizer's shipped-rows predictor prices.
 
 pub mod block;

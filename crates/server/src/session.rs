@@ -610,8 +610,9 @@ mod tests {
         // rows and thread-invariant counter fingerprint.
         let server = seeded_server(ServerConfig::default().with_plan_cache(16));
         let session = server.connect();
-        // Single-shard: the shard runner takes precedence over
-        // `vectorized`, whatever `GBJ_TEST_SHARDS` defaulted to.
+        // Single-shard: more than one shard selects the pipeline (and
+        // its vector counters) whatever `vectorized` says, and
+        // `GBJ_TEST_SHARDS` may have defaulted to several.
         server.reconfigure(|db| {
             db.set_shards(std::num::NonZeroUsize::MIN);
             db.set_vectorized(false);

@@ -31,7 +31,6 @@
 
 pub mod columnar;
 pub mod fault;
-pub mod sharded;
 mod storage;
 mod table;
 
@@ -39,6 +38,5 @@ pub use columnar::{
     Bitmap, BitmapIter, ColumnVector, ColumnarBatch, StringDict, StringDictBuilder, NULL_CODE,
 };
 pub use fault::{FaultConfig, FaultInjector};
-pub use sharded::ShardedTable;
 pub use storage::{ScanCursor, Storage};
 pub use table::{Row, Table};

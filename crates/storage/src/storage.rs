@@ -28,8 +28,8 @@ pub struct Storage {
     /// normal operation).
     fault: Option<FaultInjector>,
     /// Declared hash-partition keys per table (lower-cased name →
-    /// column ordinals), consulted by the sharded executor to decide
-    /// which scans start out co-partitioned. Purely a physical-layout
+    /// column ordinals), consulted when a plan runs over several shards
+    /// to decide which scans start out co-partitioned. Purely a physical-layout
     /// declaration: it never changes query results, so declaring one
     /// does not bump the epoch.
     partition_keys: BTreeMap<String, Vec<usize>>,

@@ -21,10 +21,13 @@
 # pipeline is thread-count invariant and that plans it refuses run the
 # parallel row operators.
 #
-# The GBJ_TEST_SHARDS=4 pass re-runs the whole suite on the shard
-# runner (every plan inside the error-free gate executes
-# gbj_plan::distribute's movements across 4 in-process shards), so
-# every engine-level test doubles as a sharded-vs-oracle differential.
+# The GBJ_TEST_SHARDS=4 pass re-runs the whole suite on the chunk
+# pipeline over 4 parts (every plan inside the strict gate executes
+# gbj_plan::distribute's movements as breakers between the parts), so
+# every engine-level test doubles as a sharded-vs-oracle differential;
+# the GBJ_TEST_SHARDS=4 x GBJ_TEST_THREADS={1,4} passes put the scan
+# split and the parts' worker pool under the batch-boundary, fault and
+# thread differentials, where a scheduling dependence would show.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +41,13 @@ fi
 # this gate names were deleted and must not grow back.
 if grep -rnE "PlanEstimate|PlanCost|enum Part\b|fn equi_key_ords|fn remap_partitioning" crates src tests; then
   echo "verify: a second cost model / estimate tree / partition tracker reappeared" >&2
+  exit 1
+fi
+# Two execution paths, not three: the row-form sharded interpreter,
+# its storage view and its ExecPath variants were deleted and must not
+# grow back beside the pipeline.
+if grep -rnE "mod shard\b|fn run_sharded|ShardedTable|ExecPath::(Sharded|Batch)" crates src tests examples; then
+  echo "verify: a third execution path reappeared beside the row engine and the pipeline" >&2
   exit 1
 fi
 cargo build --release
@@ -84,6 +94,12 @@ done
 # 4 shards — the suite also sweeps 2/4/8 shards internally.
 for s in 1 4; do
   GBJ_TEST_SHARDS=$s cargo test -q --test sharding_differential
+done
+# Parts x worker pool: batch sizes 1/2/7 x seeded faults now meet the
+# scan split, at both thread settings.
+for t in 1 4; do
+  GBJ_TEST_SHARDS=4 GBJ_TEST_THREADS=$t cargo test -q \
+    --test columnar_differential --test fault_injection --test parallel_differential
 done
 # Every bench baseline the smokes below compare against must be
 # committed; fail fast with a recipe rather than deep in a smoke run.

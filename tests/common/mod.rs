@@ -7,14 +7,14 @@
 //!   order, so results are canonicalised (sorted by the engine's total
 //!   order, NULLs last) before comparing instead of each test rolling
 //!   its own sort;
-//! * **operator matching that tolerates the parallel and sharded
-//!   executors** — at `threads > 1` the profile says
-//!   `ParallelHashJoin` / `ParallelHashAggregate` where the serial
-//!   executor says `HashJoin` / `HashAggregate`, and at `shards > 1`
-//!   `ShardedHashJoin` / `ShardedHashAggregate` /
-//!   `CombinerHashAggregate` / `GatherAggregate`, so tests that pin
-//!   cardinalities (not names) look operators up through [`find_join`]
-//!   / [`find_agg`].
+//! * **operator matching that tolerates threads and shards** — at
+//!   `threads > 1` the row engine's profile says `ParallelHashJoin` /
+//!   `ParallelHashAggregate` where the serial operators say `HashJoin`
+//!   / `HashAggregate`, and at `shards > 1` the chunk pipeline, run
+//!   over several parts, says `ShardedHashJoin` /
+//!   `ShardedHashAggregate` / `CombinerHashAggregate` /
+//!   `GatherAggregate`, so tests that pin cardinalities (not names)
+//!   look operators up through [`find_join`] / [`find_agg`].
 //!
 //! Each integration-test binary compiles its own copy of this module,
 //! so not every binary uses every helper.

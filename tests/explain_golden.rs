@@ -240,7 +240,7 @@ fn batch_native_profile_reports_vector_counters_with_row_engine_fingerprint() {
     db.options_mut().policy = PushdownPolicy::Never;
     let analyze = format!("EXPLAIN ANALYZE {sql}");
 
-    // Single-shard: the shard runner ignores `vectorized`.
+    // Single-shard: several shards mean kernels whatever `vectorized` says.
     db.set_shards(std::num::NonZeroUsize::MIN);
     db.set_vectorized(false);
     explain_text(&mut db, &analyze);
@@ -294,11 +294,13 @@ fn batch_native_profile_reports_vector_counters_with_row_engine_fingerprint() {
 }
 
 /// The `path:` golden: `EXPLAIN ANALYZE` and `\metrics` say which of the
-/// three execution paths ran and why a faster one was refused — and the
-/// profile agrees. `ORDER BY` over an error-free key stays batch-native;
-/// one `+` in a predicate sends the whole plan to the row engine, which
-/// claims no kernel anywhere; a supported plan at `threads = 4` is the
-/// same serial pipeline, same fingerprint, as at `threads = 1`.
+/// two execution paths ran, at how many shards, and why a faster
+/// configuration was refused — and the profile agrees. `ORDER BY` over
+/// an error-free key stays batch-native; one `+` in a predicate sends
+/// the whole plan to the row engine, which claims no kernel anywhere; a
+/// supported plan at `threads = 4` is the same one-part pipeline, same
+/// fingerprint, as at `threads = 1`; and a plan only the strict gate
+/// refuses says so instead of silently running on one shard.
 #[test]
 fn path_line_names_the_path_and_the_refusal() {
     let (mut db, sql) = build();
@@ -360,6 +362,28 @@ fn path_line_names_the_path_and_the_refusal() {
         ["path: row (Filter: arithmetic in predicate)"],
         "{text}"
     );
+
+    // An arithmetic aggregate argument passes the one-part gate only.
+    let argument = "SELECT E.DeptID, SUM(E.EmpID + 1) FROM Employee E GROUP BY E.DeptID";
+    let text = explain_text(&mut db, &format!("EXPLAIN ANALYZE {argument}"));
+    assert_eq!(
+        path_lines(&text),
+        ["path: row (Aggregate: aggregate argument not error-free)"],
+        "{text}"
+    );
+    configure(&mut db, true, 1, 4);
+    let text = explain_text(&mut db, &format!("EXPLAIN ANALYZE {argument}"));
+    let refused = "path: batch (4 shards refused — Aggregate: aggregate argument not error-free)";
+    assert_eq!(path_lines(&text), [refused], "{text}");
+    db.query(argument).expect("query runs");
+    let metrics = db.last_query_metrics().expect("metrics");
+    assert_eq!(
+        metrics.shards, 1,
+        "the count that ran, not the configured one"
+    );
+    let rendered = metrics.render();
+    assert_eq!(path_lines(&rendered), [refused]);
+    assert!(!has_line(&rendered, "shards:"), "{rendered}");
 }
 
 /// The lazy and eager plan shapes both audit cleanly: the section is

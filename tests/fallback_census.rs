@@ -2,11 +2,11 @@
 //! takes, per refusal reason.
 //!
 //! `gbj_exec::execution_path` is the one gate in front of the chunk
-//! pipeline and the shard runner; a plan it refuses runs on the row
-//! engine. This test pins how many corpus queries each reason sends
+//! pipeline, at one part or over several; a plan it refuses runs on the
+//! row engine. This test pins how many corpus queries each reason sends
 //! there, for both plan shapes, so the next change to the gate (or to
 //! the planner's output) shows up as a diff in the expected table
-//! rather than as a silent shift in what the fast paths cover.
+//! rather than as a silent shift in what the pipeline covers.
 
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
@@ -16,8 +16,9 @@ use gbj::exec::{execution_path, ExecOptions};
 use gbj::Database;
 
 /// `(policy, path rendering) → queries`, over every SELECT of the
-/// corpus, under `options`.
-fn census(options: &ExecOptions) -> BTreeMap<(String, String), usize> {
+/// corpus, under `options`. Each `(file name, statement)` of `extra`
+/// is appended to that corpus file's script.
+fn census(options: &ExecOptions, extra: &[(&str, &str)]) -> BTreeMap<(String, String), usize> {
     let mut counts = BTreeMap::new();
     let mut files: Vec<_> = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/corpus"))
         .expect("corpus directory")
@@ -27,12 +28,18 @@ fn census(options: &ExecOptions) -> BTreeMap<(String, String), usize> {
     files.sort();
     assert_eq!(files.len(), 4, "a new corpus file needs a census row");
     for file in files {
-        let text: String = std::fs::read_to_string(&file)
+        let mut text: String = std::fs::read_to_string(&file)
             .expect("corpus file")
             .lines()
             .filter(|l| !l.trim_start().starts_with("--"))
             .collect::<Vec<_>>()
             .join("\n");
+        for (name, stmt) in extra {
+            if file.file_name().is_some_and(|f| f == *name) {
+                text.push_str(";\n");
+                text.push_str(stmt);
+            }
+        }
         let mut db = Database::new();
         for stmt in text.split(';').map(str::trim).filter(|s| !s.is_empty()) {
             if !stmt.to_ascii_uppercase().starts_with("SELECT") {
@@ -61,10 +68,13 @@ fn expect(rows: &[(&str, &str, usize)]) -> BTreeMap<(String, String), usize> {
 
 #[test]
 fn corpus_fallbacks_per_reason_are_pinned() {
-    let batch = census(&ExecOptions {
-        vectorized: true,
-        ..ExecOptions::default()
-    });
+    let batch = census(
+        &ExecOptions {
+            vectorized: true,
+            ..ExecOptions::default()
+        },
+        &[],
+    );
     assert_eq!(
         batch,
         expect(&[
@@ -76,18 +86,49 @@ fn corpus_fallbacks_per_reason_are_pinned() {
         "chunk pipeline census moved"
     );
 
-    let sharded = census(&ExecOptions {
-        shards: NonZeroUsize::new(4).expect("nonzero"),
-        ..ExecOptions::default()
-    });
+    let shards = NonZeroUsize::new(4).expect("nonzero");
+    let sharded = census(
+        &ExecOptions {
+            shards,
+            ..ExecOptions::default()
+        },
+        &[],
+    );
     assert_eq!(
         sharded,
         expect(&[
-            ("Always", "sharded", 15),
+            ("Always", "sharded(4)", 15),
             ("Always", "row (CrossJoin: no join key)", 1),
-            ("Never", "sharded", 15),
+            ("Never", "sharded(4)", 15),
             ("Never", "row (CrossJoin: no join key)", 1),
         ]),
-        "shard runner census moved"
+        "sharded pipeline census moved"
+    );
+
+    // Both knobs on, plus the one shape only the strict gate refuses:
+    // the path names the configuration that ran *and* the one refused.
+    let both = census(
+        &ExecOptions {
+            shards,
+            vectorized: true,
+            ..ExecOptions::default()
+        },
+        &[(
+            "paper_examples.sql",
+            "SELECT F.DimId, SUM(F.V + 1) FROM Fact F GROUP BY F.DimId",
+        )],
+    );
+    let refused = "batch (4 shards refused — Aggregate: aggregate argument not error-free)";
+    assert_eq!(
+        both,
+        expect(&[
+            ("Always", "sharded(4)", 15),
+            ("Always", refused, 1),
+            ("Always", "row (CrossJoin: no join key)", 1),
+            ("Never", "sharded(4)", 15),
+            ("Never", refused, 1),
+            ("Never", "row (CrossJoin: no join key)", 1),
+        ]),
+        "sharded + vectorized census moved"
     );
 }

@@ -1,11 +1,12 @@
-//! Sharded-execution differential harness (PR 9's tentpole).
+//! Sharded-execution differential harness.
 //!
-//! The contract under test: running a supported plan across `n`
-//! in-process shards is **byte-identical** to single-shard execution —
-//! same canonical rows, same engine-invariant counter fingerprint
-//! (`rows_in`/`rows_out`/`batches`/`hash_entries` per operator) — at
-//! every shard count × thread count × row/vectorized combination, for
-//! every pushdown policy, including under seeded scan faults. Only the
+//! The contract under test: running a supported plan on the chunk
+//! pipeline over `n` parts is **byte-identical** to the single-shard
+//! row oracle — same canonical rows, same engine-invariant counter
+//! fingerprint (`rows_in`/`rows_out`/`batches`/`hash_entries` per
+//! operator) — at every shard count × thread count × row/vectorized
+//! combination, for every pushdown policy, including under seeded scan
+//! faults. Only the
 //! shipped-rows/bytes counters may vary with the shard count (they
 //! *are* the measurement), and at a fixed shard count even those are
 //! deterministic across thread counts.
@@ -48,6 +49,13 @@ struct Obs {
     /// The distribution planner's prediction (`None` unless the run was
     /// sharded).
     predicted_shipped_rows: Option<f64>,
+    /// `(is a scan that returned rows, vectors)` per profile node.
+    kernels: Vec<(bool, u64)>,
+}
+
+fn kernels(p: &gbj::exec::ProfileNode, out: &mut Vec<(bool, u64)>) {
+    out.push((p.children.is_empty() && p.rows_out > 0, p.metrics.vectors));
+    p.children.iter().for_each(|c| kernels(c, out));
 }
 
 fn observe(
@@ -64,6 +72,8 @@ fn observe(
     db.set_vectorized(vectorized);
     let rows = db.query(sql).expect("query runs");
     let m = db.last_query_metrics().expect("metrics recorded");
+    let mut per_node = Vec::new();
+    kernels(&m.profile, &mut per_node);
     Obs {
         rows: common::canon(&rows),
         fingerprint: m.profile.counter_fingerprint(),
@@ -71,16 +81,19 @@ fn observe(
         shipped_rows: m.shipped_rows,
         shipped_bytes: m.shipped_bytes,
         predicted_shipped_rows: m.predicted_shipped_rows,
+        kernels: per_node,
     }
 }
 
 /// One sweep point: for each policy, every shards × threads ×
 /// vectorized combination must reproduce the single-shard serial
 /// oracle's rows and counter fingerprint; single-shard runs ship
-/// nothing; and at a fixed shard count the shipped counters are
-/// thread- and vectorized-invariant, and the planner predicts zero
-/// shipped rows exactly when none were shipped (the runner executes the
-/// tree the planner prices, so they agree on *which* exchanges happen).
+/// nothing; at a fixed shard count the shipped counters are thread- and
+/// vectorized-invariant, and the planner predicts zero shipped rows
+/// exactly when none were shipped (the pipeline executes the tree the
+/// planner prices, so they agree on *which* exchanges happen); and more
+/// than one shard always means kernels — `vectorized` only chooses the
+/// engine at one shard.
 fn assert_point(db: &mut Database, sql: &str, ctx: &str) {
     for policy in [
         PushdownPolicy::Never,
@@ -98,6 +111,23 @@ fn assert_point(db: &mut Database, sql: &str, ctx: &str) {
             for &threads in &thread_counts() {
                 for vectorized in [false, true] {
                     let got = observe(db, policy, shards, threads, vectorized, sql);
+                    if shards > 1 {
+                        assert!(
+                            got.kernels
+                                .iter()
+                                .all(|(scan, vectors)| !scan || *vectors > 0),
+                            "{ctx}: {policy:?} a scan ran no kernel at shards={shards} \
+                             threads={threads} vectorized={vectorized}: {:?}",
+                            got.kernels
+                        );
+                    } else if !vectorized {
+                        assert!(
+                            got.kernels.iter().all(|(_, vectors)| *vectors == 0),
+                            "{ctx}: {policy:?} the row engine claimed a kernel at \
+                             threads={threads}: {:?}",
+                            got.kernels
+                        );
+                    }
                     assert_eq!(
                         got.rows, oracle.rows,
                         "{ctx}: {policy:?} rows diverged at shards={shards} \
