@@ -16,8 +16,8 @@ use gbj_fd::FdContext;
 use gbj_optimizer::{shape_cost, CardTree, CostModel, Optimizer, ShapeCost};
 use gbj_plan::{BlockRelation, LogicalPlan, QueryBlock};
 use gbj_sql::{parse_statements, Binder, BoundSelect, Statement};
-use gbj_storage::Storage;
-use gbj_types::{ColumnRef, Error, Result};
+use gbj_storage::{ColumnStats, Storage};
+use gbj_types::{ColumnRef, DataType, Error, Result};
 
 use crate::audit::{annotated_tree, audit_nodes, NodeAudit};
 use crate::feedback::{delta_from_profile, FeedbackDelta, FeedbackStore};
@@ -491,14 +491,25 @@ impl Database {
         locked(&self.feedback).epoch()
     }
 
-    /// The planning epoch: data epoch + stats epoch. Two databases with
-    /// equal plan epochs produce identical plans for identical SQL, so
-    /// this (not the data epoch alone) is the correct bound-plan cache
-    /// key — a stats-feedback update invalidates cached plans exactly
-    /// like a write does, without pretending the data changed.
+    /// The planning epoch: the pair `(data epoch, stats epoch)` — the
+    /// bound-plan cache key. Equal data epochs mean identical committed
+    /// state ([`Database::epoch`]), so a plan found under this key
+    /// binds and answers against the catalog and rows it was planned
+    /// for; the stats component makes an absorbed feedback delta
+    /// invalidate cached plans exactly like a write does, without
+    /// pretending the data changed. Along one database's history equal
+    /// pairs also mean equal learned facts, hence identical plans for
+    /// identical SQL; two forks that each learned on their own
+    /// (adaptive snapshots) can share a pair while holding different
+    /// facts, and their plans may then differ in shape — never in rows.
+    ///
+    /// A pair, not a sum, because the components move independently:
+    /// an adaptive snapshot that learned two facts at `(11, 2)` and the
+    /// re-fork `(13, 0)` after a two-statement write hold different
+    /// *data* with the same sum.
     #[must_use]
-    pub fn plan_epoch(&self) -> u64 {
-        self.storage.epoch() + self.stats_epoch()
+    pub fn plan_epoch(&self) -> (u64, u64) {
+        (self.storage.epoch(), self.stats_epoch())
     }
 
     /// A point-in-time copy of the learned feedback facts.
@@ -1225,9 +1236,9 @@ impl Database {
     }
 
     /// The proven cardinality upper-bound tree for a plan: catalog
-    /// seeds met with per-column facts scanned from the stored rows of
-    /// the plan's base tables, pushed through the range pass.
-    /// `INFINITY` marks nodes with no proven bound.
+    /// seeds met with the per-column facts in the statistics of the
+    /// plan's base tables, pushed through the range pass. `INFINITY`
+    /// marks nodes with no proven bound.
     fn bound_tree_for(&self, plan: &LogicalPlan) -> CardTree {
         let mut seeds = SeedDomains::from_catalog(self.storage.catalog());
         for table in &plan_scan_tables(plan) {
@@ -1237,9 +1248,8 @@ impl Database {
             ) else {
                 continue;
             };
-            for (idx, col) in def.columns.iter().enumerate() {
-                let observed = observed_domain(data, idx, col.data_type);
-                seeds.merge(&def.name, &col.name, &observed);
+            for (col, stats) in def.columns.iter().zip(&data.stats().columns) {
+                seeds.merge(&def.name, &col.name, &observed_domain(stats, col.data_type));
             }
         }
         let analysis = analyze_plan(plan, &seeds);
@@ -1305,67 +1315,34 @@ fn has_aggregate_below_join(plan: &LogicalPlan) -> bool {
     walk(plan, false)
 }
 
-/// The per-column facts actually observed in a stored table's rows:
-/// min/max (numeric), the distinct non-NULL count, whether any NULL is
-/// present, and (for small string columns) the exact value set. Met
-/// with the catalog seed, these give the range pass the tightest sound
-/// base domains for estimate clamping.
-fn observed_domain(
-    data: &gbj_storage::Table,
-    idx: usize,
-    data_type: gbj_types::DataType,
-) -> ColumnDomain {
-    use gbj_types::Value;
-    let mut lo: Option<f64> = None;
-    let mut hi: Option<f64> = None;
-    let mut saw_null = false;
-    let mut distinct: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    for row in data.value_rows() {
-        let Some(v) = row.get(idx) else { continue };
-        match v {
-            Value::Null => saw_null = true,
-            other => {
-                let n = match other {
-                    Value::Int(i) => Some(*i as f64),
-                    Value::Float(f) => Some(*f),
-                    _ => None,
-                };
-                if let Some(n) = n {
-                    lo = Some(lo.map_or(n, |l| l.min(n)));
-                    hi = Some(hi.map_or(n, |h| h.max(n)));
-                }
-                distinct.insert(match other {
-                    Value::Str(s) => s.clone(),
-                    other => format!("{other:?}"),
-                });
-            }
-        }
-    }
-    let integral = matches!(data_type, gbj_types::DataType::Int64);
-    let interval = match data_type {
-        gbj_types::DataType::Int64 | gbj_types::DataType::Float64 => Some(match (lo, hi) {
-            (Some(lo), Some(hi)) => gbj_analyze::Interval {
+// The summaries keep a string value set exactly as long as the range
+// pass tracks one.
+const _: () = assert!(gbj_storage::stats::MAX_VALUE_SET == gbj_analyze::domain::MAX_VALUE_SET);
+
+/// The per-column facts observed in one version of a stored table, as a
+/// domain: min/max (numeric), the distinct non-NULL count, whether any
+/// NULL is present, and (for small string columns) the exact value set.
+/// Met with the catalog seed, these give the range pass the tightest
+/// sound base domains for estimate clamping.
+fn observed_domain(stats: &ColumnStats, data_type: DataType) -> ColumnDomain {
+    let integral = data_type == DataType::Int64;
+    ColumnDomain {
+        interval: data_type.is_numeric().then(|| match stats.range {
+            Some((lo, hi)) => gbj_analyze::Interval {
                 lo: Some(lo),
                 hi: Some(hi),
                 integral,
             },
             // No non-NULL value stored: the non-NULL domain is empty.
-            _ => gbj_analyze::Interval::empty(integral),
+            None => gbj_analyze::Interval::empty(integral),
         }),
-        _ => None,
-    };
-    let values = (data_type == gbj_types::DataType::Utf8
-        && distinct.len() <= gbj_analyze::domain::MAX_VALUE_SET)
-        .then(|| distinct.clone());
-    ColumnDomain {
-        interval,
-        values,
-        nullability: if saw_null {
+        values: stats.values.clone(),
+        nullability: if stats.nulls > 0 {
             Nullability::Maybe
         } else {
             Nullability::Never
         },
-        ndv: Some(distinct.len() as f64),
+        ndv: Some(stats.non_null_ndv() as f64),
     }
 }
 

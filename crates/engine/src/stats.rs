@@ -1,8 +1,11 @@
 //! Cardinality estimation for the Section 7 cost decision.
 //!
-//! Classic System-R-style estimates over the in-memory data:
+//! Classic System-R-style estimates over the tables' statistics — the
+//! one [`TableStats`](gbj_storage::TableStats) each table version
+//! builds once and shares with every snapshot
+//! ([`gbj_storage::stats`]); the estimator itself never reads a row:
 //!
-//! * per-column NDV (number of distinct values) by scanning;
+//! * per-column NDV (number of distinct values, NULL as one);
 //! * equality-with-constant selectivity `1 / ndv(col)`;
 //! * equi-join selectivity `1 / max(ndv(a), ndv(b))`;
 //! * integer range predicates via a per-column **equi-depth
@@ -26,171 +29,17 @@
 //! estimate — this is the adaptive half of the cost-based eager/lazy
 //! choice.
 
-use std::collections::{BTreeSet, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::BTreeSet;
 
 use gbj_expr::{conjuncts, AtomClass, BinaryOp, Expr};
 use gbj_optimizer::CardTree;
 use gbj_plan::LogicalPlan;
-use gbj_storage::Storage;
-use gbj_types::{ColumnRef, GroupKey, Value};
+use gbj_storage::stats::DEFAULT_SELECTIVITY;
+pub use gbj_storage::stats::{DistinctSketch, EquiDepthHistogram};
+use gbj_storage::{ColumnStats, Storage, Table};
+use gbj_types::{ColumnRef, Value};
 
 use crate::feedback::{group_signature, join_signature, FeedbackStore};
-
-/// Selectivity assumed for predicates the estimator cannot analyse.
-const DEFAULT_SELECTIVITY: f64 = 1.0 / 3.0;
-
-/// Buckets per equi-depth histogram.
-const HISTOGRAM_BUCKETS: usize = 32;
-
-/// KMV sketch size: exact distinct counts below this, estimated above.
-const SKETCH_K: usize = 1024;
-
-/// An equi-depth (equi-height) histogram over one integer column:
-/// `buckets` upper bounds chosen so each bucket holds ~the same number
-/// of values. Estimates the selectivity of `col < x` and friends by
-/// counting full buckets below `x` and linearly interpolating inside
-/// the straddling bucket. NULLs are excluded from the buckets (a range
-/// predicate is never *true* of NULL) and discount the selectivity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EquiDepthHistogram {
-    min: i64,
-    /// Upper bound of each bucket (ascending, last = column max).
-    bounds: Vec<i64>,
-    non_null: usize,
-    total: usize,
-}
-
-impl EquiDepthHistogram {
-    /// Build from a column's values. Returns `None` when there are no
-    /// non-NULL integer values to summarise.
-    #[must_use]
-    pub fn build(values: &[Option<i64>], buckets: usize) -> Option<EquiDepthHistogram> {
-        let total = values.len();
-        let mut ints: Vec<i64> = values.iter().filter_map(|v| *v).collect();
-        if ints.is_empty() {
-            return None;
-        }
-        ints.sort_unstable();
-        let non_null = ints.len();
-        let buckets = buckets.max(1).min(non_null);
-        let mut bounds = Vec::with_capacity(buckets);
-        for b in 1..=buckets {
-            // Rank of this bucket's upper bound (1-based, inclusive).
-            let rank = (b * non_null).div_ceil(buckets);
-            if let Some(v) = ints.get(rank.saturating_sub(1)) {
-                bounds.push(*v);
-            }
-        }
-        let min = ints.first().copied()?;
-        Some(EquiDepthHistogram {
-            min,
-            bounds,
-            non_null,
-            total,
-        })
-    }
-
-    /// Estimated fraction of **non-NULL** values `≤ x`.
-    #[must_use]
-    pub fn fraction_le(&self, x: i64) -> f64 {
-        if x < self.min {
-            return 0.0;
-        }
-        let n = self.bounds.len() as f64;
-        let mut lower = self.min;
-        for (i, &upper) in self.bounds.iter().enumerate() {
-            if x >= upper {
-                lower = upper;
-                continue;
-            }
-            // x falls inside bucket i: interpolate linearly. The span
-            // of an `i64` column can exceed `i64::MAX`, so subtract in
-            // `i128`.
-            let span = |hi: i64, lo: i64| (i128::from(hi) - i128::from(lo)) as f64;
-            let width = span(upper, lower);
-            let within = if width <= 0.0 {
-                1.0
-            } else {
-                (span(x, lower) / width).clamp(0.0, 1.0)
-            };
-            return ((i as f64 + within) / n).clamp(0.0, 1.0);
-        }
-        1.0
-    }
-
-    /// Selectivity of `col op literal` over the whole column (NULLs
-    /// count against: they never satisfy a range predicate).
-    #[must_use]
-    pub fn selectivity(&self, op: BinaryOp, lit: i64) -> f64 {
-        let le = self.fraction_le(lit);
-        // `fraction_lt` via the predecessor, exact enough for integers;
-        // nothing lies below the type minimum.
-        let lt = lit
-            .checked_sub(1)
-            .map_or(0.0, |pred| self.fraction_le(pred));
-        let frac = match op {
-            BinaryOp::Lt => lt,
-            BinaryOp::LtEq => le,
-            BinaryOp::Gt => 1.0 - le,
-            BinaryOp::GtEq => 1.0 - lt,
-            _ => return DEFAULT_SELECTIVITY,
-        };
-        let null_discount = if self.total == 0 {
-            1.0
-        } else {
-            self.non_null as f64 / self.total as f64
-        };
-        (frac * null_discount).clamp(0.0, 1.0)
-    }
-}
-
-/// A KMV (k-minimum-values) distinct-count sketch: keeps the `k`
-/// smallest 64-bit hashes seen. Below `k` distinct values the count is
-/// exact; above, the k-th smallest hash estimates the density as
-/// `(k-1) · 2⁶⁴ / kth_min`.
-#[derive(Debug, Clone, Default)]
-pub struct DistinctSketch {
-    k: usize,
-    mins: BTreeSet<u64>,
-}
-
-impl DistinctSketch {
-    /// A sketch keeping the `k` minimum hash values.
-    #[must_use]
-    pub fn new(k: usize) -> DistinctSketch {
-        DistinctSketch {
-            k: k.max(2),
-            mins: BTreeSet::new(),
-        }
-    }
-
-    /// Record one (hashable) value.
-    pub fn insert<T: Hash>(&mut self, value: &T) {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        value.hash(&mut h);
-        let hv = h.finish();
-        if self.mins.len() < self.k {
-            self.mins.insert(hv);
-        } else if let Some(&max) = self.mins.iter().next_back() {
-            if hv < max && self.mins.insert(hv) {
-                self.mins.remove(&max);
-            }
-        }
-    }
-
-    /// Estimated number of distinct values inserted.
-    #[must_use]
-    pub fn estimate(&self) -> f64 {
-        if self.mins.len() < self.k {
-            return self.mins.len() as f64;
-        }
-        match self.mins.iter().next_back() {
-            Some(&kth) if kth > 0 => (self.k as f64 - 1.0) * (u64::MAX as f64 / kth as f64),
-            _ => self.mins.len() as f64,
-        }
-    }
-}
 
 /// The Q-error of an estimate: `max(est, actual) / min(est, actual)`,
 /// with both sides floored at one row so empty results don't divide by
@@ -202,8 +51,8 @@ pub fn q_error(estimated: f64, actual: f64) -> f64 {
     e.max(a) / e.min(a)
 }
 
-/// Estimates cardinalities against live storage, optionally corrected
-/// by learned feedback facts.
+/// Estimates cardinalities from the statistics of live storage,
+/// optionally corrected by learned feedback facts.
 pub struct Estimator<'a> {
     storage: &'a Storage,
     feedback: Option<&'a FeedbackStore>,
@@ -234,25 +83,21 @@ impl<'a> Estimator<'a> {
     pub fn table_rows(&self, table: &str) -> f64 {
         self.storage
             .table_data(table)
-            .map_or(0.0, |t| t.len() as f64)
+            .map_or(0.0, |t| t.stats().rows as f64)
+    }
+
+    /// The summary of one base-table column.
+    fn column_stats(&self, table: &str, column: &str) -> Option<&'a ColumnStats> {
+        let data = self.storage.table_data(table)?;
+        data.stats().columns.get(column_ordinal(data, column)?)
     }
 
     /// Number of distinct values in a base-table column (NULL counts as
     /// one value, matching `=ⁿ` grouping).
     #[must_use]
     pub fn column_ndv(&self, table: &str, column: &str) -> f64 {
-        let Some(data) = self.storage.table_data(table) else {
-            return 1.0;
-        };
-        let Ok(idx) = data.schema().index_of(&ColumnRef::bare(column.to_string())) else {
-            return 1.0;
-        };
-        let mut seen = HashSet::new();
-        for row in data.value_rows() {
-            let v = row.get(idx).cloned().unwrap_or(Value::Null);
-            seen.insert(GroupKey(vec![v]));
-        }
-        (seen.len() as f64).max(1.0)
+        self.column_stats(table, column)
+            .map_or(1.0, |c| (c.ndv as f64).max(1.0))
     }
 
     /// NDV of a (qualified) column, given the mapping from qualifier to
@@ -307,24 +152,11 @@ impl<'a> Estimator<'a> {
         Some(hist.selectivity(op, lit))
     }
 
-    /// Build the equi-depth histogram for one integer column (scanning
-    /// the live data; `None` when the table/column is missing or holds
-    /// no non-NULL integers).
+    /// The equi-depth histogram of one integer column (`None` when the
+    /// table/column is missing or holds no non-NULL integers).
     #[must_use]
-    pub fn histogram(&self, table: &str, column: &str) -> Option<EquiDepthHistogram> {
-        let data = self.storage.table_data(table)?;
-        let idx = data
-            .schema()
-            .index_of(&ColumnRef::bare(column.to_string()))
-            .ok()?;
-        let values: Vec<Option<i64>> = data
-            .value_rows()
-            .map(|row| match row.get(idx) {
-                Some(Value::Int(v)) => Some(*v),
-                _ => None,
-            })
-            .collect();
-        EquiDepthHistogram::build(&values, HISTOGRAM_BUCKETS)
+    pub fn histogram(&self, table: &str, column: &str) -> Option<&'a EquiDepthHistogram> {
+        self.column_stats(table, column)?.histogram.as_ref()
     }
 
     /// Joint distinct count of a multi-column set via a KMV sketch over
@@ -349,24 +181,11 @@ impl<'a> Estimator<'a> {
             }
         }
         let data = self.storage.table_data(table?)?;
-        let mut idxs = Vec::with_capacity(cols.len());
-        for c in cols {
-            idxs.push(
-                data.schema()
-                    .index_of(&ColumnRef::bare(c.column.clone()))
-                    .ok()?,
-            );
-        }
-        let mut sketch = DistinctSketch::new(SKETCH_K);
-        for row in data.value_rows() {
-            let key = GroupKey(
-                idxs.iter()
-                    .map(|&i| row.get(i).cloned().unwrap_or(Value::Null))
-                    .collect(),
-            );
-            sketch.insert(&key);
-        }
-        Some(sketch.estimate().max(1.0))
+        let idxs = cols
+            .iter()
+            .map(|c| column_ordinal(data, &c.column))
+            .collect::<Option<Vec<usize>>>()?;
+        Some(data.joint_ndv(&idxs).max(1.0))
     }
 
     /// Estimate the output cardinality of every node in a physical-ready
@@ -471,6 +290,13 @@ impl<'a> Estimator<'a> {
     }
 }
 
+/// The ordinal of a (bare) column name in a stored table's schema.
+fn column_ordinal(data: &Table, column: &str) -> Option<usize> {
+    data.schema()
+        .index_of(&ColumnRef::bare(column.to_string()))
+        .ok()
+}
+
 /// Mirror a comparison operator for `lit op col → col flipped(op) lit`.
 fn flip(op: BinaryOp) -> Option<BinaryOp> {
     Some(match op {
@@ -565,33 +391,6 @@ mod tests {
         assert_eq!(est.column_ndv("Employee", "DeptID"), 10.0);
         assert_eq!(est.column_ndv("Employee", "EmpID"), 1000.0);
         assert_eq!(est.column_ndv("Employee", "Nope"), 1.0);
-    }
-
-    fn histogram_of(vals: &[i64], buckets: usize) -> EquiDepthHistogram {
-        let vals: Vec<Option<i64>> = vals.iter().copied().map(Some).collect();
-        EquiDepthHistogram::build(&vals, buckets).unwrap()
-    }
-
-    /// `< i64::MIN` has no predecessor to ask about (the saturated one
-    /// is `MIN` itself, which holds a third of this column), and the
-    /// bucket `(MIN, 0]` is wider than `i64::MAX`.
-    #[test]
-    fn lt_at_the_type_minimum_selects_nothing() {
-        let hist = histogram_of(&[i64::MIN, 0, i64::MAX], HISTOGRAM_BUCKETS);
-        assert_eq!(hist.selectivity(BinaryOp::Lt, i64::MIN), 0.0);
-        assert_eq!(hist.selectivity(BinaryOp::GtEq, i64::MIN), 1.0);
-        assert_eq!(hist.selectivity(BinaryOp::LtEq, i64::MAX), 1.0);
-    }
-
-    /// One bucket spanning the whole type: `upper - lower` overflows
-    /// `i64`, yet zero sits exactly half way.
-    #[test]
-    fn bucket_wider_than_i64_interpolates() {
-        let hist = histogram_of(&[i64::MIN, i64::MAX], 1);
-        assert_eq!(hist.fraction_le(0), 0.5);
-        for x in [i64::MIN, -1, 1, i64::MAX] {
-            assert!((0.0..=1.0).contains(&hist.fraction_le(x)), "x={x}");
-        }
     }
 
     #[test]

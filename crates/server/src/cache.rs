@@ -7,9 +7,11 @@
 //! `INSERT` drifts the cardinalities the cost model reads — and also
 //! when the data *doesn't* change but the learned statistics do (an
 //! absorbed execution-feedback delta). The session therefore keys on
-//! the plan epoch (storage epoch + stats epoch): any committed
-//! mutation or material stats update bumps it and every older entry
-//! simply stops being reachable (and is swept out opportunistically).
+//! the plan epoch, the pair (storage epoch, stats epoch) of
+//! [`Database::plan_epoch`](gbj_engine::Database::plan_epoch): any
+//! committed mutation or material stats update moves it and every older
+//! entry simply stops being reachable (and is swept out
+//! opportunistically).
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -17,14 +19,18 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use gbj_engine::QueryReport;
 
+/// A plan epoch: `(storage epoch, stats epoch)`.
+type PlanEpoch = (u64, u64);
+
 #[derive(Debug, Default)]
 struct CacheState {
-    map: HashMap<(String, u64), Arc<QueryReport>>,
+    map: HashMap<(String, PlanEpoch), Arc<QueryReport>>,
     /// Insertion order for FIFO eviction.
-    order: VecDeque<(String, u64)>,
+    order: VecDeque<(String, PlanEpoch)>,
 }
 
-/// A bounded map from `(sql, epoch)` to the planner's [`QueryReport`].
+/// A bounded map from `(sql, plan epoch)` to the planner's
+/// [`QueryReport`].
 #[derive(Debug)]
 pub struct PlanCache {
     capacity: usize,
@@ -41,9 +47,9 @@ impl PlanCache {
         }
     }
 
-    /// The plan prepared for exactly this SQL text at this epoch.
+    /// The plan prepared for exactly this SQL text at this plan epoch.
     #[must_use]
-    pub fn get(&self, sql: &str, epoch: u64) -> Option<Arc<QueryReport>> {
+    pub fn get(&self, sql: &str, epoch: PlanEpoch) -> Option<Arc<QueryReport>> {
         let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.map.get(&(sql.to_string(), epoch)).cloned()
     }
@@ -51,7 +57,7 @@ impl PlanCache {
     /// Store a freshly planned report. Entries from older epochs are
     /// unreachable by construction; this also sweeps them out so the
     /// capacity is spent on live plans.
-    pub fn insert(&self, sql: &str, epoch: u64, report: Arc<QueryReport>) {
+    pub fn insert(&self, sql: &str, epoch: PlanEpoch, report: Arc<QueryReport>) {
         if self.capacity == 0 {
             return;
         }
@@ -120,22 +126,27 @@ mod tests {
         let d = db();
         let cache = PlanCache::new(8);
         let sql = "SELECT A FROM T";
-        cache.insert(sql, 5, report_for(&d, sql));
-        assert!(cache.get(sql, 5).is_some());
-        assert!(cache.get(sql, 6).is_none(), "epoch change invalidates");
-        assert!(cache.get("SELECT B FROM T", 5).is_none());
+        cache.insert(sql, (5, 1), report_for(&d, sql));
+        assert!(cache.get(sql, (5, 1)).is_some());
+        assert!(cache.get(sql, (6, 1)).is_none(), "a write invalidates");
+        assert!(cache.get(sql, (5, 2)).is_none(), "so do new statistics");
+        assert!(
+            cache.get(sql, (6, 0)).is_none() && cache.get(sql, (4, 2)).is_none(),
+            "the key is the pair, not its sum"
+        );
+        assert!(cache.get("SELECT B FROM T", (5, 1)).is_none());
     }
 
     #[test]
     fn new_epoch_sweeps_stale_entries() {
         let d = db();
         let cache = PlanCache::new(8);
-        cache.insert("SELECT A FROM T", 1, report_for(&d, "SELECT A FROM T"));
-        cache.insert("SELECT B FROM T", 1, report_for(&d, "SELECT B FROM T"));
+        cache.insert("SELECT A FROM T", (1, 0), report_for(&d, "SELECT A FROM T"));
+        cache.insert("SELECT B FROM T", (1, 0), report_for(&d, "SELECT B FROM T"));
         assert_eq!(cache.len(), 2);
-        cache.insert("SELECT A FROM T", 2, report_for(&d, "SELECT A FROM T"));
+        cache.insert("SELECT A FROM T", (2, 0), report_for(&d, "SELECT A FROM T"));
         assert_eq!(cache.len(), 1, "epoch-1 plans are swept at epoch 2");
-        assert!(cache.get("SELECT B FROM T", 1).is_none());
+        assert!(cache.get("SELECT B FROM T", (1, 0)).is_none());
     }
 
     #[test]
@@ -146,27 +157,30 @@ mod tests {
             .iter()
             .enumerate()
         {
-            cache.insert(sql, 1, report_for(&d, sql));
+            cache.insert(sql, (1, 0), report_for(&d, sql));
             assert!(cache.len() <= 2, "insert {i} exceeded capacity");
         }
-        assert!(cache.get("SELECT A FROM T", 1).is_none(), "oldest evicted");
-        assert!(cache.get("SELECT A, B FROM T", 1).is_some());
+        assert!(
+            cache.get("SELECT A FROM T", (1, 0)).is_none(),
+            "oldest evicted"
+        );
+        assert!(cache.get("SELECT A, B FROM T", (1, 0)).is_some());
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let d = db();
         let cache = PlanCache::new(0);
-        cache.insert("SELECT A FROM T", 1, report_for(&d, "SELECT A FROM T"));
+        cache.insert("SELECT A FROM T", (1, 0), report_for(&d, "SELECT A FROM T"));
         assert!(cache.is_empty());
-        assert!(cache.get("SELECT A FROM T", 1).is_none());
+        assert!(cache.get("SELECT A FROM T", (1, 0)).is_none());
     }
 
     #[test]
     fn clear_empties_everything() {
         let d = db();
         let cache = PlanCache::new(4);
-        cache.insert("SELECT A FROM T", 1, report_for(&d, "SELECT A FROM T"));
+        cache.insert("SELECT A FROM T", (1, 0), report_for(&d, "SELECT A FROM T"));
         cache.clear();
         assert!(cache.is_empty());
     }

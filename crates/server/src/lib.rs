@@ -21,7 +21,8 @@
 //! * **Sessions + snapshot reads** ([`Server`], [`Session`]) — reads
 //!   run on epoch-versioned `Arc`-shared snapshots, concurrent with
 //!   writes, and never observe torn state; prepared plans live in a
-//!   [`PlanCache`] keyed on SQL text + storage epoch.
+//!   [`PlanCache`] keyed on SQL text + plan epoch (storage epoch,
+//!   stats epoch).
 //! * **Deadlines + cooperative cancellation** — a
 //!   [`CancellationToken`](gbj_exec::CancellationToken) and a deadline
 //!   ride the query's `ResourceGuard` and are polled at every

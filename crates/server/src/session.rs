@@ -380,7 +380,7 @@ impl Session {
     ) -> Result<QueryResponse> {
         let snap = self.shared.current_snapshot();
         let epoch = snap.epoch();
-        // Plans are keyed on the *plan* epoch (data + statistics): a
+        // Plans are keyed on the *plan* epoch (data, statistics): a
         // stats-feedback absorption re-costs cached plans even though
         // the data — and therefore the response epoch the replay oracle
         // checks against — did not move.

@@ -1,0 +1,298 @@
+//! The serving layer over shared table statistics.
+//!
+//! A [`gbj_storage::TableStats`] belongs to one *version* of a table's
+//! rows and is shared by every fork holding that version, so a server
+//! folds a table once however many snapshots and sessions plan against
+//! it. [`Storage::stats_builds`](gbj_storage::Storage::stats_builds)
+//! counts the folds; these tests pin when it moves — the "no table
+//! scans outside execution on a plan-cache hit" property — and the
+//! plan-cache key the snapshots are looked up under.
+
+use std::sync::{Arc, Barrier};
+
+use gbj_engine::{Database, QueryOutput};
+use gbj_server::{Server, ServerConfig, Session};
+use gbj_types::Value;
+
+const DDL: &str = "CREATE TABLE Dim (DimId INTEGER PRIMARY KEY, Cat VARCHAR(8) NOT NULL); \
+                   CREATE TABLE Fact (FactId INTEGER PRIMARY KEY, DimId INTEGER, V INTEGER)";
+
+/// Grouped join on a key of `Dim`: cost-based, so planning estimates
+/// and clamps both candidate shapes, and the audit estimates once more.
+const FANIN: &str = "SELECT D.DimId, COUNT(F.FactId), SUM(F.V) \
+                     FROM Fact F, Dim D WHERE F.DimId = D.DimId GROUP BY D.DimId";
+/// A range predicate (histogram) under a two-column grouping of one
+/// table (joint NDV).
+const JOINT: &str = "SELECT F.DimId, F.V, COUNT(F.FactId) FROM Fact F \
+                     WHERE F.V < 5 GROUP BY F.DimId, F.V";
+const DIM_ONLY: &str = "SELECT D.Cat, COUNT(D.DimId) FROM Dim D GROUP BY D.Cat";
+
+fn dim_rows() -> Vec<Vec<Value>> {
+    (0..8)
+        .map(|d| vec![Value::Int(d), Value::str(format!("c{}", d % 3))])
+        .collect()
+}
+
+fn fact_rows(n: i64) -> Vec<Vec<Value>> {
+    (0..n)
+        .map(|f| {
+            let dim = if f % 11 == 0 {
+                Value::Null
+            } else {
+                Value::Int(f % 8)
+            };
+            vec![Value::Int(f), dim, Value::Int(f % 10)]
+        })
+        .collect()
+}
+
+fn star_db(facts: Vec<Vec<Value>>) -> Database {
+    let mut db = Database::new();
+    db.run_script(DDL).unwrap();
+    db.insert_rows("Dim", dim_rows()).unwrap();
+    db.insert_rows("Fact", facts).unwrap();
+    db
+}
+
+fn star_server() -> Server {
+    Server::with_database(
+        star_db(fact_rows(200)),
+        ServerConfig::default().with_plan_cache(16),
+    )
+}
+
+fn builds(server: &Server) -> u64 {
+    server.with_snapshot(|db| db.storage().stats_builds())
+}
+
+/// Folds the next run of `sqls` adds.
+fn builds_added(server: &Server, session: &Session, sqls: &[&str]) -> u64 {
+    let before = builds(server);
+    for sql in sqls {
+        session.query(sql).unwrap();
+    }
+    builds(server) - before
+}
+
+/// The `est=` column of an `EXPLAIN ANALYZE`, node by node.
+fn estimates(db: &mut Database, sql: &str) -> Vec<String> {
+    let QueryOutput::Explain(text) = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap() else {
+        panic!("EXPLAIN ANALYZE returns text");
+    };
+    let ests: Vec<String> = text
+        .split_whitespace()
+        .filter(|w| w.starts_with("est="))
+        .map(str::to_string)
+        .collect();
+    assert!(!ests.is_empty(), "no est= in:\n{text}");
+    ests
+}
+
+#[test]
+fn cached_reads_fold_nothing() {
+    let server = star_server();
+    let session = server.connect();
+    let first = builds_added(&server, &session, &[FANIN, JOINT, DIM_ONLY]);
+    // One summary each for Fact and Dim, one joint sketch for
+    // (F.DimId, F.V) — planning two shapes and auditing a third time
+    // asked for each of them more than once.
+    assert_eq!(first, 3, "one fold per table version, one per joint key");
+    for _ in 0..10 {
+        for sql in [FANIN, JOINT, DIM_ONLY] {
+            assert!(session.query(sql).unwrap().cache_hit);
+        }
+    }
+    assert_eq!(builds(&server), first, "cache hits read the summaries");
+    // A plan-cache miss of a new text over the same versions plans and
+    // estimates afresh — from the same summaries.
+    let other = "SELECT F.DimId, COUNT(F.FactId) FROM Fact F WHERE F.V >= 5 GROUP BY F.DimId";
+    assert!(!session.query(other).unwrap().cache_hit);
+    assert_eq!(builds(&server), first);
+}
+
+#[test]
+fn a_write_refolds_the_written_table_only() {
+    let server = star_server();
+    let session = server.connect();
+    builds_added(&server, &session, &[FANIN, JOINT, DIM_ONLY]);
+
+    session
+        .execute_write("INSERT INTO Fact VALUES (1000, 1, 3)")
+        .unwrap();
+    // The re-forked snapshot shares Dim's cell with the old one: only
+    // Fact's summary and Fact's joint sketch are rebuilt.
+    assert_eq!(builds_added(&server, &session, &[DIM_ONLY]), 0);
+    assert_eq!(builds_added(&server, &session, &[FANIN]), 1);
+    assert_eq!(builds_added(&server, &session, &[JOINT]), 1);
+
+    for write in [
+        "DELETE FROM Fact WHERE FactId = 1000",
+        "UPDATE Fact SET V = 4 WHERE FactId = 3",
+        "DROP TABLE Fact; \
+         CREATE TABLE Fact (FactId INTEGER PRIMARY KEY, DimId INTEGER, V INTEGER); \
+         INSERT INTO Fact VALUES (1, 1, 1), (2, 1, 2)",
+    ] {
+        session.execute_write(write).unwrap();
+        assert_eq!(
+            builds_added(&server, &session, &[FANIN, JOINT, DIM_ONLY]),
+            2,
+            "{write}: Fact's summary and joint sketch, nothing of Dim"
+        );
+    }
+}
+
+#[test]
+fn writes_that_change_no_row_keep_the_summaries() {
+    let server = star_server();
+    let session = server.connect();
+    builds_added(&server, &session, &[FANIN, JOINT, DIM_ONLY]);
+    let epoch = server.epoch();
+
+    let err = session
+        .execute_write("INSERT INTO Fact VALUES (0, 1, 1)")
+        .unwrap_err();
+    assert_eq!(err.kind(), "constraint", "duplicate primary key");
+    session
+        .execute_write("DELETE FROM Fact WHERE FactId = -1")
+        .unwrap();
+    assert_eq!(server.epoch(), epoch, "nothing committed");
+    assert_eq!(
+        builds_added(&server, &session, &[FANIN, JOINT, DIM_ONLY]),
+        0
+    );
+    // Even when the epoch moves for another reason (a view), the
+    // re-forked snapshot still shares every table's cell.
+    session
+        .execute_write("CREATE VIEW W AS SELECT D.DimId FROM Dim D")
+        .unwrap();
+    assert!(server.epoch() > epoch);
+    assert_eq!(
+        builds_added(&server, &session, &[FANIN, JOINT, DIM_ONLY]),
+        0
+    );
+}
+
+#[test]
+fn a_snapshot_keeps_its_estimates_while_the_writer_sees_the_new_rows() {
+    let mut writer = star_db(fact_rows(200));
+    let before = estimates(&mut writer, FANIN);
+    let mut snapshot = writer.fork();
+    assert_eq!(writer.storage().stats_builds(), 2, "Fact and Dim");
+    assert_eq!(estimates(&mut snapshot, FANIN), before);
+    assert_eq!(
+        writer.storage().stats_builds(),
+        2,
+        "the fork reads the cells its parent filled"
+    );
+
+    writer
+        .insert_rows("Fact", fact_rows(300).split_off(200))
+        .unwrap();
+    let after = estimates(&mut writer, FANIN);
+    assert_ne!(after, before, "the writer's next plan sees 300 facts");
+    assert_eq!(
+        estimates(&mut snapshot, FANIN),
+        before,
+        "the snapshot still reads, and estimates, its 200"
+    );
+    // Each side's numbers are those of a database freshly loaded with
+    // the rows it holds.
+    assert_eq!(estimates(&mut star_db(fact_rows(200)), FANIN), before);
+    assert_eq!(estimates(&mut star_db(fact_rows(300)), FANIN), after);
+    for sql in [JOINT, DIM_ONLY] {
+        assert_eq!(
+            estimates(&mut writer, sql),
+            estimates(&mut star_db(fact_rows(300)), sql)
+        );
+    }
+}
+
+#[test]
+fn two_sessions_asking_a_cold_table_at_once_fold_it_once() {
+    let server = star_server();
+    let gate = Arc::new(Barrier::new(2));
+    let clients: Vec<_> = (0..2)
+        .map(|_| {
+            let session = server.connect();
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                gate.wait();
+                session.query(FANIN).unwrap().rows
+            })
+        })
+        .collect();
+    let rows: Vec<_> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+    assert_eq!(rows[0].rows, rows[1].rows);
+    assert_eq!(
+        builds(&server),
+        2,
+        "Fact once and Dim once, not per session"
+    );
+}
+
+/// Wrong rows from the plan cache when the plan epoch was the *sum*
+/// `data epoch + stats epoch`: an adaptive snapshot absorbs feedback
+/// into its own store, so `(11, 2)` — where the view's plan was cached —
+/// and the `(13, 0)` re-fork after the view was redefined collided at
+/// 13, and the dropped view's plan (and rows) came back as a cache hit.
+#[test]
+fn plan_cache_key_tells_a_write_from_learned_statistics() {
+    let mut db = Database::new();
+    db.options_mut().adaptive = true;
+    db.run_script(
+        "CREATE TABLE Dept (DeptId INTEGER PRIMARY KEY, Budget INTEGER NOT NULL); \
+         CREATE TABLE Emp (EmpId INTEGER PRIMARY KEY, DeptId INTEGER NOT NULL, Sal INTEGER); \
+         INSERT INTO Dept VALUES (1, 10), (2, 20), (3, 30); \
+         INSERT INTO Emp VALUES (1, 1, 5), (2, 1, 6), (3, 2, 7), (4, 3, 8), (5, 3, 9); \
+         CREATE VIEW V AS SELECT E.DeptId, E.Sal FROM Emp E WHERE E.Sal > 6",
+    )
+    .unwrap();
+    let server = Server::with_database(db, ServerConfig::default().with_plan_cache(16));
+    let session = server.connect();
+    // Two grouped joins teach the snapshot two facts: its stats epoch
+    // moves by 2 while the data epoch stays.
+    for sql in [
+        "SELECT D.DeptId, COUNT(E.EmpId), SUM(E.Sal) \
+         FROM Emp E, Dept D WHERE E.DeptId = D.DeptId GROUP BY D.DeptId",
+        "SELECT D.Budget, COUNT(E.EmpId) \
+         FROM Emp E, Dept D WHERE E.DeptId = D.DeptId GROUP BY D.Budget",
+    ] {
+        session.query(sql).unwrap();
+    }
+    let epochs = |server: &Server| server.with_snapshot(|d| (d.epoch(), d.stats_epoch()));
+    let (data, stats) = epochs(&server);
+    assert_eq!(stats, 2, "the adaptive snapshot learned from its own runs");
+
+    let view = "SELECT V.DeptId, V.Sal FROM V";
+    assert!(!session.query(view).unwrap().cache_hit);
+    let cached = session.query(view).unwrap();
+    assert!(cached.cache_hit);
+    assert_eq!(cached.rows.sorted().rows.len(), 3, "Sal > 6");
+
+    // Redefine the view in exactly as many data-epoch steps as the
+    // snapshot learned facts: the sums collide, the pairs do not.
+    session
+        .execute_write(
+            "DROP VIEW V; CREATE VIEW V AS SELECT E.DeptId, E.Sal FROM Emp E WHERE E.Sal < 6",
+        )
+        .unwrap();
+    assert_eq!(
+        epochs(&server),
+        (data + 2, 0),
+        "the re-fork starts from the authoritative database's statistics"
+    );
+    let fresh = session.query(view).unwrap();
+    assert!(
+        !fresh.cache_hit,
+        "the view changed: its cached plan is stale"
+    );
+    assert_eq!(
+        fresh.rows.rows,
+        vec![vec![Value::Int(1), Value::Int(5)]],
+        "Sal < 6"
+    );
+    assert_eq!(
+        fresh.rows.rows,
+        server.with_snapshot(|d| d.query(view)).unwrap().rows
+    );
+}

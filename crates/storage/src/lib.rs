@@ -28,9 +28,17 @@
 //! hold in every valid instance, they may be conjoined to any WHERE
 //! clause, which is what lets `TestFD` use them to derive functional
 //! dependencies.
+//!
+//! Each [`Table`] also keeps the statistics of its current rows
+//! ([`stats`]): one [`TableStats`] per table version, built once on
+//! first use, shared by every clone of the table (and so by every
+//! [`Storage`] clone, database fork and server snapshot) and dropped by
+//! the write that changes the rows. It is what cardinality estimation
+//! reads instead of the rows.
 
 pub mod columnar;
 pub mod fault;
+pub mod stats;
 mod storage;
 mod table;
 
@@ -38,5 +46,6 @@ pub use columnar::{
     Bitmap, BitmapIter, ColumnVector, ColumnarBatch, StringDict, StringDictBuilder, NULL_CODE,
 };
 pub use fault::{FaultConfig, FaultInjector};
+pub use stats::{ColumnStats, DistinctSketch, EquiDepthHistogram, TableStats};
 pub use storage::{ScanCursor, Storage};
 pub use table::{Row, Table};

@@ -1,6 +1,7 @@
 //! The storage engine: catalog + data, with constraint enforcement.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gbj_catalog::{Catalog, Constraint, Domain, TableDef, ViewDef};
@@ -33,6 +34,10 @@ pub struct Storage {
     /// declaration: it never changes query results, so declaring one
     /// does not bump the epoch.
     partition_keys: BTreeMap<String, Vec<usize>>,
+    /// Statistics passes made over any table's rows — shared with every
+    /// clone of this storage, because they share the cells the passes
+    /// fill (see [`Storage::stats_builds`]).
+    stats_builds: Arc<AtomicU64>,
 }
 
 fn key(name: &str) -> String {
@@ -75,6 +80,7 @@ impl Storage {
         // catalog on errors).
         let schema = def.schema(&name);
         let mut table = Table::new(schema);
+        table.count_stats_builds_in(&self.stats_builds);
         for cons in &def.constraints {
             match cons {
                 Constraint::PrimaryKey(cols) => {
@@ -144,6 +150,17 @@ impl Storage {
     #[must_use]
     pub fn table_data(&self, name: &str) -> Option<&Table> {
         self.data.get(&key(name))
+    }
+
+    /// How many passes over stored rows have built statistics
+    /// ([`Table::stats`] summaries and [`Table::joint_ndv`] sketches),
+    /// counted across this storage and all its clones. A table version
+    /// is folded once however many snapshots plan against it, so the
+    /// count stays flat while cached plans re-run and moves by the
+    /// written table alone after a write.
+    #[must_use]
+    pub fn stats_builds(&self) -> u64 {
+        self.stats_builds.load(Ordering::Relaxed)
     }
 
     /// Declare that `table` is hash-partitioned on `cols` for sharded
@@ -698,12 +715,22 @@ impl Storage {
     /// table level), key and foreign-key constraints. Returns the
     /// assigned RowID.
     pub fn insert(&mut self, table_name: &str, values: Vec<Value>) -> Result<u64> {
-        let def = self
-            .catalog
+        let def = self.table_def(table_name)?;
+        self.insert_into(&def, values)
+    }
+
+    /// A copy of a table's definition, to validate rows against while
+    /// the data is being mutated.
+    fn table_def(&self, table_name: &str) -> Result<TableDef> {
+        self.catalog
             .table(table_name)
-            .ok_or_else(|| Error::Catalog(format!("unknown table {table_name}")))?
-            .clone();
-        let coerced = Self::validate_row(&def, values)?;
+            .cloned()
+            .ok_or_else(|| Error::Catalog(format!("unknown table {table_name}")))
+    }
+
+    /// [`Storage::insert`] into the table `def` describes.
+    fn insert_into(&mut self, def: &TableDef, values: Vec<Value>) -> Result<u64> {
+        let coerced = Self::validate_row(def, values)?;
         // Key constraints against the current contents.
         {
             let table = self
@@ -712,7 +739,7 @@ impl Storage {
                 .ok_or_else(|| Error::Internal(format!("missing data for {}", def.name)))?;
             table.check_keys(&coerced)?;
         }
-        self.check_outgoing_fks(&def, &coerced)?;
+        self.check_outgoing_fks(def, &coerced)?;
         let table = self
             .data
             .get_mut(&key(&def.name))
@@ -922,14 +949,21 @@ impl Storage {
     }
 
     /// Insert several rows, stopping on the first constraint violation.
+    /// The table definition is looked up (and copied) once for the
+    /// statement, not per row; no rows, no lookup.
     pub fn insert_many(
         &mut self,
         table_name: &str,
         rows: impl IntoIterator<Item = Vec<Value>>,
     ) -> Result<usize> {
+        let mut rows = rows.into_iter().peekable();
+        if rows.peek().is_none() {
+            return Ok(0);
+        }
+        let def = self.table_def(table_name)?;
         let mut n = 0;
         for row in rows {
-            self.insert(table_name, row)?;
+            self.insert_into(&def, row)?;
             n += 1;
         }
         Ok(n)

@@ -1,10 +1,13 @@
-//! The stored table: a multiset of rows with implicit RowIDs and
-//! hash indexes over declared keys.
+//! The stored table: a multiset of rows with implicit RowIDs, hash
+//! indexes over declared keys, and the statistics of its current rows.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gbj_types::{Error, GroupKey, Result, Schema, Value};
+
+use crate::stats::{joint_ndv, StatsCell, TableStats};
 
 /// A stored row: its implicit RowID plus the column values.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,6 +41,12 @@ struct KeyIndex {
 /// snapshot pays a one-time copy-on-write of the mutated table only.
 /// Snapshots therefore never observe torn state — they hold the exact
 /// row vector that existed when they were taken.
+///
+/// The same sharing carries the table's statistics
+/// ([`Table::stats`], [`Table::joint_ndv`]): clones holding the same
+/// rows hold the same cell, so one of them folds the rows once for all,
+/// and a mutation leaves the old cell to the snapshots still reading
+/// the old rows.
 #[derive(Debug)]
 pub struct Table {
     schema: Schema,
@@ -50,6 +59,14 @@ pub struct Table {
     /// referenced column ordinals, tagged with the generation they were
     /// built at. Built lazily, maintained incrementally on insert.
     ref_lookups: HashMap<Vec<usize>, (u64, HashSet<GroupKey>)>,
+    /// Statistics of exactly the rows behind `rows`: whoever shares
+    /// this cell shares those rows, and the only two places the row
+    /// vector changes ([`Table::push`], [`Table::replace_rows`]) leave
+    /// it behind.
+    stats: Arc<StatsCell>,
+    /// Passes over the rows made to build statistics, counted across
+    /// every table of a [`Storage`](crate::Storage) and its clones.
+    stats_builds: Arc<AtomicU64>,
 }
 
 impl Clone for Table {
@@ -64,6 +81,8 @@ impl Clone for Table {
             // stale generation tag would force a rebuild anyway, and
             // dropping it keeps snapshots cheap.
             ref_lookups: HashMap::new(),
+            stats: Arc::clone(&self.stats),
+            stats_builds: Arc::clone(&self.stats_builds),
         }
     }
 }
@@ -72,7 +91,7 @@ impl Clone for Table {
 /// out-of-range ordinal as NULL. Storage validates row arity before any
 /// row reaches `Table`, so the fallback exists only to keep this module
 /// panic-free under the `indexing_slicing` lint.
-fn val_at(values: &[Value], c: usize) -> Value {
+pub(crate) fn val_at(values: &[Value], c: usize) -> Value {
     values.get(c).cloned().unwrap_or(Value::Null)
 }
 
@@ -88,7 +107,15 @@ impl Table {
             generation: 0,
             key_indexes: Vec::new(),
             ref_lookups: HashMap::new(),
+            stats: Arc::default(),
+            stats_builds: Arc::default(),
         }
+    }
+
+    /// Count this table's statistics passes in `counter` (the owning
+    /// storage's, see [`Storage::stats_builds`](crate::Storage::stats_builds)).
+    pub(crate) fn count_stats_builds_in(&mut self, counter: &Arc<AtomicU64>) {
+        self.stats_builds = Arc::clone(counter);
     }
 
     /// Declare a key over column ordinals; `allows_null` is true for
@@ -129,6 +156,45 @@ impl Table {
         self.rows.iter().map(|r| r.values.as_slice())
     }
 
+    /// The summary of the current rows: built by one pass over them on
+    /// the first call (by whichever clone sharing these rows asks
+    /// first; a concurrent asker waits for that pass instead of making
+    /// its own), read from the shared cell afterwards. Reads the stored
+    /// rows directly, never through a scan cursor, so an installed
+    /// fault injector does not touch it.
+    #[must_use]
+    pub fn stats(&self) -> &TableStats {
+        self.stats.summary.get_or_init(|| {
+            self.stats_builds.fetch_add(1, Ordering::Relaxed);
+            TableStats::build(&self.schema, self.value_rows())
+        })
+    }
+
+    /// The number of distinct combinations the current rows hold in the
+    /// columns `ordinals`, NULLs comparing equal (`=ⁿ`): exact below
+    /// [`SKETCH_K`](crate::stats::SKETCH_K) combinations, a KMV
+    /// estimate above. One pass per ordinal list and table version,
+    /// shared like [`Table::stats`].
+    #[must_use]
+    pub fn joint_ndv(&self, ordinals: &[usize]) -> f64 {
+        *self.stats.joint(ordinals).get_or_init(|| {
+            self.stats_builds.fetch_add(1, Ordering::Relaxed);
+            joint_ndv(self.value_rows(), ordinals)
+        })
+    }
+
+    /// Forget the statistics: the rows are about to change. O(1), and
+    /// without allocating while nobody else holds the cell; a cell
+    /// shared with snapshots stays theirs and this table starts a fresh
+    /// one — which happens on the first mutation after a snapshot only,
+    /// where the row vector is being copied anyway.
+    fn drop_stats(&mut self) {
+        match Arc::get_mut(&mut self.stats) {
+            Some(cell) => cell.clear(),
+            None => self.stats = Arc::default(),
+        }
+    }
+
     /// The stored rows as a slice (for batched scan cursors).
     pub(crate) fn raw_rows(&self) -> &[Row] {
         &self.rows
@@ -161,6 +227,7 @@ impl Table {
     /// Append a row, updating indexes. The caller (Storage) has already
     /// validated constraints.
     pub(crate) fn push(&mut self, values: Vec<Value>) -> u64 {
+        self.drop_stats();
         for idx in &mut self.key_indexes {
             let key_vals: Vec<Value> = idx.columns.iter().map(|&c| val_at(&values, c)).collect();
             if !key_vals.iter().any(Value::is_null) {
@@ -189,6 +256,7 @@ impl Table {
     /// their RowIDs; `next_row_id` never goes backwards, so IDs are
     /// never reused.
     pub(crate) fn replace_rows(&mut self, rows: Vec<Row>) {
+        self.drop_stats();
         self.ref_lookups.clear();
         for idx in &mut self.key_indexes {
             let mut entries = HashSet::new();
@@ -362,5 +430,48 @@ mod tests {
         t.push(vec![Value::Int(5), Value::Null]);
         assert!(t.contains_key_value(&[0], &[Value::Int(5)]));
         assert!(!t.contains_key_value(&[0], &[Value::Int(6)]));
+    }
+
+    /// Invalidation is O(1) in the statistics: a write to a table
+    /// nobody shares reuses its cell (emptied when it was built) and
+    /// allocates nothing; only the first write after a clone starts a
+    /// new cell, and leaves the clone its own.
+    #[test]
+    fn writes_drop_the_stats_without_touching_a_snapshots() {
+        let mut t = Table::new(schema());
+        let cell = Arc::as_ptr(&t.stats);
+        t.push(vec![Value::Int(1), Value::Null]);
+        t.push(vec![Value::Int(2), Value::Int(5)]);
+        assert_eq!(Arc::as_ptr(&t.stats), cell, "unshared and empty: kept");
+        assert_eq!((t.stats().rows, t.stats().columns[1].nulls), (2, 1));
+        t.push(vec![Value::Int(3), Value::Int(5)]);
+        assert_eq!(Arc::as_ptr(&t.stats), cell, "unshared and built: reused");
+        assert!(t.stats.summary.get().is_none(), "but emptied");
+
+        let snap = t.clone();
+        assert!(
+            Arc::ptr_eq(&t.stats, &snap.stats),
+            "a clone shares the cell"
+        );
+        assert_eq!(snap.stats().rows, 3);
+        assert!(
+            t.stats.summary.get().is_some(),
+            "whoever asks first builds it for every holder of these rows"
+        );
+        assert_eq!(snap.joint_ndv(&[0, 1]), 3.0);
+
+        t.push(vec![Value::Int(4), Value::Null]);
+        assert!(
+            !Arc::ptr_eq(&t.stats, &snap.stats),
+            "first push after a clone"
+        );
+        assert_eq!(snap.stats.summary.get().map(|s| s.rows), Some(3));
+        assert_eq!((t.stats().rows, t.joint_ndv(&[0, 1])), (4, 4.0));
+        let cell = Arc::as_ptr(&t.stats);
+        t.replace_rows(Vec::new());
+        assert_eq!(Arc::as_ptr(&t.stats), cell);
+        assert_eq!((t.stats().rows, snap.stats().rows), (0, 3));
+        // One pass per summary and per joint key, on either side.
+        assert_eq!(t.stats_builds.load(Ordering::Relaxed), 6);
     }
 }

@@ -356,7 +356,11 @@ fn hash_group_value<H: Hasher>(v: &Value, state: &mut H) {
     }
 }
 
-fn canonical_f64_bits(f: f64) -> u64 {
+/// The bit pattern a float is hashed and counted under `=ⁿ`: `-0.0`
+/// normalised to `0.0` and every NaN to one canonical NaN, so two floats
+/// are one grouping value iff their canonical bits are equal.
+#[must_use]
+pub fn canonical_f64_bits(f: f64) -> u64 {
     if f.is_nan() {
         f64::NAN.to_bits()
     } else if f == 0.0 {

@@ -50,6 +50,13 @@ if grep -rnE "mod shard\b|fn run_sharded|ShardedTable|ExecPath::(Sharded|Batch)"
   echo "verify: a third execution path reappeared beside the row engine and the pipeline" >&2
   exit 1
 fi
+# One source of observed statistics: the estimator, the clamp and the
+# analyzer read each table's TableStats (gbj_storage::stats) — the
+# executor and storage are the only readers of rows.
+if grep -rn "value_rows" crates/engine/src crates/optimizer/src crates/analyze/src; then
+  echo "verify: a row scan reappeared outside the executor and storage" >&2
+  exit 1
+fi
 cargo build --release
 cargo test -q --workspace
 GBJ_TEST_THREADS=4 cargo test -q --workspace
@@ -80,6 +87,10 @@ for t in 1 4; do
     GBJ_TEST_THREADS=$t GBJ_TEST_VECTORIZED=$v cargo test -q --test serving_differential
   done
 done
+# Shared table statistics under the server: one fold per table version
+# however many snapshots and sessions ask, and the plan-cache key — with
+# the parallel operators under the sessions.
+GBJ_TEST_THREADS=4 cargo test -q -p gbj-server --test table_stats
 # Plan-choice differential: eager/lazy byte-identity, X-series extreme
 # choices, and adaptive-feedback convergence — at every thread x
 # vectorized combination (the cost decision must be engine-invariant).

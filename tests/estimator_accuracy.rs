@@ -422,3 +422,365 @@ fn range_predicate_over_the_i64_extremes_estimates_sanely() {
         filter.estimated
     );
 }
+
+/// The scan definitions of the four observed facts — what
+/// `Estimator::{column_ndv, histogram, joint_ndv}` and the clamp's
+/// `observed_domain` computed, once per call, by walking every stored
+/// row before the tables kept a [`gbj::storage::TableStats`]. Kept
+/// here, over `Table::value_rows`, as the reference the summaries are
+/// checked against.
+mod scan_oracle {
+    use std::collections::{BTreeSet, HashSet};
+
+    use gbj::analyze::{ColumnDomain, Interval, Nullability};
+    use gbj::engine::{DistinctSketch, EquiDepthHistogram};
+    use gbj::storage::stats::{HISTOGRAM_BUCKETS, SKETCH_K};
+    use gbj::storage::Table;
+    use gbj::types::{ColumnRef, DataType, GroupKey};
+    use gbj::Value;
+
+    fn ordinal(data: &Table, column: &str) -> usize {
+        data.schema()
+            .index_of(&ColumnRef::bare(column.to_string()))
+            .expect("column exists")
+    }
+
+    /// Distinct values of one column, NULL as one value (`=ⁿ`).
+    pub fn column_ndv(data: &Table, column: &str) -> f64 {
+        let idx = ordinal(data, column);
+        let mut seen = HashSet::new();
+        for row in data.value_rows() {
+            seen.insert(GroupKey(vec![row[idx].clone()]));
+        }
+        (seen.len() as f64).max(1.0)
+    }
+
+    pub fn histogram(data: &Table, column: &str) -> Option<EquiDepthHistogram> {
+        let idx = ordinal(data, column);
+        let values: Vec<Option<i64>> = data
+            .value_rows()
+            .map(|row| match row[idx] {
+                Value::Int(v) => Some(v),
+                _ => None,
+            })
+            .collect();
+        EquiDepthHistogram::build(&values, HISTOGRAM_BUCKETS)
+    }
+
+    /// The column ordinals of a grouping set in the order the estimator
+    /// keys its sketch: the `BTreeSet<ColumnRef>` order.
+    pub fn joint_ordinals(data: &Table, columns: &[&str]) -> Vec<usize> {
+        let cols: BTreeSet<ColumnRef> = columns
+            .iter()
+            .map(|c| ColumnRef::qualified("T", c.to_string()))
+            .collect();
+        cols.iter().map(|c| ordinal(data, &c.column)).collect()
+    }
+
+    /// KMV estimate of the distinct `=ⁿ` combinations over `ordinals`.
+    pub fn joint_ndv(data: &Table, ordinals: &[usize]) -> f64 {
+        let mut sketch = DistinctSketch::new(SKETCH_K);
+        for row in data.value_rows() {
+            sketch.insert(&GroupKey(
+                ordinals.iter().map(|&i| row[i].clone()).collect(),
+            ));
+        }
+        sketch.estimate().max(1.0)
+    }
+
+    /// The observed per-column domain, distinct values counted by their
+    /// `Debug` rendering.
+    pub fn observed_domain(data: &Table, column: &str) -> ColumnDomain {
+        let idx = ordinal(data, column);
+        let data_type = data.schema().fields()[idx].data_type;
+        let mut lo: Option<f64> = None;
+        let mut hi: Option<f64> = None;
+        let mut saw_null = false;
+        let mut distinct: BTreeSet<String> = BTreeSet::new();
+        for row in data.value_rows() {
+            match &row[idx] {
+                Value::Null => saw_null = true,
+                other => {
+                    let n = match other {
+                        Value::Int(i) => Some(*i as f64),
+                        Value::Float(f) => Some(*f),
+                        _ => None,
+                    };
+                    if let Some(n) = n {
+                        lo = Some(lo.map_or(n, |l| l.min(n)));
+                        hi = Some(hi.map_or(n, |h| h.max(n)));
+                    }
+                    distinct.insert(match other {
+                        Value::Str(s) => s.clone(),
+                        other => format!("{other:?}"),
+                    });
+                }
+            }
+        }
+        let integral = data_type == DataType::Int64;
+        let interval = match data_type {
+            DataType::Int64 | DataType::Float64 => Some(match (lo, hi) {
+                (Some(lo), Some(hi)) => Interval {
+                    lo: Some(lo),
+                    hi: Some(hi),
+                    integral,
+                },
+                _ => Interval::empty(integral),
+            }),
+            _ => None,
+        };
+        let values = (data_type == DataType::Utf8
+            && distinct.len() <= gbj::analyze::domain::MAX_VALUE_SET)
+            .then(|| distinct.clone());
+        ColumnDomain {
+            interval,
+            values,
+            nullability: if saw_null {
+                Nullability::Maybe
+            } else {
+                Nullability::Never
+            },
+            ndv: Some(distinct.len() as f64),
+        }
+    }
+}
+
+/// Every column kind the summaries special-case, in one table: a key,
+/// two small NULL-mixed integer domains whose names sort against their
+/// schema order (`w` before `a`; together above `SKETCH_K` = 1024
+/// combinations at 5000 rows), the `i64` extremes, an all-NULL column,
+/// floats with NaN and both zeros, strings at 16 and at 17 distinct
+/// values (the `MAX_VALUE_SET` edge) and booleans.
+const SUMMARY_COLUMNS: [&str; 9] = ["k", "w", "ext", "allnull", "f", "s16", "s17", "b", "a"];
+
+fn summary_table(rows: usize, seed: u64) -> Database {
+    use gbj::Value;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let mut db = Database::new();
+    db.execute(
+        "CREATE TABLE T (k INTEGER PRIMARY KEY, w INTEGER, ext INTEGER, allnull INTEGER, \
+         f DOUBLE PRECISION, s16 VARCHAR(8), s17 VARCHAR(8), b BOOLEAN, a INTEGER)",
+    )
+    .expect("ddl");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let data: Vec<Vec<Value>> = (0..rows as i64)
+        .map(|k| {
+            let ext = match rng.gen_range(0..10) {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ => rng.gen_range(-1000..1000),
+            };
+            let f = match rng.gen_range(0..8) {
+                0 => f64::NAN,
+                1 => 0.0,
+                2 => -0.0,
+                _ => f64::from(rng.gen_range(-50..50)) / 4.0,
+            };
+            let mut row = vec![
+                Value::Int(k),
+                Value::Int(rng.gen_range(0..40)),
+                Value::Int(ext),
+                Value::Null,
+                Value::Float(f),
+                Value::str(format!("s{}", k % 16)),
+                Value::str(format!("s{}", k % 17)),
+                Value::Bool(rng.gen_bool(0.5)),
+                Value::Int(rng.gen_range(0..40)),
+            ];
+            // Every column but the key is NULL in a tenth of the rows.
+            for v in row.iter_mut().skip(1) {
+                if rng.gen_bool(0.1) {
+                    *v = Value::Null;
+                }
+            }
+            row
+        })
+        .collect();
+    db.insert_rows("T", data).expect("insert");
+    db
+}
+
+/// Every fact a `TableStats` holds equals its scan definition, on
+/// seeded random tables that are empty, small, and large enough for the
+/// joint sketch to estimate. The estimator and the clamp are pure
+/// functions of these facts, so equal facts are equal `est=` columns;
+/// `estimates_equal_the_scan_oracles_on_every_column_kind` checks the
+/// wiring on top.
+#[test]
+fn summaries_equal_their_scan_definitions() {
+    use gbj::engine::stats::Estimator;
+    for (rows, seed) in [(0usize, 1u64), (1, 2), (50, 3), (50, 4), (5000, 5)] {
+        let db = summary_table(rows, seed);
+        let ctx = format!("rows={rows} seed={seed}");
+        let data = db.storage().table_data("T").expect("table");
+        let est = Estimator::new(db.storage());
+        assert_eq!(est.table_rows("T"), rows as f64, "{ctx}");
+        assert_eq!(data.stats().rows, rows, "{ctx}");
+        for (idx, col) in SUMMARY_COLUMNS.iter().enumerate() {
+            let ctx = format!("{ctx} column={col}");
+            assert_eq!(
+                est.column_ndv("T", col),
+                scan_oracle::column_ndv(data, col),
+                "{ctx}"
+            );
+            assert_eq!(
+                est.histogram("T", col),
+                scan_oracle::histogram(data, col).as_ref(),
+                "{ctx}"
+            );
+            let stats = &data.stats().columns[idx];
+            let observed = scan_oracle::observed_domain(data, col);
+            assert_eq!(
+                stats.nulls > 0,
+                observed.nullability.can_be_null(),
+                "{ctx}: a column holding a NULL never proves IS NOT NULL"
+            );
+            let nulls = data.value_rows().filter(|r| r[idx].is_null()).count();
+            assert_eq!(stats.nulls, nulls, "{ctx}");
+            match (stats.range, observed.interval) {
+                (Some((lo, hi)), Some(i)) => {
+                    assert_eq!((Some(lo), Some(hi)), (i.lo, i.hi), "{ctx}");
+                }
+                (None, Some(i)) => assert!(i.is_empty(), "{ctx}: no non-NULL value"),
+                (None, None) => {}
+                (Some(_), None) => panic!("{ctx}: a range on a non-numeric column"),
+            }
+            assert_eq!(stats.values, observed.values, "{ctx}");
+            // The one deliberate difference: `0.0` and `-0.0` are one
+            // value under `=ⁿ` but two `Debug` strings.
+            let both_zeros = ["0.0", "-0.0"].map(|z| {
+                data.value_rows()
+                    .any(|r| matches!(r[idx], gbj::Value::Float(f) if format!("{f:?}") == z))
+            });
+            let debug_surplus = f64::from(u8::from(both_zeros == [true, true]));
+            assert_eq!(
+                Some(stats.non_null_ndv() as f64 + debug_surplus),
+                observed.ndv,
+                "{ctx}"
+            );
+        }
+        for group in [
+            vec!["w", "a"],
+            vec!["a", "w", "b"],
+            vec!["s17", "f"],
+            vec!["k", "allnull"],
+        ] {
+            let ords = scan_oracle::joint_ordinals(data, &group);
+            assert_eq!(
+                data.joint_ndv(&ords).max(1.0),
+                scan_oracle::joint_ndv(data, &ords),
+                "{ctx} group={group:?}"
+            );
+        }
+    }
+}
+
+/// The `est=` of every node of a scan, a range filter, an equality
+/// filter and two- and three-column groupings equals what the scan
+/// oracles give — unclamped (the estimator's own arithmetic) and
+/// clamped (the bound tree read off the oracle's observed domains).
+#[test]
+fn estimates_equal_the_scan_oracles_on_every_column_kind() {
+    use gbj::expr::BinaryOp;
+    for (rows, seed) in [(0usize, 11u64), (50, 12), (5000, 13)] {
+        let mut db = summary_table(rows, seed);
+        let n = rows as f64;
+        let oracle_db = db.fork();
+        let data = oracle_db.storage().table_data("T").expect("table");
+        let est_of = |db: &mut Database, sql: &str, node: &str, clamp: bool| -> f64 {
+            db.options_mut().clamp_estimates = clamp;
+            let audits = audits_for(db, sql, PushdownPolicy::CostBased);
+            for a in audits.iter().filter(|a| a.operator == "Scan") {
+                assert_eq!(a.estimated, n, "{sql}: scan");
+            }
+            audits
+                .iter()
+                .find(|a| a.label.starts_with(node))
+                .unwrap_or_else(|| panic!("{sql}: no {node} node"))
+                .estimated
+        };
+        let ctx = format!("rows={rows} seed={seed}");
+
+        // Range predicate: rows × histogram selectivity. Inside the
+        // observed range the clamp proves nothing; `ext` spans the
+        // whole type.
+        for (col, op, sym, lit) in [
+            ("w", BinaryOp::Lt, "<", 7),
+            ("ext", BinaryOp::GtEq, ">=", 3),
+            ("a", BinaryOp::LtEq, "<=", 20),
+        ] {
+            let sql = format!("SELECT T.k FROM T WHERE T.{col} {sym} {lit}");
+            let expected =
+                scan_oracle::histogram(data, col).map_or(n / 3.0, |h| n * h.selectivity(op, lit));
+            for clamp in [false, true] {
+                assert_eq!(
+                    est_of(&mut db, &sql, "Filter", clamp),
+                    expected,
+                    "{ctx}: {sql}"
+                );
+            }
+        }
+        // Equality: rows / ndv, NULL counted as one value.
+        for col in ["w", "s17", "ext"] {
+            let lit = if col == "s17" { "'s3'" } else { "3" };
+            let sql = format!("SELECT T.k FROM T WHERE T.{col} = {lit}");
+            let expected = n * (1.0 / scan_oracle::column_ndv(data, col));
+            assert_eq!(
+                est_of(&mut db, &sql, "Filter", false),
+                expected,
+                "{ctx}: {sql}"
+            );
+        }
+        // What the observed domains prove empty, the clamp zeroes: a
+        // literal above the float column's maximum (NaN never widens
+        // it), any comparison with the all-NULL column, and a string
+        // absent from a value set of 16 — while 17 values are past
+        // `MAX_VALUE_SET` and prove nothing.
+        for (sql, proven_empty) in [
+            ("SELECT T.k FROM T WHERE T.f > 1000", true),
+            ("SELECT T.k FROM T WHERE T.allnull >= 0", true),
+            ("SELECT T.k FROM T WHERE T.s16 = 'absent'", true),
+            ("SELECT T.k FROM T WHERE T.s17 = 'absent'", rows == 0),
+        ] {
+            let unclamped = est_of(&mut db, sql, "Filter", false);
+            let clamped = est_of(&mut db, sql, "Filter", true);
+            let expected = if proven_empty { 0.0 } else { unclamped };
+            assert_eq!(clamped, expected, "{ctx}: {sql}");
+        }
+        // Grouping: the joint sketch (estimating above SKETCH_K keys),
+        // capped by the rows, then clamped by Π (ndv + NULL group).
+        for group in [vec!["w", "a"], vec!["a", "w", "b"], vec!["s16", "f"]] {
+            let list: Vec<String> = group.iter().map(|c| format!("T.{c}")).collect();
+            let sql = format!(
+                "SELECT {0}, COUNT(T.k) FROM T GROUP BY {0}",
+                list.join(", ")
+            );
+            let ords = scan_oracle::joint_ordinals(data, &group);
+            let joint = scan_oracle::joint_ndv(data, &ords);
+            if rows == 5000 && group.len() == 3 {
+                assert!(joint > 1024.0, "{ctx}: the sketch must be estimating");
+            }
+            let unclamped = joint.min(n.max(1.0)).max(1.0);
+            let bound: f64 = group
+                .iter()
+                .map(|c| {
+                    scan_oracle::observed_domain(data, c)
+                        .group_ndv_upper()
+                        .expect("observed columns have an NDV")
+                })
+                .product();
+            assert_eq!(
+                est_of(&mut db, &sql, "Aggregate", false),
+                unclamped,
+                "{ctx}: {sql}"
+            );
+            assert_eq!(
+                est_of(&mut db, &sql, "Aggregate", true),
+                unclamped.min(n.min(bound)),
+                "{ctx}: {sql}"
+            );
+        }
+    }
+}
