@@ -752,7 +752,7 @@ pub(crate) mod tests {
     /// dictionary group, and NULL to NULL.
     #[test]
     fn groups_demotion_from_int_and_dict_keys_is_lossless() {
-        use crate::batch::StringDictBuilder;
+        use crate::batch::StringDict;
         let guard = g();
         let ints = [ColumnVector::from_values(
             [Value::Int(10), Value::Null, Value::Int(10)].iter(),
@@ -770,12 +770,12 @@ pub(crate) mod tests {
         let slots: Vec<usize> = (0..3).map(|i| groups.slot(&floats, i).unwrap()).collect();
         assert_eq!(slots, [0, 1, 2]);
 
-        let mut b = StringDictBuilder::new();
+        let mut b = StringDict::default();
         let x = b.intern("x").unwrap();
         let y = b.intern("y").unwrap();
         let coded = [ColumnVector::Dict {
             codes: vec![y, NULL_CODE, x, y],
-            dict: Arc::new(b.finish()),
+            dict: Arc::new(b),
         }];
         let mut groups = Groups::new(&[], &guard);
         groups.prepare(&coded);

@@ -123,7 +123,7 @@ pub(crate) fn gather(parts: Parts, sink: &MetricsSink) -> Vec<Chunk> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{ColumnVector, StringDictBuilder, NULL_CODE};
+    use crate::batch::{ColumnVector, StringDict, NULL_CODE};
     use crate::guard::row_bytes;
     use gbj_types::Value;
     use std::sync::Arc;
@@ -132,7 +132,7 @@ mod tests {
     /// NULLs everywhere a variant can hold one.
     fn every_variant() -> Vec<(&'static str, ColumnVector)> {
         let typed = |vals: [Value; 6]| ColumnVector::from_values(vals.iter());
-        let mut dict = StringDictBuilder::new();
+        let mut dict = StringDict::default();
         let (x, long) = (
             dict.intern("x").unwrap(),
             dict.intern("a longer string").unwrap(),
@@ -180,7 +180,7 @@ mod tests {
                 "Dict",
                 ColumnVector::Dict {
                     codes: vec![x, long, NULL_CODE, x, long, NULL_CODE],
-                    dict: Arc::new(dict.finish()),
+                    dict: Arc::new(dict),
                 },
             ),
             (

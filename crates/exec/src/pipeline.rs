@@ -4,14 +4,15 @@
 //! When [`execution_path`](crate::execution_path) answers
 //! [`ExecPath::Pipeline`](crate::ExecPath) — the *whole* plan passes
 //! the gate — the executor runs this pipeline instead of the row
-//! engine: the scan produces [`ColumnarBatch`]es directly
-//! ([`gbj_storage::ScanCursor::next_columnar`], no intermediate row
-//! vec), filters and probe phases carry row-id *selection vectors* over
-//! shared batches instead of copying rows, string join/group keys hash
-//! on dictionary codes ([`ColumnVector::Dict`]) or raw `i64`s instead
-//! of cloned [`Value`]s, and payload columns materialize only at the
-//! pipeline breakers (hash join, hash aggregate, sort) — or at the very
-//! end, when the result set is assembled.
+//! engine: the scan hands out the table's stored blocks as
+//! [`ColumnarBatch`]es ([`gbj_storage::ScanCursor::next_columnar`] —
+//! no row form, no per-row work), filters and probe phases carry row-id
+//! *selection vectors* over shared batches instead of copying rows,
+//! string join/group keys hash on dictionary codes
+//! ([`ColumnVector::Dict`]) or raw `i64`s instead of cloned [`Value`]s,
+//! and payload columns materialize only at the pipeline breakers (hash
+//! join, hash aggregate, sort) — or at the very end, when the result
+//! set is assembled.
 //!
 //! **Parts.** What flows between operators is [`Parts`]: one chunk
 //! stream per shard, `n` = the shard count the path was admitted at.
@@ -63,6 +64,7 @@
 //!   counters scale with the part count — deterministically: identical
 //!   across thread counts and repeated runs.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -252,8 +254,8 @@ fn concat_chunks(chunks: &[Chunk], required: &[bool]) -> Result<ColumnarBatch> {
         for ch in chunks {
             let col = ch.batch.column(c)?;
             parts.push(match &ch.sel {
-                Some(sel) => col.gather(sel),
-                None => col.clone(),
+                Some(sel) => Cow::Owned(col.gather(sel)),
+                None => Cow::Borrowed(col),
             });
         }
         cols.push(concat_columns(&parts, total));
@@ -263,8 +265,8 @@ fn concat_chunks(chunks: &[Chunk], required: &[bool]) -> Result<ColumnarBatch> {
 
 /// Merge column parts of (ideally) one variant into a single vector.
 /// Heterogeneous or foreign-dictionary parts decode through [`Value`]s.
-fn concat_columns(parts: &[ColumnVector], total: usize) -> ColumnVector {
-    fn merged_validity(parts: &[ColumnVector], total: usize) -> Bitmap {
+fn concat_columns(parts: &[Cow<'_, ColumnVector>], total: usize) -> ColumnVector {
+    fn merged_validity(parts: &[Cow<'_, ColumnVector>], total: usize) -> Bitmap {
         let mut v = Bitmap::new_all(total, true);
         let mut off = 0usize;
         for p in parts {
@@ -277,10 +279,13 @@ fn concat_columns(parts: &[ColumnVector], total: usize) -> ColumnVector {
         }
         v
     }
-    if parts.iter().all(|p| matches!(p, ColumnVector::Int { .. })) {
+    if parts
+        .iter()
+        .all(|p| matches!(**p, ColumnVector::Int { .. }))
+    {
         let mut values = Vec::with_capacity(total);
         for p in parts {
-            if let ColumnVector::Int { values: v, .. } = p {
+            if let ColumnVector::Int { values: v, .. } = p.as_ref() {
                 values.extend_from_slice(v);
             }
         }
@@ -289,45 +294,51 @@ fn concat_columns(parts: &[ColumnVector], total: usize) -> ColumnVector {
     }
     if parts
         .iter()
-        .all(|p| matches!(p, ColumnVector::Float { .. }))
+        .all(|p| matches!(**p, ColumnVector::Float { .. }))
     {
         let mut values = Vec::with_capacity(total);
         for p in parts {
-            if let ColumnVector::Float { values: v, .. } = p {
+            if let ColumnVector::Float { values: v, .. } = p.as_ref() {
                 values.extend_from_slice(v);
             }
         }
         let validity = merged_validity(parts, total);
         return ColumnVector::Float { values, validity };
     }
-    if parts.iter().all(|p| matches!(p, ColumnVector::Bool { .. })) {
+    if parts
+        .iter()
+        .all(|p| matches!(**p, ColumnVector::Bool { .. }))
+    {
         let mut values = Vec::with_capacity(total);
         for p in parts {
-            if let ColumnVector::Bool { values: v, .. } = p {
+            if let ColumnVector::Bool { values: v, .. } = p.as_ref() {
                 values.extend_from_slice(v);
             }
         }
         let validity = merged_validity(parts, total);
         return ColumnVector::Bool { values, validity };
     }
-    if parts.iter().all(|p| matches!(p, ColumnVector::Str { .. })) {
+    if parts
+        .iter()
+        .all(|p| matches!(**p, ColumnVector::Str { .. }))
+    {
         let mut values = Vec::with_capacity(total);
         for p in parts {
-            if let ColumnVector::Str { values: v, .. } = p {
+            if let ColumnVector::Str { values: v, .. } = p.as_ref() {
                 values.extend(v.iter().cloned());
             }
         }
         let validity = merged_validity(parts, total);
         return ColumnVector::Str { values, validity };
     }
-    if let Some(ColumnVector::Dict { dict: first, .. }) = parts.first() {
-        let shared = parts
-            .iter()
-            .all(|p| matches!(p, ColumnVector::Dict { dict, .. } if Arc::ptr_eq(dict, first)));
+    if let Some(ColumnVector::Dict { dict: first, .. }) = parts.first().map(AsRef::as_ref) {
+        let shared = parts.iter().all(
+            |p| matches!(p.as_ref(), ColumnVector::Dict { dict, .. } if Arc::ptr_eq(dict, first)),
+        );
         if shared {
             let mut codes = Vec::with_capacity(total);
             for p in parts {
-                if let ColumnVector::Dict { codes: c, .. } = p {
+                if let ColumnVector::Dict { codes: c, .. } = p.as_ref() {
                     codes.extend_from_slice(c);
                 }
             }
@@ -392,8 +403,9 @@ impl Executor<'_> {
     /// movements `dist` prescribes. `required` flags which output
     /// columns the parent will read; operators may emit all-NULL
     /// placeholders for the rest (late materialization) — except scans,
-    /// which always build every column so fault-injection counters stay
-    /// identical to the row path.
+    /// which always deliver every column (a stored block costs an `Arc`
+    /// clone) so fault-injection counters stay identical to the row
+    /// path.
     #[allow(clippy::too_many_lines)]
     fn run_chunks(
         &self,
@@ -519,9 +531,13 @@ impl Executor<'_> {
                         guard.tick()?;
                         let kt = sink.start_timer();
                         sink.add_vectors(1);
-                        let cols: Vec<ColumnVector> = bound
+                        let cols: Vec<Arc<ColumnVector>> = bound
                             .iter()
-                            .map(|b| Ok(eval_value_vec(b, &ch.batch)?.into_owned()))
+                            .map(|b| match b {
+                                // A bare column is passed on, not copied.
+                                BoundExpr::Column(i) => ch.batch.shared_column(*i).cloned(),
+                                _ => Ok(Arc::new(eval_value_vec(b, &ch.batch)?.into_owned())),
+                            })
                             .collect::<Result<_>>()?;
                         sink.record_kernel(kt);
                         let batch = ColumnarBatch::from_columns(cols, ch.batch.len())?;
@@ -1166,10 +1182,10 @@ mod tests {
 
     #[test]
     fn concat_columns_merges_shared_dictionaries_code_native() {
-        let mut b = crate::batch::StringDictBuilder::default();
+        let mut b = crate::batch::StringDict::default();
         let c0 = b.intern("x").unwrap();
         let c1 = b.intern("y").unwrap();
-        let dict = Arc::new(b.finish());
+        let dict = Arc::new(b);
         let p1 = ColumnVector::Dict {
             codes: vec![c0, NULL_CODE],
             dict: Arc::clone(&dict),
@@ -1178,7 +1194,7 @@ mod tests {
             codes: vec![c1],
             dict: Arc::clone(&dict),
         };
-        let merged = concat_columns(&[p1, p2], 3);
+        let merged = concat_columns(&[Cow::Owned(p1), Cow::Owned(p2)], 3);
         match &merged {
             ColumnVector::Dict { codes, dict: d } => {
                 assert!(Arc::ptr_eq(d, &dict), "shared dictionary must survive");

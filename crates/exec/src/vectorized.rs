@@ -679,15 +679,15 @@ mod tests {
 
     #[test]
     fn dict_kernels_match_decoded_strings() {
-        use crate::batch::{StringDictBuilder, NULL_CODE};
+        use crate::batch::{StringDict, NULL_CODE};
         use std::sync::Arc;
 
         let dict = {
-            let mut b = StringDictBuilder::new();
+            let mut b = StringDict::default();
             b.intern("x").unwrap();
             b.intern("y").unwrap();
             b.intern("").unwrap();
-            Arc::new(b.finish())
+            Arc::new(b)
         };
         let a = ColumnVector::Dict {
             codes: vec![0, 1, NULL_CODE, 2],

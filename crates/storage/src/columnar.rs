@@ -1,33 +1,38 @@
 //! Columnar batches: per-column typed vectors with validity bitmaps.
 //!
 //! A [`ColumnarBatch`] is the unit the vectorized kernels in `gbj-exec`
-//! operate on. [`ScanCursor::next_columnar`](crate::ScanCursor) builds
-//! batches natively from storage (no intermediate row vec); the
-//! row-major conversion pair [`ColumnarBatch::from_rows`] /
-//! [`ColumnarBatch::to_rows`] remains lossless for every input —
-//! including empty batches, single-row batches, and the short final
-//! batches a `FaultInjector` forces — and serves as the differential
-//! oracle boundary between the row and batch engines.
+//! operate on — and, since tables are stored column-major
+//! ([`Table`](crate::Table)), the unit storage keeps: a stored
+//! `Int64` / `Float64` / `Boolean` block is a [`ColumnVector`] behind an
+//! `Arc`, and [`ScanCursor::next_columnar`](crate::ScanCursor) hands it
+//! out as a column of the batch without copying it. The row-major
+//! conversion pair [`ColumnarBatch::from_rows`] /
+//! [`ColumnarBatch::to_rows`] is lossless for every input — including
+//! empty batches, single-row batches, and the short final batches a
+//! `FaultInjector` forces — and serves as the differential oracle
+//! boundary between the row and batch engines; `to_rows` is also the
+//! row view of a scan ([`ScanCursor::next_batch`](crate::ScanCursor)).
 //!
 //! NULL handling follows the paper's split semantics: a validity bitmap
-//! records *where* NULLs are, and the kernels decide what a NULL means —
+//! records *where* NULLs are — apart from the values, never as a
+//! sentinel value — and the kernels decide what a NULL means:
 //! `unknown` in a search condition (3VL), "equal to NULL" under the
 //! `=ⁿ` duplicate relation used for grouping keys.
 //!
 //! Columns whose non-NULL values are all of one type get a typed vector
 //! (`Int`/`Float`/`Bool`/`Str`); a type-mixed column falls back to a
 //! row-major [`ColumnVector::Mixed`] vector of [`Value`]s, which keeps
-//! the round-trip lossless without constraining the storage layer.
-//! String columns scanned from storage are dictionary-encoded
-//! ([`ColumnVector::Dict`]): rows hold `u32` codes into a shared
-//! [`StringDict`], with [`NULL_CODE`] reserved for NULL so `=ⁿ`
-//! grouping can hash codes instead of strings without conflating NULL
-//! with any real value.
+//! the round-trip lossless (a stored table never holds one: inserts are
+//! coerced to the declared type). String columns scanned from storage
+//! are dictionary-encoded ([`ColumnVector::Dict`]): rows hold `u32`
+//! codes into the column's [`StringDict`], with [`NULL_CODE`] reserved
+//! for NULL so `=ⁿ` grouping can hash codes instead of strings without
+//! conflating NULL with any real value.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gbj_types::{internal_err, Result, Value};
+use gbj_types::{internal_err, DataType, Result, Value};
 
 /// The reserved dictionary code marking a NULL slot in a
 /// [`ColumnVector::Dict`] column. A [`StringDict`] never assigns it to
@@ -35,15 +40,18 @@ use gbj_types::{internal_err, Result, Value};
 /// their own.
 pub const NULL_CODE: u32 = u32::MAX;
 
-/// An immutable interned-string dictionary shared (via `Arc`) by every
-/// batch a scan cursor emits for one column.
+/// An interned-string dictionary: one per stored `Utf8` column, built
+/// at insert and append-only for the life of the table, shared (via
+/// `Arc`) by every batch a scan of that column emits.
 ///
 /// Codes are dense, starting at 0 in first-seen order; [`NULL_CODE`] is
-/// reserved and never assigned.
+/// reserved and never assigned. An entry says only that some row *once*
+/// held the string — after a DELETE or UPDATE no live row may use it.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct StringDict {
-    values: Vec<String>,
-    lookup: HashMap<String, u32>,
+    /// Each string is held once, shared by both directions.
+    values: Vec<Arc<str>>,
+    lookup: HashMap<Arc<str>, u32>,
 }
 
 impl StringDict {
@@ -63,7 +71,7 @@ impl StringDict {
     /// any code never assigned.
     #[must_use]
     pub fn get(&self, code: u32) -> Option<&str> {
-        self.values.get(code as usize).map(String::as_str)
+        self.values.get(code as usize).map(AsRef::as_ref)
     }
 
     /// Look up the code of a string, if interned (O(1)).
@@ -71,60 +79,51 @@ impl StringDict {
     pub fn code_of(&self, s: &str) -> Option<u32> {
         self.lookup.get(s).copied()
     }
-}
-
-/// Builds a [`StringDict`] by interning strings in first-seen order.
-#[derive(Debug, Default)]
-pub struct StringDictBuilder {
-    dict: StringDict,
-}
-
-impl StringDictBuilder {
-    /// A fresh, empty builder.
-    #[must_use]
-    pub fn new() -> StringDictBuilder {
-        StringDictBuilder::default()
-    }
 
     /// Intern `s`, returning its (existing or new) code. `None` when
     /// the dictionary is full — every code below [`NULL_CODE`] is
-    /// taken — in which case the caller must fall back to a plain
-    /// string column.
+    /// taken.
     pub fn intern(&mut self, s: &str) -> Option<u32> {
-        if let Some(code) = self.dict.lookup.get(s) {
+        if let Some(code) = self.lookup.get(s) {
             return Some(*code);
         }
-        let code = u32::try_from(self.dict.values.len()).ok()?;
+        let code = u32::try_from(self.values.len()).ok()?;
         if code == NULL_CODE {
             return None;
         }
-        self.dict.values.push(s.to_string());
-        self.dict.lookup.insert(s.to_string(), code);
+        let shared: Arc<str> = Arc::from(s);
+        self.values.push(Arc::clone(&shared));
+        self.lookup.insert(shared, code);
         Some(code)
-    }
-
-    /// Finish building and freeze the dictionary.
-    #[must_use]
-    pub fn finish(self) -> StringDict {
-        self.dict
     }
 }
 
 /// A packed validity bitmap: bit `i` set means row `i` is non-NULL.
+///
+/// The unused high bits of the last word are always zero and the
+/// number of set bits is kept beside the words, so equality depends on
+/// the `len` bits alone and [`Bitmap::all_valid`] is O(1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmap {
     words: Vec<u64>,
     len: usize,
+    /// Set bits among the first `len`, maintained by every write.
+    valid: usize,
 }
 
 impl Bitmap {
     /// A bitmap of `len` bits, all set to `valid`.
     #[must_use]
     pub fn new_all(len: usize, valid: bool) -> Bitmap {
-        let fill = if valid { u64::MAX } else { 0 };
+        let mut words = vec![if valid { u64::MAX } else { 0 }; len.div_ceil(64)];
+        if let Some(last) = words.last_mut() {
+            // Keep the unused high bits of the last word zero.
+            *last >>= (64 - len % 64) % 64;
+        }
         Bitmap {
-            words: vec![fill; len.div_ceil(64)],
+            words,
             len,
+            valid: if valid { len } else { 0 },
         }
     }
 
@@ -157,19 +156,35 @@ impl Bitmap {
             return;
         }
         if let Some(w) = self.words.get_mut(i / 64) {
+            let bit = 1u64 << (i % 64);
+            let was = *w & bit != 0;
             if valid {
-                *w |= 1u64 << (i % 64);
+                *w |= bit;
             } else {
-                *w &= !(1u64 << (i % 64));
+                *w &= !bit;
             }
+            self.valid = self.valid + usize::from(valid) - usize::from(was);
         }
+    }
+
+    /// Append one bit.
+    #[inline]
+    pub fn push(&mut self, valid: bool) {
+        if self.len.is_multiple_of(64) {
+            self.words.push(0);
+        }
+        if let Some(last) = self.words.last_mut() {
+            *last |= u64::from(valid) << (self.len % 64);
+        }
+        self.valid += usize::from(valid);
+        self.len += 1;
     }
 
     /// Whether every bit is set — the kernels' fast-path check that
     /// lets a NULL-free column skip per-element validity tests.
     #[must_use]
     pub fn all_valid(&self) -> bool {
-        self.count_valid() == self.len
+        self.valid == self.len
     }
 
     /// Iterate the bits in order, word-at-a-time — much cheaper inside
@@ -187,19 +202,7 @@ impl Bitmap {
     /// Number of set (valid) bits.
     #[must_use]
     pub fn count_valid(&self) -> usize {
-        // Bits past `len` in the last word may be set by `new_all`; mask
-        // them off before counting.
-        let mut total = 0usize;
-        for (wi, w) in self.words.iter().enumerate() {
-            let bits_here = (self.len - (wi * 64).min(self.len)).min(64);
-            let mask = if bits_here == 64 {
-                u64::MAX
-            } else {
-                (1u64 << bits_here) - 1
-            };
-            total += (w & mask).count_ones() as usize;
-        }
-        total
+        self.valid
     }
 }
 
@@ -292,122 +295,101 @@ pub enum ColumnVector {
     },
 }
 
-/// The type tag used to pick a typed vector for a column.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Tag {
-    Int,
-    Float,
-    Bool,
-    Str,
-}
-
-fn tag_of(v: &Value) -> Option<Tag> {
-    match v {
-        Value::Null => None,
-        Value::Int(_) => Some(Tag::Int),
-        Value::Float(_) => Some(Tag::Float),
-        Value::Bool(_) => Some(Tag::Bool),
-        Value::Str(_) => Some(Tag::Str),
-    }
-}
-
 impl ColumnVector {
     /// Build a column from an iterator over its values.
     ///
     /// All non-NULL values of one type → typed vector with a validity
     /// bitmap (an all-NULL or empty column becomes an all-invalid `Int`
     /// vector); mixed types → [`ColumnVector::Mixed`]. This path never
-    /// produces a `Dict` column — dictionary encoding happens only at
-    /// the storage scan, where the whole column is visible.
+    /// produces a `Dict` column — dictionary encoding happens at
+    /// insert, in the stored table.
     pub fn from_values<'a, I>(values: I) -> ColumnVector
     where
         I: ExactSizeIterator<Item = &'a Value> + Clone,
     {
-        // Single-pass construction: the tag comes from the first
-        // non-NULL value (stops early), and a type mismatch discovered
-        // while filling falls back to `Mixed` — same result as a full
-        // upfront scan, without a second Value-inspecting pass.
+        // The type comes from the first non-NULL value (stops early),
+        // and a mismatch discovered while filling falls back to
+        // `Mixed` — same result as a full upfront scan.
         let n = values.len();
-        let Some(tag) = values.clone().find_map(tag_of) else {
-            // All-NULL or empty: a typed vector with no valid bits.
-            return ColumnVector::Int {
-                values: vec![0; n],
-                validity: Bitmap::new_all(n, false),
-            };
+        let Some(data_type) = values.clone().find_map(Value::data_type) else {
+            return ColumnVector::all_null(n);
         };
-        let mut validity = Bitmap::new_all(n, false);
-        let mixed = || ColumnVector::Mixed {
-            values: values.clone().cloned().collect(),
-        };
-        match tag {
-            Tag::Int => {
-                let mut out = Vec::with_capacity(n);
-                for (i, v) in values.clone().enumerate() {
-                    match v {
-                        Value::Int(x) => {
-                            validity.set(i, true);
-                            out.push(*x);
-                        }
-                        Value::Null => out.push(0),
-                        _ => return mixed(),
-                    }
-                }
-                ColumnVector::Int {
-                    values: out,
-                    validity,
-                }
+        let mut out = ColumnVector::empty(data_type, n);
+        for v in values.clone() {
+            if !out.push(v) {
+                return ColumnVector::Mixed {
+                    values: values.cloned().collect(),
+                };
             }
-            Tag::Float => {
-                let mut out = Vec::with_capacity(n);
-                for (i, v) in values.clone().enumerate() {
-                    match v {
-                        Value::Float(x) => {
-                            validity.set(i, true);
-                            out.push(*x);
-                        }
-                        Value::Null => out.push(0.0),
-                        _ => return mixed(),
-                    }
-                }
-                ColumnVector::Float {
-                    values: out,
-                    validity,
-                }
+        }
+        out
+    }
+
+    /// An empty typed vector (plain strings for `Utf8`) with room for
+    /// `capacity` rows, to fill with [`ColumnVector::push`].
+    #[must_use]
+    pub fn empty(data_type: DataType, capacity: usize) -> ColumnVector {
+        let validity = Bitmap::new_all(0, false);
+        match data_type {
+            DataType::Int64 => ColumnVector::Int {
+                values: Vec::with_capacity(capacity),
+                validity,
+            },
+            DataType::Float64 => ColumnVector::Float {
+                values: Vec::with_capacity(capacity),
+                validity,
+            },
+            DataType::Boolean => ColumnVector::Bool {
+                values: Vec::with_capacity(capacity),
+                validity,
+            },
+            DataType::Utf8 => ColumnVector::Str {
+                values: Vec::with_capacity(capacity),
+                validity,
+            },
+        }
+    }
+
+    /// Append one cell if the vector can hold it — NULL, a value of a
+    /// typed vector's type, a string its dictionary knows — and say
+    /// whether it did.
+    #[inline]
+    pub fn push(&mut self, cell: &Value) -> bool {
+        fn put<T: Default>(values: &mut Vec<T>, validity: &mut Bitmap, cell: Option<T>) -> bool {
+            validity.push(cell.is_some());
+            values.push(cell.unwrap_or_default());
+            true
+        }
+        match (self, cell) {
+            (ColumnVector::Int { values, validity }, Value::Int(x)) => {
+                put(values, validity, Some(*x))
             }
-            Tag::Bool => {
-                let mut out = Vec::with_capacity(n);
-                for (i, v) in values.clone().enumerate() {
-                    match v {
-                        Value::Bool(x) => {
-                            validity.set(i, true);
-                            out.push(*x);
-                        }
-                        Value::Null => out.push(false),
-                        _ => return mixed(),
-                    }
-                }
-                ColumnVector::Bool {
-                    values: out,
-                    validity,
-                }
+            (ColumnVector::Float { values, validity }, Value::Float(x)) => {
+                put(values, validity, Some(*x))
             }
-            Tag::Str => {
-                let mut out = Vec::with_capacity(n);
-                for (i, v) in values.clone().enumerate() {
-                    match v {
-                        Value::Str(x) => {
-                            validity.set(i, true);
-                            out.push(x.clone());
-                        }
-                        Value::Null => out.push(String::new()),
-                        _ => return mixed(),
-                    }
-                }
-                ColumnVector::Str {
-                    values: out,
-                    validity,
-                }
+            (ColumnVector::Bool { values, validity }, Value::Bool(x)) => {
+                put(values, validity, Some(*x))
             }
+            (ColumnVector::Str { values, validity }, Value::Str(s)) => {
+                put(values, validity, Some(s.clone()))
+            }
+            (ColumnVector::Int { values, validity }, Value::Null) => put(values, validity, None),
+            (ColumnVector::Float { values, validity }, Value::Null) => put(values, validity, None),
+            (ColumnVector::Bool { values, validity }, Value::Null) => put(values, validity, None),
+            (ColumnVector::Str { values, validity }, Value::Null) => put(values, validity, None),
+            (ColumnVector::Dict { codes, dict }, cell) => {
+                let code = match cell {
+                    Value::Null => Some(NULL_CODE),
+                    Value::Str(s) => dict.code_of(s),
+                    _ => None,
+                };
+                code.map(|code| codes.push(code)).is_some()
+            }
+            (ColumnVector::Mixed { values }, cell) => {
+                values.push(cell.clone());
+                true
+            }
+            _ => false,
         }
     }
 
@@ -462,39 +444,26 @@ impl ColumnVector {
     /// to the one the column was built from.
     #[must_use]
     pub fn value(&self, i: usize) -> Value {
+        fn at<'a, T>(values: &'a [T], validity: &Bitmap, i: usize) -> Option<&'a T> {
+            values.get(i).filter(|_| validity.get(i))
+        }
         match self {
             ColumnVector::Int { values, validity } => {
-                if validity.get(i) {
-                    values.get(i).copied().map_or(Value::Null, Value::Int)
-                } else {
-                    Value::Null
-                }
+                at(values, validity, i).map_or(Value::Null, |x| Value::Int(*x))
             }
             ColumnVector::Float { values, validity } => {
-                if validity.get(i) {
-                    values.get(i).copied().map_or(Value::Null, Value::Float)
-                } else {
-                    Value::Null
-                }
+                at(values, validity, i).map_or(Value::Null, |x| Value::Float(*x))
             }
             ColumnVector::Bool { values, validity } => {
-                if validity.get(i) {
-                    values.get(i).copied().map_or(Value::Null, Value::Bool)
-                } else {
-                    Value::Null
-                }
+                at(values, validity, i).map_or(Value::Null, |x| Value::Bool(*x))
             }
             ColumnVector::Str { values, validity } => {
-                if validity.get(i) {
-                    values.get(i).map_or(Value::Null, |s| Value::Str(s.clone()))
-                } else {
-                    Value::Null
-                }
+                at(values, validity, i).map_or(Value::Null, |s| Value::Str(s.clone()))
             }
             ColumnVector::Dict { codes, dict } => codes
                 .get(i)
                 .and_then(|&c| dict.get(c))
-                .map_or(Value::Null, |s| Value::Str(s.to_string())),
+                .map_or(Value::Null, Value::str),
             ColumnVector::Mixed { values } => values.get(i).cloned().unwrap_or(Value::Null),
         }
     }
@@ -519,66 +488,34 @@ impl ColumnVector {
     /// [`ColumnVector::value`].
     #[must_use]
     pub fn gather(&self, sel: &[u32]) -> ColumnVector {
+        fn typed<T: Clone + Default>(v: &[T], validity: &Bitmap, sel: &[u32]) -> (Vec<T>, Bitmap) {
+            let mut out = Vec::with_capacity(sel.len());
+            let mut mask = Bitmap::new_all(sel.len(), false);
+            for (o, &i) in sel.iter().enumerate() {
+                let i = i as usize;
+                out.push(v.get(i).cloned().unwrap_or_default());
+                if validity.get(i) {
+                    mask.set(o, true);
+                }
+            }
+            (out, mask)
+        }
         match self {
             ColumnVector::Int { values, validity } => {
-                let mut out = Vec::with_capacity(sel.len());
-                let mut mask = Bitmap::new_all(sel.len(), false);
-                for (o, &i) in sel.iter().enumerate() {
-                    let i = i as usize;
-                    out.push(values.get(i).copied().unwrap_or(0));
-                    if validity.get(i) {
-                        mask.set(o, true);
-                    }
-                }
-                ColumnVector::Int {
-                    values: out,
-                    validity: mask,
-                }
+                let (values, validity) = typed(values, validity, sel);
+                ColumnVector::Int { values, validity }
             }
             ColumnVector::Float { values, validity } => {
-                let mut out = Vec::with_capacity(sel.len());
-                let mut mask = Bitmap::new_all(sel.len(), false);
-                for (o, &i) in sel.iter().enumerate() {
-                    let i = i as usize;
-                    out.push(values.get(i).copied().unwrap_or(0.0));
-                    if validity.get(i) {
-                        mask.set(o, true);
-                    }
-                }
-                ColumnVector::Float {
-                    values: out,
-                    validity: mask,
-                }
+                let (values, validity) = typed(values, validity, sel);
+                ColumnVector::Float { values, validity }
             }
             ColumnVector::Bool { values, validity } => {
-                let mut out = Vec::with_capacity(sel.len());
-                let mut mask = Bitmap::new_all(sel.len(), false);
-                for (o, &i) in sel.iter().enumerate() {
-                    let i = i as usize;
-                    out.push(values.get(i).copied().unwrap_or(false));
-                    if validity.get(i) {
-                        mask.set(o, true);
-                    }
-                }
-                ColumnVector::Bool {
-                    values: out,
-                    validity: mask,
-                }
+                let (values, validity) = typed(values, validity, sel);
+                ColumnVector::Bool { values, validity }
             }
             ColumnVector::Str { values, validity } => {
-                let mut out = Vec::with_capacity(sel.len());
-                let mut mask = Bitmap::new_all(sel.len(), false);
-                for (o, &i) in sel.iter().enumerate() {
-                    let i = i as usize;
-                    out.push(values.get(i).cloned().unwrap_or_default());
-                    if validity.get(i) {
-                        mask.set(o, true);
-                    }
-                }
-                ColumnVector::Str {
-                    values: out,
-                    validity: mask,
-                }
+                let (values, validity) = typed(values, validity, sel);
+                ColumnVector::Str { values, validity }
             }
             ColumnVector::Dict { codes, dict } => ColumnVector::Dict {
                 codes: sel
@@ -595,12 +532,75 @@ impl ColumnVector {
             },
         }
     }
+
+    /// The column's values in row order: the variant is decided once
+    /// and validity is read a word at a time, which is what makes the
+    /// row view of a batch ([`ColumnarBatch::to_rows`]) cheap.
+    pub fn values(&self) -> ColumnValues<'_> {
+        match self {
+            ColumnVector::Int { values, validity } => {
+                ColumnValues::Int(values.iter(), validity.iter())
+            }
+            ColumnVector::Float { values, validity } => {
+                ColumnValues::Float(values.iter(), validity.iter())
+            }
+            ColumnVector::Bool { values, validity } => {
+                ColumnValues::Bool(values.iter(), validity.iter())
+            }
+            ColumnVector::Str { values, validity } => {
+                ColumnValues::Str(values.iter(), validity.iter())
+            }
+            ColumnVector::Dict { codes, dict } => ColumnValues::Dict(codes.iter(), dict),
+            ColumnVector::Mixed { values } => ColumnValues::Mixed(values.iter()),
+        }
+    }
 }
 
-/// A column-major batch of rows: one [`ColumnVector`] per column.
+/// Iterator over a column's [`Value`]s (see [`ColumnVector::values`]).
+#[derive(Debug)]
+pub enum ColumnValues<'a> {
+    /// Over an `Int` vector.
+    Int(std::slice::Iter<'a, i64>, BitmapIter<'a>),
+    /// Over a `Float` vector.
+    Float(std::slice::Iter<'a, f64>, BitmapIter<'a>),
+    /// Over a `Bool` vector.
+    Bool(std::slice::Iter<'a, bool>, BitmapIter<'a>),
+    /// Over a `Str` vector.
+    Str(std::slice::Iter<'a, String>, BitmapIter<'a>),
+    /// Over a `Dict` vector.
+    Dict(std::slice::Iter<'a, u32>, &'a StringDict),
+    /// Over a `Mixed` vector.
+    Mixed(std::slice::Iter<'a, Value>),
+}
+
+impl Iterator for ColumnValues<'_> {
+    type Item = Value;
+
+    #[inline]
+    fn next(&mut self) -> Option<Value> {
+        fn cell<T>(v: Option<T>, ok: Option<bool>, make: impl Fn(T) -> Value) -> Option<Value> {
+            Some(if ok? { make(v?) } else { Value::Null })
+        }
+        match self {
+            ColumnValues::Int(v, ok) => cell(v.next(), ok.next(), |x| Value::Int(*x)),
+            ColumnValues::Float(v, ok) => cell(v.next(), ok.next(), |x| Value::Float(*x)),
+            ColumnValues::Bool(v, ok) => cell(v.next(), ok.next(), |x| Value::Bool(*x)),
+            ColumnValues::Str(v, ok) => cell(v.next(), ok.next(), |s| Value::Str(s.clone())),
+            ColumnValues::Dict(codes, dict) => {
+                let code = *codes.next()?;
+                Some(dict.get(code).map_or(Value::Null, Value::str))
+            }
+            ColumnValues::Mixed(v) => v.next().cloned(),
+        }
+    }
+}
+
+/// A column-major batch of rows: one [`ColumnVector`] per column, each
+/// behind an `Arc` so a batch can share a column with the table block
+/// it was scanned from, and with other batches, instead of copying it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarBatch {
-    columns: Vec<ColumnVector>,
+    columns: Vec<Arc<ColumnVector>>,
     len: usize,
 }
 
@@ -619,9 +619,9 @@ impl ColumnarBatch {
         }
         let columns = (0..arity)
             .map(|c| {
-                ColumnVector::from_values(
+                Arc::new(ColumnVector::from_values(
                     rows.iter().map(move |r| r.get(c).unwrap_or(&Value::Null)),
-                )
+                ))
             })
             .collect();
         Ok(ColumnarBatch {
@@ -630,9 +630,14 @@ impl ColumnarBatch {
         })
     }
 
-    /// Build a batch from pre-built columns of `len` rows each. Errors
-    /// if any column disagrees on the row count.
-    pub fn from_columns(columns: Vec<ColumnVector>, len: usize) -> Result<ColumnarBatch> {
+    /// Build a batch from pre-built columns — owned, or already shared
+    /// — of `len` rows each. Errors if any column disagrees on the row
+    /// count.
+    pub fn from_columns<C>(columns: Vec<C>, len: usize) -> Result<ColumnarBatch>
+    where
+        C: Into<Arc<ColumnVector>>,
+    {
+        let columns: Vec<Arc<ColumnVector>> = columns.into_iter().map(Into::into).collect();
         for (i, c) in columns.iter().enumerate() {
             if c.len() != len {
                 return Err(internal_err!(
@@ -665,6 +670,11 @@ impl ColumnarBatch {
     /// Column `i`, or an internal error for a bad ordinal (a binder or
     /// optimizer bug, mirroring the row engine's checked access).
     pub fn column(&self, i: usize) -> Result<&ColumnVector> {
+        self.shared_column(i).map(AsRef::as_ref)
+    }
+
+    /// Column `i` as the shared handle, to pass on without copying.
+    pub fn shared_column(&self, i: usize) -> Result<&Arc<ColumnVector>> {
         self.columns.get(i).ok_or_else(|| {
             internal_err!(
                 "column ordinal {i} out of bounds for batch arity {}",
@@ -675,14 +685,8 @@ impl ColumnarBatch {
 
     /// The columns, in ordinal order.
     #[must_use]
-    pub fn columns(&self) -> &[ColumnVector] {
+    pub fn columns(&self) -> &[Arc<ColumnVector>] {
         &self.columns
-    }
-
-    /// Consume the batch, yielding its columns.
-    #[must_use]
-    pub fn into_columns(self) -> Vec<ColumnVector> {
-        self.columns
     }
 
     /// Reconstruct row `i` (a row of NULLs when out of range).
@@ -692,10 +696,16 @@ impl ColumnarBatch {
     }
 
     /// Convert back to row-major rows (the exact inverse of
-    /// [`ColumnarBatch::from_rows`]).
+    /// [`ColumnarBatch::from_rows`]): one `Vec` per row, filled from
+    /// one [`ColumnVector::values`] reader per column.
     #[must_use]
     pub fn to_rows(&self) -> Vec<Vec<Value>> {
-        (0..self.len).map(|i| self.row(i)).collect()
+        let mut columns: Vec<ColumnValues<'_>> = self.columns.iter().map(|c| c.values()).collect();
+        let mut row = || {
+            let cells = columns.iter_mut().map(|c| c.next().unwrap_or(Value::Null));
+            cells.collect()
+        };
+        (0..self.len).map(|_| row()).collect()
     }
 }
 
@@ -729,6 +739,36 @@ mod tests {
         // new_all(true) must not count the padding bits of the last word.
         let all = Bitmap::new_all(70, true);
         assert_eq!(all.count_valid(), 70);
+    }
+
+    /// Equality is over the `len` bits, however they were written: the
+    /// unused high bits of the last word stay zero.
+    #[test]
+    fn bitmap_equality_ignores_padding_bits() {
+        let mut bit_by_bit = Bitmap::new_all(70, false);
+        (0..70).for_each(|i| bit_by_bit.set(i, true));
+        assert_eq!(Bitmap::new_all(70, true), bit_by_bit);
+    }
+
+    #[test]
+    fn bitmap_push_appends_and_keeps_the_count() {
+        let mut b = Bitmap::new_all(0, true);
+        assert!(b.is_empty() && b.all_valid());
+        for i in 0..130 {
+            b.push(i % 3 != 0);
+        }
+        assert_eq!((b.len(), b.count_valid()), (130, 86));
+        assert!(!b.all_valid() && !b.get(129) && b.get(128) && !b.get(130));
+        let bits: Vec<bool> = b.iter().collect();
+        assert_eq!(bits, (0..130).map(|i| i % 3 != 0).collect::<Vec<_>>());
+        // The same bits written another way compare equal.
+        let mut set = Bitmap::new_all(130, true);
+        (0..130).step_by(3).for_each(|i| set.set(i, false));
+        assert_eq!(b, set);
+        // Setting a bit to what it already is moves no count.
+        set.set(0, false);
+        set.set(1, true);
+        assert_eq!(set.count_valid(), 86);
     }
 
     #[test]
@@ -871,26 +911,26 @@ mod tests {
     }
 
     fn dict_column(strings: &[Option<&str>]) -> ColumnVector {
-        let mut b = StringDictBuilder::new();
+        let mut b = StringDict::default();
         let codes: Vec<u32> = strings
             .iter()
             .map(|s| s.map_or(NULL_CODE, |s| b.intern(s).unwrap()))
             .collect();
         ColumnVector::Dict {
             codes,
-            dict: Arc::new(b.finish()),
+            dict: Arc::new(b),
         }
     }
 
     #[test]
     fn dict_code_string_round_trip() {
-        let mut b = StringDictBuilder::new();
+        let mut b = StringDict::default();
         let a = b.intern("alpha").unwrap();
         let bb = b.intern("beta").unwrap();
         let a2 = b.intern("alpha").unwrap();
         assert_eq!(a, a2, "re-interning dedupes");
         assert_ne!(a, bb);
-        let d = b.finish();
+        let d = b;
         assert_eq!(d.len(), 2);
         assert_eq!(d.get(a), Some("alpha"));
         assert_eq!(d.get(bb), Some("beta"));
@@ -901,12 +941,12 @@ mod tests {
 
     #[test]
     fn reserved_null_code_never_collides() {
-        let mut b = StringDictBuilder::new();
+        let mut b = StringDict::default();
         for i in 0..1000 {
             let code = b.intern(&format!("s{i}")).unwrap();
             assert_ne!(code, NULL_CODE, "no real string gets the NULL code");
         }
-        let d = b.finish();
+        let d = b;
         assert_eq!(d.get(NULL_CODE), None, "the NULL code never decodes");
         let col = dict_column(&[Some("x"), None, Some("x")]);
         assert!(col.is_valid(0));

@@ -140,32 +140,24 @@ impl FaultInjector {
         Ok(ordinal)
     }
 
-    /// Whether the cell `(table, row_id, column)` should read as NULL.
-    /// Pure in `(seed, table, row_id, column)` — independent of call
-    /// order, so every plan shape sees the same data.
+    /// Whether the cell `(table, row_id, column)` should read as NULL,
+    /// counting it in `nulls_injected` if so. Pure in `(seed, table,
+    /// row_id, column)` — independent of call order, so every plan
+    /// shape sees the same data. The scan cursor asks once per served
+    /// cell, in the one place both of its forms share.
     pub(crate) fn flips_to_null(&self, table: &str, row_id: u64, column: usize) -> bool {
-        if self.would_flip(table, row_id, column) {
-            self.nulls_injected.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Like [`FaultInjector::flips_to_null`] but without bumping the
-    /// `nulls_injected` observation counter — for whole-column prescans
-    /// (dictionary encoding) that precompute flip decisions the batch
-    /// path will re-observe, and count, per served batch.
-    pub(crate) fn would_flip(&self, table: &str, row_id: u64, column: usize) -> bool {
         let Some(k) = self.config.null_flip_one_in else {
             return false;
         };
-        let k = k.max(1);
         let h = mix(self.config.seed
             ^ mix(table_hash(table))
             ^ mix(row_id)
             ^ mix(0x0c01 ^ ((column as u64) << 16)));
-        h.is_multiple_of(k)
+        let flips = h.is_multiple_of(k.max(1));
+        if flips {
+            self.nulls_injected.fetch_add(1, Ordering::Relaxed);
+        }
+        flips
     }
 }
 

@@ -19,6 +19,16 @@
 //! `RowID` that uniquely identifies it, realising the paper's assumption
 //! that "there always exists a column in each table called RowID".
 //!
+//! There is one physical layout, and it is column-major: a [`Table`]
+//! keeps each column (the RowIDs included) as dense fixed-size blocks,
+//! each behind its own `Arc` — typed values plus a validity bitmap, or
+//! `u32` codes into a per-column dictionary interned at insert — so a
+//! scan ([`Storage::open_scan`]) hands blocks out as [`ColumnarBatch`]
+//! columns without transposing anything, a clone shares every block,
+//! and a write copies the one block it appends to. Rows exist in flight
+//! only: [`Row`] for DML, [`ScanCursor::next_batch`] as the row view the
+//! row engine reads.
+//!
 //! [`Storage`] couples the data with the [`Catalog`](gbj_catalog::Catalog)
 //! and enforces every declared constraint on insert — NOT NULL, CHECK
 //! (with SQL2's `⌈·⌉` semantics: a check passes unless *false*), domain
@@ -42,9 +52,7 @@ pub mod stats;
 mod storage;
 mod table;
 
-pub use columnar::{
-    Bitmap, BitmapIter, ColumnVector, ColumnarBatch, StringDict, StringDictBuilder, NULL_CODE,
-};
+pub use columnar::{Bitmap, BitmapIter, ColumnVector, ColumnarBatch, StringDict, NULL_CODE};
 pub use fault::{FaultConfig, FaultInjector};
 pub use stats::{ColumnStats, DistinctSketch, EquiDepthHistogram, TableStats};
 pub use storage::{ScanCursor, Storage};

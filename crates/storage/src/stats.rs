@@ -1,12 +1,12 @@
 //! Per-table statistics: one [`TableStats`] per table *version*.
 //!
-//! A [`Table`](crate::Table) builds its summary lazily, in one pass
-//! over its stored rows, the first time anyone asks
+//! A [`Table`](crate::Table) builds its summary lazily, in one typed
+//! pass over each stored column, the first time anyone asks
 //! ([`Table::stats`](crate::Table::stats)), and keeps it behind a cell
 //! that every clone of the table shares — so a snapshot, a fork and the
 //! authoritative database pay for one fold between them, and the two
-//! places the row vector changes (`push`, `replace_rows`) drop it in
-//! O(1). Only summaries are retained, never the per-value sets the fold
+//! places the rows change (`push`, `replace_rows`) drop it in O(1).
+//! Only summaries are retained, never the per-value sets the fold
 //! used to count them.
 //!
 //! What a summary may claim about NULLs (after Franconi & Tessaris'
@@ -30,9 +30,10 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use gbj_expr::BinaryOp;
 use gbj_types::value::canonical_f64_bits;
-use gbj_types::{DataType, GroupKey, Schema, Value};
+use gbj_types::{GroupKey, Value};
 
-use crate::table::val_at;
+use crate::columnar::{Bitmap, ColumnVector};
+use crate::table::Column;
 
 /// Selectivity assumed for predicates no summary can analyse.
 pub const DEFAULT_SELECTIVITY: f64 = 1.0 / 3.0;
@@ -233,133 +234,107 @@ pub struct TableStats {
     pub columns: Vec<ColumnStats>,
 }
 
-/// The per-column state of the fold. Inserts are coerced to the
-/// declared type by `validate_row`, so a non-NULL cell always matches
-/// its column's type and each column counts distinct values in a typed
-/// set — borrowed for strings, so the pass allocates per distinct
-/// value, not per row.
-enum Distinct<'a> {
-    /// Every non-NULL value; sorted afterwards, which yields the
-    /// distinct count, the range and the histogram at once.
-    Int(Vec<i64>),
-    Float {
-        bits: HashSet<u64>,
-        range: Option<(f64, f64)>,
-    },
-    Bool([bool; 2]),
-    Str(HashSet<&'a str>),
+/// The non-NULL values of one stored block, in row order.
+fn non_null<'a, T: Copy>(values: &'a [T], validity: &'a Bitmap) -> impl Iterator<Item = T> + 'a {
+    let cells = values.iter().zip(validity.iter());
+    cells.filter_map(|(v, valid)| valid.then_some(*v))
 }
 
-impl<'a> Distinct<'a> {
-    fn new(data_type: DataType, rows: usize) -> Distinct<'a> {
-        match data_type {
-            DataType::Int64 => Distinct::Int(Vec::with_capacity(rows)),
-            DataType::Float64 => Distinct::Float {
-                bits: HashSet::new(),
-                range: None,
-            },
-            DataType::Boolean => Distinct::Bool([false; 2]),
-            DataType::Utf8 => Distinct::Str(HashSet::new()),
-        }
-    }
-
-    fn add(&mut self, value: &'a Value) {
-        match (self, value) {
-            (Distinct::Int(ints), Value::Int(i)) => ints.push(*i),
-            (Distinct::Float { bits, range }, Value::Float(f)) => {
-                bits.insert(canonical_f64_bits(*f));
-                *range = Some(range.map_or((*f, *f), |(lo, hi)| (lo.min(*f), hi.max(*f))));
-            }
-            (Distinct::Bool(seen), Value::Bool(b)) => {
-                if let Some(slot) = seen.get_mut(usize::from(*b)) {
-                    *slot = true;
-                }
-            }
-            (Distinct::Str(set), Value::Str(s)) => {
-                set.insert(s);
-            }
-            _ => {}
-        }
-    }
-
-    fn finish(self, rows: usize, nulls: usize) -> ColumnStats {
+impl ColumnStats {
+    /// Fold one stored column of `rows` rows. Inserts are coerced to
+    /// the declared type by `validate_row`, so every block of a column
+    /// has that type and the fold is typed: no `Value` is built.
+    fn fold(column: &Column, rows: usize) -> ColumnStats {
         let mut stats = ColumnStats {
-            nulls,
-            ndv: usize::from(nulls > 0),
+            nulls: 0,
+            ndv: 0,
             range: None,
             values: None,
             histogram: None,
         };
-        match self {
-            Distinct::Int(mut ints) => {
-                ints.sort_unstable();
-                stats.histogram = EquiDepthHistogram::from_sorted(&ints, rows, HISTOGRAM_BUCKETS);
-                stats.range = ints
-                    .first()
-                    .zip(ints.last())
-                    .map(|(lo, hi)| (*lo as f64, *hi as f64));
-                ints.dedup();
-                stats.ndv += ints.len();
-            }
-            Distinct::Float { bits, range } => {
-                stats.ndv += bits.len();
-                stats.range = range;
-            }
-            Distinct::Bool(seen) => stats.ndv += seen.iter().filter(|s| **s).count(),
-            Distinct::Str(set) => {
-                stats.ndv += set.len();
-                if set.len() <= MAX_VALUE_SET {
-                    stats.values = Some(set.into_iter().map(str::to_owned).collect());
+        match column {
+            // The dictionary may outlive the rows that used a string
+            // (DELETE, UPDATE): count the codes in use, not its length.
+            Column::Utf8 { blocks, dict } => {
+                let mut used = vec![false; dict.len()];
+                for code in blocks.iter().flat_map(|codes| codes.iter()) {
+                    match used.get_mut(*code as usize) {
+                        Some(slot) => *slot = true,
+                        None => stats.nulls += 1,
+                    }
+                }
+                let live = || (0u32..).zip(&used).filter(|(_, used)| **used);
+                stats.ndv = live().count();
+                if stats.ndv <= MAX_VALUE_SET {
+                    let strings = live().filter_map(|(code, _)| dict.get(code));
+                    stats.values = Some(strings.map(str::to_owned).collect());
                 }
             }
+            Column::Typed(blocks) => {
+                // Every non-NULL integer; sorted afterwards, which
+                // yields the distinct count, the range and the
+                // histogram at once.
+                let mut ints: Vec<i64> = Vec::new();
+                let mut float_bits: HashSet<u64> = HashSet::new();
+                let mut bools = [false; 2];
+                for block in blocks {
+                    stats.nulls += block.len() - block.count_valid();
+                    match block.as_ref() {
+                        ColumnVector::Int { values, validity } if validity.all_valid() => {
+                            ints.extend_from_slice(values);
+                        }
+                        ColumnVector::Int { values, validity } => {
+                            ints.extend(non_null(values, validity));
+                        }
+                        ColumnVector::Float { values, validity } => {
+                            for f in non_null(values, validity) {
+                                float_bits.insert(canonical_f64_bits(f));
+                                let (lo, hi) = stats.range.unwrap_or((f, f));
+                                stats.range = Some((lo.min(f), hi.max(f)));
+                            }
+                        }
+                        ColumnVector::Bool { values, validity } => {
+                            for b in non_null(values, validity) {
+                                if let Some(seen) = bools.get_mut(usize::from(b)) {
+                                    *seen = true;
+                                }
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                ints.sort_unstable();
+                stats.histogram = EquiDepthHistogram::from_sorted(&ints, rows, HISTOGRAM_BUCKETS);
+                if let Some((lo, hi)) = ints.first().zip(ints.last()) {
+                    stats.range = Some((*lo as f64, *hi as f64));
+                }
+                ints.dedup();
+                stats.ndv = ints.len() + float_bits.len() + bools.iter().filter(|b| **b).count();
+            }
         }
+        stats.ndv += usize::from(stats.nulls > 0);
         stats
     }
 }
 
 impl TableStats {
-    /// Fold `rows` (each in `schema` order) into their summary: one
-    /// pass, every column at once.
-    pub(crate) fn build<'a>(
-        schema: &Schema,
-        rows: impl Iterator<Item = &'a [Value]>,
-    ) -> TableStats {
-        let expected = rows.size_hint().0;
-        let mut columns: Vec<(Distinct<'a>, usize)> = schema
-            .fields()
-            .iter()
-            .map(|f| (Distinct::new(f.data_type, expected), 0))
-            .collect();
-        let mut count = 0;
-        for row in rows {
-            count += 1;
-            for ((distinct, nulls), value) in columns.iter_mut().zip(row) {
-                if value.is_null() {
-                    *nulls += 1;
-                } else {
-                    distinct.add(value);
-                }
-            }
-        }
+    /// Fold the stored `columns` of a table of `rows` rows into their
+    /// summary: one pass per column.
+    pub(crate) fn build(rows: usize, columns: &[Column]) -> TableStats {
         TableStats {
-            rows: count,
-            columns: columns
-                .into_iter()
-                .map(|(distinct, nulls)| distinct.finish(count, nulls))
-                .collect(),
+            rows,
+            columns: columns.iter().map(|c| ColumnStats::fold(c, rows)).collect(),
         }
     }
 }
 
-/// The distinct count of the rows' projection onto `ordinals` under
-/// `=ⁿ`, through a [`SKETCH_K`]-minimum-values sketch: exact below
-/// [`SKETCH_K`] distinct keys, estimated above.
-pub(crate) fn joint_ndv<'a>(rows: impl Iterator<Item = &'a [Value]>, ordinals: &[usize]) -> f64 {
+/// The distinct count of `keys` — the rows' projection onto some
+/// columns — under `=ⁿ`, through a [`SKETCH_K`]-minimum-values sketch:
+/// exact below [`SKETCH_K`] distinct keys, estimated above.
+pub(crate) fn joint_ndv(keys: impl Iterator<Item = Vec<Value>>) -> f64 {
     let mut sketch = DistinctSketch::new(SKETCH_K);
-    for row in rows {
-        sketch.insert(&GroupKey(
-            ordinals.iter().map(|&i| val_at(row, i)).collect(),
-        ));
+    for key in keys {
+        sketch.insert(&GroupKey(key));
     }
     sketch.estimate()
 }
@@ -403,7 +378,8 @@ impl StatsCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbj_types::Field;
+    use crate::Table;
+    use gbj_types::{DataType, Field, Schema};
 
     fn histogram_of(vals: &[i64], buckets: usize) -> EquiDepthHistogram {
         let vals: Vec<Option<i64>> = vals.iter().copied().map(Some).collect();
@@ -433,11 +409,14 @@ mod tests {
     }
 
     fn stats_of(data_type: DataType, values: Vec<Value>) -> ColumnStats {
-        let schema = Schema::new(vec![Field::new("x", data_type, true)]);
-        let rows: Vec<Vec<Value>> = values.into_iter().map(|v| vec![v]).collect();
-        let mut stats = TableStats::build(&schema, rows.iter().map(Vec::as_slice));
-        assert_eq!(stats.rows, rows.len());
-        stats.columns.remove(0)
+        let mut table = Table::new(Schema::new(vec![Field::new("x", data_type, true)]));
+        let rows = values.len();
+        for v in values {
+            table.push(&[v]).unwrap();
+        }
+        let stats = table.stats();
+        assert_eq!(stats.rows, rows);
+        stats.columns[0].clone()
     }
 
     #[test]

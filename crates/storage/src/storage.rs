@@ -6,13 +6,11 @@ use std::sync::Arc;
 
 use gbj_catalog::{Catalog, Constraint, Domain, TableDef, ViewDef};
 use gbj_expr::Expr;
-use gbj_types::{DataType, Error, Field, Result, Schema, Truth, Value};
+use gbj_types::{internal_err, DataType, Error, Field, GroupKey, Result, Schema, Truth, Value};
 
-use crate::columnar::{
-    Bitmap, ColumnVector, ColumnarBatch, StringDict, StringDictBuilder, NULL_CODE,
-};
+use crate::columnar::{ColumnVector, ColumnarBatch};
 use crate::fault::FaultInjector;
-use crate::table::Table;
+use crate::table::{Row, Table, BLOCK_ROWS};
 
 /// The in-memory database: a [`Catalog`] plus one [`Table`] of data per
 /// base table, with every declared constraint enforced on insert.
@@ -220,61 +218,35 @@ impl Storage {
             .get(&key(name))
             .ok_or_else(|| Error::Catalog(format!("unknown table {name} at execution time")))?;
         let nullable: Vec<bool> = table.schema().fields().iter().map(|f| f.nullable).collect();
-        let types: Vec<DataType> = table
-            .schema()
-            .fields()
-            .iter()
-            .map(|f| f.data_type)
-            .collect();
         let batch_size = self
             .fault
             .as_ref()
             .and_then(FaultInjector::batch_size)
-            .unwrap_or(DEFAULT_SCAN_BATCH);
+            .unwrap_or(BLOCK_ROWS);
         Ok(ScanCursor {
             name: key(name),
             table,
             injector: self.fault.as_ref(),
             nullable,
-            types,
-            dicts: None,
             pos: 0,
             batch_size,
         })
     }
 }
 
-/// Rows per [`ScanCursor::next_batch`] call when no injector overrides
-/// it.
-const DEFAULT_SCAN_BATCH: usize = 1024;
-
-/// One Utf8 column's dictionary state: the cursor-wide dictionary plus
-/// one code per table row; `None` for non-Utf8 columns and for columns
-/// that fell back to plain string vectors.
-type ColumnDict = Option<(Arc<StringDict>, Vec<u32>)>;
-
 /// A batched cursor over one table's rows, produced by
 /// [`Storage::open_scan`]. The executor drains it with
-/// [`ScanCursor::next_batch`], giving fault injection a real seam and
-/// the resource guard a cooperative cancellation point between batches.
+/// [`ScanCursor::next_columnar`] (the chunk pipeline) or
+/// [`ScanCursor::next_batch`] (the row engine), giving fault injection
+/// a real seam and the resource guard a cooperative cancellation point
+/// between batches. A batch is one stored block unless an injector or
+/// [`ScanCursor::with_batch_size`] says otherwise.
 #[derive(Debug)]
 pub struct ScanCursor<'a> {
     name: String,
     table: &'a Table,
     injector: Option<&'a FaultInjector>,
     nullable: Vec<bool>,
-    /// Declared column types, in schema order — [`ScanCursor::next_columnar`]
-    /// builds typed vectors directly from these (inserts are coerced to
-    /// the declared type by `validate_row`, so a non-NULL cell always
-    /// matches its column's type).
-    types: Vec<DataType>,
-    /// Lazily-built per-column dictionary state for Utf8 columns:
-    /// `Some` once the prescan has run; the inner entry is `None` for
-    /// non-Utf8 columns and for Utf8 columns that fell back (dictionary
-    /// overflow or an unexpected stored variant), and otherwise the
-    /// cursor-wide dictionary plus one code per table row, with
-    /// injected NULL flips already applied.
-    dicts: Option<Vec<ColumnDict>>,
     pos: usize,
     batch_size: usize,
 }
@@ -314,68 +286,34 @@ impl ScanCursor<'_> {
         &self.nullable
     }
 
-    /// The next batch of rows, `None` once exhausted.
+    /// The next batch as rows, `None` once exhausted: the row *view*
+    /// of [`ScanCursor::next_columnar`] — the same batch, with the same
+    /// injected faults, read back through one typed reader per column
+    /// ([`ColumnarBatch::to_rows`]) — for the row engine, which is the
+    /// oracle of every other path.
+    pub fn next_batch(&mut self) -> Result<Option<Vec<Vec<Value>>>> {
+        Ok(self.next_columnar()?.map(|batch| batch.to_rows()))
+    }
+
+    /// The next batch in columnar form, `None` once exhausted.
+    ///
+    /// With no injector and the default batch size a batch *is* one
+    /// stored block per column: `Int64`/`Float64`/`Boolean` columns are
+    /// shared with the table (an `Arc` clone, no per-row work), `Utf8`
+    /// columns are the block's `u32` codes under the column's
+    /// dictionary ([`ColumnVector::Dict`]) — the same `Arc<StringDict>`
+    /// in every batch of the scan, so `=ⁿ` group keys can hash on
+    /// codes; NULL is the reserved [`NULL_CODE`](crate::NULL_CODE),
+    /// which never collides with a real code.
     ///
     /// With a fault injector installed this is where faults land: the
-    /// globally-Nth batch returns `Error::Execution`, and nullable
-    /// cells flip to NULL keyed by `(seed, table, row_id, column)` so
-    /// every plan shape observes identical data.
-    pub fn next_batch(&mut self) -> Result<Option<Vec<Vec<Value>>>> {
-        let rows = self.table.raw_rows();
-        if self.pos >= rows.len() {
-            return Ok(None);
-        }
-        if let Some(inj) = self.injector {
-            if let Err(ordinal) = inj.claim_batch() {
-                return Err(Error::Execution(format!(
-                    "injected fault: scan batch {ordinal} of table {} failed",
-                    self.name
-                )));
-            }
-        }
-        let end = self.pos.saturating_add(self.batch_size).min(rows.len());
-        let slice = rows.get(self.pos..end).unwrap_or_default();
-        let mut out = Vec::with_capacity(slice.len());
-        for row in slice {
-            let values = match self.injector {
-                Some(inj) if inj.config().null_flip_one_in.is_some() => row
-                    .values
-                    .iter()
-                    .enumerate()
-                    .map(|(c, v)| {
-                        if self.nullable.get(c).copied().unwrap_or(false)
-                            && inj.flips_to_null(&self.name, row.row_id, c)
-                        {
-                            Value::Null
-                        } else {
-                            v.clone()
-                        }
-                    })
-                    .collect(),
-                _ => row.values.clone(),
-            };
-            out.push(values);
-        }
-        self.pos = end;
-        Ok(Some(out))
-    }
-
-    /// The next batch in native columnar form, `None` once exhausted.
-    ///
-    /// Value-identical to [`ScanCursor::next_batch`] followed by
-    /// [`ColumnarBatch::from_rows`] — same batch boundaries, the same
-    /// injected batch failure on the same global ordinal, the same
-    /// deterministic NULL flips — but built straight from storage
-    /// without an intermediate row vec: Int64/Float64/Boolean columns
-    /// transpose into typed vectors plus a validity [`Bitmap`], and
-    /// Utf8 columns come back dictionary-encoded
-    /// ([`ColumnVector::Dict`]) against one cursor-wide [`StringDict`]
-    /// shared by every batch, so `=ⁿ` group keys can hash on `u32`
-    /// codes. NULL cells (stored or injected) take the reserved
-    /// [`NULL_CODE`], which never collides with a real code.
+    /// globally-Nth batch returns `Error::Execution`, batches are cut
+    /// to the injected size, and nullable cells flip to NULL keyed by
+    /// `(seed, table, row_id, column)` so every plan shape observes
+    /// identical data.
     pub fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
-        let rows = self.table.raw_rows();
-        if self.pos >= rows.len() {
+        let len = self.table.len();
+        if self.pos >= len {
             return Ok(None);
         }
         if let Some(inj) = self.injector {
@@ -386,193 +324,51 @@ impl ScanCursor<'_> {
                 )));
             }
         }
-        self.ensure_dicts();
-        let end = self.pos.saturating_add(self.batch_size).min(rows.len());
-        let slice = rows.get(self.pos..end).unwrap_or_default();
-        let mut columns = Vec::with_capacity(self.nullable.len());
-        for c in 0..self.nullable.len() {
-            columns.push(self.build_column(c, self.pos, slice));
-        }
-        let batch = ColumnarBatch::from_columns(columns, slice.len())?;
+        let (start, end) = (self.pos, self.pos.saturating_add(self.batch_size).min(len));
+        let columns = (0..self.nullable.len())
+            .map(|c| self.column(c, start, end))
+            .collect::<Result<Vec<_>>>()?;
         self.pos = end;
-        Ok(Some(batch))
+        ColumnarBatch::from_columns(columns, end - start).map(Some)
     }
 
-    /// Run the one-time dictionary prescan: for each Utf8 column,
-    /// intern every distinct string into a cursor-wide dictionary and
-    /// precompute one code per table row (applying injected NULL flips,
-    /// which are pure in `(seed, table, row_id, column)`). A column
-    /// falls back to `None` — and `build_column` to the generic
-    /// `from_values` path — if the dictionary overflows or a stored
-    /// value has an unexpected variant.
-    fn ensure_dicts(&mut self) {
-        if self.dicts.is_some() {
-            return;
-        }
-        let rows = self.table.raw_rows();
-        let flips_active = self
-            .injector
-            .is_some_and(|inj| inj.config().null_flip_one_in.is_some());
-        let dicts = (0..self.types.len())
-            .map(|c| {
-                if self.types.get(c) != Some(&DataType::Utf8) {
-                    return None;
-                }
-                let flips_here = flips_active && self.nullable.get(c).copied().unwrap_or(false);
-                let mut builder = StringDictBuilder::new();
-                let mut codes = Vec::with_capacity(rows.len());
-                for row in rows {
-                    // `would_flip` (not `flips_to_null`): the batch
-                    // path re-observes and counts these per served
-                    // batch, keeping injector counters identical to
-                    // `next_batch`.
-                    if flips_here
-                        && self
-                            .injector
-                            .is_some_and(|inj| inj.would_flip(&self.name, row.row_id, c))
-                    {
-                        codes.push(NULL_CODE);
-                        continue;
-                    }
-                    match row.values.get(c) {
-                        Some(Value::Str(s)) => codes.push(builder.intern(s)?),
-                        Some(Value::Null) | None => codes.push(NULL_CODE),
-                        Some(_) => return None,
-                    }
-                }
-                Some((Arc::new(builder.finish()), codes))
-            })
-            .collect();
-        self.dicts = Some(dicts);
-    }
-
-    /// Build one column of the batch covering `slice` (which starts at
-    /// table row index `start`), mirroring `next_batch`'s NULL-flip
-    /// decisions — and its injector observation counts — exactly.
-    fn build_column(&self, c: usize, start: usize, slice: &[crate::table::Row]) -> ColumnVector {
-        // Decide flips once per cell, through the *counting* entry
-        // point, so `nulls_injected` advances exactly as `next_batch`
-        // would for this batch (flips are only computed for nullable
-        // columns — same short-circuit as the row path).
-        let count_flips = self
-            .injector
-            .is_some_and(|inj| inj.config().null_flip_one_in.is_some())
-            && self.nullable.get(c).copied().unwrap_or(false);
-        let flips: Option<Vec<bool>> = count_flips.then(|| {
-            slice
-                .iter()
-                .map(|row| {
-                    self.injector
-                        .is_some_and(|inj| inj.flips_to_null(&self.name, row.row_id, c))
-                })
-                .collect()
-        });
-        let is_flipped = |i: usize| {
-            flips
-                .as_ref()
-                .is_some_and(|f| f.get(i).copied().unwrap_or(false))
+    /// Rows `start..end` of column `c`: the stored block itself when
+    /// the range is exactly one and nothing is injected into it, else a
+    /// copy cut from the blocks it spans, with the NULL flips applied —
+    /// the one place a flip is decided (and counted), for both cursor
+    /// forms.
+    fn column(&self, c: usize, start: usize, end: usize) -> Result<Arc<ColumnVector>> {
+        let block = |b: usize| {
+            let block = self.table.block(c, b);
+            block.ok_or_else(|| internal_err!("{} has no block {b} of column {c}", self.name))
         };
-
-        // Dictionary-encoded Utf8: slice the precomputed cursor-wide
-        // codes (flips are already baked into them — and agree with
-        // the counting pass above, both being pure in the same key).
-        if let Some(Some((dict, codes))) = self.dicts.as_ref().and_then(|d| d.get(c)) {
-            let end = start.saturating_add(slice.len());
-            let batch_codes = codes
-                .get(start..end)
-                .map_or_else(|| vec![NULL_CODE; slice.len()], <[u32]>::to_vec);
-            return ColumnVector::Dict {
-                codes: batch_codes,
-                dict: Arc::clone(dict),
-            };
+        let flips = self.injector.filter(|inj| {
+            inj.config().null_flip_one_in.is_some() && self.nullable.get(c) == Some(&true)
+        });
+        let first = block(start / BLOCK_ROWS)?;
+        if flips.is_none() && start.is_multiple_of(BLOCK_ROWS) && end - start == first.len() {
+            return Ok(first);
         }
-
-        match self.types.get(c) {
-            Some(DataType::Int64) => {
-                let mut values = Vec::with_capacity(slice.len());
-                let mut validity = Bitmap::new_all(slice.len(), false);
-                let mut typed = true;
-                for (i, row) in slice.iter().enumerate() {
-                    match row.values.get(c) {
-                        _ if is_flipped(i) => values.push(0),
-                        Some(Value::Int(x)) => {
-                            validity.set(i, true);
-                            values.push(*x);
-                        }
-                        Some(Value::Null) | None => values.push(0),
-                        Some(_) => {
-                            typed = false;
-                            break;
-                        }
-                    }
-                }
-                if typed {
-                    return ColumnVector::Int { values, validity };
-                }
-            }
-            Some(DataType::Float64) => {
-                let mut values = Vec::with_capacity(slice.len());
-                let mut validity = Bitmap::new_all(slice.len(), false);
-                let mut typed = true;
-                for (i, row) in slice.iter().enumerate() {
-                    match row.values.get(c) {
-                        _ if is_flipped(i) => values.push(0.0),
-                        Some(Value::Float(x)) => {
-                            validity.set(i, true);
-                            values.push(*x);
-                        }
-                        Some(Value::Null) | None => values.push(0.0),
-                        Some(_) => {
-                            typed = false;
-                            break;
-                        }
-                    }
-                }
-                if typed {
-                    return ColumnVector::Float { values, validity };
-                }
-            }
-            Some(DataType::Boolean) => {
-                let mut values = Vec::with_capacity(slice.len());
-                let mut validity = Bitmap::new_all(slice.len(), false);
-                let mut typed = true;
-                for (i, row) in slice.iter().enumerate() {
-                    match row.values.get(c) {
-                        _ if is_flipped(i) => values.push(false),
-                        Some(Value::Bool(x)) => {
-                            validity.set(i, true);
-                            values.push(*x);
-                        }
-                        Some(Value::Null) | None => values.push(false),
-                        Some(_) => {
-                            typed = false;
-                            break;
-                        }
-                    }
-                }
-                if typed {
-                    return ColumnVector::Bool { values, validity };
-                }
-            }
-            // Utf8 without a dictionary (fallback), or anything
-            // unexpected: take the generic path below.
-            _ => {}
-        }
-
-        // Generic fallback: flip-adjusted values through the same
-        // single-pass builder `from_rows` uses.
-        let vals: Vec<Value> = slice
-            .iter()
-            .enumerate()
-            .map(|(i, row)| {
-                if is_flipped(i) {
+        // An empty vector of the block's variant (and dictionary),
+        // filled cell by cell from each block the range spans.
+        let mut out = first.gather(&[]);
+        let mut at = start;
+        while at < end {
+            let block = block(at / BLOCK_ROWS)?;
+            let piece = (BLOCK_ROWS - at % BLOCK_ROWS).min(end - at);
+            for i in at..at + piece {
+                let flip =
+                    flips.is_some_and(|inj| inj.flips_to_null(&self.name, self.table.row_id(i), c));
+                let cell = if flip {
                     Value::Null
                 } else {
-                    row.values.get(c).cloned().unwrap_or(Value::Null)
-                }
-            })
-            .collect();
-        ColumnVector::from_values(vals.iter())
+                    block.value(i % BLOCK_ROWS)
+                };
+                out.push(&cell);
+            }
+            at += piece;
+        }
+        Ok(Arc::new(out))
     }
 }
 
@@ -580,7 +376,7 @@ impl Storage {
     /// Validate types, NOT NULL, column/domain CHECKs and table CHECKs
     /// for one row, returning the (Int→Float coerced) values. Key and
     /// foreign-key checks are separate (they depend on table state).
-    fn validate_row(def: &TableDef, values: Vec<Value>) -> Result<Vec<Value>> {
+    fn validate_row(def: &TableDef, schema: &Schema, values: Vec<Value>) -> Result<Vec<Value>> {
         if values.len() != def.columns.len() {
             return Err(Error::Constraint(format!(
                 "table {} expects {} values, got {}",
@@ -639,10 +435,9 @@ impl Storage {
         }
 
         // Table-level CHECK constraints, over the whole row.
-        let schema = def.schema(&def.name);
         for cons in &def.constraints {
             if let Constraint::Check { name, expr } = cons {
-                if expr.eval_truth(&coerced, &schema)? == Truth::False {
+                if expr.eval_truth(&coerced, schema)? == Truth::False {
                     let label = name.clone().unwrap_or_else(|| expr.to_string());
                     return Err(Error::Constraint(format!(
                         "table CHECK {label} violated on {}",
@@ -716,7 +511,7 @@ impl Storage {
     /// assigned RowID.
     pub fn insert(&mut self, table_name: &str, values: Vec<Value>) -> Result<u64> {
         let def = self.table_def(table_name)?;
-        self.insert_into(&def, values)
+        self.insert_into(&def, &key(&def.name), values)
     }
 
     /// A copy of a table's definition, to validate rows against while
@@ -728,23 +523,29 @@ impl Storage {
             .ok_or_else(|| Error::Catalog(format!("unknown table {table_name}")))
     }
 
-    /// [`Storage::insert`] into the table `def` describes.
-    fn insert_into(&mut self, def: &TableDef, values: Vec<Value>) -> Result<u64> {
-        let coerced = Self::validate_row(def, values)?;
+    /// The stored data of the table `def` describes.
+    fn table_of(&self, def: &TableDef) -> Result<&Table> {
+        let table = self.data.get(&key(&def.name));
+        table.ok_or_else(|| Error::Internal(format!("missing data for {}", def.name)))
+    }
+
+    /// [`Storage::table_of`], to mutate.
+    fn table_mut_of(&mut self, def: &TableDef) -> Result<&mut Table> {
+        let table = self.data.get_mut(&key(&def.name));
+        table.ok_or_else(|| Error::Internal(format!("missing data for {}", def.name)))
+    }
+
+    /// [`Storage::insert`] into the table `def` describes, stored
+    /// under `name`.
+    fn insert_into(&mut self, def: &TableDef, name: &str, values: Vec<Value>) -> Result<u64> {
+        let missing = || Error::Internal(format!("missing data for {}", def.name));
+        let table = self.data.get(name).ok_or_else(missing)?;
+        let coerced = Self::validate_row(def, table.schema(), values)?;
         // Key constraints against the current contents.
-        {
-            let table = self
-                .data
-                .get(&key(&def.name))
-                .ok_or_else(|| Error::Internal(format!("missing data for {}", def.name)))?;
-            table.check_keys(&coerced)?;
-        }
+        table.check_keys(&coerced)?;
         self.check_outgoing_fks(def, &coerced)?;
-        let table = self
-            .data
-            .get_mut(&key(&def.name))
-            .ok_or_else(|| Error::Internal(format!("missing data for {}", def.name)))?;
-        let id = table.push(coerced);
+        let table = self.data.get_mut(name).ok_or_else(missing)?;
+        let id = table.push(&coerced)?;
         self.bump_epoch();
         Ok(id)
     }
@@ -761,7 +562,7 @@ impl Storage {
     /// Incoming referential-integrity check (RESTRICT semantics): every
     /// non-NULL foreign-key combo in every referencing table must still
     /// resolve against `final_rows` of `def`'s table.
-    fn check_incoming_fks(&self, def: &TableDef, final_rows: &[crate::table::Row]) -> Result<()> {
+    fn check_incoming_fks(&self, def: &TableDef, final_rows: &[Row]) -> Result<()> {
         let referencing: Vec<TableDef> = self
             .catalog
             .tables()
@@ -799,33 +600,27 @@ impl Storage {
                     ref_columns.clone()
                 };
                 let ref_ords = self.ordinals(def, &ref_cols)?;
-                let remaining: std::collections::HashSet<gbj_types::GroupKey> = final_rows
+                let remaining: std::collections::HashSet<GroupKey> = final_rows
                     .iter()
                     .filter_map(|row| {
                         let vals: Vec<Value> = ref_ords
                             .iter()
                             .map(|&i| row.values.get(i).cloned().unwrap_or(Value::Null))
                             .collect();
-                        (!vals.iter().any(Value::is_null)).then_some(gbj_types::GroupKey(vals))
+                        (!vals.iter().any(Value::is_null)).then_some(GroupKey(vals))
                     })
                     .collect();
                 let fk_ords = self.ordinals(&other, columns)?;
-                let other_data = self
-                    .data
-                    .get(&key(&other.name))
-                    .ok_or_else(|| Error::Internal(format!("missing data for {}", other.name)))?;
-                for row in other_data.rows() {
-                    let vals: Vec<Value> = fk_ords
-                        .iter()
-                        .map(|&i| row.values.get(i).cloned().unwrap_or(Value::Null))
-                        .collect();
+                let other_data = self.table_of(&other)?;
+                for vals in other_data.project(&fk_ords) {
                     if vals.iter().any(Value::is_null) {
                         continue;
                     }
-                    if !remaining.contains(&gbj_types::GroupKey(vals.clone())) {
+                    let key = GroupKey(vals);
+                    if !remaining.contains(&key) {
                         return Err(Error::Constraint(format!(
                             "cannot modify {}: row {:?} of {} still references it",
-                            def.name, vals, other.name
+                            def.name, key.0, other.name
                         )));
                     }
                 }
@@ -838,34 +633,23 @@ impl Storage {
     /// enforcing incoming foreign keys with RESTRICT semantics. Returns
     /// the number of rows deleted.
     pub fn delete(&mut self, table_name: &str, predicate: Option<&Expr>) -> Result<usize> {
-        let def = self
-            .catalog
-            .table(table_name)
-            .ok_or_else(|| Error::Catalog(format!("unknown table {table_name}")))?
-            .clone();
+        let def = self.table_def(table_name)?;
         let schema = def.schema(&def.name);
-        let table = self
-            .data
-            .get(&key(&def.name))
-            .ok_or_else(|| Error::Internal(format!("missing data for {}", def.name)))?;
+        let table = self.table_of(&def)?;
         let mut kept = Vec::new();
         let mut deleted = 0usize;
         for row in table.rows() {
             if Self::row_matches(&schema, predicate, &row.values)? {
                 deleted += 1;
             } else {
-                kept.push(row.clone());
+                kept.push(row);
             }
         }
         if deleted == 0 {
             return Ok(0);
         }
         self.check_incoming_fks(&def, &kept)?;
-        let table = self
-            .data
-            .get_mut(&key(&def.name))
-            .ok_or_else(|| Error::Internal(format!("missing data for {}", def.name)))?;
-        table.replace_rows(kept);
+        self.table_mut_of(&def)?.replace_rows(kept)?;
         self.bump_epoch();
         Ok(deleted)
     }
@@ -881,11 +665,7 @@ impl Storage {
         assignments: &[(String, Expr)],
         predicate: Option<&Expr>,
     ) -> Result<usize> {
-        let def = self
-            .catalog
-            .table(table_name)
-            .ok_or_else(|| Error::Catalog(format!("unknown table {table_name}")))?
-            .clone();
+        let def = self.table_def(table_name)?;
         let schema = def.schema(&def.name);
         let assign_ords: Vec<(usize, &Expr)> = assignments
             .iter()
@@ -896,10 +676,7 @@ impl Storage {
             })
             .collect::<Result<_>>()?;
 
-        let table = self
-            .data
-            .get(&key(&def.name))
-            .ok_or_else(|| Error::Internal(format!("missing data for {}", def.name)))?;
+        let table = self.table_of(&def)?;
         let mut final_rows = Vec::with_capacity(table.len());
         let mut updated = 0usize;
         for row in table.rows() {
@@ -911,46 +688,35 @@ impl Storage {
                     })?;
                     *slot = e.eval(&row.values, &schema)?;
                 }
-                let validated = Self::validate_row(&def, new_values)?;
-                final_rows.push(crate::table::Row {
+                let validated = Self::validate_row(&def, &schema, new_values)?;
+                final_rows.push(Row {
                     row_id: row.row_id,
                     values: validated,
                 });
                 updated += 1;
             } else {
-                final_rows.push(row.clone());
+                final_rows.push(row);
             }
         }
         if updated == 0 {
             return Ok(0);
         }
         // Keys over the final multiset.
-        {
-            let table = self
-                .data
-                .get(&key(&def.name))
-                .ok_or_else(|| Error::Internal(format!("missing data for {}", def.name)))?;
-            table.check_keys_over(&final_rows)?;
-        }
+        self.table_of(&def)?.check_keys_over(&final_rows)?;
         // Outgoing FKs for the new values.
-        let new_values: Vec<Vec<Value>> = final_rows.iter().map(|r| r.values.clone()).collect();
-        for values in &new_values {
-            self.check_outgoing_fks(&def, values)?;
+        for row in &final_rows {
+            self.check_outgoing_fks(&def, &row.values)?;
         }
         // Incoming FKs against the final state.
         self.check_incoming_fks(&def, &final_rows)?;
-        let table = self
-            .data
-            .get_mut(&key(&def.name))
-            .ok_or_else(|| Error::Internal(format!("missing data for {}", def.name)))?;
-        table.replace_rows(final_rows);
+        self.table_mut_of(&def)?.replace_rows(final_rows)?;
         self.bump_epoch();
         Ok(updated)
     }
 
     /// Insert several rows, stopping on the first constraint violation.
-    /// The table definition is looked up (and copied) once for the
-    /// statement, not per row; no rows, no lookup.
+    /// The table definition and its storage key are looked up (and
+    /// copied) once for the statement, not per row; no rows, no lookup.
     pub fn insert_many(
         &mut self,
         table_name: &str,
@@ -961,9 +727,10 @@ impl Storage {
             return Ok(0);
         }
         let def = self.table_def(table_name)?;
+        let name = key(&def.name);
         let mut n = 0;
         for row in rows {
-            self.insert_into(&def, row)?;
+            self.insert_into(&def, &name, row)?;
             n += 1;
         }
         Ok(n)

@@ -1,21 +1,178 @@
-//! The stored table: a multiset of rows with implicit RowIDs, hash
-//! indexes over declared keys, and the statistics of its current rows.
+//! The stored table: a multiset of rows with implicit RowIDs, held
+//! column-major in `Arc`-shared blocks, with hash indexes over declared
+//! keys and the statistics of its current rows.
+//!
+//! **Layout.** Each column is a sequence of dense blocks of
+//! [`BLOCK_ROWS`] rows — every block but the last is full — typed by
+//! the column's declared type, which `validate_row` has already coerced
+//! every cell to. An `Int64` / `Float64` / `Boolean` block *is* a
+//! [`ColumnVector`] (values plus a validity [`Bitmap`](crate::Bitmap)):
+//! the very vector a scan hands out. A `Utf8` block holds `u32` codes
+//! into the column's one [`StringDict`], interned at insert
+//! ([`NULL_CODE`] for NULL). The implicit RowID column (paper §4.3) is
+//! blocked the same way. There is no row form at rest: [`Row`] exists
+//! in flight only, for DML and the test oracles.
+//!
+//! **Copy-on-write.** Every block sits behind its own `Arc`, so
+//! [`Table::clone`] shares them all; the first append after a clone
+//! copies the tail block of each column and nothing else, and the
+//! dictionary is copied only if a *new* string arrives while a clone
+//! still shares it. DELETE and UPDATE rebuild and re-pack the blocks
+//! (O(table)); the dictionary is append-only, so it may keep strings no
+//! live row uses.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use gbj_types::{Error, GroupKey, Result, Schema, Value};
+use gbj_types::{internal_err, DataType, Error, GroupKey, Result, Schema, Value};
 
+use crate::columnar::{ColumnVector, ColumnarBatch, StringDict, NULL_CODE};
 use crate::stats::{joint_ndv, StatsCell, TableStats};
 
-/// A stored row: its implicit RowID plus the column values.
+/// Rows per stored block — and per scan batch when no injector or
+/// caller overrides it, so an unfaulted scan hands out whole blocks.
+pub(crate) const BLOCK_ROWS: usize = 1024;
+
+/// A row in flight: its implicit RowID plus the column values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// The implicit unique row identifier (paper §4.3).
     pub row_id: u64,
     /// Column values in schema order.
     pub values: Vec<Value>,
+}
+
+/// The block to append row number `rows` of a column to: a fresh one
+/// when every block is full, else the last — copied first if a clone of
+/// the table still shares it.
+fn tail<T: Clone>(
+    blocks: &mut Vec<Arc<T>>,
+    rows: usize,
+    fresh: impl FnOnce() -> T,
+) -> Option<&mut T> {
+    if rows.is_multiple_of(BLOCK_ROWS) {
+        blocks.push(Arc::new(fresh()));
+    }
+    blocks.last_mut().map(Arc::make_mut)
+}
+
+/// One stored column.
+#[derive(Debug, Clone)]
+pub(crate) enum Column {
+    /// `Int64` / `Float64` / `Boolean`: typed values plus validity.
+    Typed(Vec<Arc<ColumnVector>>),
+    /// `Utf8`: codes into the column's table-lifetime dictionary.
+    Utf8 {
+        /// One code per row, [`NULL_CODE`] for NULL.
+        blocks: Vec<Arc<Vec<u32>>>,
+        /// Every string the column has ever held, in first-seen order.
+        dict: Arc<StringDict>,
+    },
+}
+
+impl Column {
+    fn new(data_type: DataType) -> Column {
+        match data_type {
+            DataType::Utf8 => Column::Utf8 {
+                blocks: Vec::new(),
+                dict: Arc::default(),
+            },
+            _ => Column::Typed(Vec::new()),
+        }
+    }
+
+    /// Whether one more cell surely fits: the dictionary has a code
+    /// left, should the cell hold a new string.
+    fn has_room(&self) -> bool {
+        match self {
+            Column::Typed(_) => true,
+            Column::Utf8 { dict, .. } => dict.len() < NULL_CODE as usize,
+        }
+    }
+
+    /// Append the cell of row number `rows`: NULL, or a value of the
+    /// column's type `data_type` ([`Table::check_cells`] has checked).
+    fn push(&mut self, rows: usize, data_type: DataType, cell: &Value) {
+        match self {
+            Column::Typed(blocks) => {
+                if let Some(block) = tail(blocks, rows, || ColumnVector::empty(data_type, 0)) {
+                    block.push(cell);
+                }
+            }
+            Column::Utf8 { blocks, dict } => {
+                // A hit leaves a shared dictionary shared; only a new
+                // string copies it away from the clones.
+                let code = match cell {
+                    Value::Str(s) => dict
+                        .code_of(s)
+                        .or_else(|| Arc::make_mut(dict).intern(s))
+                        .unwrap_or(NULL_CODE),
+                    _ => NULL_CODE,
+                };
+                if let Some(block) = tail(blocks, rows, Vec::new) {
+                    block.push(code);
+                }
+            }
+        }
+    }
+
+    /// Drop every row; the dictionary stays.
+    fn clear(&mut self) {
+        match self {
+            Column::Typed(blocks) => blocks.clear(),
+            Column::Utf8 { blocks, .. } => blocks.clear(),
+        }
+    }
+
+    /// Block `b` as the vector a scan hands out: the stored block
+    /// itself, or its codes under the dictionary *as it is now* — every
+    /// block of one scan carries the same `Arc<StringDict>`, whichever
+    /// version of it the block was written under.
+    fn block(&self, b: usize) -> Option<Arc<ColumnVector>> {
+        match self {
+            Column::Typed(blocks) => blocks.get(b).cloned(),
+            Column::Utf8 { blocks, dict } => blocks.get(b).map(|codes| {
+                Arc::new(ColumnVector::Dict {
+                    codes: codes.to_vec(),
+                    dict: Arc::clone(dict),
+                })
+            }),
+        }
+    }
+}
+
+/// Sets per key index: a constant, not a setting.
+const KEY_SETS: usize = 64;
+
+/// The multiply-xor hash that picks a key's set, fed by `GroupKey`'s
+/// `=ⁿ` hash stream. Cheap on purpose: it decides only which set a
+/// write copies — each set still hashes its keys with the default,
+/// flood-resistant hasher.
+#[derive(Default)]
+struct SetPicker(u64);
+
+impl Hasher for SetPicker {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|b| self.write_u64(u64::from(*b)));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The set of a [`KeyIndex`] that holds `key`: the top bits of the
+/// product, the ones every bit of the key reaches.
+fn set_of(key: &GroupKey) -> usize {
+    let mut picker = SetPicker::default();
+    key.hash(&mut picker);
+    (picker.finish() >> (u64::BITS - KEY_SETS.trailing_zeros())) as usize
 }
 
 /// An index over one candidate key of a table.
@@ -28,29 +185,80 @@ struct KeyIndex {
     columns: Vec<usize>,
     /// Whether NULLs are allowed in the key (UNIQUE yes, PRIMARY KEY no).
     allows_null: bool,
-    /// `Arc`-shared so cloning a table for a snapshot is O(1) per
-    /// index; mutation goes through `Arc::make_mut` (copy-on-write).
-    entries: Arc<HashSet<GroupKey>>,
+    /// [`KEY_SETS`] sets, a key in the one its `=ⁿ` hash picks, each
+    /// behind its own `Arc`: a clone shares them all, and a write
+    /// copies only the sets it inserts into.
+    sets: Vec<Arc<HashSet<GroupKey>>>,
+}
+
+impl KeyIndex {
+    fn new(columns: Vec<usize>, allows_null: bool) -> KeyIndex {
+        KeyIndex {
+            columns,
+            allows_null,
+            sets: (0..KEY_SETS).map(|_| Arc::default()).collect(),
+        }
+    }
+
+    /// The key of a row, `None` when any component is NULL.
+    fn key_of(&self, values: &[Value]) -> Option<GroupKey> {
+        full_key(&self.columns, values)
+    }
+
+    fn contains(&self, key: &GroupKey) -> bool {
+        let set = self.sets.get(set_of(key));
+        set.is_some_and(|set| set.contains(key))
+    }
+
+    /// Add `key`; `false` if it was there already.
+    fn insert(&mut self, key: GroupKey) -> bool {
+        let set = self.sets.get_mut(set_of(&key));
+        set.is_some_and(|set| Arc::make_mut(set).insert(key))
+    }
+
+    /// The constraint a row without a full key breaks, if any.
+    fn check_null(&self) -> Result<()> {
+        if self.allows_null {
+            return Ok(()); // UNIQUE: NULL ≠ NULL, never conflicts
+        }
+        Err(Error::Constraint(format!(
+            "NULL in primary key column of key ({:?})",
+            self.columns
+        )))
+    }
+
+    fn duplicate(&self) -> Error {
+        Error::Constraint(format!(
+            "duplicate key value for key on columns {:?}",
+            self.columns
+        ))
+    }
 }
 
 /// An in-memory base table.
 ///
-/// Rows and key-index entries live behind `Arc`s, so [`Table::clone`]
-/// (and hence a whole-database snapshot) is O(tables), not O(rows):
-/// a clone shares the row storage, and the first mutation after a
-/// snapshot pays a one-time copy-on-write of the mutated table only.
+/// Blocks, the dictionary and key-index sets live behind `Arc`s, so
+/// [`Table::clone`] (and hence a whole-database snapshot) copies
+/// pointers, not rows, and the first write after a snapshot copies only
+/// what it touches: the tail block of each column, the key sets it
+/// inserts into, and the dictionary only if a new string arrives.
 /// Snapshots therefore never observe torn state — they hold the exact
-/// row vector that existed when they were taken.
+/// blocks that existed when they were taken.
 ///
 /// The same sharing carries the table's statistics
 /// ([`Table::stats`], [`Table::joint_ndv`]): clones holding the same
-/// rows hold the same cell, so one of them folds the rows once for all,
-/// and a mutation leaves the old cell to the snapshots still reading
-/// the old rows.
+/// rows hold the same cell, so one of them folds the columns once for
+/// all, and a mutation leaves the old cell to the snapshots still
+/// reading the old rows.
 #[derive(Debug)]
 pub struct Table {
     schema: Schema,
-    rows: Arc<Vec<Row>>,
+    /// Rows stored: the length of every column and of `row_ids`.
+    len: usize,
+    /// The implicit RowID column, blocked like the others.
+    row_ids: Vec<Arc<Vec<u64>>>,
+    /// One stored column per schema field.
+    columns: Vec<Column>,
     next_row_id: u64,
     /// Bumped on every mutation; invalidates lazy lookup sets.
     generation: u64,
@@ -59,12 +267,11 @@ pub struct Table {
     /// referenced column ordinals, tagged with the generation they were
     /// built at. Built lazily, maintained incrementally on insert.
     ref_lookups: HashMap<Vec<usize>, (u64, HashSet<GroupKey>)>,
-    /// Statistics of exactly the rows behind `rows`: whoever shares
-    /// this cell shares those rows, and the only two places the row
-    /// vector changes ([`Table::push`], [`Table::replace_rows`]) leave
-    /// it behind.
+    /// Statistics of exactly the rows stored: whoever shares this cell
+    /// shares those rows, and the only two places the rows change
+    /// ([`Table::push`], [`Table::replace_rows`]) leave it behind.
     stats: Arc<StatsCell>,
-    /// Passes over the rows made to build statistics, counted across
+    /// Passes over the columns made to build statistics, counted across
     /// every table of a [`Storage`](crate::Storage) and its clones.
     stats_builds: Arc<AtomicU64>,
 }
@@ -73,7 +280,9 @@ impl Clone for Table {
     fn clone(&self) -> Table {
         Table {
             schema: self.schema.clone(),
-            rows: Arc::clone(&self.rows),
+            len: self.len,
+            row_ids: self.row_ids.clone(),
+            columns: self.columns.clone(),
             next_row_id: self.next_row_id,
             generation: self.generation,
             key_indexes: self.key_indexes.clone(),
@@ -87,12 +296,16 @@ impl Clone for Table {
     }
 }
 
-/// Clone the value at column ordinal `c`, treating a (never-expected)
-/// out-of-range ordinal as NULL. Storage validates row arity before any
-/// row reaches `Table`, so the fallback exists only to keep this module
-/// panic-free under the `indexing_slicing` lint.
-pub(crate) fn val_at(values: &[Value], c: usize) -> Value {
-    values.get(c).cloned().unwrap_or(Value::Null)
+/// The values of a row in `columns` as a key, `None` when any of them
+/// is NULL. (A never-expected out-of-range ordinal reads as NULL:
+/// Storage validates row arity before any row reaches `Table`.)
+fn full_key(columns: &[usize], values: &[Value]) -> Option<GroupKey> {
+    let key = columns
+        .iter()
+        .map(|&c| values.get(c).filter(|v| !v.is_null()));
+    key.map(Option::<&Value>::cloned)
+        .collect::<Option<_>>()
+        .map(GroupKey)
 }
 
 impl Table {
@@ -101,8 +314,14 @@ impl Table {
     #[must_use]
     pub fn new(schema: Schema) -> Table {
         Table {
+            len: 0,
+            row_ids: Vec::new(),
+            columns: schema
+                .fields()
+                .iter()
+                .map(|f| Column::new(f.data_type))
+                .collect(),
             schema,
-            rows: Arc::new(Vec::new()),
             next_row_id: 0,
             generation: 0,
             key_indexes: Vec::new(),
@@ -121,11 +340,7 @@ impl Table {
     /// Declare a key over column ordinals; `allows_null` is true for
     /// UNIQUE, false for PRIMARY KEY.
     pub(crate) fn add_key_index(&mut self, columns: Vec<usize>, allows_null: bool) {
-        self.key_indexes.push(KeyIndex {
-            columns,
-            allows_null,
-            entries: Arc::new(HashSet::new()),
-        });
+        self.key_indexes.push(KeyIndex::new(columns, allows_null));
     }
 
     /// The table schema.
@@ -137,36 +352,73 @@ impl Table {
     /// Number of rows.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// Whether the table is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
-    /// Iterate the stored rows.
-    pub fn rows(&self) -> impl Iterator<Item = &Row> {
-        self.rows.iter()
+    /// Block `b` of column `c` as the vector a scan hands out (see
+    /// [`Column::block`]).
+    pub(crate) fn block(&self, c: usize, b: usize) -> Option<Arc<ColumnVector>> {
+        self.columns.get(c)?.block(b)
     }
 
-    /// The raw value vectors, for the executor's scan.
-    pub fn value_rows(&self) -> impl Iterator<Item = &[Value]> {
-        self.rows.iter().map(|r| r.values.as_slice())
+    /// The RowID of the `i`-th stored row (0 out of range).
+    pub(crate) fn row_id(&self, i: usize) -> u64 {
+        let block = self.row_ids.get(i / BLOCK_ROWS);
+        block
+            .and_then(|ids| ids.get(i % BLOCK_ROWS))
+            .copied()
+            .unwrap_or(0)
     }
 
-    /// The summary of the current rows: built by one pass over them on
-    /// the first call (by whichever clone sharing these rows asks
-    /// first; a concurrent asker waits for that pass instead of making
-    /// its own), read from the shared cell afterwards. Reads the stored
-    /// rows directly, never through a scan cursor, so an installed
-    /// fault injector does not touch it.
+    /// The rows of block `b`, materialized column by column: all
+    /// columns, or those `ordinals` names, in that order.
+    fn block_rows(&self, b: usize, ordinals: Option<&[usize]>) -> Vec<Vec<Value>> {
+        let rows = self.row_ids.get(b).map_or(0, |ids| ids.len());
+        let columns: Vec<Arc<ColumnVector>> = match ordinals {
+            Some(ordinals) => ordinals.iter().filter_map(|&c| self.block(c, b)).collect(),
+            None => self.columns.iter().filter_map(|c| c.block(b)).collect(),
+        };
+        ColumnarBatch::from_columns(columns, rows).map_or_else(|_| Vec::new(), |b| b.to_rows())
+    }
+
+    /// The stored rows, materialized block by block (for DML, foreign
+    /// keys and test oracles — queries read [`Storage::open_scan`](crate::Storage::open_scan)).
+    pub fn rows(&self) -> impl Iterator<Item = Row> + '_ {
+        let ids = self.row_ids.iter().flat_map(|ids| ids.iter().copied());
+        ids.zip(self.value_rows())
+            .map(|(row_id, values)| Row { row_id, values })
+    }
+
+    /// The stored rows without their RowIDs.
+    pub fn value_rows(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
+        (0..self.row_ids.len()).flat_map(|b| self.block_rows(b, None))
+    }
+
+    /// The stored rows' values in the columns `ordinals`, in that order.
+    pub(crate) fn project<'a>(
+        &'a self,
+        ordinals: &'a [usize],
+    ) -> impl Iterator<Item = Vec<Value>> + 'a {
+        (0..self.row_ids.len()).flat_map(move |b| self.block_rows(b, Some(ordinals)))
+    }
+
+    /// The summary of the current rows: built by one pass over the
+    /// columns on the first call (by whichever clone sharing these rows
+    /// asks first; a concurrent asker waits for that pass instead of
+    /// making its own), read from the shared cell afterwards. Reads the
+    /// stored blocks directly, never through a scan cursor, so an
+    /// installed fault injector does not touch it.
     #[must_use]
     pub fn stats(&self) -> &TableStats {
         self.stats.summary.get_or_init(|| {
             self.stats_builds.fetch_add(1, Ordering::Relaxed);
-            TableStats::build(&self.schema, self.value_rows())
+            TableStats::build(self.len, &self.columns)
         })
     }
 
@@ -179,15 +431,14 @@ impl Table {
     pub fn joint_ndv(&self, ordinals: &[usize]) -> f64 {
         *self.stats.joint(ordinals).get_or_init(|| {
             self.stats_builds.fetch_add(1, Ordering::Relaxed);
-            joint_ndv(self.value_rows(), ordinals)
+            joint_ndv(self.project(ordinals))
         })
     }
 
     /// Forget the statistics: the rows are about to change. O(1), and
     /// without allocating while nobody else holds the cell; a cell
     /// shared with snapshots stays theirs and this table starts a fresh
-    /// one — which happens on the first mutation after a snapshot only,
-    /// where the row vector is being copied anyway.
+    /// one.
     fn drop_stats(&mut self) {
         match Arc::get_mut(&mut self.stats) {
             Some(cell) => cell.clear(),
@@ -195,86 +446,102 @@ impl Table {
         }
     }
 
-    /// The stored rows as a slice (for batched scan cursors).
-    pub(crate) fn raw_rows(&self) -> &[Row] {
-        &self.rows
-    }
-
     /// Check key uniqueness for a candidate row (without inserting).
     pub(crate) fn check_keys(&self, values: &[Value]) -> Result<()> {
         for idx in &self.key_indexes {
-            let key_vals: Vec<Value> = idx.columns.iter().map(|&c| val_at(values, c)).collect();
-            let has_null = key_vals.iter().any(Value::is_null);
-            if has_null {
-                if idx.allows_null {
-                    continue; // UNIQUE: NULL ≠ NULL, never conflicts
-                }
-                return Err(Error::Constraint(format!(
-                    "NULL in primary key column of key ({:?})",
-                    idx.columns
-                )));
-            }
-            if idx.entries.contains(&GroupKey(key_vals)) {
-                return Err(Error::Constraint(format!(
-                    "duplicate key value for key on columns {:?}",
-                    idx.columns
-                )));
+            match idx.key_of(values) {
+                None => idx.check_null()?,
+                Some(key) if idx.contains(&key) => return Err(idx.duplicate()),
+                Some(_) => {}
             }
         }
         Ok(())
     }
 
+    /// Whether `values` can be stored: one cell per column, each NULL
+    /// or of the declared type (`validate_row` has coerced them).
+    fn check_cells(&self, values: &[Value]) -> Result<()> {
+        let fields = self.schema.fields();
+        let fits = values.len() == fields.len()
+            && self.columns.iter().all(Column::has_room)
+            && values
+                .iter()
+                .zip(fields)
+                .all(|(v, f)| v.data_type().is_none_or(|t| t == f.data_type));
+        if fits {
+            return Ok(());
+        }
+        Err(internal_err!(
+            "row {values:?} does not fit the stored columns of ({})",
+            self.schema
+        ))
+    }
+
+    /// Append one checked row to every column.
+    fn append(&mut self, row_id: u64, values: &[Value]) {
+        if let Some(ids) = tail(&mut self.row_ids, self.len, Vec::new) {
+            ids.push(row_id);
+        }
+        let cells = self
+            .columns
+            .iter_mut()
+            .zip(self.schema.fields())
+            .zip(values);
+        for ((column, field), cell) in cells {
+            column.push(self.len, field.data_type, cell);
+        }
+        self.len += 1;
+    }
+
     /// Append a row, updating indexes. The caller (Storage) has already
-    /// validated constraints.
-    pub(crate) fn push(&mut self, values: Vec<Value>) -> u64 {
+    /// validated constraints. Copy-on-write: the first push after a
+    /// snapshot copies the tail blocks; snapshots keep the old ones.
+    pub(crate) fn push(&mut self, values: &[Value]) -> Result<u64> {
+        self.check_cells(values)?;
         self.drop_stats();
         for idx in &mut self.key_indexes {
-            let key_vals: Vec<Value> = idx.columns.iter().map(|&c| val_at(&values, c)).collect();
-            if !key_vals.iter().any(Value::is_null) {
-                Arc::make_mut(&mut idx.entries).insert(GroupKey(key_vals));
+            if let Some(key) = idx.key_of(values) {
+                idx.insert(key);
             }
         }
         self.generation += 1;
         // Keep current lookup sets current (incremental maintenance).
         for (cols, (gen, set)) in &mut self.ref_lookups {
-            let key_vals: Vec<Value> = cols.iter().map(|&c| val_at(&values, c)).collect();
-            if !key_vals.iter().any(Value::is_null) {
-                set.insert(GroupKey(key_vals));
-            }
+            set.extend(full_key(cols, values));
             *gen = self.generation;
         }
         let id = self.next_row_id;
         self.next_row_id += 1;
-        // Copy-on-write: the first push after a snapshot copies the row
-        // vector; snapshots keep reading the old one untouched.
-        Arc::make_mut(&mut self.rows).push(Row { row_id: id, values });
-        id
+        self.append(id, values);
+        Ok(id)
     }
 
-    /// Replace the stored rows wholesale (DELETE / UPDATE), rebuilding
-    /// key indexes and invalidating lookup sets. Surviving rows keep
-    /// their RowIDs; `next_row_id` never goes backwards, so IDs are
-    /// never reused.
-    pub(crate) fn replace_rows(&mut self, rows: Vec<Row>) {
+    /// Replace the stored rows wholesale (DELETE / UPDATE): re-pack the
+    /// blocks, rebuild key indexes and invalidate lookup sets.
+    /// Surviving rows keep their RowIDs; `next_row_id` never goes
+    /// backwards, so IDs are never reused.
+    pub(crate) fn replace_rows(&mut self, rows: Vec<Row>) -> Result<()> {
+        rows.iter().try_for_each(|r| self.check_cells(&r.values))?;
         self.drop_stats();
         self.ref_lookups.clear();
         for idx in &mut self.key_indexes {
-            let mut entries = HashSet::new();
+            // Fresh sets: snapshots holding the old ones are unaffected.
+            let mut fresh = KeyIndex::new(std::mem::take(&mut idx.columns), idx.allows_null);
             for row in &rows {
-                let key_vals: Vec<Value> = idx
-                    .columns
-                    .iter()
-                    .map(|&c| val_at(&row.values, c))
-                    .collect();
-                if !key_vals.iter().any(Value::is_null) {
-                    entries.insert(GroupKey(key_vals));
+                if let Some(key) = fresh.key_of(&row.values) {
+                    fresh.insert(key);
                 }
             }
-            // Fresh Arcs: snapshots holding the old sets are unaffected.
-            idx.entries = Arc::new(entries);
+            *idx = fresh;
         }
         self.generation += 1;
-        self.rows = Arc::new(rows);
+        self.len = 0;
+        self.row_ids.clear();
+        self.columns.iter_mut().for_each(Column::clear);
+        for row in &rows {
+            self.append(row.row_id, &row.values);
+        }
+        Ok(())
     }
 
     /// Key-uniqueness check over an arbitrary candidate row multiset
@@ -283,25 +550,13 @@ impl Table {
         for idx in &self.key_indexes {
             let mut seen: HashSet<GroupKey> = HashSet::with_capacity(rows.len());
             for row in rows {
-                let key_vals: Vec<Value> = idx
-                    .columns
-                    .iter()
-                    .map(|&c| val_at(&row.values, c))
-                    .collect();
-                if key_vals.iter().any(Value::is_null) {
-                    if idx.allows_null {
-                        continue;
+                match idx.key_of(&row.values) {
+                    None => idx.check_null()?,
+                    Some(key) => {
+                        if !seen.insert(key) {
+                            return Err(idx.duplicate());
+                        }
                     }
-                    return Err(Error::Constraint(format!(
-                        "NULL in primary key column of key ({:?})",
-                        idx.columns
-                    )));
-                }
-                if !seen.insert(GroupKey(key_vals)) {
-                    return Err(Error::Constraint(format!(
-                        "duplicate key value for key on columns {:?}",
-                        idx.columns
-                    )));
                 }
             }
         }
@@ -314,26 +569,19 @@ impl Table {
     pub(crate) fn contains_key_value(&mut self, columns: &[usize], key: &[Value]) -> bool {
         // Fast path: an existing key index over exactly these columns.
         if let Some(idx) = self.key_indexes.iter().find(|i| i.columns == columns) {
-            return idx.entries.contains(&GroupKey(key.to_vec()));
+            return idx.contains(&GroupKey(key.to_vec()));
         }
-        let generation = self.generation;
-        let (gen, set) = self
-            .ref_lookups
-            .entry(columns.to_vec())
-            .or_insert_with(|| (0, HashSet::new()));
-        if *gen != generation {
+        if self.ref_lookups.get(columns).map(|(gen, _)| *gen) != Some(self.generation) {
             // (Re)build for the current generation; push() maintains it
             // incrementally afterwards.
-            set.clear();
-            for row in self.rows.iter() {
-                let vals: Vec<Value> = columns.iter().map(|&c| val_at(&row.values, c)).collect();
-                if !vals.iter().any(Value::is_null) {
-                    set.insert(GroupKey(vals));
-                }
-            }
-            *gen = generation;
+            let keys = self.project(columns);
+            let full = keys.filter(|vals| !vals.iter().any(Value::is_null));
+            let set = full.map(GroupKey).collect();
+            self.ref_lookups
+                .insert(columns.to_vec(), (self.generation, set));
         }
-        set.contains(&GroupKey(key.to_vec()))
+        let lookup = self.ref_lookups.get(columns);
+        lookup.is_some_and(|(_, set)| set.contains(&GroupKey(key.to_vec())))
     }
 }
 
@@ -352,8 +600,8 @@ mod tests {
     #[test]
     fn row_ids_are_sequential_and_unique() {
         let mut t = Table::new(schema());
-        let a = t.push(vec![Value::Int(1), Value::Null]);
-        let b = t.push(vec![Value::Int(2), Value::Null]);
+        let a = t.push(&[Value::Int(1), Value::Null]).unwrap();
+        let b = t.push(&[Value::Int(2), Value::Null]).unwrap();
         assert_ne!(a, b);
         assert_eq!(t.len(), 2);
         let ids: Vec<u64> = t.rows().map(|r| r.row_id).collect();
@@ -363,8 +611,8 @@ mod tests {
     #[test]
     fn duplicate_rows_are_allowed_as_multiset() {
         let mut t = Table::new(schema());
-        t.push(vec![Value::Int(1), Value::Int(5)]);
-        t.push(vec![Value::Int(1), Value::Int(5)]);
+        t.push(&[Value::Int(1), Value::Int(5)]).unwrap();
+        t.push(&[Value::Int(1), Value::Int(5)]).unwrap();
         assert_eq!(t.len(), 2, "tables are multisets");
     }
 
@@ -373,7 +621,7 @@ mod tests {
         let mut t = Table::new(schema());
         t.add_key_index(vec![0], false);
         t.check_keys(&[Value::Int(1), Value::Null]).unwrap();
-        t.push(vec![Value::Int(1), Value::Null]);
+        t.push(&[Value::Int(1), Value::Null]).unwrap();
         assert!(t.check_keys(&[Value::Int(1), Value::Int(9)]).is_err());
         assert!(t.check_keys(&[Value::Null, Value::Int(9)]).is_err());
         t.check_keys(&[Value::Int(2), Value::Null]).unwrap();
@@ -383,23 +631,23 @@ mod tests {
     fn unique_index_allows_multiple_nulls() {
         let mut t = Table::new(schema());
         t.add_key_index(vec![1], true);
-        t.push(vec![Value::Int(1), Value::Null]);
+        t.push(&[Value::Int(1), Value::Null]).unwrap();
         // A second NULL never conflicts (UNIQUE uses NULL ≠ NULL).
         t.check_keys(&[Value::Int(2), Value::Null]).unwrap();
-        t.push(vec![Value::Int(2), Value::Null]);
-        t.push(vec![Value::Int(3), Value::Int(7)]);
+        t.push(&[Value::Int(2), Value::Null]).unwrap();
+        t.push(&[Value::Int(3), Value::Int(7)]).unwrap();
         assert!(t.check_keys(&[Value::Int(4), Value::Int(7)]).is_err());
     }
 
     #[test]
     fn contains_key_value_lookup() {
         let mut t = Table::new(schema());
-        t.push(vec![Value::Int(1), Value::Int(10)]);
-        t.push(vec![Value::Int(2), Value::Int(20)]);
+        t.push(&[Value::Int(1), Value::Int(10)]).unwrap();
+        t.push(&[Value::Int(2), Value::Int(20)]).unwrap();
         assert!(t.contains_key_value(&[0], &[Value::Int(1)]));
         assert!(!t.contains_key_value(&[0], &[Value::Int(3)]));
         // Lookup set stays correct across later pushes.
-        t.push(vec![Value::Int(3), Value::Int(30)]);
+        t.push(&[Value::Int(3), Value::Int(30)]).unwrap();
         assert!(t.contains_key_value(&[0], &[Value::Int(3)]));
         // Composite lookup.
         assert!(t.contains_key_value(&[0, 1], &[Value::Int(2), Value::Int(20)]));
@@ -410,11 +658,11 @@ mod tests {
     fn clone_is_a_stable_snapshot() {
         let mut t = Table::new(schema());
         t.add_key_index(vec![0], false);
-        t.push(vec![Value::Int(1), Value::Null]);
+        t.push(&[Value::Int(1), Value::Null]).unwrap();
         let mut snap = t.clone();
         // Writer-side mutations are invisible to the snapshot...
-        t.push(vec![Value::Int(2), Value::Null]);
-        t.replace_rows(Vec::new());
+        t.push(&[Value::Int(2), Value::Null]).unwrap();
+        t.replace_rows(Vec::new()).unwrap();
         assert_eq!(snap.len(), 1);
         assert_eq!(t.len(), 0);
         // ...including its key index and (rebuilt) FK lookup sets.
@@ -423,11 +671,48 @@ mod tests {
         assert!(t.check_keys(&[Value::Int(1), Value::Null]).is_ok());
     }
 
+    /// The first write after a clone copies only the key sets it
+    /// inserts into; the clone keeps reading the old ones.
+    #[test]
+    fn key_sets_are_copied_one_at_a_time() {
+        let mut t = Table::new(schema());
+        t.add_key_index(vec![0], false);
+        for i in 0..5_000 {
+            t.push(&[Value::Int(i), Value::Null]).unwrap();
+        }
+        // Consecutive keys spread: no set is empty, none holds a tenth.
+        let sizes: Vec<usize> = t.key_indexes[0].sets.iter().map(|s| s.len()).collect();
+        assert_eq!(
+            (sizes.len(), sizes.iter().sum::<usize>()),
+            (KEY_SETS, 5_000)
+        );
+        assert!(sizes.iter().all(|n| (1..500).contains(n)), "{sizes:?}");
+
+        let snap = t.clone();
+        let shared = |t: &Table| {
+            let pairs = t.key_indexes[0].sets.iter().zip(&snap.key_indexes[0].sets);
+            pairs.filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+        };
+        assert_eq!(shared(&t), KEY_SETS, "a clone shares every set");
+        for i in 5_000..5_010 {
+            t.check_keys(&[Value::Int(i), Value::Null]).unwrap();
+            t.push(&[Value::Int(i), Value::Null]).unwrap();
+        }
+        assert!(
+            shared(&t) >= KEY_SETS - 10,
+            "ten inserts, at most ten copies"
+        );
+        assert!(shared(&t) < KEY_SETS);
+        assert!(t.check_keys(&[Value::Int(5_003), Value::Null]).is_err());
+        snap.check_keys(&[Value::Int(5_003), Value::Null]).unwrap();
+        assert!(snap.check_keys(&[Value::Int(4_999), Value::Null]).is_err());
+    }
+
     #[test]
     fn contains_key_value_uses_key_index_fast_path() {
         let mut t = Table::new(schema());
         t.add_key_index(vec![0], false);
-        t.push(vec![Value::Int(5), Value::Null]);
+        t.push(&[Value::Int(5), Value::Null]).unwrap();
         assert!(t.contains_key_value(&[0], &[Value::Int(5)]));
         assert!(!t.contains_key_value(&[0], &[Value::Int(6)]));
     }
@@ -440,11 +725,11 @@ mod tests {
     fn writes_drop_the_stats_without_touching_a_snapshots() {
         let mut t = Table::new(schema());
         let cell = Arc::as_ptr(&t.stats);
-        t.push(vec![Value::Int(1), Value::Null]);
-        t.push(vec![Value::Int(2), Value::Int(5)]);
+        t.push(&[Value::Int(1), Value::Null]).unwrap();
+        t.push(&[Value::Int(2), Value::Int(5)]).unwrap();
         assert_eq!(Arc::as_ptr(&t.stats), cell, "unshared and empty: kept");
         assert_eq!((t.stats().rows, t.stats().columns[1].nulls), (2, 1));
-        t.push(vec![Value::Int(3), Value::Int(5)]);
+        t.push(&[Value::Int(3), Value::Int(5)]).unwrap();
         assert_eq!(Arc::as_ptr(&t.stats), cell, "unshared and built: reused");
         assert!(t.stats.summary.get().is_none(), "but emptied");
 
@@ -460,7 +745,7 @@ mod tests {
         );
         assert_eq!(snap.joint_ndv(&[0, 1]), 3.0);
 
-        t.push(vec![Value::Int(4), Value::Null]);
+        t.push(&[Value::Int(4), Value::Null]).unwrap();
         assert!(
             !Arc::ptr_eq(&t.stats, &snap.stats),
             "first push after a clone"
@@ -468,7 +753,7 @@ mod tests {
         assert_eq!(snap.stats.summary.get().map(|s| s.rows), Some(3));
         assert_eq!((t.stats().rows, t.joint_ndv(&[0, 1])), (4, 4.0));
         let cell = Arc::as_ptr(&t.stats);
-        t.replace_rows(Vec::new());
+        t.replace_rows(Vec::new()).unwrap();
         assert_eq!(Arc::as_ptr(&t.stats), cell);
         assert_eq!((t.stats().rows, snap.stats().rows), (0, 3));
         // One pass per summary and per joint key, on either side.

@@ -57,7 +57,19 @@ if grep -rn "value_rows" crates/engine/src crates/optimizer/src crates/analyze/s
   echo "verify: a row scan reappeared outside the executor and storage" >&2
   exit 1
 fi
+# One physical layout: tables are column-major blocks that scans hand
+# out; the row vector, the per-cursor dictionary prescan and the
+# per-scan transpose were deleted and must not grow back beside them.
+if grep -rnE "Arc<Vec<Row>>|fn raw_rows|fn ensure_dicts|fn build_column|ColumnDict" crates src; then
+  echo "verify: a second table layout / a per-scan transpose reappeared" >&2
+  exit 1
+fi
 cargo build --release
+# The four workspace passes below each include gbj-storage's two layout
+# suites — layout_differential (column-major storage against a row
+# model) and block_sharing (blocks shared by address, copied exactly
+# where a reader could see a write; its reader count follows
+# GBJ_TEST_THREADS).
 cargo test -q --workspace
 GBJ_TEST_THREADS=4 cargo test -q --workspace
 GBJ_TEST_VECTORIZED=1 cargo test -q --workspace
