@@ -6,15 +6,28 @@
 //! scalar aggregate producing exactly one row (standard SQL); the
 //! optimizer refuses the degenerate transformations where this
 //! distinction would matter (see DESIGN.md).
+//!
+//! Every hash aggregate, on both execution paths, is the one [`Groups`]
+//! table: a [`KeyMap`] from key to slot, the keys by slot in first-seen
+//! order, and one state vector per aggregate indexed by slot
+//! ([`AggStates`]). The row engine feeds it decoded keys and rows, one
+//! at a time, through [`Accumulator`]s; the chunk pipeline feeds it a
+//! typed key view and argument columns, a chunk at a time, in two
+//! passes — slots for the live rows, then one typed loop per aggregate
+//! — that reproduce the row fold exactly: floating-point sums add in
+//! row order, and the error raised is the one at the smallest `(row,
+//! aggregate)` position (DESIGN.md §11).
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
-use gbj_expr::{Accumulator, AggregateCall, BoundExpr, Expr};
-use gbj_types::{internal_err, GroupKey, Result, Schema, Value};
+use gbj_expr::{Accumulator, AggState, AggregateCall, AggregateFunction, BoundExpr, Expr};
+use gbj_types::{internal_err, Error, GroupKey, Result, Schema, Value};
 
-use crate::batch::{ColumnVector, StringDict, NULL_CODE};
+use crate::batch::{Bitmap, ColumnVector, ColumnarBatch, StringDict, NULL_CODE};
 use crate::guard::{row_bytes, ResourceGuard};
+use crate::key::{KeyMap, KeyView};
 use crate::metrics::MetricsSink;
 
 /// Estimated bytes of one aggregation-table entry beyond its key
@@ -90,122 +103,729 @@ pub(crate) fn group_key(group_exprs: &[BoundExpr], row: &[Value]) -> Result<Grou
         .map(GroupKey)
 }
 
-/// One group's key and accumulator states, as shipped between shards.
-pub(crate) type Partial = (GroupKey, Vec<Accumulator>);
-
-/// The slots of a [`Groups`] table: per group, the decoded `=ⁿ` key and
-/// the accumulators, plus the memory charge the table holds. Whatever
-/// was charged is released on drop, so error paths need no bookkeeping.
-struct Slots<'a> {
-    aggregates: &'a [CompiledAggregate],
-    guard: &'a ResourceGuard,
-    order: Vec<GroupKey>,
-    accs: Vec<Vec<Accumulator>>,
-    bytes: u64,
+/// Where a chunk's aggregate arguments come from.
+pub(crate) enum ChunkArgs<'a> {
+    /// One evaluated column per aggregate (`None` for `COUNT(*)`).
+    Columns(&'a [Option<Cow<'a, ColumnVector>>]),
+    /// Some argument is outside the vectorizable domain: evaluate per
+    /// row, row-major, on this batch's rows — so the first error is the
+    /// row engine's.
+    Rows(&'a ColumnarBatch),
 }
 
-impl Drop for Slots<'_> {
+/// One aggregate's states, indexed by group slot.
+///
+/// The typed variants are what the chunk fold runs its per-aggregate
+/// loops over; [`Accumulator`] stays the definition: every typed
+/// transition below reproduces `Accumulator::update` / `merge` on the
+/// state [`AggStates::accumulator_at`] converts it to, an error is
+/// *raised* by replaying the failing step on that accumulator, results
+/// are read through `Accumulator::finish`, and whatever a typed vector
+/// cannot hold (DISTINCT, strings, booleans, type-mixed columns, an
+/// argument whose column type changes mid-stream) runs on `Accs`.
+enum AggColumn {
+    /// `COUNT(*)` / `COUNT(x)`.
+    Count(Vec<i64>),
+    /// `SUM` over `Int` columns: checked sum, any input yet.
+    SumInt(Vec<(i64, bool)>),
+    /// `SUM` over `Float` columns, added in row order from `0.0`.
+    SumFloat(Vec<(f64, bool)>),
+    /// `MIN` / `MAX` over `Int` columns.
+    BestInt(Vec<Option<i64>>),
+    /// `MIN` / `MAX` over `Float` columns (a NaN meeting another value
+    /// is the oracle's "incomparable" error).
+    BestFloat(Vec<Option<f64>>),
+    /// `AVG` over `Int` and `Float` columns: float sum, input count.
+    Avg(Vec<(f64, i64)>),
+    /// `SUM` / `MIN` / `MAX` no non-NULL input has reached yet: the
+    /// first column that brings one picks the variant.
+    Pending,
+    /// The general form, one [`Accumulator`] per slot.
+    Accs(Vec<Accumulator>),
+}
+
+/// A typed argument column, as the typed loops see it.
+enum ArgKind<'a> {
+    Int(&'a [i64], &'a Bitmap),
+    Float(&'a [f64], &'a Bitmap),
+    /// A typed column without one valid row (the all-NULL placeholder
+    /// included): no aggregate but `COUNT(*)` has anything to do.
+    Empty,
+    Other,
+}
+
+impl ArgKind<'_> {
+    fn of(col: &ColumnVector) -> ArgKind<'_> {
+        match col {
+            ColumnVector::Int { validity, .. }
+            | ColumnVector::Float { validity, .. }
+            | ColumnVector::Bool { validity, .. }
+            | ColumnVector::Str { validity, .. }
+                if validity.count_valid() == 0 =>
+            {
+                ArgKind::Empty
+            }
+            ColumnVector::Int { values, validity } => ArgKind::Int(values, validity),
+            ColumnVector::Float { values, validity } => ArgKind::Float(values, validity),
+            _ => ArgKind::Other,
+        }
+    }
+}
+
+/// Call `step(slot, value)` for each `(slot, row)` pair whose cell is
+/// valid, in order; the position of the first pair `step` refuses.
+fn for_valid<T: Copy>(
+    values: &[T],
+    validity: &Bitmap,
+    slots: &[u32],
+    rows: impl Iterator<Item = usize>,
+    mut step: impl FnMut(usize, T) -> bool,
+) -> Option<usize> {
+    let dense = validity.all_valid();
+    for (pos, (&slot, i)) in slots.iter().zip(rows).enumerate() {
+        let Some(&value) = values.get(i) else {
+            continue;
+        };
+        if (dense || validity.get(i)) && !step(slot as usize, value) {
+            return Some(pos);
+        }
+    }
+    None
+}
+
+/// `MIN`/`MAX` step: keep the strictly better value, like
+/// `Accumulator::update`; `None` when the two do not compare.
+fn better<T: PartialOrd + Copy>(best: &mut Option<T>, value: T, max: bool) -> bool {
+    let Some(current) = *best else {
+        *best = Some(value);
+        return true;
+    };
+    match value.partial_cmp(&current) {
+        None => return false,
+        Some(Ordering::Less) if !max => *best = Some(value),
+        Some(Ordering::Greater) if max => *best = Some(value),
+        Some(_) => {}
+    }
+    true
+}
+
+fn add_checked((sum, any): &mut (i64, bool), value: i64) -> bool {
+    match sum.checked_add(value) {
+        Some(total) => {
+            *sum = total;
+            *any = true;
+            true
+        }
+        None => false,
+    }
+}
+
+/// Every aggregate's states for one table: the column-wise accumulators.
+pub(crate) struct AggStates<'a> {
+    aggregates: &'a [CompiledAggregate],
+    cols: Vec<AggColumn>,
+    /// Slots held: every column is this long (`Pending` holds none).
+    len: usize,
+}
+
+/// The first failure of a two-pass step, at `(position, aggregate)`.
+type FirstError = Option<(usize, Error)>;
+
+impl<'a> AggStates<'a> {
+    /// States fed through [`Value`]s, one row at a time: the row
+    /// engine's, and the pipeline's for arguments outside the
+    /// vectorizable domain.
+    pub(crate) fn general(aggregates: &'a [CompiledAggregate]) -> AggStates<'a> {
+        let cols = aggregates.iter().map(|_| AggColumn::Accs(Vec::new()));
+        AggStates {
+            aggregates,
+            cols: cols.collect(),
+            len: 0,
+        }
+    }
+
+    /// States fed whole argument columns: typed wherever the function
+    /// allows.
+    pub(crate) fn typed(aggregates: &'a [CompiledAggregate]) -> AggStates<'a> {
+        let cols = aggregates.iter().map(|agg| match agg.call.func {
+            _ if agg.call.distinct => AggColumn::Accs(Vec::new()),
+            AggregateFunction::CountStar | AggregateFunction::Count => AggColumn::Count(Vec::new()),
+            AggregateFunction::Avg => AggColumn::Avg(Vec::new()),
+            AggregateFunction::Sum | AggregateFunction::Min | AggregateFunction::Max => {
+                AggColumn::Pending
+            }
+        });
+        AggStates {
+            aggregates,
+            cols: cols.collect(),
+            len: 0,
+        }
+    }
+
+    /// Hold `len` slots, the new ones in their initial state.
+    pub(crate) fn grow(&mut self, len: usize) {
+        self.len = len;
+        for (col, agg) in self.cols.iter_mut().zip(self.aggregates) {
+            match col {
+                AggColumn::Count(v) => v.resize(len, 0),
+                AggColumn::SumInt(v) => v.resize(len, (0, false)),
+                AggColumn::SumFloat(v) => v.resize(len, (0.0, false)),
+                AggColumn::BestInt(v) => v.resize(len, None),
+                AggColumn::BestFloat(v) => v.resize(len, None),
+                AggColumn::Avg(v) => v.resize(len, (0.0, 0)),
+                AggColumn::Pending => {}
+                AggColumn::Accs(v) => v.resize_with(len, || agg.call.accumulator()),
+            }
+        }
+    }
+
+    /// Slot `slot` of aggregate `j` as the accumulator it stands for.
+    fn accumulator_at(&self, j: usize, slot: usize) -> Result<Cow<'_, Accumulator>> {
+        let missing = || internal_err!("aggregate {j} has no slot {slot}");
+        let (col, agg) = self
+            .cols
+            .get(j)
+            .zip(self.aggregates.get(j))
+            .ok_or_else(missing)?;
+        let func = agg.call.func;
+        let state = match col {
+            AggColumn::Accs(accs) => return accs.get(slot).map(Cow::Borrowed).ok_or_else(missing),
+            AggColumn::Pending => return Ok(Cow::Owned(agg.call.accumulator())),
+            AggColumn::Count(v) => AggState::Count(*v.get(slot).ok_or_else(missing)?),
+            AggColumn::SumInt(v) => {
+                let (sum, any) = *v.get(slot).ok_or_else(missing)?;
+                AggState::SumInt { sum, any }
+            }
+            // A SUM is an integer sum until its first float arrives.
+            AggColumn::SumFloat(v) => match *v.get(slot).ok_or_else(missing)? {
+                (sum, true) => AggState::SumFloat { sum, any: true },
+                (_, false) => AggState::SumInt { sum: 0, any: false },
+            },
+            AggColumn::BestInt(v) => {
+                AggState::MinMax(v.get(slot).ok_or_else(missing)?.map(Value::Int))
+            }
+            AggColumn::BestFloat(v) => {
+                AggState::MinMax(v.get(slot).ok_or_else(missing)?.map(Value::Float))
+            }
+            AggColumn::Avg(v) => {
+                let (sum, count) = *v.get(slot).ok_or_else(missing)?;
+                AggState::Avg { sum, count }
+            }
+        };
+        Ok(Cow::Owned(Accumulator::resume(func, state)))
+    }
+
+    /// Turn aggregate `j` into its general form, slot for slot.
+    fn generalize(&mut self, j: usize) -> Result<&mut Vec<Accumulator>> {
+        if !matches!(self.cols.get(j), Some(AggColumn::Accs(_))) {
+            let accs = (0..self.len)
+                .map(|slot| self.accumulator_at(j, slot).map(Cow::into_owned))
+                .collect::<Result<_>>()?;
+            if let Some(col) = self.cols.get_mut(j) {
+                *col = AggColumn::Accs(accs);
+            }
+        }
+        match self.cols.get_mut(j) {
+            Some(AggColumn::Accs(accs)) => Ok(accs),
+            _ => Err(internal_err!("aggregate {j} out of range")),
+        }
+    }
+
+    /// The error the oracle raises for the step the typed loop of
+    /// aggregate `j` refused: replay it on the accumulator.
+    fn replay_update(&self, j: usize, slot: usize, value: &Value) -> Error {
+        let replayed = self
+            .accumulator_at(j, slot)
+            .and_then(|acc| acc.into_owned().update(value));
+        replayed
+            .err()
+            .unwrap_or_else(|| internal_err!("aggregate {j}: the typed fold refused {value}"))
+    }
+
+    /// Feed one row to every aggregate of `slot`, in aggregate order —
+    /// the row engine's step, errors included.
+    pub(crate) fn update_row(&mut self, slot: usize, row: &[Value]) -> Result<()> {
+        let aggregates = self.aggregates;
+        for (j, agg) in aggregates.iter().enumerate() {
+            let acc = self
+                .generalize(j)?
+                .get_mut(slot)
+                .ok_or_else(|| internal_err!("group slot {slot} out of bounds"))?;
+            agg.update(acc, row)?;
+        }
+        Ok(())
+    }
+
+    /// Feed a chunk, one aggregate at a time: `slots` holds the slot of
+    /// each row of `rows`, `args` the argument column of each
+    /// aggregate. Returns the failure at the smallest `(position,
+    /// aggregate)`, which is the one a row-major fold of the same rows
+    /// meets first.
+    pub(crate) fn update_chunk(
+        &mut self,
+        slots: &[u32],
+        rows: impl Iterator<Item = usize> + Clone,
+        args: &[Option<Cow<'_, ColumnVector>>],
+    ) -> Result<FirstError> {
+        let mut first: FirstError = None;
+        // Past a failure only earlier rows can still matter.
+        let mut live = slots;
+        for (j, arg) in args.iter().enumerate() {
+            let failed = self.update_column(j, live, rows.clone(), arg.as_deref())?;
+            if let Some((pos, error)) = failed {
+                live = live.get(..pos).unwrap_or(live);
+                first = Some((pos, error));
+            }
+        }
+        Ok(first)
+    }
+
+    fn update_column(
+        &mut self,
+        j: usize,
+        slots: &[u32],
+        rows: impl Iterator<Item = usize> + Clone,
+        arg: Option<&ColumnVector>,
+    ) -> Result<FirstError> {
+        let out_of_range = || internal_err!("aggregate {j} out of range");
+        let func = self.aggregates.get(j).ok_or_else(out_of_range)?.call.func;
+        let max = func == AggregateFunction::Max;
+        let kind = arg.map_or(ArgKind::Other, ArgKind::of);
+        let len = self.len;
+        let col = self.cols.get_mut(j).ok_or_else(out_of_range)?;
+        if let (AggColumn::Pending, ArgKind::Int(..) | ArgKind::Float(..)) = (&*col, &kind) {
+            *col = match (func, &kind) {
+                (AggregateFunction::Sum, ArgKind::Int(..)) => {
+                    AggColumn::SumInt(vec![(0, false); len])
+                }
+                (AggregateFunction::Sum, _) => AggColumn::SumFloat(vec![(0.0, false); len]),
+                (_, ArgKind::Int(..)) => AggColumn::BestInt(vec![None; len]),
+                _ => AggColumn::BestFloat(vec![None; len]),
+            };
+        }
+        let refused = match (col, kind) {
+            (AggColumn::Count(counts), kind) => {
+                // COUNT(*) and an all-valid column count every row.
+                let every = match (arg, &kind) {
+                    (None, _) => true,
+                    (_, ArgKind::Int(_, ok) | ArgKind::Float(_, ok)) => ok.all_valid(),
+                    _ => false,
+                };
+                for (&slot, i) in slots.iter().zip(rows) {
+                    if every || arg.is_some_and(|col| col.is_valid(i)) {
+                        if let Some(n) = counts.get_mut(slot as usize) {
+                            *n += 1;
+                        }
+                    }
+                }
+                return Ok(None);
+            }
+            (_, ArgKind::Empty) => return Ok(None),
+            (AggColumn::SumInt(sums), ArgKind::Int(values, ok)) => {
+                for_valid(values, ok, slots, rows.clone(), |slot, v| {
+                    sums.get_mut(slot).is_none_or(|state| add_checked(state, v))
+                })
+            }
+            (AggColumn::SumFloat(sums), ArgKind::Float(values, ok)) => {
+                for_valid(values, ok, slots, rows.clone(), |slot, v| {
+                    if let Some((sum, any)) = sums.get_mut(slot) {
+                        *sum += v;
+                        *any = true;
+                    }
+                    true
+                })
+            }
+            (AggColumn::BestInt(best), ArgKind::Int(values, ok)) => {
+                for_valid(values, ok, slots, rows.clone(), |slot, v| {
+                    best.get_mut(slot).is_none_or(|b| better(b, v, max))
+                })
+            }
+            (AggColumn::BestFloat(best), ArgKind::Float(values, ok)) => {
+                for_valid(values, ok, slots, rows.clone(), |slot, v| {
+                    best.get_mut(slot).is_none_or(|b| better(b, v, max))
+                })
+            }
+            (AggColumn::Avg(avgs), kind @ (ArgKind::Int(..) | ArgKind::Float(..))) => {
+                let mut add = |slot: usize, v: f64| {
+                    if let Some((sum, count)) = avgs.get_mut(slot) {
+                        *sum += v;
+                        *count += 1;
+                    }
+                    true
+                };
+                match kind {
+                    ArgKind::Int(values, ok) => {
+                        for_valid(values, ok, slots, rows.clone(), |slot, v| {
+                            add(slot, v as f64)
+                        })
+                    }
+                    ArgKind::Float(values, ok) => for_valid(values, ok, slots, rows.clone(), add),
+                    ArgKind::Empty | ArgKind::Other => None,
+                }
+            }
+            // The general form: this column is not one the typed state
+            // can take (or the state is general already).
+            _ => {
+                let accs = self.generalize(j)?;
+                for (pos, (&slot, i)) in slots.iter().zip(rows).enumerate() {
+                    let acc = accs
+                        .get_mut(slot as usize)
+                        .ok_or_else(|| internal_err!("group slot {slot} out of bounds"))?;
+                    // COUNT(*): a non-NULL dummy once per row.
+                    let fed = acc.update(&arg.map_or(Value::Int(1), |col| col.value(i)));
+                    if let Err(error) = fed {
+                        return Ok(Some((pos, error)));
+                    }
+                }
+                return Ok(None);
+            }
+        };
+        Ok(refused.map(|pos| {
+            let at = slots.get(pos).zip(rows.clone().nth(pos));
+            let error = match (at, arg) {
+                (Some((&slot, i)), Some(col)) => {
+                    self.replay_update(j, slot as usize, &col.value(i))
+                }
+                _ => internal_err!("aggregate {j}: refused position {pos} out of range"),
+            };
+            (pos, error)
+        }))
+    }
+
+    /// Merge slot `src[k]` of `other` into slot `dst[k]`, for every `k`
+    /// in order, one aggregate at a time — `Accumulator::merge`, typed
+    /// where both sides are (through the accumulators themselves costs
+    /// a tenth of a `scaleout` `fanin_key` read). Returns the failure at
+    /// the smallest `(position, aggregate)`.
+    pub(crate) fn merge_from(
+        &mut self,
+        other: &AggStates<'_>,
+        src: &[u32],
+        dst: &[u32],
+    ) -> Result<FirstError> {
+        let mut first: FirstError = None;
+        // Past a failure only earlier pairs can still matter.
+        let mut pairs = src.len().min(dst.len());
+        for j in 0..self.cols.len() {
+            let (src, dst) = (
+                src.get(..pairs).unwrap_or(src),
+                dst.get(..pairs).unwrap_or(dst),
+            );
+            if let Some((pos, error)) = self.merge_column(j, other, src, dst)? {
+                pairs = pos;
+                first = Some((pos, error));
+            }
+        }
+        Ok(first)
+    }
+
+    fn merge_column(
+        &mut self,
+        j: usize,
+        other: &AggStates<'_>,
+        src: &[u32],
+        dst: &[u32],
+    ) -> Result<FirstError> {
+        /// Pair up `(mine[dst[k]], theirs[src[k]])`; the first `k`
+        /// whose `step` refuses.
+        fn zip_slots<T: Copy>(
+            mine: &mut [T],
+            theirs: &[T],
+            src: &[u32],
+            dst: &[u32],
+            mut step: impl FnMut(&mut T, T) -> bool,
+        ) -> Option<usize> {
+            src.iter().zip(dst).position(|(&s, &d)| {
+                match (mine.get_mut(d as usize), theirs.get(s as usize)) {
+                    (Some(into), Some(&from)) => !step(into, from),
+                    _ => false,
+                }
+            })
+        }
+        let out_of_range = || internal_err!("aggregate {j} out of range");
+        let max =
+            self.aggregates.get(j).ok_or_else(out_of_range)?.call.func == AggregateFunction::Max;
+        let theirs = other.cols.get(j).ok_or_else(out_of_range)?;
+        let len = self.len;
+        let mine = self.cols.get_mut(j).ok_or_else(out_of_range)?;
+        if let AggColumn::Pending = mine {
+            *mine = match theirs {
+                AggColumn::SumInt(_) => AggColumn::SumInt(vec![(0, false); len]),
+                AggColumn::SumFloat(_) => AggColumn::SumFloat(vec![(0.0, false); len]),
+                AggColumn::BestInt(_) => AggColumn::BestInt(vec![None; len]),
+                AggColumn::BestFloat(_) => AggColumn::BestFloat(vec![None; len]),
+                _ => AggColumn::Pending,
+            };
+        }
+        let refused = match (mine, theirs) {
+            (_, AggColumn::Pending) => None,
+            (AggColumn::Count(a), AggColumn::Count(b)) => zip_slots(a, b, src, dst, |n, m| {
+                *n += m;
+                true
+            }),
+            (AggColumn::SumInt(a), AggColumn::SumInt(b)) => {
+                zip_slots(a, b, src, dst, |into, (sum, any)| {
+                    !any || add_checked(into, sum)
+                })
+            }
+            (AggColumn::SumFloat(a), AggColumn::SumFloat(b)) => {
+                zip_slots(a, b, src, dst, |into, (sum, any)| {
+                    if any {
+                        into.0 += sum;
+                        into.1 = true;
+                    }
+                    true
+                })
+            }
+            (AggColumn::BestInt(a), AggColumn::BestInt(b)) => {
+                zip_slots(a, b, src, dst, |into, from| {
+                    from.is_none_or(|v| better(into, v, max))
+                })
+            }
+            (AggColumn::BestFloat(a), AggColumn::BestFloat(b)) => {
+                zip_slots(a, b, src, dst, |into, from| {
+                    from.is_none_or(|v| better(into, v, max))
+                })
+            }
+            (AggColumn::Avg(a), AggColumn::Avg(b)) => {
+                zip_slots(a, b, src, dst, |into, (sum, count)| {
+                    into.0 += sum;
+                    into.1 += count;
+                    true
+                })
+            }
+            // Two shapes of one aggregate (or the general form): merge
+            // through the accumulators themselves.
+            _ => {
+                let accs = self.generalize(j)?;
+                for (pos, (&s, &d)) in src.iter().zip(dst).enumerate() {
+                    let into = accs
+                        .get_mut(d as usize)
+                        .ok_or_else(|| internal_err!("group slot {d} out of bounds"))?;
+                    if let Err(error) = into.merge(other.accumulator_at(j, s as usize)?.as_ref()) {
+                        return Ok(Some((pos, error)));
+                    }
+                }
+                None
+            }
+        };
+        // The refused pair's error is the one `Accumulator::merge` raises.
+        let Some((pos, (&s, &d))) =
+            refused.and_then(|pos| Some(pos).zip(src.get(pos).zip(dst.get(pos))))
+        else {
+            return Ok(None);
+        };
+        let mut into = self.accumulator_at(j, d as usize)?.into_owned();
+        let replayed = into.merge(other.accumulator_at(j, s as usize)?.as_ref());
+        let error = replayed
+            .err()
+            .unwrap_or_else(|| internal_err!("aggregate {j}: the typed merge refused pair {pos}"));
+        Ok(Some((pos, error)))
+    }
+
+    /// The aggregate results of `slot`, in aggregate order.
+    pub(crate) fn finish_slot(&self, slot: usize, row: &mut Vec<Value>) {
+        for j in 0..self.cols.len() {
+            let result = self.accumulator_at(j, slot).map(|acc| acc.finish());
+            row.push(result.unwrap_or(Value::Null));
+        }
+    }
+}
+
+/// What a two-pass step raises: a pass-2 failure sits at a row before
+/// the charge that stopped pass 1, so it comes first.
+fn first_of(failed: FirstError, unplaced: Option<Error>) -> Result<()> {
+    match failed.map(|(_, error)| error).or(unplaced) {
+        Some(error) => Err(error),
+        None => Ok(()),
+    }
+}
+
+/// Slot → key, in first-seen order, in the shape the table is keyed on:
+/// a raw-keyed table holds raw keys and decodes none before it is
+/// drained.
+enum SlotKeys {
+    Int {
+        values: Vec<i64>,
+        validity: Bitmap,
+    },
+    Dict {
+        codes: Vec<u32>,
+        dict: Arc<StringDict>,
+    },
+    Decoded(Vec<GroupKey>),
+}
+
+impl SlotKeys {
+    fn view(&self) -> KeyView<'_> {
+        match self {
+            SlotKeys::Int { values, validity } => KeyView::Int { values, validity },
+            SlotKeys::Dict { codes, dict } => KeyView::Dict { codes, dict },
+            SlotKeys::Decoded(keys) => KeyView::Keys(keys),
+        }
+    }
+
+    /// Append key `i` of `view` (whose shape the table adopted).
+    fn push(&mut self, view: &KeyView<'_>, i: usize) {
+        match self {
+            SlotKeys::Int { values, validity } => {
+                let raw = view.raw(i);
+                values.push(raw.unwrap_or_default());
+                validity.push(raw.is_some());
+            }
+            SlotKeys::Dict { codes, .. } => {
+                let code = view.raw(i).and_then(|c| u32::try_from(c).ok());
+                codes.push(code.unwrap_or(NULL_CODE));
+            }
+            SlotKeys::Decoded(keys) => keys.push(view.decode(i)),
+        }
+    }
+}
+
+/// The one aggregation table behind every hash-aggregate operator:
+/// groups under `=ⁿ` (NULL equals NULL) in first-seen order, which is
+/// the output order — a [`KeyMap`] from key to slot, the keys by slot,
+/// and the column-wise [`AggStates`]. Row operators feed it decoded
+/// keys and rows ([`Groups::fold`]); the chunk pipeline feeds it key
+/// views and argument columns ([`Groups::fold_chunk`]) and merges whole
+/// tables slot-wise ([`Groups::merge_picked`]). Whatever it charged to
+/// the guard is released on drop, so error paths need no bookkeeping.
+pub(crate) struct Groups<'a> {
+    guard: &'a ResourceGuard,
+    map: KeyMap<u32>,
+    keys: SlotKeys,
+    states: AggStates<'a>,
+    len: usize,
+    bytes: u64,
+    /// Scratch: the slot of each row of the chunk being folded.
+    slots: Vec<u32>,
+}
+
+impl Drop for Groups<'_> {
     fn drop(&mut self) {
         self.guard.release_memory(self.bytes);
     }
 }
 
-impl Slots<'_> {
-    /// Append a group. A new entry is charged before it is inserted
-    /// (decoded-key `row_bytes` + [`ACC_ENTRY_BYTES`] per aggregate);
-    /// `charge` is false only for an entry whose charge the table
-    /// already took over (see [`Groups::absorb`]).
-    fn push(&mut self, key: GroupKey, accs: Vec<Accumulator>, charge: bool) -> Result<usize> {
-        if charge {
-            let entry_bytes =
-                row_bytes(&key.0) + ACC_ENTRY_BYTES * self.aggregates.len().max(1) as u64;
-            self.bytes += entry_bytes;
-            self.guard.charge_memory(entry_bytes)?;
-        }
-        self.order.push(key);
-        self.accs.push(accs);
-        Ok(self.order.len() - 1)
-    }
-}
-
-/// Key → slot lookup. Row operators always use `Generic`; the chunk
-/// pipeline keys a single `Int` or dictionary column on the raw `i64` /
-/// `u32` code and demotes to `Generic` when a later chunk arrives in a
-/// different shape (the decoded keys are kept per slot, so demotion is
-/// lossless).
-enum Keyer {
-    Int(HashMap<Option<i64>, usize>),
-    Dict {
-        map: HashMap<u32, usize>,
-        dict: Arc<StringDict>,
-    },
-    Generic(HashMap<GroupKey, usize>),
-}
-
-/// The one aggregation table behind every hash-aggregate operator:
-/// groups under `=ⁿ` (NULL equals NULL) in first-seen order, which is
-/// the output order.
-pub(crate) struct Groups<'a> {
-    keyer: Keyer,
-    slots: Slots<'a>,
-}
-
 impl<'a> Groups<'a> {
-    pub(crate) fn new(aggregates: &'a [CompiledAggregate], guard: &'a ResourceGuard) -> Groups<'a> {
+    fn with_states(states: AggStates<'a>, guard: &'a ResourceGuard) -> Groups<'a> {
         Groups {
-            keyer: Keyer::Generic(HashMap::new()),
-            slots: Slots {
-                aggregates,
-                guard,
-                order: Vec::new(),
-                accs: Vec::new(),
-                bytes: 0,
-            },
+            guard,
+            map: KeyMap::new(),
+            keys: SlotKeys::Decoded(Vec::new()),
+            states,
+            len: 0,
+            bytes: 0,
+            slots: Vec::new(),
         }
+    }
+
+    /// A table fed row by row (see [`AggStates::general`]).
+    pub(crate) fn new(aggregates: &'a [CompiledAggregate], guard: &'a ResourceGuard) -> Groups<'a> {
+        Groups::with_states(AggStates::general(aggregates), guard)
+    }
+
+    /// A table fed chunk by chunk (see [`AggStates::typed`]).
+    pub(crate) fn typed(
+        aggregates: &'a [CompiledAggregate],
+        guard: &'a ResourceGuard,
+    ) -> Groups<'a> {
+        Groups::with_states(AggStates::typed(aggregates), guard)
     }
 
     /// Distinct groups so far.
     pub(crate) fn len(&self) -> usize {
-        self.slots.order.len()
+        self.len
     }
 
     /// Bytes this table has charged to the guard and still holds.
     pub(crate) fn bytes(&self) -> u64 {
-        self.slots.bytes
+        self.bytes
     }
 
-    /// A generic keyer over the decoded keys of the current slots.
-    fn generic_keyer(&self) -> Keyer {
-        Keyer::Generic(self.slots.order.iter().cloned().zip(0..).collect())
+    /// Give the charge back early: the table stays readable (a combiner
+    /// ships it) but no longer counts as operator state.
+    pub(crate) fn release(&mut self) {
+        self.guard.release_memory(std::mem::take(&mut self.bytes));
     }
 
-    /// Slot of `key` under the generic keyer, demoting first if the
-    /// table was keyed on raw codes.
-    fn lookup(&mut self, key: &GroupKey) -> Option<usize> {
-        if !matches!(self.keyer, Keyer::Generic(_)) {
-            self.keyer = self.generic_keyer();
+    /// Charge a new entry before it counts: decoded-key `row_bytes` +
+    /// [`ACC_ENTRY_BYTES`] per aggregate.
+    fn charge(&mut self, key_bytes: u64) -> Result<()> {
+        let entry_bytes = key_bytes + ACC_ENTRY_BYTES * self.states.aggregates.len().max(1) as u64;
+        self.bytes += entry_bytes;
+        self.guard.charge_memory(entry_bytes)
+    }
+
+    /// Key the table the way `view` is keyed, if it can: an empty table
+    /// takes the view's raw shape, a raw table meeting another shape
+    /// decodes its keys (slots do not move).
+    fn adopt(&mut self, view: &KeyView<'_>) {
+        self.map.adopt(view);
+        // An empty table is keyed afresh (the map just was); a table
+        // whose map was demoted decodes the keys it holds.
+        if self.len == 0 {
+            self.keys = match view {
+                KeyView::Int { .. } => SlotKeys::Int {
+                    values: Vec::new(),
+                    validity: Bitmap::new_all(0, true),
+                },
+                KeyView::Dict { dict, .. } => SlotKeys::Dict {
+                    codes: Vec::new(),
+                    dict: Arc::clone(dict),
+                },
+                KeyView::Columns(_) | KeyView::Keys(_) => SlotKeys::Decoded(Vec::new()),
+            };
+        } else if !self.map.is_raw() {
+            self.decode_keys();
         }
-        match &self.keyer {
-            Keyer::Generic(map) => map.get(key).copied(),
-            Keyer::Int(_) | Keyer::Dict { .. } => None,
+    }
+
+    /// Hold the keys decoded (a no-op once they are).
+    fn decode_keys(&mut self) {
+        if !matches!(self.keys, SlotKeys::Decoded(_)) {
+            let view = self.keys.view();
+            let decoded = (0..self.len).map(|slot| view.decode(slot)).collect();
+            self.keys = SlotKeys::Decoded(decoded);
         }
     }
 
-    fn insert(&mut self, key: GroupKey, accs: Vec<Accumulator>, charge: bool) -> Result<usize> {
-        let slot = self.slots.push(key.clone(), accs, charge)?;
-        if let Keyer::Generic(map) = &mut self.keyer {
-            map.insert(key, slot);
+    /// Find or create the slot of key `i` of `view` (adopted).
+    fn slot(&mut self, view: &KeyView<'_>, i: usize, charge: bool) -> Result<u32> {
+        let next = u32::try_from(self.len)
+            .map_err(|_| internal_err!("group table of {} slots exceeds slot range", self.len))?;
+        let (slot, new) = self.map.entry(view, i, || next);
+        let slot = *slot;
+        if new {
+            self.keys.push(view, i);
+            self.len += 1;
+            if charge {
+                self.charge(view.key_bytes(i))?;
+            }
         }
         Ok(slot)
     }
 
     /// Fold one input row into the group `key`.
     pub(crate) fn fold(&mut self, key: GroupKey, row: &[Value]) -> Result<()> {
-        let slot = match self.lookup(&key) {
-            Some(slot) => slot,
-            None => self.insert(key, new_accumulators(self.slots.aggregates), true)?,
+        let slot = match self.map.get_key(&key) {
+            Some(slot) => *slot as usize,
+            None => {
+                self.decode_keys();
+                let slot = self.len;
+                let next = u32::try_from(slot)
+                    .map_err(|_| internal_err!("group table of {slot} slots exceeds slot range"))?;
+                self.charge(row_bytes(&key.0))?;
+                if let SlotKeys::Decoded(keys) = &mut self.keys {
+                    keys.push(key.clone());
+                }
+                self.map.insert_key(key, next);
+                self.len += 1;
+                self.states.grow(self.len);
+                slot
+            }
         };
-        update_all(self.slots.aggregates, self.accs_mut(slot)?, row)
+        self.states.update_row(slot, row)
     }
 
     /// Fold every row of `rows` into its group under `group_exprs`,
@@ -216,146 +836,122 @@ impl<'a> Groups<'a> {
         rows: &[Vec<Value>],
     ) -> Result<()> {
         rows.iter().try_for_each(|row| {
-            self.slots.guard.tick()?;
+            self.guard.tick()?;
             self.fold(group_key(group_exprs, row)?, row)
         })
     }
 
-    fn merge_entry(&mut self, (key, accs): Partial, charge: bool) -> Result<()> {
-        match self.lookup(&key) {
-            Some(slot) => {
-                for (merged, partial) in self.accs_mut(slot)?.iter_mut().zip(&accs) {
-                    merged.merge(partial)?;
-                }
-                Ok(())
+    /// Fold the rows `rows` of one chunk, keyed through `keys`, polling
+    /// the guard once. Two passes: the slot of every row (new groups
+    /// charged in row order), then one loop per aggregate over its
+    /// argument column. The error returned is the one at the smallest
+    /// `(row, aggregate)` position — a new group's memory charge comes
+    /// before that row's first aggregate — which is the first error of
+    /// a row-major fold.
+    pub(crate) fn fold_chunk(
+        &mut self,
+        keys: &KeyView<'_>,
+        args: ChunkArgs<'_>,
+        rows: impl ExactSizeIterator<Item = usize> + Clone,
+    ) -> Result<()> {
+        self.guard.tick_rows(rows.len())?;
+        self.adopt(keys);
+        let cols = match args {
+            ChunkArgs::Columns(cols) => cols,
+            ChunkArgs::Rows(batch) => {
+                return rows.into_iter().try_for_each(|i| {
+                    let slot = self.slot(keys, i, true)?;
+                    self.states.grow(self.len);
+                    self.states.update_row(slot as usize, &batch.row(i))
+                });
             }
-            None => self.insert(key, accs, charge).map(drop),
-        }
+        };
+        let (slots, unplaced) = self.place(keys, rows.clone(), true);
+        let first = self.states.update_chunk(&slots, rows, cols);
+        self.slots = slots;
+        first_of(first?, unplaced)
     }
 
-    /// Merge a shipped partial through [`Accumulator::merge`]; a group
-    /// this table has not seen is charged like any new entry.
-    pub(crate) fn merge(&mut self, partial: Partial) -> Result<()> {
-        self.merge_entry(partial, true)
+    /// Pass 1 of a two-pass step: the slot of each key `rows` names in
+    /// `view` (adopted), new groups created — and charged — in order.
+    /// Stops at a charge that fails; the states are grown to match.
+    fn place(
+        &mut self,
+        view: &KeyView<'_>,
+        rows: impl Iterator<Item = usize>,
+        charge: bool,
+    ) -> (Vec<u32>, Option<Error>) {
+        let mut slots = std::mem::take(&mut self.slots);
+        slots.clear();
+        let mut unplaced = None;
+        for i in rows {
+            match self.slot(view, i, charge) {
+                Ok(slot) => slots.push(slot),
+                Err(error) => {
+                    unplaced = Some(error);
+                    break;
+                }
+            }
+        }
+        self.states.grow(self.len);
+        (slots, unplaced)
+    }
+
+    /// Merge the groups `picked` (slots of `other`, in order) into this
+    /// table through `Accumulator::merge`, keyed raw while both tables
+    /// are. With `charge`, a group this table has not seen is charged
+    /// like any new entry. Errors are ordered as in
+    /// [`Groups::fold_chunk`], one partial being one row.
+    fn merge_slots(&mut self, other: &Groups<'_>, picked: &[u32], charge: bool) -> Result<()> {
+        let view = other.keys.view();
+        self.adopt(&view);
+        let (slots, unplaced) = self.place(&view, picked.iter().map(|&s| s as usize), charge);
+        let first = self.states.merge_from(&other.states, picked, &slots);
+        self.slots = slots;
+        first_of(first?, unplaced)
+    }
+
+    /// Merge shipped partials: the groups `picked` of `other`.
+    pub(crate) fn merge_picked(&mut self, other: &Groups<'_>, picked: &[u32]) -> Result<()> {
+        self.merge_slots(other, picked, true)
     }
 
     /// Merge a whole partial table, taking over its memory charge.
     /// Absorbing partials in input order reproduces the first-seen
     /// order of one fold over the concatenated input.
     pub(crate) fn absorb(&mut self, mut other: Groups<'a>) -> Result<()> {
-        self.slots.bytes += std::mem::take(&mut other.slots.bytes);
-        other
-            .into_partials()
-            .into_iter()
-            .try_for_each(|p| self.merge_entry(p, false))
+        self.bytes += std::mem::take(&mut other.bytes);
+        let all: Vec<u32> = (0..other.len as u32).collect();
+        self.merge_slots(&other, &all, false)
     }
 
-    /// The groups as shippable partials, in first-seen order. Releases
-    /// this table's charge.
-    pub(crate) fn into_partials(mut self) -> Vec<Partial> {
-        let order = std::mem::take(&mut self.slots.order);
-        order
-            .into_iter()
-            .zip(std::mem::take(&mut self.slots.accs))
-            .collect()
+    /// The part of `n` each group belongs to, by slot.
+    pub(crate) fn shards(&self, n: usize) -> Vec<u32> {
+        self.keys.view().shards(0..self.len, n)
+    }
+
+    /// What this table charged for the group in `slot` — also the
+    /// payload of a shipped partial: key + one state entry per
+    /// aggregate.
+    pub(crate) fn entry_bytes(&self, slot: usize) -> u64 {
+        self.keys.view().key_bytes(slot)
+            + ACC_ENTRY_BYTES * self.states.aggregates.len().max(1) as u64
     }
 
     /// Drain into output rows: decoded key values ++ aggregate results,
     /// in first-seen group order.
-    pub(crate) fn finish(self) -> Vec<Vec<Value>> {
-        self.into_partials()
-            .into_iter()
-            .map(|(key, accs)| {
-                let mut row = key.0;
-                row.extend(accs.iter().map(Accumulator::finish));
-                row
-            })
-            .collect()
-    }
-
-    pub(crate) fn accs_mut(&mut self, slot: usize) -> Result<&mut Vec<Accumulator>> {
-        self.slots
-            .accs
-            .get_mut(slot)
-            .ok_or_else(|| internal_err!("group slot {slot} out of bounds"))
-    }
-
-    /// Pick the lookup strategy for a chunk whose group-key columns are
-    /// `key_cols`: raw codes while every chunk so far had this shape,
-    /// generic otherwise.
-    pub(crate) fn prepare(&mut self, key_cols: &[ColumnVector]) {
-        let fits = match (&self.keyer, key_cols) {
-            (Keyer::Int(_), [ColumnVector::Int { .. }]) => true,
-            (Keyer::Dict { dict, .. }, [ColumnVector::Dict { dict: d, .. }]) => {
-                Arc::ptr_eq(dict, d)
-            }
-            (Keyer::Generic(_), _) => self.len() > 0,
-            _ => false,
+    pub(crate) fn finish(mut self) -> Vec<Vec<Value>> {
+        self.decode_keys();
+        let keys = match &mut self.keys {
+            SlotKeys::Decoded(keys) => std::mem::take(keys),
+            SlotKeys::Int { .. } | SlotKeys::Dict { .. } => Vec::new(),
         };
-        if fits {
-            return;
-        }
-        self.keyer = match key_cols {
-            [ColumnVector::Int { .. }] if self.len() == 0 => Keyer::Int(HashMap::new()),
-            [ColumnVector::Dict { dict, .. }] if self.len() == 0 => Keyer::Dict {
-                map: HashMap::new(),
-                dict: Arc::clone(dict),
-            },
-            _ => self.generic_keyer(),
-        };
-    }
-
-    /// Find or create the group slot for row `i` of `key_cols` (call
-    /// [`Groups::prepare`] once per chunk first).
-    pub(crate) fn slot(&mut self, key_cols: &[ColumnVector], i: usize) -> Result<usize> {
-        let fresh = |slots: &Slots| new_accumulators(slots.aggregates);
-        match &mut self.keyer {
-            Keyer::Int(map) => {
-                let k = match key_cols.first() {
-                    Some(ColumnVector::Int { values, validity }) if validity.get(i) => {
-                        values.get(i).copied()
-                    }
-                    _ => None,
-                };
-                if let Some(&s) = map.get(&k) {
-                    return Ok(s);
-                }
-                let key = GroupKey(vec![k.map_or(Value::Null, Value::Int)]);
-                let s = self.slots.push(key, fresh(&self.slots), true)?;
-                map.insert(k, s);
-                Ok(s)
-            }
-            Keyer::Dict { map, dict } => {
-                let c = match key_cols.first() {
-                    Some(ColumnVector::Dict { codes, .. }) => {
-                        codes.get(i).copied().unwrap_or(NULL_CODE)
-                    }
-                    _ => NULL_CODE,
-                };
-                // Every invalid code is the same `=ⁿ` NULL group.
-                let c = if (c as usize) < dict.len() {
-                    c
-                } else {
-                    NULL_CODE
-                };
-                if let Some(&s) = map.get(&c) {
-                    return Ok(s);
-                }
-                let key = GroupKey(vec![dict.get(c).map_or(Value::Null, Value::str)]);
-                let s = self.slots.push(key, fresh(&self.slots), true)?;
-                map.insert(c, s);
-                Ok(s)
-            }
-            Keyer::Generic(map) => {
-                let key = GroupKey(key_cols.iter().map(|c| c.value(i)).collect());
-                if let Some(&s) = map.get(&key) {
-                    return Ok(s);
-                }
-                let s = self.slots.push(key.clone(), fresh(&self.slots), true)?;
-                map.insert(key, s);
-                Ok(s)
-            }
-        }
+        let rows = keys.into_iter().enumerate().map(|(slot, key)| {
+            let mut row = key.0;
+            self.states.finish_slot(slot, &mut row);
+            row
+        });
+        rows.collect()
     }
 }
 
@@ -705,8 +1301,8 @@ pub(crate) mod tests {
     }
 
     /// Partials merged in input order — whole tables via `absorb` (the
-    /// morsel merge) or loose entries via `merge` (the combiner) — give
-    /// the rows and the first-seen order of one fold over the
+    /// morsel merge) or picked slots via `merge_picked` (the combiner) —
+    /// give the rows and the first-seen order of one fold over the
     /// concatenated input, for every mergeable aggregate.
     #[test]
     fn groups_merge_equals_one_fold_over_the_concatenation() {
@@ -735,9 +1331,10 @@ pub(crate) mod tests {
                 let held = partial.bytes();
                 absorbed.absorb(partial).unwrap();
                 assert!(absorbed.bytes() >= held, "absorb takes over the charge");
-                for p in fold_all(part, &calls, &guard).into_partials() {
-                    merged.merge(p).unwrap();
-                }
+                let mut shipped = fold_all(part, &calls, &guard);
+                shipped.release();
+                let all: Vec<u32> = (0..shipped.len() as u32).collect();
+                merged.merge_picked(&shipped, &all).unwrap();
             }
             assert_eq!(merged.bytes(), guard.memory_used() - absorbed.bytes());
             assert_eq!(absorbed.finish(), whole, "absorb, split at {split}");
@@ -746,61 +1343,533 @@ pub(crate) mod tests {
         assert_eq!(guard.memory_used(), 0);
     }
 
-    /// A chunk of a different key shape demotes the raw-code keyer to
-    /// the generic one without moving a slot: `=ⁿ` still sends
-    /// Float(10.0) to the Int(10) group, a decoded string to its
-    /// dictionary group, and NULL to NULL.
+    /// One chunk: a key column and one argument column per aggregate.
+    struct TestChunk {
+        keys: Vec<ColumnVector>,
+        args: Vec<Option<ColumnVector>>,
+        len: usize,
+    }
+
+    impl TestChunk {
+        fn new(keys: Vec<Vec<Value>>, args: Vec<Option<Vec<Value>>>) -> TestChunk {
+            let column = |vals: &Vec<Value>| ColumnVector::from_values(vals.iter());
+            TestChunk {
+                len: keys[0].len(),
+                keys: keys.iter().map(column).collect(),
+                args: args.iter().map(|a| a.as_ref().map(column)).collect(),
+            }
+        }
+
+        /// The chunk as rows `keys ++ args` (`COUNT(*)` adds nothing).
+        fn rows(&self) -> Vec<Vec<Value>> {
+            let cols = self.keys.iter().chain(self.args.iter().flatten());
+            (0..self.len)
+                .map(|i| cols.clone().map(|c| c.value(i)).collect())
+                .collect()
+        }
+
+        fn fold_into(&self, groups: &mut Groups<'_>, rows: &[u32]) -> Result<()> {
+            let keys = KeyView::new(self.keys.iter().collect());
+            let args: Vec<Option<Cow<'_, ColumnVector>>> = self
+                .args
+                .iter()
+                .map(|a| a.as_ref().map(Cow::Borrowed))
+                .collect();
+            let rows = rows.iter().map(|&i| i as usize);
+            groups.fold_chunk(&keys, ChunkArgs::Columns(&args), rows)
+        }
+    }
+
+    /// Calls over the columns a [`TestChunk`] row lays out: `k` key
+    /// columns first, then one column per aggregate with an argument.
+    fn chunk_calls(
+        k: usize,
+        calls: &[(AggregateFunction, bool)],
+    ) -> (Vec<BoundExpr>, Vec<CompiledAggregate>) {
+        let mut next = k;
+        let compiled = calls
+            .iter()
+            .map(|&(func, distinct)| {
+                let mut call = AggregateCall::count_star();
+                let mut arg = None;
+                if func != AggregateFunction::CountStar {
+                    call = AggregateCall::new(func, Expr::bare("unused"));
+                    call.distinct = distinct;
+                    arg = Some(BoundExpr::Column(next));
+                    next += 1;
+                }
+                CompiledAggregate { call, arg }
+            })
+            .collect();
+        ((0..k).map(BoundExpr::Column).collect(), compiled)
+    }
+
+    /// Rows as bit-exact text: `Float` compares by bit pattern.
+    fn exact(rows: &[Vec<Value>]) -> Vec<String> {
+        let cell = |v: &Value| match v {
+            Value::Float(f) => format!("f{:016x}", f.to_bits()),
+            other => format!("{other:?}"),
+        };
+        rows.iter()
+            .map(|r| r.iter().map(cell).collect::<Vec<_>>().join("|"))
+            .collect()
+    }
+
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// The typed two-pass fold against the row fold, chunk for chunk:
+    /// every function over `Int` and `Float` columns, a stream whose
+    /// argument column changes type mid-way (the state generalizes), an
+    /// all-NULL chunk first (the placeholder types nothing), strings
+    /// and DISTINCT on the general arm — rows, first-seen order, group
+    /// count and charged bytes equal, floats bit for bit, at every
+    /// selection.
+    #[test]
+    fn typed_fold_equals_the_row_fold_on_every_argument_shape() {
+        use AggregateFunction::{Avg, Count, CountStar, Max, Min, Sum};
+        let mut next = xorshift(0xf01d);
+        let mut draw = |kind: &str, n: usize| -> Vec<Value> {
+            (0..n)
+                .map(|_| match (next() % 6, kind) {
+                    (0, _) => Value::Null,
+                    (_, "int") => Value::Int((next() % 2001) as i64 - 1000),
+                    (_, "float") => Value::Float((next() % 100_000) as f64 / 7.0 - 3000.0),
+                    (_, "str") => Value::str(format!("s{}", next() % 9)),
+                    (_, "key") => Value::Int((next() % 13) as i64),
+                    _ => Value::Null,
+                })
+                .collect()
+        };
+        let calls = [
+            (CountStar, false),
+            (Count, false),
+            (Sum, false),
+            (Min, false),
+            (Max, false),
+            (Avg, false),
+            (Sum, true),
+            (Min, false),
+        ];
+        // Per stream: the argument kind of each chunk.
+        for stream in [
+            vec!["int", "int", "int"],
+            vec!["float", "float", "float"],
+            vec!["null", "float", "float"],
+            vec!["null", "int", "null"],
+            vec!["int", "float", "int"],
+            vec!["float", "null", "int"],
+        ] {
+            let (group_exprs, compiled) = chunk_calls(1, &calls);
+            let guard = g();
+            let mut typed = Groups::typed(&compiled, &guard);
+            let mut oracle = Groups::new(&compiled, &guard);
+            for (c, kind) in stream.iter().enumerate() {
+                let n = 40 + 13 * c;
+                let numeric = |draw: &mut dyn FnMut(&str, usize) -> Vec<Value>| Some(draw(kind, n));
+                let args = vec![
+                    None,
+                    numeric(&mut draw),
+                    numeric(&mut draw),
+                    numeric(&mut draw),
+                    numeric(&mut draw),
+                    numeric(&mut draw),
+                    numeric(&mut draw),
+                    Some(draw("str", n)),
+                ];
+                let chunk = TestChunk::new(vec![draw("key", n)], args);
+                let sel: Vec<u32> = match c {
+                    0 => (0..n as u32).collect(),
+                    _ => (0..n as u32).rev().filter(|i| i % 3 != 0).collect(),
+                };
+                chunk.fold_into(&mut typed, &sel).unwrap();
+                let rows = chunk.rows();
+                let live: Vec<Vec<Value>> = sel.iter().map(|&i| rows[i as usize].clone()).collect();
+                oracle.fold_rows(&group_exprs, &live).unwrap();
+                assert_eq!(typed.len(), oracle.len(), "{stream:?} chunk {c}");
+                assert_eq!(typed.bytes(), oracle.bytes(), "{stream:?} chunk {c}");
+            }
+            assert!(typed.map.is_raw(), "an Int key stays raw");
+            assert_eq!(
+                exact(&typed.finish()),
+                exact(&oracle.finish()),
+                "{stream:?}"
+            );
+        }
+    }
+
+    /// `AVG` and `SUM` over 5 000 seeded floats add in row order: bit
+    /// for bit the oracle's sums, in chunks of any size.
+    #[test]
+    fn float_sums_are_bit_identical_to_the_row_fold() {
+        let mut next = xorshift(20);
+        let keys: Vec<Value> = (0..5000).map(|_| Value::Int((next() % 7) as i64)).collect();
+        let floats: Vec<Value> = (0..5000)
+            .map(|_| Value::Float(f64::from_bits(next() % (1 << 62)) % 1e9 / 3.0))
+            .collect();
+        let (group_exprs, compiled) = chunk_calls(
+            1,
+            &[
+                (AggregateFunction::Sum, false),
+                (AggregateFunction::Avg, false),
+            ],
+        );
+        let guard = g();
+        let mut oracle = Groups::new(&compiled, &guard);
+        let rows: Vec<Vec<Value>> = keys
+            .iter()
+            .zip(&floats)
+            .map(|(k, f)| vec![k.clone(), f.clone(), f.clone()])
+            .collect();
+        oracle.fold_rows(&group_exprs, &rows).unwrap();
+        let expect = exact(&oracle.finish());
+        for size in [1usize, 64, 1024, 5000] {
+            let mut typed = Groups::typed(&compiled, &guard);
+            for (k, f) in keys.chunks(size).zip(floats.chunks(size)) {
+                let chunk =
+                    TestChunk::new(vec![k.to_vec()], vec![Some(f.to_vec()), Some(f.to_vec())]);
+                let all: Vec<u32> = (0..k.len() as u32).collect();
+                chunk.fold_into(&mut typed, &all).unwrap();
+            }
+            assert_eq!(exact(&typed.finish()), expect, "chunks of {size}");
+        }
+    }
+
+    /// The error a two-pass fold raises is the one a row-major fold
+    /// meets first: the smallest `(row, aggregate)` among the typed
+    /// loops' failures and the chunk's failed memory charge.
+    #[test]
+    fn the_chunk_fold_raises_the_row_folds_first_error() {
+        use AggregateFunction::{Max, Sum};
+        let big = Value::Int(i64::MAX);
+        let one = Value::Int(1);
+        let key = |k: i64| Value::Int(k);
+        let nan = Value::Float(f64::NAN);
+        // Budgets in table entries: "2.5" fails the third new group.
+        let entry = row_bytes(&[Value::Int(0)]) + ACC_ENTRY_BYTES;
+        struct Case {
+            name: &'static str,
+            calls: Vec<(AggregateFunction, bool)>,
+            keys: Vec<Value>,
+            args: Vec<Vec<Value>>,
+            budget: Option<u64>,
+            expect: &'static str,
+        }
+        let cases = [
+            Case {
+                name: "the later aggregate overflows at the earlier row",
+                calls: vec![(Sum, false), (Sum, false)],
+                keys: vec![key(1), key(1), key(1), key(1)],
+                args: vec![
+                    vec![big.clone(), one.clone(), one.clone(), big.clone()],
+                    vec![big.clone(), big.clone(), one.clone(), one.clone()],
+                ],
+                budget: None,
+                expect: "integer overflow in SUM",
+            },
+            Case {
+                name: "a NaN meeting a number in MAX, before a later SUM overflow",
+                calls: vec![(Sum, false), (Max, false)],
+                keys: vec![key(1), key(1), key(1)],
+                args: vec![
+                    vec![one.clone(), one.clone(), big.clone()],
+                    vec![Value::Float(1.0), nan.clone(), Value::Float(2.0)],
+                ],
+                budget: None,
+                expect: "incomparable values in MAX: NaN vs 1.0",
+            },
+            Case {
+                name: "an overflow before the failing memory charge",
+                calls: vec![(Sum, false)],
+                keys: vec![key(1), key(1), key(2), key(3)],
+                args: vec![vec![big.clone(), big.clone(), one.clone(), one.clone()]],
+                budget: Some(entry * 5 / 2),
+                expect: "integer overflow in SUM",
+            },
+            Case {
+                name: "an overflow after the failing memory charge",
+                calls: vec![(Sum, false)],
+                keys: vec![key(1), key(2), key(3), key(1), key(1)],
+                args: vec![vec![
+                    big.clone(),
+                    one.clone(),
+                    one.clone(),
+                    big.clone(),
+                    one.clone(),
+                ]],
+                budget: Some(entry * 5 / 2),
+                expect: "memory budget exceeded",
+            },
+            Case {
+                name: "an overflow one row before the failing memory charge",
+                calls: vec![(Sum, false)],
+                keys: vec![key(1), key(1), key(2), key(3), key(4)],
+                args: vec![vec![
+                    big.clone(),
+                    one.clone(),
+                    one.clone(),
+                    one.clone(),
+                    one.clone(),
+                ]],
+                budget: Some(entry * 3 / 2),
+                expect: "integer overflow in SUM",
+            },
+        ];
+        for case in cases {
+            let (group_exprs, compiled) = chunk_calls(1, &case.calls);
+            let guard_of = || {
+                ResourceGuard::new(crate::guard::ResourceLimits {
+                    max_memory_bytes: case.budget,
+                    ..Default::default()
+                })
+            };
+            let chunk = TestChunk::new(
+                vec![case.keys.clone()],
+                case.args.iter().cloned().map(Some).collect(),
+            );
+            let all: Vec<u32> = (0..case.keys.len() as u32).collect();
+            let (typed_guard, row_guard) = (guard_of(), guard_of());
+            let typed = chunk
+                .fold_into(&mut Groups::typed(&compiled, &typed_guard), &all)
+                .unwrap_err();
+            let oracle = Groups::new(&compiled, &row_guard)
+                .fold_rows(&group_exprs, &chunk.rows())
+                .unwrap_err();
+            assert_eq!(typed, oracle, "{}", case.name);
+            assert_eq!(typed.message(), case.expect, "{}", case.name);
+            assert_eq!(typed_guard.memory_used(), 0, "{}", case.name);
+        }
+    }
+
+    /// Typed tables merged slot-wise — the combiner's merge — equal
+    /// general tables merged the same way, floats bit for bit, for
+    /// every pairing of state shapes (typed/typed, pending/typed,
+    /// int/float: generalized), and raise the same first error.
+    #[test]
+    fn typed_merge_equals_the_accumulator_merge() {
+        use AggregateFunction::{Avg, Count, CountStar, Max, Min, Sum};
+        let calls = [
+            (CountStar, false),
+            (Count, false),
+            (Sum, false),
+            (Min, false),
+            (Max, false),
+            (Avg, false),
+            (Count, true),
+        ];
+        let mut next = xorshift(0xc0b1);
+        let mut draw = |kind: &str, n: usize| -> Vec<Value> {
+            (0..n)
+                .map(|_| match (next() % 5, kind) {
+                    (0, _) => Value::Null,
+                    (_, "int") => Value::Int((next() % 2001) as i64 - 1000),
+                    (_, "float") => Value::Float((next() % 100_000) as f64 / 7.0 - 3000.0),
+                    (_, "key") => Value::Int((next() % 11) as i64),
+                    _ => Value::Null,
+                })
+                .collect()
+        };
+        for kinds in [
+            ["int", "int", "int"],
+            ["float", "float", "float"],
+            ["null", "float", "null"],
+            ["int", "float", "int"],
+            ["null", "null", "null"],
+        ] {
+            let (group_exprs, compiled) = chunk_calls(1, &calls);
+            let guard = g();
+            let origins: Vec<TestChunk> = kinds
+                .iter()
+                .map(|kind| {
+                    let args = (0..calls.len()).map(|j| (j > 0).then(|| draw(kind, 50)));
+                    let args = args.collect();
+                    TestChunk::new(vec![draw("key", 50)], args)
+                })
+                .collect();
+            let all: Vec<u32> = (0..50).collect();
+            let mut typed = Groups::typed(&compiled, &guard);
+            let mut general = Groups::new(&compiled, &guard);
+            for origin in &origins {
+                let mut t = Groups::typed(&compiled, &guard);
+                origin.fold_into(&mut t, &all).unwrap();
+                let mut a = Groups::new(&compiled, &guard);
+                a.fold_rows(&group_exprs, &origin.rows()).unwrap();
+                // Ship the odd slots only, as a route to one part would.
+                let picked: Vec<u32> = (0..t.len() as u32).filter(|s| s % 2 == 1).collect();
+                assert_eq!(t.shards(4), a.shards(4), "{kinds:?}");
+                for &slot in &picked {
+                    assert_eq!(t.entry_bytes(slot as usize), a.entry_bytes(slot as usize));
+                }
+                typed.merge_picked(&t, &picked).unwrap();
+                general.merge_picked(&a, &picked).unwrap();
+                assert_eq!(typed.bytes(), general.bytes(), "{kinds:?}");
+            }
+            assert!(typed.map.is_raw() && !general.map.is_raw());
+            assert_eq!(
+                exact(&typed.finish()),
+                exact(&general.finish()),
+                "{kinds:?}"
+            );
+        }
+        // Errors: partial sums that overflow when merged, the later
+        // aggregate at the earlier partial.
+        let (group_exprs, compiled) = chunk_calls(1, &[(Sum, false), (Sum, false)]);
+        let guard = g();
+        let big = Value::Int(i64::MAX);
+        let one = Value::Int(1);
+        let key = |k: i64| Value::Int(k);
+        let chunk = |a: [&Value; 2], b: [&Value; 2]| {
+            TestChunk::new(
+                vec![vec![key(1), key(2)]],
+                vec![
+                    Some(a.into_iter().cloned().collect()),
+                    Some(b.into_iter().cloned().collect()),
+                ],
+            )
+        };
+        let first = chunk([&one, &big], [&big, &one]);
+        let second = chunk([&one, &big], [&big, &one]);
+        let fold = |chunk: &TestChunk, typed: bool| {
+            let mut groups = if typed {
+                Groups::typed(&compiled, &guard)
+            } else {
+                Groups::new(&compiled, &guard)
+            };
+            match typed {
+                true => chunk.fold_into(&mut groups, &[0, 1]).unwrap(),
+                false => groups.fold_rows(&group_exprs, &chunk.rows()).unwrap(),
+            }
+            groups
+        };
+        let errors: Vec<Error> = [true, false]
+            .into_iter()
+            .map(|typed| {
+                let mut merged = fold(&first, typed);
+                merged
+                    .merge_picked(&fold(&second, typed), &[0, 1])
+                    .unwrap_err()
+            })
+            .collect();
+        assert_eq!(errors[0], errors[1]);
+        assert_eq!(errors[0].message(), "integer overflow in SUM");
+    }
+
+    /// A chunk of a different key shape demotes a raw-keyed table to
+    /// decoded keys without moving a slot: `=ⁿ` still sends Float(10.0)
+    /// to the Int(10) group, a decoded string to its dictionary group,
+    /// and NULL to NULL — and the row operators' entry point sees the
+    /// same table.
     #[test]
     fn groups_demotion_from_int_and_dict_keys_is_lossless() {
         use crate::batch::StringDict;
         let guard = g();
-        let ints = [ColumnVector::from_values(
-            [Value::Int(10), Value::Null, Value::Int(10)].iter(),
-        )];
-        let mut groups = Groups::new(&[], &guard);
-        groups.prepare(&ints);
-        assert!(matches!(groups.keyer, Keyer::Int(_)));
-        let slots: Vec<usize> = (0..3).map(|i| groups.slot(&ints, i).unwrap()).collect();
-        assert_eq!(slots, [0, 1, 0]);
-        let floats = [ColumnVector::from_values(
-            [Value::Float(10.0), Value::Null, Value::Float(0.5)].iter(),
-        )];
-        groups.prepare(&floats);
-        assert!(matches!(groups.keyer, Keyer::Generic(_)));
-        let slots: Vec<usize> = (0..3).map(|i| groups.slot(&floats, i).unwrap()).collect();
-        assert_eq!(slots, [0, 1, 2]);
+        let (_, compiled) = chunk_calls(1, &[(AggregateFunction::CountStar, false)]);
+        let fold = |groups: &mut Groups<'_>, keys: ColumnVector| {
+            let len = keys.len() as u32;
+            let chunk = TestChunk {
+                keys: vec![keys],
+                args: vec![None],
+                len: len as usize,
+            };
+            chunk
+                .fold_into(groups, &(0..len).collect::<Vec<_>>())
+                .unwrap();
+        };
+        let column = |vals: &[Value]| ColumnVector::from_values(vals.iter());
+        let mut groups = Groups::typed(&compiled, &guard);
+        fold(
+            &mut groups,
+            column(&[Value::Int(10), Value::Null, Value::Int(10)]),
+        );
+        assert!(groups.map.is_raw() && groups.len() == 2);
+        fold(
+            &mut groups,
+            column(&[Value::Float(10.0), Value::Null, Value::Float(0.5)]),
+        );
+        assert!(!groups.map.is_raw());
+        assert_eq!(
+            groups.finish(),
+            [
+                vec![Value::Int(10), Value::Int(3)],
+                vec![Value::Null, Value::Int(2)],
+                vec![Value::Float(0.5), Value::Int(1)],
+            ]
+        );
 
         let mut b = StringDict::default();
         let x = b.intern("x").unwrap();
         let y = b.intern("y").unwrap();
-        let coded = [ColumnVector::Dict {
+        let coded = ColumnVector::Dict {
             codes: vec![y, NULL_CODE, x, y],
             dict: Arc::new(b),
-        }];
-        let mut groups = Groups::new(&[], &guard);
-        groups.prepare(&coded);
-        assert!(matches!(groups.keyer, Keyer::Dict { .. }));
-        let slots: Vec<usize> = (0..4).map(|i| groups.slot(&coded, i).unwrap()).collect();
-        assert_eq!(slots, [0, 1, 2, 0]);
-        let plain = [ColumnVector::from_values(
-            [Value::str("x"), Value::Null, Value::str("z")].iter(),
-        )];
-        groups.prepare(&plain);
-        assert!(matches!(groups.keyer, Keyer::Generic(_)));
-        let slots: Vec<usize> = (0..3).map(|i| groups.slot(&plain, i).unwrap()).collect();
-        assert_eq!(slots, [2, 1, 3]);
-        // The row operators' entry point sees the same table.
+        };
+        // A table still empty takes the shape of whatever comes next:
+        // an empty chunk of another dictionary leaves nothing behind.
+        let mut groups = Groups::typed(&compiled, &guard);
+        let mut other = StringDict::default();
+        other.intern("elsewhere").unwrap();
+        let elsewhere = ColumnVector::Dict {
+            codes: Vec::new(),
+            dict: Arc::new(other),
+        };
+        fold(&mut groups, elsewhere);
+        fold(&mut groups, coded);
+        assert!(groups.map.is_raw() && groups.len() == 3);
+        fold(
+            &mut groups,
+            column(&[Value::str("x"), Value::Null, Value::str("z")]),
+        );
+        assert!(!groups.map.is_raw());
         groups.fold(GroupKey(vec![Value::str("y")]), &[]).unwrap();
         assert_eq!(groups.len(), 4);
-        let keys: Vec<Value> = groups.finish().into_iter().flatten().collect();
         assert_eq!(
-            keys,
+            groups.finish(),
             [
-                Value::str("y"),
-                Value::Null,
-                Value::str("x"),
-                Value::str("z")
+                vec![Value::str("y"), Value::Int(3)],
+                vec![Value::Null, Value::Int(2)],
+                vec![Value::str("x"), Value::Int(2)],
+                vec![Value::str("z"), Value::Int(1)],
             ]
+        );
+    }
+
+    /// The fold polls the guard once per chunk, before touching it: a
+    /// cancellation requested between two chunks stops the next one
+    /// with nothing of it folded, and the tick counter still ends where
+    /// per-row ticks would leave it.
+    #[test]
+    fn the_chunk_fold_observes_a_cancellation_within_one_chunk() {
+        use crate::guard::CancellationToken;
+        let token = CancellationToken::new();
+        let guard = ResourceGuard::unlimited().with_cancellation(token.clone());
+        let (_, compiled) = chunk_calls(1, &[(AggregateFunction::CountStar, false)]);
+        let mut groups = Groups::typed(&compiled, &guard);
+        let chunk = |first: i64| {
+            let keys = (first..first + 1024).map(Value::Int).collect();
+            TestChunk::new(vec![keys], vec![None])
+        };
+        let all: Vec<u32> = (0..1024).collect();
+        chunk(0).fold_into(&mut groups, &all).unwrap();
+        chunk(1024).fold_into(&mut groups, &all[..100]).unwrap();
+        assert_eq!(guard.ticks(), 1124);
+        token.cancel();
+        let stopped = chunk(2048).fold_into(&mut groups, &all).unwrap_err();
+        assert_eq!(stopped, Error::Cancelled);
+        assert_eq!(
+            groups.len(),
+            1124,
+            "no row of the cancelled chunk was folded"
+        );
+        assert_eq!(
+            chunk(0).fold_into(&mut groups, &[]).unwrap_err(),
+            Error::Cancelled
         );
     }
 

@@ -3,27 +3,35 @@
 //!
 //! The pipeline (see [`crate::pipeline`]) keeps every intermediate
 //! relation as one chunk stream per shard. An *exchange* re-routes each
-//! live row to the part its key hashes to ([`GroupKey::shard`], so `=ⁿ`
-//! semantics apply and NULL keys land deterministically on one part);
-//! a *gather* concentrates all rows on part 0 for inherently global
-//! operators (scalar aggregates, sorts). Both are built on [`route`],
-//! which also deals a scan's batches out to the parts.
+//! live row to the part its key hashes to — `GroupKey::shard` of the
+//! key, so `=ⁿ` semantics apply and NULL keys land deterministically on
+//! one part, computed as one destination vector per batch from the
+//! typed key view ([`crate::key::KeyView::shards`]) without building
+//! the key; a *gather* concentrates all rows on part 0 for inherently
+//! global operators (scalar aggregates, sorts). [`deal`] carries a
+//! destination vector out — for an exchange and for the scan split.
 //!
 //! Only rows whose destination differs from their origin are metered as
 //! shipped: co-located rows never cross the wire, which is precisely
 //! what makes a combiner below the exchange (and declared partition
 //! keys) measurable wins. The byte cost is a deterministic model —
 //! estimated row payload ([`crate::guard::row_bytes`]) plus fixed
-//! per-row framing — not a measurement, so `shipped_bytes` is identical
+//! per-row framing, read off column widths and string lengths, no row
+//! being built — not a measurement, so `shipped_bytes` is identical
 //! across thread counts and runs.
+//!
+//! A movement is batch construction: both record their wall time as the
+//! moving operator's `kernel_ns`, so moved rows belong to an operator's
+//! timer like any other.
 //!
 //! Routing iterates origins in part order and rows in stream order, so
 //! every destination receives rows in a deterministic
 //! `(origin, position)` order at any thread count.
 
-use gbj_types::{internal_err, GroupKey, Result};
+use gbj_types::{internal_err, Result, Value};
 
-use crate::batch::ColumnarBatch;
+use crate::batch::{ColumnVector, ColumnarBatch};
+use crate::key::{string_bytes, KeyView};
 use crate::metrics::MetricsSink;
 use crate::pipeline::{Chunk, Parts};
 
@@ -31,70 +39,88 @@ use crate::pipeline::{Chunk, Parts};
 /// in the deterministic byte model.
 pub(crate) const ROW_FRAME_BYTES: u64 = 8;
 
-/// Modelled wire size of row `i` of `batch`: the row form's
+/// Modelled wire size of the rows `rows` of `batch`, from column
+/// widths: per row the framing, the row header and one cell per column,
+/// plus the bytes of every string it holds — the row form's
 /// `8 + row_bytes(row)`, which is why a moved input materializes every
 /// column (a NULL placeholder would under-count a string).
-fn wire_row_bytes(batch: &ColumnarBatch, i: usize) -> u64 {
-    ROW_FRAME_BYTES + crate::guard::row_bytes(&batch.row(i))
+fn wire_bytes(batch: &ColumnarBatch, rows: impl ExactSizeIterator<Item = usize> + Clone) -> u64 {
+    let fixed = ROW_FRAME_BYTES as usize
+        + std::mem::size_of::<Vec<Value>>()
+        + batch.arity() * std::mem::size_of::<Value>();
+    let strings: usize = batch
+        .columns()
+        .iter()
+        .filter(|col| {
+            matches!(
+                col.as_ref(),
+                ColumnVector::Str { .. } | ColumnVector::Dict { .. } | ColumnVector::Mixed { .. }
+            )
+        })
+        .map(|col| rows.clone().map(|i| string_bytes(col, i)).sum::<usize>())
+        .sum();
+    (fixed * rows.len() + strings) as u64
 }
 
-/// The `=ⁿ` key of row `i` of `batch` over the columns `ords`.
-pub(crate) fn key_at(batch: &ColumnarBatch, ords: &[usize], i: usize) -> Result<GroupKey> {
-    ords.iter()
-        .map(|&o| Ok(batch.column(o)?.value(i)))
-        .collect::<Result<_>>()
-        .map(GroupKey)
-}
-
-/// Append each live row of `chunk` to the stream `dest_of(batch, row)`
-/// names, as one dense chunk per destination (rows keep their order).
-/// With a single destination the chunk is handed over untouched.
-pub(crate) fn route(
-    chunk: Chunk,
-    out: &mut [Vec<Chunk>],
-    mut dest_of: impl FnMut(&ColumnarBatch, usize) -> Result<usize>,
-) -> Result<()> {
+/// Deal the live rows of `chunk` out to the streams of `out`: row `k`
+/// (in live order) goes to `dests[k]`. Each destination gets the shared
+/// batch under its own selection vector, rows keeping their order —
+/// nothing is copied here; a row is materialized where an operator
+/// needs it dense (a join's concatenation, the result set). With a
+/// single destination the chunk is handed over untouched and `dests` is
+/// not read.
+pub(crate) fn deal(chunk: Chunk, dests: &[u32], out: &mut [Vec<Chunk>]) -> Result<()> {
     if let [only] = out {
         only.push(chunk);
         return Ok(());
     }
-    let mut sels: Vec<Vec<u32>> = vec![Vec::new(); out.len()];
-    for i in chunk.indices() {
-        let dest = dest_of(&chunk.batch, i)?;
-        sels.get_mut(dest)
-            .ok_or_else(|| internal_err!("row routed to part {dest} out of range"))?
-            .push(i as u32);
+    let mut counts = vec![0usize; out.len()];
+    for &dest in dests {
+        *counts
+            .get_mut(dest as usize)
+            .ok_or_else(|| internal_err!("row routed to part {dest} out of range"))? += 1;
+    }
+    let mut sels: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for (i, &dest) in chunk.indices().zip(dests) {
+        if let Some(sel) = sels.get_mut(dest as usize) {
+            sel.push(i as u32);
+        }
     }
     for (stream, sel) in out.iter_mut().zip(sels) {
         if !sel.is_empty() {
-            let cols = chunk.batch.columns().iter().map(|c| c.gather(&sel));
-            let batch = ColumnarBatch::from_columns(cols.collect(), sel.len())?;
-            stream.push(Chunk { batch, sel: None });
+            stream.push(Chunk {
+                batch: chunk.batch.clone(),
+                sel: Some(sel),
+            });
         }
     }
     Ok(())
 }
 
-/// Route every live row to the part its key over `ords` hashes to,
-/// metering rows that leave their origin part into `sink`. Destinations
-/// receive rows in `(origin part, origin position)` order.
+/// Route every live row to the part its key over `ords` hashes to — one
+/// destination vector per batch, from the typed key view — metering
+/// rows that leave their origin part into `sink`. Destinations receive
+/// rows in `(origin part, origin position)` order.
 pub(crate) fn exchange(parts: Parts, ords: &[usize], sink: &MetricsSink) -> Result<Parts> {
+    let timer = sink.start_timer();
     let n = parts.len();
     let mut out: Parts = (0..n).map(|_| Vec::new()).collect();
     let (mut shipped_rows, mut shipped_bytes) = (0u64, 0u64);
     for (origin, chunks) in parts.into_iter().enumerate() {
         for chunk in chunks {
-            route(chunk, &mut out, |batch, i| {
-                let dest = key_at(batch, ords, i)?.shard(n);
-                if dest != origin {
-                    shipped_rows += 1;
-                    shipped_bytes += wire_row_bytes(batch, i);
-                }
-                Ok(dest)
-            })?;
+            let dests = KeyView::of(&chunk.batch, ords)?.shards(chunk.indices(), n);
+            let leaving = chunk.indices().zip(&dests);
+            let leaving: Vec<usize> = leaving
+                .filter(|(_, dest)| **dest as usize != origin)
+                .map(|(i, _)| i)
+                .collect();
+            shipped_rows += leaving.len() as u64;
+            shipped_bytes += wire_bytes(&chunk.batch, leaving.iter().copied());
+            deal(chunk, &dests, &mut out)?;
         }
     }
     sink.add_shipped(shipped_rows, shipped_bytes);
+    sink.record_kernel(timer);
     Ok(out)
 }
 
@@ -102,21 +128,20 @@ pub(crate) fn exchange(parts: Parts, ords: &[usize], sink: &MetricsSink) -> Resu
 /// aggregates and global sorts), metering everything that leaves a part
 /// other than 0.
 pub(crate) fn gather(parts: Parts, sink: &MetricsSink) -> Vec<Chunk> {
+    let timer = sink.start_timer();
     let (mut shipped_rows, mut shipped_bytes) = (0u64, 0u64);
     let mut out = Vec::new();
     for (origin, chunks) in parts.into_iter().enumerate() {
         if origin != 0 {
             for chunk in &chunks {
                 shipped_rows += chunk.out_len() as u64;
-                shipped_bytes += chunk
-                    .indices()
-                    .map(|i| wire_row_bytes(&chunk.batch, i))
-                    .sum::<u64>();
+                shipped_bytes += wire_bytes(&chunk.batch, chunk.indices());
             }
         }
         out.extend(chunks);
     }
     sink.add_shipped(shipped_rows, shipped_bytes);
+    sink.record_kernel(timer);
     out
 }
 
@@ -125,7 +150,7 @@ mod tests {
     use super::*;
     use crate::batch::{ColumnVector, StringDict, NULL_CODE};
     use crate::guard::row_bytes;
-    use gbj_types::Value;
+    use gbj_types::GroupKey;
     use std::sync::Arc;
 
     /// One column of every [`ColumnVector`] variant, six rows each, with

@@ -4,9 +4,12 @@
 //! the [`ResourceLimits`] in [`ExecOptions`] and threaded by reference
 //! through every operator. Operators charge produced rows and operator
 //! state (hash/sort tables) against it and poll it cooperatively inside
-//! their row loops, so a query that exceeds its row, memory, or
-//! wall-clock budget aborts promptly with
-//! [`Error::ResourceExhausted`] instead of running away.
+//! their loops — the row engine once per row ([`ResourceGuard::tick`]),
+//! the chunk pipeline once per chunk of at most 1 024 rows
+//! ([`ResourceGuard::tick_rows`]: the same counter, one atomic per
+//! chunk) — so a query that exceeds its row, memory, or wall-clock
+//! budget aborts promptly with [`Error::ResourceExhausted`] instead of
+//! running away.
 //!
 //! The counters are atomics, so one guard is shared by every worker of
 //! the morsel-driven parallel operators (see [`crate::parallel`]): the
@@ -248,18 +251,35 @@ impl ResourceGuard {
         }
     }
 
-    /// Cooperative cancellation point for inner loops: a cancellation
-    /// check plus a cheap counter bump, with the wall clock polled on
-    /// the **first** tick (so zero/near-zero budgets fail before any
-    /// work, deterministically) and every [`TICKS_PER_CLOCK_POLL`]
-    /// thereafter.
+    /// Cooperative cancellation point for row-at-a-time loops: one tick.
+    /// See [`ResourceGuard::tick_rows`].
     pub fn tick(&self) -> Result<()> {
+        self.tick_rows(1)
+    }
+
+    /// Cooperative cancellation point covering `n` rows of work at
+    /// once — what a chunk loop calls once per chunk where a row loop
+    /// calls [`ResourceGuard::tick`] once per row: a cancellation check
+    /// plus one addition to the shared tick counter, with the wall
+    /// clock polled when the addition contains the **first** tick (so
+    /// zero/near-zero budgets fail before any work, deterministically)
+    /// or crosses a [`TICKS_PER_CLOCK_POLL`] boundary. The counter ends
+    /// where `n` single ticks would leave it; `n = 0` still polls
+    /// cancellation.
+    pub fn tick_rows(&self, n: usize) -> Result<()> {
         self.check_cancelled()?;
-        let t = self.ticks.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
-        if self.needs_clock() && (t == 1 || t.is_multiple_of(TICKS_PER_CLOCK_POLL)) {
+        let before = self.ticks.fetch_add(n as u64, Ordering::Relaxed);
+        if self.needs_clock() && covers_clock_poll(before, n as u64) {
             return self.check_deadline_now();
         }
         Ok(())
+    }
+
+    /// Cooperative ticks counted so far, by [`ResourceGuard::tick`] and
+    /// [`ResourceGuard::tick_rows`] alike.
+    #[must_use]
+    pub fn ticks(&self) -> u64 {
+        self.ticks.load(Ordering::Relaxed)
     }
 
     /// Poll cancellation and the wall-clock conditions (no-op beyond
@@ -302,6 +322,14 @@ impl ResourceGuard {
         }
         Ok(())
     }
+}
+
+/// Whether the ticks `before + 1 ..= before + n` include one on which
+/// the clock is polled: the first tick of all, or a multiple of
+/// [`TICKS_PER_CLOCK_POLL`].
+fn covers_clock_poll(before: u64, n: u64) -> bool {
+    let after = before.wrapping_add(n);
+    (before == 0 && n > 0) || before / TICKS_PER_CLOCK_POLL != after / TICKS_PER_CLOCK_POLL
 }
 
 /// Rough heap footprint of one row, for memory budgeting. This is an
@@ -412,6 +440,58 @@ mod tests {
             ..ResourceLimits::default()
         });
         assert!(g.tick().is_err(), "first tick must fire a zero budget");
+    }
+
+    /// One `tick_rows(n)` stands for `n` ticks: the counter ends where
+    /// they would leave it, and the clock is polled iff one of them
+    /// would have polled it.
+    #[test]
+    fn tick_rows_totals_and_clock_polls_equal_per_row_ticks() {
+        let (by_row, by_chunk) = (ResourceGuard::unlimited(), ResourceGuard::unlimited());
+        for n in [0usize, 1, 7, 255, 256, 257, 1024, 3] {
+            (0..n).for_each(|_| by_row.tick().unwrap());
+            by_chunk.tick_rows(n).unwrap();
+            assert_eq!(by_chunk.ticks(), by_row.ticks(), "after {n} more");
+        }
+        for before in (0..600).chain([1023, 1024, 1025]) {
+            for n in [0u64, 1, 2, 100, 255, 256, 257, 1024] {
+                let per_row = (before + 1..=before + n)
+                    .any(|t| t == 1 || t.is_multiple_of(TICKS_PER_CLOCK_POLL));
+                assert_eq!(covers_clock_poll(before, n), per_row, "{before} + {n}");
+            }
+        }
+    }
+
+    /// The first `tick_rows` — of any size — fails a zero budget and a
+    /// zero deadline with the variants `tick` fails them with; an empty
+    /// one polls no clock but still sees a cancellation.
+    #[test]
+    fn tick_rows_fails_zero_budgets_first_and_polls_cancellation_when_empty() {
+        for n in [1usize, 1024] {
+            let g = ResourceGuard::new(ResourceLimits {
+                time_budget: Some(Duration::ZERO),
+                ..ResourceLimits::default()
+            });
+            assert!(matches!(
+                g.tick_rows(n).unwrap_err(),
+                Error::ResourceExhausted {
+                    kind: ResourceKind::Time,
+                    ..
+                }
+            ));
+            let g = ResourceGuard::unlimited().with_deadline(Duration::ZERO);
+            assert!(matches!(
+                g.tick_rows(n).unwrap_err(),
+                Error::DeadlineExceeded { budget_ms: 0, .. }
+            ));
+        }
+        let token = CancellationToken::new();
+        let g = ResourceGuard::unlimited()
+            .with_deadline(Duration::ZERO)
+            .with_cancellation(token.clone());
+        g.tick_rows(0).unwrap();
+        token.cancel();
+        assert_eq!(g.tick_rows(0).unwrap_err(), Error::Cancelled);
     }
 
     #[test]

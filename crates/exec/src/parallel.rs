@@ -73,10 +73,12 @@ fn morsel_slice(rows: &[Vec<Value>], index: usize, morsel: usize) -> Result<&[Ve
 type BuildSlot = Vec<Vec<(GroupKey, usize)>>;
 
 /// Run `worker` over morsel indices `0..n_morsels` on a team of at most
-/// `threads` scoped worker threads. Returns one result slot per morsel;
-/// `None` marks a morsel that was never claimed because an earlier
-/// morsel errored (claims are strictly sequential, so unclaimed morsels
-/// always form a suffix).
+/// `threads` members: the calling thread is the first of them — a team
+/// of one spawns nothing and runs inline — and the others are scoped
+/// worker threads. Returns one result slot per morsel; `None` marks a
+/// morsel that was never claimed because an earlier morsel errored
+/// (claims are strictly sequential, so unclaimed morsels always form a
+/// suffix).
 pub(crate) fn run_morsels<T, F>(
     n_morsels: usize,
     threads: usize,
@@ -93,32 +95,38 @@ where
     let slots: Vec<Mutex<Option<Result<T>>>> = (0..n_morsels).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        for _ in 0..team {
-            s.spawn(|| loop {
-                if abort.load(Ordering::Relaxed) {
-                    return;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_morsels {
-                    return;
-                }
-                // A worker panic must not tear down the team: convert it
-                // into a typed error in this morsel's slot. All other
-                // claimed morsels still run to completion, so the join
-                // below never deadlocks and never leaks a thread.
-                let result = catch_unwind(AssertUnwindSafe(|| worker(i))).unwrap_or_else(|_| {
-                    Err(internal_err!("parallel worker panicked on morsel {i}"))
-                });
-                if result.is_err() {
-                    abort.store(true, Ordering::Relaxed);
-                }
-                if let Some(slot) = slots.get(i) {
-                    *lock(slot) = Some(result);
-                }
-            });
+    let member = || loop {
+        if abort.load(Ordering::Relaxed) {
+            return;
         }
-    });
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n_morsels {
+            return;
+        }
+        // A worker panic must not tear down the team — or, on the
+        // calling thread, the caller: convert it into a typed error in
+        // this morsel's slot. All other claimed morsels still run to
+        // completion, so the scope's join never deadlocks and never
+        // leaks a thread.
+        let result = catch_unwind(AssertUnwindSafe(|| worker(i)))
+            .unwrap_or_else(|_| Err(internal_err!("parallel worker panicked on morsel {i}")));
+        if result.is_err() {
+            abort.store(true, Ordering::Relaxed);
+        }
+        if let Some(slot) = slots.get(i) {
+            *lock(slot) = Some(result);
+        }
+    };
+    if team == 1 {
+        member();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 1..team {
+                s.spawn(member);
+            }
+            member();
+        });
+    }
     slots
         .into_iter()
         .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))

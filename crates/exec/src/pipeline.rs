@@ -8,11 +8,13 @@
 //! [`ColumnarBatch`]es ([`gbj_storage::ScanCursor::next_columnar`] —
 //! no row form, no per-row work), filters and probe phases carry row-id
 //! *selection vectors* over shared batches instead of copying rows,
-//! string join/group keys hash on dictionary codes
-//! ([`ColumnVector::Dict`]) or raw `i64`s instead of cloned [`Value`]s,
-//! and payload columns materialize only at the pipeline breakers (hash
-//! join, hash aggregate, sort) — or at the very end, when the result
-//! set is assembled.
+//! every operator that keys rows — group, join, `DISTINCT`, route —
+//! reads them through one typed view ([`crate::key`]: raw `i64`s and
+//! dictionary codes, the `=ⁿ` hash stream written from the column, a
+//! [`Value`] built only when a key is decoded), aggregates accumulate
+//! column-wise, the [`ResourceGuard`] is polled once per chunk, and
+//! payload columns materialize only at the pipeline breakers (hash
+//! join, sort) — or at the very end, when the result set is assembled.
 //!
 //! **Parts.** What flows between operators is [`Parts`]: one chunk
 //! stream per shard, `n` = the shard count the path was admitted at.
@@ -20,21 +22,24 @@
 //! [`gbj_plan::distribute`]'s [`Distribution`] tree — the same tree the
 //! optimizer's `plan_distribution` prices — so the pipeline *executes*
 //! placement, it does not decide it. The scan deals its batches out to
-//! the parts (by the declared partition key, else round-robin); every
-//! operator body then maps over parts on
-//! [`ExecOptions::threads`](crate::ExecOptions) workers; and an input's
-//! [`Movement`] is one more breaker in front of the operator:
-//! `Repartition` is an [`exchange`] on the named key columns (under
-//! `=ⁿ`, so NULL keys share one part, while join keys still compare
-//! under 3VL), `Gather` concentrates on part 0, `Combine` — legal only
-//! under the FD1/FD2 certificate the engine sets
+//! the parts (by the declared partition key, else round-robin): one
+//! destination vector per batch, each part taking the shared batch
+//! under its own selection vector ([`deal`]); every operator body then
+//! maps over parts on a team of
+//! [`ExecOptions::threads`](crate::ExecOptions) members, the calling
+//! thread one of them; and an input's [`Movement`] is one more breaker
+//! in front of the operator: `Repartition` is an [`exchange`] on the
+//! named key columns (under `=ⁿ`, so NULL keys share one part, while
+//! join keys still compare under 3VL), `Gather` concentrates on part 0,
+//! `Combine` — legal only under the FD1/FD2 certificate the engine sets
 //! [`ExecOptions::combiner`](crate::ExecOptions::combiner) from — ships
 //! one partial per group per origin instead of raw rows. Exchanges
-//! meter `shipped_rows` / `shipped_bytes`; an input that moves
-//! materializes every column, so the modelled wire size of a row never
-//! depends on late materialization. One part is the degenerate case:
-//! nothing can move, the part runs inline on the calling thread, and
-//! the operators carry their single-shard names.
+//! meter `shipped_rows` / `shipped_bytes` and are timed as the moving
+//! operator's `kernel_ns`; an input that moves materializes every
+//! column, so the modelled wire size of a row never depends on late
+//! materialization. One part is the degenerate case: nothing can move,
+//! the part runs inline on the calling thread, and the operators carry
+//! their single-shard names.
 //!
 //! **The row engine stays the oracle.** Every operator here reproduces
 //! the row path's observable behaviour exactly:
@@ -52,7 +57,9 @@
 //!   wholesale; there is no per-operator mixing. Like the parallel row
 //!   operators, accumulator-state overflow (`SUM` crossing `i64::MAX`
 //!   mid-stream) can differ from serial accumulation order over several
-//!   parts; see DESIGN.md §9.
+//!   parts; see DESIGN.md §9. Within a part the two-pass chunk fold
+//!   raises the error at the smallest `(row, aggregate)` position
+//!   ([`Groups::fold_chunk`]), which is the row fold's first.
 //! - *Counters*: the `[rows_in, rows_out, batches, hash_entries]`
 //!   fingerprint and the guard's row charges follow the row path
 //!   call-for-call at every part count: totals are charged from logical
@@ -65,26 +72,28 @@
 //!   across thread counts and repeated runs.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-use gbj_expr::{Accumulator, BoundExpr};
+use gbj_expr::BoundExpr;
 use gbj_plan::{distribute, Distribution, EquiKey, LogicalPlan, Movement};
-use gbj_types::{internal_err, GroupKey, Result, Truth, Value};
+use gbj_types::{internal_err, Result, Truth, Value};
 
-use crate::aggregate::{
-    compile_aggregates, new_accumulators, update_all, CompiledAggregate, Groups, Partial,
-    ACC_ENTRY_BYTES,
-};
-use crate::batch::{Bitmap, ColumnVector, ColumnarBatch, NULL_CODE};
-use crate::exchange::{exchange, gather, key_at, route, ROW_FRAME_BYTES};
+use crate::aggregate::{compile_aggregates, AggStates, ChunkArgs, CompiledAggregate, Groups};
+use crate::batch::{Bitmap, ColumnVector, ColumnarBatch};
+use crate::exchange::{deal, exchange, gather, ROW_FRAME_BYTES};
 use crate::executor::{bind_sort_keys, input_batches, sort_rows, Executor};
-use crate::guard::{row_bytes, ResourceGuard};
+use crate::guard::ResourceGuard;
 use crate::join::bind_join;
+use crate::key::{code_translation, KeyMap, KeyView};
 use crate::metrics::MetricsSink;
 use crate::parallel::{collect_in_order, lock, run_morsels};
 use crate::result::ProfileNode;
 use crate::vectorized::{eval_truth_vec, eval_value_vec, filter_selection, vectorizable};
+
+/// Rows a blocking operator works through between two polls of the
+/// guard: a scan block's worth, so an operator over one concatenated
+/// batch stays as promptly cancellable as one over a chunk stream.
+const POLL_ROWS: usize = 1024;
 
 /// A unit of the batch stream: a shared columnar batch plus an optional
 /// selection vector. `sel: None` means every row is live; `Some(sel)`
@@ -113,6 +122,7 @@ impl Chunk {
 }
 
 /// Iterator over a chunk's live row ids.
+#[derive(Clone)]
 pub(crate) enum SelIter<'a> {
     All(std::ops::Range<usize>),
     Sel(std::slice::Iter<'a, u32>),
@@ -126,7 +136,16 @@ impl Iterator for SelIter<'_> {
             SelIter::Sel(it) => it.next().map(|&i| i as usize),
         }
     }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            SelIter::All(r) => r.size_hint(),
+            SelIter::Sel(it) => it.size_hint(),
+        }
+    }
 }
+
+impl ExactSizeIterator for SelIter<'_> {}
 
 /// One chunk stream per shard: the unit that flows between operators.
 /// One part is single-shard execution.
@@ -171,7 +190,7 @@ fn on_part_zero(chunks: Vec<Chunk>, n: usize) -> Parts {
 
 /// Run `f` over every part (its rows, or its shipped partials) and
 /// collect the outputs in part order: inline on the calling thread for
-/// one part, else one morsel per part on the worker pool, with
+/// one part, else one morsel per part on the thread team, with
 /// deterministic lowest-part-first error selection.
 fn map_parts<R, T, F>(threads: usize, parts: Vec<R>, f: &F) -> Result<Vec<T>>
 where
@@ -198,8 +217,9 @@ fn input_of(dist: &Distribution, i: usize, n: usize) -> Result<(&Movement, &Dist
 }
 
 /// Carry out a row movement in front of a per-part operator body,
-/// metering what crosses part boundaries into `sink`. Gathers and
-/// combiners belong to the operators that can perform them.
+/// metering what crosses part boundaries — and the time it takes — into
+/// `sink`. Gathers and combiners belong to the operators that can
+/// perform them.
 fn repartition(parts: Parts, movement: &Movement, sink: &MetricsSink) -> Result<Parts> {
     match movement {
         Movement::Stay => Ok(parts),
@@ -230,6 +250,21 @@ fn mark(req: &mut [bool], i: usize) {
     if let Some(slot) = req.get_mut(i) {
         *slot = true;
     }
+}
+
+/// The rows `sel` of `batch` as a dense batch holding the columns
+/// flagged in `needed` (one shared all-NULL placeholder elsewhere): what
+/// a kernel evaluates instead of the whole batch when few rows are live.
+fn live_columns(batch: &ColumnarBatch, sel: &[u32], needed: &[bool]) -> Result<ColumnarBatch> {
+    let placeholder = Arc::new(ColumnVector::all_null(sel.len()));
+    let cols = batch.columns().iter().zip(needed).map(|(col, needed)| {
+        if *needed {
+            Arc::new(col.gather(sel))
+        } else {
+            Arc::clone(&placeholder)
+        }
+    });
+    ColumnarBatch::from_columns(cols.collect(), sel.len())
 }
 
 /// Concatenate a chunk stream into one dense batch, compacting away
@@ -266,18 +301,22 @@ fn concat_chunks(chunks: &[Chunk], required: &[bool]) -> Result<ColumnarBatch> {
 /// Merge column parts of (ideally) one variant into a single vector.
 /// Heterogeneous or foreign-dictionary parts decode through [`Value`]s.
 fn concat_columns(parts: &[Cow<'_, ColumnVector>], total: usize) -> ColumnVector {
+    /// The parts' validity bitmaps end to end (only called when every
+    /// part is one typed variant, so every part has one).
     fn merged_validity(parts: &[Cow<'_, ColumnVector>], total: usize) -> Bitmap {
-        let mut v = Bitmap::new_all(total, true);
-        let mut off = 0usize;
-        for p in parts {
-            for i in 0..p.len() {
-                if !p.is_valid(i) {
-                    v.set(off + i, false);
-                }
-            }
-            off += p.len();
+        let bitmaps = parts.iter().filter_map(|p| match p.as_ref() {
+            ColumnVector::Int { validity, .. }
+            | ColumnVector::Float { validity, .. }
+            | ColumnVector::Bool { validity, .. }
+            | ColumnVector::Str { validity, .. } => Some(validity),
+            ColumnVector::Dict { .. } | ColumnVector::Mixed { .. } => None,
+        });
+        if bitmaps.clone().all(Bitmap::all_valid) {
+            return Bitmap::new_all(total, true);
         }
-        v
+        let mut merged = Bitmap::new_all(0, true);
+        bitmaps.for_each(|validity| merged.append(validity));
+        merged
     }
     if parts
         .iter()
@@ -441,14 +480,15 @@ impl Executor<'_> {
                     sink.add_vectors(1);
                     let first = scanned;
                     scanned += batch.len();
-                    route(
-                        Chunk { batch, sel: None },
-                        &mut parts,
-                        |batch, i| match key {
-                            Some(ords) => Ok(key_at(batch, ords, i)?.shard(n)),
-                            None => Ok((first + i) % n),
-                        },
-                    )?;
+                    // One destination vector per batch.
+                    let dests = match key {
+                        _ if n == 1 => Vec::new(),
+                        Some(ords) => KeyView::of(&batch, ords)?.shards(0..batch.len(), n),
+                        None => (first..scanned)
+                            .map(|ordinal| (ordinal % n) as u32)
+                            .collect(),
+                    };
+                    deal(Chunk { batch, sel: None }, &dests, &mut parts)?;
                 }
                 sink.record_probe(timer);
                 let profile = ProfileNode::new(plan.label(), "Scan", scanned, vec![])
@@ -462,6 +502,8 @@ impl Executor<'_> {
                 let mut child_req = required.to_vec();
                 child_req.resize(in_schema.len(), false);
                 expr_columns(&bound, &mut child_req);
+                let mut reads = vec![false; in_schema.len()];
+                expr_columns(&bound, &mut reads);
                 let (_, child_dist) = input_of(dist, 0, n)?;
                 let (in_parts, child) = self.run_chunks(input, child_dist, &child_req, n, guard)?;
                 let sink = self.sink();
@@ -473,20 +515,32 @@ impl Executor<'_> {
                         guard.tick()?;
                         let kt = sink.start_timer();
                         sink.add_vectors(1);
-                        let truths = eval_truth_vec(&bound, &ch.batch)?;
+                        // Few live rows (a dealt or already filtered
+                        // batch): evaluate on them alone.
+                        let sparse = ch.sel.as_ref().filter(|sel| sel.len() < ch.batch.len() / 2);
+                        let truths = match sparse {
+                            Some(sel) => {
+                                eval_truth_vec(&bound, &live_columns(&ch.batch, sel, &reads)?)?
+                            }
+                            None => eval_truth_vec(&bound, &ch.batch)?,
+                        };
                         sink.record_kernel(kt);
-                        let sel: Vec<u32> = match &ch.sel {
-                            Some(sel) => sel
-                                .iter()
-                                .copied()
-                                .filter(|&i| truths.get(i as usize) == Some(&Truth::True))
-                                .collect(),
-                            None => truths
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, t)| **t == Truth::True)
-                                .map(|(i, _)| i as u32)
-                                .collect(),
+                        let passes = |t: &Truth| *t == Truth::True;
+                        let sel: Vec<u32> = match (&ch.sel, sparse) {
+                            // `truths` lines up with the live rows …
+                            (Some(sel), Some(_)) => {
+                                let kept = sel.iter().zip(&truths).filter(|(_, t)| passes(t));
+                                kept.map(|(&i, _)| i).collect()
+                            }
+                            // … or with the batch's.
+                            (Some(sel), None) => {
+                                let kept = |i: &u32| truths.get(*i as usize).is_some_and(passes);
+                                sel.iter().copied().filter(kept).collect()
+                            }
+                            (None, _) => {
+                                let kept = truths.iter().enumerate().filter(|(_, t)| passes(t));
+                                kept.map(|(i, _)| i as u32).collect()
+                            }
                         };
                         out.push(Chunk {
                             batch: ch.batch,
@@ -525,7 +579,11 @@ impl Executor<'_> {
                 let sink = self.sink();
                 let timer = sink.start_timer();
                 let n_in = parts_len(&in_parts);
-                let projected = map_parts(threads, in_parts, &|chunks: Vec<Chunk>| {
+                // Passing columns on costs a pointer copy per chunk: less
+                // than starting a worker for it.
+                let computed = bound.iter().any(|b| !matches!(b, BoundExpr::Column(_)));
+                let team = if computed { threads } else { 1 };
+                let projected = map_parts(team, in_parts, &|chunks: Vec<Chunk>| {
                     let mut out = Vec::with_capacity(chunks.len());
                     for ch in chunks {
                         guard.tick()?;
@@ -552,11 +610,13 @@ impl Executor<'_> {
                 let mut parts = repartition(projected, movement, &sink)?;
                 if *distinct {
                     parts = map_parts(threads, parts, &|chunks: Vec<Chunk>| {
-                        let mut seen: HashSet<GroupKey> = HashSet::new();
+                        let mut seen: KeyMap<()> = KeyMap::new();
                         let dedup = |ch: Chunk| {
+                            let rows = KeyView::of_rows(&ch.batch);
+                            seen.adopt(&rows);
                             let kept = ch
                                 .indices()
-                                .filter(|&i| seen.insert(GroupKey(ch.batch.row(i))))
+                                .filter(|&i| seen.entry(&rows, i, || ()).1)
                                 .map(|i| i as u32)
                                 .collect();
                             Chunk {
@@ -740,22 +800,17 @@ impl Executor<'_> {
     }
 }
 
-/// The build-side index of the columnar hash join: `i64` codes for a
-/// single typed-Int key, `u32` dictionary codes for a single dictionary
-/// key, and `=ⁿ`-hashed [`GroupKey`]s otherwise. All three reproduce
-/// the row path's search-condition semantics: NULL keys (invalid slots,
-/// out-of-dictionary codes) are skipped on both sides.
-enum JoinIndex {
-    Int(HashMap<i64, Vec<u32>>),
-    Dict(HashMap<u32, Vec<u32>>),
-    Generic(HashMap<GroupKey, Vec<u32>>),
-}
-
 /// Serial columnar hash join: concatenate each side into one dense
 /// batch, build on the right, probe with the left collecting `(l, r)`
 /// row-id pairs, gather payload columns once per output, and apply the
-/// residual as a selection vector. Counter and guard-charge order
-/// mirror [`crate::join::hash_join`] call-for-call.
+/// residual as a selection vector. The index is one [`KeyMap`] from key
+/// to build row ids — raw `i64`s or dictionary codes when both sides'
+/// key is one such column, decoded `=ⁿ` keys otherwise — and both
+/// phases skip rows whose key holds a NULL (invalid slots,
+/// out-of-dictionary codes): the row path's search-condition semantics.
+/// Counter and guard-charge order mirror [`crate::join::hash_join`]
+/// call-for-call, except that the guard is polled once per
+/// [`POLL_ROWS`] rows (and once for their matches), not once per row.
 #[allow(clippy::too_many_arguments)]
 fn join_columnar(
     l_chunks: &[Chunk],
@@ -775,146 +830,79 @@ fn join_columnar(
     let rbatch = concat_chunks(r_chunks, rreq)?;
     sink.add_vectors(2);
     sink.record_kernel(kt);
-    let lkey_cols: Vec<&ColumnVector> = keys
-        .iter()
-        .map(|k| lbatch.column(k.left))
-        .collect::<Result<_>>()?;
-    let rkey_cols: Vec<&ColumnVector> = keys
-        .iter()
-        .map(|k| rbatch.column(k.right))
-        .collect::<Result<_>>()?;
+    let lkeys = KeyView::new(
+        keys.iter()
+            .map(|k| lbatch.column(k.left))
+            .collect::<Result<_>>()?,
+    );
+    let rkeys = KeyView::new(
+        keys.iter()
+            .map(|k| rbatch.column(k.right))
+            .collect::<Result<_>>()?,
+    );
+    let strides = |len: usize| {
+        (0..len)
+            .step_by(POLL_ROWS)
+            .map(move |at| at..len.min(at + POLL_ROWS))
+    };
 
     let mut build_bytes = 0u64;
     let mut build_entries = 0u64;
     let build_timer = sink.start_timer();
-    let built = (|| -> Result<JoinIndex> {
-        Ok(match (lkey_cols.as_slice(), rkey_cols.as_slice()) {
-            ([ColumnVector::Int { .. }], [ColumnVector::Int { values, validity }]) => {
-                let per = row_bytes(&[Value::Int(0)]) + std::mem::size_of::<usize>() as u64;
-                let mut map: HashMap<i64, Vec<u32>> = HashMap::new();
-                for (i, v) in values.iter().enumerate() {
-                    guard.tick()?;
-                    if !validity.get(i) {
-                        continue;
-                    }
-                    build_bytes += per;
-                    build_entries += 1;
-                    guard.charge_memory(per)?;
-                    map.entry(*v).or_default().push(i as u32);
-                }
-                JoinIndex::Int(map)
-            }
-            ([ColumnVector::Dict { .. }], [ColumnVector::Dict { codes, dict }]) => {
-                let base = row_bytes(&[Value::str("")]) + std::mem::size_of::<usize>() as u64;
-                let mut map: HashMap<u32, Vec<u32>> = HashMap::new();
-                for (i, c) in codes.iter().enumerate() {
-                    guard.tick()?;
-                    let Some(s) = dict.get(*c) else {
-                        continue;
-                    };
-                    let per = base + s.len() as u64;
-                    build_bytes += per;
-                    build_entries += 1;
-                    guard.charge_memory(per)?;
-                    map.entry(*c).or_default().push(i as u32);
-                }
-                JoinIndex::Dict(map)
-            }
-            _ => {
-                let mut map: HashMap<GroupKey, Vec<u32>> = HashMap::new();
-                for i in 0..rbatch.len() {
-                    guard.tick()?;
-                    if rkey_cols.iter().any(|c| !c.is_valid(i)) {
-                        continue;
-                    }
-                    let key = GroupKey(rkey_cols.iter().map(|c| c.value(i)).collect());
-                    let per = row_bytes(&key.0) + std::mem::size_of::<usize>() as u64;
-                    build_bytes += per;
-                    build_entries += 1;
-                    guard.charge_memory(per)?;
-                    map.entry(key).or_default().push(i as u32);
-                }
-                JoinIndex::Generic(map)
-            }
-        })
-    })();
+    let mut index: KeyMap<Vec<u32>> = KeyMap::for_join(&rkeys, &lkeys);
+    let built = strides(rbatch.len()).try_for_each(|stride| {
+        guard.tick_rows(stride.len())?;
+        for i in stride.filter(|&i| !rkeys.has_null(i)) {
+            let per = rkeys.key_bytes(i) + std::mem::size_of::<usize>() as u64;
+            build_bytes += per;
+            build_entries += 1;
+            guard.charge_memory(per)?;
+            index.entry(&rkeys, i, Vec::new).0.push(i as u32);
+        }
+        Ok(())
+    });
     sink.record_build(build_timer);
     sink.add_hash_entries(build_entries);
     sink.add_state_bytes(build_bytes);
 
     let probe_timer = sink.start_timer();
-    let probed = built.and_then(|index| {
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        match (&index, lkey_cols.as_slice()) {
-            (JoinIndex::Int(map), [ColumnVector::Int { values, validity }]) => {
-                for (i, v) in values.iter().enumerate() {
-                    guard.tick()?;
-                    if !validity.get(i) {
-                        continue;
-                    }
-                    if let Some(hits) = map.get(v) {
-                        for &ri in hits {
-                            guard.tick()?;
-                            pairs.push((i as u32, ri));
-                        }
-                    }
-                }
+    let probed = built.and_then(|()| {
+        // Two dictionaries: translate left codes to right codes by
+        // decoded string once, up front. A left string the right side
+        // has never seen translates to nothing and matches nothing.
+        let translation = match (&lkeys, &rkeys) {
+            (KeyView::Dict { dict: from, .. }, KeyView::Dict { dict: to, .. })
+                if index.is_raw() =>
+            {
+                code_translation(from, to)?
             }
-            (JoinIndex::Dict(map), [ColumnVector::Dict { codes, dict }]) => {
-                // Probe on raw codes when both sides share a dictionary;
-                // otherwise remap left codes to right codes by decoded
-                // string once, up front. Left strings the right side has
-                // never seen map to NULL_CODE, which is never in `map`.
-                let rdict = match rkey_cols.as_slice() {
-                    [ColumnVector::Dict { dict: rd, .. }] => Arc::clone(rd),
-                    _ => return Err(internal_err!("join build/probe key shape diverged")),
-                };
-                let remap: Option<Vec<u32>> = if Arc::ptr_eq(dict, &rdict) {
+            _ => None,
+        };
+        let hits = |i: usize| -> Option<&Vec<u32>> {
+            if !index.is_raw() {
+                return if lkeys.has_null(i) {
                     None
                 } else {
-                    Some(
-                        (0..dict.len() as u32)
-                            .map(|lc| {
-                                dict.get(lc)
-                                    .and_then(|s| rdict.code_of(s))
-                                    .unwrap_or(NULL_CODE)
-                            })
-                            .collect(),
-                    )
+                    index.get(&lkeys, i)
                 };
-                for (i, c) in codes.iter().enumerate() {
-                    guard.tick()?;
-                    if (*c as usize) >= dict.len() {
-                        continue;
-                    }
-                    let rc = match &remap {
-                        None => *c,
-                        Some(m) => m.get(*c as usize).copied().unwrap_or(NULL_CODE),
-                    };
-                    if let Some(hits) = map.get(&rc) {
-                        for &ri in hits {
-                            guard.tick()?;
-                            pairs.push((i as u32, ri));
-                        }
-                    }
+            }
+            let key = lkeys.raw(i)?;
+            let key = match &translation {
+                None => key,
+                Some(codes) => (*codes.get(usize::try_from(key).ok()?)?)?,
+            };
+            index.get_raw(Some(key))
+        };
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for stride in strides(lbatch.len()) {
+            guard.tick_rows(stride.len())?;
+            let before = pairs.len();
+            for i in stride {
+                if let Some(build_rows) = hits(i) {
+                    pairs.extend(build_rows.iter().map(|&ri| (i as u32, ri)));
                 }
             }
-            (JoinIndex::Generic(map), _) => {
-                for i in 0..lbatch.len() {
-                    guard.tick()?;
-                    if lkey_cols.iter().any(|c| !c.is_valid(i)) {
-                        continue;
-                    }
-                    let key = GroupKey(lkey_cols.iter().map(|c| c.value(i)).collect());
-                    if let Some(hits) = map.get(&key) {
-                        for &ri in hits {
-                            guard.tick()?;
-                            pairs.push((i as u32, ri));
-                        }
-                    }
-                }
-            }
-            _ => return Err(internal_err!("join build/probe key shape diverged")),
+            guard.tick_rows(pairs.len() - before)?;
         }
         Ok(pairs)
     });
@@ -956,12 +944,15 @@ fn join_columnar(
 
 /// One chunk's evaluated aggregate-argument columns (`None` for
 /// `COUNT(*)`), or `None` altogether on the row-major path.
-type ArgColumns = Option<Vec<Option<ColumnVector>>>;
+type ArgColumns<'b> = Option<Vec<Option<Cow<'b, ColumnVector>>>>;
 
 /// The columnar hash aggregate over one part's chunk stream: stream
-/// chunks (no concatenation), evaluating group keys — and, when every
+/// chunks (no concatenation), evaluate group keys — and, when every
 /// argument is vectorizable, aggregate arguments — column-at-a-time,
-/// and group via the row engine's [`Groups`] table keyed on raw codes.
+/// and fold each chunk into the row engine's [`Groups`] table in two
+/// passes: the slot of every live row through the typed key view, then
+/// one typed loop per aggregate over its argument column
+/// ([`Groups::fold_chunk`]), polling the guard once per chunk.
 /// Non-vectorizable arguments are evaluated row-major per live row, so
 /// the first error is the row engine's. Counter and guard-charge order
 /// mirror [`crate::aggregate::hash_aggregate`] call-for-call.
@@ -977,58 +968,42 @@ struct ChunkFold<'a> {
 }
 
 impl<'a> ChunkFold<'a> {
-    fn arg_columns(&self, batch: &ColumnarBatch) -> Result<ArgColumns> {
+    fn arg_columns<'b>(&self, batch: &'b ColumnarBatch) -> Result<ArgColumns<'b>> {
         if !self.vectorized_args {
             return Ok(None);
         }
         self.compiled
             .iter()
-            .map(|c| match &c.arg {
-                Some(a) => Ok(Some(eval_value_vec(a, batch)?.into_owned())),
-                None => Ok(None),
-            })
+            .map(|c| c.arg.as_ref().map(|a| eval_value_vec(a, batch)).transpose())
             .collect::<Result<_>>()
             .map(Some)
-    }
-
-    /// Feed live row `i` of `batch` to one group's accumulators.
-    fn feed(
-        &self,
-        accs: &mut [Accumulator],
-        cols: &ArgColumns,
-        batch: &ColumnarBatch,
-        i: usize,
-    ) -> Result<()> {
-        match cols {
-            Some(cols) => cols.iter().zip(accs).try_for_each(|(col, acc)| {
-                acc.update(&col.as_ref().map_or(Value::Int(1), |c| c.value(i)))
-            }),
-            None => update_all(self.compiled, accs, &batch.row(i)),
-        }
     }
 
     /// Fold `chunks` into a fresh group table. The table comes back even
     /// when the fold failed, so the caller can still record what it
     /// charged.
     fn fold(&self, chunks: &[Chunk]) -> (Groups<'a>, Result<()>) {
-        let mut groups = Groups::new(self.compiled, self.guard);
+        let mut groups = if self.vectorized_args {
+            Groups::typed(self.compiled, self.guard)
+        } else {
+            Groups::new(self.compiled, self.guard)
+        };
         let filled = chunks.iter().try_for_each(|ch| {
             let kt = self.sink.start_timer();
             self.sink.add_vectors(1);
-            let key_cols: Vec<ColumnVector> = self
+            let key_cols: Vec<Cow<'_, ColumnVector>> = self
                 .group_bound
                 .iter()
-                .map(|b| Ok(eval_value_vec(b, &ch.batch)?.into_owned()))
+                .map(|b| eval_value_vec(b, &ch.batch))
                 .collect::<Result<_>>()?;
             let arg_cols = self.arg_columns(&ch.batch)?;
             self.sink.record_kernel(kt);
-            groups.prepare(&key_cols);
-            for i in ch.indices() {
-                self.guard.tick()?;
-                let slot = groups.slot(&key_cols, i)?;
-                self.feed(groups.accs_mut(slot)?, &arg_cols, &ch.batch, i)?;
-            }
-            Ok(())
+            let keys = KeyView::new(key_cols.iter().map(AsRef::as_ref).collect());
+            let args = match &arg_cols {
+                Some(cols) => ChunkArgs::Columns(cols),
+                None => ChunkArgs::Rows(&ch.batch),
+            };
+            groups.fold_chunk(&keys, args, ch.indices())
         });
         (groups, filled)
     }
@@ -1037,23 +1012,35 @@ impl<'a> ChunkFold<'a> {
     fn aggregate(&self, chunks: &[Chunk]) -> Result<Vec<Chunk>> {
         let sink = self.sink;
         if self.group_bound.is_empty() {
-            // Scalar aggregate: exactly one group, even over empty input.
+            // Scalar aggregate: exactly one group, even over empty input
+            // — the column-wise states with every row in slot 0.
             let scalar_timer = sink.start_timer();
-            let mut accs = new_accumulators(self.compiled);
+            let mut states = if self.vectorized_args {
+                AggStates::typed(self.compiled)
+            } else {
+                AggStates::general(self.compiled)
+            };
+            states.grow(1);
+            let mut slots = Vec::new();
             for ch in chunks {
                 let kt = sink.start_timer();
                 let cols = self.arg_columns(&ch.batch)?;
-                if cols.is_some() {
-                    sink.add_vectors(1);
-                    sink.record_kernel(kt);
-                }
-                for i in ch.indices() {
-                    self.guard.tick()?;
-                    self.feed(&mut accs, &cols, &ch.batch, i)?;
+                self.guard.tick_rows(ch.out_len())?;
+                let Some(cols) = cols else {
+                    ch.indices()
+                        .try_for_each(|i| states.update_row(0, &ch.batch.row(i)))?;
+                    continue;
+                };
+                sink.add_vectors(1);
+                sink.record_kernel(kt);
+                slots.resize(ch.out_len(), 0);
+                if let Some((_, error)) = states.update_chunk(&slots, ch.indices(), &cols)? {
+                    return Err(error);
                 }
             }
             sink.record_build(scalar_timer);
-            let row = accs.iter().map(Accumulator::finish).collect();
+            let mut row = Vec::with_capacity(self.arity);
+            states.finish_slot(0, &mut row);
             return rows_chunk(&[row], self.arity);
         }
         let build_timer = sink.start_timer();
@@ -1068,48 +1055,54 @@ impl<'a> ChunkFold<'a> {
     }
 
     /// The eager pre-aggregation pushed below the exchange: fold each
-    /// origin part, ship the partials by key hash, and merge at the
-    /// destination through `Accumulator::merge` in `(origin part, origin
-    /// first-seen)` order — three uses of the one [`Groups`] table.
+    /// origin part, ship each group's partial to the part its key hashes
+    /// to, and merge at the destination through `Accumulator::merge` in
+    /// `(origin part, origin first-seen)` order — three uses of the one
+    /// [`Groups`] table. A partial is a slot of its origin's table: it
+    /// is routed by the table's own key view and merged keyed raw
+    /// ([`Groups::merge_picked`]), so an `Int`- or dictionary-keyed
+    /// group is decoded once, when the merged table is drained.
     ///
     /// Metrics: partial tables are invisible (per-part distinct counts
-    /// would over-count groups spanning origins); the merge phase
-    /// records the merged group count and state bytes, reproducing the
-    /// one-part aggregate's `hash_entries` exactly. Shipped bytes price
-    /// each partial as framing + key payload + one accumulator-state
-    /// entry per aggregate ([`ACC_ENTRY_BYTES`]).
+    /// would over-count groups spanning origins; their charge is given
+    /// back when the fold ends); the merge phase records the merged
+    /// group count and state bytes, reproducing the one-part aggregate's
+    /// `hash_entries` exactly. Shipped bytes price each partial as
+    /// framing + key payload + one accumulator-state entry per aggregate
+    /// ([`Groups::entry_bytes`]).
     fn combine(&self, threads: usize, parts: Parts) -> Result<Parts> {
         let n = parts.len();
         let timer = self.sink.start_timer();
-        let partials: Vec<Vec<Partial>> = map_parts(threads, parts, &|chunks: Vec<Chunk>| {
-            let (groups, filled) = self.fold(&chunks);
-            filled.map(|()| groups.into_partials())
+        let partials: Vec<Groups<'a>> = map_parts(threads, parts, &|chunks: Vec<Chunk>| {
+            let (mut groups, filled) = self.fold(&chunks);
+            groups.release();
+            filled.map(|()| groups)
         })?;
 
-        let mut routed: Vec<Vec<Partial>> = (0..n).map(|_| Vec::new()).collect();
+        // `routed[dest][origin]`: the slots of `origin`'s table that
+        // belong on `dest`, in first-seen order.
+        let mut routed: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); n]; n];
         let (mut shipped_rows, mut shipped_bytes) = (0u64, 0u64);
-        for (origin, part_partials) in partials.into_iter().enumerate() {
-            for (key, accs) in part_partials {
-                let dest = key.shard(n);
-                if dest != origin {
+        for (origin, table) in partials.iter().enumerate() {
+            for (slot, dest) in table.shards(n).into_iter().enumerate() {
+                if dest as usize != origin {
                     shipped_rows += 1;
-                    shipped_bytes += ROW_FRAME_BYTES
-                        + row_bytes(&key.0)
-                        + ACC_ENTRY_BYTES * accs.len().max(1) as u64;
+                    shipped_bytes += ROW_FRAME_BYTES + table.entry_bytes(slot);
                 }
                 routed
-                    .get_mut(dest)
+                    .get_mut(dest as usize)
+                    .and_then(|from| from.get_mut(origin))
                     .ok_or_else(|| internal_err!("combiner routed out of range"))?
-                    .push((key, accs));
+                    .push(slot as u32);
             }
         }
         self.sink.add_shipped(shipped_rows, shipped_bytes);
 
-        let out = map_parts(threads, routed, &|part_partials: Vec<Partial>| {
-            let mut merged = Groups::new(self.compiled, self.guard);
-            for partial in part_partials {
-                self.guard.tick()?;
-                merged.merge(partial)?;
+        let out = map_parts(threads, routed, &|from: Vec<Vec<u32>>| {
+            let mut merged = Groups::typed(self.compiled, self.guard);
+            for (table, picked) in partials.iter().zip(&from) {
+                self.guard.tick_rows(picked.len())?;
+                merged.merge_picked(table, picked)?;
             }
             self.sink.add_hash_entries(merged.len() as u64);
             self.sink.add_state_bytes(merged.bytes());
@@ -1123,6 +1116,8 @@ impl<'a> ChunkFold<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::NULL_CODE;
+    use gbj_types::GroupKey;
 
     fn int_col(vals: &[Option<i64>]) -> ColumnVector {
         let values: Vec<Value> = vals
@@ -1244,6 +1239,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Rows that move belong to the operator that moves them: a gather
+    /// (the sort's) and a repartition (the join's) are timed as that
+    /// operator's kernel time, not left outside every timer.
+    #[test]
+    fn movements_are_timed_as_the_moving_operators_kernel_time() {
+        use gbj_expr::Expr;
+        let s = setup();
+        let exec = Executor::with_options(&s, sharded_opts(4, false));
+        let sorted = LogicalPlan::Sort {
+            input: Box::new(crate::executor::tests::scan(&s, "Employee", "E")),
+            keys: vec![(Expr::col("E", "DeptID"), true)],
+        };
+        let (_, p, _) = exec.execute_metered(&sorted).unwrap();
+        let sort = p.find_operator("GatherSort").unwrap();
+        assert!(sort.metrics.shipped_rows > 0 && sort.metrics.kernel_ns > 0);
+        let (_, p, _) = exec.execute_metered(&lazy_plan(&s)).unwrap();
+        let join = p.find_operator("ShardedHashJoin").unwrap();
+        assert!(join.metrics.shipped_rows > 0 && join.metrics.kernel_ns > 0);
     }
 
     #[test]

@@ -172,16 +172,51 @@ pub struct Accumulator {
     state: AggState,
 }
 
-#[derive(Debug, Clone)]
-enum AggState {
+/// The running state of one aggregate apart from its function and its
+/// DISTINCT set. Public so that an executor keeping states column-wise
+/// (one typed vector per aggregate) can hand a group's state back
+/// through [`Accumulator::resume`] when it needs the general form;
+/// [`Accumulator`] stays the definition of every transition.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AggState {
+    /// `COUNT` / `COUNT(*)`: inputs counted so far.
     Count(i64),
-    SumInt { sum: i64, any: bool },
-    SumFloat { sum: f64, any: bool },
+    /// `SUM` that has seen only integers (`any`: at least one).
+    SumInt {
+        /// The checked running sum.
+        sum: i64,
+        /// Whether any non-NULL input arrived.
+        any: bool,
+    },
+    /// `SUM` promoted by its first float input.
+    SumFloat {
+        /// The running sum.
+        sum: f64,
+        /// Whether any non-NULL input arrived.
+        any: bool,
+    },
+    /// `MIN` / `MAX`: the best input so far.
     MinMax(Option<Value>),
-    Avg { sum: f64, count: i64 },
+    /// `AVG`: the float sum and the count of its inputs.
+    Avg {
+        /// The running sum.
+        sum: f64,
+        /// Non-NULL inputs so far.
+        count: i64,
+    },
 }
 
 impl Accumulator {
+    /// A non-DISTINCT accumulator of `func` that continues from `state`.
+    #[must_use]
+    pub fn resume(func: AggregateFunction, state: AggState) -> Accumulator {
+        Accumulator {
+            func,
+            seen: None,
+            state,
+        }
+    }
+
     fn new(func: AggregateFunction, distinct: bool) -> Accumulator {
         let state = match func {
             AggregateFunction::CountStar | AggregateFunction::Count => AggState::Count(0),

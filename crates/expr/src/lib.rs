@@ -37,7 +37,7 @@ pub mod classify;
 pub mod expr;
 pub mod normalize;
 
-pub use aggregate::{Accumulator, AggregateCall, AggregateFunction};
+pub use aggregate::{Accumulator, AggState, AggregateCall, AggregateFunction};
 pub use classify::{classify_conjuncts, AtomClass, PredicateParts};
 pub use expr::{
     compare_values, ordering_truth, truth_to_value, value_to_truth, BinaryOp, BoundExpr, Expr,

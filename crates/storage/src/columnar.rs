@@ -56,6 +56,7 @@ pub struct StringDict {
 
 impl StringDict {
     /// Number of distinct strings interned.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.values.len()
@@ -69,6 +70,7 @@ impl StringDict {
 
     /// Decode a code back to its string. `None` for [`NULL_CODE`] or
     /// any code never assigned.
+    #[inline]
     #[must_use]
     pub fn get(&self, code: u32) -> Option<&str> {
         self.values.get(code as usize).map(AsRef::as_ref)
@@ -128,6 +130,7 @@ impl Bitmap {
     }
 
     /// Number of bits.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
@@ -140,6 +143,7 @@ impl Bitmap {
     }
 
     /// Bit `i`; out-of-range reads as `false` (invalid).
+    #[inline]
     #[must_use]
     pub fn get(&self, i: usize) -> bool {
         if i >= self.len {
@@ -182,6 +186,7 @@ impl Bitmap {
 
     /// Whether every bit is set — the kernels' fast-path check that
     /// lets a NULL-free column skip per-element validity tests.
+    #[inline]
     #[must_use]
     pub fn all_valid(&self) -> bool {
         self.valid == self.len
@@ -200,9 +205,50 @@ impl Bitmap {
     }
 
     /// Number of set (valid) bits.
+    #[inline]
     #[must_use]
     pub fn count_valid(&self) -> usize {
         self.valid
+    }
+
+    /// The bits at `sel`, in that order (out of range reads invalid),
+    /// a word of output at a time.
+    #[must_use]
+    pub fn gather(&self, sel: &[u32]) -> Bitmap {
+        let words: Vec<u64> = sel
+            .chunks(64)
+            .map(|ids| {
+                let bits = ids.iter().enumerate();
+                bits.fold(0u64, |word, (bit, &i)| {
+                    word | (u64::from(self.get(i as usize)) << bit)
+                })
+            })
+            .collect();
+        Bitmap {
+            valid: words.iter().map(|w| w.count_ones() as usize).sum(),
+            words,
+            len: sel.len(),
+        }
+    }
+
+    /// Append every bit of `other`, a word at a time.
+    pub fn append(&mut self, other: &Bitmap) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            for &word in &other.words {
+                if let Some(last) = self.words.last_mut() {
+                    *last |= word << shift;
+                }
+                self.words.push(word >> (64 - shift));
+            }
+        }
+        self.len += other.len;
+        self.valid += other.valid;
+        // `other`'s padding is zero, so a word pushed past the new
+        // length holds nothing.
+        self.words.truncate(self.len.div_ceil(64));
     }
 }
 
@@ -489,15 +535,23 @@ impl ColumnVector {
     #[must_use]
     pub fn gather(&self, sel: &[u32]) -> ColumnVector {
         fn typed<T: Clone + Default>(v: &[T], validity: &Bitmap, sel: &[u32]) -> (Vec<T>, Bitmap) {
-            let mut out = Vec::with_capacity(sel.len());
-            let mut mask = Bitmap::new_all(sel.len(), false);
-            for (o, &i) in sel.iter().enumerate() {
-                let i = i as usize;
-                out.push(v.get(i).cloned().unwrap_or_default());
-                if validity.get(i) {
-                    mask.set(o, true);
-                }
-            }
+            let mut in_range = validity.len() == v.len();
+            let out = sel
+                .iter()
+                .map(|&i| {
+                    v.get(i as usize).cloned().unwrap_or_else(|| {
+                        in_range = false;
+                        T::default()
+                    })
+                })
+                .collect();
+            // Nothing to test per row when the source has no NULL and
+            // every id names a row of it.
+            let mask = if in_range && validity.all_valid() {
+                Bitmap::new_all(sel.len(), true)
+            } else {
+                validity.gather(sel)
+            };
             (out, mask)
         }
         match self {
@@ -712,6 +766,13 @@ impl ColumnarBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A bitmap written one `push` at a time: the bit-by-bit definition.
+    fn pushed(bits: impl Iterator<Item = bool>) -> Bitmap {
+        let mut bitmap = Bitmap::new_all(0, true);
+        bits.for_each(|bit| bitmap.push(bit));
+        bitmap
+    }
 
     fn round_trip(rows: &[Vec<Value>], arity: usize) {
         let batch = ColumnarBatch::from_rows(rows, arity).unwrap();
@@ -1042,6 +1103,58 @@ mod tests {
         assert_eq!(g.value(0), Value::Null);
         assert_eq!(g.value(1), Value::str("y"));
         assert_eq!(g.value(2), Value::Null, "out-of-range gathers as NULL");
+    }
+
+    /// An all-valid source gathers to an all-valid mask without a
+    /// per-row test — unless an id is out of range, which still reads
+    /// as NULL — and the result equals the bit-by-bit definition.
+    #[test]
+    fn gather_of_an_all_valid_source_matches_the_per_row_definition() {
+        let valid = ColumnVector::from_values([Value::Int(4), Value::Int(5), Value::Int(6)].iter());
+        let holey = ColumnVector::from_values([Value::Int(4), Value::Null, Value::Int(6)].iter());
+        let long: Vec<u32> = (0..200).map(|i| i % 3).collect();
+        for (col, sel) in [
+            (&valid, &[2u32, 0, 2][..]),
+            (&valid, &[1, 9, 0][..]),
+            (&holey, &[1, 2, 9, 0][..]),
+            (&valid, &long[..]),
+            (&holey, &long[..]),
+            (&valid, &[][..]),
+        ] {
+            let got = col.gather(sel);
+            let expect: Vec<Value> = sel.iter().map(|&i| col.value(i as usize)).collect();
+            assert_eq!(got, ColumnVector::from_values(expect.iter()), "{sel:?}");
+            if let ColumnVector::Int { validity, .. } = &got {
+                assert_eq!(validity, &pushed((0..sel.len()).map(|o| got.is_valid(o))));
+                assert_eq!(validity.all_valid(), expect.iter().all(|v| !v.is_null()));
+            }
+        }
+    }
+
+    /// `append` and `gather` write a word at a time and agree with
+    /// `push` at every alignment; padding stays zero, so equality and
+    /// the O(1) `all_valid` hold.
+    #[test]
+    fn bitmap_append_and_gather_match_push_at_every_alignment() {
+        let pattern = |n: usize, k: usize| (0..n).map(move |i| (i * 7 + k) % 5 != 0);
+        for head in [0usize, 1, 63, 64, 65, 130] {
+            for tail in [0usize, 1, 63, 64, 65, 200] {
+                let whole = pushed(pattern(head, 1).chain(pattern(tail, 2)));
+                let mut appended = pushed(pattern(head, 1));
+                appended.append(&pushed(pattern(tail, 2)));
+                assert_eq!(appended, whole, "head={head} tail={tail}");
+                assert_eq!(appended.count_valid(), whole.iter().filter(|b| *b).count());
+                // Every other bit, back to front, then one out of range.
+                let mut sel: Vec<u32> = (0..(head + tail) as u32).rev().step_by(2).collect();
+                sel.push(u32::MAX);
+                let expect = pushed(sel.iter().map(|&i| whole.get(i as usize)));
+                assert_eq!(whole.gather(&sel), expect, "head={head} tail={tail}");
+            }
+        }
+        let mut all = Bitmap::new_all(70, true);
+        all.append(&Bitmap::new_all(70, true));
+        assert_eq!(all, Bitmap::new_all(140, true));
+        assert!(all.all_valid());
     }
 
     /// Every batch shape the storage layer can emit — short final

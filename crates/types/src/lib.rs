@@ -40,4 +40,4 @@ pub use datatype::DataType;
 pub use error::{Error, ResourceKind, Result};
 pub use schema::{ColumnRef, Field, Schema};
 pub use truth::Truth;
-pub use value::{GroupKey, Value};
+pub use value::{key_hash, GroupKey, ShardHasher, Value};

@@ -302,7 +302,7 @@ impl Eq for GroupKey {}
 impl Hash for GroupKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         for v in &self.0 {
-            hash_group_value(v, state);
+            key_hash::value(v, state);
         }
     }
 }
@@ -310,14 +310,67 @@ impl Hash for GroupKey {
 impl GroupKey {
     /// Deterministic shard assignment under `=ⁿ` semantics: keys that
     /// compare `=ⁿ`-equal (including all-NULL keys, which hash through
-    /// the `Null` tag) land on the same shard for any shard count.
-    /// `DefaultHasher::new()` starts from a fixed state, so the mapping
-    /// is stable across processes and runs.
+    /// the `Null` tag) land on the same shard for any shard count. The
+    /// mapping is [`ShardHasher`]'s, stable across processes and runs.
     #[must_use]
     pub fn shard(&self, shards: usize) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = ShardHasher::new();
         self.hash(&mut h);
-        (h.finish() % shards.max(1) as u64) as usize
+        h.shard(shards)
+    }
+}
+
+/// The hasher behind [`GroupKey::shard`]: it starts from a fixed state
+/// (`DefaultHasher::new()`), so a key's shard depends on the bytes of
+/// its `=ⁿ` hash stream ([`key_hash`]) and on nothing else. Columnar
+/// code feeds it that stream straight from typed columns and lands on
+/// the shard the decoded key would.
+#[derive(Debug, Clone, Default)]
+pub struct ShardHasher(std::collections::hash_map::DefaultHasher);
+
+impl ShardHasher {
+    /// A hasher in the fixed initial state.
+    #[inline]
+    #[must_use]
+    pub fn new() -> ShardHasher {
+        ShardHasher::default()
+    }
+
+    /// The shard, of `shards`, of the stream written so far.
+    #[inline]
+    #[must_use]
+    pub fn shard(&self, shards: usize) -> usize {
+        let (hash, shards) = (self.0.finish(), shards.max(1) as u64);
+        // The same remainder without the division, for the usual counts.
+        let part = if shards.is_power_of_two() {
+            hash & (shards - 1)
+        } else {
+            hash % shards
+        };
+        part as usize
+    }
+}
+
+// Inlined into the caller's crate: routing hashes one key per row.
+impl Hasher for ShardHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write(bytes);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, byte: u8) {
+        self.0.write_u8(byte);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0.write_u64(word);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.finish()
     }
 }
 
@@ -330,28 +383,56 @@ fn group_value_eq(a: &Value, b: &Value) -> bool {
     }
 }
 
-fn hash_group_value<H: Hasher>(v: &Value, state: &mut H) {
-    match v {
-        Value::Null => state.write_u8(0),
-        Value::Bool(b) => {
-            state.write_u8(1);
-            state.write_u8(u8::from(*b));
-        }
-        // Int and Float that compare `=ⁿ`-equal must hash equal: hash
-        // every numeric through the f64 bit pattern of its value, with
-        // -0.0 normalised to 0.0 and NaN to one canonical NaN.
-        Value::Int(i) => {
-            state.write_u8(2);
-            state.write_u64(canonical_f64_bits(*i as f64));
-        }
-        Value::Float(f) => {
-            state.write_u8(2);
-            state.write_u64(canonical_f64_bits(*f));
-        }
-        Value::Str(s) => {
-            state.write_u8(3);
-            state.write(s.as_bytes());
-            state.write_u8(0xFF);
+/// The `=ⁿ` hash stream, one cell at a time: exactly what
+/// [`GroupKey`]'s `Hash` feeds a hasher for each value. Written out per
+/// type so that code holding a typed column (an `i64`, a dictionary
+/// string) can hash a key without building the [`Value`] first and
+/// still agree with `GroupKey` byte for byte.
+pub mod key_hash {
+    use std::hash::Hasher;
+
+    use super::{canonical_f64_bits, Value};
+
+    /// A NULL cell.
+    pub fn null<H: Hasher>(state: &mut H) {
+        state.write_u8(0);
+    }
+
+    /// A boolean cell.
+    pub fn bool<H: Hasher>(b: bool, state: &mut H) {
+        state.write_u8(1);
+        state.write_u8(u8::from(b));
+    }
+
+    /// A float cell. Int and Float that compare `=ⁿ`-equal must hash
+    /// equal: every numeric goes through the f64 bit pattern of its
+    /// value, with -0.0 normalised to 0.0 and NaN to one canonical NaN.
+    pub fn float<H: Hasher>(f: f64, state: &mut H) {
+        state.write_u8(2);
+        state.write_u64(canonical_f64_bits(f));
+    }
+
+    /// An integer cell (hashed as the float of its value, see
+    /// [`float`]).
+    pub fn int<H: Hasher>(i: i64, state: &mut H) {
+        float(i as f64, state);
+    }
+
+    /// A string cell.
+    pub fn str<H: Hasher>(s: &str, state: &mut H) {
+        state.write_u8(3);
+        state.write(s.as_bytes());
+        state.write_u8(0xFF);
+    }
+
+    /// Any cell.
+    pub fn value<H: Hasher>(v: &Value, state: &mut H) {
+        match v {
+            Value::Null => null(state),
+            Value::Bool(b) => bool(*b, state),
+            Value::Int(i) => int(*i, state),
+            Value::Float(f) => float(*f, state),
+            Value::Str(s) => str(s, state),
         }
     }
 }
@@ -359,6 +440,7 @@ fn hash_group_value<H: Hasher>(v: &Value, state: &mut H) {
 /// The bit pattern a float is hashed and counted under `=ⁿ`: `-0.0`
 /// normalised to `0.0` and every NaN to one canonical NaN, so two floats
 /// are one grouping value iff their canonical bits are equal.
+#[inline]
 #[must_use]
 pub fn canonical_f64_bits(f: f64) -> u64 {
     if f.is_nan() {

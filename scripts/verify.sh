@@ -64,8 +64,22 @@ if grep -rnE "Arc<Vec<Row>>|fn raw_rows|fn ensure_dicts|fn build_column|ColumnDi
   echo "verify: a second table layout / a per-scan transpose reappeared" >&2
   exit 1
 fi
+# One key path: how row i of a batch's key columns is keyed is decided
+# in gbj-exec's key view, under the group table, the join index,
+# DISTINCT and the exchange alike; the three copies of that decision
+# and the per-row wire pricing were deleted and must not grow back.
+if grep -rnE "fn key_at|enum JoinIndex|enum Keyer|fn wire_row_bytes" crates src; then
+  echo "verify: a second key path / a per-row wire price reappeared beside the key view" >&2
+  exit 1
+fi
 cargo build --release
-# The four workspace passes below each include gbj-storage's two layout
+# The four workspace passes below each include the typed-key suites —
+# tests/typed_keys_differential.rs (key kinds, error order, float sums
+# and zero budgets against the row oracle across shards x threads x
+# combiner) and gbj-exec's key / aggregate / exchange / guard unit
+# suites (typed placement and wire bytes against GroupKey and
+# row_bytes, the typed fold and merge against the Accumulator fold,
+# tick_rows against per-row ticks) — and gbj-storage's two layout
 # suites — layout_differential (column-major storage against a row
 # model) and block_sharing (blocks shared by address, copied exactly
 # where a reader could see a write; its reader count follows
