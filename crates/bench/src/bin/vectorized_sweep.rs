@@ -6,13 +6,13 @@
 //!
 //! 1. **Filter kernel** (primary): the same compound, filter-heavy
 //!    predicate evaluated row-at-a-time (`BoundExpr::eval_truth` per
-//!    row) and column-at-a-time (`ColumnarBatch::from_rows` +
-//!    `eval_truth_vec` per 1024-row chunk, batch construction included
-//!    in the timed region). Both the truth vectors and the
-//!    late-materialized selection vectors (`filter_selection`, the form
-//!    the batch-native pipeline actually carries between operators) are
-//!    asserted identical to the row engine before any number is
-//!    reported.
+//!    row) and as the chunk pipeline does it: lowered once to its
+//!    two-valued `⌊P⌋` (`BoundExpr::lower_floor`), then the mask kernel
+//!    `select` per 1024-row chunk (`ColumnarBatch::from_rows` included
+//!    in the timed region, as it always was — the pipeline itself is
+//!    handed stored blocks). The selection vectors of `⌊P⌋` and of
+//!    `⌈P⌉` are asserted identical to the row engine's `true` and
+//!    not-`false` rows before any number is reported.
 //! 2. **End-to-end** (secondary): the grouped-join sweep workload with
 //!    a filter, run through [`gbj_engine::Database`] with the
 //!    vectorized kernels off and on; results must be byte-identical.
@@ -30,9 +30,9 @@ use std::time::Instant;
 
 use gbj_datagen::SweepConfig;
 use gbj_engine::PushdownPolicy;
-use gbj_exec::{eval_truth_vec, filter_selection, ColumnarBatch};
+use gbj_exec::{select, ColumnarBatch};
 use gbj_expr::{BinaryOp, BoundExpr, Expr};
-use gbj_types::{DataType, Field, Result, Schema, Truth, Value};
+use gbj_types::{internal_err, DataType, Field, Result, Schema, Truth, Value};
 
 /// Chunk size for the columnar path (mirrors the executor's upper
 /// morsel bound).
@@ -153,10 +153,13 @@ fn run() -> Result<()> {
         .collect::<Result<_>>()?;
     // Interleave the two timings rep by rep so slow drift on a shared
     // box (frequency scaling, noisy neighbours) hits both paths alike.
+    let lowered = |l: Option<gbj_expr::Lowered>| {
+        l.ok_or_else(|| internal_err!("the sweep predicate is not vectorizable"))
+    };
+    let (floor, ceil) = (lowered(bound.lower_floor())?, lowered(bound.lower_ceil())?);
     let mut row_samples = Vec::with_capacity(reps);
     let mut vec_samples = Vec::with_capacity(reps);
-    let mut vec_truths: Vec<Truth> = Vec::with_capacity(rows.len());
-    for rep in 0..reps {
+    for _ in 0..reps {
         let t = Instant::now();
         let mut kept = 0usize;
         for r in &rows {
@@ -169,42 +172,34 @@ fn run() -> Result<()> {
 
         let t = Instant::now();
         let mut kept = 0usize;
-        let mut truths_this_rep = Vec::with_capacity(rows.len());
         for chunk in rows.chunks(CHUNK) {
             let batch = ColumnarBatch::from_rows(chunk, schema.len())?;
-            let truths = eval_truth_vec(&bound, &batch)?;
-            kept += truths.iter().filter(|&&t| t == Truth::True).count();
-            truths_this_rep.extend(truths);
+            kept += select(&floor, &batch, None)?.len();
         }
         std::hint::black_box(kept);
         vec_samples.push(t.elapsed().as_secs_f64() * 1e3);
-        if rep == 0 {
-            vec_truths = truths_this_rep;
-        }
     }
-    assert_eq!(
-        vec_truths, row_truths,
-        "vectorized selection differs from the row engine"
-    );
-    // The batch-native pipeline never materializes truth vectors: it
-    // carries selection vectors of surviving row ids between operators.
-    // Verify that late-materialized form against the row engine too.
-    let mut offset = 0u32;
+    // What the pipeline carries between operators is the selection
+    // vector of surviving row ids: verify both readings of the
+    // predicate against the row engine, chunk by chunk.
+    let mut offset = 0usize;
     for chunk in rows.chunks(CHUNK) {
         let batch = ColumnarBatch::from_rows(chunk, schema.len())?;
-        let sel = filter_selection(&bound, &batch)?;
-        let expected: Vec<u32> = chunk
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| row_truths.get(offset as usize + i) == Some(&Truth::True))
-            .map(|(i, _)| i as u32)
-            .collect();
-        assert_eq!(
-            sel, expected,
-            "late-materialized selection vector differs from the row engine \
-             at chunk offset {offset}"
-        );
-        offset += chunk.len() as u32;
+        let truths = row_truths.get(offset..offset + chunk.len()).unwrap_or(&[]);
+        type Reading = fn(Truth) -> bool;
+        for (pred, reading) in [(&floor, Truth::floor as Reading), (&ceil, Truth::ceil)] {
+            let expected: Vec<u32> = (0u32..)
+                .zip(truths)
+                .filter(|(_, t)| reading(**t))
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(
+                select(pred, &batch, None)?,
+                expected,
+                "selection vector differs from the row engine at chunk offset {offset}"
+            );
+        }
+        offset += chunk.len();
     }
 
     let row_ms = median_ms(&mut row_samples);

@@ -1,6 +1,6 @@
 //! The [`Database`] facade.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use gbj_analyze::{
@@ -401,8 +401,10 @@ pub struct Database {
     /// behind a mutex so the read-only query path can record them.
     last_metrics: Mutex<Option<QueryMetrics>>,
     /// Learned cardinality facts (adaptive stats feedback), behind a
-    /// mutex so the read-only query path can absorb them.
-    feedback: Mutex<FeedbackStore>,
+    /// mutex so the read-only query path can absorb them. The store
+    /// itself is immutable once published: a reader takes the `Arc`, a
+    /// material change swaps in a new one.
+    feedback: Mutex<Arc<FeedbackStore>>,
 }
 
 impl Database {
@@ -512,10 +514,12 @@ impl Database {
         (self.storage.epoch(), self.stats_epoch())
     }
 
-    /// A point-in-time copy of the learned feedback facts.
+    /// The learned feedback facts as of now: a shared handle (a pointer
+    /// copy), never written again — [`Database::absorb_feedback`]
+    /// publishes a new store instead.
     #[must_use]
-    pub fn feedback_snapshot(&self) -> FeedbackStore {
-        locked(&self.feedback).clone()
+    pub fn feedback_snapshot(&self) -> Arc<FeedbackStore> {
+        Arc::clone(&locked(&self.feedback))
     }
 
     /// Merge measured-cardinality facts into the feedback store.
@@ -525,7 +529,13 @@ impl Database {
     /// automatically after every metered run; callers running the loop
     /// manually feed [`QueryMetrics::feedback`] here.
     pub fn absorb_feedback(&self, delta: &FeedbackDelta) -> bool {
-        locked(&self.feedback).absorb(delta)
+        let mut published = locked(&self.feedback);
+        let mut next = FeedbackStore::clone(&published);
+        let changed = next.absorb(delta);
+        if changed {
+            *published = Arc::new(next);
+        }
+        changed
     }
 
     /// A consistent point-in-time snapshot of this database.

@@ -16,7 +16,12 @@
 //! passes — slots for the live rows, then one typed loop per aggregate
 //! — that reproduce the row fold exactly: floating-point sums add in
 //! row order, and the error raised is the one at the smallest `(row,
-//! aggregate)` position (DESIGN.md §11).
+//! aggregate)` position (DESIGN.md §11). The two paths drain it
+//! differently too: the row engine as rows ([`Groups::finish`], through
+//! `Accumulator::finish`), the pipeline as columns
+//! ([`Groups::into_columns`]) — raw keys and typed state vectors leave
+//! as the `ColumnVector`s they already are, cell for cell what `finish`
+//! yields (DESIGN.md §15).
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -157,14 +162,7 @@ enum ArgKind<'a> {
 impl ArgKind<'_> {
     fn of(col: &ColumnVector) -> ArgKind<'_> {
         match col {
-            ColumnVector::Int { validity, .. }
-            | ColumnVector::Float { validity, .. }
-            | ColumnVector::Bool { validity, .. }
-            | ColumnVector::Str { validity, .. }
-                if validity.count_valid() == 0 =>
-            {
-                ArgKind::Empty
-            }
+            typed if typed.validity().is_some_and(|v| v.count_valid() == 0) => ArgKind::Empty,
             ColumnVector::Int { values, validity } => ArgKind::Int(values, validity),
             ColumnVector::Float { values, validity } => ArgKind::Float(values, validity),
             _ => ArgKind::Other,
@@ -623,6 +621,57 @@ impl<'a> AggStates<'a> {
         Ok(Some((pos, error)))
     }
 
+    /// Drain the results as one column per aggregate, in aggregate
+    /// order — `Accumulator::finish` of every slot, without building
+    /// the accumulators: a typed state vector *is* its result column
+    /// once its "no input yet" flags are read as validity. The general
+    /// form goes through `finish` itself.
+    pub(crate) fn take_columns(&mut self) -> Vec<ColumnVector> {
+        /// A typed column from one optional cell per slot.
+        fn column<T: Default>(
+            cells: impl Iterator<Item = Option<T>>,
+            wrap: impl Fn(Vec<T>, Bitmap) -> ColumnVector,
+        ) -> ColumnVector {
+            let mut validity = Bitmap::new_all(0, true);
+            let values = cells
+                .map(|cell| {
+                    validity.push(cell.is_some());
+                    cell.unwrap_or_default()
+                })
+                .collect();
+            wrap(values, validity)
+        }
+        let int = |values, validity| ColumnVector::Int { values, validity };
+        let float = |values, validity| ColumnVector::Float { values, validity };
+        let len = self.len;
+        let drained = std::mem::take(&mut self.cols)
+            .into_iter()
+            .map(|col| match col {
+                AggColumn::Count(counts) => ColumnVector::Int {
+                    validity: Bitmap::new_all(counts.len(), true),
+                    values: counts,
+                },
+                AggColumn::SumInt(sums) => {
+                    column(sums.into_iter().map(|(s, any)| any.then_some(s)), int)
+                }
+                AggColumn::SumFloat(sums) => {
+                    column(sums.into_iter().map(|(s, any)| any.then_some(s)), float)
+                }
+                AggColumn::BestInt(best) => column(best.into_iter(), int),
+                AggColumn::BestFloat(best) => column(best.into_iter(), float),
+                AggColumn::Avg(avgs) => {
+                    let mean = |(sum, count): (f64, i64)| (count != 0).then(|| sum / count as f64);
+                    column(avgs.into_iter().map(mean), float)
+                }
+                AggColumn::Pending => ColumnVector::all_null(len),
+                AggColumn::Accs(accs) => {
+                    let results: Vec<Value> = accs.iter().map(Accumulator::finish).collect();
+                    ColumnVector::from_values(results.iter())
+                }
+            });
+        drained.collect()
+    }
+
     /// The aggregate results of `slot`, in aggregate order.
     pub(crate) fn finish_slot(&self, slot: usize, row: &mut Vec<Value>) {
         for j in 0..self.cols.len() {
@@ -938,8 +987,33 @@ impl<'a> Groups<'a> {
             + ACC_ENTRY_BYTES * self.states.aggregates.len().max(1) as u64
     }
 
+    /// Drain into output columns — the `key_arity` key columns, then
+    /// one per aggregate — in first-seen group order: the chunk
+    /// pipeline's drain. Raw keys leave as the typed vector the table
+    /// already holds (`Int` values, dictionary codes with their
+    /// dictionary); decoded keys are transposed. Cell for cell
+    /// [`Groups::finish`], with no row and no [`Accumulator`] built.
+    pub(crate) fn into_columns(mut self, key_arity: usize) -> Vec<ColumnVector> {
+        let mut columns = match std::mem::replace(&mut self.keys, SlotKeys::Decoded(Vec::new())) {
+            SlotKeys::Int { values, validity } => vec![ColumnVector::Int { values, validity }],
+            SlotKeys::Dict { codes, dict } => vec![ColumnVector::Dict { codes, dict }],
+            SlotKeys::Decoded(keys) => {
+                let column = |c: usize| {
+                    let cells = keys
+                        .iter()
+                        .map(move |key| key.0.get(c).unwrap_or(&Value::Null));
+                    ColumnVector::from_values(cells)
+                };
+                (0..key_arity).map(column).collect()
+            }
+        };
+        columns.extend(self.states.take_columns());
+        columns
+    }
+
     /// Drain into output rows: decoded key values ++ aggregate results,
-    /// in first-seen group order.
+    /// in first-seen group order — the row engine's drain, and the
+    /// definition [`Groups::into_columns`] is tested against.
     pub(crate) fn finish(mut self) -> Vec<Vec<Value>> {
         self.decode_keys();
         let keys = match &mut self.keys {
@@ -1838,6 +1912,151 @@ pub(crate) mod tests {
                 vec![Value::str("z"), Value::Int(1)],
             ]
         );
+    }
+
+    /// The columnar drain against `finish()` of an identically filled
+    /// table, cell for cell and floats bit for bit: every typed state
+    /// vector, `Pending` left pending (all-NULL arguments), a `SUM` that
+    /// changes type mid-stream (`SumInt` → `Accs`), DISTINCT and string
+    /// arguments on the general arm; raw `Int` and dictionary keys (which
+    /// leave as the vectors the table holds), a key shape that demotes
+    /// mid-stream, two-column keys, a table nothing was folded into, and
+    /// the scalar aggregate over empty input.
+    #[test]
+    fn the_columnar_drain_equals_finish_cell_for_cell() {
+        use crate::batch::StringDict;
+        use AggregateFunction::{Avg, Count, CountStar, Max, Min, Sum};
+        let calls = [
+            (CountStar, false),
+            (Count, false),
+            (Sum, false),
+            (Min, false),
+            (Max, false),
+            (Avg, false),
+            (Sum, true),
+            (Max, false),
+        ];
+        let ints = |vals: &[Option<i64>]| -> Vec<Value> {
+            vals.iter()
+                .map(|v| v.map_or(Value::Null, Value::Int))
+                .collect()
+        };
+        let floats = |vals: &[Option<f64>]| -> Vec<Value> {
+            vals.iter()
+                .map(|v| v.map_or(Value::Null, Value::Float))
+                .collect()
+        };
+        let int_args = ints(&[Some(4), None, Some(-9), Some(4), Some(i64::MAX)]);
+        let float_args = floats(&[Some(0.5), Some(-0.0), None, Some(1e300), Some(0.25)]);
+        let null_args = vec![Value::Null; 5];
+        let strings: Vec<Value> = ["b", "", "a", "b", "c"].map(Value::str).into();
+        // One chunk of five rows: the same numeric column under the six
+        // numeric calls and the DISTINCT one, strings under the last.
+        let chunk = |keys: Vec<Vec<Value>>, numeric: &Vec<Value>| {
+            let mut args = vec![None];
+            args.extend(std::iter::repeat_n(Some(numeric.clone()), 6));
+            args.push(Some(strings.clone()));
+            TestChunk::new(keys, args)
+        };
+        let int_keys = ints(&[Some(7), None, Some(7), Some(i64::MIN), None]);
+        let float_keys = floats(&[Some(7.0), None, Some(0.5), Some(f64::NAN), Some(-0.0)]);
+        let dict = {
+            let mut b = StringDict::default();
+            for s in ["x", "unused", "y"] {
+                b.intern(s).unwrap();
+            }
+            Arc::new(b)
+        };
+        let dict_keys = TestChunk {
+            keys: vec![ColumnVector::Dict {
+                codes: vec![2, NULL_CODE, 0, 2, NULL_CODE],
+                dict: Arc::clone(&dict),
+            }],
+            ..chunk(vec![int_keys.clone()], &int_args)
+        };
+        let all: Vec<u32> = (0..5).collect();
+        type Fill<'t> = Box<dyn Fn(&mut Groups<'_>) + 't>;
+        let fold = |chunks: Vec<TestChunk>| -> Fill<'_> {
+            let all = all.clone();
+            Box::new(move |groups| {
+                for chunk in &chunks {
+                    chunk.fold_into(groups, &all).unwrap();
+                }
+            })
+        };
+        let one = |numeric| fold(vec![chunk(vec![int_keys.clone()], numeric)]);
+        let cases: Vec<(&str, usize, Fill<'_>)> = vec![
+            ("int arguments", 1, one(&int_args)),
+            ("float arguments", 1, one(&float_args)),
+            ("pending left pending", 1, one(&null_args)),
+            (
+                "a SUM that changes type mid-stream",
+                1,
+                fold(vec![
+                    chunk(vec![int_keys.clone()], &int_args),
+                    chunk(vec![int_keys.clone()], &float_args),
+                ]),
+            ),
+            ("dictionary keys", 1, fold(vec![dict_keys])),
+            (
+                "a key shape that demotes mid-stream",
+                1,
+                fold(vec![
+                    chunk(vec![int_keys.clone()], &int_args),
+                    chunk(vec![float_keys.clone()], &int_args),
+                ]),
+            ),
+            (
+                "two-column keys",
+                2,
+                fold(vec![chunk(
+                    vec![int_keys.clone(), strings.clone()],
+                    &float_args,
+                )]),
+            ),
+            ("nothing folded", 2, fold(Vec::new())),
+        ];
+        let guard = g();
+        for (name, key_arity, fill) in &cases {
+            let (_, compiled) = chunk_calls(*key_arity, &calls);
+            let (mut rows, mut columns) = (
+                Groups::typed(&compiled, &guard),
+                Groups::typed(&compiled, &guard),
+            );
+            fill(&mut rows);
+            fill(&mut columns);
+            let len = columns.len();
+            let raw = columns.map.is_raw();
+            let drained = columns.into_columns(*key_arity);
+            assert_eq!(drained.len(), key_arity + calls.len(), "{name}");
+            match drained.first() {
+                Some(ColumnVector::Dict { dict: d, .. }) => {
+                    assert!(Arc::ptr_eq(d, &dict), "{name}")
+                }
+                Some(ColumnVector::Int { .. }) => {}
+                other => assert!(!raw || len == 0, "{name}: raw keys left as {other:?}"),
+            }
+            let batch = ColumnarBatch::from_columns(drained, len).unwrap();
+            assert_eq!(exact(&batch.to_rows()), exact(&rows.finish()), "{name}");
+        }
+        assert_eq!(guard.memory_used(), 0);
+
+        // Scalar: slot 0 of the bare states, with and without input.
+        let (_, compiled) = chunk_calls(0, &calls);
+        for fed in [false, true] {
+            let mut states = AggStates::typed(&compiled);
+            states.grow(1);
+            if fed {
+                let args = chunk(vec![int_keys.clone()], &float_args).args;
+                let args: Vec<_> = args.iter().map(|a| a.as_ref().map(Cow::Borrowed)).collect();
+                let fed = states.update_chunk(&[0; 5], 0..5, &args).unwrap();
+                assert!(fed.is_none());
+            }
+            let mut row = Vec::new();
+            states.finish_slot(0, &mut row);
+            let batch = ColumnarBatch::from_columns(states.take_columns(), 1).unwrap();
+            assert_eq!(exact(&batch.to_rows()), exact(&[row]), "scalar, fed: {fed}");
+        }
     }
 
     /// The fold polls the guard once per chunk, before touching it: a

@@ -6,13 +6,17 @@
 //! the gate — the executor runs this pipeline instead of the row
 //! engine: the scan hands out the table's stored blocks as
 //! [`ColumnarBatch`]es ([`gbj_storage::ScanCursor::next_columnar`] —
-//! no row form, no per-row work), filters and probe phases carry row-id
-//! *selection vectors* over shared batches instead of copying rows,
+//! no row form, no per-row work), predicates are lowered once to their
+//! two-valued `⌊P⌋` where the operator binds them and evaluated as
+//! word-packed masks ([`crate::vectorized`]), filters and probe phases
+//! carry row-id *selection vectors* over shared batches instead of
+//! copying rows,
 //! every operator that keys rows — group, join, `DISTINCT`, route —
 //! reads them through one typed view ([`crate::key`]: raw `i64`s and
 //! dictionary codes, the `=ⁿ` hash stream written from the column, a
 //! [`Value`] built only when a key is decoded), aggregates accumulate
-//! column-wise, the [`ResourceGuard`] is polled once per chunk, and
+//! column-wise and drain as columns, the [`ResourceGuard`] is polled
+//! once per chunk, and
 //! payload columns materialize only at the pipeline breakers (hash
 //! join, sort) — or at the very end, when the result set is assembled.
 //!
@@ -74,9 +78,9 @@
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
-use gbj_expr::BoundExpr;
+use gbj_expr::{BoundExpr, Lowered, Operand};
 use gbj_plan::{distribute, Distribution, EquiKey, LogicalPlan, Movement};
-use gbj_types::{internal_err, Result, Truth, Value};
+use gbj_types::{internal_err, Result, Value};
 
 use crate::aggregate::{compile_aggregates, AggStates, ChunkArgs, CompiledAggregate, Groups};
 use crate::batch::{Bitmap, ColumnVector, ColumnarBatch};
@@ -88,7 +92,7 @@ use crate::key::{code_translation, KeyMap, KeyView};
 use crate::metrics::MetricsSink;
 use crate::parallel::{collect_in_order, lock, run_morsels};
 use crate::result::ProfileNode;
-use crate::vectorized::{eval_truth_vec, eval_value_vec, filter_selection, vectorizable};
+use crate::vectorized::{eval_value, lower_predicate, lower_value, select};
 
 /// Rows a blocking operator works through between two polls of the
 /// guard: a scan block's worth, so an operator over one concatenated
@@ -175,7 +179,7 @@ where
     rows
 }
 
-/// A breaker's materialized output rows as a one-chunk stream.
+/// A sort's materialized output rows as a one-chunk stream.
 fn rows_chunk(rows: &[Vec<Value>], arity: usize) -> Result<Vec<Chunk>> {
     let batch = ColumnarBatch::from_rows(rows, arity)?;
     Ok(vec![Chunk { batch, sel: None }])
@@ -252,24 +256,16 @@ fn mark(req: &mut [bool], i: usize) {
     }
 }
 
-/// The rows `sel` of `batch` as a dense batch holding the columns
-/// flagged in `needed` (one shared all-NULL placeholder elsewhere): what
-/// a kernel evaluates instead of the whole batch when few rows are live.
-fn live_columns(batch: &ColumnarBatch, sel: &[u32], needed: &[bool]) -> Result<ColumnarBatch> {
-    let placeholder = Arc::new(ColumnVector::all_null(sel.len()));
-    let cols = batch.columns().iter().zip(needed).map(|(col, needed)| {
-        if *needed {
-            Arc::new(col.gather(sel))
-        } else {
-            Arc::clone(&placeholder)
-        }
-    });
-    ColumnarBatch::from_columns(cols.collect(), sel.len())
+/// The all-NULL column a late-materializing operator emits for every
+/// output column nobody above it reads: `unread` holds the one made for
+/// this output batch, so each further unread column is a pointer copy.
+fn placeholder(unread: &mut Option<Arc<ColumnVector>>, len: usize) -> Arc<ColumnVector> {
+    Arc::clone(unread.get_or_insert_with(|| Arc::new(ColumnVector::all_null(len))))
 }
 
 /// Concatenate a chunk stream into one dense batch, compacting away
-/// selection vectors. Columns whose `required` slot is `false` become
-/// all-NULL placeholders (never read downstream); everything else is
+/// selection vectors. Columns whose `required` slot is `false` share
+/// one all-NULL placeholder (never read downstream); everything else is
 /// gathered and merged variant-natively (typed vectors stay typed,
 /// shared-dictionary columns keep their codes).
 fn concat_chunks(chunks: &[Chunk], required: &[bool]) -> Result<ColumnarBatch> {
@@ -279,10 +275,11 @@ fn concat_chunks(chunks: &[Chunk], required: &[bool]) -> Result<ColumnarBatch> {
             "batch of {total} rows exceeds selection-vector range"
         ));
     }
+    let mut unread = None;
     let mut cols = Vec::with_capacity(required.len());
     for (c, req) in required.iter().enumerate() {
         if !*req {
-            cols.push(ColumnVector::all_null(total));
+            cols.push(placeholder(&mut unread, total));
             continue;
         }
         let mut parts = Vec::with_capacity(chunks.len());
@@ -293,7 +290,7 @@ fn concat_chunks(chunks: &[Chunk], required: &[bool]) -> Result<ColumnarBatch> {
                 None => Cow::Borrowed(col),
             });
         }
-        cols.push(concat_columns(&parts, total));
+        cols.push(Arc::new(concat_columns(&parts, total)));
     }
     ColumnarBatch::from_columns(cols, total)
 }
@@ -304,13 +301,7 @@ fn concat_columns(parts: &[Cow<'_, ColumnVector>], total: usize) -> ColumnVector
     /// The parts' validity bitmaps end to end (only called when every
     /// part is one typed variant, so every part has one).
     fn merged_validity(parts: &[Cow<'_, ColumnVector>], total: usize) -> Bitmap {
-        let bitmaps = parts.iter().filter_map(|p| match p.as_ref() {
-            ColumnVector::Int { validity, .. }
-            | ColumnVector::Float { validity, .. }
-            | ColumnVector::Bool { validity, .. }
-            | ColumnVector::Str { validity, .. } => Some(validity),
-            ColumnVector::Dict { .. } | ColumnVector::Mixed { .. } => None,
-        });
+        let bitmaps = parts.iter().filter_map(|p| p.validity());
         if bitmaps.clone().all(Bitmap::all_valid) {
             return Bitmap::new_all(total, true);
         }
@@ -499,11 +490,10 @@ impl Executor<'_> {
             LogicalPlan::Filter { input, predicate } => {
                 let in_schema = input.schema()?;
                 let bound = predicate.bind(&in_schema)?;
+                let keep = lower_predicate(&bound)?;
                 let mut child_req = required.to_vec();
                 child_req.resize(in_schema.len(), false);
                 expr_columns(&bound, &mut child_req);
-                let mut reads = vec![false; in_schema.len()];
-                expr_columns(&bound, &mut reads);
                 let (_, child_dist) = input_of(dist, 0, n)?;
                 let (in_parts, child) = self.run_chunks(input, child_dist, &child_req, n, guard)?;
                 let sink = self.sink();
@@ -515,33 +505,10 @@ impl Executor<'_> {
                         guard.tick()?;
                         let kt = sink.start_timer();
                         sink.add_vectors(1);
-                        // Few live rows (a dealt or already filtered
-                        // batch): evaluate on them alone.
-                        let sparse = ch.sel.as_ref().filter(|sel| sel.len() < ch.batch.len() / 2);
-                        let truths = match sparse {
-                            Some(sel) => {
-                                eval_truth_vec(&bound, &live_columns(&ch.batch, sel, &reads)?)?
-                            }
-                            None => eval_truth_vec(&bound, &ch.batch)?,
-                        };
+                        // A dealt or already filtered chunk is read at
+                        // its live rows, in place.
+                        let sel = select(&keep, &ch.batch, ch.sel.as_deref())?;
                         sink.record_kernel(kt);
-                        let passes = |t: &Truth| *t == Truth::True;
-                        let sel: Vec<u32> = match (&ch.sel, sparse) {
-                            // `truths` lines up with the live rows …
-                            (Some(sel), Some(_)) => {
-                                let kept = sel.iter().zip(&truths).filter(|(_, t)| passes(t));
-                                kept.map(|(&i, _)| i).collect()
-                            }
-                            // … or with the batch's.
-                            (Some(sel), None) => {
-                                let kept = |i: &u32| truths.get(*i as usize).is_some_and(passes);
-                                sel.iter().copied().filter(kept).collect()
-                            }
-                            (None, _) => {
-                                let kept = truths.iter().enumerate().filter(|(_, t)| passes(t));
-                                kept.map(|(i, _)| i as u32).collect()
-                            }
-                        };
                         out.push(Chunk {
                             batch: ch.batch,
                             sel: Some(sel),
@@ -570,6 +537,7 @@ impl Executor<'_> {
                     .iter()
                     .map(|(e, _)| e.bind(&in_schema))
                     .collect::<Result<_>>()?;
+                let values: Vec<Operand> = bound.iter().map(lower_value).collect::<Result<_>>()?;
                 let mut child_req = vec![false; in_schema.len()];
                 for b in &bound {
                     expr_columns(b, &mut child_req);
@@ -581,7 +549,7 @@ impl Executor<'_> {
                 let n_in = parts_len(&in_parts);
                 // Passing columns on costs a pointer copy per chunk: less
                 // than starting a worker for it.
-                let computed = bound.iter().any(|b| !matches!(b, BoundExpr::Column(_)));
+                let computed = values.iter().any(|v| !matches!(v, Operand::Column(_)));
                 let team = if computed { threads } else { 1 };
                 let projected = map_parts(team, in_parts, &|chunks: Vec<Chunk>| {
                     let mut out = Vec::with_capacity(chunks.len());
@@ -589,12 +557,12 @@ impl Executor<'_> {
                         guard.tick()?;
                         let kt = sink.start_timer();
                         sink.add_vectors(1);
-                        let cols: Vec<Arc<ColumnVector>> = bound
+                        let cols: Vec<Arc<ColumnVector>> = values
                             .iter()
-                            .map(|b| match b {
+                            .map(|v| match v {
                                 // A bare column is passed on, not copied.
-                                BoundExpr::Column(i) => ch.batch.shared_column(*i).cloned(),
-                                _ => Ok(Arc::new(eval_value_vec(b, &ch.batch)?.into_owned())),
+                                Operand::Column(i) => ch.batch.shared_column(*i).cloned(),
+                                _ => Ok(Arc::new(eval_value(v, &ch.batch)?.into_owned())),
                             })
                             .collect::<Result<_>>()?;
                         sink.record_kernel(kt);
@@ -659,6 +627,7 @@ impl Executor<'_> {
                 condition,
             } => {
                 let join = bind_join(left, right, condition)?;
+                let residual = join.residual.as_ref().map(lower_predicate).transpose()?;
                 let l_arity = join.left_arity;
                 let mut jreq = required.to_vec();
                 jreq.resize(l_arity + join.right_arity, false);
@@ -688,8 +657,7 @@ impl Executor<'_> {
                 let sides: Vec<(Vec<Chunk>, Vec<Chunk>)> =
                     l_parts.into_iter().zip(r_parts).collect();
                 let parts = map_parts(threads, sides, &|(l, r): (Vec<Chunk>, Vec<Chunk>)| {
-                    let (keys, residual) = (&join.keys, &join.residual);
-                    join_columnar(&l, &r, &lreq, &rreq, keys, residual, guard, &sink)
+                    join_columnar(&l, &r, &lreq, &rreq, &join.keys, &residual, guard, &sink)
                         .map(|chunk| vec![chunk])
                 })?;
                 let out_count = parts_len(&parts);
@@ -719,13 +687,16 @@ impl Executor<'_> {
                 let n_in = parts_len(&in_parts);
                 let sink = self.sink();
                 sink.add_batches(input_batches(n_in));
+                // Every argument lowered (`COUNT(*)` has none) — or, when
+                // one is outside the rule, none: row-major then.
+                let arg_values = compiled.iter().map(|c| match &c.arg {
+                    Some(arg) => arg.lower_value().map(Some),
+                    None => Some(None),
+                });
                 let fold = ChunkFold {
-                    group_bound: &group_bound,
+                    group_values: group_bound.iter().map(lower_value).collect::<Result<_>>()?,
                     compiled: &compiled,
-                    vectorized_args: compiled
-                        .iter()
-                        .all(|c| c.arg.as_ref().is_none_or(vectorizable)),
-                    arity: plan.schema()?.len(),
+                    arg_values: arg_values.collect(),
                     guard,
                     sink: &sink,
                 };
@@ -818,7 +789,7 @@ fn join_columnar(
     lreq: &[bool],
     rreq: &[bool],
     keys: &[EquiKey],
-    residual: &Option<BoundExpr>,
+    residual: &Option<Lowered>,
     guard: &ResourceGuard,
     sink: &MetricsSink,
 ) -> Result<Chunk> {
@@ -919,24 +890,20 @@ fn join_columnar(
     let lsel: Vec<u32> = pairs.iter().map(|&(li, _)| li).collect();
     let rsel: Vec<u32> = pairs.iter().map(|&(_, ri)| ri).collect();
     let total = pairs.len();
+    let mut unread = None;
     let mut cols = Vec::with_capacity(lreq.len() + rreq.len());
-    for (c, col) in lbatch.columns().iter().enumerate() {
-        cols.push(if lreq.get(c) == Some(&true) {
-            col.gather(&lsel)
-        } else {
-            ColumnVector::all_null(total)
-        });
-    }
-    for (c, col) in rbatch.columns().iter().enumerate() {
-        cols.push(if rreq.get(c) == Some(&true) {
-            col.gather(&rsel)
-        } else {
-            ColumnVector::all_null(total)
-        });
+    for (batch, req, sel) in [(&lbatch, lreq, &lsel), (&rbatch, rreq, &rsel)] {
+        for (c, col) in batch.columns().iter().enumerate() {
+            cols.push(if req.get(c) == Some(&true) {
+                Arc::new(col.gather(sel))
+            } else {
+                placeholder(&mut unread, total)
+            });
+        }
     }
     let out = ColumnarBatch::from_columns(cols, total)?;
     let sel = match residual {
-        Some(rb) => Some(filter_selection(rb, &out)?),
+        Some(keep) => Some(select(keep, &out, None)?),
         None => None,
     };
     Ok(Chunk { batch: out, sel })
@@ -954,36 +921,49 @@ type ArgColumns<'b> = Option<Vec<Option<Cow<'b, ColumnVector>>>>;
 /// one typed loop per aggregate over its argument column
 /// ([`Groups::fold_chunk`]), polling the guard once per chunk.
 /// Non-vectorizable arguments are evaluated row-major per live row, so
-/// the first error is the row engine's. Counter and guard-charge order
-/// mirror [`crate::aggregate::hash_aggregate`] call-for-call.
+/// the first error is the row engine's. The table is drained as columns
+/// ([`Groups::into_columns`]): keys and typed states leave as the
+/// vectors they are. Counter and guard-charge order mirror
+/// [`crate::aggregate::hash_aggregate`] call-for-call.
 struct ChunkFold<'a> {
-    group_bound: &'a [BoundExpr],
+    /// The grouping expressions, lowered.
+    group_values: Vec<Operand>,
     compiled: &'a [CompiledAggregate],
-    /// Whether every aggregate argument is vectorizable.
-    vectorized_args: bool,
-    /// Output arity: grouping columns plus aggregates.
-    arity: usize,
+    /// Every aggregate's argument, lowered (`None` for `COUNT(*)`) — or
+    /// `None` altogether when one of them is not vectorizable.
+    arg_values: Option<Vec<Option<Operand>>>,
     guard: &'a ResourceGuard,
     sink: &'a MetricsSink,
 }
 
 impl<'a> ChunkFold<'a> {
     fn arg_columns<'b>(&self, batch: &'b ColumnarBatch) -> Result<ArgColumns<'b>> {
-        if !self.vectorized_args {
+        let Some(args) = &self.arg_values else {
             return Ok(None);
-        }
-        self.compiled
-            .iter()
-            .map(|c| c.arg.as_ref().map(|a| eval_value_vec(a, batch)).transpose())
+        };
+        args.iter()
+            .map(|arg| arg.as_ref().map(|a| eval_value(a, batch)).transpose())
             .collect::<Result<_>>()
             .map(Some)
+    }
+
+    /// A drained table — `len` groups as `columns` — as a one-chunk
+    /// stream.
+    fn drained(columns: Vec<ColumnVector>, len: usize) -> Result<Vec<Chunk>> {
+        let batch = ColumnarBatch::from_columns(columns, len)?;
+        Ok(vec![Chunk { batch, sel: None }])
+    }
+
+    fn drain(&self, groups: Groups<'a>) -> Result<Vec<Chunk>> {
+        let len = groups.len();
+        Self::drained(groups.into_columns(self.group_values.len()), len)
     }
 
     /// Fold `chunks` into a fresh group table. The table comes back even
     /// when the fold failed, so the caller can still record what it
     /// charged.
     fn fold(&self, chunks: &[Chunk]) -> (Groups<'a>, Result<()>) {
-        let mut groups = if self.vectorized_args {
+        let mut groups = if self.arg_values.is_some() {
             Groups::typed(self.compiled, self.guard)
         } else {
             Groups::new(self.compiled, self.guard)
@@ -992,9 +972,9 @@ impl<'a> ChunkFold<'a> {
             let kt = self.sink.start_timer();
             self.sink.add_vectors(1);
             let key_cols: Vec<Cow<'_, ColumnVector>> = self
-                .group_bound
+                .group_values
                 .iter()
-                .map(|b| eval_value_vec(b, &ch.batch))
+                .map(|key| eval_value(key, &ch.batch))
                 .collect::<Result<_>>()?;
             let arg_cols = self.arg_columns(&ch.batch)?;
             self.sink.record_kernel(kt);
@@ -1011,11 +991,11 @@ impl<'a> ChunkFold<'a> {
     /// Aggregate one part's stream into its output stream.
     fn aggregate(&self, chunks: &[Chunk]) -> Result<Vec<Chunk>> {
         let sink = self.sink;
-        if self.group_bound.is_empty() {
+        if self.group_values.is_empty() {
             // Scalar aggregate: exactly one group, even over empty input
             // — the column-wise states with every row in slot 0.
             let scalar_timer = sink.start_timer();
-            let mut states = if self.vectorized_args {
+            let mut states = if self.arg_values.is_some() {
                 AggStates::typed(self.compiled)
             } else {
                 AggStates::general(self.compiled)
@@ -1039,9 +1019,7 @@ impl<'a> ChunkFold<'a> {
                 }
             }
             sink.record_build(scalar_timer);
-            let mut row = Vec::with_capacity(self.arity);
-            states.finish_slot(0, &mut row);
-            return rows_chunk(&[row], self.arity);
+            return Self::drained(states.take_columns(), 1);
         }
         let build_timer = sink.start_timer();
         let (groups, filled) = self.fold(chunks);
@@ -1049,7 +1027,7 @@ impl<'a> ChunkFold<'a> {
         sink.add_hash_entries(groups.len() as u64);
         sink.add_state_bytes(groups.bytes());
         let probe_timer = sink.start_timer();
-        let out = filled.and_then(|()| rows_chunk(&groups.finish(), self.arity));
+        let out = filled.and_then(|()| self.drain(groups));
         sink.record_probe(probe_timer);
         out
     }
@@ -1106,7 +1084,7 @@ impl<'a> ChunkFold<'a> {
             }
             self.sink.add_hash_entries(merged.len() as u64);
             self.sink.add_state_bytes(merged.bytes());
-            rows_chunk(&merged.finish(), self.arity)
+            self.drain(merged)
         });
         self.sink.record_build(timer);
         out

@@ -1,4 +1,13 @@
 //! The scalar expression tree and its three-valued evaluation.
+//!
+//! [`BoundExpr::eval_truth`] is the reference semantics of a search
+//! condition: SQL2's three truth values, collapsed by whoever consumes
+//! the answer through `⌊·⌋` ([`Truth::floor`], WHERE / ON / HAVING) or
+//! `⌈·⌉` ([`Truth::ceil`], CHECK). The row engine evaluates exactly
+//! this, row by row. The chunk pipeline does not: it applies the
+//! interpretation operator to the *tree*, once, where it binds
+//! ([`crate::lower`]), and evaluates the resulting two-valued condition
+//! as bitmaps — answering to this module on every row.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -417,6 +426,9 @@ impl BoundExpr {
 
     /// Evaluate as a search condition to a three-valued [`Truth`],
     /// short-circuiting `AND`/`OR` where three-valued logic permits.
+    /// [`BoundExpr::lower_floor`] / [`BoundExpr::lower_ceil`] are this
+    /// followed by [`Truth::floor`] / [`Truth::ceil`], as one two-valued
+    /// tree.
     pub fn eval_truth(&self, row: &[Value]) -> Result<Truth> {
         match self {
             BoundExpr::Binary {

@@ -23,6 +23,10 @@
 //!   [`Schema`](gbj_types::Schema) at evaluation/bind time.
 //! * [`BoundExpr`] — the same tree with column references compiled to
 //!   row ordinals, for fast repeated evaluation in the executor.
+//! * [`lower`] — the interpretation operators `⌊P⌋` / `⌈P⌉` (Figure 3)
+//!   applied to the tree once: a [`BoundExpr`] predicate becomes a
+//!   two-valued [`Lowered`] condition over cells and validity bits,
+//!   which is what the chunk pipeline's mask kernels evaluate.
 //! * [`normalize`] — CNF/DNF conversion used by the `TestFD` algorithm
 //!   (Section 6.3, steps 1 and 3).
 //! * [`classify`] — splitting a WHERE clause into the paper's
@@ -35,6 +39,7 @@
 pub mod aggregate;
 pub mod classify;
 pub mod expr;
+pub mod lower;
 pub mod normalize;
 
 pub use aggregate::{Accumulator, AggState, AggregateCall, AggregateFunction};
@@ -42,4 +47,5 @@ pub use classify::{classify_conjuncts, AtomClass, PredicateParts};
 pub use expr::{
     compare_values, ordering_truth, truth_to_value, value_to_truth, BinaryOp, BoundExpr, Expr,
 };
+pub use lower::{Lowered, Operand};
 pub use normalize::{conjuncts, disjuncts, from_cnf, to_cnf, to_dnf, to_nnf};

@@ -129,6 +129,29 @@ impl Bitmap {
         }
     }
 
+    /// A bitmap of `len` bits from packed words, bit `i` of the bitmap
+    /// being bit `i % 64` of word `i / 64`: missing words read zero,
+    /// surplus words and the padding bits of the last one are dropped.
+    #[must_use]
+    pub fn from_words(mut words: Vec<u64>, len: usize) -> Bitmap {
+        words.resize(len.div_ceil(64), 0);
+        if let Some(last) = words.last_mut() {
+            *last &= u64::MAX >> ((64 - len % 64) % 64);
+        }
+        Bitmap {
+            valid: words.iter().map(|w| w.count_ones() as usize).sum(),
+            words,
+            len,
+        }
+    }
+
+    /// The packed words; bits past [`Bitmap::len`] are zero.
+    #[inline]
+    #[must_use]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of bits.
     #[inline]
     #[must_use]
@@ -209,6 +232,47 @@ impl Bitmap {
     #[must_use]
     pub fn count_valid(&self) -> usize {
         self.valid
+    }
+
+    /// The set positions, ascending — a word at a time, one
+    /// `trailing_zeros` per set bit.
+    pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(at, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    at * 64 + bit
+                })
+            })
+        })
+    }
+
+    /// `self ∧ other`, word-wise; bits `other` does not have read zero.
+    pub fn and_with(&mut self, other: &Bitmap) {
+        let theirs = other.words.iter().copied().chain(std::iter::repeat(0));
+        self.combine(theirs, |mine, theirs| mine & theirs);
+    }
+
+    /// `self ∨ other`, word-wise, within this bitmap's length.
+    pub fn or_with(&mut self, other: &Bitmap) {
+        let theirs = other.words.iter().copied().chain(std::iter::repeat(0));
+        self.combine(theirs, |mine, theirs| mine | theirs);
+    }
+
+    /// Flip every bit (padding stays zero).
+    pub fn negate(&mut self) {
+        self.combine(std::iter::repeat(0), |mine, _| !mine);
+    }
+
+    /// Rewrite every word from its pair, then restore the invariants:
+    /// padding bits zero, the set count current.
+    fn combine(&mut self, theirs: impl Iterator<Item = u64>, op: impl Fn(u64, u64) -> u64) {
+        for (mine, theirs) in self.words.iter_mut().zip(theirs) {
+            *mine = op(*mine, theirs);
+        }
+        *self = Bitmap::from_words(std::mem::take(&mut self.words), self.len);
     }
 
     /// The bits at `sel`, in that order (out of range reads invalid),
@@ -467,6 +531,20 @@ impl ColumnVector {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The validity bitmap of a typed vector; `None` for the variants
+    /// that mark NULL in place (`Dict` by [`NULL_CODE`], `Mixed` by
+    /// `Value::Null`).
+    #[must_use]
+    pub fn validity(&self) -> Option<&Bitmap> {
+        match self {
+            ColumnVector::Int { validity, .. }
+            | ColumnVector::Float { validity, .. }
+            | ColumnVector::Bool { validity, .. }
+            | ColumnVector::Str { validity, .. } => Some(validity),
+            ColumnVector::Dict { .. } | ColumnVector::Mixed { .. } => None,
+        }
     }
 
     /// Whether row `i` is non-NULL (out of range reads as NULL).
@@ -800,6 +878,47 @@ mod tests {
         // new_all(true) must not count the padding bits of the last word.
         let all = Bitmap::new_all(70, true);
         assert_eq!(all.count_valid(), 70);
+    }
+
+    /// The word-wise operations against their bit-by-bit definitions
+    /// at lengths on both sides of a word boundary: padding stays zero
+    /// (so equality and the O(1) `all_valid` hold) and `ones` lists the
+    /// set positions in ascending order.
+    #[test]
+    fn bitmap_word_ops_match_the_bitwise_definitions() {
+        let a_bit = |i: usize| i % 3 != 0;
+        let b_bit = |i: usize| i % 5 < 2;
+        for len in [0usize, 1, 63, 64, 65, 128, 130] {
+            let a = pushed((0..len).map(a_bit));
+            let b = pushed((0..len).map(b_bit));
+            let (mut and, mut or, mut not) = (a.clone(), a.clone(), a.clone());
+            and.and_with(&b);
+            or.or_with(&b);
+            not.negate();
+            assert_eq!(and, pushed((0..len).map(|i| a_bit(i) && b_bit(i))), "{len}");
+            assert_eq!(or, pushed((0..len).map(|i| a_bit(i) || b_bit(i))), "{len}");
+            assert_eq!(not, pushed((0..len).map(|i| !a_bit(i))), "{len}");
+            let mut twice = not.clone();
+            twice.negate();
+            assert_eq!(twice, a, "{len}");
+            let ones: Vec<usize> = a.ones().collect();
+            assert_eq!(ones, (0..len).filter(|&i| a_bit(i)).collect::<Vec<_>>());
+            assert_eq!(ones.len(), a.count_valid());
+            // Dirty padding and surplus words are dropped.
+            let mut words = a.words().to_vec();
+            if let Some(last) = words.last_mut().filter(|_| len % 64 != 0) {
+                *last |= !0u64 << (len % 64);
+            }
+            words.push(u64::MAX);
+            assert_eq!(Bitmap::from_words(words, len), a, "{len}");
+        }
+        let mut all = Bitmap::new_all(70, false);
+        all.negate();
+        assert!(all.all_valid() && all == Bitmap::new_all(70, true));
+        // A shorter operand reads zero past its end.
+        let mut long = Bitmap::new_all(130, true);
+        long.and_with(&Bitmap::new_all(65, true));
+        assert_eq!(long.count_valid(), 65);
     }
 
     /// Equality is over the `len` bits, however they were written: the

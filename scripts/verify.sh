@@ -72,8 +72,22 @@ if grep -rnE "fn key_at|enum JoinIndex|enum Keyer|fn wire_row_bytes" crates src;
   echo "verify: a second key path / a per-row wire price reappeared beside the key view" >&2
   exit 1
 fi
+# One predicate evaluator on the pipeline: predicates are lowered to
+# two-valued masks where the pipeline binds them (gbj_expr::lower,
+# gbj_exec::vectorized); the per-row truth vectors, their Boolean
+# reification and the gathered copy a sparse filter evaluated on were
+# deleted and must not grow back beside the mask kernels.
+if grep -rnE "Vec<Truth>|fn eval_truth_vec|fn truths_to_bool_column|fn live_columns" crates/exec/src; then
+  echo "verify: a three-valued evaluator reappeared on the chunk pipeline" >&2
+  exit 1
+fi
 cargo build --release
-# The four workspace passes below each include the typed-key suites —
+# The four workspace passes below each include the two-valued suites —
+# gbj-expr's tests/lowering_exhaustive.rs (lower_floor / lower_ceil
+# against eval_truth on every row of a small-scope domain) and the mask
+# kernel / columnar drain cases of tests/columnar_differential.rs (word
+# and block boundaries, incoming selections, every state vector against
+# the row oracle at shards 1 / 4 x threads 1 / 2) — the typed-key suites —
 # tests/typed_keys_differential.rs (key kinds, error order, float sums
 # and zero budgets against the row oracle across shards x threads x
 # combiner) and gbj-exec's key / aggregate / exchange / guard unit
@@ -133,10 +147,14 @@ for s in 1 4; do
   GBJ_TEST_SHARDS=$s cargo test -q --test sharding_differential
 done
 # Parts x worker pool: batch sizes 1/2/7 x seeded faults now meet the
-# scan split, at both thread settings.
+# scan split, at both thread settings — and EXPLAIN ANALYZE stays
+# reproducible there (at 4 parts x 4 threads `peak memory:` follows the
+# scheduler and is normalized with the timings; everything else, and
+# the line itself at one thread, is asserted).
 for t in 1 4; do
   GBJ_TEST_SHARDS=4 GBJ_TEST_THREADS=$t cargo test -q \
-    --test columnar_differential --test fault_injection --test parallel_differential
+    --test columnar_differential --test fault_injection --test parallel_differential \
+    --test explain_golden
 done
 # Every bench baseline the smokes below compare against must be
 # committed; fail fast with a recipe rather than deep in a smoke run.

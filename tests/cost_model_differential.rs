@@ -257,8 +257,23 @@ fn adaptive_feedback_converges_and_never_flips_back() {
     // absorbing the final round's facts again is a no-op: converged.
     assert!(db.stats_epoch() > 0, "feedback rounds must learn facts");
     let last = db.last_query_metrics().expect("metrics").feedback;
+    let published = db.feedback_snapshot();
     assert!(
         !db.absorb_feedback(&last),
         "converged loop must be a fixed point"
     );
+    // The store is published, never copied: a snapshot and a fork hold
+    // the one store, a no-op absorb leaves it in place, and a material
+    // change swaps in a new one without touching what readers hold.
+    let same = |db: &Database| std::sync::Arc::ptr_eq(&published, &db.feedback_snapshot());
+    assert!(same(&db) && same(&db.fork()));
+    let mut moved = last.clone();
+    moved
+        .table_rows
+        .push(("learned_elsewhere".to_string(), 7.0));
+    let epoch = db.stats_epoch();
+    assert!(db.absorb_feedback(&moved));
+    assert!(!same(&db) && db.stats_epoch() == epoch + 1);
+    assert_eq!(published.epoch(), epoch);
+    assert_eq!(published.table_rows("learned_elsewhere"), None);
 }
