@@ -436,6 +436,12 @@ impl Database {
         *locked(&self.last_metrics) = Some(metrics);
     }
 
+    /// The engine options.
+    #[must_use]
+    pub fn options(&self) -> &EngineOptions {
+        &self.options
+    }
+
     /// The engine options (mutable, e.g. to switch policies between
     /// queries).
     pub fn options_mut(&mut self) -> &mut EngineOptions {
@@ -526,8 +532,12 @@ impl Database {
     /// Returns `true` iff something materially changed (which also
     /// bumps [`Database::stats_epoch`]). Safe from the read-only query
     /// path. With [`EngineOptions::adaptive`] set this happens
-    /// automatically after every metered run; callers running the loop
-    /// manually feed [`QueryMetrics::feedback`] here.
+    /// automatically after every run this database planned itself
+    /// ([`Database::query`], [`Database::execute`]); callers running
+    /// the loop manually — and the serving layer, which runs reads on
+    /// snapshots through the guarded entry points and owes their facts
+    /// to the authoritative database — feed [`QueryMetrics::feedback`]
+    /// here.
     pub fn absorb_feedback(&self, delta: &FeedbackDelta) -> bool {
         let mut published = locked(&self.feedback);
         let mut next = FeedbackStore::clone(&published);
@@ -641,6 +651,9 @@ impl Database {
         let planning = plan_start.elapsed();
         let guard = ResourceGuard::new(self.options.exec.limits);
         let (rows, metrics) = self.run_planned(&report, sql_kind, planning, &guard)?;
+        if self.options.adaptive {
+            self.absorb_feedback(&metrics.feedback);
+        }
         Ok((rows, metrics, report))
     }
 
@@ -683,7 +696,10 @@ impl Database {
     ///
     /// Returns the metrics directly (as well as recording them for
     /// [`Database::last_query_metrics`]) so concurrent sessions sharing
-    /// a snapshot never race on the metrics slot.
+    /// a snapshot never race on the metrics slot. The run's
+    /// [`QueryMetrics::feedback`] is the caller's to route, whatever
+    /// [`EngineOptions::adaptive`] says: a snapshot that absorbed it
+    /// would learn into a store that dies with it at the next write.
     pub fn query_with_guard(
         &self,
         sql: &str,
@@ -731,9 +747,6 @@ impl Database {
         let predicted_shipped_rows =
             self.predict_shipped(&report.plan, &estimates, &exec_opts, summary.path);
         let feedback = delta_from_profile(&report.plan, &profile);
-        if self.options.adaptive {
-            self.absorb_feedback(&feedback);
-        }
         let metrics = QueryMetrics {
             sql_kind,
             choice: report.choice,
@@ -1334,7 +1347,14 @@ const _: () = assert!(gbj_storage::stats::MAX_VALUE_SET == gbj_analyze::domain::
 /// NULL is present, and (for small string columns) the exact value set.
 /// Met with the catalog seed, these give the range pass the tightest
 /// sound base domains for estimate clamping.
-fn observed_domain(stats: &ColumnStats, data_type: DataType) -> ColumnDomain {
+///
+/// Only exact facts go in — every stored value lies inside the domain.
+/// A distinct count the summary estimates (a numeric column past
+/// [`SKETCH_K`](gbj_storage::stats::SKETCH_K) values) is left out, so a
+/// group bound above that size rests on the interval's width or the
+/// rows, never on a sketch.
+#[must_use]
+pub fn observed_domain(stats: &ColumnStats, data_type: DataType) -> ColumnDomain {
     let integral = data_type == DataType::Int64;
     ColumnDomain {
         interval: data_type.is_numeric().then(|| match stats.range {
@@ -1352,7 +1372,7 @@ fn observed_domain(stats: &ColumnStats, data_type: DataType) -> ColumnDomain {
         } else {
             Nullability::Never
         },
-        ndv: Some(stats.non_null_ndv() as f64),
+        ndv: stats.ndv_exact.then(|| stats.non_null_ndv() as f64),
     }
 }
 

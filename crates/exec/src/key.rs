@@ -25,13 +25,16 @@
 //! while every batch it has seen has the same raw shape, on decoded
 //! [`GroupKey`]s otherwise, with a lossless demotion from the first to
 //! the second. The group table maps keys to slots with it, the join
-//! build to row ids, `DISTINCT` to `()`.
+//! build to row ids, `DISTINCT` to `()`. The two arms themselves —
+//! how a raw and a decoded key are stored, hashed and compared — are
+//! [`gbj_storage::keys::KeyArms`], the same a table's key index keeps
+//! the keys of a PRIMARY KEY in.
 
-use std::collections::hash_map::{Entry, RandomState};
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
+use std::collections::hash_map::Entry;
+use std::hash::Hasher;
 use std::sync::Arc;
 
+use gbj_storage::keys::KeyArms;
 use gbj_types::{internal_err, key_hash, GroupKey, Result, ShardHasher, Value};
 
 use crate::batch::{Bitmap, ColumnVector, ColumnarBatch, StringDict};
@@ -146,7 +149,7 @@ impl<'a> KeyView<'a> {
                 Some(s) => key_hash::str(s, state),
                 None => key_hash::null(state),
             },
-            KeyView::Columns(cols) => cols.iter().for_each(|c| hash_cell(c, i, state)),
+            KeyView::Columns(cols) => cols.iter().for_each(|c| c.hash_cell(i, state)),
             KeyView::Keys(keys) => {
                 if let Some(k) = keys.get(i) {
                     std::hash::Hash::hash(k, state);
@@ -211,90 +214,6 @@ pub(crate) fn string_bytes(col: &ColumnVector, i: usize) -> usize {
     }
 }
 
-/// Cell `i` of `col` in the `=ⁿ` hash stream.
-fn hash_cell<H: Hasher>(col: &ColumnVector, i: usize, state: &mut H) {
-    fn at<'a, T>(values: &'a [T], validity: &Bitmap, i: usize) -> Option<&'a T> {
-        values.get(i).filter(|_| validity.get(i))
-    }
-    match col {
-        ColumnVector::Int { values, validity } => match at(values, validity, i) {
-            Some(v) => key_hash::int(*v, state),
-            None => key_hash::null(state),
-        },
-        ColumnVector::Float { values, validity } => match at(values, validity, i) {
-            Some(v) => key_hash::float(*v, state),
-            None => key_hash::null(state),
-        },
-        ColumnVector::Bool { values, validity } => match at(values, validity, i) {
-            Some(v) => key_hash::bool(*v, state),
-            None => key_hash::null(state),
-        },
-        ColumnVector::Str { values, validity } => match at(values, validity, i) {
-            Some(v) => key_hash::str(v, state),
-            None => key_hash::null(state),
-        },
-        ColumnVector::Dict { codes, dict } => match codes.get(i).and_then(|&c| dict.get(c)) {
-            Some(s) => key_hash::str(s, state),
-            None => key_hash::null(state),
-        },
-        ColumnVector::Mixed { values } => match values.get(i) {
-            Some(v) => key_hash::value(v, state),
-            None => key_hash::null(state),
-        },
-    }
-}
-
-/// The hasher of a raw-keyed [`KeyMap`]: one 64 × 64 → 128-bit multiply
-/// of the seeded key, folded. The seed is drawn per map from
-/// [`RandomState`], so a key set built to collide in one map does not
-/// collide in the next (the flood resistance std's default gives), and
-/// nothing a query returns depends on it: every table above a `KeyMap`
-/// keeps its entries in first-seen order.
-#[derive(Clone, Copy)]
-struct FoldSeed(u64);
-
-impl FoldSeed {
-    fn random() -> FoldSeed {
-        FoldSeed(RandomState::new().build_hasher().finish())
-    }
-}
-
-impl BuildHasher for FoldSeed {
-    type Hasher = Fold;
-
-    fn build_hasher(&self) -> Fold {
-        Fold {
-            seed: self.0,
-            hash: 0,
-        }
-    }
-}
-
-struct Fold {
-    seed: u64,
-    hash: u64,
-}
-
-impl Hasher for Fold {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|b| self.write_u64(u64::from(*b)));
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        const ODD: u64 = 0x9E37_79B9_7F4A_7C15;
-        let wide = u128::from(word ^ self.seed ^ self.hash.rotate_left(32)) * u128::from(ODD);
-        self.hash = (wide as u64) ^ ((wide >> 64) as u64);
-    }
-
-    fn write_i64(&mut self, word: i64) {
-        self.write_u64(word as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
 /// The shape of the raw keys a [`KeyMap`] holds.
 #[derive(Clone)]
 enum RawShape {
@@ -325,19 +244,11 @@ impl RawShape {
     }
 }
 
-enum Arm<V> {
-    /// Keyed on [`KeyView::raw`]; `null` is the `=ⁿ` NULL key's entry.
-    Raw {
-        shape: RawShape,
-        map: HashMap<i64, V, FoldSeed>,
-        null: Option<V>,
-    },
-    Generic(HashMap<GroupKey, V>),
-}
-
 /// Key → `V` under `=ⁿ`, for keys read through [`KeyView`]s.
 pub(crate) struct KeyMap<V> {
-    arm: Arm<V>,
+    /// The shape of the raw keys, while `arms` is keyed on them.
+    shape: Option<RawShape>,
+    arms: KeyArms<V>,
 }
 
 impl<V> KeyMap<V> {
@@ -345,7 +256,8 @@ impl<V> KeyMap<V> {
     /// [`KeyMap::adopt`] sees a raw-shaped view.
     pub(crate) fn new() -> KeyMap<V> {
         KeyMap {
-            arm: Arm::Generic(HashMap::new()),
+            shape: None,
+            arms: KeyArms::generic(),
         }
     }
 
@@ -367,15 +279,12 @@ impl<V> KeyMap<V> {
 
     /// Entries held.
     pub(crate) fn len(&self) -> usize {
-        match &self.arm {
-            Arm::Raw { map, null, .. } => map.len() + usize::from(null.is_some()),
-            Arm::Generic(map) => map.len(),
-        }
+        self.arms.len()
     }
 
     /// Whether the map is keyed on raw keys.
     pub(crate) fn is_raw(&self) -> bool {
-        matches!(self.arm, Arm::Raw { .. })
+        self.arms.is_raw()
     }
 
     /// Get ready for keys read through `view`: an empty map takes the
@@ -383,9 +292,9 @@ impl<V> KeyMap<V> {
     /// decoded keys (no entry is lost: a raw key decodes to the one
     /// `GroupKey` it stood for), a generic map stays generic.
     pub(crate) fn adopt(&mut self, view: &KeyView<'_>) {
-        let fits = match &self.arm {
-            Arm::Raw { shape, .. } => shape.fits(view),
-            Arm::Generic(_) => self.len() > 0,
+        let fits = match &self.shape {
+            Some(shape) => shape.fits(view),
+            None => self.len() > 0,
         };
         if fits {
             return;
@@ -397,11 +306,8 @@ impl<V> KeyMap<V> {
         };
         match shape {
             Some(shape) if self.len() == 0 => {
-                self.arm = Arm::Raw {
-                    shape,
-                    map: HashMap::with_hasher(FoldSeed::random()),
-                    null: None,
-                };
+                self.shape = Some(shape);
+                self.arms = KeyArms::raw();
             }
             _ => self.demote(),
         }
@@ -409,15 +315,8 @@ impl<V> KeyMap<V> {
 
     /// Re-key a raw map on decoded keys (a generic one is left alone).
     fn demote(&mut self) {
-        if !self.is_raw() {
-            return;
-        }
-        let arm = std::mem::replace(&mut self.arm, Arm::Generic(HashMap::new()));
-        if let Arm::Raw { shape, map, null } = arm {
-            let entries = map.into_iter().map(|(k, v)| (Some(k), v));
-            let nulls = null.into_iter().map(|v| (None, v));
-            let decoded = entries.chain(nulls).map(|(k, v)| (shape.decode(k), v));
-            self.arm = Arm::Generic(decoded.collect());
+        if let Some(shape) = self.shape.take() {
+            self.arms.demote(|raw| shape.decode(raw));
         }
     }
 
@@ -432,8 +331,8 @@ impl<V> KeyMap<V> {
         i: usize,
         make: impl FnOnce() -> V,
     ) -> (&mut V, bool) {
-        match &mut self.arm {
-            Arm::Raw { map, null, .. } => match view.raw(i) {
+        match &mut self.arms {
+            KeyArms::Raw { map, null } => match view.raw(i) {
                 Some(k) => match map.entry(k) {
                     Entry::Occupied(e) => (e.into_mut(), false),
                     Entry::Vacant(e) => (e.insert(make()), true),
@@ -443,7 +342,7 @@ impl<V> KeyMap<V> {
                     (null.get_or_insert_with(make), new)
                 }
             },
-            Arm::Generic(map) => match map.entry(view.decode(i)) {
+            KeyArms::Generic(map) => match map.entry(view.decode(i)) {
                 Entry::Occupied(e) => (e.into_mut(), false),
                 Entry::Vacant(e) => (e.insert(make()), true),
             },
@@ -452,35 +351,29 @@ impl<V> KeyMap<V> {
 
     /// The entry of key `i` of `view`, if present.
     pub(crate) fn get(&self, view: &KeyView<'_>, i: usize) -> Option<&V> {
-        match &self.arm {
-            Arm::Raw { .. } => self.get_raw(view.raw(i)),
-            Arm::Generic(map) => map.get(&view.decode(i)),
+        if self.is_raw() {
+            self.get_raw(view.raw(i))
+        } else {
+            self.arms.get_key(&view.decode(i))
         }
     }
 
     /// The entry of a raw key (of this map's shape), if present.
     pub(crate) fn get_raw(&self, raw: Option<i64>) -> Option<&V> {
-        match (&self.arm, raw) {
-            (Arm::Raw { map, .. }, Some(k)) => map.get(&k),
-            (Arm::Raw { null, .. }, None) => null.as_ref(),
-            (Arm::Generic(_), _) => None,
-        }
+        self.arms.get_raw(raw)
     }
 
     /// The entry of a decoded key — the row engine's way in — demoting
     /// a raw map first.
     pub(crate) fn get_key(&mut self, key: &GroupKey) -> Option<&V> {
         self.demote();
-        match &self.arm {
-            Arm::Generic(map) => map.get(key),
-            Arm::Raw { .. } => None,
-        }
+        self.arms.get_key(key)
     }
 
     /// Insert a decoded key [`KeyMap::get_key`] did not find.
     pub(crate) fn insert_key(&mut self, key: GroupKey, value: V) {
         self.demote();
-        if let Arm::Generic(map) = &mut self.arm {
+        if let KeyArms::Generic(map) = &mut self.arms {
             map.insert(key, value);
         }
     }
@@ -513,6 +406,7 @@ pub(crate) fn code_translation(
 mod tests {
     use super::*;
     use crate::guard::row_bytes;
+    use std::collections::HashMap;
 
     /// One column of every [`ColumnVector`] variant, with NULLs wherever
     /// a variant can hold one and the values whose hashes are special:

@@ -22,11 +22,15 @@ use gbj_engine::QueryReport;
 /// A plan epoch: `(storage epoch, stats epoch)`.
 type PlanEpoch = (u64, u64);
 
+/// The plans of one plan epoch — the one of the latest insert: a plan
+/// from any other epoch is unreachable, so none is kept, and a lookup
+/// compares the epoch once and then asks the map by `&str`.
 #[derive(Debug, Default)]
 struct CacheState {
-    map: HashMap<(String, PlanEpoch), Arc<QueryReport>>,
+    epoch: PlanEpoch,
+    map: HashMap<String, Arc<QueryReport>>,
     /// Insertion order for FIFO eviction.
-    order: VecDeque<(String, PlanEpoch)>,
+    order: VecDeque<String>,
 }
 
 /// A bounded map from `(sql, plan epoch)` to the planner's
@@ -51,7 +55,7 @@ impl PlanCache {
     #[must_use]
     pub fn get(&self, sql: &str, epoch: PlanEpoch) -> Option<Arc<QueryReport>> {
         let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        st.map.get(&(sql.to_string(), epoch)).cloned()
+        st.map.get(sql).filter(|_| st.epoch == epoch).cloned()
     }
 
     /// Store a freshly planned report. Entries from older epochs are
@@ -62,8 +66,11 @@ impl PlanCache {
             return;
         }
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        st.order.retain(|k| k.1 == epoch);
-        st.map.retain(|k, _| k.1 == epoch);
+        if st.epoch != epoch {
+            st.map.clear();
+            st.order.clear();
+            st.epoch = epoch;
+        }
         while st.order.len() >= self.capacity {
             if let Some(old) = st.order.pop_front() {
                 st.map.remove(&old);
@@ -71,9 +78,8 @@ impl PlanCache {
                 break;
             }
         }
-        let key = (sql.to_string(), epoch);
-        if st.map.insert(key.clone(), report).is_none() {
-            st.order.push_back(key);
+        if st.map.insert(sql.to_string(), report).is_none() {
+            st.order.push_back(sql.to_string());
         }
     }
 

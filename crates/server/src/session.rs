@@ -16,6 +16,14 @@
 //!   carries the epoch it read at.
 //! * **Lock order** is `snapshot → db`; the write path takes only `db`,
 //!   so the pair cannot deadlock.
+//! * **What a read learns goes to the authoritative database.** A
+//!   snapshot never absorbs its own execution feedback — its store
+//!   would die with it at the next write. With
+//!   [`EngineOptions::adaptive`](gbj_engine::EngineOptions::adaptive)
+//!   set, a served read hands its delta to
+//!   [`Server::absorb_feedback`]: a material change moves the stats
+//!   epoch and publishes a fresh snapshot, so every session plans with
+//!   the same facts at one plan epoch, and the facts survive writes.
 //!
 //! The commit log plus per-response epochs are what make the chaos
 //! differential test an *oracle*: replaying the logged scripts serially
@@ -24,7 +32,7 @@
 //! to the serial replay at its epoch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, Once, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use gbj_engine::{Database, QueryMetrics, QueryOutput, QueryReport};
@@ -132,6 +140,29 @@ pub struct WriteResponse {
     pub seq: Option<u64>,
 }
 
+/// Ask the allocator to keep the heap that reads have grown.
+///
+/// A read materializes megabytes of short-lived vectors and frees them
+/// all before it returns. glibc hands a free heap top back to the
+/// kernel once it passes the trim threshold, so when nothing long-lived
+/// happens to sit above those vectors every read ends with a trim and
+/// the next one faults the same pages in again — +40 % on a 100 000-row
+/// pipeline read's p90, decided by what else the process has allocated
+/// (an index that got smaller is enough), not by the read
+/// (EXPERIMENTS.md X19, X22). The threshold is dynamic (`mallopt(3)`,
+/// "dynamic mmap threshold"): freeing a block large enough to have been
+/// `mmap`ped raises the mmap threshold to its size and the trim
+/// threshold to twice that. So the first server of a process reserves
+/// and releases one such block — never touched, so never resident —
+/// and from then on the process keeps what its reads have grown, up to
+/// 32 MiB of free top. Under another allocator this is an untouched
+/// allocation and its release.
+fn keep_grown_heap() {
+    const BLOCK: usize = 16 << 20;
+    static ASKED: Once = Once::new();
+    ASKED.call_once(|| drop(std::hint::black_box(Vec::<u8>::with_capacity(BLOCK))));
+}
+
 impl Server {
     /// A server over an empty database.
     #[must_use]
@@ -143,6 +174,7 @@ impl Server {
     /// further access goes through sessions).
     #[must_use]
     pub fn with_database(db: Database, config: ServerConfig) -> Server {
+        keep_grown_heap();
         let snapshot = Arc::new(db.fork());
         let epoch = db.epoch();
         Server {
@@ -224,22 +256,7 @@ impl Server {
     /// cleared: entries are keyed on the plan epoch, so stale plans
     /// simply stop matching and are re-costed on the next miss.
     pub fn absorb_feedback(&self, delta: &gbj_engine::FeedbackDelta) -> bool {
-        let db = self
-            .shared
-            .db
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let changed = db.absorb_feedback(delta);
-        if changed {
-            let mut slot = self
-                .shared
-                .snapshot
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            *slot = Arc::new(db.fork());
-            self.shared.metrics.on_snapshot_refresh();
-        }
-        changed
+        self.shared.absorb_feedback(delta)
     }
 
     /// Apply a configuration change to the authoritative database
@@ -247,6 +264,11 @@ impl Server {
     /// — same SQL and epoch may now plan differently — and a fresh
     /// snapshot is published immediately.
     pub fn reconfigure(&self, f: impl FnOnce(&mut Database)) {
+        let mut slot = self
+            .shared
+            .snapshot
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         let mut db = self
             .shared
             .db
@@ -254,11 +276,6 @@ impl Server {
             .unwrap_or_else(PoisonError::into_inner);
         f(&mut db);
         self.shared.cache.clear();
-        let mut slot = self
-            .shared
-            .snapshot
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
         *slot = Arc::new(db.fork());
         self.shared
             .published_epoch
@@ -290,6 +307,22 @@ impl ServerShared {
             self.metrics.on_snapshot_refresh();
         }
         Arc::clone(&slot)
+    }
+
+    /// [`Server::absorb_feedback`]. Readers refresh the snapshot while
+    /// holding its lock, so it is taken first here too.
+    fn absorb_feedback(&self, delta: &gbj_engine::FeedbackDelta) -> bool {
+        let mut slot = self
+            .snapshot
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
+        let changed = db.absorb_feedback(delta);
+        if changed {
+            *slot = Arc::new(db.fork());
+            self.metrics.on_snapshot_refresh();
+        }
+        changed
     }
 
     /// Count one finished read against the outcome counters.
@@ -399,27 +432,31 @@ impl Session {
         if let Some(token) = &opts.cancel {
             guard = guard.with_cancellation(token.clone());
         }
-        if let Some(report) = self.shared.cache.get(sql, plan_epoch) {
-            self.shared.metrics.on_cache_hit();
-            let (rows, metrics) = snap.execute_report_guarded(&report, &guard)?;
-            return Ok(QueryResponse {
-                rows,
-                epoch,
-                cache_hit: true,
-                report,
-                metrics,
-            });
+        let cached = self.shared.cache.get(sql, plan_epoch);
+        let cache_hit = cached.is_some();
+        let (rows, report, metrics) = match cached {
+            Some(report) => {
+                self.shared.metrics.on_cache_hit();
+                let (rows, metrics) = snap.execute_report_guarded(&report, &guard)?;
+                (rows, report, metrics)
+            }
+            None => {
+                self.shared.metrics.on_cache_miss();
+                let (rows, report, metrics) = snap.query_with_guard(sql, &guard)?;
+                let report = Arc::new(report);
+                self.shared
+                    .cache
+                    .insert(sql, plan_epoch, Arc::clone(&report));
+                (rows, report, metrics)
+            }
+        };
+        if snap.options().adaptive {
+            self.shared.absorb_feedback(&metrics.feedback);
         }
-        self.shared.metrics.on_cache_miss();
-        let (rows, report, metrics) = snap.query_with_guard(sql, &guard)?;
-        let report = Arc::new(report);
-        self.shared
-            .cache
-            .insert(sql, plan_epoch, Arc::clone(&report));
         Ok(QueryResponse {
             rows,
             epoch,
-            cache_hit: false,
+            cache_hit,
             report,
             metrics,
         })

@@ -2,9 +2,14 @@
 //!
 //! A [`gbj_storage::TableStats`] belongs to one *version* of a table's
 //! rows and is shared by every fork holding that version, so a server
-//! folds a table once however many snapshots and sessions plan against
-//! it. [`Storage::stats_builds`](gbj_storage::Storage::stats_builds)
-//! counts the folds; these tests pin when it moves — the "no table
+//! summarizes a table once however many snapshots and sessions plan
+//! against it — and what it summarizes after a write is the written
+//! table's tail block, its sealed blocks having been folded by the
+//! writes that filled them.
+//! [`Storage::stats_builds`](gbj_storage::Storage::stats_builds) counts
+//! the passes and
+//! [`Storage::stats_rows_read`](gbj_storage::Storage::stats_rows_read)
+//! the rows they read; these tests pin when they move — the "no table
 //! scans outside execution on a plan-cache hit" property — and the
 //! plan-cache key the snapshots are looked up under.
 
@@ -54,24 +59,38 @@ fn star_db(facts: Vec<Vec<Value>>) -> Database {
     db
 }
 
-fn star_server() -> Server {
+fn star_server_of(facts: i64) -> Server {
     Server::with_database(
-        star_db(fact_rows(200)),
+        star_db(fact_rows(facts)),
         ServerConfig::default().with_plan_cache(16),
     )
+}
+
+fn star_server() -> Server {
+    star_server_of(200)
 }
 
 fn builds(server: &Server) -> u64 {
     server.with_snapshot(|db| db.storage().stats_builds())
 }
 
+fn rows_read(server: &Server) -> u64 {
+    server.with_snapshot(|db| db.storage().stats_rows_read())
+}
+
 /// Folds the next run of `sqls` adds.
 fn builds_added(server: &Server, session: &Session, sqls: &[&str]) -> u64 {
-    let before = builds(server);
+    folded(server, session, sqls).0
+}
+
+/// Statistics passes the next run of `sqls` adds, and the rows they
+/// read.
+fn folded(server: &Server, session: &Session, sqls: &[&str]) -> (u64, u64) {
+    let before = (builds(server), rows_read(server));
     for sql in sqls {
         session.query(sql).unwrap();
     }
-    builds(server) - before
+    (builds(server) - before.0, rows_read(server) - before.1)
 }
 
 /// The `est=` column of an `EXPLAIN ANALYZE`, node by node.
@@ -110,35 +129,69 @@ fn cached_reads_fold_nothing() {
     assert_eq!(builds(&server), first);
 }
 
+/// Two sealed blocks and a 200-row tail of facts: an INSERT makes the
+/// next plan summarize the written table only — and of it the tail
+/// only, in one pass per summary and per joint key; DELETE and UPDATE
+/// re-pack the blocks, so the write itself folds the blocks it seals
+/// and the first joint count after it reads them once more.
 #[test]
 fn a_write_refolds_the_written_table_only() {
-    let server = star_server();
+    const SEALED: u64 = 2 * 1024;
+    let server = star_server_of(SEALED as i64 + 200);
     let session = server.connect();
-    builds_added(&server, &session, &[FANIN, JOINT, DIM_ONLY]);
+    let loaded = rows_read(&server);
+    assert_eq!(loaded, SEALED, "the load folded each block it sealed");
+    assert_eq!(
+        folded(&server, &session, &[FANIN, JOINT, DIM_ONLY]),
+        (3, 200 + 8 + SEALED + 200),
+        "Fact's tail, Dim, and the joint key's one pass over all of Fact"
+    );
+    let refreshes = server.metrics().snapshot_refreshes;
 
     session
-        .execute_write("INSERT INTO Fact VALUES (1000, 1, 3)")
+        .execute_write("INSERT INTO Fact VALUES (100000, 1, 3)")
         .unwrap();
-    // The re-forked snapshot shares Dim's cell with the old one: only
-    // Fact's summary and Fact's joint sketch are rebuilt.
-    assert_eq!(builds_added(&server, &session, &[DIM_ONLY]), 0);
-    assert_eq!(builds_added(&server, &session, &[FANIN]), 1);
-    assert_eq!(builds_added(&server, &session, &[JOINT]), 1);
+    assert_eq!(
+        rows_read(&server),
+        loaded + 408 + SEALED,
+        "a write folds nothing"
+    );
+    // The re-forked snapshot shares Dim's cell with the old one, and
+    // Fact's sealed fold — joint sketch included — with the writer.
+    assert_eq!(folded(&server, &session, &[DIM_ONLY]), (0, 0));
+    assert_eq!(folded(&server, &session, &[FANIN]), (1, 201));
+    assert_eq!(folded(&server, &session, &[JOINT]), (1, 201));
+    assert_eq!(
+        server.metrics().snapshot_refreshes,
+        refreshes + 1,
+        "one re-fork per write, none for what the reads learned"
+    );
 
     for write in [
-        "DELETE FROM Fact WHERE FactId = 1000",
+        "DELETE FROM Fact WHERE FactId = 100000",
         "UPDATE Fact SET V = 4 WHERE FactId = 3",
-        "DROP TABLE Fact; \
-         CREATE TABLE Fact (FactId INTEGER PRIMARY KEY, DimId INTEGER, V INTEGER); \
-         INSERT INTO Fact VALUES (1, 1, 1), (2, 1, 2)",
     ] {
+        let before = rows_read(&server);
         session.execute_write(write).unwrap();
+        assert_eq!(rows_read(&server) - before, SEALED, "{write}: re-packed");
         assert_eq!(
-            builds_added(&server, &session, &[FANIN, JOINT, DIM_ONLY]),
-            2,
-            "{write}: Fact's summary and joint sketch, nothing of Dim"
+            folded(&server, &session, &[FANIN, JOINT, DIM_ONLY]),
+            (2, 200 + SEALED + 200),
+            "{write}: Fact's tail, then all of Fact for the joint key; nothing of Dim"
         );
     }
+    session
+        .execute_write(
+            "DROP TABLE Fact; \
+             CREATE TABLE Fact (FactId INTEGER PRIMARY KEY, DimId INTEGER, V INTEGER); \
+             INSERT INTO Fact VALUES (1, 1, 1), (2, 1, 2)",
+        )
+        .unwrap();
+    assert_eq!(
+        folded(&server, &session, &[FANIN, JOINT, DIM_ONLY]),
+        (2, 2 + 2),
+        "a new Fact: its summary and joint sketch, nothing of Dim"
+    );
 }
 
 #[test]
@@ -230,11 +283,16 @@ fn two_sessions_asking_a_cold_table_at_once_fold_it_once() {
     );
 }
 
-/// Wrong rows from the plan cache when the plan epoch was the *sum*
-/// `data epoch + stats epoch`: an adaptive snapshot absorbs feedback
-/// into its own store, so `(11, 2)` — where the view's plan was cached —
-/// and the `(13, 0)` re-fork after the view was redefined collided at
-/// 13, and the dropped view's plan (and rows) came back as a cache hit.
+/// What an adaptive server learns reaches the authoritative database
+/// and survives writes, and the plan-cache key still tells a write from
+/// learned statistics. A snapshot used to absorb feedback into its own
+/// store: the facts died with it at the next write, and when the plan
+/// epoch was the *sum* `data epoch + stats epoch`, `(11, 2)` — where a
+/// view's plan was cached — and the `(13, 0)` re-fork after the view was
+/// redefined collided at 13, so the dropped view's plan (and rows) came
+/// back as a cache hit. Now the re-fork is at `(13, 2)`: the facts
+/// survive, the pair moved in its data half, and the redefined view
+/// misses.
 #[test]
 fn plan_cache_key_tells_a_write_from_learned_statistics() {
     let mut db = Database::new();
@@ -249,8 +307,9 @@ fn plan_cache_key_tells_a_write_from_learned_statistics() {
     .unwrap();
     let server = Server::with_database(db, ServerConfig::default().with_plan_cache(16));
     let session = server.connect();
-    // Two grouped joins teach the snapshot two facts: its stats epoch
-    // moves by 2 while the data epoch stays.
+    // Two grouped joins teach the server two rounds of facts: the
+    // stats epoch moves by 2 while the data epoch stays, and each round
+    // publishes a snapshot that plans with it.
     for sql in [
         "SELECT D.DeptId, COUNT(E.EmpId), SUM(E.Sal) \
          FROM Emp E, Dept D WHERE E.DeptId = D.DeptId GROUP BY D.DeptId",
@@ -261,27 +320,29 @@ fn plan_cache_key_tells_a_write_from_learned_statistics() {
     }
     let epochs = |server: &Server| server.with_snapshot(|d| (d.epoch(), d.stats_epoch()));
     let (data, stats) = epochs(&server);
-    assert_eq!(stats, 2, "the adaptive snapshot learned from its own runs");
+    assert_eq!(stats, 2, "what the served reads measured was absorbed");
+    assert_eq!(server.metrics().snapshot_refreshes, 2, "and published");
 
     let view = "SELECT V.DeptId, V.Sal FROM V";
     assert!(!session.query(view).unwrap().cache_hit);
     let cached = session.query(view).unwrap();
     assert!(cached.cache_hit);
     assert_eq!(cached.rows.sorted().rows.len(), 3, "Sal > 6");
+    assert_eq!(epochs(&server), (data, 2), "nothing new to learn from it");
 
-    // Redefine the view in exactly as many data-epoch steps as the
-    // snapshot learned facts: the sums collide, the pairs do not.
+    // Redefine the view in exactly as many data-epoch steps as facts
+    // were learned.
     session
         .execute_write(
             "DROP VIEW V; CREATE VIEW V AS SELECT E.DeptId, E.Sal FROM Emp E WHERE E.Sal < 6",
         )
         .unwrap();
+    let fresh = session.query(view).unwrap();
     assert_eq!(
         epochs(&server),
-        (data + 2, 0),
-        "the re-fork starts from the authoritative database's statistics"
+        (data + 2, 2),
+        "the facts survive the write: the re-fork starts from the authoritative store"
     );
-    let fresh = session.query(view).unwrap();
     assert!(
         !fresh.cache_hit,
         "the view changed: its cached plan is stale"

@@ -30,9 +30,10 @@
 //! conflating NULL with any real value.
 
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::sync::Arc;
 
-use gbj_types::{internal_err, DataType, Result, Value};
+use gbj_types::{internal_err, key_hash, DataType, Result, Value};
 
 /// The reserved dictionary code marking a NULL slot in a
 /// [`ColumnVector::Dict`] column. A [`StringDict`] never assigns it to
@@ -589,6 +590,42 @@ impl ColumnVector {
                 .and_then(|&c| dict.get(c))
                 .map_or(Value::Null, Value::str),
             ColumnVector::Mixed { values } => values.get(i).cloned().unwrap_or(Value::Null),
+        }
+    }
+
+    /// Feed cell `i` to `state` as [`GroupKey`](gbj_types::GroupKey)'s
+    /// `=ⁿ` hash stream would: byte for byte what hashing
+    /// `self.value(i)` as one cell of a key writes, without building
+    /// the [`Value`].
+    pub fn hash_cell<H: Hasher>(&self, i: usize, state: &mut H) {
+        fn at<'a, T>(values: &'a [T], validity: &Bitmap, i: usize) -> Option<&'a T> {
+            values.get(i).filter(|_| validity.get(i))
+        }
+        match self {
+            ColumnVector::Int { values, validity } => match at(values, validity, i) {
+                Some(v) => key_hash::int(*v, state),
+                None => key_hash::null(state),
+            },
+            ColumnVector::Float { values, validity } => match at(values, validity, i) {
+                Some(v) => key_hash::float(*v, state),
+                None => key_hash::null(state),
+            },
+            ColumnVector::Bool { values, validity } => match at(values, validity, i) {
+                Some(v) => key_hash::bool(*v, state),
+                None => key_hash::null(state),
+            },
+            ColumnVector::Str { values, validity } => match at(values, validity, i) {
+                Some(v) => key_hash::str(v, state),
+                None => key_hash::null(state),
+            },
+            ColumnVector::Dict { codes, dict } => match codes.get(i).and_then(|&c| dict.get(c)) {
+                Some(s) => key_hash::str(s, state),
+                None => key_hash::null(state),
+            },
+            ColumnVector::Mixed { values } => match values.get(i) {
+                Some(v) => key_hash::value(v, state),
+                None => key_hash::null(state),
+            },
         }
     }
 

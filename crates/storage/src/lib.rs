@@ -40,14 +40,20 @@
 //! dependencies.
 //!
 //! Each [`Table`] also keeps the statistics of its current rows
-//! ([`stats`]): one [`TableStats`] per table version, built once on
-//! first use, shared by every clone of the table (and so by every
-//! [`Storage`] clone, database fork and server snapshot) and dropped by
-//! the write that changes the rows. It is what cardinality estimation
-//! reads instead of the rows.
+//! ([`stats`]) as a fold over its blocks: the sealed blocks are folded
+//! once, by the writes that fill them, and one [`TableStats`] per table
+//! version merges that fold with a pass over the tail block — built on
+//! first use and shared by every clone of the table (and so by every
+//! [`Storage`] clone, database fork and server snapshot). A write
+//! leaves the sealed fold alone, so what the next plan reads is the
+//! tail. It is what cardinality estimation reads instead of the rows.
+//! Declared keys are enforced from [`keys`]: raw `i64`s or decoded
+//! keys in sets of bounded size, so neither half of an `INSERT` grows
+//! with the table.
 
 pub mod columnar;
 pub mod fault;
+pub mod keys;
 pub mod stats;
 mod storage;
 mod table;

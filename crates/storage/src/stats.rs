@@ -1,13 +1,45 @@
-//! Per-table statistics: one [`TableStats`] per table *version*.
+//! Per-table statistics: a fold over blocks.
 //!
-//! A [`Table`](crate::Table) builds its summary lazily, in one typed
-//! pass over each stored column, the first time anyone asks
-//! ([`Table::stats`](crate::Table::stats)), and keeps it behind a cell
-//! that every clone of the table shares — so a snapshot, a fork and the
-//! authoritative database pay for one fold between them, and the two
-//! places the rows change (`push`, `replace_rows`) drop it in O(1).
-//! Only summaries are retained, never the per-value sets the fold
-//! used to count them.
+//! A table's blocks are append-only and sealed when full, so its
+//! summary is `merge(what the sealed blocks hold, the tail block)`:
+//!
+//! * `SealedStats` is the fold of the sealed blocks. The write that
+//!   fills a block folds that one block in (`SealedStats::seal`, one
+//!   `INSERT` in a hundred at ten rows each); clones of the table share
+//!   it behind an `Arc` until one of them seals another block, which
+//!   copies it first — two forks never share a fold past the blocks
+//!   they both hold.
+//! * The tail — at most 1023 rows, one short of a block — is folded
+//!   lazily, the first time anyone asks for a table *version*'s [`TableStats`]
+//!   ([`Table::stats`](crate::Table::stats)), into a cell every clone
+//!   holding that version shares. A write leaves the cell to the
+//!   snapshots still reading the old rows and starts an empty one; the
+//!   sealed fold is untouched, so the next plan reads the tail and
+//!   nothing else.
+//!
+//! Every fact is a function of the rows the table holds, in the order
+//! it holds them — never of how they got there: a bulk load, row-by-row
+//! inserts and a fork written on both sides summarize equal rows
+//! equally, and DELETE / UPDATE re-pack the blocks and fold them afresh.
+//! What merges exactly is **exact** at every size: the row count, NULL
+//! counts, min / max over non-NULL values, the dictionary codes in use
+//! (hence a string column's distinct count and its value set up to
+//! [`MAX_VALUE_SET`]) and the Booleans seen. What does not is an
+//! **estimate** above one block's worth, defined once for every table:
+//!
+//! * a numeric column's distinct count is the [`DistinctSketch`] of its
+//!   values' `=ⁿ` hashes — exact below [`SKETCH_K`] distinct values, a
+//!   KMV estimate above ([`ColumnStats::ndv_exact`] says which) — the
+//!   very number [`Table::joint_ndv`](crate::Table::joint_ndv) gives
+//!   for that column alone;
+//! * an `Int64` column's histogram is built from the equi-depth
+//!   histogram of each sealed block (its minimum and
+//!   [`HISTOGRAM_BUCKETS`] bounds) plus the tail's values: a table of
+//!   at most `BLOCK_ROWS` rows reads the exact equi-depth histogram
+//!   of its values; in a larger one each sealed block's count below a
+//!   value is known to half a block-bucket, so a bucket's bound sits
+//!   within 1/64 of the rows of its rank — far closer unless every
+//!   block errs the same way.
 //!
 //! What a summary may claim about NULLs (after Franconi & Tessaris'
 //! null-aware algebra and Libkin's two-valued reading of SQL):
@@ -19,21 +51,18 @@
 //! * the distinct count is taken under the paper's `=ⁿ`: every NULL
 //!   falls in **one** group, which is what lets the same number bound a
 //!   `GROUP BY`'s output and serve as the `1/ndv` equality selectivity.
-//!
-//! Every fact is exact for the rows of its version — the KMV sketch
-//! behind a multi-column distinct count above [`SKETCH_K`] keys is the
-//! one estimate.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::{BTreeSet, HashMap};
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use gbj_expr::BinaryOp;
+use gbj_types::key_hash;
 use gbj_types::value::canonical_f64_bits;
-use gbj_types::{GroupKey, Value};
 
-use crate::columnar::{Bitmap, ColumnVector};
-use crate::table::Column;
+use crate::columnar::{Bitmap, ColumnVector, StringDict};
+use crate::keys::stream_hash;
+use crate::table::{Column, BLOCK_ROWS};
 
 /// Selectivity assumed for predicates no summary can analyse.
 pub const DEFAULT_SELECTIVITY: f64 = 1.0 / 3.0;
@@ -95,6 +124,43 @@ impl EquiDepthHistogram {
         })
     }
 
+    /// The histogram of a column of `total` rows whose `non_null`
+    /// values, the smallest being `min`, are summarized by `points`:
+    /// ascending `(value, weight)` pairs whose weights count *half*
+    /// rows and sum to `2 · non_null`. A value the summary holds itself
+    /// is one point of weight 2; a run of `w` values of which only the
+    /// ends `lo ≤ hi` are known is `w` half rows at `lo` and `w` at
+    /// `hi` — so the half rows at or below any `x` count a run that
+    /// straddles `x` by half, its least biased reading. A bucket's
+    /// upper bound is the first value at which the count reaches the
+    /// bucket's rank. With every weight 2 the points are the sorted
+    /// values and this is [`EquiDepthHistogram::from_sorted`] exactly.
+    fn from_points(
+        points: impl Iterator<Item = (i64, u64)>,
+        min: i64,
+        non_null: usize,
+        total: usize,
+        buckets: usize,
+    ) -> EquiDepthHistogram {
+        let buckets = buckets.max(1).min(non_null);
+        let ranks = (1..=buckets).map(|b| (b * non_null).div_ceil(buckets));
+        let mut ranks = ranks.peekable();
+        let mut bounds = Vec::with_capacity(buckets);
+        let mut halves = 0usize;
+        for (value, weight) in points {
+            halves += weight as usize;
+            while ranks.next_if(|rank| 2 * rank <= halves).is_some() {
+                bounds.push(value);
+            }
+        }
+        EquiDepthHistogram {
+            min,
+            bounds,
+            non_null,
+            total,
+        }
+    }
+
     /// Estimated fraction of **non-NULL** values `≤ x`.
     #[must_use]
     pub fn fraction_le(&self, x: i64) -> f64 {
@@ -152,11 +218,40 @@ impl EquiDepthHistogram {
 /// A KMV (k-minimum-values) distinct-count sketch: keeps the `k`
 /// smallest 64-bit hashes seen. Below `k` distinct values the count is
 /// exact; above, the k-th smallest hash estimates the density as
-/// `(k-1) · 2⁶⁴ / kth_min`.
-#[derive(Debug, Clone, Default)]
+/// `(k-1) · 2⁶⁴ / kth_min`. Two sketches merge exactly: the `k`
+/// smallest hashes of a union are among the `k` smallest of its parts,
+/// so a sketch kept block by block is the sketch of the rows.
+#[derive(Debug, Clone)]
 pub struct DistinctSketch {
     k: usize,
-    mins: BTreeSet<u64>,
+    /// The smallest hashes seen: ascending, distinct, at most `k`.
+    mins: Vec<u64>,
+}
+
+impl Default for DistinctSketch {
+    /// A sketch of [`SKETCH_K`] minimum values.
+    fn default() -> DistinctSketch {
+        DistinctSketch::new(SKETCH_K)
+    }
+}
+
+/// The elements of two ascending slices, ascending.
+fn merged<'a, T: PartialOrd>(a: &'a [T], b: &'a [T]) -> impl Iterator<Item = &'a T> {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let (from_a, from_b) = (a.get(i), b.get(j));
+        let first = match (from_a, from_b) {
+            (Some(x), Some(y)) => x <= y,
+            (from_a, _) => from_a.is_some(),
+        };
+        if first {
+            i += 1;
+            from_a
+        } else {
+            j += 1;
+            from_b
+        }
+    })
 }
 
 impl DistinctSketch {
@@ -165,32 +260,72 @@ impl DistinctSketch {
     pub fn new(k: usize) -> DistinctSketch {
         DistinctSketch {
             k: k.max(2),
-            mins: BTreeSet::new(),
+            mins: Vec::new(),
         }
     }
 
-    /// Record one (hashable) value.
+    /// Record one (hashable) value: by the fixed-seed fold of its
+    /// `Hash` stream, mixed (`keys::stream_hash` — a block's fold
+    /// hashes every distinct value it holds, so a multiply per word,
+    /// not a SipHash).
     pub fn insert<T: Hash>(&mut self, value: &T) {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        value.hash(&mut h);
-        let hv = h.finish();
-        if self.mins.len() < self.k {
-            self.mins.insert(hv);
-        } else if let Some(&max) = self.mins.iter().next_back() {
-            if hv < max && self.mins.insert(hv) {
-                self.mins.remove(&max);
+        let hash = stream_hash(|h| value.hash(h));
+        let kth = self.mins.last().filter(|_| !self.is_exact());
+        if kth.is_none_or(|kth| hash < *kth) {
+            if let Err(at) = self.mins.binary_search(&hash) {
+                self.mins.insert(at, hash);
+                self.mins.truncate(self.k);
             }
         }
+    }
+
+    /// Record the values hashing to `hashes` (any order; repeats
+    /// allowed).
+    fn absorb(&mut self, mut hashes: Vec<u64>) {
+        if let Some(kth) = self.mins.last().filter(|_| !self.is_exact()) {
+            // Nothing at or above the k-th minimum can enter: once a
+            // column has shown k values, most of a block stops here.
+            hashes.retain(|h| h < kth);
+        }
+        hashes.sort_unstable();
+        self.absorb_ascending(&hashes);
+    }
+
+    fn absorb_ascending(&mut self, hashes: &[u64]) {
+        if hashes.is_empty() {
+            return;
+        }
+        let mine = std::mem::take(&mut self.mins);
+        self.mins.reserve(self.k.min(mine.len() + hashes.len()));
+        for hash in merged(&mine, hashes) {
+            if self.mins.len() == self.k {
+                break;
+            }
+            if self.mins.last() != Some(hash) {
+                self.mins.push(*hash);
+            }
+        }
+    }
+
+    /// Record everything `other` recorded.
+    pub fn merge(&mut self, other: &DistinctSketch) {
+        self.absorb_ascending(&other.mins);
+    }
+
+    /// Whether fewer than `k` distinct values were recorded, so that
+    /// [`DistinctSketch::estimate`] is their exact count.
+    #[must_use]
+    pub fn is_exact(&self) -> bool {
+        self.mins.len() < self.k
     }
 
     /// Estimated number of distinct values inserted.
     #[must_use]
     pub fn estimate(&self) -> f64 {
-        if self.mins.len() < self.k {
-            return self.mins.len() as f64;
-        }
-        match self.mins.iter().next_back() {
-            Some(&kth) if kth > 0 => (self.k as f64 - 1.0) * (u64::MAX as f64 / kth as f64),
+        match self.mins.last() {
+            Some(&kth) if !self.is_exact() && kth > 0 => {
+                (self.k as f64 - 1.0) * (u64::MAX as f64 / kth as f64)
+            }
             _ => self.mins.len() as f64,
         }
     }
@@ -202,8 +337,14 @@ pub struct ColumnStats {
     /// Rows holding NULL in this column.
     pub nulls: usize,
     /// Distinct values under `=ⁿ`: all NULLs count as **one** value
-    /// (floats by numeric value, `-0.0 = 0.0`, NaN self-equal).
+    /// (floats by numeric value, `-0.0 = 0.0`, NaN self-equal). Exact
+    /// for `Utf8` and `Boolean` columns; for numeric ones the rounded
+    /// [`DistinctSketch`] estimate, exact while
+    /// [`ColumnStats::ndv_exact`].
     pub ndv: usize,
+    /// Whether [`ColumnStats::ndv`] is a count and not an estimate: a
+    /// numeric column holds fewer than [`SKETCH_K`] distinct values.
+    pub ndv_exact: bool,
     /// `(min, max)` over the non-NULL values of a numeric column;
     /// `None` when there are none, or the column is not numeric.
     pub range: Option<(f64, f64)>,
@@ -211,7 +352,8 @@ pub struct ColumnStats {
     /// most [`MAX_VALUE_SET`] members.
     pub values: Option<BTreeSet<String>>,
     /// The [`HISTOGRAM_BUCKETS`]-bucket equi-depth histogram of an
-    /// `Int64` column holding at least one non-NULL value.
+    /// `Int64` column holding at least one non-NULL value: exact up to
+    /// one block, merged from block summaries above.
     pub histogram: Option<EquiDepthHistogram>,
 }
 
@@ -240,102 +382,314 @@ fn non_null<'a, T: Copy>(values: &'a [T], validity: &'a Bitmap) -> impl Iterator
     cells.filter_map(|(v, valid)| valid.then_some(*v))
 }
 
-impl ColumnStats {
-    /// Fold one stored column of `rows` rows. Inserts are coerced to
-    /// the declared type by `validate_row`, so every block of a column
-    /// has that type and the fold is typed: no `Value` is built.
-    fn fold(column: &Column, rows: usize) -> ColumnStats {
-        let mut stats = ColumnStats {
-            nulls: 0,
-            ndv: 0,
-            range: None,
-            values: None,
-            histogram: None,
-        };
+/// The wider of two optional `(min, max)` pairs.
+fn widest<T: Copy>(
+    a: Option<(T, T)>,
+    b: Option<(T, T)>,
+    min: impl Fn(T, T) -> T,
+    max: impl Fn(T, T) -> T,
+) -> Option<(T, T)> {
+    match (a, b) {
+        (Some((lo, hi)), Some((lo2, hi2))) => Some((min(lo, lo2), max(hi, hi2))),
+        (one, None) | (None, one) => one,
+    }
+}
+
+/// The part of a column's summary that merges: what some of its blocks
+/// hold. Inserts are coerced to the declared type by `validate_row`, so
+/// every block of a column has that type, the fold is typed (no `Value`
+/// is built) and only the fields of that type are ever filled.
+#[derive(Debug, Clone, Default)]
+struct ColumnFold {
+    nulls: usize,
+    /// `(min, max)` of the `Int64` values.
+    ints: Option<(i64, i64)>,
+    /// `(min, max)` of the `Float64` values (`f64::min` / `max`: a NaN
+    /// never widens it).
+    floats: Option<(f64, f64)>,
+    /// Which of `false` / `true` occur.
+    bools: [bool; 2],
+    /// Which dictionary codes are in use, by code. The dictionary may
+    /// outlive the rows that used a string (DELETE, UPDATE) and grows
+    /// under the fold: codes past the end are not in use.
+    codes: Vec<bool>,
+    /// The `=ⁿ` hashes of the numeric values, NULL not among them.
+    distinct: DistinctSketch,
+    /// The `Int64` values as ascending points weighted in half rows
+    /// (see [`EquiDepthHistogram::from_points`]): the tail's values at
+    /// weight 2, and of a sealed block its equi-depth histogram — the
+    /// minimum and the upper bound of each of its
+    /// [`HISTOGRAM_BUCKETS`] buckets, every bucket half at the bound
+    /// below it and half at its own.
+    points: Vec<(i64, u64)>,
+}
+
+impl ColumnFold {
+    /// Fold block `b` of `column` in. A sealed block leaves at most
+    /// [`HISTOGRAM_BUCKETS`] + 1 points behind, the tail all its values.
+    fn absorb(&mut self, column: &Column, b: usize, sealed: bool) {
         match column {
-            // The dictionary may outlive the rows that used a string
-            // (DELETE, UPDATE): count the codes in use, not its length.
             Column::Utf8 { blocks, dict } => {
-                let mut used = vec![false; dict.len()];
-                for code in blocks.iter().flat_map(|codes| codes.iter()) {
-                    match used.get_mut(*code as usize) {
-                        Some(slot) => *slot = true,
-                        None => stats.nulls += 1,
-                    }
+                if self.codes.len() < dict.len() {
+                    self.codes.resize(dict.len(), false);
                 }
-                let live = || (0u32..).zip(&used).filter(|(_, used)| **used);
-                stats.ndv = live().count();
-                if stats.ndv <= MAX_VALUE_SET {
-                    let strings = live().filter_map(|(code, _)| dict.get(code));
-                    stats.values = Some(strings.map(str::to_owned).collect());
+                for code in blocks.get(b).into_iter().flat_map(|codes| codes.iter()) {
+                    match self.codes.get_mut(*code as usize) {
+                        Some(used) => *used = true,
+                        None => self.nulls += 1,
+                    }
                 }
             }
             Column::Typed(blocks) => {
-                // Every non-NULL integer; sorted afterwards, which
-                // yields the distinct count, the range and the
-                // histogram at once.
-                let mut ints: Vec<i64> = Vec::new();
-                let mut float_bits: HashSet<u64> = HashSet::new();
-                let mut bools = [false; 2];
-                for block in blocks {
-                    stats.nulls += block.len() - block.count_valid();
-                    match block.as_ref() {
-                        ColumnVector::Int { values, validity } if validity.all_valid() => {
-                            ints.extend_from_slice(values);
-                        }
-                        ColumnVector::Int { values, validity } => {
-                            ints.extend(non_null(values, validity));
-                        }
-                        ColumnVector::Float { values, validity } => {
-                            for f in non_null(values, validity) {
-                                float_bits.insert(canonical_f64_bits(f));
-                                let (lo, hi) = stats.range.unwrap_or((f, f));
-                                stats.range = Some((lo.min(f), hi.max(f)));
-                            }
-                        }
-                        ColumnVector::Bool { values, validity } => {
-                            for b in non_null(values, validity) {
-                                if let Some(seen) = bools.get_mut(usize::from(b)) {
-                                    *seen = true;
-                                }
-                            }
-                        }
-                        _ => {}
+                let Some(block) = blocks.get(b) else { return };
+                self.nulls += block.len() - block.count_valid();
+                match block.as_ref() {
+                    ColumnVector::Int { values, validity } => {
+                        let mut ints: Vec<i64> = if validity.all_valid() {
+                            values.clone()
+                        } else {
+                            non_null(values, validity).collect()
+                        };
+                        ints.sort_unstable();
+                        self.absorb_sorted_ints(ints, sealed);
                     }
+                    ColumnVector::Float { values, validity } => {
+                        let mut bits = Vec::with_capacity(values.len());
+                        for f in non_null(values, validity) {
+                            let (lo, hi) = self.floats.unwrap_or((f, f));
+                            self.floats = Some((lo.min(f), hi.max(f)));
+                            bits.push(canonical_f64_bits(f));
+                        }
+                        bits.sort_unstable();
+                        bits.dedup();
+                        let hash =
+                            |b: &u64| stream_hash(|h| key_hash::float(f64::from_bits(*b), h));
+                        self.distinct.absorb(bits.iter().map(hash).collect());
+                    }
+                    ColumnVector::Bool { values, validity } => {
+                        for b in non_null(values, validity) {
+                            if let Some(seen) = self.bools.get_mut(usize::from(b)) {
+                                *seen = true;
+                            }
+                        }
+                    }
+                    _ => {}
                 }
-                ints.sort_unstable();
-                stats.histogram = EquiDepthHistogram::from_sorted(&ints, rows, HISTOGRAM_BUCKETS);
-                if let Some((lo, hi)) = ints.first().zip(ints.last()) {
-                    stats.range = Some((*lo as f64, *hi as f64));
-                }
-                ints.dedup();
-                stats.ndv = ints.len() + float_bits.len() + bools.iter().filter(|b| **b).count();
             }
         }
-        stats.ndv += usize::from(stats.nulls > 0);
-        stats
+    }
+
+    /// The `Int64` half of [`ColumnFold::absorb`]: one sort yields the
+    /// range, the points and the distinct values at once.
+    fn absorb_sorted_ints(&mut self, mut ints: Vec<i64>, sealed: bool) {
+        let span = ints.first().copied().zip(ints.last().copied());
+        self.ints = widest(self.ints, span, i64::min, i64::max);
+        let n = ints.len();
+        if sealed {
+            // Bucket `b` ends at rank `⌈b·n / buckets⌉`, as in
+            // `EquiDepthHistogram::from_sorted`.
+            let buckets = HISTOGRAM_BUCKETS.min(n);
+            let mut below = (span.map(|(min, _)| min), 0);
+            for b in 1..=buckets {
+                let rank = (b * n).div_ceil(buckets);
+                let width = (rank - below.1) as u64;
+                let bound = ints.get(rank - 1).copied();
+                let ends = below.0.into_iter().chain(bound);
+                self.points.extend(ends.map(|end| (end, width)));
+                below = (bound, rank);
+            }
+        } else {
+            self.points.extend(ints.iter().map(|v| (*v, 2)));
+        }
+        // Ascending runs: the merge passes of a stable sort. Points at
+        // one value become one point, so a column of few values keeps
+        // few points however many blocks it fills.
+        self.points.sort();
+        self.points.dedup_by(|next, point| {
+            let same = next.0 == point.0;
+            point.1 += u64::from(same) * next.1;
+            same
+        });
+        ints.dedup();
+        let hash = |i: &i64| stream_hash(|h| key_hash::int(*i, h));
+        self.distinct.absorb(ints.iter().map(hash).collect());
+    }
+}
+
+impl ColumnStats {
+    /// The summary of a column of `rows` rows from the fold of its
+    /// sealed blocks and the fold of its tail; `dict` is a `Utf8`
+    /// column's dictionary as it is now.
+    fn finish(
+        sealed: &ColumnFold,
+        tail: &ColumnFold,
+        rows: usize,
+        dict: Option<&StringDict>,
+    ) -> ColumnStats {
+        let nulls = sealed.nulls + tail.nulls;
+        // One sketch over every value, the NULL group included: the
+        // sketch `Table::joint_ndv` keeps for this column alone.
+        let mut distinct = sealed.distinct.clone();
+        distinct.merge(&tail.distinct);
+        if nulls > 0 {
+            distinct.absorb(vec![stream_hash(key_hash::null)]);
+        }
+        let folds = [sealed, tail];
+        let used = |code: &usize| folds.iter().any(|f| f.codes.get(*code) == Some(&true));
+        let seen = |b: &usize| folds.iter().any(|f| f.bools.get(*b) == Some(&true));
+        let codes = sealed.codes.len().max(tail.codes.len());
+        let live = || (0..codes).filter(used);
+        let strings = live().count();
+        let values = dict.filter(|_| strings <= MAX_VALUE_SET).map(|dict| {
+            let strings = live().filter_map(|code| dict.get(u32::try_from(code).ok()?));
+            strings.map(str::to_owned).collect()
+        });
+        let ints = widest(sealed.ints, tail.ints, i64::min, i64::max);
+        let floats = widest(sealed.floats, tail.floats, f64::min, f64::max);
+        let histogram = ints.map(|(min, _)| {
+            let points = merged(&sealed.points, &tail.points).copied();
+            EquiDepthHistogram::from_points(points, min, rows - nulls, rows, HISTOGRAM_BUCKETS)
+        });
+        ColumnStats {
+            nulls,
+            ndv: distinct.estimate().round() as usize + strings + (0..2).filter(seen).count(),
+            ndv_exact: distinct.is_exact(),
+            range: ints.map(|(lo, hi)| (lo as f64, hi as f64)).or(floats),
+            values,
+            histogram,
+        }
+    }
+}
+
+/// The `=ⁿ` hashes of the `rows` rows of block `b` projected onto the
+/// columns `ordinals`: what a [`DistinctSketch`] keeps of their
+/// `GroupKey`s.
+fn joint_hashes(columns: &[Column], ordinals: &[usize], b: usize, rows: usize) -> Vec<u64> {
+    let key: Vec<&Column> = ordinals.iter().filter_map(|&c| columns.get(c)).collect();
+    let hash = |i| stream_hash(|h| key.iter().for_each(|c| c.hash_cell(b, i, h)));
+    (0..rows).map(hash).collect()
+}
+
+/// What the sealed blocks of a table hold: one [`ColumnFold`] per
+/// column and, for every column list a joint distinct count was asked
+/// of, its sketch — each extended by one block when that block seals.
+#[derive(Debug, Default)]
+pub(crate) struct SealedStats {
+    /// Blocks folded in: the table's full blocks.
+    blocks: usize,
+    columns: Vec<ColumnFold>,
+    /// Behind a mutex so that a reader can add the list it asks first;
+    /// a sketch, once there, covers exactly `blocks` blocks.
+    joint: Mutex<HashMap<Vec<usize>, DistinctSketch>>,
+}
+
+impl Clone for SealedStats {
+    fn clone(&self) -> SealedStats {
+        SealedStats {
+            blocks: self.blocks,
+            columns: self.columns.clone(),
+            joint: Mutex::new(self.joint_sketches().clone()),
+        }
+    }
+}
+
+impl SealedStats {
+    /// The fold of no block of a table of `columns` columns.
+    pub(crate) fn new(columns: usize) -> SealedStats {
+        SealedStats {
+            columns: vec![ColumnFold::default(); columns],
+            ..SealedStats::default()
+        }
+    }
+
+    fn joint_sketches(&self) -> std::sync::MutexGuard<'_, HashMap<Vec<usize>, DistinctSketch>> {
+        // A poisoned lock only means another asker panicked between
+        // whole-entry updates; the map is still valid.
+        self.joint.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Fold in the block that has just filled: the next one of
+    /// `columns` after those folded so far.
+    pub(crate) fn seal(&mut self, columns: &[Column]) {
+        for (fold, column) in self.columns.iter_mut().zip(columns) {
+            fold.absorb(column, self.blocks, true);
+        }
+        let joint = self.joint.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for (ordinals, sketch) in joint {
+            sketch.absorb(joint_hashes(columns, ordinals, self.blocks, BLOCK_ROWS));
+        }
+        self.blocks += 1;
+    }
+
+    /// The sketch of the sealed blocks' rows projected onto `ordinals`:
+    /// built by one pass over those blocks the first time the list is
+    /// asked (`read` is told how many rows that reads; a concurrent
+    /// asker waits), kept and extended from then on.
+    fn joint(
+        &self,
+        columns: &[Column],
+        ordinals: &[usize],
+        read: impl FnOnce(usize),
+    ) -> DistinctSketch {
+        let mut joint = self.joint_sketches();
+        if let Some(sketch) = joint.get(ordinals) {
+            return sketch.clone();
+        }
+        read(self.blocks * BLOCK_ROWS);
+        let mut sketch = DistinctSketch::default();
+        for b in 0..self.blocks {
+            sketch.absorb(joint_hashes(columns, ordinals, b, BLOCK_ROWS));
+        }
+        joint.insert(ordinals.to_vec(), sketch.clone());
+        sketch
     }
 }
 
 impl TableStats {
-    /// Fold the stored `columns` of a table of `rows` rows into their
-    /// summary: one pass per column.
-    pub(crate) fn build(rows: usize, columns: &[Column]) -> TableStats {
+    /// The summary of a table of `rows` rows: the fold of its sealed
+    /// blocks merged with one pass over its tail block.
+    pub(crate) fn merge(sealed: &SealedStats, columns: &[Column], rows: usize) -> TableStats {
+        let tail_rows = rows % BLOCK_ROWS;
+        let summarize = |(column, sealed): (&Column, &ColumnFold)| {
+            let mut tail = ColumnFold::default();
+            if tail_rows > 0 {
+                tail.absorb(column, sealed_blocks(rows), false);
+            }
+            ColumnStats::finish(sealed, &tail, rows, column.dict())
+        };
         TableStats {
             rows,
-            columns: columns.iter().map(|c| ColumnStats::fold(c, rows)).collect(),
+            columns: columns.iter().zip(&sealed.columns).map(summarize).collect(),
         }
     }
 }
 
-/// The distinct count of `keys` — the rows' projection onto some
-/// columns — under `=ⁿ`, through a [`SKETCH_K`]-minimum-values sketch:
-/// exact below [`SKETCH_K`] distinct keys, estimated above.
-pub(crate) fn joint_ndv(keys: impl Iterator<Item = Vec<Value>>) -> f64 {
-    let mut sketch = DistinctSketch::new(SKETCH_K);
-    for key in keys {
-        sketch.insert(&GroupKey(key));
-    }
+/// How many of the blocks of a table of `rows` rows are sealed — and
+/// so the number of its tail block, when it has one.
+fn sealed_blocks(rows: usize) -> usize {
+    rows / BLOCK_ROWS
+}
+
+/// The distinct count of a table's `rows` rows projected onto the
+/// columns `ordinals`, under `=ⁿ`, through a [`SKETCH_K`]-minimum-values
+/// sketch: exact below [`SKETCH_K`] distinct keys, estimated above.
+/// `read` is told the rows of each pass made.
+pub(crate) fn joint_ndv(
+    sealed: &SealedStats,
+    columns: &[Column],
+    ordinals: &[usize],
+    rows: usize,
+    read: impl Fn(usize),
+) -> f64 {
+    let mut sketch = sealed.joint(columns, ordinals, &read);
+    let tail_rows = rows % BLOCK_ROWS;
+    read(tail_rows);
+    sketch.absorb(joint_hashes(
+        columns,
+        ordinals,
+        sealed_blocks(rows),
+        tail_rows,
+    ));
     sketch.estimate()
 }
 
@@ -352,15 +706,20 @@ pub(crate) struct StatsCell {
 }
 
 impl StatsCell {
-    /// Forget everything (the holder is the only one left and its rows
-    /// are about to change). Frees what was built; touches nothing
-    /// otherwise.
-    pub(crate) fn clear(&mut self) {
-        self.summary.take();
-        self.joint
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+    /// An empty cell in `this`, for the version a write is about to
+    /// make. O(1), and without allocating while nobody else holds the
+    /// cell; a cell shared with snapshots stays theirs.
+    pub(crate) fn renew(this: &mut Arc<StatsCell>) {
+        match Arc::get_mut(this) {
+            Some(cell) => {
+                cell.summary.take();
+                cell.joint
+                    .get_mut()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .clear();
+            }
+            None => *this = Arc::default(),
+        }
     }
 
     /// The cell memoizing the joint distinct count over `ordinals`.
@@ -379,7 +738,7 @@ impl StatsCell {
 mod tests {
     use super::*;
     use crate::Table;
-    use gbj_types::{DataType, Field, Schema};
+    use gbj_types::{DataType, Field, Schema, Value};
 
     fn histogram_of(vals: &[i64], buckets: usize) -> EquiDepthHistogram {
         let vals: Vec<Option<i64>> = vals.iter().copied().map(Some).collect();

@@ -1,7 +1,7 @@
 //! The storage engine: catalog + data, with constraint enforcement.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use gbj_catalog::{Catalog, Constraint, Domain, TableDef, ViewDef};
@@ -10,7 +10,7 @@ use gbj_types::{internal_err, DataType, Error, Field, GroupKey, Result, Schema, 
 
 use crate::columnar::{ColumnVector, ColumnarBatch};
 use crate::fault::FaultInjector;
-use crate::table::{Row, Table, BLOCK_ROWS};
+use crate::table::{Counters, Row, Table, BLOCK_ROWS};
 
 /// The in-memory database: a [`Catalog`] plus one [`Table`] of data per
 /// base table, with every declared constraint enforced on insert.
@@ -32,10 +32,10 @@ pub struct Storage {
     /// declaration: it never changes query results, so declaring one
     /// does not bump the epoch.
     partition_keys: BTreeMap<String, Vec<usize>>,
-    /// Statistics passes made over any table's rows — shared with every
-    /// clone of this storage, because they share the cells the passes
-    /// fill (see [`Storage::stats_builds`]).
-    stats_builds: Arc<AtomicU64>,
+    /// What statistics passes and copy-on-write cost any table — shared
+    /// with every clone of this storage, because they share the cells
+    /// the passes fill (see [`Storage::stats_builds`]).
+    counters: Arc<Counters>,
 }
 
 fn key(name: &str) -> String {
@@ -78,7 +78,7 @@ impl Storage {
         // catalog on errors).
         let schema = def.schema(&name);
         let mut table = Table::new(schema);
-        table.count_stats_builds_in(&self.stats_builds);
+        table.count_in(&self.counters);
         for cons in &def.constraints {
             match cons {
                 Constraint::PrimaryKey(cols) => {
@@ -158,7 +158,29 @@ impl Storage {
     /// written table alone after a write.
     #[must_use]
     pub fn stats_builds(&self) -> u64 {
-        self.stats_builds.load(Ordering::Relaxed)
+        self.counters.stats_builds.load(Ordering::Relaxed)
+    }
+
+    /// How many stored rows those passes, and the fold of each block
+    /// as it seals, have read — counted like
+    /// [`Storage::stats_builds`]. A table's sealed blocks are folded
+    /// once, by the write that fills them, so an `INSERT` makes the
+    /// next plan read the tail block of the written table and nothing
+    /// else, whatever the table holds; only DELETE and UPDATE, which
+    /// re-pack the blocks, fold a table again.
+    #[must_use]
+    pub fn stats_rows_read(&self) -> u64 {
+        self.counters.stats_rows.load(Ordering::Relaxed)
+    }
+
+    /// How many key-index entries writes have copied because a clone of
+    /// this storage (a snapshot, a fork) still shared the set they
+    /// were inserted into — counted like [`Storage::stats_builds`].
+    /// Sets are bounded, so the count per inserted row does not grow
+    /// with the table.
+    #[must_use]
+    pub fn index_entries_copied(&self) -> u64 {
+        self.counters.keys_copied.load(Ordering::Relaxed)
     }
 
     /// Declare that `table` is hash-partitioned on `cols` for sharded

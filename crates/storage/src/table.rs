@@ -2,6 +2,13 @@
 //! column-major in `Arc`-shared blocks, with hash indexes over declared
 //! keys and the statistics of its current rows.
 //!
+//! **What an INSERT costs** is what it changes: the tail block of each
+//! column, the few dozen keys of each index set it inserts into
+//! ([`KeySets`]), and — once per [`BLOCK_ROWS`] rows, when the tail
+//! fills — one block's fold into the statistics of the sealed blocks
+//! ([`SealedStats`]). Nothing on the append path grows with the table;
+//! DELETE and UPDATE re-pack it and start both structures afresh.
+//!
 //! **Layout.** Each column is a sequence of dense blocks of
 //! [`BLOCK_ROWS`] rows — every block but the last is full — typed by
 //! the column's declared type, which `validate_row` has already coerced
@@ -15,21 +22,22 @@
 //!
 //! **Copy-on-write.** Every block sits behind its own `Arc`, so
 //! [`Table::clone`] shares them all; the first append after a clone
-//! copies the tail block of each column and nothing else, and the
-//! dictionary is copied only if a *new* string arrives while a clone
-//! still shares it. DELETE and UPDATE rebuild and re-pack the blocks
-//! (O(table)); the dictionary is append-only, so it may keep strings no
-//! live row uses.
+//! copies the tail block of each column, the key sets it inserts into
+//! and nothing else, and the dictionary is copied only if a *new*
+//! string arrives while a clone still shares it. DELETE and UPDATE
+//! rebuild and re-pack the blocks (O(table)); the dictionary is
+//! append-only, so it may keep strings no live row uses.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use gbj_types::{internal_err, DataType, Error, GroupKey, Result, Schema, Value};
+use gbj_types::{internal_err, key_hash, DataType, Error, GroupKey, Result, Schema, Value};
 
 use crate::columnar::{ColumnVector, ColumnarBatch, StringDict, NULL_CODE};
-use crate::stats::{joint_ndv, StatsCell, TableStats};
+use crate::keys::{Key, KeySets};
+use crate::stats::{joint_ndv, SealedStats, StatsCell, TableStats};
 
 /// Rows per stored block — and per scan batch when no injector or
 /// caller overrides it, so an unfaulted scan hands out whole blocks.
@@ -118,6 +126,32 @@ impl Column {
         }
     }
 
+    /// A `Utf8` column's dictionary.
+    pub(crate) fn dict(&self) -> Option<&StringDict> {
+        match self {
+            Column::Typed(_) => None,
+            Column::Utf8 { dict, .. } => Some(dict),
+        }
+    }
+
+    /// Feed cell `i` of block `b` to `state` as `GroupKey`'s `=ⁿ` hash
+    /// stream would (a cell that does not exist reads as NULL).
+    pub(crate) fn hash_cell<H: Hasher>(&self, b: usize, i: usize, state: &mut H) {
+        match self {
+            Column::Typed(blocks) => match blocks.get(b) {
+                Some(block) => block.hash_cell(i, state),
+                None => key_hash::null(state),
+            },
+            Column::Utf8 { blocks, dict } => {
+                let code = blocks.get(b).and_then(|codes| codes.get(i));
+                match code.and_then(|&c| dict.get(c)) {
+                    Some(s) => key_hash::str(s, state),
+                    None => key_hash::null(state),
+                }
+            }
+        }
+    }
+
     /// Drop every row; the dictionary stays.
     fn clear(&mut self) {
         match self {
@@ -143,36 +177,19 @@ impl Column {
     }
 }
 
-/// Sets per key index: a constant, not a setting.
-const KEY_SETS: usize = 64;
-
-/// The multiply-xor hash that picks a key's set, fed by `GroupKey`'s
-/// `=ⁿ` hash stream. Cheap on purpose: it decides only which set a
-/// write copies — each set still hashes its keys with the default,
-/// flood-resistant hasher.
-#[derive(Default)]
-struct SetPicker(u64);
-
-impl Hasher for SetPicker {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|b| self.write_u64(u64::from(*b)));
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// The set of a [`KeyIndex`] that holds `key`: the top bits of the
-/// product, the ones every bit of the key reaches.
-fn set_of(key: &GroupKey) -> usize {
-    let mut picker = SetPicker::default();
-    key.hash(&mut picker);
-    (picker.finish() >> (u64::BITS - KEY_SETS.trailing_zeros())) as usize
+/// Event counts kept across every table of a
+/// [`Storage`](crate::Storage) and all its clones: exact, so tests and
+/// experiments can say what a write cost without a timer.
+#[derive(Debug, Default)]
+pub(crate) struct Counters {
+    /// Lazy statistics passes: [`Table::stats`] summaries and
+    /// [`Table::joint_ndv`] sketches built.
+    pub(crate) stats_builds: AtomicU64,
+    /// Rows read by those passes and by every block seal.
+    pub(crate) stats_rows: AtomicU64,
+    /// Key-index entries a write copied because a clone shared their
+    /// set.
+    pub(crate) keys_copied: AtomicU64,
 }
 
 /// An index over one candidate key of a table.
@@ -185,35 +202,35 @@ struct KeyIndex {
     columns: Vec<usize>,
     /// Whether NULLs are allowed in the key (UNIQUE yes, PRIMARY KEY no).
     allows_null: bool,
-    /// [`KEY_SETS`] sets, a key in the one its `=ⁿ` hash picks, each
-    /// behind its own `Arc`: a clone shares them all, and a write
-    /// copies only the sets it inserts into.
-    sets: Vec<Arc<HashSet<GroupKey>>>,
+    /// The keys held — raw `i64`s when the key is one `Int64` column,
+    /// the `GroupKey` of the row's key cells otherwise — in bounded
+    /// sets behind one shared spine: a clone is one pointer copy, and a
+    /// write copies only the sets it inserts into.
+    keys: KeySets,
 }
 
 impl KeyIndex {
-    fn new(columns: Vec<usize>, allows_null: bool) -> KeyIndex {
+    fn new(columns: Vec<usize>, allows_null: bool, raw: bool) -> KeyIndex {
         KeyIndex {
             columns,
             allows_null,
-            sets: (0..KEY_SETS).map(|_| Arc::default()).collect(),
+            keys: KeySets::new(raw),
         }
     }
 
-    /// The key of a row, `None` when any component is NULL.
-    fn key_of(&self, values: &[Value]) -> Option<GroupKey> {
-        full_key(&self.columns, values)
-    }
-
-    fn contains(&self, key: &GroupKey) -> bool {
-        let set = self.sets.get(set_of(key));
-        set.is_some_and(|set| set.contains(key))
-    }
-
-    /// Add `key`; `false` if it was there already.
-    fn insert(&mut self, key: GroupKey) -> bool {
-        let set = self.sets.get_mut(set_of(&key));
-        set.is_some_and(|set| Arc::make_mut(set).insert(key))
+    /// The key of a row, `None` when any component is NULL. A raw key
+    /// is read straight off its cell: no `GroupKey` is built. (A cell
+    /// of another type reads as NULL there, like an out-of-range
+    /// ordinal: `validate_row` has coerced every row that reaches a
+    /// table, and `check_cells` refuses to store any other.)
+    fn key_of(&self, values: &[Value]) -> Option<Key> {
+        if !self.keys.is_raw() {
+            return full_key(&self.columns, values).map(Key::Generic);
+        }
+        match self.columns.first().and_then(|&c| values.get(c)) {
+            Some(Value::Int(key)) => Some(Key::Raw(*key)),
+            _ => None,
+        }
     }
 
     /// The constraint a row without a full key breaks, if any.
@@ -246,10 +263,11 @@ impl KeyIndex {
 /// blocks that existed when they were taken.
 ///
 /// The same sharing carries the table's statistics
-/// ([`Table::stats`], [`Table::joint_ndv`]): clones holding the same
-/// rows hold the same cell, so one of them folds the columns once for
-/// all, and a mutation leaves the old cell to the snapshots still
-/// reading the old rows.
+/// ([`Table::stats`], [`Table::joint_ndv`]): clones hold the same fold
+/// of the sealed blocks until one of them seals another, and clones
+/// holding the same rows hold the same cell, so one of them folds the
+/// tail once for all, and a mutation leaves the old cell to the
+/// snapshots still reading the old rows.
 #[derive(Debug)]
 pub struct Table {
     schema: Schema,
@@ -267,13 +285,18 @@ pub struct Table {
     /// referenced column ordinals, tagged with the generation they were
     /// built at. Built lazily, maintained incrementally on insert.
     ref_lookups: HashMap<Vec<usize>, (u64, HashSet<GroupKey>)>,
+    /// The fold of the `len / BLOCK_ROWS` sealed blocks, extended by
+    /// the append that fills a block ([`Table::append`]) — copied first
+    /// if a clone shares it, so clones share it only over blocks they
+    /// both hold.
+    sealed: Arc<SealedStats>,
     /// Statistics of exactly the rows stored: whoever shares this cell
     /// shares those rows, and the only two places the rows change
     /// ([`Table::push`], [`Table::replace_rows`]) leave it behind.
     stats: Arc<StatsCell>,
-    /// Passes over the columns made to build statistics, counted across
-    /// every table of a [`Storage`](crate::Storage) and its clones.
-    stats_builds: Arc<AtomicU64>,
+    /// Counted across every table of a [`Storage`](crate::Storage) and
+    /// its clones.
+    counters: Arc<Counters>,
 }
 
 impl Clone for Table {
@@ -290,8 +313,9 @@ impl Clone for Table {
             // stale generation tag would force a rebuild anyway, and
             // dropping it keeps snapshots cheap.
             ref_lookups: HashMap::new(),
+            sealed: Arc::clone(&self.sealed),
             stats: Arc::clone(&self.stats),
-            stats_builds: Arc::clone(&self.stats_builds),
+            counters: Arc::clone(&self.counters),
         }
     }
 }
@@ -321,26 +345,34 @@ impl Table {
                 .iter()
                 .map(|f| Column::new(f.data_type))
                 .collect(),
+            sealed: Arc::new(SealedStats::new(schema.fields().len())),
             schema,
             next_row_id: 0,
             generation: 0,
             key_indexes: Vec::new(),
             ref_lookups: HashMap::new(),
             stats: Arc::default(),
-            stats_builds: Arc::default(),
+            counters: Arc::default(),
         }
     }
 
-    /// Count this table's statistics passes in `counter` (the owning
-    /// storage's, see [`Storage::stats_builds`](crate::Storage::stats_builds)).
-    pub(crate) fn count_stats_builds_in(&mut self, counter: &Arc<AtomicU64>) {
-        self.stats_builds = Arc::clone(counter);
+    /// Count this table's events in `counters` (the owning storage's,
+    /// see [`Storage::stats_builds`](crate::Storage::stats_builds)).
+    pub(crate) fn count_in(&mut self, counters: &Arc<Counters>) {
+        self.counters = Arc::clone(counters);
     }
 
     /// Declare a key over column ordinals; `allows_null` is true for
-    /// UNIQUE, false for PRIMARY KEY.
+    /// UNIQUE, false for PRIMARY KEY. A key over one `Int64` column is
+    /// held raw.
     pub(crate) fn add_key_index(&mut self, columns: Vec<usize>, allows_null: bool) {
-        self.key_indexes.push(KeyIndex::new(columns, allows_null));
+        let fields = self.schema.fields();
+        let raw = match columns.as_slice() {
+            [c] => fields.get(*c).map(|f| f.data_type) == Some(DataType::Int64),
+            _ => false,
+        };
+        self.key_indexes
+            .push(KeyIndex::new(columns, allows_null, raw));
     }
 
     /// The table schema.
@@ -408,42 +440,41 @@ impl Table {
         (0..self.row_ids.len()).flat_map(move |b| self.block_rows(b, Some(ordinals)))
     }
 
-    /// The summary of the current rows: built by one pass over the
-    /// columns on the first call (by whichever clone sharing these rows
-    /// asks first; a concurrent asker waits for that pass instead of
-    /// making its own), read from the shared cell afterwards. Reads the
-    /// stored blocks directly, never through a scan cursor, so an
-    /// installed fault injector does not touch it.
+    /// The summary of the current rows: the fold of the sealed blocks
+    /// merged with one pass over the tail block, made on the first
+    /// call (by whichever clone sharing these rows asks first; a
+    /// concurrent asker waits for that pass instead of making its own)
+    /// and read from the shared cell afterwards. Reads the stored
+    /// blocks directly, never through a scan cursor, so an installed
+    /// fault injector does not touch it.
     #[must_use]
     pub fn stats(&self) -> &TableStats {
         self.stats.summary.get_or_init(|| {
-            self.stats_builds.fetch_add(1, Ordering::Relaxed);
-            TableStats::build(self.len, &self.columns)
+            self.counters.stats_builds.fetch_add(1, Ordering::Relaxed);
+            self.count_stats_rows(self.len % BLOCK_ROWS);
+            TableStats::merge(&self.sealed, &self.columns, self.len)
         })
+    }
+
+    fn count_stats_rows(&self, rows: usize) {
+        let counter = &self.counters.stats_rows;
+        counter.fetch_add(rows as u64, Ordering::Relaxed);
     }
 
     /// The number of distinct combinations the current rows hold in the
     /// columns `ordinals`, NULLs comparing equal (`=ⁿ`): exact below
     /// [`SKETCH_K`](crate::stats::SKETCH_K) combinations, a KMV
-    /// estimate above. One pass per ordinal list and table version,
-    /// shared like [`Table::stats`].
+    /// estimate above. One pass over the tail block per ordinal list
+    /// and table version, shared like [`Table::stats`]; the sealed
+    /// blocks are read the first time a list is asked and their sketch
+    /// is kept, and extended block by block, from then on.
     #[must_use]
     pub fn joint_ndv(&self, ordinals: &[usize]) -> f64 {
         *self.stats.joint(ordinals).get_or_init(|| {
-            self.stats_builds.fetch_add(1, Ordering::Relaxed);
-            joint_ndv(self.project(ordinals))
+            self.counters.stats_builds.fetch_add(1, Ordering::Relaxed);
+            let read = |rows| self.count_stats_rows(rows);
+            joint_ndv(&self.sealed, &self.columns, ordinals, self.len, read)
         })
-    }
-
-    /// Forget the statistics: the rows are about to change. O(1), and
-    /// without allocating while nobody else holds the cell; a cell
-    /// shared with snapshots stays theirs and this table starts a fresh
-    /// one.
-    fn drop_stats(&mut self) {
-        match Arc::get_mut(&mut self.stats) {
-            Some(cell) => cell.clear(),
-            None => self.stats = Arc::default(),
-        }
     }
 
     /// Check key uniqueness for a candidate row (without inserting).
@@ -451,7 +482,7 @@ impl Table {
         for idx in &self.key_indexes {
             match idx.key_of(values) {
                 None => idx.check_null()?,
-                Some(key) if idx.contains(&key) => return Err(idx.duplicate()),
+                Some(key) if idx.keys.contains(&key) => return Err(idx.duplicate()),
                 Some(_) => {}
             }
         }
@@ -491,6 +522,13 @@ impl Table {
             column.push(self.len, field.data_type, cell);
         }
         self.len += 1;
+        if self.len.is_multiple_of(BLOCK_ROWS) {
+            // The tail has just filled: it is sealed, and folded into
+            // the statistics of the sealed blocks here, by the writer —
+            // so that whoever holds these blocks holds their fold.
+            self.count_stats_rows(BLOCK_ROWS);
+            Arc::make_mut(&mut self.sealed).seal(&self.columns);
+        }
     }
 
     /// Append a row, updating indexes. The caller (Storage) has already
@@ -498,10 +536,10 @@ impl Table {
     /// snapshot copies the tail blocks; snapshots keep the old ones.
     pub(crate) fn push(&mut self, values: &[Value]) -> Result<u64> {
         self.check_cells(values)?;
-        self.drop_stats();
+        StatsCell::renew(&mut self.stats);
         for idx in &mut self.key_indexes {
             if let Some(key) = idx.key_of(values) {
-                idx.insert(key);
+                idx.keys.insert(key, &self.counters.keys_copied);
             }
         }
         self.generation += 1;
@@ -522,22 +560,24 @@ impl Table {
     /// backwards, so IDs are never reused.
     pub(crate) fn replace_rows(&mut self, rows: Vec<Row>) -> Result<()> {
         rows.iter().try_for_each(|r| self.check_cells(&r.values))?;
-        self.drop_stats();
+        StatsCell::renew(&mut self.stats);
         self.ref_lookups.clear();
         for idx in &mut self.key_indexes {
             // Fresh sets: snapshots holding the old ones are unaffected.
-            let mut fresh = KeyIndex::new(std::mem::take(&mut idx.columns), idx.allows_null);
+            idx.keys = KeySets::new(idx.keys.is_raw());
             for row in &rows {
-                if let Some(key) = fresh.key_of(&row.values) {
-                    fresh.insert(key);
+                if let Some(key) = idx.key_of(&row.values) {
+                    idx.keys.insert(key, &self.counters.keys_copied);
                 }
             }
-            *idx = fresh;
         }
         self.generation += 1;
         self.len = 0;
         self.row_ids.clear();
         self.columns.iter_mut().for_each(Column::clear);
+        // Re-packed blocks are other blocks: their fold starts over,
+        // and `append` seals them as they fill.
+        self.sealed = Arc::new(SealedStats::new(self.columns.len()));
         for row in &rows {
             self.append(row.row_id, &row.values);
         }
@@ -550,7 +590,7 @@ impl Table {
         for idx in &self.key_indexes {
             let mut seen: HashSet<GroupKey> = HashSet::with_capacity(rows.len());
             for row in rows {
-                match idx.key_of(&row.values) {
+                match full_key(&idx.columns, &row.values) {
                     None => idx.check_null()?,
                     Some(key) => {
                         if !seen.insert(key) {
@@ -568,8 +608,15 @@ impl Table {
     /// lookup set on first use.
     pub(crate) fn contains_key_value(&mut self, columns: &[usize], key: &[Value]) -> bool {
         // Fast path: an existing key index over exactly these columns.
+        // A raw index answers for an `Int64` probe; a probe of another
+        // type (a DOUBLE PRECISION column referencing an INTEGER key)
+        // compares as `GroupKey` does, through the lookup set below.
         if let Some(idx) = self.key_indexes.iter().find(|i| i.columns == columns) {
-            return idx.contains(&GroupKey(key.to_vec()));
+            match (idx.keys.is_raw(), key) {
+                (true, [Value::Int(key)]) => return idx.keys.contains(&Key::Raw(*key)),
+                (true, _) => {}
+                (false, _) => return idx.keys.contains(&Key::Generic(GroupKey(key.to_vec()))),
+            }
         }
         if self.ref_lookups.get(columns).map(|(gen, _)| *gen) != Some(self.generation) {
             // (Re)build for the current generation; push() maintains it
@@ -672,40 +719,84 @@ mod tests {
     }
 
     /// The first write after a clone copies only the key sets it
-    /// inserts into; the clone keeps reading the old ones.
+    /// inserts into (and the one a split divides); the clone keeps
+    /// reading the old ones. What is copied is counted, and does not
+    /// grow with the table.
     #[test]
     fn key_sets_are_copied_one_at_a_time() {
-        let mut t = Table::new(schema());
-        t.add_key_index(vec![0], false);
-        for i in 0..5_000 {
-            t.push(&[Value::Int(i), Value::Null]).unwrap();
-        }
-        // Consecutive keys spread: no set is empty, none holds a tenth.
-        let sizes: Vec<usize> = t.key_indexes[0].sets.iter().map(|s| s.len()).collect();
-        assert_eq!(
-            (sizes.len(), sizes.iter().sum::<usize>()),
-            (KEY_SETS, 5_000)
-        );
-        assert!(sizes.iter().all(|n| (1..500).contains(n)), "{sizes:?}");
+        let copied_by_ten_inserts = |rows: i64| {
+            let mut t = Table::new(schema());
+            t.add_key_index(vec![0], false);
+            for i in 0..rows {
+                t.push(&[Value::Int(i), Value::Null]).unwrap();
+            }
+            let counters = Arc::clone(&t.counters);
+            let copied = || counters.keys_copied.load(Ordering::Relaxed);
+            assert_eq!(copied(), 0, "nobody shares a set of a table never cloned");
+            let sets = t.key_indexes[0].keys.set_sizes().len();
 
-        let snap = t.clone();
-        let shared = |t: &Table| {
-            let pairs = t.key_indexes[0].sets.iter().zip(&snap.key_indexes[0].sets);
-            pairs.filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+            let snap = t.clone();
+            let shared = |t: &Table| {
+                let (ours, theirs) = (&t.key_indexes[0].keys, &snap.key_indexes[0].keys);
+                ours.sets_shared_with(theirs)
+            };
+            assert_eq!(shared(&t), sets, "a clone shares every set");
+            for i in rows..rows + 10 {
+                t.check_keys(&[Value::Int(i), Value::Null]).unwrap();
+                t.push(&[Value::Int(i), Value::Null]).unwrap();
+            }
+            // Ten inserts, at most one split (a set grows per 24 keys).
+            assert!((sets - 11..sets).contains(&shared(&t)), "{}", shared(&t));
+            assert!(t.check_keys(&[Value::Int(rows + 3), Value::Null]).is_err());
+            snap.check_keys(&[Value::Int(rows + 3), Value::Null])
+                .unwrap();
+            assert!(snap
+                .check_keys(&[Value::Int(rows - 1), Value::Null])
+                .is_err());
+            let copied = copied();
+            // With the clone gone nothing is shared: the next ten copy
+            // nothing.
+            drop(snap);
+            for i in rows + 10..rows + 20 {
+                t.push(&[Value::Int(i), Value::Null]).unwrap();
+            }
+            assert_eq!(counters.keys_copied.load(Ordering::Relaxed), copied);
+            copied
         };
-        assert_eq!(shared(&t), KEY_SETS, "a clone shares every set");
-        for i in 5_000..5_010 {
-            t.check_keys(&[Value::Int(i), Value::Null]).unwrap();
-            t.push(&[Value::Int(i), Value::Null]).unwrap();
-        }
-        assert!(
-            shared(&t) >= KEY_SETS - 10,
-            "ten inserts, at most ten copies"
-        );
-        assert!(shared(&t) < KEY_SETS);
-        assert!(t.check_keys(&[Value::Int(5_003), Value::Null]).is_err());
-        snap.check_keys(&[Value::Int(5_003), Value::Null]).unwrap();
-        assert!(snap.check_keys(&[Value::Int(4_999), Value::Null]).is_err());
+        let (small, large) = (copied_by_ten_inserts(5_000), copied_by_ten_inserts(80_000));
+        assert!((10..=600).contains(&small), "{small}");
+        assert!((10..=600).contains(&large), "{large}");
+    }
+
+    /// One / two-column, `Int64` or not: which indexes hold raw keys,
+    /// and that a `GroupKey`-shaped probe of a raw index (`1.0` for
+    /// `1`) is still answered as `GroupKey` compares.
+    #[test]
+    fn only_a_single_int64_column_is_keyed_raw() {
+        let mut t = Table::new(Schema::new(vec![
+            Field::new("id", DataType::Int64, false),
+            Field::new("name", DataType::Utf8, true),
+        ]));
+        t.add_key_index(vec![0], false);
+        t.add_key_index(vec![1], true);
+        t.add_key_index(vec![0, 1], true);
+        let raw: Vec<bool> = t.key_indexes.iter().map(|i| i.keys.is_raw()).collect();
+        assert_eq!(raw, [true, false, false]);
+        let big = 1i64 << 53;
+        t.push(&[Value::Int(big), Value::str("a")]).unwrap();
+        t.push(&[Value::Int(1), Value::Null]).unwrap();
+        t.check_keys(&[Value::Int(big + 1), Value::str("b")])
+            .unwrap();
+        assert!(t.check_keys(&[Value::Int(big), Value::str("b")]).is_err());
+        assert!(t.check_keys(&[Value::Int(2), Value::str("a")]).is_err());
+        assert!(t.contains_key_value(&[0], &[Value::Int(1)]));
+        assert!(t.contains_key_value(&[0], &[Value::Float(1.0)]));
+        assert!(!t.contains_key_value(&[0], &[Value::Float(1.5)]));
+        // 2^53 + 1 is not stored, but its float is 2^53's.
+        assert!(!t.contains_key_value(&[0], &[Value::Int(big + 1)]));
+        assert!(t.contains_key_value(&[0], &[Value::Float((big + 1) as f64)]));
+        assert!(t.contains_key_value(&[1], &[Value::str("a")]));
+        assert!(t.contains_key_value(&[0, 1], &[Value::Float(big as f64), Value::str("a")]));
     }
 
     #[test]
@@ -722,7 +813,7 @@ mod tests {
     /// allocates nothing; only the first write after a clone starts a
     /// new cell, and leaves the clone its own.
     #[test]
-    fn writes_drop_the_stats_without_touching_a_snapshots() {
+    fn writes_renew_the_cell_without_touching_a_snapshots() {
         let mut t = Table::new(schema());
         let cell = Arc::as_ptr(&t.stats);
         t.push(&[Value::Int(1), Value::Null]).unwrap();
@@ -756,7 +847,56 @@ mod tests {
         t.replace_rows(Vec::new()).unwrap();
         assert_eq!(Arc::as_ptr(&t.stats), cell);
         assert_eq!((t.stats().rows, snap.stats().rows), (0, 3));
-        // One pass per summary and per joint key, on either side.
-        assert_eq!(t.stats_builds.load(Ordering::Relaxed), 6);
+        // One pass per summary and per joint key, on either side, each
+        // over the rows the table held: 2 + 3 + 3 + 4 + 4 + 0.
+        assert_eq!(t.counters.stats_builds.load(Ordering::Relaxed), 6);
+        assert_eq!(t.counters.stats_rows.load(Ordering::Relaxed), 16);
+    }
+
+    /// The fold of the sealed blocks is shared by clones until one of
+    /// them seals a block, and that one copies it first: the other keeps
+    /// summarizing the blocks *it* holds.
+    #[test]
+    fn forks_share_the_sealed_fold_up_to_the_fork_point_only() {
+        let mut t = Table::new(schema());
+        let row = |i: i64| [Value::Int(i), Value::Int(i % 7)];
+        for i in 0..(2 * BLOCK_ROWS as i64 + 1_000) {
+            t.push(&row(i)).unwrap();
+        }
+        let read = |t: &Table| t.counters.stats_rows.load(Ordering::Relaxed);
+        assert_eq!(read(&t), 2 * BLOCK_ROWS as u64, "two seals, no summary yet");
+        // A numeric column's distinct count is its own joint count.
+        assert_eq!(t.joint_ndv(&[0]).round(), t.stats().columns[0].ndv as f64);
+        assert!(!t.stats().columns[0].ndv_exact && t.stats().columns[1].ndv_exact);
+        let mut fork = t.clone();
+        assert!(Arc::ptr_eq(&t.sealed, &fork.sealed));
+        // Both sides write past the next seal, with different rows.
+        for i in 0..30 {
+            t.push(&row(10_000 + i)).unwrap();
+            fork.push(&row(-i)).unwrap();
+        }
+        assert!(!Arc::ptr_eq(&t.sealed, &fork.sealed));
+        let before = read(&t);
+        let (ours, theirs) = (t.stats().clone(), fork.stats().clone());
+        assert_eq!(read(&t) - before, 2 * 6, "each side folds its 6-row tail");
+        assert_eq!(
+            (ours.rows, theirs.rows),
+            (3 * BLOCK_ROWS + 6, 3 * BLOCK_ROWS + 6)
+        );
+        assert_eq!(ours.columns[0].range, Some((0.0, 10_029.0)));
+        assert_eq!(theirs.columns[0].range, Some((-29.0, 3_047.0)));
+        // The list asked before the fork was extended on both sides:
+        // asking again reads the tail only.
+        let before = read(&t);
+        assert_eq!(t.joint_ndv(&[0]).round(), ours.columns[0].ndv as f64);
+        assert_eq!(fork.joint_ndv(&[0]).round(), theirs.columns[0].ndv as f64);
+        assert_eq!(read(&t) - before, 2 * 6);
+        // Each side reads what a table freshly loaded with its rows reads.
+        let mut fresh = Table::new(schema());
+        for values in fork.value_rows() {
+            fresh.push(&values).unwrap();
+        }
+        assert_eq!(fresh.stats(), &theirs);
+        assert_eq!(fresh.joint_ndv(&[0]), fork.joint_ndv(&[0]));
     }
 }

@@ -10,9 +10,11 @@
 //! updates and interns new strings; (c) inserting a string the
 //! dictionary knows leaves it shared, a new string copies it away from
 //! the clone; (d) readers scanning snapshots while the writer appends
-//! see one length and one set of rows per scan. (The key-index half —
-//! a ten-row insert after a clone unshares at most ten of an index's
-//! sets — needs the sets, so it lives beside them:
+//! see one length and one set of rows per scan; (e) a write after a
+//! clone copies the key-index sets it inserts into and nothing else,
+//! counted by `Storage::index_entries_copied` — each set once, a few
+//! dozen keys each, none once the clone is gone. (The same by address,
+//! set by set, lives beside the sets:
 //! `table::tests::key_sets_are_copied_one_at_a_time`.)
 
 #![allow(
@@ -260,4 +262,55 @@ fn a_scan_of_a_snapshot_straddling_writes_sees_one_length() {
         }
     });
     assert_eq!(rows_of(&writer).len(), BLOCK - 40 + 40 * 30);
+}
+
+/// (e) A clone of the key index copies no entry; a write after it
+/// copies the entries of the sets it inserts into (a few dozen keys
+/// each, and one more set when the index grows) and nothing else; no
+/// set is copied twice; and the clone keeps deciding by the keys it was
+/// cloned with.
+#[test]
+fn a_write_after_a_clone_copies_the_key_sets_it_inserts_into_and_nothing_else() {
+    let rows = 20 * BLOCK as i64;
+    let mut writer = table(rows);
+    assert_eq!(writer.index_entries_copied(), 0, "nothing shared yet");
+    let snapshot = writer.clone();
+    assert_eq!(writer.index_entries_copied(), 0, "a clone copies pointers");
+
+    writer.insert("T", row(rows)).unwrap();
+    let one = writer.index_entries_copied();
+    assert!((1..=200).contains(&one), "one or two sets: {one}");
+    writer
+        .insert_many("T", (rows + 1..rows + 10).map(row))
+        .unwrap();
+    let ten = writer.index_entries_copied();
+    assert!(ten > one && ten <= 600, "at most eleven sets: {ten}");
+
+    // Whatever the writer does next, an entry the clone shares is
+    // copied at most once: the count never passes the keys it held.
+    writer
+        .insert_many("T", (rows + 10..rows + 4_000).map(row))
+        .unwrap();
+    let many = writer.index_entries_copied();
+    assert!(many > ten && many <= rows as u64, "{many} of {rows}");
+    // Both sides decide by their own keys.
+    let mut snapshot = snapshot;
+    assert_eq!(
+        writer.insert("T", row(rows + 5)).unwrap_err().kind(),
+        "constraint"
+    );
+    assert_eq!(
+        snapshot.insert("T", row(7)).unwrap_err().kind(),
+        "constraint"
+    );
+    snapshot.insert("T", row(rows + 5)).unwrap();
+    assert_eq!(rows_of(&snapshot).len(), rows as usize + 1);
+
+    // With the clone gone nothing is shared, and nothing is copied.
+    let before = writer.index_entries_copied();
+    drop(snapshot);
+    writer
+        .insert_many("T", (rows + 4_000..rows + 4_100).map(row))
+        .unwrap();
+    assert_eq!(writer.index_entries_copied(), before);
 }

@@ -13,8 +13,11 @@
 //! a failing Nth batch (same cells flipped, same count, same error on
 //! the same ordinal from both forms), every default batch but the last
 //! a full block, and `stats()` / `joint_ndv` equal to the row-scan
-//! definitions — including after a DELETE takes the last user of a
-//! string, which the dictionary still remembers.
+//! definitions (`stats_oracle`: every exact fact by a walk over the
+//! model, the two estimates by their definition and within their error
+//! of the truth, the whole summary that of a fresh load of the model's
+//! rows) — including after a DELETE takes the last user of a string,
+//! which the dictionary still remembers.
 
 #![allow(
     clippy::unwrap_used,
@@ -23,17 +26,14 @@
     clippy::indexing_slicing
 )]
 
-use std::collections::{BTreeSet, HashSet};
+mod stats_oracle;
+
 use std::sync::Arc;
 
 use gbj_catalog::{ColumnDef, Constraint, TableDef};
 use gbj_expr::{BinaryOp, Expr};
-use gbj_storage::stats::{HISTOGRAM_BUCKETS, MAX_VALUE_SET, SKETCH_K};
-use gbj_storage::{
-    ColumnStats, ColumnVector, DistinctSketch, EquiDepthHistogram, FaultConfig, FaultInjector, Row,
-    Storage,
-};
-use gbj_types::{DataType, GroupKey, Value};
+use gbj_storage::{ColumnVector, FaultConfig, FaultInjector, Row, Storage};
+use gbj_types::{DataType, Value};
 
 const BLOCK: usize = 1024;
 /// `None` is the default batch size (one block).
@@ -384,69 +384,9 @@ fn check_snapshot(s: &Storage, model: &Model, ctx: &str) {
     }
     assert_eq!(seen, model.rows.len(), "{ctx}");
 
-    let stats = table.stats();
-    assert_eq!(stats.rows, model.rows.len(), "{ctx}");
-    for c in 0..TYPES.len() {
-        let want = oracle_column_stats(model, c);
-        let got = &stats.columns[c];
-        let range = |s: &ColumnStats| s.range.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
-        assert_eq!(range(got), range(&want), "{ctx}: range of column {c}");
-        assert_eq!(
-            (got.nulls, got.ndv, &got.values, &got.histogram),
-            (want.nulls, want.ndv, &want.values, &want.histogram),
-            "{ctx}: column {c}"
-        );
-    }
+    stats_oracle::assert_stats(table, &TYPES, &want, ctx);
     for ordinals in [vec![S, I], vec![F], vec![B, P, E], vec![ID]] {
-        let mut sketch = DistinctSketch::new(SKETCH_K);
-        for row in &model.rows {
-            sketch.insert(&GroupKey(
-                ordinals.iter().map(|&c| row.values[c].clone()).collect(),
-            ));
-        }
-        assert_eq!(
-            table.joint_ndv(&ordinals),
-            sketch.estimate(),
-            "{ctx}: {ordinals:?}"
-        );
-    }
-}
-
-/// One column's summary by the definitions the estimator used when it
-/// still walked rows: NULL count apart, NDV under `=ⁿ` (all NULLs one
-/// value), range and value set over non-NULL values only.
-fn oracle_column_stats(model: &Model, c: usize) -> ColumnStats {
-    let cells = || model.rows.iter().map(|r| &r.values[c]);
-    let distinct: HashSet<GroupKey> = cells().map(|v| GroupKey(vec![v.clone()])).collect();
-    let mut range: Option<(f64, f64)> = None;
-    for v in cells() {
-        let x = match v {
-            Value::Int(i) => *i as f64,
-            Value::Float(f) => *f,
-            _ => continue,
-        };
-        let (lo, hi) = range.unwrap_or((x, x));
-        range = Some((lo.min(x), hi.max(x)));
-    }
-    let strings: BTreeSet<String> = cells()
-        .filter_map(|v| match v {
-            Value::Str(s) => Some(s.clone()),
-            _ => None,
-        })
-        .collect();
-    let ints: Vec<Option<i64>> = cells()
-        .map(|v| match v {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        })
-        .collect();
-    ColumnStats {
-        nulls: cells().filter(|v| v.is_null()).count(),
-        ndv: distinct.len(),
-        range,
-        values: (TYPES[c] == DataType::Utf8 && strings.len() <= MAX_VALUE_SET).then_some(strings),
-        histogram: EquiDepthHistogram::build(&ints, HISTOGRAM_BUCKETS)
-            .filter(|_| TYPES[c] == DataType::Int64),
+        stats_oracle::assert_joint_ndv(table, &want, &ordinals, ctx);
     }
 }
 

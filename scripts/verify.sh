@@ -81,6 +81,15 @@ if grep -rnE "Vec<Truth>|fn eval_truth_vec|fn truths_to_bool_column|fn live_colu
   echo "verify: a three-valued evaluator reappeared on the chunk pipeline" >&2
   exit 1
 fi
+# A write keeps what it did not change: the key index is sets of
+# bounded size and a table's statistics are a fold over its blocks, so
+# nothing on the append path grows with the table. The function that
+# threw a table's statistics away on every write was deleted and must
+# not grow back.
+if grep -n "fn drop_stats" crates/storage/src/table.rs; then
+  echo "verify: a write drops the table's statistics again" >&2
+  exit 1
+fi
 cargo build --release
 # The four workspace passes below each include the two-valued suites —
 # gbj-expr's tests/lowering_exhaustive.rs (lower_floor / lower_ceil
@@ -93,11 +102,16 @@ cargo build --release
 # combiner) and gbj-exec's key / aggregate / exchange / guard unit
 # suites (typed placement and wire bytes against GroupKey and
 # row_bytes, the typed fold and merge against the Accumulator fold,
-# tick_rows against per-row ticks) — and gbj-storage's two layout
-# suites — layout_differential (column-major storage against a row
-# model) and block_sharing (blocks shared by address, copied exactly
-# where a reader could see a write; its reader count follows
-# GBJ_TEST_THREADS).
+# tick_rows against per-row ticks) — and gbj-storage's layout and
+# write-path suites — layout_differential (column-major storage against
+# a row model), block_sharing (blocks and key sets shared by address,
+# copied exactly where a reader could see a write; its reader count
+# follows GBJ_TEST_THREADS), key_index_differential (every INSERT /
+# DELETE / UPDATE / foreign-key decision and error text against a scan,
+# forks written on both sides) and stats_fold (statistics a function of
+# the rows across bulk loads, single-row inserts, forks, DELETE and
+# UPDATE at every block edge; rows read and index entries copied per
+# write pinned equal at 4 and 64 blocks).
 cargo test -q --workspace
 GBJ_TEST_THREADS=4 cargo test -q --workspace
 GBJ_TEST_VECTORIZED=1 cargo test -q --workspace

@@ -18,6 +18,11 @@ use gbj::datagen::{EmpDeptConfig, SweepConfig};
 use gbj::engine::{max_q, median_q, NodeAudit, PushdownPolicy};
 use gbj::Database;
 
+/// The scan definitions of every summary fact, shared with the storage
+/// crate's own suites.
+#[path = "../crates/storage/tests/stats_oracle/mod.rs"]
+mod stats_oracle;
+
 /// Run `sql` on `db` under `policy` and return the per-node audit.
 fn audits_for(db: &mut Database, sql: &str, policy: PushdownPolicy) -> Vec<NodeAudit> {
     db.options_mut().policy = policy;
@@ -428,16 +433,22 @@ fn range_predicate_over_the_i64_extremes_estimates_sanely() {
 /// `observed_domain` computed, once per call, by walking every stored
 /// row before the tables kept a [`gbj::storage::TableStats`]. Kept
 /// here, over `Table::value_rows`, as the reference the summaries are
-/// checked against.
+/// checked against — through `stats_oracle`, which holds the definition
+/// of the two facts that are estimates past one block: a numeric
+/// column's distinct count (the sequential sketch of its values) and
+/// the `Int64` histogram (that of a fresh load of the same rows, held
+/// there against the true ranks).
 mod scan_oracle {
-    use std::collections::{BTreeSet, HashSet};
+    use std::collections::BTreeSet;
 
     use gbj::analyze::{ColumnDomain, Interval, Nullability};
-    use gbj::engine::{DistinctSketch, EquiDepthHistogram};
-    use gbj::storage::stats::{HISTOGRAM_BUCKETS, SKETCH_K};
+    use gbj::engine::EquiDepthHistogram;
+    use gbj::storage::stats::SKETCH_K;
     use gbj::storage::Table;
-    use gbj::types::{ColumnRef, DataType, GroupKey};
+    use gbj::types::{ColumnRef, DataType};
     use gbj::Value;
+
+    use super::stats_oracle;
 
     fn ordinal(data: &Table, column: &str) -> usize {
         data.schema()
@@ -445,26 +456,27 @@ mod scan_oracle {
             .expect("column exists")
     }
 
-    /// Distinct values of one column, NULL as one value (`=ⁿ`).
+    pub fn types(data: &Table) -> Vec<DataType> {
+        data.schema().fields().iter().map(|f| f.data_type).collect()
+    }
+
+    pub fn rows(data: &Table) -> Vec<Vec<Value>> {
+        data.value_rows().collect()
+    }
+
+    /// Distinct values of one column, NULL as one value (`=ⁿ`): counted
+    /// for strings and Booleans, through the sketch for numbers.
     pub fn column_ndv(data: &Table, column: &str) -> f64 {
-        let idx = ordinal(data, column);
-        let mut seen = HashSet::new();
-        for row in data.value_rows() {
-            seen.insert(GroupKey(vec![row[idx].clone()]));
-        }
-        (seen.len() as f64).max(1.0)
+        let (idx, rows) = (ordinal(data, column), rows(data));
+        let ndv = match types(data)[idx] {
+            DataType::Int64 | DataType::Float64 => stats_oracle::joint_ndv(&rows, &[idx]).round(),
+            _ => stats_oracle::distinct(&rows, idx) as f64,
+        };
+        ndv.max(1.0)
     }
 
     pub fn histogram(data: &Table, column: &str) -> Option<EquiDepthHistogram> {
-        let idx = ordinal(data, column);
-        let values: Vec<Option<i64>> = data
-            .value_rows()
-            .map(|row| match row[idx] {
-                Value::Int(v) => Some(v),
-                _ => None,
-            })
-            .collect();
-        EquiDepthHistogram::build(&values, HISTOGRAM_BUCKETS)
+        stats_oracle::histogram(&types(data), &rows(data), ordinal(data, column))
     }
 
     /// The column ordinals of a grouping set in the order the estimator
@@ -479,17 +491,13 @@ mod scan_oracle {
 
     /// KMV estimate of the distinct `=ⁿ` combinations over `ordinals`.
     pub fn joint_ndv(data: &Table, ordinals: &[usize]) -> f64 {
-        let mut sketch = DistinctSketch::new(SKETCH_K);
-        for row in data.value_rows() {
-            sketch.insert(&GroupKey(
-                ordinals.iter().map(|&i| row[i].clone()).collect(),
-            ));
-        }
-        sketch.estimate().max(1.0)
+        stats_oracle::joint_ndv(&rows(data), ordinals).max(1.0)
     }
 
     /// The observed per-column domain, distinct values counted by their
-    /// `Debug` rendering.
+    /// `Debug` rendering — and claimed only while a count of them is
+    /// what the summary holds (a numeric column past the sketch size
+    /// claims none).
     pub fn observed_domain(data: &Table, column: &str) -> ColumnDomain {
         let idx = ordinal(data, column);
         let data_type = data.schema().fields()[idx].data_type;
@@ -532,6 +540,7 @@ mod scan_oracle {
         let values = (data_type == DataType::Utf8
             && distinct.len() <= gbj::analyze::domain::MAX_VALUE_SET)
             .then(|| distinct.clone());
+        let counted = interval.is_none() || distinct.len() + usize::from(saw_null) < SKETCH_K;
         ColumnDomain {
             interval,
             values,
@@ -540,7 +549,7 @@ mod scan_oracle {
             } else {
                 Nullability::Never
             },
-            ndv: Some(distinct.len() as f64),
+            ndv: counted.then_some(distinct.len() as f64),
         }
     }
 }
@@ -603,21 +612,39 @@ fn summary_table(rows: usize, seed: u64) -> Database {
 }
 
 /// Every fact a `TableStats` holds equals its scan definition, on
-/// seeded random tables that are empty, small, and large enough for the
-/// joint sketch to estimate. The estimator and the clamp are pure
-/// functions of these facts, so equal facts are equal `est=` columns;
-/// `estimates_equal_the_scan_oracles_on_every_column_kind` checks the
-/// wiring on top.
+/// seeded random tables that are empty, small, either side of one and
+/// two block edges, and large enough for the sketches to estimate:
+/// every exact fact by a walk over the rows, the two estimates by their
+/// definition and within their error of the truth, the whole summary
+/// that of a fresh load of the same rows (`stats_oracle`). The
+/// estimator and the clamp are pure functions of these facts, so equal
+/// facts are equal `est=` columns; `estimates_equal_the_scan_oracles_on_every_column_kind`
+/// checks the wiring on top. And every stored value lies inside the
+/// domain the clamp is handed: a proof never rests on an estimate.
 #[test]
 fn summaries_equal_their_scan_definitions() {
+    use gbj::engine::database::observed_domain;
     use gbj::engine::stats::Estimator;
-    for (rows, seed) in [(0usize, 1u64), (1, 2), (50, 3), (50, 4), (5000, 5)] {
+    use gbj::Value;
+    let sizes = [
+        (0usize, 1u64),
+        (1, 2),
+        (50, 3),
+        (50, 4),
+        (1023, 6),
+        (1024, 7),
+        (1025, 8),
+        (2049, 9),
+        (5000, 5),
+    ];
+    for (rows, seed) in sizes {
         let db = summary_table(rows, seed);
         let ctx = format!("rows={rows} seed={seed}");
         let data = db.storage().table_data("T").expect("table");
+        let (types, held) = (scan_oracle::types(data), scan_oracle::rows(data));
+        stats_oracle::assert_stats(data, &types, &held, &ctx);
         let est = Estimator::new(db.storage());
         assert_eq!(est.table_rows("T"), rows as f64, "{ctx}");
-        assert_eq!(data.stats().rows, rows, "{ctx}");
         for (idx, col) in SUMMARY_COLUMNS.iter().enumerate() {
             let ctx = format!("{ctx} column={col}");
             assert_eq!(
@@ -632,34 +659,41 @@ fn summaries_equal_their_scan_definitions() {
             );
             let stats = &data.stats().columns[idx];
             let observed = scan_oracle::observed_domain(data, col);
+            let handed = observed_domain(stats, types[idx]);
             assert_eq!(
                 stats.nulls > 0,
                 observed.nullability.can_be_null(),
                 "{ctx}: a column holding a NULL never proves IS NOT NULL"
             );
-            let nulls = data.value_rows().filter(|r| r[idx].is_null()).count();
-            assert_eq!(stats.nulls, nulls, "{ctx}");
-            match (stats.range, observed.interval) {
-                (Some((lo, hi)), Some(i)) => {
-                    assert_eq!((Some(lo), Some(hi)), (i.lo, i.hi), "{ctx}");
-                }
-                (None, Some(i)) => assert!(i.is_empty(), "{ctx}: no non-NULL value"),
-                (None, None) => {}
-                (Some(_), None) => panic!("{ctx}: a range on a non-numeric column"),
-            }
-            assert_eq!(stats.values, observed.values, "{ctx}");
+            assert_eq!(handed.nullability, observed.nullability, "{ctx}");
+            assert_eq!(handed.interval, observed.interval, "{ctx}");
+            assert_eq!(handed.values, observed.values, "{ctx}");
             // The one deliberate difference: `0.0` and `-0.0` are one
             // value under `=ⁿ` but two `Debug` strings.
             let both_zeros = ["0.0", "-0.0"].map(|z| {
-                data.value_rows()
-                    .any(|r| matches!(r[idx], gbj::Value::Float(f) if format!("{f:?}") == z))
+                held.iter()
+                    .any(|r| matches!(r[idx], Value::Float(f) if format!("{f:?}") == z))
             });
             let debug_surplus = f64::from(u8::from(both_zeros == [true, true]));
             assert_eq!(
-                Some(stats.non_null_ndv() as f64 + debug_surplus),
+                handed.ndv.map(|ndv| ndv + debug_surplus),
                 observed.ndv,
-                "{ctx}"
+                "{ctx}: a distinct count is handed over only while it is one"
             );
+            assert_eq!(handed.ndv.is_some(), stats.ndv_exact, "{ctx}");
+            // Every stored value lies inside the domain handed over.
+            for row in &held {
+                let inside = match &row[idx] {
+                    Value::Null => handed.nullability.can_be_null(),
+                    Value::Int(i) => handed.interval.is_some_and(|d| d.contains(*i as f64)),
+                    Value::Float(f) => {
+                        f.is_nan() || handed.interval.is_some_and(|d| d.contains(*f))
+                    }
+                    Value::Str(s) => handed.values.as_ref().is_none_or(|set| set.contains(s)),
+                    Value::Bool(_) => true,
+                };
+                assert!(inside, "{ctx}: {:?} outside {}", row[idx], handed.render());
+            }
         }
         for group in [
             vec!["w", "a"],
@@ -668,6 +702,7 @@ fn summaries_equal_their_scan_definitions() {
             vec!["k", "allnull"],
         ] {
             let ords = scan_oracle::joint_ordinals(data, &group);
+            stats_oracle::assert_joint_ndv(data, &held, &ords, &format!("{ctx} group={group:?}"));
             assert_eq!(
                 data.joint_ndv(&ords).max(1.0),
                 scan_oracle::joint_ndv(data, &ords),
