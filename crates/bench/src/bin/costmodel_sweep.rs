@@ -42,6 +42,8 @@ fn choice_name(c: PlanChoice) -> &'static str {
 /// Median wall-clock milliseconds of three runs under `policy`.
 fn timed_ms(db: &mut Database, policy: PushdownPolicy, sql: &str) -> Result<f64> {
     db.options_mut().policy = policy;
+    // BENCH_costmodel.json's shape timings were recorded on the oracle.
+    db.set_vectorized(false);
     let mut samples: Vec<f64> = Vec::with_capacity(3);
     for _ in 0..3 {
         let start = Instant::now();

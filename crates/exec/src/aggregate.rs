@@ -626,7 +626,7 @@ impl<'a> AggStates<'a> {
     /// the accumulators: a typed state vector *is* its result column
     /// once its "no input yet" flags are read as validity. The general
     /// form goes through `finish` itself.
-    pub(crate) fn take_columns(&mut self) -> Vec<ColumnVector> {
+    pub(crate) fn take_columns(&mut self) -> Result<Vec<ColumnVector>> {
         /// A typed column from one optional cell per slot.
         fn column<T: Default>(
             cells: impl Iterator<Item = Option<T>>,
@@ -644,9 +644,8 @@ impl<'a> AggStates<'a> {
         let int = |values, validity| ColumnVector::Int { values, validity };
         let float = |values, validity| ColumnVector::Float { values, validity };
         let len = self.len;
-        let drained = std::mem::take(&mut self.cols)
-            .into_iter()
-            .map(|col| match col {
+        let drained = std::mem::take(&mut self.cols).into_iter().map(|col| {
+            Ok(match col {
                 AggColumn::Count(counts) => ColumnVector::Int {
                     validity: Bitmap::new_all(counts.len(), true),
                     values: counts,
@@ -666,9 +665,10 @@ impl<'a> AggStates<'a> {
                 AggColumn::Pending => ColumnVector::all_null(len),
                 AggColumn::Accs(accs) => {
                     let results: Vec<Value> = accs.iter().map(Accumulator::finish).collect();
-                    ColumnVector::from_values(results.iter())
+                    ColumnVector::from_values(results.iter())?
                 }
-            });
+            })
+        });
         drained.collect()
     }
 
@@ -839,8 +839,9 @@ impl<'a> Groups<'a> {
         }
     }
 
-    /// Find or create the slot of key `i` of `view` (adopted).
-    fn slot(&mut self, view: &KeyView<'_>, i: usize, charge: bool) -> Result<u32> {
+    /// Find or create the slot of key `i` of `view` (adopted), charging
+    /// a new group before it counts.
+    fn slot(&mut self, view: &KeyView<'_>, i: usize) -> Result<u32> {
         let next = u32::try_from(self.len)
             .map_err(|_| internal_err!("group table of {} slots exceeds slot range", self.len))?;
         let (slot, new) = self.map.entry(view, i, || next);
@@ -848,9 +849,7 @@ impl<'a> Groups<'a> {
         if new {
             self.keys.push(view, i);
             self.len += 1;
-            if charge {
-                self.charge(view.key_bytes(i))?;
-            }
+            self.charge(view.key_bytes(i))?;
         }
         Ok(slot)
     }
@@ -909,13 +908,13 @@ impl<'a> Groups<'a> {
             ChunkArgs::Columns(cols) => cols,
             ChunkArgs::Rows(batch) => {
                 return rows.into_iter().try_for_each(|i| {
-                    let slot = self.slot(keys, i, true)?;
+                    let slot = self.slot(keys, i)?;
                     self.states.grow(self.len);
                     self.states.update_row(slot as usize, &batch.row(i))
                 });
             }
         };
-        let (slots, unplaced) = self.place(keys, rows.clone(), true);
+        let (slots, unplaced) = self.place(keys, rows.clone());
         let first = self.states.update_chunk(&slots, rows, cols);
         self.slots = slots;
         first_of(first?, unplaced)
@@ -928,13 +927,12 @@ impl<'a> Groups<'a> {
         &mut self,
         view: &KeyView<'_>,
         rows: impl Iterator<Item = usize>,
-        charge: bool,
     ) -> (Vec<u32>, Option<Error>) {
         let mut slots = std::mem::take(&mut self.slots);
         slots.clear();
         let mut unplaced = None;
         for i in rows {
-            match self.slot(view, i, charge) {
+            match self.slot(view, i) {
                 Ok(slot) => slots.push(slot),
                 Err(error) => {
                     unplaced = Some(error);
@@ -946,32 +944,18 @@ impl<'a> Groups<'a> {
         (slots, unplaced)
     }
 
-    /// Merge the groups `picked` (slots of `other`, in order) into this
-    /// table through `Accumulator::merge`, keyed raw while both tables
-    /// are. With `charge`, a group this table has not seen is charged
+    /// Merge shipped partials: the groups `picked` (slots of `other`, in
+    /// order) into this table through `Accumulator::merge`, keyed raw
+    /// while both tables are. A group this table has not seen is charged
     /// like any new entry. Errors are ordered as in
     /// [`Groups::fold_chunk`], one partial being one row.
-    fn merge_slots(&mut self, other: &Groups<'_>, picked: &[u32], charge: bool) -> Result<()> {
+    pub(crate) fn merge_picked(&mut self, other: &Groups<'_>, picked: &[u32]) -> Result<()> {
         let view = other.keys.view();
         self.adopt(&view);
-        let (slots, unplaced) = self.place(&view, picked.iter().map(|&s| s as usize), charge);
+        let (slots, unplaced) = self.place(&view, picked.iter().map(|&s| s as usize));
         let first = self.states.merge_from(&other.states, picked, &slots);
         self.slots = slots;
         first_of(first?, unplaced)
-    }
-
-    /// Merge shipped partials: the groups `picked` of `other`.
-    pub(crate) fn merge_picked(&mut self, other: &Groups<'_>, picked: &[u32]) -> Result<()> {
-        self.merge_slots(other, picked, true)
-    }
-
-    /// Merge a whole partial table, taking over its memory charge.
-    /// Absorbing partials in input order reproduces the first-seen
-    /// order of one fold over the concatenated input.
-    pub(crate) fn absorb(&mut self, mut other: Groups<'a>) -> Result<()> {
-        self.bytes += std::mem::take(&mut other.bytes);
-        let all: Vec<u32> = (0..other.len as u32).collect();
-        self.merge_slots(&other, &all, false)
     }
 
     /// The part of `n` each group belongs to, by slot.
@@ -993,7 +977,7 @@ impl<'a> Groups<'a> {
     /// already holds (`Int` values, dictionary codes with their
     /// dictionary); decoded keys are transposed. Cell for cell
     /// [`Groups::finish`], with no row and no [`Accumulator`] built.
-    pub(crate) fn into_columns(mut self, key_arity: usize) -> Vec<ColumnVector> {
+    pub(crate) fn into_columns(mut self, key_arity: usize) -> Result<Vec<ColumnVector>> {
         let mut columns = match std::mem::replace(&mut self.keys, SlotKeys::Decoded(Vec::new())) {
             SlotKeys::Int { values, validity } => vec![ColumnVector::Int { values, validity }],
             SlotKeys::Dict { codes, dict } => vec![ColumnVector::Dict { codes, dict }],
@@ -1004,11 +988,11 @@ impl<'a> Groups<'a> {
                         .map(move |key| key.0.get(c).unwrap_or(&Value::Null));
                     ColumnVector::from_values(cells)
                 };
-                (0..key_arity).map(column).collect()
+                (0..key_arity).map(column).collect::<Result<_>>()?
             }
         };
-        columns.extend(self.states.take_columns());
-        columns
+        columns.extend(self.states.take_columns()?);
+        Ok(columns)
     }
 
     /// Drain into output rows: decoded key values ++ aggregate results,
@@ -1374,10 +1358,9 @@ pub(crate) mod tests {
         assert_eq!(guard.memory_used(), 0, "dropping the table releases it");
     }
 
-    /// Partials merged in input order — whole tables via `absorb` (the
-    /// morsel merge) or picked slots via `merge_picked` (the combiner) —
-    /// give the rows and the first-seen order of one fold over the
-    /// concatenated input, for every mergeable aggregate.
+    /// Partials merged in input order — picked slots via `merge_picked`
+    /// (the combiner) — give the rows and the first-seen order of one
+    /// fold over the concatenated input, for every mergeable aggregate.
     #[test]
     fn groups_merge_equals_one_fold_over_the_concatenation() {
         let input = rows(&[
@@ -1398,20 +1381,14 @@ pub(crate) mod tests {
         );
         for split in [1usize, 3, 5] {
             let (head, tail) = input.split_at(split);
-            let mut absorbed = Groups::new(&calls, &guard);
             let mut merged = Groups::new(&calls, &guard);
             for part in [head, tail] {
-                let partial = fold_all(part, &calls, &guard);
-                let held = partial.bytes();
-                absorbed.absorb(partial).unwrap();
-                assert!(absorbed.bytes() >= held, "absorb takes over the charge");
                 let mut shipped = fold_all(part, &calls, &guard);
                 shipped.release();
                 let all: Vec<u32> = (0..shipped.len() as u32).collect();
                 merged.merge_picked(&shipped, &all).unwrap();
             }
-            assert_eq!(merged.bytes(), guard.memory_used() - absorbed.bytes());
-            assert_eq!(absorbed.finish(), whole, "absorb, split at {split}");
+            assert_eq!(merged.bytes(), guard.memory_used());
             assert_eq!(merged.finish(), whole, "merge, split at {split}");
         }
         assert_eq!(guard.memory_used(), 0);
@@ -1426,7 +1403,7 @@ pub(crate) mod tests {
 
     impl TestChunk {
         fn new(keys: Vec<Vec<Value>>, args: Vec<Option<Vec<Value>>>) -> TestChunk {
-            let column = |vals: &Vec<Value>| ColumnVector::from_values(vals.iter());
+            let column = |vals: &Vec<Value>| ColumnVector::from_values(vals.iter()).unwrap();
             TestChunk {
                 len: keys[0].len(),
                 keys: keys.iter().map(column).collect(),
@@ -1856,7 +1833,7 @@ pub(crate) mod tests {
                 .fold_into(groups, &(0..len).collect::<Vec<_>>())
                 .unwrap();
         };
-        let column = |vals: &[Value]| ColumnVector::from_values(vals.iter());
+        let column = |vals: &[Value]| ColumnVector::from_values(vals.iter()).unwrap();
         let mut groups = Groups::typed(&compiled, &guard);
         fold(
             &mut groups,
@@ -1959,20 +1936,20 @@ pub(crate) mod tests {
             TestChunk::new(keys, args)
         };
         let int_keys = ints(&[Some(7), None, Some(7), Some(i64::MIN), None]);
-        let float_keys = floats(&[Some(7.0), None, Some(0.5), Some(f64::NAN), Some(-0.0)]);
-        let dict = {
+        let dict_of = |strings: [&str; 3]| {
             let mut b = StringDict::default();
-            for s in ["x", "unused", "y"] {
+            for s in strings {
                 b.intern(s).unwrap();
             }
             Arc::new(b)
         };
-        let dict_keys = TestChunk {
+        let (dict, other_dict) = (dict_of(["x", "unused", "y"]), dict_of(["y", "z", "x"]));
+        let dict_keys = |dict: &Arc<StringDict>, numeric| TestChunk {
             keys: vec![ColumnVector::Dict {
                 codes: vec![2, NULL_CODE, 0, 2, NULL_CODE],
-                dict: Arc::clone(&dict),
+                dict: Arc::clone(dict),
             }],
-            ..chunk(vec![int_keys.clone()], &int_args)
+            ..chunk(vec![int_keys.clone()], numeric)
         };
         let all: Vec<u32> = (0..5).collect();
         type Fill<'t> = Box<dyn Fn(&mut Groups<'_>) + 't>;
@@ -1990,20 +1967,16 @@ pub(crate) mod tests {
             ("float arguments", 1, one(&float_args)),
             ("pending left pending", 1, one(&null_args)),
             (
-                "a SUM that changes type mid-stream",
+                "dictionary keys",
                 1,
-                fold(vec![
-                    chunk(vec![int_keys.clone()], &int_args),
-                    chunk(vec![int_keys.clone()], &float_args),
-                ]),
+                fold(vec![dict_keys(&dict, &int_args)]),
             ),
-            ("dictionary keys", 1, fold(vec![dict_keys])),
             (
                 "a key shape that demotes mid-stream",
                 1,
                 fold(vec![
-                    chunk(vec![int_keys.clone()], &int_args),
-                    chunk(vec![float_keys.clone()], &int_args),
+                    dict_keys(&dict, &float_args),
+                    dict_keys(&other_dict, &float_args),
                 ]),
             ),
             (
@@ -2027,7 +2000,7 @@ pub(crate) mod tests {
             fill(&mut columns);
             let len = columns.len();
             let raw = columns.map.is_raw();
-            let drained = columns.into_columns(*key_arity);
+            let drained = columns.into_columns(*key_arity).unwrap();
             assert_eq!(drained.len(), key_arity + calls.len(), "{name}");
             match drained.first() {
                 Some(ColumnVector::Dict { dict: d, .. }) => {
@@ -2040,6 +2013,18 @@ pub(crate) mod tests {
             assert_eq!(exact(&batch.to_rows()), exact(&rows.finish()), "{name}");
         }
         assert_eq!(guard.memory_used(), 0);
+
+        // A declared schema gives a column one type. An argument whose
+        // type changes mid-stream still folds as the oracle does, but
+        // its MIN is an `Int` in one group and a `Float` in another:
+        // no column, so the drain is a typed internal error.
+        let (_, compiled) = chunk_calls(1, &calls);
+        let mut mixed = Groups::typed(&compiled, &guard);
+        for numeric in [&int_args, &float_args] {
+            let chunk = chunk(vec![int_keys.clone()], numeric);
+            chunk.fold_into(&mut mixed, &all).unwrap();
+        }
+        assert_eq!(mixed.into_columns(1).unwrap_err().kind(), "internal");
 
         // Scalar: slot 0 of the bare states, with and without input.
         let (_, compiled) = chunk_calls(0, &calls);
@@ -2054,7 +2039,7 @@ pub(crate) mod tests {
             }
             let mut row = Vec::new();
             states.finish_slot(0, &mut row);
-            let batch = ColumnarBatch::from_columns(states.take_columns(), 1).unwrap();
+            let batch = ColumnarBatch::from_columns(states.take_columns().unwrap(), 1).unwrap();
             assert_eq!(exact(&batch.to_rows()), exact(&[row]), "scalar, fed: {fed}");
         }
     }

@@ -54,7 +54,7 @@ fn wire_bytes(batch: &ColumnarBatch, rows: impl ExactSizeIterator<Item = usize> 
         .filter(|col| {
             matches!(
                 col.as_ref(),
-                ColumnVector::Str { .. } | ColumnVector::Dict { .. } | ColumnVector::Mixed { .. }
+                ColumnVector::Str { .. } | ColumnVector::Dict { .. }
             )
         })
         .map(|col| rows.clone().map(|i| string_bytes(col, i)).sum::<usize>())
@@ -156,7 +156,7 @@ mod tests {
     /// One column of every [`ColumnVector`] variant, six rows each, with
     /// NULLs everywhere a variant can hold one.
     fn every_variant() -> Vec<(&'static str, ColumnVector)> {
-        let typed = |vals: [Value; 6]| ColumnVector::from_values(vals.iter());
+        let typed = |vals: [Value; 6]| ColumnVector::from_values(vals.iter()).unwrap();
         let mut dict = StringDict::default();
         let (x, long) = (
             dict.intern("x").unwrap(),
@@ -206,19 +206,6 @@ mod tests {
                 ColumnVector::Dict {
                     codes: vec![x, long, NULL_CODE, x, long, NULL_CODE],
                     dict: Arc::new(dict),
-                },
-            ),
-            (
-                "Mixed",
-                ColumnVector::Mixed {
-                    values: vec![
-                        int(1),
-                        Value::str("one"),
-                        Value::Null,
-                        Value::Float(1.0),
-                        Value::Bool(true),
-                        Value::str("one"),
-                    ],
                 },
             ),
             ("all-NULL", ColumnVector::all_null(6)),

@@ -12,7 +12,7 @@ use crate::aggregate::{compile_aggregates, hash_aggregate, sort_aggregate};
 use crate::guard::{ResourceGuard, ResourceLimits};
 use crate::join::{bind_join, hash_join, nested_loop_join, sort_merge_join};
 use crate::metrics::MetricsSink;
-use crate::parallel::{morsel_rows, parallel_hash_aggregate, parallel_hash_join};
+use crate::parallel::morsel_rows;
 use crate::path::{execution_path, ExecPath};
 use crate::result::{ProfileNode, ResultSet};
 
@@ -49,29 +49,30 @@ pub struct ExecOptions {
     pub agg: AggAlgo,
     /// Resource budgets enforced during execution (default: unlimited).
     pub limits: ResourceLimits,
-    /// Worker threads for the row engine's morsel-driven hash join and
-    /// hash aggregate (see `crate::parallel`) and for the chunk
-    /// pipeline's parts (one part is always inline on the calling
-    /// thread). `1` (the default) keeps the serial operators. Results
-    /// are byte-identical at every value.
+    /// The size of the thread team the chunk pipeline runs its parts on
+    /// (see `crate::parallel`), the calling thread included — and
+    /// nothing else: the row engine is serial, and one part runs inline
+    /// on the calling thread, so below `shards > 1` this is a no-op.
+    /// Rows, errors and counters are byte-identical at every value.
     pub threads: NonZeroUsize,
     /// Collect per-operator metrics (counters and phase timings) into
     /// each [`ProfileNode`]. On by default; turning it off replaces
     /// every sink with a no-op that skips its clock reads.
     pub metrics: bool,
-    /// At one shard, run plans that pass the whole-plan gate
-    /// ([`execution_path`](crate::execution_path)) on the chunk pipeline
-    /// (see [`crate::pipeline`]) instead of the row engine. Off by
-    /// default. A plan the gate refuses runs on the untouched row
-    /// engine, so results — including errors and the metrics
-    /// fingerprint — are byte-identical either way.
+    /// Run the plan on the chunk pipeline (see [`crate::pipeline`]) when
+    /// the whole-plan gate ([`execution_path`](crate::execution_path))
+    /// admits it — the default, and the product. `false` is the oracle
+    /// switch: the serial row engine, whatever `threads` and `shards`
+    /// say. A plan the gate refuses runs on that same row engine, so
+    /// results — including errors and the metrics fingerprint — are
+    /// byte-identical either way.
     pub vectorized: bool,
-    /// In-process shard count. `1` (the default) keeps single-shard
-    /// execution; at higher values plans that pass the strict gate run
-    /// on the chunk pipeline over that many hash-partitioned parts —
-    /// whatever `vectorized` says — with exchanges metering
-    /// `shipped_rows` / `shipped_bytes`, byte-identical to single-shard
-    /// output.
+    /// How many hash-partitioned parts the chunk pipeline runs over.
+    /// `1` (the default) is single-shard execution; at higher values
+    /// plans that pass the strict gate run over that many parts, with
+    /// exchanges metering `shipped_rows` / `shipped_bytes`,
+    /// byte-identical to single-shard output, and plans it refuses run
+    /// at one part. Ignored when `vectorized` is off.
     pub shards: NonZeroUsize,
     /// Push certified eager pre-aggregations below the exchange as
     /// combiners (partial aggregation per origin shard, merge at the
@@ -89,7 +90,7 @@ impl Default for ExecOptions {
             limits: ResourceLimits::default(),
             threads: NonZeroUsize::MIN,
             metrics: true,
-            vectorized: false,
+            vectorized: true,
             shards: NonZeroUsize::MIN,
             combiner: false,
         }
@@ -129,8 +130,8 @@ fn shipped_totals(profile: &ProfileNode) -> (u64, u64) {
 }
 
 /// Input batches a blocking operator processes: the morsel count, a
-/// function of input size only, so the number is identical whether the
-/// operator actually ran serial or parallel.
+/// function of input size only, so the number is identical on both
+/// paths and at every part and thread count.
 pub(crate) fn input_batches(len: usize) -> u64 {
     len.div_ceil(morsel_rows(len)) as u64
 }
@@ -306,8 +307,8 @@ impl<'a> Executor<'a> {
     /// cursor through `next_columnar`). The batched cursor is the
     /// fault-injection seam (short batches, injected failures, NULL
     /// flips) and gives the guard a cancellation point between batches;
-    /// it always runs serial, so cursor batches are thread-count
-    /// invariant.
+    /// the pipeline's scan is the same serial cursor, so cursor batches
+    /// are the same at every part and thread count.
     fn scan_rows(
         &self,
         plan: &LogicalPlan,
@@ -429,7 +430,7 @@ impl<'a> Executor<'a> {
                 };
                 let sink = self.sink();
                 // Batches = input morsel count on both sides, a function
-                // of input size only — identical serial or parallel.
+                // of input size only.
                 sink.add_batches(input_batches(l.len()) + input_batches(r.len()));
                 let (rows, op) = match algo {
                     JoinAlgo::NestedLoop => {
@@ -439,18 +440,6 @@ impl<'a> Executor<'a> {
                             "NestedLoopJoin",
                         )
                     }
-                    JoinAlgo::Hash | JoinAlgo::Auto if self.options.threads.get() > 1 => (
-                        parallel_hash_join(
-                            &l,
-                            &r,
-                            &join.keys,
-                            &join.residual,
-                            guard,
-                            self.options.threads,
-                            &sink,
-                        )?,
-                        "ParallelHashJoin",
-                    ),
                     JoinAlgo::Hash | JoinAlgo::Auto => (
                         hash_join(&l, &r, &join.keys, &join.residual, guard, &sink)?,
                         "HashJoin",
@@ -477,17 +466,6 @@ impl<'a> Executor<'a> {
                 let sink = self.sink();
                 sink.add_batches(input_batches(in_rows.len()));
                 let (rows, op) = match self.options.agg {
-                    AggAlgo::Hash if self.options.threads.get() > 1 => (
-                        parallel_hash_aggregate(
-                            &in_rows,
-                            &group_bound,
-                            &compiled,
-                            guard,
-                            self.options.threads,
-                            &sink,
-                        )?,
-                        "ParallelHashAggregate",
-                    ),
                     AggAlgo::Hash => (
                         hash_aggregate(&in_rows, &group_bound, &compiled, guard, &sink)?,
                         "HashAggregate",
@@ -632,6 +610,56 @@ pub(crate) mod tests {
         }
     }
 
+    /// The oracle's options, every switch spelled out: the serial row
+    /// engine. Never `ExecOptions::default()` — that is the pipeline.
+    pub(crate) fn oracle_options() -> ExecOptions {
+        ExecOptions {
+            vectorized: false,
+            threads: NonZeroUsize::MIN,
+            shards: NonZeroUsize::MIN,
+            ..ExecOptions::default()
+        }
+    }
+
+    /// Pre-order `(operator, vectors)` of a profile.
+    fn operator_vectors(p: &ProfileNode, out: &mut Vec<(String, u64)>) {
+        out.push((p.operator.clone(), p.metrics.vectors));
+        for child in &p.children {
+            operator_vectors(child, out);
+        }
+    }
+
+    /// Run `plan` as a differential's reference side and assert that
+    /// the oracle is what ran: `path: row`, asked for, and no operator
+    /// claiming a kernel. `options` is [`oracle_options`], possibly
+    /// with an algorithm or a budget changed.
+    pub(crate) fn run_oracle(
+        s: &Storage,
+        options: ExecOptions,
+        plan: &LogicalPlan,
+    ) -> Result<(ResultSet, ProfileNode, ExecSummary)> {
+        let run = Executor::with_options(s, options).execute_metered(plan)?;
+        assert_eq!(
+            run.2.path,
+            ExecPath::Row(None),
+            "the reference ran {}",
+            run.2.path
+        );
+        let mut ops = Vec::new();
+        operator_vectors(&run.1, &mut ops);
+        assert!(
+            ops.iter().all(|(_, v)| *v == 0),
+            "the reference claimed kernels: {ops:?}"
+        );
+        Ok(run)
+    }
+
+    /// [`run_oracle`] under [`oracle_options`], rows and profile.
+    pub(crate) fn oracle(s: &Storage, plan: &LogicalPlan) -> (ResultSet, ProfileNode) {
+        let (rows, profile, _) = run_oracle(s, oracle_options(), plan).unwrap();
+        (rows, profile)
+    }
+
     #[test]
     fn lazy_and_eager_plans_agree() {
         let s = setup();
@@ -714,36 +742,33 @@ pub(crate) mod tests {
         assert!(p.find_operator("SortAggregate").is_some());
     }
 
+    /// `vectorized = false` is the oracle whatever else is set: the
+    /// serial operators, `path: row`, the same rows and profile.
     #[test]
-    fn parallel_threads_match_serial_and_rename_operators() {
+    fn the_oracle_switch_ignores_threads_and_shards() {
         let s = setup();
-        let serial = Executor::new(&s);
-        let (expect_lazy, _) = serial.execute(&plan1(&s)).unwrap();
-        let (expect_eager, _) = serial.execute(&plan2(&s)).unwrap();
-        for threads in [2usize, 4, 8] {
-            let exec = Executor::with_options(
-                &s,
-                ExecOptions {
+        for plan in [plan1(&s), plan2(&s)] {
+            let (expect, expect_p) = oracle(&s, &plan);
+            for (threads, shards) in [(4usize, 1usize), (1, 4), (8, 4)] {
+                let options = ExecOptions {
                     threads: NonZeroUsize::new(threads).unwrap(),
-                    ..ExecOptions::default()
-                },
-            );
-            let (lazy, p) = exec.execute(&plan1(&s)).unwrap();
-            // Byte-identical, not just multiset-equal.
-            assert_eq!(lazy.rows, expect_lazy.rows, "threads={threads}");
-            assert_eq!(p.operator, "ParallelHashAggregate");
-            assert!(p.find_operator("ParallelHashJoin").is_some());
-            assert!(p.find_operator("HashJoin").is_none());
-            let (eager, _) = exec.execute(&plan2(&s)).unwrap();
-            assert_eq!(eager.rows, expect_eager.rows, "threads={threads}");
+                    shards: NonZeroUsize::new(shards).unwrap(),
+                    ..oracle_options()
+                };
+                let (got, p, summary) = run_oracle(&s, options, &plan).unwrap();
+                let ctx = format!("threads={threads} shards={shards}");
+                assert_eq!(got.rows, expect.rows, "{ctx}");
+                assert_eq!(p.display_tree(), expect_p.display_tree(), "{ctx}");
+                assert_eq!(p.counter_fingerprint(), expect_p.counter_fingerprint());
+                assert_eq!((summary.shipped_rows, summary.shipped_bytes), (0, 0));
+            }
         }
     }
 
     #[test]
-    fn profile_metrics_are_populated_and_thread_invariant() {
+    fn profile_metrics_are_populated_on_both_paths() {
         let s = setup();
-        let serial = Executor::new(&s);
-        let (_, p) = serial.execute(&plan1(&s)).unwrap();
+        let (_, p) = oracle(&s, &plan1(&s));
         assert_eq!(p.metrics.rows_in, 6, "aggregate consumes the join output");
         assert_eq!(p.metrics.hash_entries, 3, "three groups");
         assert!(p.metrics.batches > 0);
@@ -752,40 +777,20 @@ pub(crate) mod tests {
         assert_eq!(join.metrics.rows_out, 6);
         assert_eq!(join.metrics.hash_entries, 3, "three build-side departments");
         assert!(join.metrics.state_bytes > 0, "build table was charged");
-        // The counter fingerprint is byte-identical at every thread
-        // count (operator names are excluded; they rename in parallel).
-        let expected = p.counter_fingerprint();
-        for threads in [2usize, 4, 8] {
-            let exec = Executor::with_options(
-                &s,
-                ExecOptions {
-                    threads: NonZeroUsize::new(threads).unwrap(),
-                    ..ExecOptions::default()
-                },
-            );
-            let (_, p) = exec.execute(&plan1(&s)).unwrap();
-            assert_eq!(p.counter_fingerprint(), expected, "threads={threads}");
-        }
-    }
-
-    /// Pre-order `(operator, vectors)` of a profile.
-    fn operator_vectors(p: &ProfileNode, out: &mut Vec<(String, u64)>) {
-        out.push((p.operator.clone(), p.metrics.vectors));
-        for child in &p.children {
-            operator_vectors(child, out);
-        }
+        // The default — the pipeline — reports the same fingerprint.
+        let (_, batch_p, summary) = Executor::new(&s).execute_metered(&plan1(&s)).unwrap();
+        assert_eq!(summary.path.to_string(), "batch");
+        assert_eq!(batch_p.counter_fingerprint(), p.counter_fingerprint());
     }
 
     #[test]
     fn batch_pipeline_profile_is_identical_at_every_thread_count() {
         let s = setup();
-        let row = Executor::new(&s);
-        let (expect_lazy, row_p) = row.execute(&plan1(&s)).unwrap();
-        let (expect_eager, _) = row.execute(&plan2(&s)).unwrap();
+        let (expect_lazy, row_p) = oracle(&s, &plan1(&s));
+        let (expect_eager, _) = oracle(&s, &plan2(&s));
         let mut serial_ops = Vec::new();
         for threads in [1usize, 2, 4, 8] {
             let options = ExecOptions {
-                vectorized: true,
                 threads: NonZeroUsize::new(threads).unwrap(),
                 ..ExecOptions::default()
             };
@@ -795,10 +800,9 @@ pub(crate) mod tests {
             assert_eq!(lazy.rows, expect_lazy.rows, "threads={threads}");
             let (eager, _) = exec.execute(&plan2(&s)).unwrap();
             assert_eq!(eager.rows, expect_eager.rows, "threads={threads}");
-            // The pipeline's breakers are serial at every thread count:
-            // same operator names, same fingerprint as the row engine,
-            // same `vectors` — the counter that betrays the columnar
-            // path.
+            // One part runs inline at every thread count: same operator
+            // names, same fingerprint as the row engine, same `vectors`
+            // — the counter that betrays the columnar path.
             assert_eq!(p.operator, "HashAggregate", "threads={threads}");
             assert_eq!(p.counter_fingerprint(), row_p.counter_fingerprint());
             let mut ops = Vec::new();
@@ -829,15 +833,8 @@ pub(crate) mod tests {
             exprs: vec![(Expr::col("E", "DeptID"), "DeptID".into())],
             distinct: true,
         };
-        let (expect, _) = Executor::new(&s).execute(&plan).unwrap();
-        let exec = Executor::with_options(
-            &s,
-            ExecOptions {
-                vectorized: true,
-                ..ExecOptions::default()
-            },
-        );
-        let (got, p) = exec.execute(&plan).unwrap();
+        let (expect, _) = oracle(&s, &plan);
+        let (got, p) = Executor::new(&s).execute(&plan).unwrap();
         assert_eq!(got.rows, expect.rows);
         let filter = p.find_operator("Filter").unwrap();
         assert!(filter.metrics.vectors > 0, "filter ran the kernel");
@@ -869,11 +866,10 @@ pub(crate) mod tests {
                 });
             }
         }
-        let (expect, row_p) = Executor::new(&s).execute(&plan).unwrap();
+        let (expect, row_p) = oracle(&s, &plan);
         assert!(row_p.find_operator("Filter").is_some());
         for threads in [1usize, 4] {
             let options = ExecOptions {
-                vectorized: true,
                 threads: NonZeroUsize::new(threads).unwrap(),
                 ..ExecOptions::default()
             };
@@ -900,11 +896,8 @@ pub(crate) mod tests {
             input: Box::new(plan1(&s)),
             keys: vec![(Expr::bare("cnt"), false), (Expr::col("D", "DeptID"), true)],
         };
-        let (expect, row_p) = Executor::new(&s).execute(&plan).unwrap();
-        let options = ExecOptions {
-            vectorized: true,
-            ..ExecOptions::default()
-        };
+        let (expect, row_p) = oracle(&s, &plan);
+        let options = ExecOptions::default();
         assert_eq!(execution_path(&plan, &options).to_string(), "batch");
         let (got, p) = Executor::with_options(&s, options).execute(&plan).unwrap();
         assert_eq!(got.rows, expect.rows, "same order, not just same multiset");

@@ -11,11 +11,11 @@
 //! budget aborts promptly with [`Error::ResourceExhausted`] instead of
 //! running away.
 //!
-//! The counters are atomics, so one guard is shared by every worker of
-//! the morsel-driven parallel operators (see [`crate::parallel`]): the
-//! row/memory/time budgets are **global per query**, not per thread,
-//! and the first worker to cross a limit surfaces the typed error while
-//! the others drain cooperatively.
+//! The counters are atomics, so one guard is shared by every member of
+//! the thread team the pipeline's parts run on (see
+//! [`crate::parallel`]): the row/memory/time budgets are **global per
+//! query**, not per thread, and the first member to cross a limit
+//! surfaces the typed error while the others drain cooperatively.
 //!
 //! [`Executor::execute`]: crate::Executor::execute
 //! [`ExecOptions`]: crate::ExecOptions
@@ -87,8 +87,8 @@ impl ResourceLimits {
 /// Per-query enforcement state for [`ResourceLimits`].
 ///
 /// Atomic counters keep the guard shareable by `&` reference both down
-/// the recursive operator tree and across the worker threads of the
-/// parallel operators (`ResourceGuard` is `Sync`).
+/// the recursive operator tree and across the thread team under the
+/// pipeline's parts (`ResourceGuard` is `Sync`).
 #[derive(Debug)]
 pub struct ResourceGuard {
     limits: ResourceLimits,
@@ -129,7 +129,7 @@ impl ResourceGuard {
 
     /// Attach a wall-clock deadline `remaining` from now. A zero (or
     /// already-elapsed) deadline fires deterministically at the first
-    /// cooperative poll — it never races the first morsel.
+    /// cooperative poll — it never races the first rows.
     #[must_use]
     pub fn with_deadline(mut self, remaining: Duration) -> ResourceGuard {
         self.deadline = Some(remaining);
@@ -302,7 +302,7 @@ impl ResourceGuard {
             let elapsed = self.started.elapsed();
             // `is_zero` makes a zero deadline fire even when `elapsed`
             // is still zero on a coarse clock (determinism, not a race
-            // with the first morsel).
+            // with the first rows).
             if deadline.is_zero() || elapsed > deadline {
                 return Err(Error::DeadlineExceeded {
                     budget_ms: to_ms(deadline),

@@ -206,10 +206,6 @@ pub(crate) fn string_bytes(col: &ColumnVector, i: usize) -> usize {
         ColumnVector::Dict { codes, dict } => {
             codes.get(i).and_then(|&c| dict.get(c)).map_or(0, str::len)
         }
-        ColumnVector::Mixed { values } => match values.get(i) {
-            Some(Value::Str(s)) => s.len(),
-            _ => 0,
-        },
         _ => 0,
     }
 }
@@ -412,7 +408,7 @@ mod tests {
     /// a variant can hold one and the values whose hashes are special:
     /// `2^53` / `2^53 + 1` (one f64), the `i64` extremes, `±0.0`, NaN.
     fn every_variant() -> Vec<(&'static str, ColumnVector)> {
-        let typed = |vals: Vec<Value>| ColumnVector::from_values(vals.iter());
+        let typed = |vals: Vec<Value>| ColumnVector::from_values(vals.iter()).unwrap();
         let mut dict = StringDict::default();
         let (x, long) = (
             dict.intern("x").unwrap(),
@@ -475,20 +471,6 @@ mod tests {
                 ColumnVector::Dict {
                     codes: vec![x, long, crate::batch::NULL_CODE, x, long, 77, x],
                     dict: Arc::new(dict),
-                },
-            ),
-            (
-                "Mixed",
-                ColumnVector::Mixed {
-                    values: vec![
-                        int(1),
-                        Value::str("one"),
-                        Value::Null,
-                        Value::Float(1.0),
-                        Value::Bool(true),
-                        Value::str("one"),
-                        Value::Float(f64::NAN),
-                    ],
                 },
             ),
             ("all-NULL", ColumnVector::all_null(7)),
@@ -561,7 +543,8 @@ mod tests {
     /// (the row engine's way in) sees the same map.
     #[test]
     fn demotion_keeps_every_entry_reachable() {
-        let ints = ColumnVector::from_values([Value::Int(10), Value::Null, Value::Int(10)].iter());
+        let ints = ColumnVector::from_values([Value::Int(10), Value::Null, Value::Int(10)].iter())
+            .unwrap();
         let view = KeyView::new(vec![&ints]);
         let mut map: KeyMap<usize> = KeyMap::new();
         map.adopt(&view);
@@ -573,7 +556,8 @@ mod tests {
             .collect();
         assert_eq!(slots, [0, 1, 0]);
         let floats =
-            ColumnVector::from_values([Value::Float(10.0), Value::Null, Value::Float(0.5)].iter());
+            ColumnVector::from_values([Value::Float(10.0), Value::Null, Value::Float(0.5)].iter())
+                .unwrap();
         let view = KeyView::new(vec![&floats]);
         map.adopt(&view);
         assert!(!map.is_raw());
@@ -600,7 +584,8 @@ mod tests {
             map.entry(&view, i, || next);
         }
         let plain =
-            ColumnVector::from_values([Value::str("x"), Value::Null, Value::str("z")].iter());
+            ColumnVector::from_values([Value::str("x"), Value::Null, Value::str("z")].iter())
+                .unwrap();
         let view = KeyView::new(vec![&plain]);
         map.adopt(&view);
         assert!(!map.is_raw());

@@ -6,18 +6,18 @@
 //! [`ProfileNode`](crate::ProfileNode) as an [`OperatorMetrics`] value.
 //!
 //! **Determinism.** The counters `rows_in`, `rows_out`, `batches` and
-//! `hash_entries` are *thread-count invariant*: they depend only on the
-//! input data and the plan, never on scheduling. The morsel-driven
-//! parallel operators (see [`crate::parallel`]) record the totals of
-//! their *merged* state — distinct groups of the merged table, build
-//! rows of the whole build side — so the counts are byte-identical at
-//! every thread count — the same guarantee the operators make for
-//! their row output. Timings (`build_ns`,
-//! `probe_ns`) and `state_bytes` are measurements of a particular run
-//! and are deliberately excluded from [`OperatorMetrics::fingerprint`].
+//! `hash_entries` depend only on the input data and the plan, never on
+//! the path, the part count or scheduling. Over several parts the
+//! pipeline's operators record the totals of their *merged* state —
+//! distinct groups of the merged table, build rows of the whole build
+//! side — so the counts are byte-identical to the row engine's at
+//! every part and thread count, the same guarantee the operators make
+//! for their row output. Timings (`build_ns`, `probe_ns`) and
+//! `state_bytes` are measurements of a particular run and are
+//! deliberately excluded from [`OperatorMetrics::fingerprint`].
 //!
-//! The sink is internally atomic so the parallel operators can share it
-//! by reference across their worker team.
+//! The sink is internally atomic so an operator's parts can share it by
+//! reference across the thread team (see [`crate::parallel`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -78,7 +78,7 @@ impl OperatorMetrics {
 /// A per-operator metrics recorder.
 ///
 /// Counters are atomics so one sink can be shared by reference across
-/// the parallel operators' worker team; a disabled sink (see
+/// the thread team an operator's parts run on; a disabled sink (see
 /// [`MetricsSink::disabled`]) records nothing and skips its clock
 /// reads, so metrics collection can be turned off wholesale via
 /// [`ExecOptions::metrics`](crate::ExecOptions::metrics).

@@ -22,9 +22,9 @@ use crate::vectorized::vectorizable;
 /// The execution path [`execution_path`] picked for a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPath {
-    /// The row engine: `None` when the options asked for it, otherwise
-    /// the reason the last pipeline configuration tried refused the
-    /// plan.
+    /// The row engine: `None` when the options asked for the oracle
+    /// ([`ExecOptions::vectorized`] off), otherwise the reason the
+    /// one-part pipeline refused the plan.
     Row(Option<Refusal>),
     /// The chunk pipeline.
     Pipeline {
@@ -117,16 +117,19 @@ impl fmt::Display for ExecPath {
     }
 }
 
-/// The path `plan` runs on under `options`: the pipeline over
-/// [`ExecOptions::shards`] parts when more than one shard is configured
+/// The path `plan` runs on under `options`. With
+/// [`ExecOptions::vectorized`] off, the serial row engine — the oracle
+/// switch, whatever `threads` and `shards` say. Otherwise the pipeline
+/// over [`ExecOptions::shards`] parts when more than one is configured
 /// and the plan passes the strict gate, else the pipeline at one part
-/// when vectorized execution is on and the plan passes the lax gate,
-/// else the row engine.
+/// when it passes the lax gate, else the row engine with the refusal.
 #[must_use]
 pub fn execution_path(plan: &LogicalPlan, options: &ExecOptions) -> ExecPath {
+    if !options.vectorized {
+        return ExecPath::Row(None);
+    }
     let shards = options.shards.get();
-    let mut refused = None;
-    if shards > 1 {
+    let strict = if shards > 1 {
         match refusal(plan, options, true) {
             None => {
                 return ExecPath::Pipeline {
@@ -134,21 +137,18 @@ pub fn execution_path(plan: &LogicalPlan, options: &ExecOptions) -> ExecPath {
                     refused: None,
                 }
             }
-            some => refused = some,
+            refused => refused,
         }
+    } else {
+        None
+    };
+    match refusal(plan, options, false) {
+        None => ExecPath::Pipeline {
+            shards: 1,
+            refused: strict.map(|refusal| (shards, refusal)),
+        },
+        refused => ExecPath::Row(refused),
     }
-    if options.vectorized {
-        match refusal(plan, options, false) {
-            None => {
-                return ExecPath::Pipeline {
-                    shards: 1,
-                    refused: refused.map(|refusal| (shards, refusal)),
-                }
-            }
-            some => refused = some,
-        }
-    }
-    ExecPath::Row(refused)
 }
 
 /// Whether every expression binds against `schema` into the error-free
@@ -395,13 +395,13 @@ mod tests {
                         ..ExecOptions::default()
                     };
                     let expect = match (shards > 1, vectorized) {
-                        (true, _) if sharded.is_none() => pipeline(shards, None),
+                        // The oracle switch wins over the shard count.
+                        (_, false) => ExecPath::Row(None),
+                        (true, true) if sharded.is_none() => pipeline(shards, None),
                         (many, true) if batch.is_none() => {
                             pipeline(1, refusal(sharded).filter(|_| many).map(|r| (shards, r)))
                         }
                         (_, true) => ExecPath::Row(refusal(batch)),
-                        (true, false) => ExecPath::Row(refusal(sharded)),
-                        (false, false) => ExecPath::Row(None),
                     };
                     assert_eq!(
                         execution_path(&plan, &options),

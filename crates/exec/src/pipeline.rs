@@ -58,10 +58,10 @@
 //!   fault-injected scan failures included, the scan being the same
 //!   serial cursor at every part count — is the one the row engine
 //!   would raise. Anything outside the gate takes the row engine
-//!   wholesale; there is no per-operator mixing. Like the parallel row
-//!   operators, accumulator-state overflow (`SUM` crossing `i64::MAX`
-//!   mid-stream) can differ from serial accumulation order over several
-//!   parts; see DESIGN.md §9. Within a part the two-pass chunk fold
+//!   wholesale; there is no per-operator mixing. Accumulator-state
+//!   overflow (`SUM` crossing `i64::MAX` mid-stream) can differ from
+//!   serial accumulation order over several parts; see DESIGN.md §15.
+//!   Within a part the two-pass chunk fold
 //!   raises the error at the smallest `(row, aggregate)` position
 //!   ([`Groups::fold_chunk`]), which is the row fold's first.
 //! - *Counters*: the `[rows_in, rows_out, batches, hash_entries]`
@@ -290,14 +290,14 @@ fn concat_chunks(chunks: &[Chunk], required: &[bool]) -> Result<ColumnarBatch> {
                 None => Cow::Borrowed(col),
             });
         }
-        cols.push(Arc::new(concat_columns(&parts, total)));
+        cols.push(Arc::new(concat_columns(&parts, total)?));
     }
     ColumnarBatch::from_columns(cols, total)
 }
 
 /// Merge column parts of (ideally) one variant into a single vector.
 /// Heterogeneous or foreign-dictionary parts decode through [`Value`]s.
-fn concat_columns(parts: &[Cow<'_, ColumnVector>], total: usize) -> ColumnVector {
+fn concat_columns(parts: &[Cow<'_, ColumnVector>], total: usize) -> Result<ColumnVector> {
     /// The parts' validity bitmaps end to end (only called when every
     /// part is one typed variant, so every part has one).
     fn merged_validity(parts: &[Cow<'_, ColumnVector>], total: usize) -> Bitmap {
@@ -320,7 +320,7 @@ fn concat_columns(parts: &[Cow<'_, ColumnVector>], total: usize) -> ColumnVector
             }
         }
         let validity = merged_validity(parts, total);
-        return ColumnVector::Int { values, validity };
+        return Ok(ColumnVector::Int { values, validity });
     }
     if parts
         .iter()
@@ -333,7 +333,7 @@ fn concat_columns(parts: &[Cow<'_, ColumnVector>], total: usize) -> ColumnVector
             }
         }
         let validity = merged_validity(parts, total);
-        return ColumnVector::Float { values, validity };
+        return Ok(ColumnVector::Float { values, validity });
     }
     if parts
         .iter()
@@ -346,7 +346,7 @@ fn concat_columns(parts: &[Cow<'_, ColumnVector>], total: usize) -> ColumnVector
             }
         }
         let validity = merged_validity(parts, total);
-        return ColumnVector::Bool { values, validity };
+        return Ok(ColumnVector::Bool { values, validity });
     }
     if parts
         .iter()
@@ -359,7 +359,7 @@ fn concat_columns(parts: &[Cow<'_, ColumnVector>], total: usize) -> ColumnVector
             }
         }
         let validity = merged_validity(parts, total);
-        return ColumnVector::Str { values, validity };
+        return Ok(ColumnVector::Str { values, validity });
     }
     if let Some(ColumnVector::Dict { dict: first, .. }) = parts.first().map(AsRef::as_ref) {
         let shared = parts.iter().all(
@@ -372,10 +372,10 @@ fn concat_columns(parts: &[Cow<'_, ColumnVector>], total: usize) -> ColumnVector
                     codes.extend_from_slice(c);
                 }
             }
-            return ColumnVector::Dict {
+            return Ok(ColumnVector::Dict {
                 codes,
                 dict: Arc::clone(first),
-            };
+            });
         }
     }
     let mut vals = Vec::with_capacity(total);
@@ -956,7 +956,7 @@ impl<'a> ChunkFold<'a> {
 
     fn drain(&self, groups: Groups<'a>) -> Result<Vec<Chunk>> {
         let len = groups.len();
-        Self::drained(groups.into_columns(self.group_values.len()), len)
+        Self::drained(groups.into_columns(self.group_values.len())?, len)
     }
 
     /// Fold `chunks` into a fresh group table. The table comes back even
@@ -1019,7 +1019,7 @@ impl<'a> ChunkFold<'a> {
                 }
             }
             sink.record_build(scalar_timer);
-            return Self::drained(states.take_columns(), 1);
+            return Self::drained(states.take_columns()?, 1);
         }
         let build_timer = sink.start_timer();
         let (groups, filled) = self.fold(chunks);
@@ -1102,7 +1102,7 @@ mod tests {
             .iter()
             .map(|v| v.map_or(Value::Null, Value::Int))
             .collect();
-        ColumnVector::from_values(values.iter())
+        ColumnVector::from_values(values.iter()).unwrap()
     }
 
     #[test]
@@ -1167,7 +1167,7 @@ mod tests {
             codes: vec![c1],
             dict: Arc::clone(&dict),
         };
-        let merged = concat_columns(&[Cow::Owned(p1), Cow::Owned(p2)], 3);
+        let merged = concat_columns(&[Cow::Owned(p1), Cow::Owned(p2)], 3).unwrap();
         match &merged {
             ColumnVector::Dict { codes, dict: d } => {
                 assert!(Arc::ptr_eq(d, &dict), "shared dictionary must survive");
@@ -1177,7 +1177,7 @@ mod tests {
         }
     }
 
-    use crate::executor::tests::{plan1 as lazy_plan, plan2 as eager_plan, setup};
+    use crate::executor::tests::{oracle, plan1 as lazy_plan, plan2 as eager_plan, setup};
     use crate::executor::ExecOptions;
     use std::num::NonZeroUsize;
 
@@ -1197,9 +1197,8 @@ mod tests {
     #[test]
     fn sharded_runs_match_single_shard_rows_and_fingerprint() {
         let s = setup();
-        let single = Executor::new(&s);
         for plan in [lazy_plan(&s), eager_plan(&s)] {
-            let (expect, expect_p, _) = single.execute_metered(&plan).unwrap();
+            let (expect, expect_p) = oracle(&s, &plan);
             for shards in [2usize, 4, 8] {
                 for combiner in [false, true] {
                     let exec = Executor::with_options(&s, sharded_opts(shards, combiner));
@@ -1276,8 +1275,7 @@ mod tests {
             (0, 0),
             "both sides arrive co-partitioned on the join key"
         );
-        let single = Executor::new(&s);
-        let (expect, _, _) = single.execute_metered(&lazy_plan(&s)).unwrap();
+        let (expect, _) = oracle(&s, &lazy_plan(&s));
         assert_eq!(canon(res.rows), canon(expect.rows));
     }
 

@@ -276,10 +276,11 @@ impl ProfileNode {
         }
     }
 
-    /// The thread-count-invariant counters of the whole tree, pre-order:
+    /// The path-invariant counters of the whole tree, pre-order:
     /// `(label, [rows_in, rows_out, batches, hash_entries])` per node.
-    /// Byte-identical at every thread count for the same input (operator
-    /// *names* are excluded — the parallel variants rename themselves).
+    /// Byte-identical on both paths and at every part and thread count
+    /// for the same input (operator *names* are excluded — over several
+    /// parts the pipeline's operators rename themselves).
     #[must_use]
     pub fn counter_fingerprint(&self) -> Vec<(String, [u64; 4])> {
         let mut out = Vec::new();

@@ -36,9 +36,9 @@
 //! operators exactly as a NULL does, and the ceiling `¬def ∨ a op₂ b`
 //! is the negation of the complementary leaf (see [`gbj_expr::lower`]).
 //! `Int`/`Float` vectors against a literal or each other, `Str`, and
-//! dictionary codes for `=` / `<>` run typed; anything else — `Mixed`,
-//! `Bool`, cross-type pairs — goes cell by cell through
-//! [`compare_values`] and keeps its `⌊·⌋`.
+//! dictionary codes for `=` / `<>` run typed; anything else — `Bool`,
+//! cross-type pairs — goes cell by cell through [`compare_values`] and
+//! keeps its `⌊·⌋`.
 //!
 //! **Rows and bits.** A kernel evaluates either every row of the batch
 //! (bit `i` is row `i`) or, given an incoming selection, only the
@@ -226,7 +226,7 @@ impl<'a> Arg<'a> {
             ColumnVector::Float { values, .. } => Cells::Float(values),
             ColumnVector::Str { values, .. } => Cells::Str(values),
             ColumnVector::Dict { codes, dict } => Cells::Dict(codes, dict),
-            ColumnVector::Bool { .. } | ColumnVector::Mixed { .. } => return None,
+            ColumnVector::Bool { .. } => return None,
         };
         Some((cells, col.validity()))
     }
@@ -373,15 +373,19 @@ pub fn select(pred: &Lowered, batch: &ColumnarBatch, sel: Option<&[u32]>) -> Res
 
 /// Evaluate a lowered value over every row of `batch`, producing a
 /// result column: the input column itself for a column reference, a
-/// `Bool` vector with `values = ⌊P⌋` and `validity = ⌊P⌋ ∨ ¬⌈P⌉` for a
-/// Boolean expression (`unknown` → NULL, as `truth_to_value` has it).
+/// typed constant vector for a literal, a `Bool` vector with
+/// `values = ⌊P⌋` and `validity = ⌊P⌋ ∨ ¬⌈P⌉` for a Boolean expression
+/// (`unknown` → NULL, as `truth_to_value` has it).
 pub fn eval_value<'a>(value: &Operand, batch: &'a ColumnarBatch) -> Result<Cow<'a, ColumnVector>> {
     let rows = Rows::All(batch.len());
     Ok(match value {
         Operand::Column(i) => Cow::Borrowed(batch.column(*i)?),
-        Operand::Literal(v) => Cow::Owned(ColumnVector::Mixed {
-            values: vec![v.clone(); batch.len()],
-        }),
+        // A constant vector of the literal's own type (the all-NULL
+        // placeholder for a NULL literal).
+        Operand::Literal(v) => Cow::Owned(ColumnVector::from_values(std::iter::repeat_n(
+            v,
+            batch.len(),
+        ))?),
         Operand::Cond { floor, ceil } => {
             let holds = eval_mask(floor, batch, rows)?;
             let mut validity = eval_mask(ceil, batch, rows)?;
@@ -574,12 +578,21 @@ mod tests {
         assert_matches_row_engine(&bind(Expr::bare("a")));
         assert_matches_row_engine(&bind(Expr::lit(Value::Bool(true))));
         assert_matches_row_engine(&bind(Expr::lit(Value::Null)));
-        // A Boolean column, a type-mixed one and an all-NULL one, each
-        // as a bare predicate and under `= TRUE`.
+        // A literal as a value is a constant vector of its own type.
+        let batch = ColumnarBatch::from_rows(&rows(), 4).unwrap();
+        for lit in [Value::Int(7), Value::Float(-0.0), Value::str("s")] {
+            let e = bind(Expr::lit(lit.clone()));
+            assert_matches_row_engine(&e);
+            let column = eval_value(&lower_value(&e).unwrap(), &batch).unwrap();
+            let typed = ColumnVector::from_values(vec![lit; 4].iter()).unwrap();
+            assert_eq!(column.as_ref(), &typed);
+        }
+        // A Boolean column, an integer one and an all-NULL one, each as
+        // a bare predicate and under `= TRUE`.
         let rows: Vec<Vec<Value>> = [
             [Value::Bool(true), Value::Int(1), Value::Null],
-            [Value::Null, Value::Bool(true), Value::Null],
-            [Value::Bool(false), Value::str("t"), Value::Null],
+            [Value::Null, Value::Int(0), Value::Null],
+            [Value::Bool(false), Value::Int(-3), Value::Null],
             [Value::Bool(true), Value::Null, Value::Null],
         ]
         .map(Vec::from)

@@ -641,20 +641,22 @@ mod tests {
     #[test]
     fn cached_plans_run_batch_native_with_row_engine_fingerprint() {
         // Cached plans flow through the same executor dispatch as fresh
-        // ones: with the vectorized kernels on, both the cache miss and
-        // the cache hit must take the batch-native pipeline (live
-        // vector counters) and stay byte-identical to the row engine —
-        // rows and thread-invariant counter fingerprint.
+        // ones: on the pipeline, both the cache miss and the cache hit
+        // must take the batch-native path (live vector counters) and
+        // stay byte-identical to the row engine — rows and
+        // path-invariant counter fingerprint.
         let server = seeded_server(ServerConfig::default().with_plan_cache(16));
         let session = server.connect();
-        // Single-shard: more than one shard selects the pipeline (and
-        // its vector counters) whatever `vectorized` says, and
-        // `GBJ_TEST_SHARDS` may have defaulted to several.
+        // The reference is the oracle switch. One part throughout: the
+        // rows below are compared in order, which several parts
+        // (`GBJ_TEST_SHARDS`) would not keep.
         server.reconfigure(|db| {
             db.set_shards(std::num::NonZeroUsize::MIN);
             db.set_vectorized(false);
         });
         let row = session.query(AGG).unwrap();
+        assert_eq!(row.metrics.path, gbj_exec::ExecPath::Row(None));
+        assert_eq!(row.metrics.profile.metrics.vectors, 0);
         let row_fp = row.metrics.profile.counter_fingerprint();
 
         server.reconfigure(|db| db.set_vectorized(true));

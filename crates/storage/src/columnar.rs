@@ -7,9 +7,9 @@
 //! `Arc`, and [`ScanCursor::next_columnar`](crate::ScanCursor) hands it
 //! out as a column of the batch without copying it. The row-major
 //! conversion pair [`ColumnarBatch::from_rows`] /
-//! [`ColumnarBatch::to_rows`] is lossless for every input — including
-//! empty batches, single-row batches, and the short final batches a
-//! `FaultInjector` forces — and serves as the differential oracle
+//! [`ColumnarBatch::to_rows`] is lossless for every typed input —
+//! including empty batches, single-row batches, and the short final
+//! batches a `FaultInjector` forces — and serves as the differential oracle
 //! boundary between the row and batch engines; `to_rows` is also the
 //! row view of a scan ([`ScanCursor::next_batch`](crate::ScanCursor)).
 //!
@@ -19,11 +19,11 @@
 //! `unknown` in a search condition (3VL), "equal to NULL" under the
 //! `=ⁿ` duplicate relation used for grouping keys.
 //!
-//! Columns whose non-NULL values are all of one type get a typed vector
-//! (`Int`/`Float`/`Bool`/`Str`); a type-mixed column falls back to a
-//! row-major [`ColumnVector::Mixed`] vector of [`Value`]s, which keeps
-//! the round-trip lossless (a stored table never holds one: inserts are
-//! coerced to the declared type). String columns scanned from storage
+//! A column is one typed vector (`Int`/`Float`/`Bool`/`Str`): a
+//! declared schema gives every column one type — inserts are coerced to
+//! it, and every expression the engine evaluates is type-stable — so a
+//! column whose non-NULL values are of two types is an internal error,
+//! not a representation. String columns scanned from storage
 //! are dictionary-encoded ([`ColumnVector::Dict`]): rows hold `u32`
 //! codes into the column's [`StringDict`], with [`NULL_CODE`] reserved
 //! for NULL so `=ⁿ` grouping can hash codes instead of strings without
@@ -356,10 +356,7 @@ impl ExactSizeIterator for BitmapIter<'_> {}
 ///
 /// Typed variants store the raw values densely with a validity bitmap
 /// (invalid slots hold an arbitrary placeholder); `Dict` stores `u32`
-/// codes into a shared [`StringDict`] with [`NULL_CODE`] marking NULL;
-/// `Mixed` keeps the original [`Value`]s for columns that mix value
-/// types, so conversion is lossless for every input the row engine
-/// accepts.
+/// codes into a shared [`StringDict`] with [`NULL_CODE`] marking NULL.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnVector {
     /// 64-bit integers.
@@ -399,11 +396,6 @@ pub enum ColumnVector {
         /// The shared dictionary the codes index into.
         dict: Arc<StringDict>,
     },
-    /// Fallback for type-mixed columns: the original values, row-major.
-    Mixed {
-        /// The original values (NULLs included in-line).
-        values: Vec<Value>,
-    },
 }
 
 impl ColumnVector {
@@ -411,29 +403,25 @@ impl ColumnVector {
     ///
     /// All non-NULL values of one type → typed vector with a validity
     /// bitmap (an all-NULL or empty column becomes an all-invalid `Int`
-    /// vector); mixed types → [`ColumnVector::Mixed`]. This path never
-    /// produces a `Dict` column — dictionary encoding happens at
-    /// insert, in the stored table.
-    pub fn from_values<'a, I>(values: I) -> ColumnVector
+    /// vector); values of two types are an internal error — a declared
+    /// schema rules them out. This path never produces a `Dict` column
+    /// — dictionary encoding happens at insert, in the stored table.
+    pub fn from_values<'a, I>(values: I) -> Result<ColumnVector>
     where
         I: ExactSizeIterator<Item = &'a Value> + Clone,
     {
-        // The type comes from the first non-NULL value (stops early),
-        // and a mismatch discovered while filling falls back to
-        // `Mixed` — same result as a full upfront scan.
+        // The type comes from the first non-NULL value (stops early).
         let n = values.len();
         let Some(data_type) = values.clone().find_map(Value::data_type) else {
-            return ColumnVector::all_null(n);
+            return Ok(ColumnVector::all_null(n));
         };
         let mut out = ColumnVector::empty(data_type, n);
-        for v in values.clone() {
+        for v in values {
             if !out.push(v) {
-                return ColumnVector::Mixed {
-                    values: values.cloned().collect(),
-                };
+                return Err(internal_err!("a {data_type} column cannot hold {v}"));
             }
         }
-        out
+        Ok(out)
     }
 
     /// An empty typed vector (plain strings for `Utf8`) with room for
@@ -496,10 +484,6 @@ impl ColumnVector {
                 };
                 code.map(|code| codes.push(code)).is_some()
             }
-            (ColumnVector::Mixed { values }, cell) => {
-                values.push(cell.clone());
-                true
-            }
             _ => false,
         }
     }
@@ -524,7 +508,6 @@ impl ColumnVector {
             ColumnVector::Bool { values, .. } => values.len(),
             ColumnVector::Str { values, .. } => values.len(),
             ColumnVector::Dict { codes, .. } => codes.len(),
-            ColumnVector::Mixed { values } => values.len(),
         }
     }
 
@@ -534,9 +517,8 @@ impl ColumnVector {
         self.len() == 0
     }
 
-    /// The validity bitmap of a typed vector; `None` for the variants
-    /// that mark NULL in place (`Dict` by [`NULL_CODE`], `Mixed` by
-    /// `Value::Null`).
+    /// The validity bitmap of a typed vector; `None` for `Dict`, which
+    /// marks NULL in place by [`NULL_CODE`].
     #[must_use]
     pub fn validity(&self) -> Option<&Bitmap> {
         match self {
@@ -544,7 +526,7 @@ impl ColumnVector {
             | ColumnVector::Float { validity, .. }
             | ColumnVector::Bool { validity, .. }
             | ColumnVector::Str { validity, .. } => Some(validity),
-            ColumnVector::Dict { .. } | ColumnVector::Mixed { .. } => None,
+            ColumnVector::Dict { .. } => None,
         }
     }
 
@@ -559,7 +541,6 @@ impl ColumnVector {
             ColumnVector::Dict { codes, dict } => {
                 codes.get(i).is_some_and(|&c| (c as usize) < dict.len())
             }
-            ColumnVector::Mixed { values } => values.get(i).is_some_and(|v| !v.is_null()),
         }
     }
 
@@ -589,7 +570,6 @@ impl ColumnVector {
                 .get(i)
                 .and_then(|&c| dict.get(c))
                 .map_or(Value::Null, Value::str),
-            ColumnVector::Mixed { values } => values.get(i).cloned().unwrap_or(Value::Null),
         }
     }
 
@@ -622,10 +602,6 @@ impl ColumnVector {
                 Some(s) => key_hash::str(s, state),
                 None => key_hash::null(state),
             },
-            ColumnVector::Mixed { values } => match values.get(i) {
-                Some(v) => key_hash::value(v, state),
-                None => key_hash::null(state),
-            },
         }
     }
 
@@ -640,7 +616,6 @@ impl ColumnVector {
             ColumnVector::Dict { codes, dict } => {
                 codes.iter().filter(|&&c| (c as usize) < dict.len()).count()
             }
-            ColumnVector::Mixed { values } => values.iter().filter(|v| !v.is_null()).count(),
         }
     }
 
@@ -693,12 +668,6 @@ impl ColumnVector {
                     .collect(),
                 dict: Arc::clone(dict),
             },
-            ColumnVector::Mixed { values } => ColumnVector::Mixed {
-                values: sel
-                    .iter()
-                    .map(|&i| values.get(i as usize).cloned().unwrap_or(Value::Null))
-                    .collect(),
-            },
         }
     }
 
@@ -720,7 +689,6 @@ impl ColumnVector {
                 ColumnValues::Str(values.iter(), validity.iter())
             }
             ColumnVector::Dict { codes, dict } => ColumnValues::Dict(codes.iter(), dict),
-            ColumnVector::Mixed { values } => ColumnValues::Mixed(values.iter()),
         }
     }
 }
@@ -738,8 +706,6 @@ pub enum ColumnValues<'a> {
     Str(std::slice::Iter<'a, String>, BitmapIter<'a>),
     /// Over a `Dict` vector.
     Dict(std::slice::Iter<'a, u32>, &'a StringDict),
-    /// Over a `Mixed` vector.
-    Mixed(std::slice::Iter<'a, Value>),
 }
 
 impl Iterator for ColumnValues<'_> {
@@ -759,7 +725,6 @@ impl Iterator for ColumnValues<'_> {
                 let code = *codes.next()?;
                 Some(dict.get(code).map_or(Value::Null, Value::str))
             }
-            ColumnValues::Mixed(v) => v.next().cloned(),
         }
     }
 }
@@ -776,7 +741,8 @@ pub struct ColumnarBatch {
 impl ColumnarBatch {
     /// Build a batch from row-major rows of the given arity (the arity
     /// must be passed explicitly so an empty batch still knows its
-    /// width). Errors if any row has a different arity.
+    /// width). Errors if any row has a different arity, or a column
+    /// holds values of two types.
     pub fn from_rows(rows: &[Vec<Value>], arity: usize) -> Result<ColumnarBatch> {
         for (i, r) in rows.iter().enumerate() {
             if r.len() != arity {
@@ -788,11 +754,10 @@ impl ColumnarBatch {
         }
         let columns = (0..arity)
             .map(|c| {
-                Arc::new(ColumnVector::from_values(
-                    rows.iter().map(move |r| r.get(c).unwrap_or(&Value::Null)),
-                ))
+                let cells = rows.iter().map(move |r| r.get(c).unwrap_or(&Value::Null));
+                ColumnVector::from_values(cells).map(Arc::new)
             })
-            .collect();
+            .collect::<Result<_>>()?;
         Ok(ColumnarBatch {
             columns,
             len: rows.len(),
@@ -1062,20 +1027,15 @@ mod tests {
     }
 
     #[test]
-    fn mixed_type_column_falls_back_losslessly() {
+    fn a_type_mixed_column_is_an_internal_error() {
         let rows = vec![
+            vec![Value::Null],
             vec![Value::Int(1)],
             vec![Value::str("two")],
-            vec![Value::Null],
-            vec![Value::Bool(false)],
         ];
-        round_trip(&rows, 1);
-        let batch = ColumnarBatch::from_rows(&rows, 1).unwrap();
-        assert!(matches!(
-            batch.column(0).unwrap(),
-            ColumnVector::Mixed { .. }
-        ));
-        assert_eq!(batch.column(0).unwrap().count_valid(), 3);
+        let err = ColumnarBatch::from_rows(&rows, 1).unwrap_err();
+        assert_eq!(err.kind(), "internal");
+        assert!(err.message().contains("cannot hold"), "{err}");
     }
 
     #[test]
@@ -1266,8 +1226,9 @@ mod tests {
     /// as NULL — and the result equals the bit-by-bit definition.
     #[test]
     fn gather_of_an_all_valid_source_matches_the_per_row_definition() {
-        let valid = ColumnVector::from_values([Value::Int(4), Value::Int(5), Value::Int(6)].iter());
-        let holey = ColumnVector::from_values([Value::Int(4), Value::Null, Value::Int(6)].iter());
+        let column = |vals: &[Value]| ColumnVector::from_values(vals.iter()).unwrap();
+        let valid = column(&[Value::Int(4), Value::Int(5), Value::Int(6)]);
+        let holey = column(&[Value::Int(4), Value::Null, Value::Int(6)]);
         let long: Vec<u32> = (0..200).map(|i| i % 3).collect();
         for (col, sel) in [
             (&valid, &[2u32, 0, 2][..]),
@@ -1279,7 +1240,7 @@ mod tests {
         ] {
             let got = col.gather(sel);
             let expect: Vec<Value> = sel.iter().map(|&i| col.value(i as usize)).collect();
-            assert_eq!(got, ColumnVector::from_values(expect.iter()), "{sel:?}");
+            assert_eq!(got, column(&expect), "{sel:?}");
             if let ColumnVector::Int { validity, .. } = &got {
                 assert_eq!(validity, &pushed((0..sel.len()).map(|o| got.is_valid(o))));
                 assert_eq!(validity.all_valid(), expect.iter().all(|v| !v.is_null()));

@@ -7,27 +7,32 @@
 # scripts/check_unsafe.sh checks that every crate carries
 # #![forbid(unsafe_code)] with no unsafe blocks anywhere.
 #
-# The GBJ_TEST_THREADS=4 pass re-runs the whole suite with the engine
-# defaulting to 4 worker threads, pushing every engine-level test
-# through the parallel hash join / hash aggregate operators — the
-# observability suites (estimator_accuracy, explain_golden,
-# parallel_differential) run in both passes, so metrics counters and
-# EXPLAIN ANALYZE output are checked serial and parallel.
+# The test matrix is four cells, each the whole workspace suite:
 #
-# The GBJ_TEST_VECTORIZED=1 pass re-runs the whole suite with the
-# chunk pipeline on by default, so every engine-level test doubles
-# as a row-vs-columnar differential; the combined
-# GBJ_TEST_VECTORIZED=1 GBJ_TEST_THREADS=4 pass checks that the
-# pipeline is thread-count invariant and that plans it refuses run the
-# parallel row operators.
+#   1. plain — the product: ExecOptions::default() is the chunk pipeline
+#      at one part, inline on the calling thread. Every engine-level
+#      test runs it, and every differential compares it with the oracle
+#      (tests/common: `oracle_exec_options` / `run_oracle` /
+#      `oracle_query` build the reference side explicitly and assert
+#      `path: row`, so no suite can compare the pipeline with itself).
+#   2. GBJ_TEST_VECTORIZED=0 — the oracle: the serial row engine under
+#      every engine-level test, whatever threads and shards say; the
+#      differentials' pipeline sides set `vectorized` themselves, so
+#      they still compare the two paths.
+#   3. GBJ_TEST_SHARDS=4 GBJ_TEST_THREADS=1 — the pipeline over four
+#      parts (every plan inside the strict gate executes
+#      gbj_plan::distribute's movements as breakers between the parts),
+#      the parts run one after another on the calling thread.
+#   4. GBJ_TEST_SHARDS=4 GBJ_TEST_THREADS=4 — the same four parts on a
+#      team of four, where a scheduling dependence would show (at 4
+#      parts x 4 threads `peak memory:` follows the scheduler and
+#      explain_golden normalizes it; everything else is asserted).
 #
-# The GBJ_TEST_SHARDS=4 pass re-runs the whole suite on the chunk
-# pipeline over 4 parts (every plan inside the strict gate executes
-# gbj_plan::distribute's movements as breakers between the parts), so
-# every engine-level test doubles as a sharded-vs-oracle differential;
-# the GBJ_TEST_SHARDS=4 x GBJ_TEST_THREADS={1,4} passes put the scan
-# split and the parts' worker pool under the batch-boundary, fault and
-# thread differentials, where a scheduling dependence would show.
+# GBJ_TEST_THREADS alone is not a cell: the row engine is serial and one
+# part runs inline, so the thread count is a no-op below two parts —
+# pinned by parallel_differential's threads_change_nothing_at_one_part,
+# which also sweeps parts {1,2,4} x threads {1,2,4,8} against the
+# oracle in every cell.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -90,6 +95,21 @@ if grep -n "fn drop_stats" crates/storage/src/table.rs; then
   echo "verify: a write drops the table's statistics again" >&2
   exit 1
 fi
+# One parallel implementation: the thread team under the pipeline's
+# parts. The row engine's own morsel operators (and the whole-table
+# merge only they called) were deleted and must not grow back beside
+# it; the oracle is serial.
+if grep -rnE "parallel_hash_(join|aggregate)|ParallelHash(Join|Aggregate)" crates src tests examples \
+  || grep -rnE "fn absorb\(" crates/exec/src; then
+  echo "verify: a second parallel implementation reappeared under the row engine" >&2
+  exit 1
+fi
+# One type per column: a declared schema rules out a type-mixed column,
+# so there is no vector variant for one.
+if grep -rn "ColumnVector::Mixed" crates src tests examples; then
+  echo "verify: the type-mixed column vector reappeared" >&2
+  exit 1
+fi
 cargo build --release
 # The four workspace passes below each include the two-valued suites —
 # gbj-expr's tests/lowering_exhaustive.rs (lower_floor / lower_ceil
@@ -113,62 +133,9 @@ cargo build --release
 # UPDATE at every block edge; rows read and index entries copied per
 # write pinned equal at 4 and 64 blocks).
 cargo test -q --workspace
-GBJ_TEST_THREADS=4 cargo test -q --workspace
-GBJ_TEST_VECTORIZED=1 cargo test -q --workspace
-GBJ_TEST_SHARDS=4 cargo test -q --workspace
-# Explicit 1- and 4-thread passes over the observability suites (cheap,
-# and keeps them covered even if the workspace matrix above changes).
+GBJ_TEST_VECTORIZED=0 cargo test -q --workspace
 for t in 1 4; do
-  GBJ_TEST_THREADS=$t cargo test -q \
-    --test estimator_accuracy --test explain_golden --test parallel_differential
-done
-# Chunk pipeline at threads=4 (serial breakers, same profile), on the
-# suites that fingerprint it.
-GBJ_TEST_VECTORIZED=1 GBJ_TEST_THREADS=4 cargo test -q \
-  --test parallel_differential --test equivalence_prop --test explain_golden
-# Batch-native pipeline: the batch-boundary differential (batch sizes
-# 1/2/7/default x seeded faults on NULL-heavy / empty / all-NULL data)
-# with the vectorized path forced on, at both thread settings.
-for t in 1 4; do
-  GBJ_TEST_THREADS=$t GBJ_TEST_VECTORIZED=1 cargo test -q --test columnar_differential
-done
-# Serving layer: the chaos differential (sessions, snapshot reads,
-# deadlines, admission control) at every thread x vectorized
-# combination — committed results must be byte-identical to the serial
-# replay in all four configurations.
-for t in 1 4; do
-  for v in 0 1; do
-    GBJ_TEST_THREADS=$t GBJ_TEST_VECTORIZED=$v cargo test -q --test serving_differential
-  done
-done
-# Shared table statistics under the server: one fold per table version
-# however many snapshots and sessions ask, and the plan-cache key — with
-# the parallel operators under the sessions.
-GBJ_TEST_THREADS=4 cargo test -q -p gbj-server --test table_stats
-# Plan-choice differential: eager/lazy byte-identity, X-series extreme
-# choices, and adaptive-feedback convergence — at every thread x
-# vectorized combination (the cost decision must be engine-invariant).
-for t in 1 4; do
-  for v in 0 1; do
-    GBJ_TEST_THREADS=$t GBJ_TEST_VECTORIZED=$v cargo test -q --test cost_model_differential
-  done
-done
-# Sharded-execution differential: byte-identity of multi-shard runs
-# against the single-shard oracle (plus combiner pushdown and the
-# shipped-rows prediction audit) with the engine defaulting to 1 and
-# 4 shards — the suite also sweeps 2/4/8 shards internally.
-for s in 1 4; do
-  GBJ_TEST_SHARDS=$s cargo test -q --test sharding_differential
-done
-# Parts x worker pool: batch sizes 1/2/7 x seeded faults now meet the
-# scan split, at both thread settings — and EXPLAIN ANALYZE stays
-# reproducible there (at 4 parts x 4 threads `peak memory:` follows the
-# scheduler and is normalized with the timings; everything else, and
-# the line itself at one thread, is asserted).
-for t in 1 4; do
-  GBJ_TEST_SHARDS=4 GBJ_TEST_THREADS=$t cargo test -q \
-    --test columnar_differential --test fault_injection --test parallel_differential \
-    --test explain_golden
+  GBJ_TEST_SHARDS=4 GBJ_TEST_THREADS=$t cargo test -q --workspace
 done
 # Every bench baseline the smokes below compare against must be
 # committed; fail fast with a recipe rather than deep in a smoke run.

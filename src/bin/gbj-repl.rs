@@ -7,7 +7,7 @@
 //! ```text
 //! cargo run --bin gbj-repl                  # interactive
 //! cargo run --bin gbj-repl script.sql       # run a file, then drop to the prompt
-//! cargo run --bin gbj-repl -- --threads 4   # parallel executor (4 workers)
+//! cargo run --bin gbj-repl -- --threads 4   # the pipeline over 4 parts on 4 workers
 //! ```
 //!
 //! Statements end with `;`. Meta commands:
@@ -15,7 +15,8 @@
 //! * `\q` — quit
 //! * `\tables` — list tables and views
 //! * `\policy cost|eager|lazy` — set the pushdown policy
-//! * `\threads n` — set the executor worker-thread count
+//! * `\threads n` — run the chunk pipeline over `n` parts on `n` worker
+//!   threads (`1` = one part, inline), and print the resulting `path:`
 //! * `\timeout <ms>|off` — set (or clear) this session's query deadline
 //! * `\metrics` — timings, estimate-vs-actual audit and operator
 //!   counters of the most recent query
@@ -26,10 +27,14 @@
 //! * `\help` — this text
 
 use std::io::{BufRead, Write};
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use gbj::engine::{PushdownPolicy, QueryMetrics, QueryOutput};
+use gbj::exec::execution_path;
+use gbj::plan::LogicalPlan;
 use gbj::server::{Server, ServerConfig, Session};
+use gbj::types::Schema;
 
 struct Repl {
     server: Server,
@@ -48,6 +53,25 @@ impl Repl {
             last: None,
         }
     }
+}
+
+/// `--threads n` / `\threads n`: the thread count sizes the team under
+/// the pipeline's parts and nothing else, so asking for `n` workers
+/// means `n` parts for them to run.
+fn set_parallelism(state: &mut Repl, n: NonZeroUsize) {
+    state.server.reconfigure(|db| {
+        db.set_shards(n);
+        db.set_threads(n);
+    });
+    println!("executor threads = {n}, parts = {n}");
+    // What a plan inside the gate now runs on (a bare scan always is).
+    let scan = LogicalPlan::Scan {
+        table: String::new(),
+        qualifier: String::new(),
+        schema: Schema::empty(),
+    };
+    let exec = state.server.with_snapshot(|db| db.options().exec);
+    println!("path: {}", execution_path(&scan, &exec));
 }
 
 fn print_output(out: &QueryOutput) {
@@ -160,10 +184,7 @@ fn handle_meta(state: &mut Repl, line: &str) -> bool {
             other => eprintln!("unknown policy {other:?} (cost|eager|lazy)"),
         },
         Some("\\threads") => match parts.next().and_then(|n| n.parse().ok()) {
-            Some(n) => {
-                state.server.reconfigure(|db| db.set_threads(n));
-                println!("executor threads = {n}");
-            }
+            Some(n) => set_parallelism(state, n),
             None => eprintln!("usage: \\threads <positive integer>"),
         },
         other => eprintln!("unknown meta command {other:?} (try \\help)"),
@@ -179,10 +200,7 @@ fn main() {
     while let Some(arg) = args.next() {
         if arg == "--threads" {
             match args.next().and_then(|n| n.parse().ok()) {
-                Some(n) => {
-                    state.server.reconfigure(|db| db.set_threads(n));
-                    println!("executor threads = {n}");
-                }
+                Some(n) => set_parallelism(&mut state, n),
                 None => eprintln!("usage: --threads <positive integer>"),
             }
             continue;

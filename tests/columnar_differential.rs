@@ -35,9 +35,9 @@ const QUERIES: &[&str] = &[
     "SELECT F.Tag, COUNT(*) FROM Fact F WHERE F.V > 0 OR F.Tag = 'a' GROUP BY F.Tag",
 ];
 
-// The batch-native side runs at several thread counts although its
-// breakers are serial at all of them: the profile must not depend on
-// the setting.
+// The batch-native side runs at several thread counts — a no-op at one
+// part, the team under the parts at `GBJ_TEST_SHARDS > 1`: the profile
+// must not depend on the setting.
 use common::thread_counts;
 
 fn schema(db: &mut Database) {
@@ -109,44 +109,34 @@ fn all_null_db() -> Database {
     db
 }
 
-/// One run's observable outcome: canonical rows or the typed error.
-fn run(
-    db: &mut Database,
-    vectorized: bool,
-    threads: usize,
-    sql: &str,
-) -> Result<Vec<Vec<gbj_types::Value>>, String> {
-    db.set_vectorized(vectorized);
-    db.set_threads(std::num::NonZeroUsize::new(threads).expect("nonzero"));
-    if let Some(inj) = db.fault_injector() {
-        inj.reset();
-    }
-    match db.query(sql) {
-        Ok(rows) => Ok(common::canon(&rows)),
-        Err(e) => Err(format!("{}: {}", e.kind(), e.message())),
-    }
-}
+/// One run's observable outcome: canonical rows with the counter
+/// fingerprint (the engine-invariant metrics subset), or the typed
+/// error.
+type Observed = Result<(Vec<Vec<gbj_types::Value>>, Vec<(String, [u64; 4])>), String>;
 
-/// One run's counter fingerprint (the engine-invariant metrics subset)
-/// or the typed error.
-fn fingerprint(
-    db: &mut Database,
-    vectorized: bool,
-    threads: usize,
-    sql: &str,
-) -> Result<Vec<(String, [u64; 4])>, String> {
-    db.set_vectorized(vectorized);
-    db.set_threads(std::num::NonZeroUsize::new(threads).expect("nonzero"));
+/// Run `sql` as the reference side (`threads: None` — the oracle, and
+/// asserted to be) or on the pipeline at the environment's part count
+/// on `threads` workers.
+fn observe(db: &mut Database, threads: Option<usize>, sql: &str) -> Observed {
+    match threads {
+        None => common::make_oracle(db),
+        Some(threads) => {
+            db.set_vectorized(true);
+            db.set_threads(std::num::NonZeroUsize::new(threads).expect("nonzero"));
+            db.set_shards(gbj_engine::EngineOptions::default().exec.shards);
+        }
+    }
     if let Some(inj) = db.fault_injector() {
         inj.reset();
     }
-    match db.query(sql) {
-        Ok(_) => {
-            let metrics = db.last_query_metrics().expect("metrics recorded");
-            Ok(metrics.profile.counter_fingerprint())
-        }
-        Err(e) => Err(format!("{}: {}", e.kind(), e.message())),
+    let rows = db
+        .query(sql)
+        .map_err(|e| format!("{}: {}", e.kind(), e.message()))?;
+    let metrics = db.last_query_metrics().expect("metrics recorded");
+    if threads.is_none() {
+        common::assert_ran_oracle(metrics.path, &metrics.profile, sql);
     }
+    Ok((common::canon(&rows), metrics.profile.counter_fingerprint()))
 }
 
 /// Assert the batch-native pipeline matches the row engine on every
@@ -167,24 +157,16 @@ fn assert_differential(db: &mut Database, ctx: &str, config: Option<FaultConfig>
         };
         db.set_fault_injector(injector.map(FaultInjector::new));
         for sql in QUERIES {
-            let oracle_rows = run(db, false, 1, sql);
-            let oracle_fp = fingerprint(db, false, 1, sql);
+            let oracle = observe(db, None, sql);
             for threads in thread_counts() {
-                let got = run(db, true, threads, sql);
+                let got = observe(db, Some(threads), sql);
                 assert_eq!(
-                    got, oracle_rows,
-                    "{ctx}: rows diverged at batch_size={batch_size:?} \
-                     threads={threads} for {sql}"
-                );
-                let got_fp = fingerprint(db, true, threads, sql);
-                assert_eq!(
-                    got_fp, oracle_fp,
-                    "{ctx}: counter fingerprint diverged at batch_size={batch_size:?} \
-                     threads={threads} for {sql}"
+                    got, oracle,
+                    "{ctx}: rows or counter fingerprint diverged at \
+                     batch_size={batch_size:?} threads={threads} for {sql}"
                 );
             }
         }
-        db.set_vectorized(false);
     }
 }
 
@@ -248,7 +230,7 @@ fn all_null_columns_agree_at_every_batch_size() {
 // counter fingerprint, or its error.
 // ---------------------------------------------------------------------
 
-use gbj::exec::{ExecOptions, ExecPath, Executor};
+use gbj::exec::{ExecOptions, ExecPath, ExecSummary, Executor, ProfileNode, ResultSet};
 use gbj::expr::{AggregateCall, BinaryOp, Expr};
 use gbj::plan::LogicalPlan;
 use gbj::Value;
@@ -333,15 +315,8 @@ const EDGE_QUERIES: &[&str] = &[
 /// counter fingerprint, or the typed error.
 type Outcome = Result<(Vec<String>, Vec<(String, [u64; 4])>), String>;
 
-fn outcome(db: &Database, plan: &LogicalPlan, options: ExecOptions, on_pipeline: bool) -> Outcome {
-    let run = Executor::with_options(db.storage(), options).execute_metered(plan);
-    let (rows, profile, summary) = run.map_err(|e| format!("{}: {}", e.kind(), e.message()))?;
-    assert_eq!(
-        matches!(summary.path, ExecPath::Pipeline { .. }),
-        on_pipeline,
-        "{:?} for {plan:?}",
-        summary.path
-    );
+fn outcome(run: gbj::Result<(ResultSet, ProfileNode, ExecSummary)>) -> Outcome {
+    let (rows, profile, _) = run.map_err(|e| format!("{}: {}", e.kind(), e.message()))?;
     let cell = |v: &Value| match v {
         Value::Float(f) => format!("f{:016x}", f.to_bits()),
         other => format!("{other:?}"),
@@ -363,18 +338,23 @@ fn assert_pipeline_matches_oracle(db: &Database, plan: &LogicalPlan, ctx: &str) 
             (rows, fingerprint)
         })
     };
-    let oracle = outcome(db, plan, ExecOptions::default(), false);
+    let reference = common::run_oracle(db.storage(), common::oracle_exec_options(), plan);
+    let oracle = outcome(reference);
     for shards in [1usize, 4] {
         for threads in [1usize, 2] {
             let nz = |n| std::num::NonZeroUsize::new(n).expect("nonzero");
             let options = ExecOptions {
                 shards: nz(shards),
                 threads: nz(threads),
-                vectorized: true,
                 ..ExecOptions::default()
             };
-            let got = outcome(db, plan, options, true);
             let ctx = format!("{ctx} at shards={shards} threads={threads}");
+            let run = Executor::with_options(db.storage(), options).execute_metered(plan);
+            if let Ok((_, _, summary)) = &run {
+                let on_pipeline = matches!(summary.path, ExecPath::Pipeline { .. });
+                assert!(on_pipeline, "{ctx}: {} for {plan:?}", summary.path);
+            }
+            let got = outcome(run);
             if shards == 1 {
                 assert_eq!(got, oracle, "{ctx}");
             } else {

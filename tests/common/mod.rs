@@ -1,27 +1,108 @@
 //! Shared helpers for the integration tests.
 //!
-//! Centralises two things every differential test needs:
+//! Centralises three things every differential test needs:
 //!
+//! * **a reference that is provably the oracle** — the engine's default
+//!   path is the chunk pipeline, so a reference side built from
+//!   `ExecOptions::default()` would compare the pipeline with itself.
+//!   [`oracle_exec_options`] spells the serial row engine out, and
+//!   [`run_oracle`] / [`oracle_query`] run the reference and assert
+//!   that is what ran (`path: row`, asked for; no operator claiming a
+//!   kernel);
 //! * **order-insensitive comparison** — plan shapes, physical
 //!   algorithms, and thread counts are all free to emit rows in any
 //!   order, so results are canonicalised (sorted by the engine's total
 //!   order, NULLs last) before comparing instead of each test rolling
 //!   its own sort;
-//! * **operator matching that tolerates threads and shards** — at
-//!   `threads > 1` the row engine's profile says `ParallelHashJoin` /
-//!   `ParallelHashAggregate` where the serial operators say `HashJoin`
-//!   / `HashAggregate`, and at `shards > 1` the chunk pipeline, run
-//!   over several parts, says `ShardedHashJoin` /
-//!   `ShardedHashAggregate` / `CombinerHashAggregate` /
-//!   `GatherAggregate`, so tests that pin cardinalities (not names)
-//!   look operators up through [`find_join`] / [`find_agg`].
+//! * **operator matching that tolerates shards** — at `shards > 1`
+//!   the chunk pipeline, run over several parts, says
+//!   `ShardedHashJoin` / `ShardedHashAggregate` /
+//!   `CombinerHashAggregate` / `GatherAggregate` where one part and the
+//!   row engine say `HashJoin` / `HashAggregate`, so tests that pin
+//!   cardinalities (not names) look operators up through
+//!   [`find_join`] / [`find_agg`].
 //!
 //! Each integration-test binary compiles its own copy of this module,
 //! so not every binary uses every helper.
 #![allow(dead_code)]
 
-use gbj::exec::{ProfileNode, ResultSet};
-use gbj::Value;
+use std::num::NonZeroUsize;
+
+use gbj::engine::Database;
+use gbj::exec::{ExecOptions, ExecPath, ExecSummary, Executor, ProfileNode, ResultSet};
+use gbj::plan::LogicalPlan;
+use gbj::storage::Storage;
+use gbj::{Result, Value};
+
+/// The oracle's executor options, every switch spelled out: the serial
+/// row engine. Never `ExecOptions::default()` — that is the pipeline.
+pub fn oracle_exec_options() -> ExecOptions {
+    ExecOptions {
+        vectorized: false,
+        threads: NonZeroUsize::MIN,
+        shards: NonZeroUsize::MIN,
+        ..ExecOptions::default()
+    }
+}
+
+/// Make `db` the oracle for the queries that follow (its budgets and
+/// algorithms stay as they are).
+pub fn make_oracle(db: &mut Database) {
+    let oracle = oracle_exec_options();
+    db.set_vectorized(oracle.vectorized);
+    db.set_threads(oracle.threads);
+    db.set_shards(oracle.shards);
+}
+
+/// Run `f` with `db` as the oracle, then give `db` its own executor
+/// options back.
+pub fn as_oracle<T>(db: &mut Database, f: impl FnOnce(&mut Database) -> T) -> T {
+    let configured = db.options().exec;
+    make_oracle(db);
+    let out = f(db);
+    db.options_mut().exec = configured;
+    out
+}
+
+/// Assert that a reference run was the oracle: `path: row`, asked for
+/// (not a refusal's fallback), and no operator claiming a kernel.
+pub fn assert_ran_oracle(path: ExecPath, profile: &ProfileNode, ctx: &str) {
+    fn kernels(p: &ProfileNode, out: &mut Vec<(String, u64)>) {
+        if p.metrics.vectors > 0 {
+            out.push((p.operator.clone(), p.metrics.vectors));
+        }
+        p.children.iter().for_each(|c| kernels(c, out));
+    }
+    assert_eq!(path, ExecPath::Row(None), "{ctx}: the reference ran {path}");
+    let mut claimed = Vec::new();
+    kernels(profile, &mut claimed);
+    assert!(
+        claimed.is_empty(),
+        "{ctx}: the reference claimed kernels: {claimed:?}"
+    );
+}
+
+/// Run `plan` as a differential's reference side. `options` is
+/// [`oracle_exec_options`], possibly with an algorithm or a budget
+/// changed; a run that succeeds is asserted to have been the oracle.
+pub fn run_oracle(
+    storage: &Storage,
+    options: ExecOptions,
+    plan: &LogicalPlan,
+) -> Result<(ResultSet, ProfileNode, ExecSummary)> {
+    let run = Executor::with_options(storage, options).execute_metered(plan)?;
+    assert_ran_oracle(run.2.path, &run.1, "run_oracle");
+    Ok(run)
+}
+
+/// Run `sql` on a database configured as the oracle ([`make_oracle`] /
+/// [`as_oracle`]) and assert that is what ran.
+pub fn oracle_query(db: &Database, sql: &str) -> Result<ResultSet> {
+    let rows = db.query(sql)?;
+    let metrics = db.last_query_metrics().expect("the query recorded metrics");
+    assert_ran_oracle(metrics.path, &metrics.profile, sql);
+    Ok(rows)
+}
 
 /// Canonical, order-insensitive form of a result: rows sorted by the
 /// engine's total order (`Value::total_cmp`, NULLs last). Two results
@@ -38,29 +119,27 @@ pub fn assert_same_rows(a: &ResultSet, b: &ResultSet, ctx: &str) {
     );
 }
 
-/// Every operator name a join can report: serial, parallel or sharded.
+/// Every operator name a join can report, at one part or over several.
 pub const JOIN_OPERATORS: &[&str] = &[
     "HashJoin",
-    "ParallelHashJoin",
     "ShardedHashJoin",
     "NestedLoopJoin",
     "SortMergeJoin",
     "CrossJoin",
 ];
 
-/// Every operator name a group-by can report: serial, parallel or
-/// sharded.
+/// Every operator name a group-by can report, at one part or over
+/// several.
 pub const AGG_OPERATORS: &[&str] = &[
     "HashAggregate",
-    "ParallelHashAggregate",
     "ShardedHashAggregate",
     "CombinerHashAggregate",
     "GatherAggregate",
     "SortAggregate",
 ];
 
-/// The first join operator in the profile, whatever its algorithm,
-/// thread count or shard count.
+/// The first join operator in the profile, whatever its algorithm or
+/// shard count.
 pub fn find_join(profile: &ProfileNode) -> Option<&ProfileNode> {
     JOIN_OPERATORS
         .iter()

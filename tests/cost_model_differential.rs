@@ -6,8 +6,8 @@
 //! 1. **Correctness is unconditional.** Whatever the cost model picks,
 //!    eager and lazy must stay byte-identical — same canonical rows
 //!    across shapes, and within each shape the engine-invariant counter
-//!    fingerprint must not move across thread counts or the
-//!    row/vectorized boundary. The sweep spans the four axes that bend
+//!    fingerprint must not move between the oracle and the pipeline,
+//!    at any thread count. The sweep spans the four axes that bend
 //!    the decision: join fan-in, join selectivity, key skew, and NULL
 //!    group keys.
 //! 2. **The choice is empirically right at the extremes.** On an
@@ -33,17 +33,25 @@ use common::thread_counts;
 /// Canonical rows, counter fingerprint and plan choice of one run.
 type Observation = (Vec<Vec<gbj::Value>>, Vec<(String, [u64; 4])>, PlanChoice);
 
+/// One run under `policy`: on the oracle — asserted to be — with
+/// `threads: None`, else on the pipeline at the environment's part
+/// count on `threads` workers.
 fn observe(
     db: &mut Database,
     policy: PushdownPolicy,
-    vectorized: bool,
-    threads: usize,
+    threads: Option<usize>,
     sql: &str,
 ) -> Observation {
     db.options_mut().policy = policy;
-    db.set_vectorized(vectorized);
-    db.set_threads(std::num::NonZeroUsize::new(threads).expect("nonzero"));
-    let rows = db.query(sql).expect("query runs");
+    let rows = match threads {
+        None => common::as_oracle(db, |db| common::oracle_query(db, sql)),
+        Some(threads) => {
+            db.set_vectorized(true);
+            db.set_threads(std::num::NonZeroUsize::new(threads).expect("nonzero"));
+            db.query(sql)
+        }
+    }
+    .expect("query runs");
     let metrics = db.last_query_metrics().expect("metrics recorded");
     (
         common::canon(&rows),
@@ -52,35 +60,31 @@ fn observe(
     )
 }
 
-/// One sweep point: every policy agrees on rows with the lazy serial
-/// row-engine oracle, and each policy's counter fingerprint is
-/// invariant across threads × row/vectorized.
+/// One sweep point: every policy agrees on rows with the lazy plan on
+/// the oracle, and each policy's counter fingerprint and plan choice on
+/// the pipeline, at every thread count, are the oracle's.
 fn assert_point(db: &mut Database, sql: &str, ctx: &str) {
-    let (oracle_rows, _, _) = observe(db, PushdownPolicy::Never, false, 1, sql);
+    let (oracle_rows, _, _) = observe(db, PushdownPolicy::Never, None, sql);
     for policy in [
         PushdownPolicy::Never,
         PushdownPolicy::Always,
         PushdownPolicy::CostBased,
     ] {
-        let (_, base_fp, base_choice) = observe(db, policy, false, 1, sql);
-        for vectorized in [false, true] {
-            for &threads in &thread_counts() {
-                let (rows, fp, choice) = observe(db, policy, vectorized, threads, sql);
-                assert_eq!(
-                    rows, oracle_rows,
-                    "{ctx}: {policy:?} rows diverged at vectorized={vectorized} \
-                     threads={threads}"
-                );
-                assert_eq!(
-                    choice, base_choice,
-                    "{ctx}: {policy:?} plan choice must not depend on the engine"
-                );
-                assert_eq!(
-                    fp, base_fp,
-                    "{ctx}: {policy:?} counter fingerprint diverged at \
-                     vectorized={vectorized} threads={threads}"
-                );
-            }
+        let (_, base_fp, base_choice) = observe(db, policy, None, sql);
+        for &threads in &thread_counts() {
+            let (rows, fp, choice) = observe(db, policy, Some(threads), sql);
+            assert_eq!(
+                rows, oracle_rows,
+                "{ctx}: {policy:?} rows diverged at threads={threads}"
+            );
+            assert_eq!(
+                choice, base_choice,
+                "{ctx}: {policy:?} plan choice must not depend on the engine"
+            );
+            assert_eq!(
+                fp, base_fp,
+                "{ctx}: {policy:?} counter fingerprint diverged at threads={threads}"
+            );
         }
     }
 }

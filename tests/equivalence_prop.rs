@@ -99,7 +99,13 @@ const QUERIES: &[&str] = &[
      WHERE F.K = D.DimId AND D.DimId = 3 GROUP BY D.DimId",
 ];
 
-/// Whenever TestFD answers YES, E1 ≡ E2 on the generated instance.
+/// `sql` on the oracle — asserted to be — under `db`'s current policy.
+fn oracle(db: &mut Database, sql: &str) -> gbj::exec::ResultSet {
+    common::as_oracle(db, |db| common::oracle_query(db, sql).unwrap())
+}
+
+/// Whenever TestFD answers YES, E1 ≡ E2 on the generated instance: E2
+/// on the engine as configured against E1 on the oracle.
 #[test]
 fn main_theorem_equivalence() {
     let mut rng = StdRng::seed_from_u64(0xe9_5eed);
@@ -113,7 +119,7 @@ fn main_theorem_equivalence() {
             let eager = db.query(sql).unwrap();
 
             db.options_mut().policy = PushdownPolicy::Never;
-            let lazy = db.query(sql).unwrap();
+            let lazy = oracle(&mut db, sql);
 
             if eager_valid {
                 assert!(
@@ -137,16 +143,17 @@ fn physical_algorithms_agree() {
         let inst = random_instance(&mut rng);
         let mut db = build_db(&inst);
         let sql = QUERIES[1];
-        let mut results = Vec::new();
+        let reference = oracle(&mut db, sql);
         for join in [JoinAlgo::Hash, JoinAlgo::NestedLoop, JoinAlgo::SortMerge] {
             for agg in [AggAlgo::Hash, AggAlgo::Sort] {
                 db.options_mut().exec.join = join;
                 db.options_mut().exec.agg = agg;
-                results.push(db.query(sql).unwrap());
+                let got = db.query(sql).unwrap();
+                assert!(
+                    reference.multiset_eq(&got),
+                    "case {case} {join:?}/{agg:?}: {inst:?}"
+                );
             }
-        }
-        for r in &results[1..] {
-            assert!(results[0].multiset_eq(r), "case {case}: {inst:?}");
         }
     }
 }
@@ -170,11 +177,9 @@ fn null_heavy_group_keys_agree_between_row_and_vectorized() {
         for sql in QUERIES {
             for policy in [PushdownPolicy::Never, PushdownPolicy::Always] {
                 db.options_mut().policy = policy;
-                db.set_vectorized(false);
-                let row_engine = db.query(sql).unwrap();
+                let row_engine = oracle(&mut db, sql);
                 db.set_vectorized(true);
                 let vectorized = db.query(sql).unwrap();
-                db.set_vectorized(false);
                 assert_eq!(
                     common::canon(&vectorized),
                     common::canon(&row_engine),
@@ -185,12 +190,10 @@ fn null_heavy_group_keys_agree_between_row_and_vectorized() {
         // Grouping the NULL-heavy column directly: all-NULL collapses
         // to the single `=ⁿ` NULL group.
         let sql = "SELECT F.K, COUNT(F.FId) FROM Fact F GROUP BY F.K";
-        db.set_vectorized(true);
         let grouped = db.query(sql).unwrap();
-        db.set_vectorized(false);
         assert_eq!(
             common::canon(&grouped),
-            common::canon(&db.query(sql).unwrap())
+            common::canon(&oracle(&mut db, sql))
         );
         if which == 0 {
             assert_eq!(grouped.len(), 1, "all NULLs form exactly one group");

@@ -11,6 +11,8 @@ use gbj::datagen::EmpDeptConfig;
 use gbj::engine::{PushdownPolicy, QueryOutput};
 use gbj::Database;
 
+mod common;
+
 fn build() -> (Database, &'static str) {
     let cfg = EmpDeptConfig {
         employees: 500,
@@ -246,11 +248,10 @@ fn batch_native_profile_reports_vector_counters_with_row_engine_fingerprint() {
     db.options_mut().policy = PushdownPolicy::Never;
     let analyze = format!("EXPLAIN ANALYZE {sql}");
 
-    // Single-shard: several shards mean kernels whatever `vectorized` says.
-    db.set_shards(std::num::NonZeroUsize::MIN);
-    db.set_vectorized(false);
+    common::make_oracle(&mut db);
     explain_text(&mut db, &analyze);
     let row_metrics = db.last_query_metrics().expect("row engine records metrics");
+    common::assert_ran_oracle(row_metrics.path, &row_metrics.profile, &analyze);
     let row_fp = row_metrics.profile.counter_fingerprint();
     let row_render = row_metrics.render();
 
@@ -305,8 +306,10 @@ fn batch_native_profile_reports_vector_counters_with_row_engine_fingerprint() {
 /// an error-free key stays batch-native; one `+` in a predicate sends
 /// the whole plan to the row engine, which claims no kernel anywhere; a
 /// supported plan at `threads = 4` is the same one-part pipeline, same
-/// fingerprint, as at `threads = 1`; and a plan only the strict gate
-/// refuses says so instead of silently running on one shard.
+/// fingerprint, as at `threads = 1`; the oracle switch says `path: row`
+/// at every shard count, with no refusal to report; and a plan only the
+/// strict gate refuses says so instead of silently running on one
+/// shard.
 #[test]
 fn path_line_names_the_path_and_the_refusal() {
     let (mut db, sql) = build();
@@ -359,22 +362,32 @@ fn path_line_names_the_path_and_the_refusal() {
         "row engine ran a kernel"
     );
 
-    configure(&mut db, false, 1, 4);
+    // An arithmetic aggregate argument passes the one-part gate only.
+    let argument = "SELECT E.DeptID, SUM(E.EmpID + 1) FROM Employee E GROUP BY E.DeptID";
+
+    // The oracle switch wins over the shard and thread counts: the row
+    // engine was asked for, so there is no refusal to report.
+    configure(&mut db, false, 4, 4);
+    for statement in [
+        format!("EXPLAIN ANALYZE {sql}"),
+        arithmetic.to_string(),
+        format!("EXPLAIN ANALYZE {argument}"),
+    ] {
+        let text = explain_text(&mut db, &statement);
+        assert_eq!(path_lines(&text), ["path: row"], "{text}");
+        assert!(
+            vectors(&db).iter().all(|v| *v == 0),
+            "row engine ran a kernel"
+        );
+    }
+
+    configure(&mut db, true, 1, 4);
     let text = explain_text(&mut db, &format!("EXPLAIN ANALYZE {sql}"));
     assert_eq!(path_lines(&text), ["path: sharded(4)"], "{text}");
     let text = explain_text(&mut db, arithmetic);
     assert_eq!(
         path_lines(&text),
         ["path: row (Filter: arithmetic in predicate)"],
-        "{text}"
-    );
-
-    // An arithmetic aggregate argument passes the one-part gate only.
-    let argument = "SELECT E.DeptID, SUM(E.EmpID + 1) FROM Employee E GROUP BY E.DeptID";
-    let text = explain_text(&mut db, &format!("EXPLAIN ANALYZE {argument}"));
-    assert_eq!(
-        path_lines(&text),
-        ["path: row (Aggregate: aggregate argument not error-free)"],
         "{text}"
     );
     configure(&mut db, true, 1, 4);
@@ -390,6 +403,21 @@ fn path_line_names_the_path_and_the_refusal() {
     let rendered = metrics.render();
     assert_eq!(path_lines(&rendered), [refused]);
     assert!(!has_line(&rendered, "shards:"), "{rendered}");
+}
+
+/// The default is the product: `ExecOptions::default()` — what
+/// `Database::new()` runs with no `GBJ_*` variable set — answers the
+/// paper's Example 1 on the chunk pipeline, kernels live on every
+/// operator.
+#[test]
+fn default_options_answer_example_1_on_the_pipeline() {
+    let (mut db, sql) = build();
+    db.options_mut().exec = gbj::exec::ExecOptions::default();
+    assert!(db.options().exec.vectorized, "the pipeline is the default");
+    let text = explain_text(&mut db, &format!("EXPLAIN ANALYZE {sql}"));
+    assert_eq!(path_lines(&text), ["path: batch"], "{text}");
+    let metrics = db.last_query_metrics().expect("metrics");
+    assert!(metrics.profile.metrics.vectors > 0, "{text}");
 }
 
 /// The lazy and eager plan shapes both audit cleanly: the section is

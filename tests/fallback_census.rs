@@ -68,13 +68,8 @@ fn expect(rows: &[(&str, &str, usize)]) -> BTreeMap<(String, String), usize> {
 
 #[test]
 fn corpus_fallbacks_per_reason_are_pinned() {
-    let batch = census(
-        &ExecOptions {
-            vectorized: true,
-            ..ExecOptions::default()
-        },
-        &[],
-    );
+    // The default alone is the product: the pipeline at one part.
+    let batch = census(&ExecOptions::default(), &[]);
     assert_eq!(
         batch,
         expect(&[
@@ -105,12 +100,11 @@ fn corpus_fallbacks_per_reason_are_pinned() {
         "sharded pipeline census moved"
     );
 
-    // Both knobs on, plus the one shape only the strict gate refuses:
-    // the path names the configuration that ran *and* the one refused.
+    // Plus the one shape only the strict gate refuses: the path names
+    // the configuration that ran *and* the one refused.
     let both = census(
         &ExecOptions {
             shards,
-            vectorized: true,
             ..ExecOptions::default()
         },
         &[(
@@ -129,6 +123,22 @@ fn corpus_fallbacks_per_reason_are_pinned() {
             ("Never", refused, 1),
             ("Never", "row (CrossJoin: no join key)", 1),
         ]),
-        "sharded + vectorized census moved"
+        "strict-gate refusal census moved"
+    );
+
+    // The oracle switch takes every query to the row engine, asked for
+    // — no refusal — whatever the shard count says.
+    let oracle = census(
+        &ExecOptions {
+            vectorized: false,
+            shards,
+            ..ExecOptions::default()
+        },
+        &[],
+    );
+    assert_eq!(
+        oracle,
+        expect(&[("Always", "row", 16), ("Never", "row", 16)]),
+        "oracle census moved"
     );
 }

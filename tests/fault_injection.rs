@@ -61,24 +61,41 @@ fn build_db(rng: &mut StdRng) -> Database {
 const JOIN_AGG_SQL: &str = "SELECT D.DimId, D.Cat, COUNT(F.FId), SUM(F.V) \
      FROM Fact F, Dim D WHERE F.K = D.DimId GROUP BY D.DimId, D.Cat";
 
-/// Run one query under a plan policy, returning the canonically ordered
-/// rows or the error kind. Panics (which must not happen) are reported
-/// distinctly.
-fn run_under(
+/// One run's outcome: the canonically ordered rows or the error kind.
+/// Panics (which must not happen) are reported distinctly.
+type Outcome = Result<Vec<Vec<Value>>, String>;
+
+fn run_with(
     db: &mut Database,
     policy: PushdownPolicy,
     sql: &str,
-) -> Result<Vec<Vec<Value>>, String> {
+    query: impl Fn(&Database, &str) -> gbj_types::Result<gbj_exec::ResultSet>,
+) -> Outcome {
     db.options_mut().policy = policy;
     if let Some(inj) = db.fault_injector() {
         inj.reset();
     }
-    let outcome = catch_unwind(AssertUnwindSafe(|| db.query(sql)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| query(db, sql)));
     match outcome {
         Ok(Ok(rows)) => Ok(common::canon(&rows)),
         Ok(Err(e)) => Err(e.kind().to_string()),
         Err(_) => Err("PANIC".to_string()),
     }
+}
+
+/// Run one query under a plan policy on the engine as configured (the
+/// product, or whatever cell `GBJ_TEST_*` selects).
+fn run_under(db: &mut Database, policy: PushdownPolicy, sql: &str) -> Outcome {
+    run_with(db, policy, sql, Database::query)
+}
+
+/// The reference side: E1 (the lazy shape) on the oracle — asserted to
+/// be — under the same fault seed. The database's own executor options
+/// come back afterwards.
+fn reference(db: &mut Database, sql: &str) -> Outcome {
+    common::as_oracle(db, |db| {
+        run_with(db, PushdownPolicy::Never, sql, common::oracle_query)
+    })
 }
 
 #[test]
@@ -117,8 +134,7 @@ fn short_batches_never_silently_truncate() {
     let mut rng = StdRng::seed_from_u64(0xfa01_7002);
     for case in 0..24u64 {
         let mut db = build_db(&mut rng);
-        let baseline =
-            run_under(&mut db, PushdownPolicy::Never, JOIN_AGG_SQL).expect("unfaulted run");
+        let baseline = reference(&mut db, JOIN_AGG_SQL).expect("unfaulted run");
         for batch_size in [1usize, 2, 3, 7] {
             db.set_fault_injector(Some(FaultInjector::new(FaultConfig {
                 seed: case,
@@ -161,9 +177,10 @@ fn scan_failure_fails_both_plan_shapes() {
 }
 
 /// The differential oracle: under identical seeds, E1 (lazy) and E2
-/// (eager) either both fail or both produce identical rows. NULL flips
-/// are a pure function of `(seed, table, row_id, column)`, so both plan
-/// shapes observe the same perturbed database.
+/// (eager) either both fail or both produce identical rows — the rows
+/// (or the failure) of E1 on the row engine. NULL flips are a pure
+/// function of `(seed, table, row_id, column)`, so both plan shapes, on
+/// both paths, observe the same perturbed database.
 #[test]
 fn eager_and_lazy_agree_under_identical_fault_seeds() {
     let mut rng = StdRng::seed_from_u64(0xfa01_7004);
@@ -177,14 +194,13 @@ fn eager_and_lazy_agree_under_identical_fault_seeds() {
             null_flip_one_in: rng.gen_bool(0.6).then(|| rng.gen_range(1u64..6)),
         };
         db.set_fault_injector(Some(FaultInjector::new(config)));
+        let oracle = reference(&mut db, JOIN_AGG_SQL);
         let eager = run_under(&mut db, PushdownPolicy::Always, JOIN_AGG_SQL);
         let lazy = run_under(&mut db, PushdownPolicy::Never, JOIN_AGG_SQL);
-        match (&eager, &lazy) {
-            (Ok(e), Ok(l)) if e == l => {}
-            (Err(e), Err(l)) if e == l && e != "PANIC" => {}
-            _ => disagreements.push(format!(
-                "case {case} under {config:?}: eager={eager:?} lazy={lazy:?}"
-            )),
+        if eager != oracle || lazy != oracle || oracle == Err("PANIC".to_string()) {
+            disagreements.push(format!(
+                "case {case} under {config:?}: eager={eager:?} lazy={lazy:?} oracle={oracle:?}"
+            ));
         }
     }
     assert!(
@@ -223,6 +239,11 @@ fn null_group_keys_form_one_group_in_both_plans() {
                 assert_eq!(
                     eager, lazy,
                     "case {case} flip {flip:?}: plan shapes disagree on {query}"
+                );
+                assert_eq!(
+                    Ok(lazy),
+                    reference(&mut db, query),
+                    "case {case} flip {flip:?}: the oracle disagrees on {query}"
                 );
                 let null_groups = eager
                     .iter()

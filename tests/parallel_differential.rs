@@ -1,27 +1,33 @@
-//! Single-thread vs multi-thread differential tests.
+//! Parts × threads differential tests.
 //!
-//! The morsel-driven parallel operators promise results **byte-identical
-//! to serial execution** after the engine's canonical ordering, at every
+//! The chunk pipeline runs a plan over `n` parts on a team of `t`
+//! threads and promises results **byte-identical to the serial row
+//! engine** after the engine's canonical ordering, at every part and
 //! thread count, for both plan shapes (E1 lazy / E2 eager), and under
 //! deterministic fault injection — same seed ⇒ same rows or the same
-//! typed error at 1, 2, 4 and 8 threads. These tests hold the executor
-//! to that promise over the same query family and randomized instances
-//! the serial differential oracle uses, and additionally pin the
+//! typed error at parts {1, 2, 4} × threads {1, 2, 4, 8}. These tests
+//! hold the executor to that promise over the same query family and
+//! randomized instances the serial differential oracle uses, with the
+//! oracle itself (`common::oracle_query`: `path: row`, asserted) as the
+//! reference side of every comparison, and additionally pin the
 //! resource-governance contract: a shared memory budget exhausts at the
-//! same `{limit, used}` snapshot (±one morsel) regardless of thread
-//! count, and errors raised while workers are in flight always join the
-//! team and surface as typed `Err`s.
+//! oracle's own `{limit, used}` snapshot at one part and within one
+//! table entry per part of the limit over several, errors raised while
+//! the team is in flight always join it and surface as typed `Err`s,
+//! and at one part — which runs inline — the thread count changes
+//! nothing at all.
 
 use std::num::NonZeroUsize;
 
 use gbj_engine::{Database, PushdownPolicy};
 use gbj_exec::ResourceLimits;
 use gbj_storage::{FaultConfig, FaultInjector};
-use gbj_types::Error;
+use gbj_types::{Error, Value};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 mod common;
 
+const PARTS: [usize; 3] = [1, 2, 4];
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The differential oracle's query family (mirrors the serial E1/E2
@@ -85,27 +91,71 @@ fn nz(n: usize) -> NonZeroUsize {
     NonZeroUsize::new(n).expect("nonzero")
 }
 
-/// One run's observable outcome: canonical rows, or the typed error's
-/// kind and message.
-fn run_at(
+/// Where one run executes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Cell {
+    /// The reference side: the serial row engine, asserted to be.
+    Oracle,
+    /// The chunk pipeline over `parts` parts on `threads` threads.
+    Pipeline { parts: usize, threads: usize },
+}
+
+/// Every pipeline cell of the matrix: parts {1, 2, 4} × threads
+/// {1, 2, 4, 8}.
+fn cells() -> Vec<Cell> {
+    let at = |parts| THREAD_COUNTS.map(|threads| Cell::Pipeline { parts, threads });
+    PARTS.into_iter().flat_map(at).collect()
+}
+
+/// The pipeline at the environment's part count (`GBJ_TEST_SHARDS`, one
+/// by default) on each thread count.
+fn default_part_cells() -> Vec<Cell> {
+    let parts = gbj_engine::EngineOptions::default().exec.shards.get();
+    let at = |threads| Cell::Pipeline { parts, threads };
+    THREAD_COUNTS.map(at).into()
+}
+
+/// Run `sql` in `cell` under `policy`, faults re-armed.
+fn query(
     db: &mut Database,
-    threads: usize,
+    cell: Cell,
     policy: PushdownPolicy,
     sql: &str,
-) -> Result<Vec<Vec<gbj_types::Value>>, String> {
-    db.set_threads(nz(threads));
+) -> gbj_types::Result<gbj_exec::ResultSet> {
     db.options_mut().policy = policy;
     if let Some(inj) = db.fault_injector() {
         inj.reset();
     }
-    match db.query(sql) {
-        Ok(rows) => Ok(common::canon(&rows)),
-        Err(e) => Err(format!("{}: {}", e.kind(), e.message())),
+    match cell {
+        Cell::Oracle => common::as_oracle(db, |db| common::oracle_query(db, sql)),
+        Cell::Pipeline { parts, threads } => {
+            db.set_vectorized(true);
+            db.set_shards(nz(parts));
+            db.set_threads(nz(threads));
+            db.query(sql)
+        }
     }
 }
 
-/// Every oracle query, both plan shapes: results at 1/2/4/8 threads are
-/// identical to each other and to the serial path.
+fn typed(e: Error) -> String {
+    format!("{}: {}", e.kind(), e.message())
+}
+
+/// One run's observable outcome: canonical rows, or the typed error's
+/// kind and message.
+fn run_at(
+    db: &mut Database,
+    cell: Cell,
+    policy: PushdownPolicy,
+    sql: &str,
+) -> Result<Vec<Vec<Value>>, String> {
+    query(db, cell, policy, sql)
+        .map(|rows| common::canon(&rows))
+        .map_err(typed)
+}
+
+/// Every oracle query, both plan shapes: results in every parts ×
+/// threads cell are identical to the oracle's.
 #[test]
 fn all_thread_counts_agree_with_serial_for_both_plans() {
     let mut rng = StdRng::seed_from_u64(0x9a11_0001);
@@ -113,22 +163,20 @@ fn all_thread_counts_agree_with_serial_for_both_plans() {
         let mut db = build_db(&mut rng);
         for sql in QUERIES {
             for policy in [PushdownPolicy::Never, PushdownPolicy::Always] {
-                let serial = run_at(&mut db, 1, policy, sql);
-                for threads in THREAD_COUNTS {
-                    let got = run_at(&mut db, threads, policy, sql);
-                    assert_eq!(
-                        got, serial,
-                        "case {case} threads={threads} policy={policy:?}: {sql}"
-                    );
+                let serial = run_at(&mut db, Cell::Oracle, policy, sql);
+                for cell in cells() {
+                    let got = run_at(&mut db, cell, policy, sql);
+                    assert_eq!(got, serial, "case {case} {cell:?} policy={policy:?}: {sql}");
                 }
             }
         }
     }
 }
 
-/// Seeded fault injection: at every thread count the same seed yields
-/// the same typed error or the same rows — scan-level faults (batch
-/// failures, short batches, NULL flips) are thread-count independent.
+/// Seeded fault injection: in every cell the same seed yields the
+/// oracle's typed error or the oracle's rows — scan-level faults (batch
+/// failures, short batches, NULL flips) are part- and thread-count
+/// independent, the scan being one serial cursor everywhere.
 #[test]
 fn fault_seeds_are_thread_count_independent() {
     let mut rng = StdRng::seed_from_u64(0x9a11_0002);
@@ -144,12 +192,12 @@ fn fault_seeds_are_thread_count_independent() {
         db.set_fault_injector(Some(FaultInjector::new(config)));
         for sql in [QUERIES[1], QUERIES[6], QUERIES[7]] {
             for policy in [PushdownPolicy::Never, PushdownPolicy::Always] {
-                let serial = run_at(&mut db, 1, policy, sql);
-                for threads in THREAD_COUNTS {
-                    let got = run_at(&mut db, threads, policy, sql);
+                let serial = run_at(&mut db, Cell::Oracle, policy, sql);
+                for cell in cells() {
+                    let got = run_at(&mut db, cell, policy, sql);
                     if got != serial {
                         disagreements.push(format!(
-                            "case {case} threads={threads} policy={policy:?} under \
+                            "case {case} {cell:?} policy={policy:?} under \
                              {config:?}:\n  serial={serial:?}\n  got={got:?}"
                         ));
                     }
@@ -159,17 +207,17 @@ fn fault_seeds_are_thread_count_independent() {
     }
     assert!(
         disagreements.is_empty(),
-        "thread counts disagreed under faults:\n{}",
+        "cells disagreed with the oracle under faults:\n{}",
         disagreements.join("\n")
     );
 }
 
-/// A shared memory budget exhausts at the same `{limit, used}` snapshot
-/// (±one morsel's worth of table entries) at every thread count.
-///
-/// Group keys are unique so serial and parallel build the same number
-/// of table entries (duplicate keys spanning morsels transiently
-/// double-charge in the parallel operator — see DESIGN.md §9).
+/// A shared memory budget exhausts at the oracle's own `{limit, used}`
+/// snapshot at one part, at every thread count — one part charges in
+/// row order, like the row engine — and over several parts within one
+/// table entry per part of the limit: the parts charge one shared
+/// guard concurrently, and the error reported is the lowest part's,
+/// which may have seen the others' last charges.
 #[test]
 fn memory_budget_snapshot_is_stable_across_thread_counts() {
     let mut db = Database::new();
@@ -179,53 +227,59 @@ fn memory_budget_snapshot_is_stable_across_thread_counts() {
         "Fact",
         (0..2_000i64).map(|i| {
             vec![
-                gbj_types::Value::Int(i),
-                gbj_types::Value::Int(i), // unique group key
-                gbj_types::Value::Int(i % 97),
+                Value::Int(i),
+                Value::Int(i), // unique group key
+                Value::Int(i % 97),
             ]
         }),
     )
     .expect("rows");
     let sql = "SELECT F.K, SUM(F.V) FROM Fact F GROUP BY F.K";
     const LIMIT: u64 = 50_000;
-    // One morsel of aggregation-table entries: 2000 rows split into
-    // 250-row morsels; ~104 bytes per (Int key, one accumulator) entry.
-    const ONE_MORSEL_BYTES: u64 = 250 * 104;
-
-    let mut snapshots = Vec::new();
-    for threads in THREAD_COUNTS {
-        db.set_threads(nz(threads));
-        db.options_mut().exec.limits = ResourceLimits {
-            max_memory_bytes: Some(LIMIT),
-            ..ResourceLimits::default()
-        };
-        let err = db.query(sql).expect_err("budget must fire");
+    // One aggregation-table entry: the key row plus one accumulator.
+    let entry = gbj_exec::guard::row_bytes(&[Value::Int(0)]) + 48;
+    db.options_mut().exec.limits = ResourceLimits {
+        max_memory_bytes: Some(LIMIT),
+        ..ResourceLimits::default()
+    };
+    let mut exhaust = |cell| {
+        let err = query(&mut db, cell, PushdownPolicy::Never, sql).expect_err("budget must fire");
         match err {
             Error::ResourceExhausted { limit, used, .. } => {
-                assert_eq!(limit, LIMIT, "threads={threads}");
-                assert!(used > limit, "threads={threads}: snapshot below limit");
-                snapshots.push((threads, used));
+                assert_eq!(limit, LIMIT, "{cell:?}");
+                assert!(used > limit, "{cell:?}: snapshot below limit");
+                used
             }
-            other => panic!("threads={threads}: expected resource error, got {other}"),
+            other => panic!("{cell:?}: expected resource error, got {other}"),
+        }
+    };
+    let oracle_used = exhaust(Cell::Oracle);
+    assert!(
+        oracle_used <= LIMIT + entry,
+        "the oracle stops at the first entry over"
+    );
+    for cell in cells() {
+        let used = exhaust(cell);
+        match cell {
+            Cell::Pipeline { parts: 1, .. } => assert_eq!(used, oracle_used, "{cell:?}"),
+            Cell::Pipeline { parts, .. } => assert!(
+                used <= LIMIT + parts as u64 * entry,
+                "{cell:?}: used {used} is more than one entry ({entry} B) per part over {LIMIT}"
+            ),
+            Cell::Oracle => unreachable!(),
         }
     }
-    let (_, serial_used) = snapshots[0];
-    for (threads, used) in &snapshots[1..] {
-        let delta = used.abs_diff(serial_used);
-        assert!(
-            delta <= ONE_MORSEL_BYTES,
-            "threads={threads}: used {used} is {delta} B from serial {serial_used} \
-             (more than one morsel = {ONE_MORSEL_BYTES} B)"
-        );
-    }
-    // Budgets restore cleanly at every thread count.
+    // Budgets restore cleanly in every cell, the oracle's included.
     db.options_mut().exec.limits = ResourceLimits::default();
-    assert_eq!(db.query(sql).expect("unlimited rerun").len(), 2_000);
+    for cell in std::iter::once(Cell::Oracle).chain(cells()) {
+        let rows = query(&mut db, cell, PushdownPolicy::Never, sql).expect("unlimited rerun");
+        assert_eq!(rows.len(), 2_000, "{cell:?}");
+    }
 }
 
-/// Errors raised while a worker team is in flight (here: the shared
-/// budget tripping mid-aggregation, and injected scan failures) always
-/// come back as typed `Err`s with every thread joined — the test
+/// Errors raised while the team is in flight (here: the shared budget
+/// tripping mid-aggregation on four parts, and injected scan failures)
+/// always come back as typed `Err`s with every thread joined — the test
 /// completing at all is the no-deadlock/no-leak proof, and repeated
 /// runs would surface a leaked worker as a panic on a dropped scope.
 #[test]
@@ -235,30 +289,28 @@ fn mid_flight_errors_join_all_workers_and_stay_typed() {
         .expect("ddl");
     db.insert_rows(
         "Fact",
-        (0..4_000i64).map(|i| {
-            vec![
-                gbj_types::Value::Int(i),
-                gbj_types::Value::Int(i),
-                gbj_types::Value::Int(1),
-            ]
-        }),
+        (0..4_000i64).map(|i| vec![Value::Int(i), Value::Int(i), Value::Int(1)]),
     )
     .expect("rows");
     let sql = "SELECT F.K, SUM(F.V) FROM Fact F GROUP BY F.K";
 
-    // Budget trips while all 8 workers are claiming morsels.
-    db.set_threads(nz(8));
+    // Budget trips while the parts are folding on all 8 workers.
+    let busy = Cell::Pipeline {
+        parts: 4,
+        threads: 8,
+    };
+    db.options_mut().exec.limits = ResourceLimits {
+        max_memory_bytes: Some(10_000),
+        ..ResourceLimits::default()
+    };
     for round in 0..20 {
-        db.options_mut().exec.limits = ResourceLimits {
-            max_memory_bytes: Some(10_000),
-            ..ResourceLimits::default()
-        };
-        let err = db.query(sql).expect_err("budget must fire");
+        let err = query(&mut db, busy, PushdownPolicy::Never, sql).expect_err("budget must fire");
         assert_eq!(err.kind(), "resource", "round {round}");
         assert_eq!(err.message(), "memory budget exceeded", "round {round}");
     }
 
-    // Injected batch failures surface identically at every thread count.
+    // Injected batch failures surface as the oracle's error in every
+    // cell.
     db.options_mut().exec.limits = ResourceLimits::default();
     db.set_fault_injector(Some(FaultInjector::new(FaultConfig {
         seed: 3,
@@ -266,49 +318,38 @@ fn mid_flight_errors_join_all_workers_and_stay_typed() {
         batch_size: Some(512),
         ..FaultConfig::default()
     })));
-    let mut outcomes = Vec::new();
-    for threads in THREAD_COUNTS {
-        outcomes.push(run_at(&mut db, threads, PushdownPolicy::Never, sql));
-    }
-    let serial = &outcomes[0];
-    match serial {
+    let serial = run_at(&mut db, Cell::Oracle, PushdownPolicy::Never, sql);
+    match &serial {
         Err(msg) => assert!(
             msg.starts_with("execution: injected fault"),
             "typed execution error expected, got {msg}"
         ),
         Ok(_) => panic!("the injected batch failure must surface"),
     }
-    for (threads, outcome) in THREAD_COUNTS.iter().zip(&outcomes) {
-        assert_eq!(outcome, serial, "threads={threads}");
+    for cell in cells() {
+        let outcome = run_at(&mut db, cell, PushdownPolicy::Never, sql);
+        assert_eq!(outcome, serial, "{cell:?}");
     }
 }
 
-/// One run's counter fingerprint: the thread-count-invariant subset of
-/// every operator's metrics — `(label, [rows_in, rows_out, batches,
+/// One run's counter fingerprint: the path-invariant subset of every
+/// operator's metrics — `(label, [rows_in, rows_out, batches,
 /// hash_entries])` in pre-order — or the typed error if the run failed.
 fn fingerprint_at(
     db: &mut Database,
-    threads: usize,
+    cell: Cell,
     policy: PushdownPolicy,
     sql: &str,
 ) -> Result<Vec<(String, [u64; 4])>, String> {
-    db.set_threads(nz(threads));
-    db.options_mut().policy = policy;
-    if let Some(inj) = db.fault_injector() {
-        inj.reset();
-    }
-    match db.query(sql) {
-        Ok(_) => {
-            let metrics = db.last_query_metrics().expect("metrics recorded");
-            Ok(metrics.profile.counter_fingerprint())
-        }
-        Err(e) => Err(format!("{}: {}", e.kind(), e.message())),
-    }
+    query(db, cell, policy, sql).map_err(typed)?;
+    let metrics = db.last_query_metrics().expect("metrics recorded");
+    Ok(metrics.profile.counter_fingerprint())
 }
 
 /// The metrics layer's determinism promise: every operator counter in
-/// the fingerprint — rows in/out, batch counts, hash-table entries —
-/// is byte-identical at 1, 2, 4 and 8 threads, for both plan shapes,
+/// the fingerprint — rows in/out, batch counts (`batches` included: the
+/// morsel count of the input, whoever runs it), hash-table entries — is
+/// the oracle's in every parts × threads cell, for both plan shapes,
 /// across the whole oracle query family. (Timings and transient state
 /// bytes are deliberately outside the fingerprint; see DESIGN.md §10.)
 #[test]
@@ -318,13 +359,13 @@ fn metrics_counters_are_identical_at_every_thread_count() {
         let mut db = build_db(&mut rng);
         for sql in QUERIES {
             for policy in [PushdownPolicy::Never, PushdownPolicy::Always] {
-                let serial = fingerprint_at(&mut db, 1, policy, sql);
+                let serial = fingerprint_at(&mut db, Cell::Oracle, policy, sql);
                 assert!(serial.is_ok(), "case {case}: clean run must succeed");
-                for threads in THREAD_COUNTS {
-                    let got = fingerprint_at(&mut db, threads, policy, sql);
+                for cell in cells() {
+                    let got = fingerprint_at(&mut db, cell, policy, sql);
                     assert_eq!(
                         got, serial,
-                        "case {case} threads={threads} policy={policy:?}: \
+                        "case {case} {cell:?} policy={policy:?}: \
                          counters drifted for {sql}"
                     );
                 }
@@ -336,8 +377,9 @@ fn metrics_counters_are_identical_at_every_thread_count() {
 /// The vectorized columnar path promises output **byte-identical to
 /// the row engine** — same rows after canonical ordering, or the same
 /// typed error — at every thread count, for both plan shapes, across
-/// the whole oracle query family. The row engine at one thread is the
-/// oracle; the vectorized runs at 1/2/4/8 threads must all match it.
+/// the whole oracle query family, at the environment's part count. The
+/// oracle is the reference; the vectorized runs at 1/2/4/8 threads must
+/// all match it.
 #[test]
 fn vectorized_path_is_byte_identical_to_the_row_engine() {
     let mut rng = StdRng::seed_from_u64(0x9a11_0005);
@@ -345,17 +387,14 @@ fn vectorized_path_is_byte_identical_to_the_row_engine() {
         let mut db = build_db(&mut rng);
         for sql in QUERIES {
             for policy in [PushdownPolicy::Never, PushdownPolicy::Always] {
-                db.set_vectorized(false);
-                let row_engine = run_at(&mut db, 1, policy, sql);
-                db.set_vectorized(true);
-                for threads in THREAD_COUNTS {
-                    let got = run_at(&mut db, threads, policy, sql);
+                let row_engine = run_at(&mut db, Cell::Oracle, policy, sql);
+                for cell in default_part_cells() {
+                    let got = run_at(&mut db, cell, policy, sql);
                     assert_eq!(
                         got, row_engine,
-                        "case {case} threads={threads} policy={policy:?} vectorized: {sql}"
+                        "case {case} {cell:?} policy={policy:?} vectorized: {sql}"
                     );
                 }
-                db.set_vectorized(false);
             }
         }
     }
@@ -380,19 +419,16 @@ fn vectorized_path_matches_row_engine_under_fault_seeds() {
         db.set_fault_injector(Some(FaultInjector::new(config)));
         for sql in [QUERIES[1], QUERIES[4], QUERIES[6], QUERIES[7]] {
             for policy in [PushdownPolicy::Never, PushdownPolicy::Always] {
-                db.set_vectorized(false);
-                let row_engine = run_at(&mut db, 1, policy, sql);
-                db.set_vectorized(true);
-                for threads in THREAD_COUNTS {
-                    let got = run_at(&mut db, threads, policy, sql);
+                let row_engine = run_at(&mut db, Cell::Oracle, policy, sql);
+                for cell in default_part_cells() {
+                    let got = run_at(&mut db, cell, policy, sql);
                     if got != row_engine {
                         disagreements.push(format!(
-                            "case {case} threads={threads} policy={policy:?} under \
+                            "case {case} {cell:?} policy={policy:?} under \
                              {config:?}:\n  row={row_engine:?}\n  vectorized={got:?}"
                         ));
                     }
                 }
-                db.set_vectorized(false);
             }
         }
     }
@@ -415,29 +451,26 @@ fn vectorized_fingerprints_match_the_row_engine() {
         let mut db = build_db(&mut rng);
         for sql in QUERIES {
             for policy in [PushdownPolicy::Never, PushdownPolicy::Always] {
-                db.set_vectorized(false);
-                let row_engine = fingerprint_at(&mut db, 1, policy, sql);
+                let row_engine = fingerprint_at(&mut db, Cell::Oracle, policy, sql);
                 assert!(row_engine.is_ok(), "case {case}: clean run must succeed");
-                db.set_vectorized(true);
-                for threads in THREAD_COUNTS {
-                    let got = fingerprint_at(&mut db, threads, policy, sql);
+                for cell in default_part_cells() {
+                    let got = fingerprint_at(&mut db, cell, policy, sql);
                     assert_eq!(
                         got, row_engine,
-                        "case {case} threads={threads} policy={policy:?}: \
+                        "case {case} {cell:?} policy={policy:?}: \
                          vectorized counters drifted for {sql}"
                     );
                 }
-                db.set_vectorized(false);
             }
         }
     }
 }
 
-/// Counters stay thread-count-invariant under deterministic fault
-/// injection too: short batches and NULL flips perturb what the scan
-/// feeds every operator, but identically so at every thread count
-/// (scans are always serial). Failing seeds must yield the same typed
-/// error everywhere instead of a fingerprint.
+/// Counters stay the oracle's under deterministic fault injection too:
+/// short batches and NULL flips perturb what the scan feeds every
+/// operator, but identically so in every parts × threads cell (the scan
+/// is one serial cursor everywhere). Failing seeds must yield the same
+/// typed error everywhere instead of a fingerprint.
 #[test]
 fn metrics_counters_are_thread_invariant_under_fault_seeds() {
     let mut rng = StdRng::seed_from_u64(0x9a11_0004);
@@ -452,14 +485,59 @@ fn metrics_counters_are_thread_invariant_under_fault_seeds() {
         db.set_fault_injector(Some(FaultInjector::new(config)));
         for sql in [QUERIES[0], QUERIES[3], QUERIES[6], QUERIES[7]] {
             for policy in [PushdownPolicy::Never, PushdownPolicy::Always] {
-                let serial = fingerprint_at(&mut db, 1, policy, sql);
-                for threads in THREAD_COUNTS {
-                    let got = fingerprint_at(&mut db, threads, policy, sql);
+                let serial = fingerprint_at(&mut db, Cell::Oracle, policy, sql);
+                for cell in cells() {
+                    let got = fingerprint_at(&mut db, cell, policy, sql);
                     assert_eq!(
                         got, serial,
-                        "case {case} threads={threads} policy={policy:?} under \
+                        "case {case} {cell:?} policy={policy:?} under \
                          {config:?}: {sql}"
                     );
+                }
+            }
+        }
+    }
+}
+
+/// One part runs inline on the calling thread, so `threads` is a no-op
+/// there: the path, the rows (their order too), the whole profile —
+/// operator names, every counter, `vectors` included — and the memory
+/// high-water mark are the same at 1, 2, 4 and 8 threads. This is what
+/// lets the test matrix carry no `GBJ_TEST_THREADS`-alone cell.
+#[test]
+fn threads_change_nothing_at_one_part() {
+    fn counters(p: &gbj_exec::ProfileNode, out: &mut Vec<(String, [u64; 4], u64, u64)>) {
+        let m = &p.metrics;
+        out.push((p.operator.clone(), m.fingerprint(), m.vectors, m.selected));
+        p.children.iter().for_each(|c| counters(c, out));
+    }
+    let mut rng = StdRng::seed_from_u64(0x9a11_0008);
+    for case in 0..6u64 {
+        let mut db = build_db(&mut rng);
+        for sql in QUERIES {
+            for policy in [PushdownPolicy::Never, PushdownPolicy::Always] {
+                let mut serial = None;
+                for threads in THREAD_COUNTS {
+                    let cell = Cell::Pipeline { parts: 1, threads };
+                    let rows = query(&mut db, cell, policy, sql).expect("runs");
+                    let m = db.last_query_metrics().expect("metrics recorded");
+                    let mut profile = Vec::new();
+                    counters(&m.profile, &mut profile);
+                    let seen = (
+                        m.path_line(),
+                        rows.rows,
+                        m.profile.display_tree(),
+                        profile,
+                        m.peak_memory_bytes,
+                    );
+                    assert_eq!(seen.0, "path: batch\n", "case {case}: {sql}");
+                    match &serial {
+                        None => serial = Some(seen),
+                        Some(first) => assert_eq!(
+                            &seen, first,
+                            "case {case} threads={threads} policy={policy:?}: {sql}"
+                        ),
+                    }
                 }
             }
         }

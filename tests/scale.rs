@@ -97,15 +97,15 @@ fn cost_based_choice_tracks_actual_work() {
     }
 }
 
-/// Adversarial parallel-vs-serial stress at ≥100k rows: one seeded
-/// Fact table mixing the three regimes that break naive partitioned
-/// aggregation — Zipf-skewed groups (some morsels all one key),
-/// all-NULL group keys (every morsel contributes to the `=ⁿ` NULL
-/// group), and a single mega-group (maximum cross-morsel merging) —
-/// plus dangling and matching join keys. The parallel results must be
-/// byte-identical to serial after canonical ordering, for both plan
-/// shapes. Row counts are `--release`-friendly: one build, a handful of
-/// queries.
+/// Adversarial parts-vs-oracle stress at ≥100k rows: one seeded Fact
+/// table mixing the three regimes that break naive partitioned
+/// aggregation — Zipf-skewed groups (one part takes half the rows),
+/// all-NULL group keys (the `=ⁿ` NULL group lands whole on one part),
+/// and a single mega-group (maximum merging of partials) — plus
+/// dangling and matching join keys. The pipeline's results must be the
+/// oracle's — byte for byte at one part, as the same multiset over
+/// four parts on 4 and 8 threads — for both plan shapes. Row counts are
+/// `--release`-friendly: one build, a handful of queries.
 #[test]
 fn parallel_stress_at_100k_rows_matches_serial() {
     use gbj::engine::Database;
@@ -169,16 +169,19 @@ fn parallel_stress_at_100k_rows_matches_serial() {
     for sql in queries {
         for policy in [PushdownPolicy::Never, PushdownPolicy::Always] {
             db.options_mut().policy = policy;
-            db.set_threads(NonZeroUsize::new(1).unwrap());
-            let serial = db.query(sql).unwrap();
-            for threads in [4usize, 8] {
+            let serial = common::as_oracle(&mut db, |db| common::oracle_query(db, sql)).unwrap();
+            db.set_vectorized(true);
+            for (parts, threads) in [(1usize, 8usize), (4, 4), (4, 8)] {
+                db.set_shards(NonZeroUsize::new(parts).unwrap());
                 db.set_threads(NonZeroUsize::new(threads).unwrap());
                 let got = db.query(sql).unwrap();
-                // Byte-identical rows, not just multiset equality.
-                assert_eq!(
-                    got.rows, serial.rows,
-                    "threads={threads} policy={policy:?}: {sql}"
-                );
+                let ctx = format!("parts={parts} threads={threads} policy={policy:?}: {sql}");
+                if parts == 1 {
+                    // Byte-identical rows, not just multiset equality.
+                    assert_eq!(got.rows, serial.rows, "{ctx}");
+                } else {
+                    assert_eq!(common::canon(&got), common::canon(&serial), "{ctx}");
+                }
             }
         }
     }

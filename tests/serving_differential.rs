@@ -99,7 +99,9 @@ struct Obs {
 /// verify every observation against the serial replay.
 fn chaos_round(clients: usize, seed: u64) {
     let mut db = seed_db();
-    let replay_base = db.fork();
+    // The serial replay is the reference side: it runs the oracle.
+    let mut replay_base = db.fork();
+    common::make_oracle(&mut replay_base);
     // Read-path chaos only: the Nth scan batch of each snapshot fails
     // typed, and the batch size is shrunk to stress the morsel loop.
     // NULL flips stay out of the concurrent round (they are covered by
@@ -225,8 +227,7 @@ fn chaos_round(clients: usize, seed: u64) {
 
     let check = |db: &Database, epoch: u64| {
         for obs in by_epoch.get(&epoch).map(Vec::as_slice).unwrap_or_default() {
-            let fresh = db
-                .query(&obs.sql)
+            let fresh = common::oracle_query(db, &obs.sql)
                 .unwrap_or_else(|e| panic!("replay of `{}` at epoch {epoch} failed: {e}", obs.sql));
             assert_eq!(
                 fresh.sorted().rows,
@@ -461,13 +462,29 @@ fn mid_query_cancellation_is_typed() {
     assert!(server.metrics().cancelled >= 1);
 }
 
+/// The reference server of the cached-vs-fresh comparisons: no plan
+/// cache, and the oracle for an engine.
+fn uncached_oracle_server() -> Server {
+    let mut db = seed_db();
+    common::make_oracle(&mut db);
+    Server::with_database(db, ServerConfig::default()) // capacity 0
+}
+
+/// One read on [`uncached_oracle_server`], asserted to be what it says.
+fn reference_rows(session: &gbj::server::Session, sql: &str) -> Vec<Vec<Value>> {
+    let fresh = session.query(sql).unwrap();
+    assert!(!fresh.cache_hit, "cache disabled on the reference server");
+    common::assert_ran_oracle(fresh.metrics.path, &fresh.metrics.profile, sql);
+    fresh.rows.sorted().rows
+}
+
 /// Satellite (d): a cached plan must produce byte-identical rows to a
 /// fresh plan of the same SQL — across the whole read mix, and across
 /// an epoch change that invalidates the cache.
 #[test]
 fn cached_plans_are_byte_identical_to_fresh_planned() {
     let cached = Server::with_database(seed_db(), ServerConfig::default().with_plan_cache(16));
-    let fresh = Server::with_database(seed_db(), ServerConfig::default()); // capacity 0
+    let fresh = uncached_oracle_server();
     let cs = cached.connect();
     let fs = fresh.connect();
 
@@ -479,8 +496,6 @@ fn cached_plans_are_byte_identical_to_fresh_planned() {
             hit.cache_hit,
             "second run of `{sql}` at the same epoch must hit"
         );
-        let f = fs.query(sql).unwrap();
-        assert!(!f.cache_hit, "cache disabled on the fresh server");
         assert_eq!(
             hit.rows.sorted().rows,
             miss.rows.sorted().rows,
@@ -488,7 +503,7 @@ fn cached_plans_are_byte_identical_to_fresh_planned() {
         );
         assert_eq!(
             hit.rows.sorted().rows,
-            f.rows.sorted().rows,
+            reference_rows(&fs, sql),
             "`{sql}`: cached plan diverged from an uncached server"
         );
     }
@@ -506,7 +521,7 @@ fn cached_plans_are_byte_identical_to_fresh_planned() {
     );
     assert_eq!(
         after.rows.sorted().rows,
-        fs.query(AGG).unwrap().rows.sorted().rows,
+        reference_rows(&fs, AGG),
         "post-invalidation replan diverged from the uncached server"
     );
 }
@@ -518,7 +533,7 @@ fn cached_plans_are_byte_identical_to_fresh_planned() {
 #[test]
 fn stats_feedback_recosts_cached_plans_byte_identically() {
     let cached = Server::with_database(seed_db(), ServerConfig::default().with_plan_cache(16));
-    let fresh = Server::with_database(seed_db(), ServerConfig::default()); // capacity 0
+    let fresh = uncached_oracle_server();
     let cs = cached.connect();
     let fs = fresh.connect();
 
@@ -547,7 +562,7 @@ fn stats_feedback_recosts_cached_plans_byte_identically() {
     );
     assert_eq!(
         recosted.rows.sorted().rows,
-        fs.query(AGG).unwrap().rows.sorted().rows,
+        reference_rows(&fs, AGG),
         "re-costed cached server diverged from the uncached server"
     );
 

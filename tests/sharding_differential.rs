@@ -4,9 +4,8 @@
 //! pipeline over `n` parts is **byte-identical** to the single-shard
 //! row oracle — same canonical rows, same engine-invariant counter
 //! fingerprint (`rows_in`/`rows_out`/`batches`/`hash_entries` per
-//! operator) — at every shard count × thread count × row/vectorized
-//! combination, for every pushdown policy, including under seeded scan
-//! faults. Only the
+//! operator) — at every shard count × thread count, for every pushdown
+//! policy, including under seeded scan faults. Only the
 //! shipped-rows/bytes counters may vary with the shard count (they
 //! *are* the measurement), and at a fixed shard count even those are
 //! deterministic across thread counts.
@@ -58,19 +57,27 @@ fn kernels(p: &gbj::exec::ProfileNode, out: &mut Vec<(bool, u64)>) {
     p.children.iter().for_each(|c| kernels(c, out));
 }
 
+/// One run on the pipeline over `shards` parts on `threads` workers —
+/// or, with `None`, the reference run: the oracle, asserted to be.
 fn observe(
     db: &mut Database,
     policy: PushdownPolicy,
-    shards: usize,
-    threads: usize,
-    vectorized: bool,
+    cell: Option<(usize, usize)>,
     sql: &str,
 ) -> Obs {
     db.options_mut().policy = policy;
-    db.set_shards(std::num::NonZeroUsize::new(shards).expect("nonzero"));
-    db.set_threads(std::num::NonZeroUsize::new(threads).expect("nonzero"));
-    db.set_vectorized(vectorized);
-    let rows = db.query(sql).expect("query runs");
+    let rows = match cell {
+        None => {
+            common::make_oracle(db);
+            common::oracle_query(db, sql).expect("oracle runs")
+        }
+        Some((shards, threads)) => {
+            db.set_vectorized(true);
+            db.set_shards(std::num::NonZeroUsize::new(shards).expect("nonzero"));
+            db.set_threads(std::num::NonZeroUsize::new(threads).expect("nonzero"));
+            db.query(sql).expect("query runs")
+        }
+    };
     let m = db.last_query_metrics().expect("metrics recorded");
     let mut per_node = Vec::new();
     kernels(&m.profile, &mut per_node);
@@ -85,82 +92,68 @@ fn observe(
     }
 }
 
-/// One sweep point: for each policy, every shards × threads ×
-/// vectorized combination must reproduce the single-shard serial
-/// oracle's rows and counter fingerprint; single-shard runs ship
-/// nothing; at a fixed shard count the shipped counters are thread- and
-/// vectorized-invariant, and the planner predicts zero shipped rows
-/// exactly when none were shipped (the pipeline executes the tree the
-/// planner prices, so they agree on *which* exchanges happen); and more
-/// than one shard always means kernels — `vectorized` only chooses the
-/// engine at one shard.
+/// One sweep point: for each policy, every shards × threads cell of the
+/// pipeline must reproduce the oracle's rows and counter fingerprint;
+/// single-shard runs ship nothing; at a fixed shard count the shipped
+/// counters are thread-invariant, and the planner predicts zero shipped
+/// rows exactly when none were shipped (the pipeline executes the tree
+/// the planner prices, so they agree on *which* exchanges happen); and
+/// every scan that returned rows ran a kernel.
 fn assert_point(db: &mut Database, sql: &str, ctx: &str) {
     for policy in [
         PushdownPolicy::Never,
         PushdownPolicy::Always,
         PushdownPolicy::CostBased,
     ] {
-        let oracle = observe(db, policy, 1, 1, false, sql);
+        let oracle = observe(db, policy, None, sql);
         assert_eq!(
             (oracle.shipped_rows, oracle.shipped_bytes),
             (0, 0),
-            "{ctx}: single-shard runs must not ship"
+            "{ctx}: the oracle must not ship"
         );
         for &shards in &shard_counts() {
             let mut shipped_at: Option<(u64, u64)> = None;
             for &threads in &thread_counts() {
-                for vectorized in [false, true] {
-                    let got = observe(db, policy, shards, threads, vectorized, sql);
-                    if shards > 1 {
-                        assert!(
-                            got.kernels
-                                .iter()
-                                .all(|(scan, vectors)| !scan || *vectors > 0),
-                            "{ctx}: {policy:?} a scan ran no kernel at shards={shards} \
-                             threads={threads} vectorized={vectorized}: {:?}",
-                            got.kernels
-                        );
-                    } else if !vectorized {
-                        assert!(
-                            got.kernels.iter().all(|(_, vectors)| *vectors == 0),
-                            "{ctx}: {policy:?} the row engine claimed a kernel at \
-                             threads={threads}: {:?}",
-                            got.kernels
-                        );
-                    }
+                let got = observe(db, policy, Some((shards, threads)), sql);
+                let at = format!("shards={shards} threads={threads}");
+                assert!(
+                    got.kernels
+                        .iter()
+                        .all(|(scan, vectors)| !scan || *vectors > 0),
+                    "{ctx}: {policy:?} a scan ran no kernel at {at}: {:?}",
+                    got.kernels
+                );
+                assert_eq!(
+                    got.rows, oracle.rows,
+                    "{ctx}: {policy:?} rows diverged at {at}"
+                );
+                assert_eq!(
+                    got.choice, oracle.choice,
+                    "{ctx}: {policy:?} plan choice must not depend on shards"
+                );
+                assert_eq!(
+                    got.fingerprint, oracle.fingerprint,
+                    "{ctx}: {policy:?} counter fingerprint diverged at {at}"
+                );
+                if let Some(predicted) = got.predicted_shipped_rows {
                     assert_eq!(
-                        got.rows, oracle.rows,
-                        "{ctx}: {policy:?} rows diverged at shards={shards} \
-                         threads={threads} vectorized={vectorized}"
+                        predicted == 0.0,
+                        got.shipped_rows == 0,
+                        "{ctx}: {policy:?} predicted {predicted} shipped rows, measured {} \
+                         at shards={shards}",
+                        got.shipped_rows
                     );
-                    assert_eq!(
-                        got.choice, oracle.choice,
-                        "{ctx}: {policy:?} plan choice must not depend on shards"
-                    );
-                    assert_eq!(
-                        got.fingerprint, oracle.fingerprint,
-                        "{ctx}: {policy:?} counter fingerprint diverged at \
-                         shards={shards} threads={threads} vectorized={vectorized}"
-                    );
-                    if let Some(predicted) = got.predicted_shipped_rows {
-                        assert_eq!(
-                            predicted == 0.0,
-                            got.shipped_rows == 0,
-                            "{ctx}: {policy:?} predicted {predicted} shipped rows, measured {} \
-                             at shards={shards}",
-                            got.shipped_rows
-                        );
-                    }
-                    let shipped = (got.shipped_rows, got.shipped_bytes);
-                    match shipped_at {
-                        None => shipped_at = Some(shipped),
-                        Some(first) => assert_eq!(
-                            shipped, first,
-                            "{ctx}: {policy:?} shipped counters must be deterministic \
-                             at shards={shards} (threads={threads} \
-                             vectorized={vectorized})"
-                        ),
-                    }
+                }
+                let shipped = (got.shipped_rows, got.shipped_bytes);
+                if shards == 1 {
+                    assert_eq!(shipped, (0, 0), "{ctx}: one part must not ship");
+                }
+                match shipped_at {
+                    None => shipped_at = Some(shipped),
+                    Some(first) => assert_eq!(
+                        shipped, first,
+                        "{ctx}: {policy:?} shipped counters must be deterministic at {at}"
+                    ),
                 }
             }
         }
@@ -273,8 +266,8 @@ fn declared_partition_key_reduces_shipping() {
     keyed
         .declare_partition_key("Dim", &["DimId"])
         .expect("declare");
-    let a = observe(&mut plain, PushdownPolicy::Never, 4, 1, false, cfg.query());
-    let b = observe(&mut keyed, PushdownPolicy::Never, 4, 1, false, cfg.query());
+    let a = observe(&mut plain, PushdownPolicy::Never, Some((4, 1)), cfg.query());
+    let b = observe(&mut keyed, PushdownPolicy::Never, Some((4, 1)), cfg.query());
     assert_eq!(a.rows, b.rows, "partition keys are physical only");
     assert!(
         b.shipped_bytes < a.shipped_bytes,
@@ -318,7 +311,7 @@ fn key_surviving_a_colocated_aggregate_predicts_no_shipping() {
     let sql = "SELECT D.DimId, F.Tag, COUNT(F.FId) FROM Fact F, Dim D \
                WHERE F.DimId = D.DimId GROUP BY D.DimId, F.Tag";
     for policy in [PushdownPolicy::Always, PushdownPolicy::Never] {
-        let got = observe(&mut db, policy, 4, 1, false, sql);
+        let got = observe(&mut db, policy, Some((4, 1)), sql);
         assert_eq!(got.shipped_rows, 0, "{policy:?}: co-partitioned throughout");
         assert_eq!(got.predicted_shipped_rows, Some(0.0), "{policy:?}");
         let m = db.last_query_metrics().expect("metrics");
@@ -342,8 +335,8 @@ fn eager_combiner_ships_fewer_bytes_than_lazy_at_4_shards() {
         skew: 0.0,
     };
     let mut db = cfg.build().expect("build");
-    let lazy = observe(&mut db, PushdownPolicy::Never, 4, 1, false, cfg.query());
-    let eager = observe(&mut db, PushdownPolicy::Always, 4, 1, false, cfg.query());
+    let lazy = observe(&mut db, PushdownPolicy::Never, Some((4, 1)), cfg.query());
+    let eager = observe(&mut db, PushdownPolicy::Always, Some((4, 1)), cfg.query());
     assert_eq!(lazy.rows, eager.rows, "shapes must agree on rows");
     assert_eq!(lazy.choice, PlanChoice::Lazy);
     assert_eq!(eager.choice, PlanChoice::Eager);
@@ -383,7 +376,7 @@ fn shipped_prediction_q_error_bounded_and_feedback_safe() {
     let mut db = cfg.build().expect("build");
     db.options_mut().adaptive = true;
     for policy in [PushdownPolicy::Never, PushdownPolicy::Always] {
-        observe(&mut db, policy, 4, 1, false, cfg.query());
+        observe(&mut db, policy, Some((4, 1)), cfg.query());
         let first = db
             .last_query_metrics()
             .expect("metrics")
@@ -395,7 +388,7 @@ fn shipped_prediction_q_error_bounded_and_feedback_safe() {
         );
         // Second run plans with absorbed feedback: the audit must not
         // degrade materially.
-        observe(&mut db, policy, 4, 1, false, cfg.query());
+        observe(&mut db, policy, Some((4, 1)), cfg.query());
         let second = db
             .last_query_metrics()
             .expect("metrics")
@@ -421,17 +414,26 @@ fn faults_identical_across_shard_counts() {
         match_fraction: 1.0,
         skew: 0.0,
     };
-    let run = move |db: &mut Database, shards: usize| -> Result<Vec<Vec<gbj::Value>>, String> {
-        db.set_shards(std::num::NonZeroUsize::new(shards).expect("nonzero"));
-        if let Some(inj) = db.fault_injector() {
-            inj.reset();
-        }
-        match catch_unwind(AssertUnwindSafe(|| db.query(cfg.query()))) {
-            Ok(Ok(rows)) => Ok(common::canon(&rows)),
-            Ok(Err(e)) => Err(e.kind().to_string()),
-            Err(_) => Err("PANIC".to_string()),
-        }
-    };
+    // `None` is the reference run: the oracle, asserted to be.
+    let run =
+        move |db: &mut Database, shards: Option<usize>| -> Result<Vec<Vec<gbj::Value>>, String> {
+            if let Some(inj) = db.fault_injector() {
+                inj.reset();
+            }
+            let query = AssertUnwindSafe(|| match shards {
+                None => common::as_oracle(db, |db| common::oracle_query(db, cfg.query())),
+                Some(shards) => {
+                    db.set_vectorized(true);
+                    db.set_shards(std::num::NonZeroUsize::new(shards).expect("nonzero"));
+                    db.query(cfg.query())
+                }
+            });
+            match catch_unwind(query) {
+                Ok(Ok(rows)) => Ok(common::canon(&rows)),
+                Ok(Err(e)) => Err(e.kind().to_string()),
+                Err(_) => Err("PANIC".to_string()),
+            }
+        };
     for seed in 0..8u64 {
         // NULL flips: same flipped cells at every shard count.
         let mut db = cfg.build().expect("build");
@@ -441,10 +443,10 @@ fn faults_identical_across_shard_counts() {
             batch_size: Some(7),
             ..FaultConfig::default()
         })));
-        let oracle = run(&mut db, 1);
-        for shards in [2usize, 4, 8] {
+        let oracle = run(&mut db, None);
+        for shards in [1usize, 2, 4, 8] {
             assert_eq!(
-                run(&mut db, shards),
+                run(&mut db, Some(shards)),
                 oracle,
                 "seed {seed}: NULL-flip divergence at {shards} shards"
             );
@@ -455,14 +457,14 @@ fn faults_identical_across_shard_counts() {
             fail_nth_batch: Some(0),
             ..FaultConfig::default()
         })));
-        let oracle = run(&mut db, 1);
+        let oracle = run(&mut db, None);
         assert!(
             oracle.is_err(),
             "seed {seed}: injected failure must surface"
         );
-        for shards in [2usize, 4, 8] {
+        for shards in [1usize, 2, 4, 8] {
             assert_eq!(
-                run(&mut db, shards),
+                run(&mut db, Some(shards)),
                 oracle,
                 "seed {seed}: fault error divergence at {shards} shards"
             );
@@ -485,11 +487,15 @@ fn server_snapshot_epoch_covers_all_shards() {
     };
     let db = cfg.build().expect("build");
     let single = {
-        let d = cfg.build().expect("build");
-        common::canon(&d.query(cfg.query()).expect("query"))
+        let mut d = cfg.build().expect("build");
+        common::make_oracle(&mut d);
+        common::canon(&common::oracle_query(&d, cfg.query()).expect("query"))
     };
     let server = Server::with_database(db, ServerConfig::default());
-    server.reconfigure(|d| d.set_shards(std::num::NonZeroUsize::new(4).expect("nonzero")));
+    server.reconfigure(|d| {
+        d.set_vectorized(true);
+        d.set_shards(std::num::NonZeroUsize::new(4).expect("nonzero"));
+    });
     let session = server.connect();
     let resp = session.query(cfg.query()).expect("snapshot read");
     assert_eq!(

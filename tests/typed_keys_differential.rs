@@ -26,6 +26,8 @@ use gbj::storage::{FaultConfig, FaultInjector};
 use gbj::types::GroupKey;
 use gbj::{Database, Error, Value};
 
+mod common;
+
 const SHARDS: [usize; 2] = [1, 4];
 const THREADS: [usize; 2] = [1, 2];
 
@@ -37,7 +39,6 @@ fn pipeline(shards: usize, threads: usize, combiner: bool, limits: ResourceLimit
     ExecOptions {
         shards: nz(shards),
         threads: nz(threads),
-        vectorized: true,
         combiner,
         limits,
         ..ExecOptions::default()
@@ -58,6 +59,19 @@ fn run(db: &Database, plan: &LogicalPlan, options: ExecOptions) -> Run {
         faults.reset();
     }
     Executor::with_options(db.storage(), options).execute_metered(plan)
+}
+
+/// The reference side of every comparison below: the oracle under
+/// `limits`, and asserted to be (`common::run_oracle`).
+fn oracle(db: &Database, plan: &LogicalPlan, limits: ResourceLimits) -> Run {
+    if let Some(faults) = db.fault_injector() {
+        faults.reset();
+    }
+    let options = ExecOptions {
+        limits,
+        ..common::oracle_exec_options()
+    };
+    common::run_oracle(db.storage(), options, plan)
 }
 
 fn as_text(rows: &[Vec<Value>], bits: impl Fn(f64) -> u64) -> Vec<String> {
@@ -197,7 +211,7 @@ fn typed_keys_reproduce_the_oracle_across_the_matrix() {
             for policy in [PushdownPolicy::Never, PushdownPolicy::Always] {
                 let plan = plan(&mut db, policy, sql);
                 let (oracle, oracle_profile, _) =
-                    run(&db, &plan, ExecOptions::default()).expect("oracle runs");
+                    oracle(&db, &plan, ResourceLimits::default()).expect("oracle runs");
                 for shards in SHARDS {
                     for combiner in [false, true] {
                         let mut shipped_at = None;
@@ -275,7 +289,7 @@ fn shipped_counters_equal_the_row_form_definition() {
         };
         assert_eq!(group_by.len(), key_cols);
         // The aggregate's input, in scan order, from the row engine.
-        let (moved, _, _) = run(&db, input, ExecOptions::default()).expect("input runs");
+        let (moved, _, _) = oracle(&db, input, ResourceLimits::default()).expect("input runs");
         let schema = input.schema().expect("schema");
         let ords: Vec<usize> = group_by
             .iter()
@@ -333,11 +347,7 @@ fn assert_same_error(
     cells: &[usize],
 ) -> Error {
     let plan = plan(db, PushdownPolicy::Never, sql);
-    let oracle = ExecOptions {
-        limits,
-        ..ExecOptions::default()
-    };
-    let expect = run(db, &plan, oracle).expect_err("the oracle fails");
+    let expect = oracle(db, &plan, limits).expect_err("the oracle fails");
     for &shards in cells {
         for threads in THREADS {
             for combiner in [false, true] {
@@ -366,7 +376,7 @@ fn assert_same_error(
 /// overflow before, and after, a new group's failed memory charge in
 /// the same chunk is checked where row order is defined — at one part:
 /// over several, which part meets which error first is not the
-/// oracle's order (DESIGN.md §9).
+/// oracle's order (DESIGN.md §15).
 #[test]
 fn errors_are_the_oracles_in_every_cell() {
     let big = i64::MAX;
@@ -437,7 +447,7 @@ fn float_sums_are_bit_identical_at_one_part() {
         "SELECT SUM(S.X), AVG(S.X), MIN(S.X), MAX(S.X) FROM S",
     ] {
         let plan = plan(&mut db, PushdownPolicy::Never, sql);
-        let (oracle, _, _) = run(&db, &plan, ExecOptions::default()).expect("oracle runs");
+        let (oracle, _, _) = oracle(&db, &plan, ResourceLimits::default()).expect("oracle runs");
         for batch_size in [None, Some(1), Some(97), Some(1024)] {
             db.set_fault_injector(batch_size.map(|size| {
                 FaultInjector::new(FaultConfig {
@@ -471,7 +481,7 @@ fn zero_budgets_fail_before_the_first_row() {
         time_budget: Some(Duration::ZERO),
         ..ResourceLimits::default()
     };
-    let mut cells = vec![ExecOptions::default()];
+    let mut cells = vec![common::oracle_exec_options()];
     for shards in SHARDS {
         for threads in THREADS {
             cells.push(pipeline(shards, threads, true, ResourceLimits::default()));
