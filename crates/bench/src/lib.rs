@@ -12,10 +12,10 @@
 
 //! # gbj-bench
 //!
-//! The benchmark harness: timing helpers shared by the Criterion
-//! benches and the `report` binary that regenerates every figure and
-//! experiment table of the paper (see DESIGN.md's experiment index
-//! X1–X13 and EXPERIMENTS.md for recorded results).
+//! The benchmark harness: timing helpers for the `report` binary that
+//! regenerates every figure and experiment table of the paper (see
+//! DESIGN.md's experiment index X1–X13 and EXPERIMENTS.md for recorded
+//! results).
 
 use std::time::{Duration, Instant};
 

@@ -1048,91 +1048,6 @@ pub fn hash_aggregate(
     out
 }
 
-/// Sort-based aggregation: sort rows by the grouping key (under the
-/// total order, NULLs last and equal) and stream group boundaries.
-///
-/// This is the classic implementation the paper's Section 2 alludes to
-/// ("grouping … is usually implemented by sorting"); it also leaves the
-/// output sorted on the grouping columns, the property Section 7's last
-/// bullet says later joins can exploit.
-pub fn sort_aggregate(
-    input: &[Vec<Value>],
-    group_exprs: &[BoundExpr],
-    aggregates: &[CompiledAggregate],
-    guard: &ResourceGuard,
-    sink: &MetricsSink,
-) -> Result<Vec<Vec<Value>>> {
-    if group_exprs.is_empty() {
-        return hash_aggregate(input, group_exprs, aggregates, guard, sink);
-    }
-    let build_timer = sink.start_timer();
-    let mut sort_bytes = 0u64;
-    let keyed: Result<Vec<(Vec<Value>, &Vec<Value>)>> = input
-        .iter()
-        .map(|row| {
-            guard.tick()?;
-            let key: Vec<Value> = group_exprs
-                .iter()
-                .map(|e| e.eval(row))
-                .collect::<Result<_>>()?;
-            let entry_bytes = row_bytes(&key) + std::mem::size_of::<&Vec<Value>>() as u64;
-            sort_bytes += entry_bytes;
-            guard.charge_memory(entry_bytes)?;
-            Ok((key, row))
-        })
-        .collect();
-    let mut keyed = match keyed {
-        Ok(k) => k,
-        Err(e) => {
-            guard.release_memory(sort_bytes);
-            return Err(e);
-        }
-    };
-    keyed.sort_by(|(a, _), (b, _)| {
-        for (x, y) in a.iter().zip(b) {
-            let ord = x.total_cmp(y);
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    sink.record_build(build_timer);
-    sink.add_state_bytes(sort_bytes);
-
-    let probe_timer = sink.start_timer();
-    let streamed = (|| -> Result<Vec<Vec<Value>>> {
-        let mut out = Vec::new();
-        let mut current: Option<(Vec<Value>, Vec<Accumulator>)> = None;
-        for (key, row) in keyed {
-            guard.tick()?;
-            let same = current
-                .as_ref()
-                .is_some_and(|(k, _)| k.iter().zip(&key).all(|(a, b)| a.null_eq(b)));
-            if !same {
-                if let Some((k, accs)) = current.take() {
-                    let mut r = k;
-                    r.extend(accs.iter().map(Accumulator::finish));
-                    out.push(r);
-                }
-                current = Some((key, new_accumulators(aggregates)));
-            }
-            if let Some((_, accs)) = &mut current {
-                update_all(aggregates, accs, row)?;
-            }
-        }
-        if let Some((k, accs)) = current {
-            let mut r = k;
-            r.extend(accs.iter().map(Accumulator::finish));
-            out.push(r);
-        }
-        Ok(out)
-    })();
-    sink.record_probe(probe_timer);
-    guard.release_memory(sort_bytes);
-    streamed
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -1184,41 +1099,17 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn hash_and_sort_agree() {
-        let input = rows(&[
-            (Some(1), Some(10)),
-            (Some(2), Some(20)),
-            (Some(1), Some(5)),
-            (None, Some(7)),
-            (None, Some(3)),
-        ]);
-        let h = hash_aggregate(&input, &group_exprs(), &[sum_call()], &g(), &sk()).unwrap();
-        let s = sort_aggregate(&input, &group_exprs(), &[sum_call()], &g(), &sk()).unwrap();
-        assert_eq!(sorted(h.clone()), sorted(s));
-        assert_eq!(h.len(), 3, "1, 2, and the NULL group");
-        let by_key = sorted(h);
-        assert_eq!(by_key[0], vec![Value::Int(1), Value::Int(15)]);
-        assert_eq!(by_key[1], vec![Value::Int(2), Value::Int(20)]);
-        assert_eq!(by_key[2], vec![Value::Null, Value::Int(10)]);
-    }
-
-    #[test]
     fn null_group_values_form_one_group() {
         let input = rows(&[(None, Some(1)), (None, Some(2))]);
-        for f in [hash_aggregate, sort_aggregate] {
-            let out = f(&input, &group_exprs(), &[sum_call()], &g(), &sk()).unwrap();
-            assert_eq!(out.len(), 1);
-            assert_eq!(out[0], vec![Value::Null, Value::Int(3)]);
-        }
+        let out = hash_aggregate(&input, &group_exprs(), &[sum_call()], &g(), &sk()).unwrap();
+        assert_eq!(out, vec![vec![Value::Null, Value::Int(3)]]);
     }
 
     #[test]
     fn scalar_aggregate_always_one_row() {
         let empty: Vec<Vec<Value>> = vec![];
-        for f in [hash_aggregate, sort_aggregate] {
-            let out = f(&empty, &[], &[sum_call()], &g(), &sk()).unwrap();
-            assert_eq!(out, vec![vec![Value::Null]], "SUM over empty is NULL");
-        }
+        let out = hash_aggregate(&empty, &[], &[sum_call()], &g(), &sk()).unwrap();
+        assert_eq!(out, vec![vec![Value::Null]], "SUM over empty is NULL");
         let input = rows(&[(Some(1), Some(4)), (Some(2), Some(6))]);
         let out = hash_aggregate(&input, &[], &[sum_call()], &g(), &sk()).unwrap();
         assert_eq!(out, vec![vec![Value::Int(10)]]);
@@ -1242,7 +1133,7 @@ pub(crate) mod tests {
             compile(AggregateCall::count_star()),
         ];
         let input = rows(&[(Some(1), Some(5)), (Some(1), Some(9)), (Some(1), None)]);
-        let out = sort_aggregate(&input, &group_exprs(), &calls, &g(), &sk()).unwrap();
+        let out = hash_aggregate(&input, &group_exprs(), &calls, &g(), &sk()).unwrap();
         assert_eq!(
             out,
             vec![vec![
@@ -1257,26 +1148,8 @@ pub(crate) mod tests {
     #[test]
     fn empty_grouped_input_yields_no_groups() {
         let empty: Vec<Vec<Value>> = vec![];
-        for f in [hash_aggregate, sort_aggregate] {
-            let out = f(&empty, &group_exprs(), &[sum_call()], &g(), &sk()).unwrap();
-            assert!(out.is_empty(), "no rows → no groups when GROUP BY present");
-        }
-    }
-
-    #[test]
-    fn sort_aggregate_output_is_sorted_on_keys() {
-        let input = rows(&[
-            (Some(3), Some(1)),
-            (Some(1), Some(1)),
-            (None, Some(1)),
-            (Some(2), Some(1)),
-        ]);
-        let out = sort_aggregate(&input, &group_exprs(), &[sum_call()], &g(), &sk()).unwrap();
-        let keys: Vec<&Value> = out.iter().map(|r| &r[0]).collect();
-        assert_eq!(
-            keys,
-            vec![&Value::Int(1), &Value::Int(2), &Value::Int(3), &Value::Null]
-        );
+        let out = hash_aggregate(&empty, &group_exprs(), &[sum_call()], &g(), &sk()).unwrap();
+        assert!(out.is_empty(), "no rows → no groups when GROUP BY present");
     }
 
     #[test]
@@ -1284,11 +1157,9 @@ pub(crate) mod tests {
         // Two values near i64::MAX in one group: the running SUM
         // overflows and must surface as Error::Execution.
         let input = rows(&[(Some(1), Some(i64::MAX - 1)), (Some(1), Some(i64::MAX - 1))]);
-        for f in [hash_aggregate, sort_aggregate] {
-            let err = f(&input, &group_exprs(), &[sum_call()], &g(), &sk()).unwrap_err();
-            assert_eq!(err.kind(), "execution", "got {err}");
-            assert!(err.message().contains("overflow"), "got {err}");
-        }
+        let err = hash_aggregate(&input, &group_exprs(), &[sum_call()], &g(), &sk()).unwrap_err();
+        assert_eq!(err.kind(), "execution", "got {err}");
+        assert!(err.message().contains("overflow"), "got {err}");
         // A single near-MAX value is fine.
         let input = rows(&[(Some(1), Some(i64::MAX - 1))]);
         let out = hash_aggregate(&input, &group_exprs(), &[sum_call()], &g(), &sk()).unwrap();
@@ -1301,16 +1172,12 @@ pub(crate) mod tests {
         // Scalar AVG over an empty input: one row, NULL (no division by
         // the zero count).
         let empty: Vec<Vec<Value>> = vec![];
-        for f in [hash_aggregate, sort_aggregate] {
-            let out = f(&empty, &[], &[avg()], &g(), &sk()).unwrap();
-            assert_eq!(out, vec![vec![Value::Null]], "AVG over empty is NULL");
-        }
+        let out = hash_aggregate(&empty, &[], &[avg()], &g(), &sk()).unwrap();
+        assert_eq!(out, vec![vec![Value::Null]], "AVG over empty is NULL");
         // A group whose every argument is NULL also averages to NULL.
         let input = rows(&[(Some(1), None), (Some(1), None)]);
-        for f in [hash_aggregate, sort_aggregate] {
-            let out = f(&input, &group_exprs(), &[avg()], &g(), &sk()).unwrap();
-            assert_eq!(out, vec![vec![Value::Int(1), Value::Null]]);
-        }
+        let out = hash_aggregate(&input, &group_exprs(), &[avg()], &g(), &sk()).unwrap();
+        assert_eq!(out, vec![vec![Value::Int(1), Value::Null]]);
     }
 
     fn all_calls() -> Vec<CompiledAggregate> {

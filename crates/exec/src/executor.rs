@@ -8,45 +8,17 @@ use gbj_plan::LogicalPlan;
 use gbj_storage::Storage;
 use gbj_types::{internal_err, GroupKey, Result, Schema, Truth, Value};
 
-use crate::aggregate::{compile_aggregates, hash_aggregate, sort_aggregate};
+use crate::aggregate::{compile_aggregates, hash_aggregate};
 use crate::guard::{ResourceGuard, ResourceLimits};
-use crate::join::{bind_join, hash_join, nested_loop_join, sort_merge_join};
+use crate::join::{bind_join, hash_join, nested_loop_join};
 use crate::metrics::MetricsSink;
 use crate::parallel::morsel_rows;
 use crate::path::{execution_path, ExecPath};
 use crate::result::{ProfileNode, ResultSet};
 
-/// Join algorithm selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinAlgo {
-    /// Hash join when equi keys exist, nested loops otherwise.
-    #[default]
-    Auto,
-    /// Always nested loops.
-    NestedLoop,
-    /// Hash join (falls back to nested loops without equi keys).
-    Hash,
-    /// Sort-merge join (falls back to nested loops without equi keys).
-    SortMerge,
-}
-
-/// Aggregation algorithm selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AggAlgo {
-    /// Hash aggregation.
-    #[default]
-    Hash,
-    /// Sort-based aggregation (output sorted on the grouping columns).
-    Sort,
-}
-
 /// Executor options.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
-    /// Which join algorithm to use.
-    pub join: JoinAlgo,
-    /// Which aggregation algorithm to use.
-    pub agg: AggAlgo,
     /// Resource budgets enforced during execution (default: unlimited).
     pub limits: ResourceLimits,
     /// The size of the thread team the chunk pipeline runs its parts on
@@ -85,8 +57,6 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> ExecOptions {
         ExecOptions {
-            join: JoinAlgo::default(),
-            agg: AggAlgo::default(),
             limits: ResourceLimits::default(),
             threads: NonZeroUsize::MIN,
             metrics: true,
@@ -423,31 +393,21 @@ impl<'a> Executor<'a> {
                 let (l, lp) = self.run(left, guard)?;
                 let (r, rp) = self.run(right, guard)?;
                 let join = bind_join(left, right, condition)?;
-                let algo = match (self.options.join, join.keys.is_empty()) {
-                    (JoinAlgo::NestedLoop, _) | (_, true) => JoinAlgo::NestedLoop,
-                    (JoinAlgo::Auto | JoinAlgo::Hash, false) => JoinAlgo::Hash,
-                    (JoinAlgo::SortMerge, false) => JoinAlgo::SortMerge,
-                };
                 let sink = self.sink();
                 // Batches = input morsel count on both sides, a function
                 // of input size only.
                 sink.add_batches(input_batches(l.len()) + input_batches(r.len()));
-                let (rows, op) = match algo {
-                    JoinAlgo::NestedLoop => {
-                        let bound = condition.bind(&join.schema)?;
-                        (
-                            nested_loop_join(&l, &r, &bound, guard, &sink)?,
-                            "NestedLoopJoin",
-                        )
-                    }
-                    JoinAlgo::Hash | JoinAlgo::Auto => (
+                let (rows, op) = if join.keys.is_empty() {
+                    let bound = condition.bind(&join.schema)?;
+                    (
+                        nested_loop_join(&l, &r, &bound, guard, &sink)?,
+                        "NestedLoopJoin",
+                    )
+                } else {
+                    (
                         hash_join(&l, &r, &join.keys, &join.residual, guard, &sink)?,
                         "HashJoin",
-                    ),
-                    JoinAlgo::SortMerge => (
-                        sort_merge_join(&l, &r, &join.keys, &join.residual, guard, &sink)?,
-                        "SortMergeJoin",
-                    ),
+                    )
                 };
                 guard.charge_rows(rows.len())?;
                 let profile = ProfileNode::new(plan.label(), op, rows.len(), vec![lp, rp])
@@ -465,19 +425,11 @@ impl<'a> Executor<'a> {
                     compile_aggregates(&input.schema()?, group_by, aggregates)?;
                 let sink = self.sink();
                 sink.add_batches(input_batches(in_rows.len()));
-                let (rows, op) = match self.options.agg {
-                    AggAlgo::Hash => (
-                        hash_aggregate(&in_rows, &group_bound, &compiled, guard, &sink)?,
-                        "HashAggregate",
-                    ),
-                    AggAlgo::Sort => (
-                        sort_aggregate(&in_rows, &group_bound, &compiled, guard, &sink)?,
-                        "SortAggregate",
-                    ),
-                };
+                let rows = hash_aggregate(&in_rows, &group_bound, &compiled, guard, &sink)?;
                 guard.charge_rows(rows.len())?;
-                let profile = ProfileNode::new(plan.label(), op, rows.len(), vec![child])
-                    .with_metrics(sink.finish(in_rows.len(), rows.len()));
+                let profile =
+                    ProfileNode::new(plan.label(), "HashAggregate", rows.len(), vec![child])
+                        .with_metrics(sink.finish(in_rows.len(), rows.len()));
                 Ok((rows, profile))
             }
 
@@ -632,7 +584,7 @@ pub(crate) mod tests {
     /// Run `plan` as a differential's reference side and assert that
     /// the oracle is what ran: `path: row`, asked for, and no operator
     /// claiming a kernel. `options` is [`oracle_options`], possibly
-    /// with an algorithm or a budget changed.
+    /// with a budget or a thread or shard count changed.
     pub(crate) fn run_oracle(
         s: &Storage,
         options: ExecOptions,
@@ -691,55 +643,6 @@ pub(crate) mod tests {
         let join = profile.find_operator("HashJoin").unwrap();
         assert_eq!(join.rows_out, 6);
         assert_eq!(join.rows_in(), 10, "7 employees + 3 departments");
-    }
-
-    #[test]
-    fn all_join_algorithms_give_same_result() {
-        let s = setup();
-        let mut results = Vec::new();
-        for join in [JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::SortMerge] {
-            let exec = Executor::with_options(
-                &s,
-                ExecOptions {
-                    join,
-                    ..ExecOptions::default()
-                },
-            );
-            let (r, p) = exec.execute(&plan1(&s)).unwrap();
-            let expected_op = match join {
-                JoinAlgo::NestedLoop => "NestedLoopJoin",
-                JoinAlgo::Hash => "HashJoin",
-                JoinAlgo::SortMerge => "SortMergeJoin",
-                JoinAlgo::Auto => unreachable!(),
-            };
-            assert!(p.find_operator(expected_op).is_some());
-            results.push(r);
-        }
-        assert!(results[0].multiset_eq(&results[1]));
-        assert!(results[0].multiset_eq(&results[2]));
-    }
-
-    #[test]
-    fn sort_aggregation_matches_hash() {
-        let s = setup();
-        let hash = Executor::with_options(
-            &s,
-            ExecOptions {
-                agg: AggAlgo::Hash,
-                ..ExecOptions::default()
-            },
-        );
-        let sort = Executor::with_options(
-            &s,
-            ExecOptions {
-                agg: AggAlgo::Sort,
-                ..ExecOptions::default()
-            },
-        );
-        let (h, _) = hash.execute(&plan1(&s)).unwrap();
-        let (so, p) = sort.execute(&plan1(&s)).unwrap();
-        assert!(h.multiset_eq(&so));
-        assert!(p.find_operator("SortAggregate").is_some());
     }
 
     /// `vectorized = false` is the oracle whatever else is set: the
@@ -966,24 +869,23 @@ pub(crate) mod tests {
         assert_eq!(r.len(), 21);
     }
 
+    /// A join without an equi key is refused by the pipeline and runs
+    /// the row engine's nested loops, counter for counter the oracle.
     #[test]
     fn non_equi_join_falls_back_to_nested_loops() {
         let s = setup();
-        let exec = Executor::with_options(
-            &s,
-            ExecOptions {
-                join: JoinAlgo::Hash,
-                ..ExecOptions::default()
-            },
-        );
         let plan = LogicalPlan::Join {
             left: Box::new(scan(&s, "Employee", "E")),
             right: Box::new(scan(&s, "Department", "D")),
             condition: Expr::col("E", "DeptID")
                 .binary(gbj_expr::BinaryOp::Lt, Expr::col("D", "DeptID")),
         };
-        let (_, p) = exec.execute(&plan).unwrap();
-        assert!(p.find_operator("NestedLoopJoin").is_some());
+        let (expect, oracle_p) = oracle(&s, &plan);
+        let (got, p, summary) = Executor::new(&s).execute_metered(&plan).unwrap();
+        assert_eq!(summary.path.to_string(), "row (Join: no equi-join key)");
+        assert_eq!(p.operator, "NestedLoopJoin");
+        assert_eq!(got.rows, expect.rows);
+        assert_eq!(p.counter_fingerprint(), oracle_p.counter_fingerprint());
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Join algorithms: nested-loop, hash, and sort-merge.
+//! The row engine's joins: hash join on the equi keys, and nested loops
+//! for a condition without one.
 //!
-//! All three implement the inner join `σ[condition](L × R)` with SQL's
+//! Both implement the inner join `σ[condition](L × R)` with SQL's
 //! search-condition semantics: a pair qualifies only when the condition
 //! evaluates to *true*, so NULL join keys never match (unlike the `=ⁿ`
 //! duplicate semantics used by grouping).
@@ -172,123 +173,6 @@ pub fn hash_join(
     probe
 }
 
-/// Sort-merge join on the given equi keys.
-///
-/// Sorts both inputs on their key columns (NULLs last), then merges;
-/// NULL-keyed rows are skipped for the same reason as in [`hash_join`].
-pub fn sort_merge_join(
-    left: &[Vec<Value>],
-    right: &[Vec<Value>],
-    keys: &[EquiKey],
-    residual: &Option<BoundExpr>,
-    guard: &ResourceGuard,
-    sink: &MetricsSink,
-) -> Result<Vec<Vec<Value>>> {
-    use std::cmp::Ordering;
-    let build_timer = sink.start_timer();
-    // Null-key rows are filtered first, so the ordinals are known good
-    // for the sort/merge below; key_of still uses checked access to
-    // honour the no-indexing invariant.
-    let key_of = |row: &[Value], side: fn(&EquiKey) -> usize| -> Vec<Value> {
-        keys.iter()
-            .map(|k| row.get(side(k)).cloned().unwrap_or(Value::Null))
-            .collect()
-    };
-    let cmp_keys = |a: &[Value], b: &[Value]| -> Ordering {
-        for (x, y) in a.iter().zip(b) {
-            let ord = x.total_cmp(y);
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        Ordering::Equal
-    };
-
-    // Reject bad ordinals up front (checked once; the loops below can
-    // then treat misses as impossible).
-    for k in keys {
-        if let Some(r) = left.first() {
-            col(r, k.left)?;
-        }
-        if let Some(r) = right.first() {
-            col(r, k.right)?;
-        }
-    }
-
-    let mut ls: Vec<&Vec<Value>> = left
-        .iter()
-        .filter(|r| {
-            !keys
-                .iter()
-                .any(|k| r.get(k.left).is_none_or(Value::is_null))
-        })
-        .collect();
-    let mut rs: Vec<&Vec<Value>> = right
-        .iter()
-        .filter(|r| {
-            !keys
-                .iter()
-                .any(|k| r.get(k.right).is_none_or(Value::is_null))
-        })
-        .collect();
-    // The sort buffers hold references; charge the reference arrays.
-    let sort_bytes = ((ls.len() + rs.len()) * std::mem::size_of::<&Vec<Value>>()) as u64;
-    guard.charge_memory(sort_bytes)?;
-    ls.sort_by(|a, b| cmp_keys(&key_of(a, |k| k.left), &key_of(b, |k| k.left)));
-    rs.sort_by(|a, b| cmp_keys(&key_of(a, |k| k.right), &key_of(b, |k| k.right)));
-    sink.record_build(build_timer);
-    sink.add_state_bytes(sort_bytes);
-
-    let merge_timer = sink.start_timer();
-    let merge = (|| -> Result<Vec<Vec<Value>>> {
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < ls.len() && j < rs.len() {
-            guard.tick()?;
-            let (Some(li), Some(rj)) = (ls.get(i), rs.get(j)) else {
-                break;
-            };
-            let lk = key_of(li, |k| k.left);
-            let rk = key_of(rj, |k| k.right);
-            match cmp_keys(&lk, &rk) {
-                Ordering::Less => i += 1,
-                Ordering::Greater => j += 1,
-                Ordering::Equal => {
-                    // Find the right-side run with this key.
-                    let mut j_end = j;
-                    while rs
-                        .get(j_end)
-                        .is_some_and(|r| cmp_keys(&key_of(r, |k| k.right), &lk) == Ordering::Equal)
-                    {
-                        j_end += 1;
-                    }
-                    // Emit the cross product of the matching runs.
-                    let mut i_run = i;
-                    while let Some(l) = ls
-                        .get(i_run)
-                        .filter(|l| cmp_keys(&key_of(l, |k| k.left), &lk) == Ordering::Equal)
-                    {
-                        for r in rs.get(j..j_end).unwrap_or_default() {
-                            guard.tick()?;
-                            let row = concat(l, r);
-                            if residual_passes(residual, &row)? {
-                                out.push(row);
-                            }
-                        }
-                        i_run += 1;
-                    }
-                    i = i_run;
-                    j = j_end;
-                }
-            }
-        }
-        Ok(out)
-    })();
-    sink.record_probe(merge_timer);
-    guard.release_memory(sort_bytes);
-    merge
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,25 +202,22 @@ mod tests {
         Expr::col("L", "id").eq(Expr::col("R", "id"))
     }
 
-    fn all_join_outputs(
-        left: &[Vec<Value>],
-        right: &[Vec<Value>],
-        cond: &Expr,
-    ) -> Vec<Vec<Vec<Value>>> {
+    /// Both joins over `cond`, asserted equal as multisets: the hash
+    /// join against nested loops over the whole bound condition.
+    fn agreed_join(left: &[Vec<Value>], right: &[Vec<Value>], cond: &Expr) -> Vec<Vec<Value>> {
         let ls = lschema();
         let rs = rschema();
         let joined = ls.join(&rs);
         let bound = cond.bind(&joined).unwrap();
         let (keys, residual) = split_equi_keys(cond, &ls, &rs);
         assert!(!keys.is_empty());
-        let resid_bound = Expr::conjunction(residual.clone()).map(|e| e.bind(&joined).unwrap());
+        let resid_bound = Expr::conjunction(residual).map(|e| e.bind(&joined).unwrap());
         let g = ResourceGuard::unlimited();
         let sink = MetricsSink::new();
-        vec![
-            nested_loop_join(left, right, &bound, &g, &sink).unwrap(),
-            hash_join(left, right, &keys, &resid_bound, &g, &sink).unwrap(),
-            sort_merge_join(left, right, &keys, &resid_bound, &g, &sink).unwrap(),
-        ]
+        let nested = nested_loop_join(left, right, &bound, &g, &sink).unwrap();
+        let hashed = hash_join(left, right, &keys, &resid_bound, &g, &sink).unwrap();
+        assert_eq!(as_multiset(&hashed), as_multiset(&nested));
+        hashed
     }
 
     fn as_multiset(rows: &[Vec<Value>]) -> std::collections::HashMap<GroupKey, usize> {
@@ -348,32 +229,26 @@ mod tests {
     }
 
     #[test]
-    fn all_algorithms_agree_on_fk_join() {
+    fn hash_and_nested_loops_agree_on_fk_join() {
         let left = rows(&[(Some(1), 10), (Some(2), 20), (Some(1), 11), (None, 99)]);
         let right = rows(&[(Some(1), 100), (Some(2), 200), (Some(3), 300)]);
-        let outs = all_join_outputs(&left, &right, &condition());
-        assert_eq!(outs[0].len(), 3, "1 joins twice, 2 once, NULL never");
-        let m0 = as_multiset(&outs[0]);
-        assert_eq!(m0, as_multiset(&outs[1]));
-        assert_eq!(m0, as_multiset(&outs[2]));
+        let out = agreed_join(&left, &right, &condition());
+        assert_eq!(out.len(), 3, "1 joins twice, 2 once, NULL never");
     }
 
     #[test]
     fn null_keys_never_match() {
         let left = rows(&[(None, 1)]);
         let right = rows(&[(None, 2)]);
-        for out in all_join_outputs(&left, &right, &condition()) {
-            assert!(out.is_empty(), "NULL = NULL is unknown, no match");
-        }
+        let out = agreed_join(&left, &right, &condition());
+        assert!(out.is_empty(), "NULL = NULL is unknown, no match");
     }
 
     #[test]
     fn duplicate_keys_produce_cross_products() {
         let left = rows(&[(Some(1), 10), (Some(1), 11)]);
         let right = rows(&[(Some(1), 100), (Some(1), 101), (Some(1), 102)]);
-        for out in all_join_outputs(&left, &right, &condition()) {
-            assert_eq!(out.len(), 6);
-        }
+        assert_eq!(agreed_join(&left, &right, &condition()).len(), 6);
     }
 
     #[test]
@@ -383,19 +258,16 @@ mod tests {
             .and(Expr::col("L", "x").binary(gbj_expr::BinaryOp::Lt, Expr::col("R", "y")));
         let left = rows(&[(Some(1), 10), (Some(1), 200)]);
         let right = rows(&[(Some(1), 100)]);
-        for out in all_join_outputs(&left, &right, &cond) {
-            assert_eq!(out.len(), 1, "only x=10 < y=100 passes");
-            assert_eq!(out[0][1], Value::Int(10));
-        }
+        let out = agreed_join(&left, &right, &cond);
+        assert_eq!(out.len(), 1, "only x=10 < y=100 passes");
+        assert_eq!(out[0][1], Value::Int(10));
     }
 
     #[test]
     fn empty_inputs() {
         let left = rows(&[]);
         let right = rows(&[(Some(1), 100)]);
-        for out in all_join_outputs(&left, &right, &condition()) {
-            assert!(out.is_empty());
-        }
+        assert!(agreed_join(&left, &right, &condition()).is_empty());
     }
 
     #[test]
@@ -422,8 +294,6 @@ mod tests {
         let g = ResourceGuard::unlimited();
         let sink = MetricsSink::new();
         let out = hash_join(&left, &right, &keys, &None, &g, &sink).unwrap();
-        assert_eq!(out.len(), 1);
-        let out = sort_merge_join(&left, &right, &keys, &None, &g, &sink).unwrap();
         assert_eq!(out.len(), 1);
     }
 

@@ -5,10 +5,10 @@
 //! ([`crate::pipeline`]), at one part or over several, must reproduce
 //! its rows, its first error and its counter fingerprint byte for byte.
 //! It can promise that only for plans whose every expression is in the
-//! error-free rule (see [`crate::vectorized`]) and whose joins and
-//! aggregates use the hash algorithms, so one walker decides, over the
-//! whole plan: any refusal sends the *entire* plan to the next slower
-//! configuration — never a per-operator mix.
+//! error-free rule (see [`crate::vectorized`]) and whose every join has
+//! an equi key to hash on, so one walker decides, over the whole plan:
+//! any refusal sends the *entire* plan to the next slower configuration
+//! — never a per-operator mix.
 
 use std::fmt;
 
@@ -16,7 +16,7 @@ use gbj_expr::Expr;
 use gbj_plan::{split_equi_keys, LogicalPlan};
 use gbj_types::{Result, Schema};
 
-use crate::executor::{AggAlgo, ExecOptions, JoinAlgo};
+use crate::executor::ExecOptions;
 use crate::vectorized::vectorizable;
 
 /// The execution path [`execution_path`] picked for a plan.
@@ -61,8 +61,6 @@ pub struct Refusal {
 /// The ways an operator can fall outside the byte-identity gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefusalReason {
-    /// [`JoinAlgo`] / [`AggAlgo`] selects a non-hash algorithm.
-    NonHashAlgorithm,
     /// The join condition has no `left column = right column` conjunct.
     NoEquiKey,
     /// A cross join has no key to probe or partition on.
@@ -82,7 +80,6 @@ impl fmt::Display for Refusal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let op = self.operator;
         match self.reason {
-            RefusalReason::NonHashAlgorithm => write!(f, "{op}: non-hash algorithm selected"),
             RefusalReason::NoEquiKey => write!(f, "{op}: no equi-join key"),
             RefusalReason::CrossJoin => write!(f, "{op}: no join key"),
             RefusalReason::Arithmetic => {
@@ -130,7 +127,7 @@ pub fn execution_path(plan: &LogicalPlan, options: &ExecOptions) -> ExecPath {
     }
     let shards = options.shards.get();
     let strict = if shards > 1 {
-        match refusal(plan, options, true) {
+        match refusal(plan, true) {
             None => {
                 return ExecPath::Pipeline {
                     shards,
@@ -142,7 +139,7 @@ pub fn execution_path(plan: &LogicalPlan, options: &ExecOptions) -> ExecPath {
     } else {
         None
     };
-    match refusal(plan, options, false) {
+    match refusal(plan, false) {
         None => ExecPath::Pipeline {
             shards: 1,
             refused: strict.map(|refusal| (shards, refusal)),
@@ -162,11 +159,11 @@ fn error_free<'e>(schema: &Result<Schema>, mut exprs: impl Iterator<Item = &'e E
 /// The first operator of `plan` outside the gate, if any. `sharded`
 /// selects the one rule that differs between one part and several: how
 /// strict aggregate arguments are.
-fn refusal(plan: &LogicalPlan, options: &ExecOptions, sharded: bool) -> Option<Refusal> {
+fn refusal(plan: &LogicalPlan, sharded: bool) -> Option<Refusal> {
     if let Some(below) = plan
         .children()
         .into_iter()
-        .find_map(|child| refusal(child, options, sharded))
+        .find_map(|child| refusal(child, sharded))
     {
         return Some(below);
     }
@@ -192,7 +189,7 @@ fn refusal(plan: &LogicalPlan, options: &ExecOptions, sharded: bool) -> Option<R
             left,
             right,
             condition,
-        } => ("Join", join_refusal(left, right, condition, options)),
+        } => ("Join", join_refusal(left, right, condition)),
         LogicalPlan::Aggregate {
             input,
             group_by,
@@ -200,9 +197,7 @@ fn refusal(plan: &LogicalPlan, options: &ExecOptions, sharded: bool) -> Option<R
         } => {
             let schema = input.schema();
             let mut args = aggregates.iter().filter_map(|(call, _)| call.arg.as_ref());
-            let reason = if options.agg != AggAlgo::Hash {
-                Some(RefusalReason::NonHashAlgorithm)
-            } else if !error_free(&schema, group_by.iter()) {
+            let reason = if !error_free(&schema, group_by.iter()) {
                 Some(RefusalReason::Arithmetic)
             } else if sharded {
                 (!error_free(&schema, args)).then_some(RefusalReason::AggregateArgument)
@@ -220,11 +215,7 @@ fn join_refusal(
     left: &LogicalPlan,
     right: &LogicalPlan,
     condition: &Expr,
-    options: &ExecOptions,
 ) -> Option<RefusalReason> {
-    if !matches!(options.join, JoinAlgo::Auto | JoinAlgo::Hash) {
-        return Some(RefusalReason::NonHashAlgorithm);
-    }
     let (Ok(ls), Ok(rs)) = (left.schema(), right.schema()) else {
         return Some(RefusalReason::NoEquiKey);
     };
@@ -409,61 +400,6 @@ mod tests {
                         "{name} shards={shards} vectorized={vectorized}"
                     );
                 }
-            }
-        }
-    }
-
-    /// Non-hash algorithms refuse exactly the operator they select, on
-    /// both fast paths; plans without that operator are unaffected.
-    #[test]
-    fn non_hash_algorithms_refuse_their_own_operator_only() {
-        let fast = |join, agg| ExecOptions {
-            join,
-            agg,
-            vectorized: true,
-            shards: NonZeroUsize::new(4).unwrap(),
-            ..ExecOptions::default()
-        };
-        let refused = |operator| {
-            ExecPath::Row(Some(Refusal {
-                operator,
-                reason: RefusalReason::NonHashAlgorithm,
-            }))
-        };
-        let agg_plan = aggregate(col("L", "k"), col("L", "v"));
-        for join_algo in [
-            JoinAlgo::Auto,
-            JoinAlgo::Hash,
-            JoinAlgo::NestedLoop,
-            JoinAlgo::SortMerge,
-        ] {
-            for agg_algo in [AggAlgo::Hash, AggAlgo::Sort] {
-                let options = fast(join_algo, agg_algo);
-                let hash_join = matches!(join_algo, JoinAlgo::Auto | JoinAlgo::Hash);
-                let ctx = format!("{join_algo:?}/{agg_algo:?}");
-                assert_eq!(
-                    execution_path(&join(equi()), &options),
-                    if hash_join {
-                        pipeline(4, None)
-                    } else {
-                        refused("Join")
-                    },
-                    "{ctx}"
-                );
-                assert_eq!(
-                    execution_path(&agg_plan, &options),
-                    if agg_algo == AggAlgo::Hash {
-                        pipeline(4, None)
-                    } else {
-                        refused("Aggregate")
-                    },
-                    "{ctx}"
-                );
-                assert_eq!(
-                    execution_path(&scan("L"), &options),
-                    pipeline(4, None),
-                    "{ctx}"
-                );
             }
         }
     }

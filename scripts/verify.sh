@@ -110,6 +110,20 @@ if grep -rn "ColumnVector::Mixed" crates src tests examples; then
   echo "verify: the type-mixed column vector reappeared" >&2
   exit 1
 fi
+# One algorithm per operator: a join is a hash join on its equi keys
+# (nested loops without one) and a group-by is a hash aggregate. The
+# options that picked another algorithm, the sort-merge join and sort
+# aggregate only they reached, and the refusal they caused were
+# deleted and must not grow back; nor must the criterion sources that
+# cargo never built.
+if grep -rnE "JoinAlgo|AggAlgo|fn sort_merge_join|fn sort_aggregate|NonHashAlgorithm|SortMergeJoin|SortAggregate" crates src tests examples; then
+  echo "verify: a second join or aggregation algorithm reappeared" >&2
+  exit 1
+fi
+if [[ -e crates/bench/benches ]]; then
+  echo "verify: crates/bench/benches reappeared; benches run as report subcommands" >&2
+  exit 1
+fi
 cargo build --release
 # The four workspace passes below each include the two-valued suites —
 # gbj-expr's tests/lowering_exhaustive.rs (lower_floor / lower_ceil

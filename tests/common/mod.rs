@@ -9,8 +9,8 @@
 //!   [`run_oracle`] / [`oracle_query`] run the reference and assert
 //!   that is what ran (`path: row`, asked for; no operator claiming a
 //!   kernel);
-//! * **order-insensitive comparison** — plan shapes, physical
-//!   algorithms, and thread counts are all free to emit rows in any
+//! * **order-insensitive comparison** — plan shapes, execution paths,
+//!   and part and thread counts are all free to emit rows in any
 //!   order, so results are canonicalised (sorted by the engine's total
 //!   order, NULLs last) before comparing instead of each test rolling
 //!   its own sort;
@@ -45,8 +45,8 @@ pub fn oracle_exec_options() -> ExecOptions {
     }
 }
 
-/// Make `db` the oracle for the queries that follow (its budgets and
-/// algorithms stay as they are).
+/// Make `db` the oracle for the queries that follow (its budgets stay
+/// as they are).
 pub fn make_oracle(db: &mut Database) {
     let oracle = oracle_exec_options();
     db.set_vectorized(oracle.vectorized);
@@ -83,8 +83,8 @@ pub fn assert_ran_oracle(path: ExecPath, profile: &ProfileNode, ctx: &str) {
 }
 
 /// Run `plan` as a differential's reference side. `options` is
-/// [`oracle_exec_options`], possibly with an algorithm or a budget
-/// changed; a run that succeeds is asserted to have been the oracle.
+/// [`oracle_exec_options`], possibly with a budget changed; a run that
+/// succeeds is asserted to have been the oracle.
 pub fn run_oracle(
     storage: &Storage,
     options: ExecOptions,
@@ -120,13 +120,7 @@ pub fn assert_same_rows(a: &ResultSet, b: &ResultSet, ctx: &str) {
 }
 
 /// Every operator name a join can report, at one part or over several.
-pub const JOIN_OPERATORS: &[&str] = &[
-    "HashJoin",
-    "ShardedHashJoin",
-    "NestedLoopJoin",
-    "SortMergeJoin",
-    "CrossJoin",
-];
+pub const JOIN_OPERATORS: &[&str] = &["HashJoin", "ShardedHashJoin", "NestedLoopJoin", "CrossJoin"];
 
 /// Every operator name a group-by can report, at one part or over
 /// several.
@@ -135,11 +129,10 @@ pub const AGG_OPERATORS: &[&str] = &[
     "ShardedHashAggregate",
     "CombinerHashAggregate",
     "GatherAggregate",
-    "SortAggregate",
 ];
 
-/// The first join operator in the profile, whatever its algorithm or
-/// shard count.
+/// The first join operator in the profile, whatever its path or shard
+/// count.
 pub fn find_join(profile: &ProfileNode) -> Option<&ProfileNode> {
     JOIN_OPERATORS
         .iter()

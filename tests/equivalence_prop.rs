@@ -10,6 +10,7 @@
 //! messages carry the case number so any instance replays exactly.
 
 use std::collections::BTreeSet;
+use std::num::NonZeroUsize;
 
 use gbj::engine::{PlanChoice, PushdownPolicy};
 use gbj::{Database, Value};
@@ -134,25 +135,31 @@ fn main_theorem_equivalence() {
     }
 }
 
-/// All three join algorithms and both aggregation algorithms agree.
+/// The pipeline and the oracle agree on every generated instance: each
+/// text of the family, run on the pipeline at one part and over four,
+/// takes that path and returns the oracle's rows and counter
+/// fingerprint.
 #[test]
 fn physical_algorithms_agree() {
-    use gbj::exec::{AggAlgo, JoinAlgo};
     let mut rng = StdRng::seed_from_u64(0xa190_5eed);
     for case in 0..64 {
         let inst = random_instance(&mut rng);
         let mut db = build_db(&inst);
-        let sql = QUERIES[1];
-        let reference = oracle(&mut db, sql);
-        for join in [JoinAlgo::Hash, JoinAlgo::NestedLoop, JoinAlgo::SortMerge] {
-            for agg in [AggAlgo::Hash, AggAlgo::Sort] {
-                db.options_mut().exec.join = join;
-                db.options_mut().exec.agg = agg;
+        for sql in QUERIES {
+            let (reference, fingerprint) = common::as_oracle(&mut db, |db| {
+                let rows = common::oracle_query(db, sql).unwrap();
+                let metrics = db.last_query_metrics().expect("metrics recorded");
+                (rows, metrics.profile.counter_fingerprint())
+            });
+            for (parts, path) in [(1, "batch"), (4, "sharded(4)")] {
+                db.set_vectorized(true);
+                db.set_shards(NonZeroUsize::new(parts).unwrap());
                 let got = db.query(sql).unwrap();
-                assert!(
-                    reference.multiset_eq(&got),
-                    "case {case} {join:?}/{agg:?}: {inst:?}"
-                );
+                let metrics = db.last_query_metrics().expect("metrics recorded");
+                let ctx = format!("case {case} parts {parts}: {sql}\ninstance: {inst:?}");
+                assert_eq!(metrics.path.to_string(), path, "{ctx}");
+                common::assert_same_rows(&reference, &got, &ctx);
+                assert_eq!(metrics.profile.counter_fingerprint(), fingerprint, "{ctx}");
             }
         }
     }
