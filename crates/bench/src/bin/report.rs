@@ -5,70 +5,113 @@
 //! cargo run --release -p gbj-bench --bin report -- x1 x8   # a subset
 //! cargo run --release -p gbj-bench --bin report -- --json out.json
 //! ```
+//!
+//! An unknown experiment id, or `--json` without a path, exits with
+//! status 2 and lists the known ids.
+
+#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 use std::collections::BTreeSet;
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
-use gbj_bench::{compare, ExperimentRow};
+use gbj_bench::{compare, measure, median, ExperimentRow};
 use gbj_catalog::{ColumnDef, Constraint, TableDef};
 use gbj_datagen::{
     AdversarialConfig, EmpDeptConfig, PartSupplierConfig, PrinterConfig, SweepConfig,
 };
-use gbj_engine::{Database, PushdownPolicy};
-use gbj_expr::Expr;
+use gbj_engine::{Database, PlanChoice, PushdownPolicy};
+use gbj_exec::{select, ColumnarBatch};
+use gbj_expr::{BinaryOp, Expr};
 use gbj_fd::{Fd, FdContext, FdSet};
 use gbj_optimizer::{shape_cost, CardTree, CostModel};
 use gbj_plan::LogicalPlan;
-use gbj_types::{ColumnRef, DataType, Field, Result, Schema, Truth, Value};
+use gbj_types::{internal_err, ColumnRef, DataType, Field, Result, Schema, Truth, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut json_path: Option<String> = None;
-    let mut wanted: BTreeSet<String> = BTreeSet::new();
+type Experiment = fn() -> Result<Vec<ExperimentRow>>;
+
+/// Every experiment, in the order a full run prints them.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("x1", x1_figure1),
+    ("x2", x2_truth_tables),
+    ("x3", x3_interpretation_ops),
+    ("x4", x4_derived_dependencies),
+    ("x5", x5_constraint_ddl),
+    ("x6", x6_figure7_closure),
+    ("x7", x7_example3_testfd),
+    ("x8", x8_figure8),
+    ("x9", x9_sweeps),
+    ("x10", x10_distributed),
+    ("x11", x11_reverse_view),
+    ("x12", x12_random_equivalence),
+    ("x13", x13_theorem2_variants),
+    ("x15", x15_vectorized),
+    ("x16", x16_cost_model),
+    ("x17", x17_sharding),
+];
+
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+struct Args {
+    /// The experiments to run, in [`EXPERIMENTS`] order.
+    run: Vec<&'static str>,
+    /// Where to write the rows as JSON.
+    json: Option<String>,
+}
+
+/// Parse the arguments after the program name: experiment ids (any
+/// case; none means all) and `--json <path>`.
+fn parse_args(args: &[String]) -> std::result::Result<Args, String> {
+    let mut wanted = BTreeSet::new();
+    let mut json = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--json" {
-            json_path = it.next().cloned();
+            json = Some(it.next().ok_or("--json needs a path")?.clone());
+        } else if let Some((id, _)) = EXPERIMENTS
+            .iter()
+            .find(|(id, _)| a.eq_ignore_ascii_case(id))
+        {
+            wanted.insert(*id);
         } else {
-            wanted.insert(a.to_ascii_lowercase());
+            return Err(format!("unknown experiment `{a}`"));
         }
     }
-    let run = |id: &str| wanted.is_empty() || wanted.contains(id);
+    let run = EXPERIMENTS
+        .iter()
+        .map(|(id, _)| *id)
+        .filter(|id| wanted.is_empty() || wanted.contains(id))
+        .collect();
+    Ok(Args { run, json })
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&args).unwrap_or_else(|e| {
+        let known: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        eprintln!(
+            "report: {e}\nusage: report [ID ...] [--json PATH]\nknown ids: {}",
+            known.join(" ")
+        );
+        std::process::exit(2);
+    });
 
     let mut rows: Vec<ExperimentRow> = Vec::new();
-    type Experiment = (&'static str, fn() -> Result<Vec<ExperimentRow>>);
-    let experiments: Vec<Experiment> = vec![
-        ("x1", x1_figure1),
-        ("x2", x2_truth_tables),
-        ("x3", x3_interpretation_ops),
-        ("x4", x4_derived_dependencies),
-        ("x5", x5_constraint_ddl),
-        ("x6", x6_figure7_closure),
-        ("x7", x7_example3_testfd),
-        ("x8", x8_figure8),
-        ("x9", x9_sweeps),
-        ("x10", x10_distributed),
-        ("x11", x11_reverse_view),
-        ("x12", x12_random_equivalence),
-        ("x13", x13_theorem2_variants),
-    ];
-    for (id, f) in experiments {
-        if run(id) {
-            println!("\n{}", "=".repeat(72));
-            println!("experiment {id}");
-            println!("{}", "=".repeat(72));
-            match f() {
-                Ok(r) => rows.extend(r),
-                Err(e) => {
-                    eprintln!("experiment {id} failed: {e}");
-                    std::process::exit(1);
-                }
+    for (id, f) in EXPERIMENTS.iter().filter(|(id, _)| args.run.contains(id)) {
+        println!("\n{}", "=".repeat(72));
+        println!("experiment {id}");
+        println!("{}", "=".repeat(72));
+        match f() {
+            Ok(r) => rows.extend(r),
+            Err(e) => {
+                eprintln!("experiment {id} failed: {e}");
+                std::process::exit(1);
             }
         }
     }
-    if let Some(path) = json_path {
+    if let Some(path) = args.json {
         let json = gbj_bench::rows_to_json(&rows);
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("cannot write {path}: {e}");
@@ -92,7 +135,7 @@ fn x1_figure1() -> Result<Vec<ExperimentRow>> {
         c.lazy.time,
         c.eager.time,
         c.speedup(),
-        c.engine_choice
+        c.engine.choice
     );
     let join_out = c.lazy.profile.find_operator("HashJoin").map(|n| n.rows_out);
     println!(
@@ -320,7 +363,7 @@ fn x7_example3_testfd() -> Result<Vec<ExperimentRow>> {
         c.lazy.time,
         c.eager.time,
         c.speedup(),
-        c.engine_choice
+        c.engine.choice
     );
     Ok(vec![ExperimentRow::from_comparison(
         "x7",
@@ -347,7 +390,7 @@ fn x8_figure8() -> Result<Vec<ExperimentRow>> {
         c.lazy.time,
         c.eager.time,
         c.speedup(),
-        c.engine_choice
+        c.engine.choice
     );
     Ok(vec![ExperimentRow::from_comparison(
         "x8",
@@ -359,81 +402,66 @@ fn x8_figure8() -> Result<Vec<ExperimentRow>> {
 
 // --------------------------------------------------------------- X9
 
-/// Section 7 sweeps: fan-in and join selectivity.
+/// Section 7 sweeps over 10 000 fact rows: fan-in (the dimension holds
+/// every matched key), join selectivity at 9000 groups, and Zipf skew
+/// at fan-in 100.
 fn x9_sweeps() -> Result<Vec<ExperimentRow>> {
-    let mut out = Vec::new();
-    println!("--- fan-in sweep (match_fraction = 1.0) ---");
-    println!(
-        "{:>8} {:>8} {:>12} {:>12} {:>9} {:>8}",
-        "groups", "fan-in", "lazy", "eager", "speedup", "engine"
-    );
-    for groups in [1, 10, 100, 1000, 10_000] {
-        let cfg = SweepConfig {
-            fact_rows: 10_000,
-            dim_rows: 1000.min(groups).max(100),
-            groups,
-            match_fraction: 1.0,
-            ..SweepConfig::default()
-        };
-        let cfg = SweepConfig {
-            dim_rows: cfg.dim_rows.max(groups.min(1000)),
-            ..cfg
-        };
-        // Dim must contain every matched key.
-        let cfg = SweepConfig {
-            dim_rows: cfg.dim_rows.max(cfg.groups.min(cfg.fact_rows)).min(10_000),
-            ..cfg
-        };
-        let mut db = cfg.build()?;
-        let c = compare(&mut db, cfg.query(), 3)?;
-        println!(
-            "{:>8} {:>8.1} {:>12?} {:>12?} {:>8.2}x {:>8}",
-            groups,
-            cfg.fan_in(),
-            c.lazy.time,
-            c.eager.time,
-            c.speedup(),
-            format!("{:?}", c.engine_choice)
-        );
-        out.push(ExperimentRow::from_comparison(
-            "x9",
-            &format!("fan-in sweep groups={groups}"),
-            &c,
-            "eager advantage grows with fan-in",
-        ));
-    }
-
-    println!("--- selectivity sweep (groups = 9000 of 10000 rows) ---");
-    println!(
-        "{:>10} {:>12} {:>12} {:>9} {:>8}",
-        "match", "lazy", "eager", "speedup", "engine"
-    );
-    for frac in [1.0, 0.5, 0.1, 0.01, 0.005] {
-        let cfg = SweepConfig {
-            fact_rows: 10_000,
-            dim_rows: 100,
-            groups: 9_000,
-            match_fraction: frac,
-            ..SweepConfig::default()
-        };
-        let mut db = cfg.build()?;
-        let c = compare(&mut db, cfg.query(), 3)?;
-        println!(
-            "{:>10} {:>12?} {:>12?} {:>8.2}x {:>8}",
-            frac,
-            c.lazy.time,
-            c.eager.time,
-            c.speedup(),
-            format!("{:?}", c.engine_choice)
-        );
-        out.push(ExperimentRow::from_comparison(
-            "x9",
-            &format!("selectivity sweep match={frac}"),
-            &c,
+    let base = SweepConfig::default();
+    let fan_in = [1, 10, 100, 1000, 10_000].map(|groups| SweepConfig {
+        dim_rows: groups.clamp(100, 10_000),
+        groups,
+        ..base
+    });
+    let selectivity = [1.0, 0.5, 0.1, 0.01, 0.005].map(|match_fraction| SweepConfig {
+        groups: 9_000,
+        match_fraction,
+        ..base
+    });
+    let skew = [0.0, 0.5, 1.0, 1.5].map(|skew| SweepConfig { skew, ..base });
+    let series: [(&str, &str, &[SweepConfig]); 3] = [
+        ("fan-in", "eager advantage grows with fan-in", &fan_in),
+        (
+            "selectivity",
             "low selectivity favours lazy (Figure 8 regime)",
-        ));
+            &selectivity,
+        ),
+        ("skew", "eager work follows group count, not size", &skew),
+    ];
+    let mut out = Vec::new();
+    for (name, note, points) in series {
+        println!("--- {name} sweep ---");
+        println!(
+            "{:<50} {:>12} {:>12} {:>9} {:>8}",
+            "point", "lazy", "eager", "speedup", "engine"
+        );
+        for cfg in points {
+            let mut db = cfg.build()?;
+            let c = compare(&mut db, cfg.query(), 3)?;
+            let params = sweep_params(cfg);
+            println!(
+                "{params:<50} {:>12?} {:>12?} {:>8.2}x {:>8}",
+                c.lazy.time,
+                c.eager.time,
+                c.speedup(),
+                format!("{:?}", c.engine.choice)
+            );
+            out.push(ExperimentRow::from_comparison(
+                "x9",
+                &format!("{name} sweep {params}"),
+                &c,
+                note,
+            ));
+        }
     }
     Ok(out)
+}
+
+/// A sweep point's parameters, as the experiment rows name them.
+fn sweep_params(cfg: &SweepConfig) -> String {
+    format!(
+        "fact={} dim={} groups={} match={} zipf={}",
+        cfg.fact_rows, cfg.dim_rows, cfg.groups, cfg.match_fraction, cfg.skew
+    )
 }
 
 // --------------------------------------------------------------- X10
@@ -507,7 +535,7 @@ fn x11_reverse_view() -> Result<Vec<ExperimentRow>> {
     let c = compare(&mut db, cfg.example5_query(), 3)?;
     println!(
         "written (view) form {:?}  unfolded form {:?}  engine {:?}",
-        c.eager.time, c.lazy.time, c.engine_choice
+        c.eager.time, c.lazy.time, c.engine.choice
     );
     println!("unfolded plan:\n{}", c.lazy.profile.display_tree());
     let direct = db.query(cfg.example3_query())?;
@@ -621,4 +649,270 @@ fn x13_theorem2_variants() -> Result<Vec<ExperimentRow>> {
         ));
     }
     Ok(out)
+}
+
+// --------------------------------------------------------------- X15
+
+/// The row engine against the chunk pipeline: a filter-heavy predicate
+/// evaluated row at a time and as the mask kernel over its lowered
+/// `⌊P⌋` (batches built from the rows inside the timed region), then a
+/// filtered grouped join end to end.
+fn x15_vectorized() -> Result<Vec<ExperimentRow>> {
+    const CHUNK: usize = 1024;
+    let (kernel_rows, join_rows, reps) = (400_000, 100_000, 7);
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Int64, true),
+        Field::new("v", DataType::Int64, true),
+    ]);
+    let mut rng = StdRng::seed_from_u64(15);
+    let rows: Vec<Vec<Value>> = (0..kernel_rows)
+        .map(|_| {
+            let v = if rng.gen_bool(0.1) {
+                Value::Null
+            } else {
+                Value::Int(rng.gen_range(-1000i64..1000))
+            };
+            vec![Value::Int(rng.gen_range(0i64..1000)), v]
+        })
+        .collect();
+    let bound = Expr::bare("v")
+        .binary(BinaryOp::Gt, Expr::lit(-500i64))
+        .and(Expr::bare("v").binary(BinaryOp::Lt, Expr::lit(700i64)))
+        .or(Expr::bare("k").eq(Expr::lit(3i64)))
+        .bind(&schema)?;
+    let (floor, ceil) = bound
+        .lower_floor()
+        .zip(bound.lower_ceil())
+        .ok_or_else(|| internal_err!("the X15 predicate does not lower"))?;
+    // What the pipeline carries between operators is the selection
+    // vector: both readings must keep exactly the rows the row engine's
+    // `⌊P⌋` / `⌈P⌉` keep, before any number is reported.
+    for chunk in rows.chunks(CHUNK) {
+        let batch = ColumnarBatch::from_rows(chunk, schema.len())?;
+        let truths = chunk
+            .iter()
+            .map(|r| bound.eval_truth(r))
+            .collect::<Result<Vec<_>>>()?;
+        for (lowered, reading) in [
+            (&floor, Truth::floor as fn(Truth) -> bool),
+            (&ceil, Truth::ceil),
+        ] {
+            let expected: Vec<u32> = (0u32..)
+                .zip(&truths)
+                .filter(|(_, t)| reading(**t))
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(
+                select(lowered, &batch, None)?,
+                expected,
+                "X15 selection vector"
+            );
+        }
+    }
+    // Interleaved rep by rep, so drift on a shared box hits both alike.
+    let (mut by_row, mut by_kernel) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        let start = Instant::now();
+        let mut kept = 0usize;
+        for r in &rows {
+            kept += usize::from(bound.eval_truth(r)? == Truth::True);
+        }
+        std::hint::black_box(kept);
+        by_row.push(start.elapsed());
+        let start = Instant::now();
+        let mut kept = 0usize;
+        for chunk in rows.chunks(CHUNK) {
+            let batch = ColumnarBatch::from_rows(chunk, schema.len())?;
+            kept += select(&floor, &batch, None)?.len();
+        }
+        std::hint::black_box(kept);
+        by_kernel.push(start.elapsed());
+    }
+
+    let cfg = SweepConfig {
+        fact_rows: join_rows,
+        ..SweepConfig::default()
+    };
+    let mut db = cfg.build()?;
+    let sql = "SELECT D.DimId, COUNT(F.FactId), SUM(F.V) FROM Fact F, Dim D \
+               WHERE F.DimId = D.DimId AND F.V > 10 GROUP BY D.DimId";
+    db.set_vectorized(false);
+    let row = measure(&mut db, sql, PushdownPolicy::Never, reps)?;
+    db.set_vectorized(true);
+    let pipeline = measure(&mut db, sql, PushdownPolicy::Never, reps)?;
+    assert_eq!(
+        row.rows.sorted().rows,
+        pipeline.rows.sorted().rows,
+        "X15 join"
+    );
+
+    println!(
+        "{:>14} {:>8} {:>12} {:>12} {:>9}",
+        "workload", "rows", "row engine", "pipeline", "speedup"
+    );
+    let timings = [
+        (
+            "filter_kernel",
+            kernel_rows,
+            median(by_row),
+            median(by_kernel),
+        ),
+        ("end_to_end", join_rows, row.time, pipeline.time),
+    ];
+    Ok(timings
+        .into_iter()
+        .map(|(workload, n, row, pipeline)| {
+            let speedup = row.as_secs_f64() / pipeline.as_secs_f64().max(1e-12);
+            println!("{workload:>14} {n:>8} {row:>12?} {pipeline:>12?} {speedup:>8.2}x");
+            ExperimentRow::note(
+                "x15",
+                &format!("{workload} rows={n} reps={reps}"),
+                &format!("row engine {row:?}, pipeline {pipeline:?}, {speedup:.2}x"),
+            )
+        })
+        .collect())
+}
+
+// --------------------------------------------------------------- X16
+
+/// Section 7's trade-off decided by the cost model: two extremes where it
+/// points opposite ways, each choice checked against the clock, and an
+/// adaptive loop whose first estimates point the wrong way.
+fn x16_cost_model() -> Result<Vec<ExperimentRow>> {
+    let extremes = [
+        ("extreme_fan_in", 8000, 50, 50, 1.0),
+        ("extreme_selective", 8000, 4000, 6000, 0.02),
+    ];
+    let mut out = Vec::new();
+    for (workload, fact_rows, dim_rows, groups, match_fraction) in extremes {
+        let cfg = SweepConfig {
+            fact_rows,
+            dim_rows,
+            groups,
+            match_fraction,
+            skew: 0.0,
+        };
+        let mut db = cfg.build()?;
+        let c = compare(&mut db, cfg.query(), 3)?;
+        let (Some(lazy), Some(eager)) = (&c.engine.lazy_shape, &c.engine.eager_shape) else {
+            return Err(internal_err!("{workload}: no shape costs"));
+        };
+        let shapes = format!("shape lazy {:.1} / eager {:.1}", lazy.total, eager.total);
+        println!(
+            "{workload}: picks {:?}, {shapes}; lazy {:?} eager {:?} speedup {:.2}x",
+            c.engine.choice,
+            c.lazy.time,
+            c.eager.time,
+            c.speedup()
+        );
+        out.push(ExperimentRow::from_comparison(
+            "x16",
+            &format!("{workload} {}", sweep_params(&cfg)),
+            &c,
+            &shapes,
+        ));
+    }
+
+    let cfg = SweepConfig {
+        fact_rows: 10_000,
+        dim_rows: 5000,
+        groups: 5000,
+        match_fraction: 0.02,
+        skew: 0.0,
+    };
+    let mut db = cfg.build()?;
+    db.options_mut().policy = PushdownPolicy::CostBased;
+    db.options_mut().adaptive = true;
+    let mut choices = Vec::new();
+    for _ in 0..5 {
+        db.query(cfg.query())?;
+        let metrics = db
+            .last_query_metrics()
+            .ok_or_else(|| internal_err!("no metrics recorded"))?;
+        choices.push(metrics.choice);
+    }
+    let converged = choices.iter().position(|c| *c == PlanChoice::Lazy);
+    let note = format!(
+        "choices {choices:?}: lazy from round {}; stats_epoch {}",
+        converged.map_or(0, |i| i + 1),
+        db.stats_epoch()
+    );
+    println!("adaptive: {note}");
+    out.push(ExperimentRow::note(
+        "x16",
+        &format!("adaptive {}", sweep_params(&cfg)),
+        &note,
+    ));
+    Ok(out)
+}
+
+// --------------------------------------------------------------- X17
+
+/// Section 7's communication claim on in-process shards: the X10 fan-in
+/// workload (no declared partition keys) at 1/2/4/8 shards, where the
+/// lazy plan ships fact rows into the join's exchange and the certified
+/// eager plan ships per-group partials from a combiner below it.
+fn x17_sharding() -> Result<Vec<ExperimentRow>> {
+    let cfg = SweepConfig::default();
+    println!(
+        "{:>6} {:>12} {:>12} {:>8} {:>12} {:>12}",
+        "shards", "lazy ships", "eager ships", "ratio", "lazy", "eager"
+    );
+    let mut out = Vec::new();
+    for shards in [1, 2, 4, 8] {
+        let mut db = cfg.build()?;
+        db.set_shards(NonZeroUsize::new(shards).ok_or_else(|| internal_err!("zero shards"))?);
+        let c = compare(&mut db, cfg.query(), 3)?;
+        let (lazy, eager) = (c.lazy.shipped_bytes, c.eager.shipped_bytes);
+        let ratio = lazy.max(1) as f64 / eager.max(1) as f64;
+        println!(
+            "{shards:>6} {lazy:>10} B {eager:>10} B {ratio:>7.1}x {:>12?} {:>12?}",
+            c.lazy.time, c.eager.time
+        );
+        out.push(ExperimentRow::from_comparison(
+            "x17",
+            &format!("shards={shards} {}", sweep_params(&cfg)),
+            &c,
+            &format!("ships {lazy} B vs {eager} B"),
+        ));
+    }
+    Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> std::result::Result<Args, String> {
+        parse_args(&args.iter().map(ToString::to_string).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn no_ids_run_everything_in_order() {
+        let all: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        assert_eq!(
+            parse(&[]).unwrap(),
+            Args {
+                run: all,
+                json: None
+            }
+        );
+    }
+
+    #[test]
+    fn ids_run_in_table_order_and_json_takes_its_path() {
+        let args = parse(&["X17", "--json", "out.json", "x9", "x17"]).unwrap();
+        assert_eq!(args.run, ["x9", "x17"]);
+        assert_eq!(args.json.as_deref(), Some("out.json"));
+    }
+
+    #[test]
+    fn unknown_ids_and_a_dangling_json_are_rejected() {
+        assert_eq!(parse(&["x99"]).unwrap_err(), "unknown experiment `x99`");
+        assert_eq!(
+            parse(&["x1", "x14"]).unwrap_err(),
+            "unknown experiment `x14`"
+        );
+        assert_eq!(parse(&["x1", "--json"]).unwrap_err(), "--json needs a path");
+    }
 }

@@ -14,12 +14,12 @@
 //!
 //! The benchmark harness: timing helpers for the `report` binary that
 //! regenerates every figure and experiment table of the paper (see
-//! DESIGN.md's experiment index X1–X13 and EXPERIMENTS.md for recorded
+//! DESIGN.md's experiment index X1–X17 and EXPERIMENTS.md for recorded
 //! results).
 
 use std::time::{Duration, Instant};
 
-use gbj_engine::{Database, PlanChoice, PushdownPolicy, QueryReport};
+use gbj_engine::{Database, PushdownPolicy, QueryReport};
 use gbj_exec::{ProfileNode, ResultSet};
 use gbj_types::Result;
 
@@ -32,6 +32,9 @@ pub struct Measured {
     pub rows: ResultSet,
     /// The operator-cardinality profile.
     pub profile: ProfileNode,
+    /// Bytes the last run shipped between shards
+    /// (`QueryMetrics::shipped_bytes`; 0 at one shard).
+    pub shipped_bytes: u64,
     /// The planner report.
     pub report: QueryReport,
 }
@@ -43,8 +46,9 @@ pub struct Comparison {
     pub lazy: Measured,
     /// The eager (`E2`, or written view form) measurement.
     pub eager: Measured,
-    /// What the engine itself would pick cost-based.
-    pub engine_choice: PlanChoice,
+    /// The engine's own cost-based plan report: its `choice` is what it
+    /// would pick, `lazy_shape` / `eager_shape` the costs it compared.
+    pub engine: QueryReport,
 }
 
 impl Comparison {
@@ -71,17 +75,25 @@ pub fn measure(
         times.push(start.elapsed());
         last = Some(out);
     }
-    times.sort();
     let (rows, profile, report) = last.ok_or_else(|| {
         gbj_types::Error::Internal("measure: zero repetitions produced no run".into())
     })?;
-    let time = times.get(times.len() / 2).copied().unwrap_or_default();
+    let shipped_bytes = db.last_query_metrics().map_or(0, |m| m.shipped_bytes);
     Ok(Measured {
-        time,
+        time: median(times),
         rows,
         profile,
+        shipped_bytes,
         report,
     })
+}
+
+/// The median of `samples` (the upper one of an even count; zero for
+/// none).
+#[must_use]
+pub fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort();
+    samples.get(samples.len() / 2).copied().unwrap_or_default()
 }
 
 /// Measure both plans and the engine's own choice.
@@ -89,7 +101,7 @@ pub fn compare(db: &mut Database, sql: &str, reps: usize) -> Result<Comparison> 
     let lazy = measure(db, sql, PushdownPolicy::Never, reps)?;
     let eager = measure(db, sql, PushdownPolicy::Always, reps)?;
     db.options_mut().policy = PushdownPolicy::CostBased;
-    let engine_choice = db.plan_query(sql)?.choice;
+    let engine = db.plan_query(sql)?;
     assert!(
         lazy.rows.multiset_eq(&eager.rows),
         "plans disagree on {sql}"
@@ -97,7 +109,7 @@ pub fn compare(db: &mut Database, sql: &str, reps: usize) -> Result<Comparison> 
     Ok(Comparison {
         lazy,
         eager,
-        engine_choice,
+        engine,
     })
 }
 
@@ -105,7 +117,7 @@ pub fn compare(db: &mut Database, sql: &str, reps: usize) -> Result<Comparison> 
 /// binary for EXPERIMENTS.md bookkeeping).
 #[derive(Debug, Clone)]
 pub struct ExperimentRow {
-    /// Experiment id (`x1` … `x13`).
+    /// Experiment id (`x1` … `x17`).
     pub experiment: String,
     /// Free-form parameter description.
     pub params: String,
@@ -136,7 +148,7 @@ impl ExperimentRow {
             lazy_ms: Some(c.lazy.time.as_secs_f64() * 1e3),
             eager_ms: Some(c.eager.time.as_secs_f64() * 1e3),
             speedup: Some(c.speedup()),
-            engine_choice: Some(format!("{:?}", c.engine_choice)),
+            engine_choice: Some(format!("{:?}", c.engine.choice)),
             note: note.to_string(),
         }
     }
@@ -208,6 +220,7 @@ pub fn rows_to_json(rows: &[ExperimentRow]) -> String {
 mod tests {
     use super::*;
     use gbj_datagen::EmpDeptConfig;
+    use gbj_engine::PlanChoice;
 
     #[test]
     fn compare_checks_equivalence_and_times() {
@@ -222,7 +235,7 @@ mod tests {
         assert_eq!(c.lazy.rows.len(), 10);
         assert!(c.lazy.time > Duration::ZERO);
         assert!(c.speedup() > 0.0);
-        assert_eq!(c.engine_choice, PlanChoice::Eager);
+        assert_eq!(c.engine.choice, PlanChoice::Eager);
         let row = ExperimentRow::from_comparison("x1", "300/10", &c, "test");
         assert_eq!(row.experiment, "x1");
         assert!(row.speedup.unwrap() > 0.0);

@@ -7,9 +7,9 @@
 //! plan exactly, so zipping them node by node yields an estimate-vs-
 //! actual table with a **Q-error** per node — `max(est, actual) /
 //! min(est, actual)`, the standard symmetric accuracy measure (≥ 1,
-//! where 1 is a perfect estimate). `EXPLAIN ANALYZE`, the REPL's
-//! `\metrics` command and the `cardinality_audit` bench bin all render
-//! from this module.
+//! where 1 is a perfect estimate). `EXPLAIN ANALYZE` and the REPL's
+//! `\metrics` command render from this module, and the
+//! `estimator_accuracy` suite bounds its Q-errors.
 
 use gbj_exec::ProfileNode;
 use gbj_optimizer::CardTree;
@@ -96,29 +96,6 @@ pub fn median_q(audits: &[NodeAudit]) -> f64 {
     qs.get(mid).copied().unwrap_or(1.0)
 }
 
-/// Render the audit as a JSON array (hand-rolled; the workspace carries
-/// no serde), one object per node in pre-order.
-#[must_use]
-pub fn audits_to_json(audits: &[NodeAudit]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
-    let rows: Vec<String> = audits
-        .iter()
-        .map(|a| {
-            format!(
-                "{{\"label\":\"{}\",\"operator\":\"{}\",\"estimated\":{:.1},\"actual\":{},\"q_error\":{:.3}}}",
-                esc(&a.label),
-                esc(&a.operator),
-                a.estimated,
-                a.actual,
-                a.q_error
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(","))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,20 +171,8 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_and_shapes() {
-        let e = est(2.0, vec![]);
-        let p = prof("a\"b", "Scan", 2, vec![]);
-        let json = audits_to_json(&audit_nodes(&e, &p));
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"label\":\"a\\\"b\""), "{json}");
-        assert!(json.contains("\"estimated\":2.0"), "{json}");
-        assert!(json.contains("\"q_error\":1.000"), "{json}");
-    }
-
-    #[test]
     fn empty_audit_summaries_are_neutral() {
         assert_eq!(max_q(&[]), 1.0);
         assert_eq!(median_q(&[]), 1.0);
-        assert_eq!(audits_to_json(&[]), "[]");
     }
 }

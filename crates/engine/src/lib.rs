@@ -31,7 +31,7 @@ pub mod database;
 pub mod feedback;
 pub mod stats;
 
-pub use audit::{annotated_tree, audit_nodes, audits_to_json, max_q, median_q, NodeAudit};
+pub use audit::{annotated_tree, audit_nodes, max_q, median_q, NodeAudit};
 pub use database::{
     Database, EngineOptions, PlanChoice, PushdownPolicy, QueryMetrics, QueryOutput, QueryReport,
 };

@@ -11,8 +11,8 @@
 //! independence/uniformity assumptions are violated on purpose (fan-in
 //! mismatch, selective joins).
 //!
-//! The `cardinality_audit` bench bin regenerates the raw data behind
-//! these bounds; rerun it after touching `gbj_engine::stats`.
+//! For the per-node estimate-vs-actual table behind a bound, run the
+//! query under `EXPLAIN ANALYZE` or read `\metrics` in the REPL.
 
 use gbj::datagen::{EmpDeptConfig, SweepConfig};
 use gbj::engine::{max_q, median_q, NodeAudit, PushdownPolicy};
