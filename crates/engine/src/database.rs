@@ -3,9 +3,7 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use gbj_analyze::{
-    analyze_plan, Analysis, ColumnDomain, FdCertificate, Nullability, PruningFacts, SeedDomains,
-};
+use gbj_analyze::{analyze_plan, Analysis, ColumnDomain, FdCertificate, Nullability, SeedDomains};
 use gbj_catalog::{Assertion, Catalog};
 use gbj_core::{
     eager_aggregate, reverse_transform, EagerOutcome, Partition, ReverseOutcome, TransformOptions,
@@ -146,7 +144,10 @@ pub enum PlanChoice {
     Unfolded,
 }
 
-/// Everything the planner decided about one query.
+/// Everything the planner decided about one query, and the estimates
+/// it decided with: a report is what the plan cache holds, and every
+/// run of it — the miss that planned it and each later hit — audits
+/// against [`QueryReport::estimates`] instead of estimating again.
 #[derive(Debug, Clone)]
 pub struct QueryReport {
     /// The chosen shape.
@@ -169,37 +170,21 @@ pub struct QueryReport {
     /// The rendered FD1/FD2 certificate (the replayed TestFD
     /// derivation), attached to every eager-aggregation rewrite.
     pub certificate: Option<String>,
-    /// Per-column facts the range pass proved for the chosen plan's
-    /// output (catalog-seeded, data-independent), rendered as one
-    /// deterministic line. Empty when nothing non-trivial is known.
-    pub domains: String,
-    /// Per-scan predicate→range implications from the range pass — the
-    /// side-table the zone-map storage layer consumes to skip blocks.
-    pub pruning: PruningFacts,
+    /// The chosen plan's per-node cardinality estimates, as the plan
+    /// was priced: feedback-aware with the facts learned as of
+    /// planning, and clamped to the range pass's proven bounds when
+    /// [`EngineOptions::clamp_estimates`] is on. For a cost-based
+    /// choice this is the tree the chosen shape's cost was folded over.
+    pub estimates: CardTree,
 }
 
 impl QueryReport {
-    /// The report for a query with no valid alternative shape: the lazy
-    /// plan, nothing to compare it with.
-    fn lazy_only(reason: String, testfd: Option<String>, plan: LogicalPlan) -> QueryReport {
-        QueryReport {
-            choice: PlanChoice::Lazy,
-            reason,
-            testfd,
-            partition: None,
-            lazy_shape: None,
-            eager_shape: None,
-            plan,
-            alternative: None,
-            certificate: None,
-            domains: String::new(),
-            pruning: PruningFacts::default(),
-        }
-    }
-
-    /// Render the EXPLAIN text.
+    /// Render the EXPLAIN text. The `domains:` and `pruning:` lines are
+    /// the range pass's catalog-seeded facts about the chosen plan,
+    /// computed here from `catalog`: nothing on the query path reads
+    /// them.
     #[must_use]
-    pub fn explain(&self) -> String {
+    pub fn explain(&self, catalog: &Catalog) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "choice: {:?}\nreason: {}\n",
@@ -225,12 +210,7 @@ impl QueryReport {
         if let Some(c) = &self.certificate {
             out.push_str(c);
         }
-        if !self.domains.is_empty() {
-            out.push_str(&format!("domains: {}\n", self.domains));
-        }
-        if !self.pruning.is_empty() {
-            out.push_str(&format!("pruning: {}\n", self.pruning.render_text()));
-        }
+        out.push_str(&range_annotations(&self.plan, catalog));
         out.push_str("plan:\n");
         out.push_str(&self.plan.display_tree());
         if let Some(alt) = &self.alternative {
@@ -239,6 +219,24 @@ impl QueryReport {
         }
         out
     }
+}
+
+/// EXPLAIN's `domains:` and `pruning:` lines: the range pass over
+/// `plan` from catalog-only seeds, so the text is data-independent.
+/// Each line is left out when it has nothing to say.
+fn range_annotations(plan: &LogicalPlan, catalog: &Catalog) -> String {
+    let analysis = analyze_plan(plan, &SeedDomains::from_catalog(catalog));
+    let mut out = String::new();
+    if let Ok(schema) = plan.schema() {
+        let domains = analysis.root.render_columns(&schema);
+        if !domains.is_empty() {
+            out.push_str(&format!("domains: {domains}\n"));
+        }
+    }
+    if !analysis.pruning.is_empty() {
+        out.push_str(&format!("pruning: {}\n", analysis.pruning.render_text()));
+    }
+    out
 }
 
 /// Everything measured while running one query: separate planning and
@@ -275,9 +273,13 @@ pub struct QueryMetrics {
     pub predicted_shipped_rows: Option<f64>,
     /// The measured per-operator profile (with counters and timings).
     pub profile: ProfileNode,
-    /// The estimator's per-node cardinality predictions (as of
-    /// planning: feedback-aware when facts were already learned),
-    /// clamped when [`EngineOptions::clamp_estimates`] is on.
+    /// The estimator's per-node cardinality predictions for the plan
+    /// that ran: a copy of [`QueryReport::estimates`], the tree the
+    /// plan was priced with (feedback-aware as of planning, clamped
+    /// when [`EngineOptions::clamp_estimates`] is on). No run estimates
+    /// again. On a plan-cache hit this is exactly what estimating now
+    /// would give: the cache keys on the plan epoch, and neither the
+    /// rows nor the learned facts change without moving it.
     pub estimates: CardTree,
     /// The facts this run's measurements would teach the feedback
     /// store. Already absorbed when [`EngineOptions::adaptive`] is on;
@@ -723,7 +725,9 @@ impl Database {
 
     /// Execute an already-planned query (e.g. a bound-plan cache hit)
     /// under a caller-supplied guard. Planning time is reported as zero
-    /// — the cache paid it once at miss time.
+    /// — the cache paid it once at miss time — and the audit reads the
+    /// report's own [`QueryReport::estimates`], so `report` must have
+    /// been planned at this database's plan epoch.
     pub fn execute_report_guarded(
         &self,
         report: &QueryReport,
@@ -733,7 +737,8 @@ impl Database {
     }
 
     /// The one execution tail: execute (timed and metered), then build
-    /// and record [`QueryMetrics`].
+    /// and record [`QueryMetrics`] — auditing the measured profile
+    /// against the estimates the plan was priced with.
     fn run_planned(
         &self,
         report: &QueryReport,
@@ -746,12 +751,7 @@ impl Database {
         let exec_start = Instant::now();
         let (rows, profile, summary) = executor.execute_metered_with_guard(&report.plan, guard)?;
         let execution = exec_start.elapsed();
-        let fb = self.feedback_snapshot();
-        let mut estimates =
-            Estimator::with_feedback(&self.storage, &fb).estimate_plan(&report.plan);
-        if self.options.clamp_estimates {
-            estimates.clamp(&self.bound_tree_for(&report.plan));
-        }
+        let estimates = report.estimates.clone();
         let predicted_shipped_rows =
             self.predict_shipped(&report.plan, &estimates, &exec_opts, summary.path);
         let feedback = delta_from_profile(&report.plan, &profile);
@@ -945,14 +945,14 @@ impl Database {
                 if lint {
                     let (lint_report, plan_report) =
                         self.lint_bound(&bound, &bound.block.to_string())?;
-                    let mut text = plan_report.explain();
+                    let mut text = plan_report.explain(self.catalog());
                     text.push_str("lint:\n");
                     text.push_str(&lint_report.render_text());
                     return Ok(QueryOutput::Explain(text));
                 }
                 if analyze {
                     let (rows, m, report) = self.run_select(&bound, "explain analyze")?;
-                    let mut text = report.explain();
+                    let mut text = report.explain(self.catalog());
                     // Planning and execution time are separate labeled
                     // lines — planning can dominate on small data and
                     // would otherwise hide inside one combined number.
@@ -966,7 +966,7 @@ impl Database {
                     Ok(QueryOutput::Explain(text))
                 } else {
                     let report = self.plan_bound(&bound)?;
-                    Ok(QueryOutput::Explain(report.explain()))
+                    Ok(QueryOutput::Explain(report.explain(self.catalog())))
                 }
             }
             Statement::Delete { table, predicate } => {
@@ -1028,27 +1028,10 @@ impl Database {
         Ok(report)
     }
 
-    /// Plan the query, then annotate the report with the range pass's
-    /// catalog-seeded per-column domains and pruning side-table (both
-    /// data-independent, so EXPLAIN output stays deterministic across
-    /// data variations). `lint`, when given, receives the audit of the
-    /// transformation attempt.
+    /// Plan the query: the candidate shapes, the choice between them,
+    /// and the chosen shape's estimates. `lint`, when given, receives
+    /// the audit of the transformation attempt.
     fn plan_bound_inner(
-        &self,
-        bound: &BoundSelect,
-        lint: Option<&mut Analysis>,
-    ) -> Result<QueryReport> {
-        let mut report = self.plan_bound_shapes(bound, lint)?;
-        let seeds = SeedDomains::from_catalog(self.storage.catalog());
-        let analysis = analyze_plan(&report.plan, &seeds);
-        if let Ok(schema) = report.plan.schema() {
-            report.domains = analysis.root.render_columns(&schema);
-        }
-        report.pruning = analysis.pruning;
-        Ok(report)
-    }
-
-    fn plan_bound_shapes(
         &self,
         bound: &BoundSelect,
         lint: Option<&mut Analysis>,
@@ -1084,7 +1067,7 @@ impl Database {
                 ReverseOutcome::NotApplicable { reason } => {
                     let plan = self.lower(block, &bound.order_by)?;
                     let reason = format!("view not unfolded: {reason}");
-                    return Ok(QueryReport::lazy_only(reason, None, plan));
+                    return Ok(self.lazy_only(reason, None, plan));
                 }
             }
         }
@@ -1137,12 +1120,26 @@ impl Database {
             EagerOutcome::NotApplicable { reason, testfd } => {
                 let plan = self.lower(block, &bound.order_by)?;
                 let reason = format!("transformation not applied: {reason}");
-                Ok(QueryReport::lazy_only(
-                    reason,
-                    testfd.map(|t| t.to_string()),
-                    plan,
-                ))
+                Ok(self.lazy_only(reason, testfd.map(|t| t.to_string()), plan))
             }
+        }
+    }
+
+    /// The report for a query with no valid alternative shape: the lazy
+    /// plan, priced once, with nothing to compare it with.
+    fn lazy_only(&self, reason: String, testfd: Option<String>, plan: LogicalPlan) -> QueryReport {
+        let [estimates] = self.price([&plan]);
+        QueryReport {
+            choice: PlanChoice::Lazy,
+            reason,
+            testfd,
+            partition: None,
+            lazy_shape: None,
+            eager_shape: None,
+            plan,
+            alternative: None,
+            certificate: None,
+            estimates,
         }
     }
 
@@ -1191,23 +1188,12 @@ impl Database {
         eager_choice: PlanChoice,
         bound: &BoundSelect,
     ) -> Result<QueryReport> {
-        let feedback = self.feedback_snapshot();
-        let estimator = Estimator::with_feedback(&self.storage, &feedback);
         // Lower *both* candidates to their optimized physical-ready
-        // shapes, attach per-node (feedback-aware) cardinality
-        // estimates, and fold the cost model over every operator each
-        // shape would actually run.
+        // shapes, price each one's operators, and fold the cost model
+        // over every operator each shape would actually run.
         let lazy_plan = self.lower(lazy_block, &bound.order_by)?;
         let eager_plan = self.lower(eager_block, &bound.order_by)?;
-        let mut lazy_card = estimator.estimate_plan(&lazy_plan);
-        let mut eager_card = estimator.estimate_plan(&eager_plan);
-        if self.options.clamp_estimates {
-            // Both candidates costed against bound-clamped cardinality
-            // trees: a shape can never be charged more rows at an
-            // operator than the domains prove possible.
-            lazy_card.clamp(&self.bound_tree_for(&lazy_plan));
-            eager_card.clamp(&self.bound_tree_for(&eager_plan));
-        }
+        let [lazy_card, eager_card] = self.price([&lazy_plan, &eager_plan]);
         let lazy_shape = shape_cost(&self.options.cost_model, &lazy_plan, &lazy_card);
         let eager_shape = shape_cost(&self.options.cost_model, &eager_plan, &eager_card);
 
@@ -1228,10 +1214,10 @@ impl Database {
             }
         };
 
-        let (choice, plan, alternative) = if pick_eager {
-            (eager_choice, eager_plan, Some(lazy_plan))
+        let (choice, plan, alternative, estimates) = if pick_eager {
+            (eager_choice, eager_plan, Some(lazy_plan), eager_card)
         } else {
-            (PlanChoice::Lazy, lazy_plan, Some(eager_plan))
+            (PlanChoice::Lazy, lazy_plan, Some(eager_plan), lazy_card)
         };
         Ok(QueryReport {
             choice,
@@ -1243,8 +1229,7 @@ impl Database {
             plan,
             alternative,
             certificate: None,
-            domains: String::new(),
-            pruning: PruningFacts::default(),
+            estimates,
         })
     }
 
@@ -1266,13 +1251,43 @@ impl Database {
         Optimizer::standard().optimize(&plan)
     }
 
-    /// The proven cardinality upper-bound tree for a plan: catalog
-    /// seeds met with the per-column facts in the statistics of the
-    /// plan's base tables, pushed through the range pass. `INFINITY`
-    /// marks nodes with no proven bound.
-    fn bound_tree_for(&self, plan: &LogicalPlan) -> CardTree {
+    /// Price candidate plans: each one's per-node estimates, from the
+    /// feedback-aware estimator, and — when
+    /// [`EngineOptions::clamp_estimates`] is on — clamped to the
+    /// cardinality bounds the range pass proves, so that no shape is
+    /// charged more rows at an operator than its domains allow. The
+    /// seeds are built once for all the plans; each plan costs one
+    /// range pass.
+    fn price<const N: usize>(&self, plans: [&LogicalPlan; N]) -> [CardTree; N] {
+        let feedback = self.feedback_snapshot();
+        let estimator = Estimator::with_feedback(&self.storage, &feedback);
+        let seeds = self
+            .options
+            .clamp_estimates
+            .then(|| self.observed_seeds(&plans));
+        plans.map(|plan| {
+            let mut card = estimator.estimate_plan(plan);
+            if let Some(seeds) = &seeds {
+                card.clamp(&bound_tree(
+                    plan,
+                    &analyze_plan(plan, seeds).root,
+                    &self.storage,
+                ));
+            }
+            card
+        })
+    }
+
+    /// The range pass's seeds for clamping: the catalog's, met with the
+    /// per-column facts in the statistics of every table `plans` scan.
+    /// The candidate shapes of one query scan the same tables, and a
+    /// plan's range pass reads the seeds of its own scans only, so one
+    /// seed set serves them all.
+    fn observed_seeds(&self, plans: &[&LogicalPlan]) -> SeedDomains {
         let mut seeds = SeedDomains::from_catalog(self.storage.catalog());
-        for table in &plan_scan_tables(plan) {
+        let tables: std::collections::BTreeSet<String> =
+            plans.iter().flat_map(|p| plan_scan_tables(p)).collect();
+        for table in &tables {
             let (Some(def), Some(data)) = (
                 self.storage.catalog().table(table),
                 self.storage.table_data(table),
@@ -1283,8 +1298,7 @@ impl Database {
                 seeds.merge(&def.name, &col.name, &observed_domain(stats, col.data_type));
             }
         }
-        let analysis = analyze_plan(plan, &seeds);
-        bound_tree(plan, &analysis.root, &self.storage)
+        seeds
     }
 
     /// What planning hands to [`eager_aggregate`]: the FD context over
@@ -1401,7 +1415,12 @@ fn plan_scan_tables(plan: &LogicalPlan) -> std::collections::BTreeSet<String> {
 /// finite entry is an upper bound on the node's *true* output
 /// cardinality against the current stored data, so clamping estimates
 /// with it can only move them toward the truth.
-fn bound_tree(plan: &LogicalPlan, node: &gbj_analyze::DomainNode, storage: &Storage) -> CardTree {
+#[must_use]
+pub fn bound_tree(
+    plan: &LogicalPlan,
+    node: &gbj_analyze::DomainNode,
+    storage: &Storage,
+) -> CardTree {
     let children: Vec<CardTree> = plan
         .children()
         .iter()

@@ -12,6 +12,16 @@
 //! committed mutation or material stats update moves it and every older
 //! entry simply stops being reachable (and is swept out
 //! opportunistically).
+//!
+//! A configuration change moves no epoch, so [`PlanCache::clear`] is
+//! its only invalidation, and it also bumps the cache's *generation*.
+//! A session reads the generation before it takes its snapshot and
+//! hands it back with the plan it inserts; an insert whose generation
+//! is no longer current was planned under options that a clear has
+//! since retired, and is refused — otherwise a miss in flight across
+//! [`Server::reconfigure`](crate::Server::reconfigure) would cache its
+//! old-options plan under the same `(sql, plan epoch)` the new options
+//! read.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -27,6 +37,8 @@ type PlanEpoch = (u64, u64);
 /// compares the epoch once and then asks the map by `&str`.
 #[derive(Debug, Default)]
 struct CacheState {
+    /// Bumped by every [`PlanCache::clear`].
+    generation: u64,
     epoch: PlanEpoch,
     map: HashMap<String, Arc<QueryReport>>,
     /// Insertion order for FIFO eviction.
@@ -58,14 +70,28 @@ impl PlanCache {
         st.map.get(sql).filter(|_| st.epoch == epoch).cloned()
     }
 
-    /// Store a freshly planned report. Entries from older epochs are
+    /// The current generation: read it *before* taking the snapshot a
+    /// plan will be made on, and pass it to [`PlanCache::insert`].
+    #[must_use]
+    pub fn generation(&self) -> u64 {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .generation
+    }
+
+    /// Store a freshly planned report, unless a [`PlanCache::clear`]
+    /// ran since `generation` was read. Entries from older epochs are
     /// unreachable by construction; this also sweeps them out so the
     /// capacity is spent on live plans.
-    pub fn insert(&self, sql: &str, epoch: PlanEpoch, report: Arc<QueryReport>) {
+    pub fn insert(&self, sql: &str, epoch: PlanEpoch, generation: u64, report: Arc<QueryReport>) {
         if self.capacity == 0 {
             return;
         }
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if st.generation != generation {
+            return;
+        }
         if st.epoch != epoch {
             st.map.clear();
             st.order.clear();
@@ -83,12 +109,14 @@ impl PlanCache {
         }
     }
 
-    /// Drop everything (configuration changed: plans may differ now
-    /// even at the same epoch).
+    /// Drop everything and start a new generation (configuration
+    /// changed: plans may differ now even at the same epoch, including
+    /// those still being made).
     pub fn clear(&self) {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.map.clear();
         st.order.clear();
+        st.generation += 1;
     }
 
     /// Number of cached plans.
@@ -132,7 +160,7 @@ mod tests {
         let d = db();
         let cache = PlanCache::new(8);
         let sql = "SELECT A FROM T";
-        cache.insert(sql, (5, 1), report_for(&d, sql));
+        cache.insert(sql, (5, 1), 0, report_for(&d, sql));
         assert!(cache.get(sql, (5, 1)).is_some());
         assert!(cache.get(sql, (6, 1)).is_none(), "a write invalidates");
         assert!(cache.get(sql, (5, 2)).is_none(), "so do new statistics");
@@ -147,10 +175,25 @@ mod tests {
     fn new_epoch_sweeps_stale_entries() {
         let d = db();
         let cache = PlanCache::new(8);
-        cache.insert("SELECT A FROM T", (1, 0), report_for(&d, "SELECT A FROM T"));
-        cache.insert("SELECT B FROM T", (1, 0), report_for(&d, "SELECT B FROM T"));
+        cache.insert(
+            "SELECT A FROM T",
+            (1, 0),
+            0,
+            report_for(&d, "SELECT A FROM T"),
+        );
+        cache.insert(
+            "SELECT B FROM T",
+            (1, 0),
+            0,
+            report_for(&d, "SELECT B FROM T"),
+        );
         assert_eq!(cache.len(), 2);
-        cache.insert("SELECT A FROM T", (2, 0), report_for(&d, "SELECT A FROM T"));
+        cache.insert(
+            "SELECT A FROM T",
+            (2, 0),
+            0,
+            report_for(&d, "SELECT A FROM T"),
+        );
         assert_eq!(cache.len(), 1, "epoch-1 plans are swept at epoch 2");
         assert!(cache.get("SELECT B FROM T", (1, 0)).is_none());
     }
@@ -163,7 +206,7 @@ mod tests {
             .iter()
             .enumerate()
         {
-            cache.insert(sql, (1, 0), report_for(&d, sql));
+            cache.insert(sql, (1, 0), 0, report_for(&d, sql));
             assert!(cache.len() <= 2, "insert {i} exceeded capacity");
         }
         assert!(
@@ -177,7 +220,12 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let d = db();
         let cache = PlanCache::new(0);
-        cache.insert("SELECT A FROM T", (1, 0), report_for(&d, "SELECT A FROM T"));
+        cache.insert(
+            "SELECT A FROM T",
+            (1, 0),
+            0,
+            report_for(&d, "SELECT A FROM T"),
+        );
         assert!(cache.is_empty());
         assert!(cache.get("SELECT A FROM T", (1, 0)).is_none());
     }
@@ -186,8 +234,32 @@ mod tests {
     fn clear_empties_everything() {
         let d = db();
         let cache = PlanCache::new(4);
-        cache.insert("SELECT A FROM T", (1, 0), report_for(&d, "SELECT A FROM T"));
+        cache.insert(
+            "SELECT A FROM T",
+            (1, 0),
+            0,
+            report_for(&d, "SELECT A FROM T"),
+        );
         cache.clear();
         assert!(cache.is_empty());
+    }
+
+    /// A plan made under a generation that a clear has since retired
+    /// is refused, at the same SQL and epoch; the new generation's
+    /// plans are stored.
+    #[test]
+    fn insert_after_a_clear_needs_the_new_generation() {
+        let d = db();
+        let cache = PlanCache::new(4);
+        let sql = "SELECT A FROM T";
+        let before = cache.generation();
+        cache.clear();
+        cache.insert(sql, (1, 0), before, report_for(&d, sql));
+        assert!(cache.is_empty(), "a plan from before the clear is refused");
+        assert!(cache.get(sql, (1, 0)).is_none());
+        let after = cache.generation();
+        assert_ne!(after, before);
+        cache.insert(sql, (1, 0), after, report_for(&d, sql));
+        assert!(cache.get(sql, (1, 0)).is_some());
     }
 }

@@ -260,27 +260,36 @@ impl Server {
     }
 
     /// Apply a configuration change to the authoritative database
-    /// (policy, threads, fault injector, …). The plan cache is cleared
-    /// — same SQL and epoch may now plan differently — and a fresh
-    /// snapshot is published immediately.
+    /// (policy, threads, fault injector, …). A fresh snapshot is
+    /// published immediately and the plan cache is cleared — same SQL
+    /// and epoch may now plan differently.
+    ///
+    /// The closure runs under the writers' database mutex only, never
+    /// the snapshot lock readers refresh under. The snapshot is then
+    /// forked from the database under the snapshot lock, as a
+    /// refreshing reader and an absorb fork it, so installs are
+    /// serialised and this one holds this change and every one that
+    /// raced it. The cache is cleared last: a read that took the old
+    /// snapshot read the cache generation before that, so the clear
+    /// retires whatever plan it offers later, and a read that takes the
+    /// new snapshot plans under the new options.
     pub fn reconfigure(&self, f: impl FnOnce(&mut Database)) {
-        let mut slot = self
-            .shared
-            .snapshot
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut db = self
-            .shared
-            .db
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        f(&mut db);
-        self.shared.cache.clear();
-        *slot = Arc::new(db.fork());
-        self.shared
-            .published_epoch
-            .store(db.epoch(), Ordering::Release);
-        self.shared.metrics.on_snapshot_refresh();
+        let shared = &self.shared;
+        {
+            let mut db = shared.db.lock().unwrap_or_else(PoisonError::into_inner);
+            f(&mut db);
+            shared.published_epoch.store(db.epoch(), Ordering::Release);
+        }
+        {
+            let mut slot = shared
+                .snapshot
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
+            let db = shared.db.lock().unwrap_or_else(PoisonError::into_inner);
+            *slot = Arc::new(db.fork());
+        }
+        shared.cache.clear();
+        shared.metrics.on_snapshot_refresh();
     }
 }
 
@@ -307,6 +316,33 @@ impl ServerShared {
             self.metrics.on_snapshot_refresh();
         }
         Arc::clone(&slot)
+    }
+
+    /// What a read plans on: the cache generation, then the freshest
+    /// snapshot — in that order, so that a [`Server::reconfigure`]
+    /// that replaces this snapshot clears after the generation was
+    /// read, and the plan a miss makes on it is refused.
+    fn begin_read(&self) -> (u64, Arc<Database>) {
+        let generation = self.cache.generation();
+        (generation, self.current_snapshot())
+    }
+
+    /// A plan-cache miss: plan and run `sql` on `snap`, then offer the
+    /// plan to the cache under the generation [`ServerShared::begin_read`]
+    /// returned with `snap`.
+    fn plan_miss(
+        &self,
+        snap: &Database,
+        generation: u64,
+        sql: &str,
+        guard: &ResourceGuard,
+    ) -> Result<(ResultSet, Arc<QueryReport>, QueryMetrics)> {
+        let plan_epoch = snap.plan_epoch();
+        let (rows, report, metrics) = snap.query_with_guard(sql, guard)?;
+        let report = Arc::new(report);
+        self.cache
+            .insert(sql, plan_epoch, generation, Arc::clone(&report));
+        Ok((rows, report, metrics))
     }
 
     /// [`Server::absorb_feedback`]. Readers refresh the snapshot while
@@ -411,7 +447,7 @@ impl Session {
         timeout: Option<Duration>,
         entry: Instant,
     ) -> Result<QueryResponse> {
-        let snap = self.shared.current_snapshot();
+        let (generation, snap) = self.shared.begin_read();
         let epoch = snap.epoch();
         // Plans are keyed on the *plan* epoch (data, statistics): a
         // stats-feedback absorption re-costs cached plans even though
@@ -442,12 +478,7 @@ impl Session {
             }
             None => {
                 self.shared.metrics.on_cache_miss();
-                let (rows, report, metrics) = snap.query_with_guard(sql, &guard)?;
-                let report = Arc::new(report);
-                self.shared
-                    .cache
-                    .insert(sql, plan_epoch, Arc::clone(&report));
-                (rows, report, metrics)
+                self.shared.plan_miss(&snap, generation, sql, &guard)?
             }
         };
         if snap.options().adaptive {
@@ -760,6 +791,66 @@ mod tests {
         let resp = session.query(AGG).unwrap();
         assert!(!resp.cache_hit);
         assert_eq!(resp.rows.len(), 5);
+    }
+
+    /// A read that took its snapshot before a `reconfigure` and missed
+    /// offers its plan after the clear: at the same SQL and plan epoch
+    /// the new snapshot reads, but chosen under the old policy. The
+    /// cache refuses it, so the next read plans under the new policy.
+    #[test]
+    fn a_miss_in_flight_across_reconfigure_is_not_cached() {
+        use gbj_engine::{PlanChoice, PushdownPolicy};
+        let server = seeded_server(ServerConfig::default().with_plan_cache(16));
+        server.reconfigure(|db| db.options_mut().policy = PushdownPolicy::Always);
+        let shared = &server.shared;
+        let guard = ResourceGuard::new(shared.config.default_limits);
+
+        let (generation, old) = shared.begin_read();
+        server.reconfigure(|db| db.options_mut().policy = PushdownPolicy::Never);
+        let (_, stale, _) = shared.plan_miss(&old, generation, AGG, &guard).unwrap();
+        assert_eq!(stale.choice, PlanChoice::Eager, "planned under Always");
+        assert_eq!(
+            shared.current_snapshot().plan_epoch(),
+            old.plan_epoch(),
+            "a configuration change moves no epoch"
+        );
+        assert_eq!(
+            server.plan_cache_len(),
+            0,
+            "the old-options plan is refused"
+        );
+
+        let session = server.connect();
+        let fresh = session.query(AGG).unwrap();
+        assert!(!fresh.cache_hit);
+        assert_eq!(fresh.report.choice, PlanChoice::Lazy, "planned under Never");
+        let hit = session.query(AGG).unwrap();
+        assert!(hit.cache_hit, "a miss of the new generation is cached");
+        assert_eq!(hit.report.choice, PlanChoice::Lazy);
+    }
+
+    /// An absorb that takes the snapshot lock while a reconfigure's
+    /// closure holds the database installs its learned facts first; the
+    /// reconfigure then installs a fork of the database as it stands, so
+    /// the snapshot readers get holds both the new policy and the facts.
+    #[test]
+    fn a_reconfigure_racing_an_absorb_keeps_both() {
+        use gbj_engine::PushdownPolicy;
+        let server = seeded_server(ServerConfig::default().with_plan_cache(16));
+        let learned = server.connect().query(AGG).unwrap().metrics.feedback;
+        let stats = server.with_snapshot(Database::stats_epoch);
+        std::thread::scope(|s| {
+            server.reconfigure(|db| {
+                s.spawn(|| assert!(server.absorb_feedback(&learned)));
+                // Let the absorb take the snapshot lock and wait on the
+                // database the closure holds.
+                std::thread::sleep(Duration::from_millis(50));
+                db.options_mut().policy = PushdownPolicy::Never;
+            });
+        });
+        let snap = server.shared.current_snapshot();
+        assert_eq!(snap.options().policy, PushdownPolicy::Never);
+        assert_eq!(snap.stats_epoch(), stats + 1, "the absorbed facts");
     }
 
     #[test]

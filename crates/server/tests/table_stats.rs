@@ -15,7 +15,7 @@
 
 use std::sync::{Arc, Barrier};
 
-use gbj_engine::{Database, QueryOutput};
+use gbj_engine::{Database, QueryMetrics, QueryOutput, QueryReport};
 use gbj_server::{Server, ServerConfig, Session};
 use gbj_types::Value;
 
@@ -23,7 +23,7 @@ const DDL: &str = "CREATE TABLE Dim (DimId INTEGER PRIMARY KEY, Cat VARCHAR(8) N
                    CREATE TABLE Fact (FactId INTEGER PRIMARY KEY, DimId INTEGER, V INTEGER)";
 
 /// Grouped join on a key of `Dim`: cost-based, so planning estimates
-/// and clamps both candidate shapes, and the audit estimates once more.
+/// and clamps both candidate shapes (the audit reads the chosen one's).
 const FANIN: &str = "SELECT D.DimId, COUNT(F.FactId), SUM(F.V) \
                      FROM Fact F, Dim D WHERE F.DimId = D.DimId GROUP BY D.DimId";
 /// A range predicate (histogram) under a two-column grouping of one
@@ -113,8 +113,8 @@ fn cached_reads_fold_nothing() {
     let session = server.connect();
     let first = builds_added(&server, &session, &[FANIN, JOINT, DIM_ONLY]);
     // One summary each for Fact and Dim, one joint sketch for
-    // (F.DimId, F.V) — planning two shapes and auditing a third time
-    // asked for each of them more than once.
+    // (F.DimId, F.V) — pricing two shapes asked for each of them more
+    // than once.
     assert_eq!(first, 3, "one fold per table version, one per joint key");
     for _ in 0..10 {
         for sql in [FANIN, JOINT, DIM_ONLY] {
@@ -258,6 +258,75 @@ fn a_snapshot_keeps_its_estimates_while_the_writer_sees_the_new_rows() {
             estimates(&mut star_db(fact_rows(300)), sql)
         );
     }
+}
+
+/// A fresh `Database::query_report` of `sql` on a fork of the server's
+/// snapshot: the report it planned, and the metrics its run recorded.
+fn fresh_run(server: &Server, sql: &str) -> (QueryReport, QueryMetrics) {
+    let fork = server.with_snapshot(Database::fork);
+    let (_, _, report) = fork.query_report(sql).unwrap();
+    (report, fork.last_query_metrics().unwrap())
+}
+
+/// A plan-cache hit audits against the tree its miss priced the plan
+/// with, and that tree is what planning afresh at the same plan epoch
+/// gives.
+#[test]
+fn served_hits_audit_what_the_miss_priced() {
+    let server = star_server();
+    let session = server.connect();
+    for sql in [FANIN, JOINT, DIM_ONLY] {
+        let miss = session.query(sql).unwrap();
+        let hit = session.query(sql).unwrap();
+        assert!(!miss.cache_hit && hit.cache_hit, "{sql}");
+        assert_eq!(miss.metrics.estimates, miss.report.estimates, "{sql}");
+        assert_eq!(hit.metrics.estimates, miss.metrics.estimates, "{sql}");
+        let (report, metrics) = fresh_run(&server, sql);
+        assert_eq!(report.estimates, hit.metrics.estimates, "{sql}");
+        assert_eq!(metrics.estimates, hit.metrics.estimates, "{sql}");
+    }
+}
+
+/// Under `adaptive`, what a served read measured is absorbed into the
+/// authoritative database. An absorb that teaches something moves the
+/// stats epoch, so the next read misses and is priced with the learned
+/// facts; an absorb of the same facts moves nothing, so the next read
+/// hits and audits the same tree.
+#[test]
+fn learned_facts_reprice_on_a_miss_and_relearned_ones_keep_the_hit() {
+    // A Dim filter the estimator reads as independent of the join: it
+    // guesses the grouped join's size, and the run measures it.
+    const SKEWED: &str = "SELECT D.DimId, COUNT(F.FactId) FROM Fact F, Dim D \
+                          WHERE F.DimId = D.DimId AND D.Cat = 'c0' AND F.V < 3 \
+                          GROUP BY D.DimId";
+    let mut db = star_db(fact_rows(200));
+    db.options_mut().adaptive = true;
+    let server = Server::with_database(db, ServerConfig::default().with_plan_cache(16));
+    let session = server.connect();
+    let stats_epoch = || server.with_snapshot(Database::stats_epoch);
+
+    let first = session.query(SKEWED).unwrap();
+    assert!(!first.cache_hit);
+    assert_eq!(stats_epoch(), 1, "the first run taught the server");
+    let learned = session.query(SKEWED).unwrap();
+    assert!(!learned.cache_hit, "the stats epoch moved: a miss");
+    assert_ne!(
+        learned.metrics.estimates, first.metrics.estimates,
+        "priced with the learned facts"
+    );
+    assert_eq!(stats_epoch(), 1, "the second run measured the same facts");
+    assert_eq!(
+        fresh_run(&server, SKEWED).0.estimates,
+        learned.metrics.estimates
+    );
+
+    let hit = session.query(SKEWED).unwrap();
+    assert!(hit.cache_hit, "no epoch moved: a hit");
+    assert_eq!(hit.metrics.estimates, learned.metrics.estimates);
+    assert!(!server.absorb_feedback(&first.metrics.feedback));
+    let again = session.query(SKEWED).unwrap();
+    assert!(again.cache_hit, "an absorb of known facts keeps the hit");
+    assert_eq!(again.metrics.estimates, learned.metrics.estimates);
 }
 
 #[test]

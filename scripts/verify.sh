@@ -137,6 +137,14 @@ if [[ -n "$(find . \( -name target -o -name .git \) -prune -o -name 'BENCH_*.jso
   echo "verify: a second timing harness reappeared beside report and gbjbench" >&2
   exit 1
 fi
+# EXPLAIN computes its `domains:` / `pruning:` lines when it renders;
+# a QueryReport field for either would compute them on every query.
+# That the audit re-derives nothing is pinned by the oracle test
+# estimator_accuracy::audited_estimates_equal_a_fresh_estimate_of_the_plan_that_ran.
+if grep -rnE "pub (domains|pruning):" crates/engine/src; then
+  echo "verify: an EXPLAIN-only annotation is a QueryReport field again" >&2
+  exit 1
+fi
 cargo build --release
 # The four workspace passes below each include the two-valued suites —
 # gbj-expr's tests/lowering_exhaustive.rs (lower_floor / lower_ceil

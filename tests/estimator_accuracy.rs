@@ -712,6 +712,159 @@ fn summaries_equal_their_scan_definitions() {
     }
 }
 
+/// Rows offered to each corpus table its script leaves empty.
+const CORPUS_FILL_ROWS: i64 = 40;
+
+/// Offer `table` [`CORPUS_FILL_ROWS`] rows, one at a time, keeping the
+/// ones its constraints accept: the first column counts up (a key), the
+/// other integers take values either side of the corpus's CHECK bounds
+/// and inside its parents' keys, strings include the `'dragon'` of
+/// Example 3, and nullable columns are NULL in every seventh row.
+fn fill_corpus_table(db: &mut Database, table: &str) {
+    use gbj::types::DataType;
+    use gbj::Value;
+    let def = db.catalog().table(table).expect("just created").clone();
+    for r in 0..CORPUS_FILL_ROWS {
+        let row = def
+            .columns
+            .iter()
+            .enumerate()
+            .map(|(j, col)| {
+                let pick = usize::try_from(r).expect("small");
+                if j > 0 && col.nullable && r % 7 == 6 {
+                    return Value::Null;
+                }
+                match col.data_type {
+                    DataType::Int64 if j == 0 => Value::Int(r + 1),
+                    DataType::Int64 => Value::Int([1, 3, 5, 1999, 2001][pick % 5]),
+                    DataType::Float64 => Value::Float(r as f64 / 2.0),
+                    DataType::Utf8 => Value::str(["dragon", "s1", "s2"][pick % 3]),
+                    DataType::Boolean => Value::Bool(r % 2 == 0),
+                }
+            })
+            .collect::<Vec<_>>();
+        // A row a constraint rejects is left out.
+        let _ = db.insert_rows(table, [row]);
+    }
+}
+
+/// What the audit estimated after every run before the plan carried
+/// its own estimates: the feedback-aware estimate of the plan that ran,
+/// clamped by the bound tree read off the observed domains — the scan
+/// oracle's, met with the catalog's seeds — when `clamp` is on.
+fn re_derived_estimates(
+    db: &Database,
+    plan: &gbj::plan::LogicalPlan,
+    clamp: bool,
+) -> gbj::optimizer::CardTree {
+    use gbj::analyze::{analyze_plan, SeedDomains};
+    use gbj::engine::database::bound_tree;
+    use gbj::engine::stats::Estimator;
+    let feedback = db.feedback_snapshot();
+    let mut tree = Estimator::with_feedback(db.storage(), &feedback).estimate_plan(plan);
+    if clamp {
+        let mut seeds = SeedDomains::from_catalog(db.catalog());
+        for def in db.catalog().tables() {
+            let data = db.storage().table_data(&def.name).expect("table");
+            for col in &def.columns {
+                seeds.merge(
+                    &def.name,
+                    &col.name,
+                    &scan_oracle::observed_domain(data, &col.name),
+                );
+            }
+        }
+        tree.clamp(&bound_tree(
+            plan,
+            &analyze_plan(plan, &seeds).root,
+            db.storage(),
+        ));
+    }
+    tree
+}
+
+/// The audit reads the estimates the plan was priced with instead of
+/// estimating again after the run, and loses nothing by it: over every
+/// corpus query, its tables filled, × every policy × clamp on and off,
+/// before and after a feedback round, `QueryMetrics::estimates` equals
+/// the re-derivation node for node — for the plan that ran, not the
+/// shape the choice passed over.
+#[test]
+fn audited_estimates_equal_a_fresh_estimate_of_the_plan_that_ran() {
+    let mut files: Vec<_> = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/corpus"))
+        .expect("corpus directory")
+        .map(|e| e.expect("corpus entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "sql"))
+        .collect();
+    files.sort();
+    let mut checked = 0;
+    let mut shapes_differ = 0;
+    for file in files {
+        let text: String = std::fs::read_to_string(&file)
+            .expect("corpus file")
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("--"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let mut db = Database::new();
+        let (mut selects, mut created) = (Vec::new(), Vec::new());
+        for stmt in text.split(';').map(str::trim).filter(|s| !s.is_empty()) {
+            let upper = stmt.to_ascii_uppercase();
+            if upper.starts_with("SELECT") {
+                selects.push(stmt.to_string());
+                continue;
+            }
+            db.execute(stmt).expect("corpus DDL/DML runs");
+            if let Some(rest) = upper.strip_prefix("CREATE TABLE ") {
+                created.push(rest.split([' ', '(']).next().expect("name").to_string());
+            }
+        }
+        // In creation order, so that parents are filled before their
+        // children; a table the corpus loads itself keeps its rows.
+        for table in &created {
+            if db.storage().table_data(table).is_some_and(|d| d.is_empty()) {
+                fill_corpus_table(&mut db, table);
+            }
+            let held = db.storage().table_data(table).map_or(0, |d| d.len());
+            assert!(held > 0, "{}: {table} holds no rows", file.display());
+        }
+        for sql in &selects {
+            for policy in [
+                PushdownPolicy::CostBased,
+                PushdownPolicy::Always,
+                PushdownPolicy::Never,
+            ] {
+                for clamp in [true, false] {
+                    let mut db = db.fork();
+                    db.options_mut().policy = policy;
+                    db.options_mut().clamp_estimates = clamp;
+                    for round in 0..2 {
+                        let ctx = format!(
+                            "{}: {sql} {policy:?} clamp={clamp} round={round}",
+                            file.display()
+                        );
+                        let (_, _, report) = db.query_report(sql).expect("corpus query runs");
+                        let metrics = db.last_query_metrics().expect("metrics recorded");
+                        let oracle = re_derived_estimates(&db, &report.plan, clamp);
+                        assert_eq!(metrics.estimates, oracle, "{ctx}");
+                        checked += 1;
+                        if let Some(alt) = &report.alternative {
+                            shapes_differ +=
+                                usize::from(re_derived_estimates(&db, alt, clamp) != oracle);
+                        }
+                        db.absorb_feedback(&metrics.feedback);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 16 * 3 * 2 * 2, "every corpus query in every cell");
+    assert!(
+        shapes_differ > 0,
+        "the unchosen shape's tree must be told apart somewhere"
+    );
+}
+
 /// The `est=` of every node of a scan, a range filter, an equality
 /// filter and two- and three-column groupings equals what the scan
 /// oracles give — unclamped (the estimator's own arithmetic) and
