@@ -4,12 +4,14 @@
 //! The pipeline (see [`crate::pipeline`]) keeps every intermediate
 //! relation as one chunk stream per shard. An *exchange* re-routes each
 //! live row to the part its key hashes to — `GroupKey::shard` of the
-//! key, so `=ⁿ` semantics apply and NULL keys land deterministically on
-//! one part, computed as one destination vector per batch from the
-//! typed key view ([`crate::key::KeyView::shards`]) without building
-//! the key; a *gather* concentrates all rows on part 0 for inherently
-//! global operators (scalar aggregates, sorts). [`deal`] carries a
-//! destination vector out — for an exchange and for the scan split.
+//! key, the low bits of the fixed-seed [`gbj_types::stream_hash`] the
+//! key index and the sketches hash with, so `=ⁿ` semantics apply and
+//! NULL keys land on one fixed part, computed as one destination vector
+//! per batch from the typed key view ([`crate::key::KeyView::shards`])
+//! without building the key; a *gather* concentrates all rows on part
+//! 0 for inherently global operators (scalar aggregates, sorts).
+//! [`deal`] carries a destination vector out — for an exchange and for
+//! the scan split.
 //!
 //! Only rows whose destination differs from their origin are metered as
 //! shipped: co-located rows never cross the wire, which is precisely

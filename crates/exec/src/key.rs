@@ -9,10 +9,11 @@
 //!   group table, a dedup set, a route) or as a row that matches nothing
 //!   (a 3VL join);
 //! - **the `=ⁿ` hash stream** ([`KeyView::shards`]): the bytes
-//!   [`GroupKey`]'s `Hash` would feed [`ShardHasher`], written straight
-//!   from the typed column through [`gbj_types::key_hash`], so a row
-//!   lands on `GroupKey::shard` of its decoded key without that key
-//!   ever being built;
+//!   [`GroupKey`]'s `Hash` would feed [`gbj_types::stream_hash`] — the
+//!   fixed-seed fold the key index and the sketches hash with — written
+//!   straight from the typed column through [`gbj_types::key_hash`], so
+//!   a row lands on `GroupKey::shard` of its decoded key without that
+//!   key ever being built;
 //! - **the decoded key** ([`KeyView::decode`]) for whoever does need
 //!   the [`GroupKey`]: the generic arm, per row, and a raw-keyed table
 //!   when it is drained or demoted, once per group.
@@ -35,7 +36,7 @@ use std::hash::Hasher;
 use std::sync::Arc;
 
 use gbj_storage::keys::KeyArms;
-use gbj_types::{internal_err, key_hash, GroupKey, Result, ShardHasher, Value};
+use gbj_types::{internal_err, key_hash, shard_of, stream_hash, GroupKey, Result, Value};
 
 use crate::batch::{Bitmap, ColumnVector, ColumnarBatch, StringDict};
 
@@ -160,41 +161,15 @@ impl<'a> KeyView<'a> {
 
     /// The part of `n` key `i` belongs to: `decode(i).shard(n)`.
     fn shard(&self, i: usize, n: usize) -> u32 {
-        let mut h = ShardHasher::new();
-        self.hash_row(i, &mut h);
-        h.shard(n) as u32
+        shard_of(stream_hash(|h| self.hash_row(i, h)), n) as u32
     }
 
     /// One destination per row of `rows`, in order: the batch's routing
-    /// vector. A dictionary key hashes each distinct code once.
+    /// vector.
     pub(crate) fn shards(&self, rows: impl Iterator<Item = usize>, n: usize) -> Vec<u32> {
-        match self {
-            KeyView::Dict { codes, dict } if dict.len() <= CODE_MEMO_MAX => {
-                const UNSET: u32 = u32::MAX;
-                let null = self.shard(usize::MAX, n);
-                let mut of_code = vec![UNSET; dict.len()];
-                rows.map(|i| {
-                    let code = codes.get(i).map_or(usize::MAX, |&c| c as usize);
-                    match of_code.get_mut(code) {
-                        Some(dest) if *dest == UNSET => {
-                            *dest = self.shard(i, n);
-                            *dest
-                        }
-                        Some(dest) => *dest,
-                        None => null,
-                    }
-                })
-                .collect()
-            }
-            _ => rows.map(|i| self.shard(i, n)).collect(),
-        }
+        rows.map(|i| self.shard(i, n)).collect()
     }
 }
-
-/// Largest dictionary whose codes [`KeyView::shards`] memoizes per
-/// batch: the memo is one `u32` per code, worth allocating only while
-/// it stays small beside a batch.
-const CODE_MEMO_MAX: usize = 4096;
 
 /// The string bytes of cell `i` of `col` (0 unless it holds a string):
 /// the variable part of its `row_bytes`.

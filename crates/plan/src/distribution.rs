@@ -24,10 +24,14 @@
 //! scalar aggregates and sorts gather to one shard.
 //!
 //! **NULLs.** Every repartition routes on `GroupKey::shard`, i.e. under
-//! `=ⁿ`: all NULL keys land on one deterministic shard. That is what a
-//! grouping or DISTINCT exchange needs (NULL is one group). A join key
-//! compares under 3VL instead — a NULL key matches nothing — so where
-//! its NULL rows land is irrelevant; they are routed, never joined.
+//! `=ⁿ`: all NULL keys land on one part, `GroupKey(vec![Null]).shard(n)`
+//! of the fixed-seed `gbj_types::stream_hash` — the same part in every
+//! run. That is what a grouping or DISTINCT exchange needs (NULL is one
+//! group). It is also why a movement can ship nothing: when every row
+//! already sits on that part, none leaves it, though the movement still
+//! happens and is still priced. A join key compares under 3VL instead —
+//! a NULL key matches nothing — so where its NULL rows land is
+//! irrelevant; they are routed, never joined.
 //! [`Movement::Combine`] is sound only for the FD1/FD2-certified eager
 //! pre-aggregation, which is why the caller, not this module, decides
 //! the `combiner` flag.

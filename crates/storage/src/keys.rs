@@ -17,6 +17,11 @@
 //! write after the clone copies the spine's top, the chunks of pointers
 //! it walks through and the few dozen keys of each set it inserts into —
 //! the same at a thousand rows and at a million.
+//!
+//! Two hashes, one [`Fold`]: a raw map draws its seed ([`FoldSeed`]),
+//! while the set that holds a key is addressed by
+//! [`gbj_types::stream_hash`] — the fixed-seed fold that also fills the
+//! distinct sketches and places every row the pipeline routes.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -24,7 +29,7 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use gbj_types::GroupKey;
+use gbj_types::{mix, stream_hash, Fold, GroupKey};
 
 /// The hasher of a raw-keyed [`KeyArms`]: one 64 × 64 → 128-bit multiply
 /// of the seeded key, folded. The seed is drawn per map from
@@ -47,43 +52,7 @@ impl BuildHasher for FoldSeed {
 
     #[inline]
     fn build_hasher(&self) -> Fold {
-        Fold {
-            seed: self.0,
-            hash: 0,
-        }
-    }
-}
-
-/// The hasher a [`FoldSeed`] builds.
-#[derive(Debug)]
-pub struct Fold {
-    seed: u64,
-    hash: u64,
-}
-
-// Inlined into the caller's crate: a join or a group table hashes one
-// key per row.
-impl Hasher for Fold {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|b| self.write_u64(u64::from(*b)));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, word: u64) {
-        const ODD: u64 = 0x9E37_79B9_7F4A_7C15;
-        let wide = u128::from(word ^ self.seed ^ self.hash.rotate_left(32)) * u128::from(ODD);
-        self.hash = (wide as u64) ^ ((wide >> 64) as u64);
-    }
-
-    #[inline]
-    fn write_i64(&mut self, word: i64) {
-        self.write_u64(word as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
+        Fold::new(self.0)
     }
 }
 
@@ -194,31 +163,8 @@ pub(crate) enum Key {
     Generic(GroupKey),
 }
 
-/// Spread every bit of `h` over all of it (the 64-bit finalizer of
-/// MurmurHash3).
-fn mix(mut h: u64) -> u64 {
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^ (h >> 33)
-}
-
-/// The hash of the key whose `=ⁿ` hash stream `feed` writes, for uses
-/// that must repeat from clone to clone and run to run — which set of a
-/// key index holds a key (the copy counters are exact), which hashes a
-/// distinct-count sketch keeps — and so cannot draw a seed: the fold of
-/// the stream under one fixed seed, mixed so that neither its low bits
-/// (set addresses are taken there) nor the order of two hashes (a
-/// sketch keeps the smallest) says anything about the keys. A multiply
-/// per word; a map that outside keys could flood hashes with a drawn
-/// [`FoldSeed`] instead, as each set of an index does.
-pub(crate) fn stream_hash(feed: impl FnOnce(&mut Fold)) -> u64 {
-    let mut fold = FoldSeed(0x243F_6A88_85A3_08D3).build_hasher();
-    feed(&mut fold);
-    mix(fold.finish())
-}
-
+// Which set holds a key must repeat from clone to clone (the copy
+// counters are exact), so no seed is drawn here.
 fn place_raw(key: i64) -> u64 {
     mix(key as u64)
 }

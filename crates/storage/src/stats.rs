@@ -57,11 +57,10 @@ use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use gbj_expr::BinaryOp;
-use gbj_types::key_hash;
 use gbj_types::value::canonical_f64_bits;
+use gbj_types::{key_hash, stream_hash};
 
 use crate::columnar::{Bitmap, ColumnVector, StringDict};
-use crate::keys::stream_hash;
 use crate::table::{Column, BLOCK_ROWS};
 
 /// Selectivity assumed for predicates no summary can analyse.
@@ -265,7 +264,7 @@ impl DistinctSketch {
     }
 
     /// Record one (hashable) value: by the fixed-seed fold of its
-    /// `Hash` stream, mixed (`keys::stream_hash` — a block's fold
+    /// `Hash` stream, mixed (`gbj_types::stream_hash` — a block's fold
     /// hashes every distinct value it holds, so a multiply per word,
     /// not a SipHash).
     pub fn insert<T: Hash>(&mut self, value: &T) {

@@ -186,9 +186,10 @@ impl Storage {
     /// Declare that `table` is hash-partitioned on `cols` for sharded
     /// execution. The declaration is physical layout only — it never
     /// changes query results — and routes rows with
-    /// [`gbj_types::GroupKey::shard`], so `=ⁿ` semantics apply: NULL
-    /// keys hash through the `Null` tag and land deterministically on
-    /// one shard instead of spraying.
+    /// [`gbj_types::GroupKey::shard`], the fixed-seed
+    /// [`gbj_types::stream_hash`] this storage's key index and sketches
+    /// also hash with, so `=ⁿ` semantics apply: NULL keys hash through
+    /// the `Null` tag and land on one fixed part instead of spraying.
     pub fn declare_partition_key(&mut self, table: &str, cols: &[&str]) -> Result<()> {
         let def = self
             .catalog

@@ -40,4 +40,4 @@ pub use datatype::DataType;
 pub use error::{Error, ResourceKind, Result};
 pub use schema::{ColumnRef, Field, Schema};
 pub use truth::Truth;
-pub use value::{key_hash, GroupKey, ShardHasher, Value};
+pub use value::{key_hash, mix, shard_of, stream_hash, Fold, GroupKey, Value};

@@ -308,70 +308,104 @@ impl Hash for GroupKey {
 }
 
 impl GroupKey {
-    /// Deterministic shard assignment under `=ⁿ` semantics: keys that
-    /// compare `=ⁿ`-equal (including all-NULL keys, which hash through
-    /// the `Null` tag) land on the same shard for any shard count. The
-    /// mapping is [`ShardHasher`]'s, stable across processes and runs.
+    /// The part, of `shards`, this key is placed on: [`shard_of`] its
+    /// [`stream_hash`]. Keys that compare `=ⁿ`-equal write one hash
+    /// stream, so they share a part at every part count — all-NULL keys
+    /// included, which hash through the `Null` tag. The function is
+    /// specified here, seed and all, so placement is the same in every
+    /// process, run and toolchain.
     #[must_use]
     pub fn shard(&self, shards: usize) -> usize {
-        let mut h = ShardHasher::new();
-        self.hash(&mut h);
-        h.shard(shards)
+        shard_of(stream_hash(|h| self.hash(h)), shards)
     }
 }
 
-/// The hasher behind [`GroupKey::shard`]: it starts from a fixed state
-/// (`DefaultHasher::new()`), so a key's shard depends on the bytes of
-/// its `=ⁿ` hash stream ([`key_hash`]) and on nothing else. Columnar
-/// code feeds it that stream straight from typed columns and lands on
-/// the shard the decoded key would.
-#[derive(Debug, Clone, Default)]
-pub struct ShardHasher(std::collections::hash_map::DefaultHasher);
+/// The part, of `shards`, of a key whose [`stream_hash`] is `hash`: its
+/// low bits, since [`mix`] has spread the whole stream over them.
+#[inline]
+#[must_use]
+pub fn shard_of(hash: u64, shards: usize) -> usize {
+    let shards = shards.max(1) as u64;
+    // The same remainder without the division, for the usual counts.
+    let part = if shards.is_power_of_two() {
+        hash & (shards - 1)
+    } else {
+        hash % shards
+    };
+    part as usize
+}
 
-impl ShardHasher {
-    /// A hasher in the fixed initial state.
+/// A multiply fold: each word is mixed with the seed and the state so
+/// far by one 64 × 64 → 128-bit multiply, folded to 64 bits. Built
+/// under a fixed seed by [`stream_hash`], under a drawn one by a map
+/// that outside keys could flood.
+#[derive(Debug)]
+pub struct Fold {
+    seed: u64,
+    hash: u64,
+}
+
+impl Fold {
+    /// A fold in its initial state under `seed`.
     #[inline]
     #[must_use]
-    pub fn new() -> ShardHasher {
-        ShardHasher::default()
-    }
-
-    /// The shard, of `shards`, of the stream written so far.
-    #[inline]
-    #[must_use]
-    pub fn shard(&self, shards: usize) -> usize {
-        let (hash, shards) = (self.0.finish(), shards.max(1) as u64);
-        // The same remainder without the division, for the usual counts.
-        let part = if shards.is_power_of_two() {
-            hash & (shards - 1)
-        } else {
-            hash % shards
-        };
-        part as usize
+    pub fn new(seed: u64) -> Fold {
+        Fold { seed, hash: 0 }
     }
 }
 
-// Inlined into the caller's crate: routing hashes one key per row.
-impl Hasher for ShardHasher {
+// Inlined into the caller's crate: a join, a group table or a route
+// hashes one key per row.
+impl Hasher for Fold {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        self.0.write(bytes);
-    }
-
-    #[inline]
-    fn write_u8(&mut self, byte: u8) {
-        self.0.write_u8(byte);
+        bytes.iter().for_each(|b| self.write_u64(u64::from(*b)));
     }
 
     #[inline]
     fn write_u64(&mut self, word: u64) {
-        self.0.write_u64(word);
+        const ODD: u64 = 0x9E37_79B9_7F4A_7C15;
+        let wide = u128::from(word ^ self.seed ^ self.hash.rotate_left(32)) * u128::from(ODD);
+        self.hash = (wide as u64) ^ ((wide >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_i64(&mut self, word: i64) {
+        self.write_u64(word as u64);
     }
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.0.finish()
+        self.hash
     }
+}
+
+/// Spread every bit of `h` over all of it (the 64-bit finalizer of
+/// MurmurHash3).
+#[inline]
+#[must_use]
+pub fn mix(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// The one deterministic `=ⁿ` key hash: the [`Fold`] of the key's hash
+/// stream ([`key_hash`], written by `feed`) under one fixed seed,
+/// [`mix`]ed so that neither its low bits (parts and set addresses are
+/// taken there) nor the order of two hashes (a sketch keeps the
+/// smallest) says anything about the keys. It places a row on its part
+/// ([`GroupKey::shard`]), a key in its set of a key index, and a value
+/// in a distinct-count sketch — uses that must repeat from clone to
+/// clone, run to run and toolchain to toolchain, and so cannot draw a
+/// seed. A multiply per word.
+#[inline]
+pub fn stream_hash(feed: impl FnOnce(&mut Fold)) -> u64 {
+    let mut fold = Fold::new(0x243F_6A88_85A3_08D3);
+    feed(&mut fold);
+    mix(fold.finish())
 }
 
 /// `=ⁿ` extended to a full equivalence relation for hashing: NaN is
@@ -624,6 +658,53 @@ mod tests {
         let nan1 = GroupKey(vec![Value::Float(f64::NAN)]);
         let nan2 = GroupKey(vec![Value::Float(f64::NAN)]);
         assert_eq!(nan1, nan2, "NaN must self-group for Eq reflexivity");
+    }
+
+    /// Placement is pinned: the part of each key of a zoo at 2, 3, 4 and
+    /// 8 parts, written out. The shipped bytes of every sharded run and
+    /// where a partitioned table's rows sit follow from this function,
+    /// so a change of it — seed, fold, mixer, hash stream — must fail
+    /// here and be re-pinned on purpose. Keys that are `=ⁿ`-equal share
+    /// a part at every count.
+    #[test]
+    fn placement_is_pinned() {
+        let big = 1i64 << 53;
+        let zoo: [(&str, Vec<Value>, [usize; 4]); 13] = [
+            ("NULL", vec![Value::Null], [0, 0, 0, 0]),
+            ("0", vec![Value::Int(0)], [1, 1, 3, 7]),
+            ("0.0", vec![Value::Float(0.0)], [1, 1, 3, 7]),
+            ("-0.0", vec![Value::Float(-0.0)], [1, 1, 3, 7]),
+            ("NaN", vec![Value::Float(f64::NAN)], [0, 0, 0, 4]),
+            ("1", vec![Value::Int(1)], [1, 0, 3, 7]),
+            ("1.0", vec![Value::Float(1.0)], [1, 0, 3, 7]),
+            // One f64, so one hash stream: two keys on one part.
+            ("2^53", vec![Value::Int(big)], [1, 0, 1, 5]),
+            ("2^53+1", vec![Value::Int(big + 1)], [1, 0, 1, 5]),
+            ("''", vec![Value::str("")], [0, 0, 0, 4]),
+            ("'a'", vec![Value::str("a")], [1, 1, 3, 7]),
+            ("true", vec![Value::Bool(true)], [0, 0, 0, 0]),
+            (
+                "('a', 1)",
+                vec![Value::str("a"), Value::Int(1)],
+                [1, 2, 3, 7],
+            ),
+        ];
+        let parts = |key: &GroupKey| [2, 3, 4, 8].map(|n| key.shard(n));
+        for (name, key, pinned) in zoo {
+            assert_eq!(parts(&GroupKey(key)), pinned, "{name}");
+        }
+        let same = [
+            (Value::Int(0), Value::Float(-0.0)),
+            (Value::Float(0.0), Value::Float(-0.0)),
+            (Value::Float(f64::NAN), Value::Float(-f64::NAN)),
+            (Value::Int(1), Value::Float(1.0)),
+            (Value::Int(big), Value::Float(big as f64)),
+        ];
+        for (a, b) in same {
+            let (a, b) = (GroupKey(vec![a]), GroupKey(vec![b]));
+            assert_eq!(a, b);
+            assert_eq!(parts(&a), parts(&b), "{a:?} / {b:?}");
+        }
     }
 
     #[test]

@@ -145,6 +145,15 @@ if grep -rnE "pub (domains|pruning):" crates/engine/src; then
   echo "verify: an EXPLAIN-only annotation is a QueryReport field again" >&2
   exit 1
 fi
+# One placement hash: rows are routed by gbj_types::stream_hash, the
+# fixed-seed fold the key index and the sketches hash with. std's
+# DefaultHasher is not fixed across releases, and shipped bytes are
+# pinned exactly, so neither it nor the wrapper that routed with it may
+# come back (value::tests::placement_is_pinned pins the function).
+if grep -rnE "DefaultHasher|ShardHasher" crates src tests examples; then
+  echo "verify: a second placement hash reappeared beside stream_hash" >&2
+  exit 1
+fi
 cargo build --release
 # The four workspace passes below each include the two-valued suites —
 # gbj-expr's tests/lowering_exhaustive.rs (lower_floor / lower_ceil

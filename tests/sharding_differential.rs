@@ -19,8 +19,10 @@
 
 use gbj::datagen::SweepConfig;
 use gbj::engine::{PlanChoice, PushdownPolicy};
+use gbj::exec::guard::row_bytes;
 use gbj::storage::{FaultConfig, FaultInjector};
-use gbj::Database;
+use gbj::types::GroupKey;
+use gbj::{Database, Value};
 
 mod common;
 
@@ -95,10 +97,12 @@ fn observe(
 /// One sweep point: for each policy, every shards × threads cell of the
 /// pipeline must reproduce the oracle's rows and counter fingerprint;
 /// single-shard runs ship nothing; at a fixed shard count the shipped
-/// counters are thread-invariant, and the planner predicts zero shipped
-/// rows exactly when none were shipped (the pipeline executes the tree
-/// the planner prices, so they agree on *which* exchanges happen); and
-/// every scan that returned rows ran a kernel.
+/// counters are thread-invariant, and a prediction of zero shipped rows
+/// means none were shipped — any shipped row was predicted (the
+/// pipeline executes the tree the planner prices, so they agree on
+/// *which* exchanges happen). The converse does not hold: a movement
+/// whose rows all sit on their destination already ships nothing yet
+/// is priced. And every scan that returned rows ran a kernel.
 fn assert_point(db: &mut Database, sql: &str, ctx: &str) {
     for policy in [
         PushdownPolicy::Never,
@@ -136,9 +140,8 @@ fn assert_point(db: &mut Database, sql: &str, ctx: &str) {
                     "{ctx}: {policy:?} counter fingerprint diverged at {at}"
                 );
                 if let Some(predicted) = got.predicted_shipped_rows {
-                    assert_eq!(
-                        predicted == 0.0,
-                        got.shipped_rows == 0,
+                    assert!(
+                        predicted > 0.0 || got.shipped_rows == 0,
                         "{ctx}: {policy:?} predicted {predicted} shipped rows, measured {} \
                          at shards={shards}",
                         got.shipped_rows
@@ -238,11 +241,21 @@ fn all_null_keys_byte_identity() {
                FROM Fact F, Dim D WHERE F.K = D.DimId GROUP BY D.DimId";
     assert_point(&mut db, sql, "all-NULL join/partition key");
     // Scalar aggregate over the all-NULL table: gather path.
-    assert_point(
-        &mut db,
-        "SELECT COUNT(F.FId), SUM(F.V) FROM Fact F",
-        "all-NULL scalar gather",
-    );
+    let gather = "SELECT COUNT(F.FId), SUM(F.V) FROM Fact F";
+    assert_point(&mut db, gather, "all-NULL scalar gather");
+    // The scan puts all 64 rows on the NULL key's part; the gather to
+    // part 0 ships all of them or, when that part is 0, none.
+    for shards in [2usize, 4, 8] {
+        let null_part = GroupKey(vec![Value::Null]).shard(shards);
+        let got = observe(
+            &mut db,
+            PushdownPolicy::CostBased,
+            Some((shards, 1)),
+            gather,
+        );
+        let expect = if null_part == 0 { 0 } else { 64 };
+        assert_eq!(got.shipped_rows, expect, "part {null_part} of {shards}");
+    }
 }
 
 /// A declared partition key on the join column must strictly reduce
@@ -320,12 +333,54 @@ fn key_surviving_a_colocated_aggregate_predicts_no_shipping() {
     assert_point(&mut db, sql, "group by partition key + tag");
 }
 
+/// X17's lazy and eager shipped bytes at `n` parts from their row-form
+/// definition, not from the pipeline: a row crosses the wire when
+/// `GroupKey::shard` of its key differs from the part it sits on, and
+/// costs `8 + row_bytes(row)`. Nothing is declared, so both scans deal
+/// round-robin on the row ordinal (insertion order, which the primary
+/// keys restate). The lazy plan repartitions every `Fact` row (the
+/// three columns the query reads) and every `Dim` row (its `DimId`, the
+/// one column read) on `DimId`. The eager plan repartitions `Dim` and
+/// ships one partial per origin part per group: its key, with one
+/// 48-byte accumulator entry per aggregate (two) in place of payload.
+fn x17_row_form_bytes(db: &Database, n: usize) -> (u64, u64) {
+    let moves = |key: &Value, origin: usize| GroupKey(vec![key.clone()]).shard(n) != origin;
+    let scan = |sql: &str| db.query(sql).expect("table scan").rows;
+    let facts = scan("SELECT FactId, DimId, V FROM Fact ORDER BY FactId");
+    let dims = scan("SELECT DimId FROM Dim ORDER BY DimId");
+    let shipped = |rows: &[Vec<Value>], key: usize| -> u64 {
+        let leaving = rows
+            .iter()
+            .enumerate()
+            .filter(|(i, r)| moves(&r[key], i % n));
+        leaving.map(|(_, r)| 8 + row_bytes(r)).sum()
+    };
+    let dim_bytes = shipped(&dims, 0);
+    let mut partials: Vec<(usize, i64)> = facts
+        .iter()
+        .enumerate()
+        .filter_map(|(i, r)| match r[1] {
+            Value::Int(k) => Some((i % n, k)),
+            _ => None,
+        })
+        .collect();
+    partials.sort_unstable();
+    partials.dedup();
+    let partial_bytes: u64 = partials
+        .iter()
+        .filter(|(origin, k)| moves(&Value::Int(*k), *origin))
+        .map(|_| 8 + row_bytes(&[Value::Int(0)]) + 2 * 48)
+        .sum();
+    (shipped(&facts, 1) + dim_bytes, partial_bytes + dim_bytes)
+}
+
 /// **The acceptance criterion.** On the fan-in workload (X17) with no
 /// declared partition keys, the certified eager plan (whose
 /// pre-aggregation runs as a combiner below the exchange) must ship
 /// fewer bytes than the lazy plan — the paper's §7 claim as a measured
 /// number, not a model output. Placement and wire pricing are
-/// deterministic, so the bytes are pinned exactly at 2, 4 and 8 shards.
+/// deterministic, so the bytes are pinned exactly at 2, 4 and 8 shards,
+/// and the pins are re-derived from the row form of the byte model.
 #[test]
 fn eager_combiner_ships_fewer_bytes_than_lazy_at_2_4_8_shards() {
     let cfg = SweepConfig {
@@ -337,10 +392,15 @@ fn eager_combiner_ships_fewer_bytes_than_lazy_at_2_4_8_shards() {
     };
     let mut db = cfg.build().expect("build");
     for (shards, lazy_bytes, eager_bytes) in [
-        (2, 501_888, 9_984),
-        (4, 784_200, 15_600),
-        (8, 914_984, 31_584),
+        (2, 554_168, 11_024),
+        (4, 826_024, 16_432),
+        (8, 935_672, 32_080),
     ] {
+        assert_eq!(
+            x17_row_form_bytes(&db, shards),
+            (lazy_bytes, eager_bytes),
+            "row-form lazy / eager bytes at {shards} shards"
+        );
         let lazy = observe(
             &mut db,
             PushdownPolicy::Never,
