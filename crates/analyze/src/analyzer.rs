@@ -1,21 +1,19 @@
 //! The multi-pass driver.
 //!
-//! An [`Analysis`] accumulates diagnostics across the four passes for
-//! one query. The engine drives it with whatever artifacts it has —
-//! the logical plan always, the transformation outcome when the
-//! optimizer examined one, the execution profile after a run — and the
-//! result is a single [`Report`] plus, for eager rewrites, the
-//! [`FdCertificate`] proving FD1/FD2.
+//! An [`Analysis`] accumulates diagnostics across the passes for one
+//! query. The engine drives it with whatever artifacts it has — the
+//! logical plan always, the transformation outcome when the optimizer
+//! examined one — and the result is a single [`Report`] plus, for eager
+//! rewrites, the [`FdCertificate`] proving FD1/FD2.
 
 use gbj_core::{EagerOutcome, TransformOptions};
-use gbj_exec::{ExecOptions, ProfileNode};
 use gbj_fd::FdContext;
 use gbj_plan::{LogicalPlan, QueryBlock};
 
 use crate::diag::{Report, Severity};
 use crate::fd_audit::{audit_eager_outcome, FdCertificate};
 use crate::range_pass::{analyze_plan, RangeAnalysis, SeedDomains};
-use crate::{exec_pass, null_pass, schema_pass};
+use crate::{null_pass, schema_pass};
 
 /// Accumulated analysis state for one query.
 #[derive(Debug)]
@@ -45,8 +43,8 @@ impl Analysis {
     /// Pass 6 (range/NULL-ness/NDV domains): run the abstract
     /// interpreter over a logical plan with the given seeds, folding
     /// its GBJ6xx findings into the report and returning the full
-    /// [`RangeAnalysis`] (per-node domains and pruning facts) for the
-    /// engine to serialize and clamp estimates with.
+    /// [`RangeAnalysis`] (per-node domains) for the engine to render
+    /// and clamp estimates with.
     pub fn check_domains(&mut self, plan: &LogicalPlan, seeds: &SeedDomains) -> RangeAnalysis {
         let analysis = analyze_plan(plan, seeds);
         self.report.extend(analysis.report.clone());
@@ -75,24 +73,6 @@ impl Analysis {
             ));
         }
         self.certificate = audit.certificate;
-    }
-
-    /// Pass 4: physical-plan invariants for the executed plan.
-    /// `had_deadline` reports whether the run's guard carried a
-    /// deadline (it counts as a budget for GBJ405).
-    pub fn check_execution(
-        &mut self,
-        plan: &LogicalPlan,
-        opts: &ExecOptions,
-        profile: Option<&ProfileNode>,
-        had_deadline: bool,
-    ) {
-        self.report.extend(exec_pass::check_execution(
-            plan,
-            opts,
-            profile,
-            had_deadline,
-        ));
     }
 
     /// Pass 5 (cost/statistics): record that the §7 cost model declined

@@ -10,8 +10,6 @@
 //! * `GBJ1xx` — schema / type soundness over logical plans,
 //! * `GBJ2xx` — FD-derivation audit of eager-aggregation rewrites,
 //! * `GBJ3xx` — NULL-semantics (2VL vs 3VL) lints,
-//! * `GBJ4xx` — physical-plan invariants (metrics, guards,
-//!   vectorization),
 //! * `GBJ5xx` — cost/statistics findings (the §7 cost decision vs. the
 //!   FD-certified rewrite set),
 //! * `GBJ6xx` — abstract-interpretation findings from the range/domain
@@ -86,21 +84,6 @@ pub enum Code {
     /// derived block's grouping set differs from `GA1+`, or the outer
     /// grouping set differs from the original `GA`.
     GroupingSemanticsChanged,
-    /// An executed operator is missing its MetricsSink wiring: the
-    /// profile carries no counters although metrics were enabled.
-    MissingMetrics,
-    /// Vectorized execution claimed (vectors > 0) for an operator whose
-    /// expression is outside the error-free vectorization rule.
-    BogusVectorizationClaim,
-    /// No resource budget is configured: the ResourceGuard enforces
-    /// nothing.
-    UnboundedResources,
-    /// The physical profile's shape disagrees with the logical plan.
-    ProfileShapeMismatch,
-    /// An execution profile was produced by a run that had neither a
-    /// resource budget nor a deadline attached: the query could not
-    /// have been cancelled, shed, or timed out.
-    UnguardedExecution,
     /// The §7 cost model declined an FD-certified eager rewrite on
     /// populated tables: the transformation is *valid* but estimated
     /// slower (group-by input growth outweighs join input shrinkage).
@@ -153,11 +136,6 @@ impl Code {
             Code::NotOverNullable => "GBJ302",
             Code::FloorCeilDivergence => "GBJ303",
             Code::GroupingSemanticsChanged => "GBJ304",
-            Code::MissingMetrics => "GBJ401",
-            Code::BogusVectorizationClaim => "GBJ402",
-            Code::UnboundedResources => "GBJ403",
-            Code::ProfileShapeMismatch => "GBJ404",
-            Code::UnguardedExecution => "GBJ405",
             Code::CostChoiceDivergence => "GBJ501",
             Code::CombinerNotCertified => "GBJ502",
             Code::AlwaysFalsePredicate => "GBJ601",
@@ -177,9 +155,7 @@ impl Code {
             | Code::NonBooleanPredicate
             | Code::IncomparableTypes
             | Code::MissingCertificate
-            | Code::GroupingSemanticsChanged
-            | Code::BogusVectorizationClaim
-            | Code::ProfileShapeMismatch => Severity::Error,
+            | Code::GroupingSemanticsChanged => Severity::Error,
             Code::Fd1NotDerivable
             | Code::Fd2NotDerivable
             | Code::NoUsableEqualities
@@ -187,14 +163,11 @@ impl Code {
             | Code::NullLiteralComparison
             | Code::NotOverNullable
             | Code::FloorCeilDivergence
-            | Code::MissingMetrics
-            | Code::UnguardedExecution
             | Code::AlwaysFalsePredicate
             | Code::TautologicalPredicate
             | Code::ProvablyEmptyJoin
             | Code::OutOfDomainComparison => Severity::Warning,
             Code::RewriteInapplicable
-            | Code::UnboundedResources
             | Code::CostChoiceDivergence
             | Code::CombinerNotCertified
             | Code::RedundantNullCheck => Severity::Info,
@@ -221,13 +194,6 @@ impl Code {
             Code::NotOverNullable => "NOT over a nullable operand diverges from 2VL",
             Code::FloorCeilDivergence => "floor/ceil interpretations diverge on NULL inputs",
             Code::GroupingSemanticsChanged => "rewrite changes the =n grouping semantics",
-            Code::MissingMetrics => "operator missing MetricsSink counters",
-            Code::BogusVectorizationClaim => {
-                "vectorization claimed outside the error-free vectorization rule"
-            }
-            Code::UnboundedResources => "no ResourceGuard budget configured",
-            Code::ProfileShapeMismatch => "physical profile shape disagrees with the plan",
-            Code::UnguardedExecution => "profiled run had neither a resource budget nor a deadline",
             Code::CostChoiceDivergence => {
                 "cost model declined a valid (FD-certified) eager rewrite"
             }
@@ -267,11 +233,6 @@ impl Code {
             Code::NotOverNullable,
             Code::FloorCeilDivergence,
             Code::GroupingSemanticsChanged,
-            Code::MissingMetrics,
-            Code::BogusVectorizationClaim,
-            Code::UnboundedResources,
-            Code::ProfileShapeMismatch,
-            Code::UnguardedExecution,
             Code::CostChoiceDivergence,
             Code::CombinerNotCertified,
             Code::AlwaysFalsePredicate,
@@ -555,7 +516,6 @@ mod tests {
         assert_eq!(Code::Fd1NotDerivable.as_str(), "GBJ202");
         assert_eq!(Code::Fd2NotDerivable.as_str(), "GBJ203");
         assert_eq!(Code::NullLiteralComparison.as_str(), "GBJ301");
-        assert_eq!(Code::BogusVectorizationClaim.as_str(), "GBJ402");
         assert_eq!(Code::AlwaysFalsePredicate.as_str(), "GBJ601");
         assert_eq!(Code::TautologicalPredicate.as_str(), "GBJ602");
         assert_eq!(Code::ProvablyEmptyJoin.as_str(), "GBJ603");
@@ -615,7 +575,7 @@ mod tests {
     fn has_severity_thresholds() {
         let mut r = Report::new("q");
         assert!(!r.has_severity(Severity::Info));
-        r.push(Diagnostic::new(Code::UnboundedResources, "no budget"));
+        r.push(Diagnostic::new(Code::RedundantNullCheck, "constant check"));
         assert!(r.has_severity(Severity::Info));
         assert!(!r.has_severity(Severity::Warning));
         r.push(Diagnostic::new(Code::Fd2NotDerivable, "no key"));

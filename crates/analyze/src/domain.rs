@@ -5,24 +5,27 @@
 //! value has four components:
 //!
 //! * an **interval** over the numeric line (closed bounds, with an
-//!   `integral` flag so `Int64` widths are countable),
+//!   `integral` flag, set from the column's declared type, so `Int64`
+//!   widths are countable),
 //! * a small **value set** for string dictionaries,
 //! * a **nullability** in `{never, maybe, always}`,
 //! * an **NDV upper bound** on the number of distinct non-NULL values.
 //!
-//! The interval and value set describe the *non-NULL* values only;
-//! nullability is tracked separately. This split is what makes seeding
-//! from `CHECK` constraints sound under three-valued logic: a CHECK
-//! passes when the predicate is *not false*, so a NULL satisfies
-//! `CHECK (x > 0)` vacuously — the constraint restricts the non-NULL
-//! values and says nothing about nullability.
+//! The interval and value set describe the non-NULL **comparable**
+//! values only: nullability is tracked separately, and a `Float64`
+//! column may also hold NaN, which compares with nothing and so is kept
+//! by no comparison (the NDV bound counts it). This split is what makes
+//! seeding from `CHECK` constraints sound under three-valued logic: a
+//! CHECK passes when the predicate is *not false*, so a NULL (or a NaN)
+//! satisfies `CHECK (x > 0)` vacuously — the constraint restricts the
+//! comparable values and says nothing about the others.
 //!
-//! Predicate proofs are phrased over [`TruthSet`]s — the subset of
-//! Kleene's `{true, false, unknown}` a predicate can evaluate to given
-//! the operand domains. `⌊P⌋` floor semantics then read off directly:
-//! a filter is provably empty iff `true` is not in the set, and
-//! provably a tautology (Libkin's 2VL-safety obligation) iff the set is
-//! exactly `{true}`.
+//! Predicates are judged on their lowering `⌊P⌋` (`gbj_expr::lower`),
+//! which is two-valued (see `range_pass`); this module supplies the
+//! comparison leaf's part: whether `x op v` can hold and whether it can
+//! fail among comparable values ([`compare_domain_literal`],
+//! [`compare_domains`]), and the refinement a true `x op v` implies
+//! ([`refine_by_literal`]).
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -123,7 +126,8 @@ impl Interval {
         self.lo_f() <= v && v <= self.hi_f()
     }
 
-    /// Intersection (the lattice meet).
+    /// Intersection (the lattice meet). The result describes `self`'s
+    /// column, so it keeps `self`'s integrality.
     #[must_use]
     pub fn intersect(&self, other: &Interval) -> Interval {
         Interval {
@@ -135,19 +139,20 @@ impl Interval {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             },
-            integral: self.integral || other.integral,
+            integral: self.integral,
         }
     }
 
     /// The number of distinct values the interval can hold, when
-    /// countable (finite integral intervals only).
+    /// countable (finite integral intervals only: an empty `Float64`
+    /// interval still leaves room for NaN).
     #[must_use]
     pub fn width(&self) -> Option<f64> {
-        if self.is_empty() {
-            return Some(0.0);
-        }
         if !self.integral {
             return None;
+        }
+        if self.is_empty() {
+            return Some(0.0);
         }
         match (self.lo, self.hi) {
             (Some(l), Some(h)) => Some((h.floor() - l.ceil() + 1.0).max(0.0)),
@@ -352,126 +357,39 @@ impl ColumnDomain {
     }
 }
 
-/// The subset of Kleene's `{true, false, unknown}` a predicate can
-/// evaluate to, given the operand domains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TruthSet {
-    /// `true` is a possible outcome.
-    pub can_true: bool,
-    /// `false` is a possible outcome.
-    pub can_false: bool,
-    /// `unknown` is a possible outcome.
-    pub can_unknown: bool,
-}
-
-impl TruthSet {
-    /// The top element: any outcome possible.
-    pub const TOP: TruthSet = TruthSet {
-        can_true: true,
-        can_false: true,
-        can_unknown: true,
-    };
-
-    /// A two-valued outcome set.
-    #[must_use]
-    pub fn two_valued(can_true: bool, can_false: bool) -> TruthSet {
-        TruthSet {
-            can_true,
-            can_false,
-            can_unknown: false,
-        }
-    }
-
-    /// `⌊P⌋` is provably empty: `true` is not attainable.
-    #[must_use]
-    pub fn never_true(&self) -> bool {
-        !self.can_true
-    }
-
-    /// Provably `true` on every row — never `false`, never `unknown`
-    /// (the 2VL-safety obligation: a tautology claim is only sound when
-    /// `unknown` is impossible, since `⌊P⌋` drops `unknown` rows).
-    #[must_use]
-    pub fn always_true(&self) -> bool {
-        self.can_true && !self.can_false && !self.can_unknown
-    }
-
-    /// Kleene negation lifted to sets.
-    #[must_use]
-    pub fn not(&self) -> TruthSet {
-        TruthSet {
-            can_true: self.can_false,
-            can_false: self.can_true,
-            can_unknown: self.can_unknown,
-        }
-    }
-
-    /// Kleene conjunction lifted to sets (over-approximate: operand
-    /// correlation is handled by the caller's domain refinement).
-    #[must_use]
-    pub fn and(&self, other: &TruthSet) -> TruthSet {
-        TruthSet {
-            can_true: self.can_true && other.can_true,
-            can_false: self.can_false || other.can_false,
-            can_unknown: (self.can_unknown && (other.can_true || other.can_unknown))
-                || (other.can_unknown && (self.can_true || self.can_unknown)),
-        }
-    }
-
-    /// Kleene disjunction lifted to sets.
-    #[must_use]
-    pub fn or(&self, other: &TruthSet) -> TruthSet {
-        TruthSet {
-            can_true: self.can_true || other.can_true,
-            can_false: self.can_false && other.can_false,
-            can_unknown: (self.can_unknown && (other.can_false || other.can_unknown))
-                || (other.can_unknown && (self.can_false || self.can_unknown)),
-        }
-    }
-}
-
-/// The possible outcomes of `x op v` for `x` ranging over `dom`'s
-/// non-NULL values and a non-NULL literal `v`; the `unknown` component
-/// comes from `dom`'s nullability.
+/// Whether `x op v` can hold, and whether it can fail, for `x` ranging
+/// over `dom`'s comparable non-NULL values and a non-NULL literal `v`.
+/// Both are `false` when there is no such value; NULL and NaN are the
+/// caller's part (`def`, see `range_pass`).
 #[must_use]
-pub fn compare_domain_literal(dom: &ColumnDomain, op: BinaryOp, v: &Value) -> TruthSet {
-    let unknown = dom.nullability.can_be_null();
+pub fn compare_domain_literal(dom: &ColumnDomain, op: BinaryOp, v: &Value) -> (bool, bool) {
     if dom.is_value_empty() {
-        // No non-NULL values: the comparison never produces a 2VL
-        // outcome.
-        return TruthSet {
-            can_true: false,
-            can_false: false,
-            can_unknown: unknown,
-        };
+        return (false, false);
     }
-    let (can_true, can_false) = match v {
-        Value::Int(_) | Value::Float(_) => {
-            let vf = match v {
-                Value::Int(i) => *i as f64,
-                Value::Float(f) => *f,
-                _ => 0.0,
-            };
-            match dom.interval {
-                Some(i) => interval_vs_point(&i, op, vf),
-                None => (true, true),
-            }
-        }
+    match v {
+        Value::Int(_) | Value::Float(_) => match dom.interval {
+            Some(i) => interval_vs_point(&i, op, numeric(v)),
+            None => (true, true),
+        },
         Value::Str(s) => match (&dom.values, op) {
             (Some(set), BinaryOp::Eq) => (set.contains(s), set.len() > 1 || !set.contains(s)),
             (Some(set), BinaryOp::NotEq) => (set.len() > 1 || !set.contains(s), set.contains(s)),
             _ => (true, true),
         },
         _ => (true, true),
-    };
-    TruthSet {
-        can_true,
-        can_false,
-        can_unknown: unknown,
     }
 }
 
-/// `(can_true, can_false)` of `x op v` for `x ∈ [lo, hi]` (non-empty).
+/// A numeric literal on the interval's line.
+fn numeric(v: &Value) -> f64 {
+    match v {
+        Value::Int(i) => *i as f64,
+        Value::Float(f) => *f,
+        _ => f64::NAN,
+    }
+}
+
+/// `(can_hold, can_fail)` of `x op v` for `x ∈ [lo, hi]` (non-empty).
 fn interval_vs_point(i: &Interval, op: BinaryOp, v: f64) -> (bool, bool) {
     let (lo, hi) = (i.lo_f(), i.hi_f());
     match op {
@@ -485,33 +403,22 @@ fn interval_vs_point(i: &Interval, op: BinaryOp, v: f64) -> (bool, bool) {
     }
 }
 
-/// The possible outcomes of `x op y` for `x`, `y` ranging independently
-/// over two column domains.
+/// Whether `x op y` can hold, and whether it can fail, for `x`, `y`
+/// ranging independently over two columns' comparable non-NULL values.
 #[must_use]
-pub fn compare_domains(l: &ColumnDomain, op: BinaryOp, r: &ColumnDomain) -> TruthSet {
-    let unknown = l.nullability.can_be_null() || r.nullability.can_be_null();
+pub fn compare_domains(l: &ColumnDomain, op: BinaryOp, r: &ColumnDomain) -> (bool, bool) {
     if l.is_value_empty() || r.is_value_empty() {
-        return TruthSet {
-            can_true: false,
-            can_false: false,
-            can_unknown: unknown,
-        };
+        return (false, false);
     }
-    let (can_true, can_false) = match (l.interval, r.interval) {
+    match (l.interval, r.interval) {
         (Some(a), Some(b)) => {
             let (alo, ahi) = (a.lo_f(), a.hi_f());
             let (blo, bhi) = (b.lo_f(), b.hi_f());
+            let overlap = !a.intersect(&b).is_empty();
+            let both_same_point = alo == ahi && blo == bhi && alo == blo;
             match op {
-                BinaryOp::Eq => {
-                    let overlap = !a.intersect(&b).is_empty();
-                    let both_same_point = alo == ahi && blo == bhi && alo == blo;
-                    (overlap, !both_same_point)
-                }
-                BinaryOp::NotEq => {
-                    let overlap = !a.intersect(&b).is_empty();
-                    let both_same_point = alo == ahi && blo == bhi && alo == blo;
-                    (!both_same_point, overlap)
-                }
+                BinaryOp::Eq => (overlap, !both_same_point),
+                BinaryOp::NotEq => (!both_same_point, overlap),
                 BinaryOp::Lt => (alo < bhi, ahi >= blo),
                 BinaryOp::LtEq => (alo <= bhi, ahi > blo),
                 BinaryOp::Gt => (ahi > blo, alo <= bhi),
@@ -528,67 +435,49 @@ pub fn compare_domains(l: &ColumnDomain, op: BinaryOp, r: &ColumnDomain) -> Trut
             }
             _ => (true, true),
         },
-    };
-    TruthSet {
-        can_true,
-        can_false,
-        can_unknown: unknown,
     }
 }
 
-/// Refine `dom` under the assumption that `x op v` evaluated to `true`
-/// (which also proves `x` non-NULL). The literal must be non-NULL.
-pub fn refine_by_literal(dom: &mut ColumnDomain, op: BinaryOp, v: &Value) {
+/// Below this magnitude every integer is exact in `f64`, so a bound can
+/// be rounded to the next integer without losing one.
+const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
+
+/// Refine the domain of a column of type `ty` under the assumption that
+/// `x op v` held: `x` is non-NULL and comparable, and a literal of its
+/// own kind bounds it. On an `Int64` column a bound is rounded into the
+/// type — `x > 5.5` is `x >= 6`, `x < 7` is `x <= 6` — and on a `Float64`
+/// column the closed bound over-approximates the open one.
+pub fn refine_by_literal(dom: &mut ColumnDomain, ty: DataType, op: BinaryOp, v: &Value) {
     if !op.is_comparison() || matches!(v, Value::Null) {
         return;
     }
     dom.nullability = Nullability::Never;
     match v {
-        Value::Int(_) | Value::Float(_) => {
-            let vf = match v {
-                Value::Int(i) => *i as f64,
-                Value::Float(f) => *f,
-                _ => 0.0,
+        Value::Int(_) | Value::Float(_) if ty.is_numeric() => {
+            let v = numeric(v);
+            let integral = ty == DataType::Int64;
+            // The integers around `v`, and the step a strict bound takes
+            // past them; on a float the closed bound is `v` itself.
+            let (ceil, floor, step) = if integral && v.abs() < EXACT_INTEGERS {
+                (v.ceil(), v.floor(), 1.0)
+            } else {
+                (v, v, 0.0)
             };
-            let integral = matches!(v, Value::Int(_)) || dom.interval.is_some_and(|i| i.integral);
-            // Strict bounds tighten by one whole unit on integral
-            // columns; on floats the closed bound is a sound
-            // over-approximation of the open one.
-            let restriction = match op {
-                BinaryOp::Eq => Some(Interval::point(vf, integral)),
-                BinaryOp::Lt => Some(Interval {
-                    lo: None,
-                    hi: Some(if integral { vf - 1.0 } else { vf }),
-                    integral,
-                }),
-                BinaryOp::LtEq => Some(Interval {
-                    lo: None,
-                    hi: Some(vf),
-                    integral,
-                }),
-                BinaryOp::Gt => Some(Interval {
-                    lo: Some(if integral { vf + 1.0 } else { vf }),
-                    hi: None,
-                    integral,
-                }),
-                BinaryOp::GtEq => Some(Interval {
-                    lo: Some(vf),
-                    hi: None,
-                    integral,
-                }),
-                _ => None,
+            let (lo, hi) = match op {
+                BinaryOp::Eq => (Some(ceil), Some(floor)),
+                BinaryOp::Lt => (None, Some(ceil - step)),
+                BinaryOp::LtEq => (None, Some(floor)),
+                BinaryOp::Gt => (Some(floor + step), None),
+                BinaryOp::GtEq => (Some(ceil), None),
+                _ => return,
             };
-            if let Some(r) = restriction {
-                dom.interval = Some(match dom.interval {
-                    Some(i) => i.intersect(&r),
-                    None => r,
-                });
-                if op == BinaryOp::Eq {
-                    dom.ndv = Some(1.0);
-                }
+            let r = Interval { lo, hi, integral };
+            dom.interval = Some(dom.interval.map_or(r, |i| i.intersect(&r)));
+            if op == BinaryOp::Eq {
+                dom.ndv = Some(1.0);
             }
         }
-        Value::Str(s) => match op {
+        Value::Str(s) if ty == DataType::Utf8 => match op {
             BinaryOp::Eq => {
                 let singleton: BTreeSet<String> = std::iter::once(s.clone()).collect();
                 dom.values = Some(match &dom.values {
@@ -605,18 +494,6 @@ pub fn refine_by_literal(dom: &mut ColumnDomain, op: BinaryOp, v: &Value) {
             _ => {}
         },
         _ => {}
-    }
-}
-
-/// The flipped operator for `v op x` → `x op' v`.
-#[must_use]
-pub fn flip_op(op: BinaryOp) -> BinaryOp {
-    match op {
-        BinaryOp::Lt => BinaryOp::Gt,
-        BinaryOp::LtEq => BinaryOp::GtEq,
-        BinaryOp::Gt => BinaryOp::Lt,
-        BinaryOp::GtEq => BinaryOp::LtEq,
-        other => other,
     }
 }
 
@@ -662,13 +539,15 @@ mod tests {
         assert_eq!(n.nullability, Nullability::Always);
     }
 
+    const INT: DataType = DataType::Int64;
+
     #[test]
     fn group_ndv_counts_the_null_group() {
-        let mut d = ColumnDomain::for_type(DataType::Int64, true);
-        refine_by_literal(&mut d, BinaryOp::GtEq, &Value::Int(1));
+        let mut d = ColumnDomain::for_type(INT, true);
+        refine_by_literal(&mut d, INT, BinaryOp::GtEq, &Value::Int(1));
         // Refinement by a true comparison proves non-NULL.
         assert_eq!(d.nullability, Nullability::Never);
-        refine_by_literal(&mut d, BinaryOp::LtEq, &Value::Int(4));
+        refine_by_literal(&mut d, INT, BinaryOp::LtEq, &Value::Int(4));
         assert_eq!(d.group_ndv_upper(), Some(4.0));
         d.nullability = Nullability::Maybe;
         assert_eq!(d.group_ndv_upper(), Some(5.0));
@@ -676,92 +555,90 @@ mod tests {
 
     #[test]
     fn strict_bounds_tighten_on_integers() {
-        let mut d = ColumnDomain::for_type(DataType::Int64, true);
-        refine_by_literal(&mut d, BinaryOp::Gt, &Value::Int(10));
-        refine_by_literal(&mut d, BinaryOp::Lt, &Value::Int(13));
+        let mut d = ColumnDomain::for_type(INT, true);
+        refine_by_literal(&mut d, INT, BinaryOp::Gt, &Value::Int(10));
+        refine_by_literal(&mut d, INT, BinaryOp::Lt, &Value::Int(13));
         let i = d.interval.unwrap();
         assert_eq!((i.lo, i.hi), (Some(11.0), Some(12.0)));
         assert_eq!(i.width(), Some(2.0));
     }
 
+    /// A bound is rounded into the column's type, not stepped by one:
+    /// `x > 5.5 AND x < 7` keeps 6 on an `Int64` column, and an integer
+    /// literal does not make a `Float64` column integral.
+    #[test]
+    fn bounds_follow_the_column_type() {
+        let mut d = ColumnDomain::for_type(INT, false);
+        refine_by_literal(&mut d, INT, BinaryOp::Gt, &Value::Float(5.5));
+        refine_by_literal(&mut d, INT, BinaryOp::Lt, &Value::Int(7));
+        assert_eq!(d.render(), "[6,6] not-null");
+        let mut d = ColumnDomain::for_type(INT, false);
+        refine_by_literal(&mut d, INT, BinaryOp::Eq, &Value::Float(5.5));
+        assert!(d.is_value_empty(), "no integer equals 5.5");
+
+        let float = DataType::Float64;
+        let mut d = ColumnDomain::for_type(float, false);
+        refine_by_literal(&mut d, float, BinaryOp::Gt, &Value::Int(5));
+        refine_by_literal(&mut d, float, BinaryOp::Lt, &Value::Int(6));
+        let i = d.interval.unwrap();
+        assert_eq!((i.lo, i.hi, i.integral), (Some(5.0), Some(6.0), false));
+        assert_eq!(i.width(), None);
+    }
+
     #[test]
     fn contradictory_refinement_is_empty() {
-        let mut d = ColumnDomain::for_type(DataType::Int64, false);
-        refine_by_literal(&mut d, BinaryOp::Gt, &Value::Int(10));
-        refine_by_literal(&mut d, BinaryOp::Lt, &Value::Int(5));
+        let mut d = ColumnDomain::for_type(INT, false);
+        refine_by_literal(&mut d, INT, BinaryOp::Gt, &Value::Int(10));
+        refine_by_literal(&mut d, INT, BinaryOp::Lt, &Value::Int(5));
         assert!(d.is_value_empty());
     }
 
     #[test]
-    fn truth_sets_follow_kleene() {
-        let t = TruthSet::two_valued(true, false);
-        let f = TruthSet::two_valued(false, true);
-        let u = TruthSet {
-            can_true: false,
-            can_false: false,
-            can_unknown: true,
-        };
-        assert!(t.always_true());
-        assert!(f.never_true());
-        assert!(t.and(&f).never_true());
-        assert!(t.and(&t).always_true());
-        assert!(t.or(&u).always_true(), "T OR U = T");
-        assert!(f.and(&u).never_true(), "F AND U can only be F");
-        assert!(!f.or(&u).can_true, "F OR U = U, never true");
-        assert!(f.or(&u).can_unknown);
-        assert!(u.not().can_unknown);
-        assert!(!t.not().can_true);
-    }
-
-    #[test]
     fn domain_literal_comparisons() {
-        let mut d = ColumnDomain::for_type(DataType::Int64, false);
-        refine_by_literal(&mut d, BinaryOp::GtEq, &Value::Int(0));
-        // x >= 0 vs `x = -3`: never true, 2VL.
-        let ts = compare_domain_literal(&d, BinaryOp::Eq, &Value::Int(-3));
-        assert!(ts.never_true());
-        assert!(!ts.can_unknown);
-        // x >= 0 vs `x > -1`: always true.
-        let ts = compare_domain_literal(&d, BinaryOp::Gt, &Value::Int(-1));
-        assert!(ts.always_true());
-        // Nullable column: unknown stays possible, so no tautology.
-        d.nullability = Nullability::Maybe;
-        let ts = compare_domain_literal(&d, BinaryOp::Gt, &Value::Int(-1));
-        assert!(ts.can_true && !ts.can_false && ts.can_unknown);
-        assert!(!ts.always_true());
+        let mut d = ColumnDomain::for_type(INT, false);
+        refine_by_literal(&mut d, INT, BinaryOp::GtEq, &Value::Int(0));
+        // x >= 0 vs `x = -3`: never holds.
+        assert_eq!(
+            compare_domain_literal(&d, BinaryOp::Eq, &Value::Int(-3)),
+            (false, true)
+        );
+        // x >= 0 vs `x > -1`: never fails.
+        assert_eq!(
+            compare_domain_literal(&d, BinaryOp::Gt, &Value::Int(-1)),
+            (true, false)
+        );
     }
 
     #[test]
     fn disjoint_domains_never_compare_equal() {
-        let mut l = ColumnDomain::for_type(DataType::Int64, false);
-        refine_by_literal(&mut l, BinaryOp::Lt, &Value::Int(2000));
-        let mut r = ColumnDomain::for_type(DataType::Int64, false);
-        refine_by_literal(&mut r, BinaryOp::GtEq, &Value::Int(2000));
-        let ts = compare_domains(&l, BinaryOp::Eq, &r);
-        assert!(ts.never_true());
-        assert!(!ts.can_unknown);
-        // But `l < r` is a tautology on these ranges.
-        assert!(compare_domains(&l, BinaryOp::Lt, &r).always_true());
+        let mut l = ColumnDomain::for_type(INT, false);
+        refine_by_literal(&mut l, INT, BinaryOp::Lt, &Value::Int(2000));
+        let mut r = ColumnDomain::for_type(INT, false);
+        refine_by_literal(&mut r, INT, BinaryOp::GtEq, &Value::Int(2000));
+        assert_eq!(compare_domains(&l, BinaryOp::Eq, &r), (false, true));
+        // But `l < r` holds on every pair of these ranges.
+        assert_eq!(compare_domains(&l, BinaryOp::Lt, &r), (true, false));
     }
 
     #[test]
     fn string_value_sets() {
+        let text = DataType::Utf8;
         let mut d = ColumnDomain::top(false);
-        refine_by_literal(&mut d, BinaryOp::Eq, &Value::str("laser"));
-        let ts = compare_domain_literal(&d, BinaryOp::Eq, &Value::str("ink"));
-        assert!(ts.never_true());
-        let ts = compare_domain_literal(&d, BinaryOp::Eq, &Value::str("laser"));
-        assert!(ts.always_true());
+        refine_by_literal(&mut d, text, BinaryOp::Eq, &Value::str("laser"));
+        let ink = compare_domain_literal(&d, BinaryOp::Eq, &Value::str("ink"));
+        assert_eq!(ink, (false, true));
+        let laser = compare_domain_literal(&d, BinaryOp::Eq, &Value::str("laser"));
+        assert_eq!(laser, (true, false));
         assert_eq!(d.render(), "in {'laser'} not-null ndv<=1");
     }
 
     #[test]
     fn rendering_is_compact() {
-        let mut d = ColumnDomain::for_type(DataType::Int64, false);
+        let mut d = ColumnDomain::for_type(INT, false);
         assert_eq!(d.render(), "not-null");
-        refine_by_literal(&mut d, BinaryOp::GtEq, &Value::Int(0));
+        refine_by_literal(&mut d, INT, BinaryOp::GtEq, &Value::Int(0));
         assert_eq!(d.render(), "[0,+inf] not-null");
-        refine_by_literal(&mut d, BinaryOp::LtEq, &Value::Int(9));
+        refine_by_literal(&mut d, INT, BinaryOp::LtEq, &Value::Int(9));
         assert_eq!(d.render(), "[0,9] not-null");
     }
 }

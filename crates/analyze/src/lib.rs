@@ -12,9 +12,9 @@
 
 //! # gbj-analyze
 //!
-//! Static analysis over logical and physical plans: a reusable
-//! diagnostics framework plus five passes that turn the paper's proof
-//! obligations into machine-checked artifacts.
+//! Static analysis over logical plans: a reusable diagnostics framework
+//! plus the passes that turn the paper's proof obligations into
+//! machine-checked artifacts.
 //!
 //! ## Passes
 //!
@@ -35,18 +35,14 @@
 //!    diverge from naive two-valued evaluation (GBJ301–GBJ303), and
 //!    verify rewrites preserve the `=ⁿ` grouping semantics
 //!    structurally (GBJ304).
-//! 4. **Physical-plan invariants** ([`exec_pass`]) — ResourceGuard and
-//!    MetricsSink wiring on every operator, and vectorization claimed
-//!    only where the error-free vectorization rule (DESIGN.md §11)
-//!    holds. Codes GBJ401–GBJ404.
-//! 5. **Range/NULL-ness/NDV domains** ([`range_pass`], lattice in
+//! 4. **Range/NULL-ness/NDV domains** ([`range_pass`], lattice in
 //!    [`domain`]) — a bottom-up abstract interpreter seeding per-column
 //!    domains from the catalog (types, NOT NULL, CHECK) and data
 //!    statistics, transferring them through filter / project / join /
-//!    group under `=ⁿ` semantics. Proves predicate contradictions and
-//!    2VL-safe tautologies (GBJ601–GBJ605), emits per-scan
-//!    [`PruningFacts`] for zone-map pruning, and hands the engine hard
-//!    cardinality upper bounds that clamp the estimator.
+//!    group under `=ⁿ` semantics. It reads every predicate through its
+//!    two-valued lowering `⌊P⌋` (`gbj_expr::lower`), proves
+//!    contradictions and tautologies (GBJ601–GBJ605), and hands the
+//!    engine hard cardinality upper bounds that clamp the estimator.
 //!
 //! ## Diagnostics
 //!
@@ -63,7 +59,6 @@
 pub mod analyzer;
 pub mod diag;
 pub mod domain;
-pub mod exec_pass;
 pub mod fd_audit;
 pub mod null_pass;
 pub mod range_pass;
@@ -71,8 +66,6 @@ pub mod schema_pass;
 
 pub use analyzer::Analysis;
 pub use diag::{Code, Diagnostic, PlanPath, Report, Severity};
-pub use domain::{ColumnDomain, Interval, Nullability, TruthSet};
+pub use domain::{ColumnDomain, Interval, Nullability};
 pub use fd_audit::{audit_eager_outcome, failure_code, DisjunctProof, FdAudit, FdCertificate};
-pub use range_pass::{
-    analyze_plan, DomainNode, PruningFact, PruningFacts, RangeAnalysis, SeedDomains,
-};
+pub use range_pass::{analyze_plan, DomainNode, RangeAnalysis, SeedDomains};

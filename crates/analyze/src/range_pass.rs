@@ -11,17 +11,23 @@
 //! contributes `NDV + 1` possible groups and keeps its nullability in
 //! the output.
 //!
-//! On top of the domains the pass proves predicate facts in Kleene's
-//! three-valued logic (via [`TruthSet`]s) and reports the GBJ6xx
-//! diagnostic family:
+//! Predicates are read through the lowering `⌊P⌋` of `gbj_expr::lower`,
+//! the same two-valued tree the pipeline's mask kernels evaluate: each
+//! WHERE / ON conjunct is bound and lowered once, its verdict is a
+//! Boolean abstract evaluation of that tree — can it hold, can it fail
+//! — and the facts a kept row satisfies are read off its comparison and
+//! validity leaves. A comparison leaf `def(a, b) ∧ a op b` takes both
+//! answers from the operand domains; `def` can fail on a NULL, on a
+//! `Float64` operand (NaN compares with nothing) and on a cross-type
+//! pair. A conjunct that does not lower (arithmetic) proves nothing and
+//! refines nothing. The GBJ6xx diagnostic family:
 //!
-//! * **GBJ601** — a predicate provably never `true`: `⌊P⌋` discards
-//!   the whole subtree (e.g. `x > 10 AND x < 5`).
-//! * **GBJ602** — a provably-`true` predicate. The claim is only made
-//!   when `unknown` is impossible too (operands proven non-NULL) —
-//!   Libkin's 2VL-safety obligation — because `⌊P⌋` still drops the
-//!   `unknown` rows of a predicate that is `true` of every non-NULL
-//!   value.
+//! * **GBJ601** — a predicate that can never hold: `⌊P⌋` discards the
+//!   whole subtree (e.g. `x > 10 AND x < 5`).
+//! * **GBJ602** — a predicate that can never fail: `⌊P⌋` keeps every
+//!   row. Since the tree is two-valued, a NULL or NaN operand is just
+//!   another way to fail, so Libkin's 2VL-safety obligation needs no
+//!   argument of its own.
 //! * **GBJ603** — an equality between two columns with provably
 //!   disjoint domains: the (join) output is empty regardless of data.
 //! * **GBJ604** — an `IS [NOT] NULL` check on a column proven
@@ -33,23 +39,21 @@
 //! (`null_pass`); this pass suppresses its own node-level findings
 //! there so each defect gets exactly one code.
 //!
-//! Two side products feed the planner: [`PruningFacts`] — per-scan
-//! predicate→range implications for the future zone-map storage layer
-//! — and the per-node domains themselves, from which the engine
-//! derives hard cardinality upper bounds (`groups ≤ Π NDV`,
-//! empty-subtree proofs) that clamp the estimator.
+//! The per-node domains feed the engine, which derives hard cardinality
+//! upper bounds from them (`groups ≤ Π NDV`, empty-subtree proofs) to
+//! clamp the estimator, and EXPLAIN's `domains:` line.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use gbj_catalog::Catalog;
-use gbj_expr::{AggregateFunction, BinaryOp, Expr};
+use gbj_catalog::{Catalog, ColumnDef};
+use gbj_expr::{AggregateFunction, BinaryOp, Expr, Lowered, Operand};
 use gbj_plan::LogicalPlan;
-use gbj_types::{ColumnRef, Field, Schema, Value};
+use gbj_types::{ColumnRef, DataType, Field, Schema, Value};
 
 use crate::diag::{Code, Diagnostic, PlanPath, Report};
 use crate::domain::{
-    compare_domain_literal, compare_domains, flip_op, refine_by_literal, ColumnDomain, Interval,
-    Nullability, TruthSet,
+    compare_domain_literal, compare_domains, refine_by_literal, ColumnDomain, Interval, Nullability,
 };
 
 /// The canonical map key of a schema field: `qualifier.name` (or the
@@ -85,17 +89,7 @@ impl SeedDomains {
         let mut seeds = SeedDomains::default();
         for table in catalog.tables() {
             for col in &table.columns {
-                let mut dom = ColumnDomain::for_type(col.data_type, col.nullable);
-                for check in &col.checks {
-                    refine_by_check(&mut dom, &col.name, check);
-                }
-                // CHECK passes on UNKNOWN: restore declared nullability.
-                dom.nullability = if col.nullable {
-                    Nullability::Maybe
-                } else {
-                    Nullability::Never
-                };
-                seeds.insert(&table.name, &col.name, dom);
+                seeds.insert(&table.name, &col.name, check_domain(col));
             }
         }
         seeds
@@ -130,99 +124,39 @@ impl SeedDomains {
     }
 }
 
-/// Refine `dom` by a per-column CHECK expression over the bare column
-/// name: only conjunctions of `col op literal` shapes are interpreted;
-/// anything else is conservatively ignored.
-fn refine_by_check(dom: &mut ColumnDomain, column: &str, check: &Expr) {
-    match check {
-        Expr::Binary {
-            left,
-            op: BinaryOp::And,
-            right,
-        } => {
-            refine_by_check(dom, column, left);
-            refine_by_check(dom, column, right);
+/// The seed of one catalog column: its type and NOT NULL, met with its
+/// CHECKs. A CHECK admits the rows where `⌈P⌉` holds; on a non-NULL,
+/// comparable value every comparison in a one-column `P` is defined, so
+/// there `⌈P⌉` is `⌊P⌋`, and the refinement `⌊P⌋` implies bounds the
+/// comparable values — which is all an interval or value set describes.
+/// NULL and NaN pass vacuously: the declared nullability is kept, and a
+/// `Float64` column takes no NDV bound from its CHECK (NaN would be one
+/// more value).
+fn check_domain(col: &ColumnDef) -> ColumnDomain {
+    let schema = Schema::new(vec![Field::new(
+        col.name.clone(),
+        col.data_type,
+        col.nullable,
+    )]);
+    let mut map = DomainMap::new();
+    for check in &col.checks {
+        if let Some(lowered) = check.bind(&schema).ok().and_then(|b| b.lower_floor()) {
+            refine(&mut map, &schema, &lowered);
         }
-        Expr::Binary { left, op, right } if op.is_comparison() => {
-            match (left.as_ref(), right.as_ref()) {
-                (Expr::Column(c), Expr::Literal(v))
-                    if c.column.eq_ignore_ascii_case(column) && !matches!(v, Value::Null) =>
-                {
-                    refine_by_literal(dom, *op, v);
-                }
-                (Expr::Literal(v), Expr::Column(c))
-                    if c.column.eq_ignore_ascii_case(column) && !matches!(v, Value::Null) =>
-                {
-                    refine_by_literal(dom, flip_op(*op), v);
-                }
-                _ => {}
-            }
-        }
-        _ => {}
     }
-}
-
-/// One predicate→range implication at a base scan: rows surviving the
-/// plan's predicates have `column` inside `domain`. The future zone-map
-/// storage layer can skip any block whose min/max lies outside it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PruningFact {
-    /// Catalog table name.
-    pub table: String,
-    /// The qualifier the plan knows the scan by (alias or name).
-    pub qualifier: String,
-    /// Column name.
-    pub column: String,
-    /// The implied restriction, rendered via [`ColumnDomain::render`].
-    pub domain: String,
-}
-
-/// The per-scan predicate→range side-table, sorted by
-/// `(table, qualifier, column)` for deterministic rendering.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PruningFacts {
-    /// The facts, in sorted order.
-    pub facts: Vec<PruningFact>,
-}
-
-impl PruningFacts {
-    /// Whether any fact was derived.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
+    let mut dom = map
+        .into_values()
+        .next()
+        .unwrap_or_else(|| ColumnDomain::for_type(col.data_type, col.nullable));
+    dom.nullability = if col.nullable {
+        Nullability::Maybe
+    } else {
+        Nullability::Never
+    };
+    if col.data_type == DataType::Float64 {
+        dom.ndv = None;
     }
-
-    /// One-line deterministic text form:
-    /// `Emp.E.Age: [31,+inf] not-null; ...`.
-    #[must_use]
-    pub fn render_text(&self) -> String {
-        let parts: Vec<String> = self
-            .facts
-            .iter()
-            .map(|f| format!("{}.{}.{}: {}", f.table, f.qualifier, f.column, f.domain))
-            .collect();
-        parts.join("; ")
-    }
-
-    /// JSON array form (hand-rolled, stable key order).
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, f) in self.facts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"table\":\"{}\",\"qualifier\":\"{}\",\"column\":\"{}\",\"domain\":\"{}\"}}",
-                crate::diag::json_escape(&f.table),
-                crate::diag::json_escape(&f.qualifier),
-                crate::diag::json_escape(&f.column),
-                crate::diag::json_escape(&f.domain),
-            ));
-        }
-        out.push(']');
-        out
-    }
+    dom
 }
 
 /// The abstract state at one plan node.
@@ -256,11 +190,7 @@ impl DomainNode {
             if let Some(dom) = self.columns.get(&field_key(f)) {
                 let rendered = dom.render();
                 if !rendered.is_empty() {
-                    let name = match &f.qualifier {
-                        Some(q) => format!("{q}.{}", f.name),
-                        None => f.name.clone(),
-                    };
-                    parts.push(format!("{name}: {rendered}"));
+                    parts.push(format!("{}: {rendered}", display_name(f)));
                 }
             }
         }
@@ -268,54 +198,45 @@ impl DomainNode {
     }
 }
 
-/// The pass output: diagnostics, the root abstract state (children
-/// nested inside, mirroring the plan shape), and the per-scan pruning
-/// side-table.
+/// How EXPLAIN and the diagnostics name a field: `qualifier.name`.
+fn display_name(f: &Field) -> String {
+    match &f.qualifier {
+        Some(q) => format!("{q}.{}", f.name),
+        None => f.name.clone(),
+    }
+}
+
+/// The pass output: diagnostics and the root abstract state (children
+/// nested inside, mirroring the plan shape).
 #[derive(Debug, Clone)]
 pub struct RangeAnalysis {
     /// GBJ6xx findings.
     pub report: Report,
     /// The root node's abstract state.
     pub root: DomainNode,
-    /// Predicate→range implications per base scan.
-    pub pruning: PruningFacts,
 }
 
 /// Run the abstract interpreter over a plan.
 #[must_use]
 pub fn analyze_plan(plan: &LogicalPlan, seeds: &SeedDomains) -> RangeAnalysis {
-    let mut ctx = Ctx {
-        report: Report::new(String::new()),
-        pruning: BTreeMap::new(),
-        scans: BTreeMap::new(),
-    };
-    let root = walk(plan, &PlanPath::root(plan.label()), seeds, &mut ctx);
-    RangeAnalysis {
-        report: ctx.report,
-        root,
-        pruning: PruningFacts {
-            facts: ctx.pruning.into_values().collect(),
-        },
-    }
-}
-
-struct Ctx {
-    report: Report,
-    /// `(table, qualifier, column)` → fact; BTreeMap gives the sorted,
-    /// deduplicated (last-refinement-wins) side-table.
-    pruning: BTreeMap<(String, String, String), PruningFact>,
-    /// Lowercase scan qualifier → catalog table name.
-    scans: BTreeMap<String, String>,
+    let mut report = Report::new(String::new());
+    let root = walk(plan, &PlanPath::root(plan.label()), seeds, &mut report);
+    RangeAnalysis { report, root }
 }
 
 type DomainMap = BTreeMap<String, ColumnDomain>;
 
-fn walk(plan: &LogicalPlan, path: &PlanPath, seeds: &SeedDomains, ctx: &mut Ctx) -> DomainNode {
+fn walk(
+    plan: &LogicalPlan,
+    path: &PlanPath,
+    seeds: &SeedDomains,
+    report: &mut Report,
+) -> DomainNode {
     let children: Vec<DomainNode> = plan
         .children()
         .iter()
         .enumerate()
-        .map(|(i, c)| walk(c, &path.child(i, c.label()), seeds, ctx))
+        .map(|(i, c)| walk(c, &path.child(i, c.label()), seeds, report))
         .collect();
     let mut node = DomainNode {
         columns: BTreeMap::new(),
@@ -323,12 +244,7 @@ fn walk(plan: &LogicalPlan, path: &PlanPath, seeds: &SeedDomains, ctx: &mut Ctx)
         children,
     };
     match plan {
-        LogicalPlan::Scan {
-            table,
-            qualifier,
-            schema,
-        } => {
-            ctx.scans.insert(qualifier.to_lowercase(), table.clone());
+        LogicalPlan::Scan { table, schema, .. } => {
             for f in schema.fields() {
                 let mut dom = seeds
                     .get(table, &f.name)
@@ -347,7 +263,7 @@ fn walk(plan: &LogicalPlan, path: &PlanPath, seeds: &SeedDomains, ctx: &mut Ctx)
                 .map(|c| c.columns.clone())
                 .unwrap_or_default();
             if let Ok(schema) = input.schema() {
-                node.never_true = apply_predicate(&mut map, &schema, predicate, path, ctx, true);
+                node.never_true = apply_predicate(&mut map, &schema, predicate, path, report);
             }
             node.columns = map;
         }
@@ -359,7 +275,7 @@ fn walk(plan: &LogicalPlan, path: &PlanPath, seeds: &SeedDomains, ctx: &mut Ctx)
             let mut map = merged_children(&node);
             if let (Ok(ls), Ok(rs)) = (left.schema(), right.schema()) {
                 let schema = ls.join(&rs);
-                node.never_true = apply_predicate(&mut map, &schema, condition, path, ctx, true);
+                node.never_true = apply_predicate(&mut map, &schema, condition, path, report);
             }
             node.columns = map;
         }
@@ -532,72 +448,78 @@ fn aggregate_domain(
     }
 }
 
-/// Analyze one Filter/Join predicate: emit atom-level diagnostics
-/// (GBJ603/604/605) against the node's *input* domains, prove the
-/// conjunction-level verdict with progressive refinement (GBJ601/602),
-/// refine `map` assuming the predicate held, and return whether the
-/// node's output is provably empty.
+/// Analyze one Filter / Join predicate over the node's input `schema`:
+/// bind and lower each conjunct to `⌊c⌋` once, fire its atom-level
+/// finding (GBJ603/604/605) against the node's *input* domains, prove
+/// the conjunction's verdict (GBJ601/602) with progressive refinement,
+/// refine `map` as if the predicate held, and return whether the node's
+/// output is provably empty.
 fn apply_predicate(
     map: &mut DomainMap,
     schema: &Schema,
     predicate: &Expr,
     path: &PlanPath,
-    ctx: &mut Ctx,
-    emit: bool,
+    report: &mut Report,
 ) -> bool {
-    let snapshot = map.clone();
-    let conjuncts = flatten_conjuncts(predicate);
-    let mut running = TruthSet::two_valued(true, false);
-    let mut atom_fired = false;
-    let mut saw_null_literal = false;
-    for c in &conjuncts {
-        if contains_null_literal_cmp(c) {
-            // GBJ301's territory (null_pass): suppress our diagnostics,
-            // but the conjunct still proves the subtree empty.
-            saw_null_literal = true;
-            running = running.and(&TruthSet {
-                can_true: false,
-                can_false: false,
-                can_unknown: true,
-            });
+    let conjuncts: Vec<(&Expr, Option<Lowered>)> = flatten_conjuncts(predicate)
+        .into_iter()
+        .map(|c| (c, c.bind(schema).ok().and_then(|b| b.lower_floor())))
+        .collect();
+    // A comparison with a literal NULL is GBJ301's (null_pass): it
+    // draws no finding from this pass, at either level.
+    let mut quiet = false;
+    for (written, lowered) in &conjuncts {
+        if contains_null_literal_cmp(written) {
+            quiet = true;
+        } else if let Some(finding) = lowered
+            .as_ref()
+            .and_then(|l| atom_finding(map, schema, written, l))
+        {
+            report.push(finding.at(path.clone()));
+            quiet = true;
+        }
+    }
+    // Each conjunct is judged on the domains the ones before it left,
+    // then refines them as if it held; one that does not lower proves
+    // nothing and refines nothing.
+    let (mut can_hold, mut can_fail) = (true, false);
+    for (_, lowered) in &conjuncts {
+        let Some(lowered) = lowered else {
+            can_fail = true;
             continue;
-        }
-        if emit && atom_diagnostics(&snapshot, schema, c, path, ctx) {
-            atom_fired = true;
-        }
-        let ts = truth_set_of(map, schema, c);
-        running = running.and(&ts);
-        refine_assuming_true(map, schema, c, ctx);
+        };
+        let (hold, fail) = verdict(map, schema, lowered);
+        can_hold &= hold;
+        can_fail |= fail;
+        refine(map, schema, lowered);
     }
-    if emit && !saw_null_literal && !atom_fired {
-        if running.never_true() {
-            ctx.report.push(
-                Diagnostic::new(
-                    Code::AlwaysFalsePredicate,
-                    format!(
-                        "predicate `{predicate}` is provably never true: no value in the \
-                         columns' domains satisfies it, so ⌊P⌋ keeps no rows"
-                    ),
-                )
-                .at(path.clone())
-                .note("the subtree under this predicate is provably empty"),
-            );
-        } else if running.always_true() {
-            ctx.report.push(
-                Diagnostic::new(
-                    Code::TautologicalPredicate,
-                    format!(
-                        "predicate `{predicate}` is provably true on every row — the \
-                         operands are non-NULL (2VL-safe) and their domains admit no \
-                         other outcome"
-                    ),
-                )
-                .at(path.clone())
-                .note("the filter keeps everything; it can be deleted without changing answers"),
-            );
-        }
+    if !quiet && !can_hold {
+        report.push(
+            Diagnostic::new(
+                Code::AlwaysFalsePredicate,
+                format!(
+                    "predicate `{predicate}` is provably never true: no value in the \
+                     columns' domains satisfies it, so ⌊P⌋ keeps no rows"
+                ),
+            )
+            .at(path.clone())
+            .note("the subtree under this predicate is provably empty"),
+        );
+    } else if !quiet && !can_fail {
+        report.push(
+            Diagnostic::new(
+                Code::TautologicalPredicate,
+                format!(
+                    "predicate `{predicate}` is provably true on every row — the \
+                     operands are non-NULL (2VL-safe) and their domains admit no \
+                     other outcome"
+                ),
+            )
+            .at(path.clone())
+            .note("the filter keeps everything; it can be deleted without changing answers"),
+        );
     }
-    running.never_true()
+    !can_hold
 }
 
 /// Flatten nested `AND`s into a conjunct list.
@@ -631,273 +553,225 @@ fn contains_null_literal_cmp(e: &Expr) -> bool {
     }
 }
 
-/// Look up (or reconstruct from the schema) the domain of a column.
-fn domain_of<'a>(
+/// Column `i` of the node's input: its field, and its domain in `map`
+/// (the type's when nothing is known yet).
+fn column<'a>(
     map: &'a DomainMap,
+    schema: &'a Schema,
+    i: usize,
+) -> Option<(&'a Field, Cow<'a, ColumnDomain>)> {
+    let field = schema.fields().get(i)?;
+    let dom = map.get(&field_key(field)).map_or_else(
+        || Cow::Owned(ColumnDomain::for_type(field.data_type, field.nullable)),
+        Cow::Borrowed,
+    );
+    Some((field, dom))
+}
+
+/// The atom-level finding one lowered conjunct earns against `map`,
+/// printed as `atom` was written: a NULL check on a column proven
+/// non-NULL (GBJ604), a comparison with a literal outside the column's
+/// domain (GBJ605), an equality of two disjoint columns (GBJ603).
+fn atom_finding(
+    map: &DomainMap,
     schema: &Schema,
-    c: &ColumnRef,
-) -> Option<ColumnDomainRef<'a>> {
-    let (_, field) = schema.resolve(c).ok()?;
-    let key = field_key(field);
-    Some(match map.get(&key) {
-        Some(dom) => ColumnDomainRef::Known(dom),
-        None => ColumnDomainRef::Fresh(ColumnDomain::for_type(field.data_type, field.nullable)),
+    atom: &Expr,
+    lowered: &Lowered,
+) -> Option<Diagnostic> {
+    let (c, verdict) = match lowered {
+        Lowered::Valid(c) => (*c, "true"),
+        Lowered::Not(inner) => match **inner {
+            Lowered::Valid(c) => (c, "false"),
+            _ => return None,
+        },
+        Lowered::Cmp {
+            left: Operand::Column(c),
+            op,
+            right: Operand::Literal(v),
+        } => {
+            let (field, dom) = column(map, schema, *c)?;
+            if compare_domain_literal(&dom, *op, v).0 || dom.is_value_empty() {
+                return None;
+            }
+            return Some(
+                Diagnostic::new(
+                    Code::OutOfDomainComparison,
+                    format!(
+                        "`{atom}` can never be true: the proven domain of `{}` is `{}`",
+                        display_name(field),
+                        dom.render()
+                    ),
+                )
+                .note("the literal lies outside the column's proven domain"),
+            );
+        }
+        Lowered::Cmp {
+            left: Operand::Column(a),
+            op: BinaryOp::Eq,
+            right: Operand::Column(b),
+        } => {
+            let ((fa, da), (fb, db)) = (column(map, schema, *a)?, column(map, schema, *b)?);
+            if compare_domains(&da, BinaryOp::Eq, &db).0
+                || da.is_value_empty()
+                || db.is_value_empty()
+            {
+                return None;
+            }
+            return Some(
+                Diagnostic::new(
+                    Code::ProvablyEmptyJoin,
+                    format!(
+                        "equi-join key domains are disjoint: `{}` in `{}` never equals `{}` \
+                         in `{}`",
+                        display_name(fa),
+                        da.render(),
+                        display_name(fb),
+                        db.render()
+                    ),
+                )
+                .note("the join output is provably empty regardless of the data"),
+            );
+        }
+        _ => return None,
+    };
+    let (field, dom) = column(map, schema, c)?;
+    (dom.nullability == Nullability::Never).then(|| {
+        Diagnostic::new(
+            Code::RedundantNullCheck,
+            format!(
+                "`{atom}` is constantly {verdict}: `{}` is proven non-NULL, so the check is \
+                 redundant and 2VL-safe to delete",
+                display_name(field)
+            ),
+        )
     })
 }
 
-enum ColumnDomainRef<'a> {
-    Known(&'a ColumnDomain),
-    Fresh(ColumnDomain),
-}
-
-impl ColumnDomainRef<'_> {
-    fn get(&self) -> &ColumnDomain {
-        match self {
-            ColumnDomainRef::Known(d) => d,
-            ColumnDomainRef::Fresh(d) => d,
+/// `(can_hold, can_fail)`: whether the lowered condition can be true,
+/// and whether it can be false, on some row the domains in `map` allow.
+/// The tree is two-valued, so the connectives are Boolean.
+fn verdict(map: &DomainMap, schema: &Schema, lowered: &Lowered) -> (bool, bool) {
+    match lowered {
+        Lowered::Const(b) => (*b, !*b),
+        Lowered::Valid(c) => match column(map, schema, *c).map(|(_, d)| d.nullability) {
+            Some(Nullability::Never) => (true, false),
+            Some(Nullability::Always) => (false, true),
+            _ => (true, true),
+        },
+        Lowered::Bool { .. } => (true, true),
+        Lowered::Cmp { left, op, right } => compare(map, schema, left, *op, right),
+        Lowered::Not(inner) => {
+            let (hold, fail) = verdict(map, schema, inner);
+            (fail, hold)
+        }
+        Lowered::And(a, b) => {
+            let ((ha, fa), (hb, fb)) = (verdict(map, schema, a), verdict(map, schema, b));
+            (ha && hb, fa || fb)
+        }
+        Lowered::Or(a, b) => {
+            let ((ha, fa), (hb, fb)) = (verdict(map, schema, a), verdict(map, schema, b));
+            (ha || hb, fa && fb)
         }
     }
 }
 
-/// Fire atom-level diagnostics for one conjunct against the node's
-/// input domains; returns whether any fired (which suppresses the
-/// node-level GBJ601/602 so each defect gets exactly one code).
-fn atom_diagnostics(
-    snapshot: &DomainMap,
+/// The comparison leaf `def(a, b) ∧ a op b`: the comparison itself is
+/// read off the operand domains, and `def` can fail on a NULL, on NaN
+/// and on a cross-type pair. A Boolean expression used as a value
+/// proves nothing.
+fn compare(
+    map: &DomainMap,
     schema: &Schema,
-    atom: &Expr,
-    path: &PlanPath,
-    ctx: &mut Ctx,
-) -> bool {
-    match atom {
-        Expr::IsNull { expr, negated } => {
-            if let Expr::Column(c) = expr.as_ref() {
-                if let Some(dom) = domain_of(snapshot, schema, c) {
-                    if dom.get().nullability == Nullability::Never {
-                        let verdict = if *negated { "true" } else { "false" };
-                        ctx.report.push(
-                            Diagnostic::new(
-                                Code::RedundantNullCheck,
-                                format!(
-                                    "`{atom}` is constantly {verdict}: `{c}` is proven \
-                                     non-NULL, so the check is redundant and 2VL-safe to \
-                                     delete"
-                                ),
-                            )
-                            .at(path.clone()),
-                        );
-                        return true;
-                    }
-                }
-            }
-            false
+    left: &Operand,
+    op: BinaryOp,
+    right: &Operand,
+) -> (bool, bool) {
+    let Some((a, (fa, da))) = (match left {
+        Operand::Column(a) => column(map, schema, *a).map(|col| (*a, col)),
+        _ => None,
+    }) else {
+        return (true, true);
+    };
+    let (hold, fail, defined) = match right {
+        Operand::Literal(v) => {
+            let (hold, fail) = compare_domain_literal(&da, op, v);
+            let nan = matches!(v, Value::Float(f) if f.is_nan());
+            let kinds = v.data_type().is_some_and(|t| comparable(fa.data_type, t));
+            (hold, fail, kinds && !nan && !da.nullability.can_be_null())
         }
-        Expr::Binary { left, op, right } if op.is_comparison() => {
-            match (left.as_ref(), right.as_ref()) {
-                (Expr::Column(c), Expr::Literal(v)) | (Expr::Literal(v), Expr::Column(c))
-                    if !matches!(v, Value::Null) =>
-                {
-                    let effective = if matches!(left.as_ref(), Expr::Column(_)) {
-                        *op
-                    } else {
-                        flip_op(*op)
-                    };
-                    let Some(dom) = domain_of(snapshot, schema, c) else {
-                        return false;
-                    };
-                    let ts = compare_domain_literal(dom.get(), effective, v);
-                    if ts.never_true() && !dom.get().is_value_empty() {
-                        let rendered = dom.get().render();
-                        ctx.report.push(
-                            Diagnostic::new(
-                                Code::OutOfDomainComparison,
-                                format!(
-                                    "`{atom}` can never be true: the proven domain of \
-                                     `{c}` is `{rendered}`"
-                                ),
-                            )
-                            .at(path.clone())
-                            .note("the literal lies outside the column's proven domain"),
-                        );
-                        return true;
-                    }
-                    false
-                }
-                (Expr::Column(a), Expr::Column(b)) if *op == BinaryOp::Eq => {
-                    let (Some(da), Some(db)) = (
-                        domain_of(snapshot, schema, a),
-                        domain_of(snapshot, schema, b),
-                    ) else {
-                        return false;
-                    };
-                    let ts = compare_domains(da.get(), BinaryOp::Eq, db.get());
-                    if ts.never_true() && !da.get().is_value_empty() && !db.get().is_value_empty() {
-                        ctx.report.push(
-                            Diagnostic::new(
-                                Code::ProvablyEmptyJoin,
-                                format!(
-                                    "equi-join key domains are disjoint: `{a}` in \
-                                     `{}` never equals `{b}` in `{}`",
-                                    da.get().render(),
-                                    db.get().render()
-                                ),
-                            )
-                            .at(path.clone())
-                            .note("the join output is provably empty regardless of the data"),
-                        );
-                        return true;
-                    }
-                    false
-                }
-                _ => false,
-            }
+        Operand::Column(b) => {
+            let Some((fb, db)) = column(map, schema, *b) else {
+                return (true, true);
+            };
+            let (hold, fail) = if a == *b {
+                let reflexive = matches!(op, BinaryOp::Eq | BinaryOp::LtEq | BinaryOp::GtEq);
+                (reflexive, !reflexive)
+            } else {
+                compare_domains(&da, op, &db)
+            };
+            let kinds =
+                comparable(fa.data_type, fb.data_type) && comparable(fb.data_type, fa.data_type);
+            let nulls = da.nullability.can_be_null() || db.nullability.can_be_null();
+            (hold, fail, kinds && !nulls)
         }
-        _ => false,
-    }
+        Operand::Cond { .. } => return (true, true),
+    };
+    (hold, fail || !defined)
 }
 
-/// The possible Kleene outcomes of an expression given the domains.
-fn truth_set_of(map: &DomainMap, schema: &Schema, e: &Expr) -> TruthSet {
-    match e {
-        Expr::Literal(Value::Bool(b)) => TruthSet::two_valued(*b, !*b),
-        Expr::Literal(Value::Null) => TruthSet {
-            can_true: false,
-            can_false: false,
-            can_unknown: true,
-        },
-        Expr::Literal(_) => TruthSet::TOP,
-        Expr::Column(c) => {
-            let nullable =
-                domain_of(map, schema, c).is_none_or(|d| d.get().nullability.can_be_null());
-            TruthSet {
-                can_true: true,
-                can_false: true,
-                can_unknown: nullable,
-            }
-        }
-        Expr::Not(inner) => truth_set_of(map, schema, inner).not(),
-        Expr::Neg(_) => TruthSet::TOP,
-        Expr::IsNull { expr, negated } => {
-            if let Expr::Column(c) = expr.as_ref() {
-                if let Some(dom) = domain_of(map, schema, c) {
-                    let n = dom.get().nullability;
-                    let (can_true, can_false) = if *negated {
-                        (n != Nullability::Always, n != Nullability::Never)
-                    } else {
-                        (n != Nullability::Never, n != Nullability::Always)
-                    };
-                    return TruthSet::two_valued(can_true, can_false);
-                }
-            }
-            TruthSet::two_valued(true, true)
-        }
-        Expr::Binary { left, op, right } => match op {
-            BinaryOp::And => truth_set_of(map, schema, left).and(&truth_set_of(map, schema, right)),
-            BinaryOp::Or => truth_set_of(map, schema, left).or(&truth_set_of(map, schema, right)),
-            op if op.is_comparison() => {
-                match (left.as_ref(), right.as_ref()) {
-                    (_, Expr::Literal(Value::Null)) | (Expr::Literal(Value::Null), _) => TruthSet {
-                        can_true: false,
-                        can_false: false,
-                        can_unknown: true,
-                    },
-                    (Expr::Column(c), Expr::Literal(v)) => domain_of(map, schema, c)
-                        .map_or(TruthSet::TOP, |d| compare_domain_literal(d.get(), *op, v)),
-                    (Expr::Literal(v), Expr::Column(c)) => domain_of(map, schema, c)
-                        .map_or(TruthSet::TOP, |d| {
-                            compare_domain_literal(d.get(), flip_op(*op), v)
-                        }),
-                    (Expr::Column(a), Expr::Column(b)) => {
-                        // A column compared with itself is decided by
-                        // reflexivity, modulo the NULL→UNKNOWN case.
-                        if let (Ok((ia, fa)), Ok((ib, _))) = (schema.resolve(a), schema.resolve(b))
-                        {
-                            if ia == ib {
-                                let nullable = map
-                                    .get(&field_key(fa))
-                                    .map_or(fa.nullable, |d| d.nullability.can_be_null());
-                                let holds =
-                                    matches!(op, BinaryOp::Eq | BinaryOp::GtEq | BinaryOp::LtEq);
-                                return TruthSet {
-                                    can_true: holds,
-                                    can_false: !holds,
-                                    can_unknown: nullable,
-                                };
-                            }
-                        }
-                        match (domain_of(map, schema, a), domain_of(map, schema, b)) {
-                            (Some(da), Some(db)) => compare_domains(da.get(), *op, db.get()),
-                            _ => TruthSet::TOP,
-                        }
-                    }
-                    (Expr::Literal(l), Expr::Literal(r)) => {
-                        match gbj_expr::compare_values(l, *op, r) {
-                            gbj_types::Truth::True => TruthSet::two_valued(true, false),
-                            gbj_types::Truth::False => TruthSet::two_valued(false, true),
-                            gbj_types::Truth::Unknown => TruthSet {
-                                can_true: false,
-                                can_false: false,
-                                can_unknown: true,
-                            },
-                        }
-                    }
-                    _ => TruthSet::TOP,
-                }
-            }
-            _ => TruthSet::TOP,
-        },
-    }
+/// Whether a non-NULL cell of type `cell` always compares with a
+/// non-NaN value of type `other`: a `Float64` cell may hold NaN, and a
+/// cross-type pair never compares.
+fn comparable(cell: DataType, other: DataType) -> bool {
+    cell != DataType::Float64 && (cell == other || (cell.is_numeric() && other.is_numeric()))
 }
 
-/// Refine the domains under the assumption that one conjunct evaluated
-/// to `true`, recording per-scan pruning facts along the way.
-fn refine_assuming_true(map: &mut DomainMap, schema: &Schema, conjunct: &Expr, ctx: &mut Ctx) {
-    match conjunct {
-        Expr::Binary { left, op, right } if op.is_comparison() => {
-            match (left.as_ref(), right.as_ref()) {
-                (Expr::Column(c), Expr::Literal(v)) if !matches!(v, Value::Null) => {
-                    refine_column(map, schema, c, ctx, |dom| refine_by_literal(dom, *op, v));
-                }
-                (Expr::Literal(v), Expr::Column(c)) if !matches!(v, Value::Null) => {
-                    refine_column(map, schema, c, ctx, |dom| {
-                        refine_by_literal(dom, flip_op(*op), v);
-                    });
-                }
-                (Expr::Column(a), Expr::Column(b)) => {
-                    // A true comparison proves both operands non-NULL;
-                    // equality also meets the two domains.
-                    let met = if *op == BinaryOp::Eq {
-                        match (
-                            domain_of(map, schema, a).map(|d| d.get().clone()),
-                            domain_of(map, schema, b).map(|d| d.get().clone()),
-                        ) {
-                            (Some(da), Some(db)) => Some(da.intersect(&db)),
-                            _ => None,
-                        }
-                    } else {
-                        None
-                    };
-                    for col in [a, b] {
-                        refine_column(map, schema, col, ctx, |dom| {
-                            if let Some(met) = &met {
-                                *dom = met.clone();
-                            }
-                            dom.nullability = Nullability::Never;
-                        });
-                    }
-                }
-                _ => {}
+/// Refine the domains as if the lowered condition held: both sides of an
+/// `∧` hold, a comparison with a literal bounds its column (the lowering
+/// has moved the literal right), an equality of two columns meets their
+/// domains, any comparison that holds proves its columns non-NULL, and
+/// `valid(c)` / `¬valid(c)` prove `c` non-NULL / NULL.
+fn refine(map: &mut DomainMap, schema: &Schema, lowered: &Lowered) {
+    match lowered {
+        Lowered::And(a, b) => {
+            refine(map, schema, a);
+            refine(map, schema, b);
+        }
+        Lowered::Valid(c) => refine_column(map, schema, *c, |dom, _| {
+            dom.nullability = Nullability::Never;
+        }),
+        Lowered::Not(inner) => {
+            if let Lowered::Valid(c) = **inner {
+                refine_column(map, schema, c, |dom, _| {
+                    dom.nullability = Nullability::Always;
+                    dom.clear_values();
+                });
             }
         }
-        Expr::IsNull { expr, negated } => {
-            if let Expr::Column(c) = expr.as_ref() {
-                refine_column(map, schema, c, ctx, |dom| {
-                    if *negated {
-                        dom.nullability = Nullability::Never;
-                    } else {
-                        dom.nullability = Nullability::Always;
-                        dom.clear_values();
+        Lowered::Cmp {
+            left: Operand::Column(c),
+            op,
+            right: Operand::Literal(v),
+        } => refine_column(map, schema, *c, |dom, ty| {
+            refine_by_literal(dom, ty, *op, v)
+        }),
+        Lowered::Cmp {
+            left: Operand::Column(a),
+            op,
+            right: Operand::Column(b),
+        } => {
+            let eq = *op == BinaryOp::Eq;
+            let [da, db] = [*a, *b].map(|i| {
+                column(map, schema, i)
+                    .filter(|_| eq)
+                    .map(|(_, d)| d.into_owned())
+            });
+            for (col, other) in [(*a, db), (*b, da)] {
+                refine_column(map, schema, col, |dom, _| {
+                    if let Some(other) = other {
+                        *dom = dom.intersect(&other);
                     }
+                    dom.nullability = Nullability::Never;
                 });
             }
         }
@@ -905,46 +779,27 @@ fn refine_assuming_true(map: &mut DomainMap, schema: &Schema, conjunct: &Expr, c
     }
 }
 
-/// Apply a refinement to one column's map entry and record the pruning
-/// fact when the column belongs to a base scan.
+/// Apply a refinement, given the column's type, to column `i`'s entry
+/// in `map` (the type's domain when nothing is known yet).
 fn refine_column(
     map: &mut DomainMap,
     schema: &Schema,
-    c: &ColumnRef,
-    ctx: &mut Ctx,
-    f: impl FnOnce(&mut ColumnDomain),
+    i: usize,
+    f: impl FnOnce(&mut ColumnDomain, DataType),
 ) {
-    let Ok((_, field)) = schema.resolve(c) else {
+    let Some(field) = schema.fields().get(i) else {
         return;
     };
-    let key = field_key(field);
     let dom = map
-        .entry(key)
+        .entry(field_key(field))
         .or_insert_with(|| ColumnDomain::for_type(field.data_type, field.nullable));
-    f(dom);
-    if let Some(qualifier) = &field.qualifier {
-        if let Some(table) = ctx.scans.get(&qualifier.to_lowercase()) {
-            let rendered = dom.render();
-            if !rendered.is_empty() {
-                ctx.pruning.insert(
-                    (table.clone(), qualifier.clone(), field.name.clone()),
-                    PruningFact {
-                        table: table.clone(),
-                        qualifier: qualifier.clone(),
-                        column: field.name.clone(),
-                        domain: rendered,
-                    },
-                );
-            }
-        }
-    }
+    f(dom, field.data_type);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbj_catalog::{ColumnDef, TableDef};
-    use gbj_types::DataType;
+    use gbj_catalog::TableDef;
 
     fn scan(nullable_a: bool) -> LogicalPlan {
         LogicalPlan::Scan {
@@ -954,6 +809,7 @@ mod tests {
                 Field::new("A", DataType::Int64, nullable_a).with_qualifier("T"),
                 Field::new("B", DataType::Int64, false).with_qualifier("T"),
                 Field::new("S", DataType::Utf8, true).with_qualifier("T"),
+                Field::new("F", DataType::Float64, false).with_qualifier("T"),
             ]),
         }
     }
@@ -994,9 +850,6 @@ mod tests {
             .unwrap();
         assert_eq!(dom.group_ndv_upper(), Some(10.0));
         assert_eq!(dom.nullability, Nullability::Never);
-        // The restriction lands in the pruning side-table for the scan.
-        assert_eq!(r.pruning.facts.len(), 1);
-        assert_eq!(r.pruning.render_text(), "T.T.A: [0,9] not-null");
     }
 
     #[test]
@@ -1013,6 +866,46 @@ mod tests {
         let pred = Expr::col("T", "A").binary(BinaryOp::GtEq, Expr::col("T", "A"));
         let r = run(&filter(pred, true));
         assert!(r.report.is_empty(), "{}", r.report.render_text());
+    }
+
+    #[test]
+    fn a_float_operand_can_fail_on_nan() {
+        // `F = F` fails on a NaN cell, which is not NULL: no tautology.
+        let pred = Expr::col("T", "F").eq(Expr::col("T", "F"));
+        assert!(run(&filter(pred, true)).report.is_empty());
+        let pred = Expr::col("T", "F").binary(BinaryOp::Lt, Expr::col("T", "F"));
+        assert_eq!(
+            run(&filter(pred, true)).report.codes(),
+            vec![Code::AlwaysFalsePredicate]
+        );
+    }
+
+    #[test]
+    fn refinement_reads_the_lowering() {
+        // `5 < A` and `NOT (A <= 5)` both lower to `A > 5`.
+        let a = || Expr::col("T", "A");
+        let flipped = Expr::lit(5i64).binary(BinaryOp::Lt, a());
+        let negated = Expr::Not(Box::new(a().binary(BinaryOp::LtEq, Expr::lit(5i64))));
+        for pred in [flipped, negated] {
+            let plan = filter(pred, true);
+            let r = run(&plan);
+            let dom = r
+                .root
+                .domain_of(&plan.schema().unwrap(), &ColumnRef::qualified("T", "A"))
+                .unwrap();
+            assert_eq!(dom.render(), "[6,+inf] not-null");
+        }
+    }
+
+    #[test]
+    fn a_null_literal_disjunct_does_not_empty_the_subtree() {
+        // `A = NULL OR A > 5` keeps the rows with `A > 5`.
+        let pred = Expr::col("T", "A")
+            .eq(Expr::Literal(Value::Null))
+            .or(Expr::col("T", "A").binary(BinaryOp::Gt, Expr::lit(5i64)));
+        let r = run(&filter(pred, true));
+        assert!(r.report.is_empty(), "{}", r.report.render_text());
+        assert!(!r.root.never_true);
     }
 
     #[test]
@@ -1088,10 +981,10 @@ mod tests {
         };
         let mut seeds = SeedDomains::default();
         let mut lo = ColumnDomain::for_type(DataType::Int64, false);
-        refine_by_literal(&mut lo, BinaryOp::Lt, &Value::Int(2000));
+        refine_by_literal(&mut lo, DataType::Int64, BinaryOp::Lt, &Value::Int(2000));
         seeds.insert("Old", "Year", lo);
         let mut hi = ColumnDomain::for_type(DataType::Int64, false);
-        refine_by_literal(&mut hi, BinaryOp::GtEq, &Value::Int(2000));
+        refine_by_literal(&mut hi, DataType::Int64, BinaryOp::GtEq, &Value::Int(2000));
         seeds.insert("New", "Year", hi);
         let plan = LogicalPlan::Join {
             left: Box::new(old),
@@ -1171,7 +1064,7 @@ mod tests {
         let r = run(&plan);
         let schema = plan.schema().unwrap();
         let line = r.root.render_columns(&schema);
-        assert_eq!(line, "T.A: [0,+inf] not-null; T.B: not-null");
+        assert_eq!(line, "T.A: [0,+inf] not-null; T.B: not-null; T.F: not-null");
         let again = run(&plan).root.render_columns(&schema);
         assert_eq!(line, again);
     }

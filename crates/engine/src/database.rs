@@ -179,10 +179,9 @@ pub struct QueryReport {
 }
 
 impl QueryReport {
-    /// Render the EXPLAIN text. The `domains:` and `pruning:` lines are
-    /// the range pass's catalog-seeded facts about the chosen plan,
-    /// computed here from `catalog`: nothing on the query path reads
-    /// them.
+    /// Render the EXPLAIN text. The `domains:` line is the range pass's
+    /// catalog-seeded facts about the chosen plan's output, computed
+    /// here from `catalog`: nothing on the query path reads it.
     #[must_use]
     pub fn explain(&self, catalog: &Catalog) -> String {
         let mut out = String::new();
@@ -210,7 +209,7 @@ impl QueryReport {
         if let Some(c) = &self.certificate {
             out.push_str(c);
         }
-        out.push_str(&range_annotations(&self.plan, catalog));
+        out.push_str(&domains_line(&self.plan, catalog));
         out.push_str("plan:\n");
         out.push_str(&self.plan.display_tree());
         if let Some(alt) = &self.alternative {
@@ -221,22 +220,18 @@ impl QueryReport {
     }
 }
 
-/// EXPLAIN's `domains:` and `pruning:` lines: the range pass over
-/// `plan` from catalog-only seeds, so the text is data-independent.
-/// Each line is left out when it has nothing to say.
-fn range_annotations(plan: &LogicalPlan, catalog: &Catalog) -> String {
+/// EXPLAIN's `domains:` line: the range pass over `plan` from
+/// catalog-only seeds, so the text is data-independent. Left out when
+/// it has nothing to say.
+fn domains_line(plan: &LogicalPlan, catalog: &Catalog) -> String {
     let analysis = analyze_plan(plan, &SeedDomains::from_catalog(catalog));
-    let mut out = String::new();
-    if let Ok(schema) = plan.schema() {
-        let domains = analysis.root.render_columns(&schema);
-        if !domains.is_empty() {
-            out.push_str(&format!("domains: {domains}\n"));
-        }
+    match plan
+        .schema()
+        .map(|schema| analysis.root.render_columns(&schema))
+    {
+        Ok(domains) if !domains.is_empty() => format!("domains: {domains}\n"),
+        _ => String::new(),
     }
-    if !analysis.pruning.is_empty() {
-        out.push_str(&format!("pruning: {}\n", analysis.pruning.render_text()));
-    }
-    out
 }
 
 /// Everything measured while running one query: separate planning and

@@ -5,8 +5,9 @@
 //! ([`crate::pipeline`]), at one part or over several, must reproduce
 //! its rows, its first error and its counter fingerprint byte for byte.
 //! It can promise that only for plans whose every expression is in the
-//! error-free rule (see [`crate::vectorized`]) and whose every join has
-//! an equi key to hash on, so one walker decides, over the whole plan:
+//! error-free rule — the domain `gbj_expr::lower` is defined on, see
+//! [`crate::vectorized`] — and whose every join has an equi key to hash
+//! on, so one walker decides, over the whole plan:
 //! any refusal sends the *entire* plan to the next slower configuration
 //! — never a per-operator mix.
 
@@ -17,7 +18,6 @@ use gbj_plan::{split_equi_keys, LogicalPlan};
 use gbj_types::{Result, Schema};
 
 use crate::executor::ExecOptions;
-use crate::vectorized::vectorizable;
 
 /// The execution path [`execution_path`] picked for a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,12 +148,12 @@ pub fn execution_path(plan: &LogicalPlan, options: &ExecOptions) -> ExecPath {
     }
 }
 
-/// Whether every expression binds against `schema` into the error-free
-/// vectorizable subset.
+/// Whether every expression binds against `schema` and lowers: the
+/// error-free domain, the one the kernels evaluate.
 fn error_free<'e>(schema: &Result<Schema>, mut exprs: impl Iterator<Item = &'e Expr>) -> bool {
     schema
         .as_ref()
-        .is_ok_and(|s| exprs.all(|e| e.bind(s).is_ok_and(|b| vectorizable(&b))))
+        .is_ok_and(|s| exprs.all(|e| e.bind(s).is_ok_and(|b| b.lower_value().is_some())))
 }
 
 /// The first operator of `plan` outside the gate, if any. `sharded`

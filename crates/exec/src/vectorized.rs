@@ -17,9 +17,9 @@
 //!
 //! **The error-free vectorization rule.** Only expressions that can
 //! never raise an execution error are vectorized: column references,
-//! literals, comparisons, `AND`/`OR`/`NOT`, and `IS [NOT] NULL`
-//! ([`vectorizable`] is the gate, and exactly the domain the lowering
-//! is defined on). Arithmetic (`+ - * /`, unary `-`) can overflow or
+//! literals, comparisons, `AND`/`OR`/`NOT`, and `IS [NOT] NULL` —
+//! exactly the domain the lowering is defined on, so the gate asks the
+//! lowering ([`BoundExpr::lower_value`] is `Some`). Arithmetic (`+ - * /`, unary `-`) can overflow or
 //! divide by zero, and the row engine's error — the first one in
 //! row-major, depth-first, short-circuit order — is impossible to
 //! reproduce when evaluation is reordered column-major. Rather than
@@ -58,37 +58,20 @@ use gbj_types::{internal_err, Result, Value};
 
 use crate::batch::{Bitmap, ColumnVector, ColumnarBatch, StringDict};
 
-/// Whether `expr` is in the error-free vectorizable domain: columns,
-/// literals, comparisons, logical connectives and `IS [NOT] NULL`.
-/// Arithmetic is excluded — it can error, and error order must stay
-/// the row engine's (see the module docs).
-#[must_use]
-pub fn vectorizable(expr: &BoundExpr) -> bool {
-    match expr {
-        BoundExpr::Column(_) | BoundExpr::Literal(_) => true,
-        BoundExpr::Binary { left, op, right } => {
-            !op.is_arithmetic() && vectorizable(left) && vectorizable(right)
-        }
-        BoundExpr::Not(e) => vectorizable(e),
-        BoundExpr::Neg(_) => false,
-        BoundExpr::IsNull { expr, .. } => vectorizable(expr),
-    }
-}
-
 fn outside_the_gate() -> gbj_types::Error {
     internal_err!("vectorized evaluation of a non-vectorizable expression")
 }
 
 /// `⌊predicate⌋`, lowered where the pipeline binds a filter or a join
-/// residual. Requires [`vectorizable`]`(predicate)`: anything else is
-/// an internal error (the gate runs before the pipeline does).
+/// residual. A predicate that does not lower is an internal error (the
+/// gate runs before the pipeline does).
 pub(crate) fn lower_predicate(predicate: &BoundExpr) -> Result<Lowered> {
     predicate.lower_floor().ok_or_else(outside_the_gate)
 }
 
 /// `expr` as a value the kernels can produce: a column passed on, a
-/// literal, or the two lowerings of a Boolean expression. Requires
-/// [`vectorizable`]`(expr)`.
+/// literal, or the two lowerings of a Boolean expression. An expression
+/// that does not lower is an internal error.
 pub(crate) fn lower_value(expr: &BoundExpr) -> Result<Operand> {
     expr.lower_value().ok_or_else(outside_the_gate)
 }
@@ -489,34 +472,6 @@ mod tests {
     fn assert_matches_row_engine(e: &BoundExpr) {
         let batch = ColumnarBatch::from_rows(&rows(), 4).unwrap();
         assert_matches_row_engine_on(e, &rows(), &batch);
-    }
-
-    #[test]
-    fn vectorizable_gate() {
-        assert!(vectorizable(&bind(
-            Expr::bare("a").eq(Expr::lit(Value::Int(1)))
-        )));
-        assert!(vectorizable(&bind(
-            Expr::bare("a")
-                .eq(Expr::bare("b"))
-                .and(Expr::bare("s").eq(Expr::lit(Value::str("x")))),
-        )));
-        assert!(vectorizable(&bind(Expr::IsNull {
-            expr: Box::new(Expr::bare("a")),
-            negated: true,
-        })));
-        // Arithmetic can error: excluded — from the gate and from the
-        // lowering alike.
-        let sum = bind(
-            Expr::bare("a")
-                .binary(BinaryOp::Add, Expr::bare("b"))
-                .eq(Expr::lit(Value::Int(3))),
-        );
-        assert!(!vectorizable(&sum));
-        assert_eq!(lower_predicate(&sum).unwrap_err().kind(), "internal");
-        let neg = bind(Expr::Neg(Box::new(Expr::bare("a"))));
-        assert!(!vectorizable(&neg));
-        assert_eq!(lower_value(&neg).unwrap_err().kind(), "internal");
     }
 
     #[test]

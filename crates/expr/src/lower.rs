@@ -38,6 +38,10 @@
 //! connective raises depends on the third truth value the lowering
 //! removes (`unknown AND <error>` raises, `false AND <error>` does not,
 //! and `⌊·⌋` cannot tell them apart), so such a tree lowers to `None`.
+//! That domain is the pipeline's: its gate admits exactly the
+//! expressions that lower, its mask kernels evaluate the tree, and the
+//! analyzer's range pass judges and refines predicates on the same tree,
+//! so all three share one definition of "two-valued".
 //! [`Truth`](gbj_types::Truth) and [`BoundExpr::eval_truth`] stay the
 //! reference semantics; `tests/lowering_exhaustive.rs` reads every
 //! lowered tree cell by cell, as its variants are documented here, and

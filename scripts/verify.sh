@@ -137,8 +137,18 @@ if [[ -n "$(find . \( -name target -o -name .git \) -prune -o -name 'BENCH_*.jso
   echo "verify: a second timing harness reappeared beside report and gbjbench" >&2
   exit 1
 fi
-# EXPLAIN computes its `domains:` / `pruning:` lines when it renders;
-# a QueryReport field for either would compute them on every query.
+# One two-valued logic: the range pass, the execution gate and the mask
+# kernels all read a predicate through its lowering (gbj_expr::lower).
+# The analyzer's Kleene truth sets and operator flip, the hand-written
+# gate that mirrored the lowering's domain, the pruning side-table
+# nothing read and the physical-plan pass nothing called were deleted
+# and must not grow back.
+if grep -rnE "TruthSet|PruningFact|fn vectorizable|fn truth_set_of|fn flip_op|exec_pass|check_execution" crates src tests examples; then
+  echo "verify: a second three-valued logic / gate / side-table reappeared beside the lowering" >&2
+  exit 1
+fi
+# EXPLAIN computes its `domains:` line when it renders; a QueryReport
+# field for it would compute it on every query.
 # That the audit re-derives nothing is pinned by the oracle test
 # estimator_accuracy::audited_estimates_equal_a_fresh_estimate_of_the_plan_that_ran.
 if grep -rnE "pub (domains|pruning):" crates/engine/src; then
@@ -157,7 +167,9 @@ fi
 cargo build --release
 # The four workspace passes below each include the two-valued suites —
 # gbj-expr's tests/lowering_exhaustive.rs (lower_floor / lower_ceil
-# against eval_truth on every row of a small-scope domain) and the mask
+# against eval_truth on every row of a small-scope domain),
+# tests/range_soundness.rs (every fact the range pass reads off the
+# lowering, held against the rows that ran over a small scope) and the mask
 # kernel / columnar drain cases of tests/columnar_differential.rs (word
 # and block boundaries, incoming selections, every state vector against
 # the row oracle at shards 1 / 4 x threads 1 / 2) — the typed-key suites —

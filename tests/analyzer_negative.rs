@@ -211,6 +211,20 @@ fn domain_lints_fire_on_proofs_not_shapes() {
         lint(schema, "SELECT T.Id FROM T WHERE T.C > 5 AND T.C < 10"),
         Vec::<Code>::new()
     );
+    // A strict bound rounds a fractional literal into the column's type
+    // (6 satisfies both), and an integer literal does not make a FLOAT
+    // column integral (5.5 satisfies both).
+    assert_eq!(
+        lint(schema, "SELECT T.Id FROM T WHERE T.C > 5.5 AND T.C < 7"),
+        Vec::<Code>::new()
+    );
+    assert_eq!(
+        lint(
+            "CREATE TABLE T (Id INTEGER PRIMARY KEY, X FLOAT NOT NULL);",
+            "SELECT T.Id FROM T WHERE T.X > 5 AND T.X < 6"
+        ),
+        Vec::<Code>::new()
+    );
 
     // GBJ602 requires 2VL-safety: the same CHECK-implied predicate
     // over a *nullable* column can still be UNKNOWN, so no tautology
@@ -257,73 +271,27 @@ fn domain_lints_fire_on_proofs_not_shapes() {
     );
 }
 
-/// Serving-layer counterexample (corpus/unguarded_execution.sql): a
-/// query that actually ran — it has an execution profile — but whose
-/// guard carried neither a resource budget nor a deadline must be
-/// flagged GBJ405 (warning), and attaching either one silences it.
+/// NaN is a non-NULL `FLOAT` value that no comparison keeps, and a CHECK
+/// admits it (`⌈P⌉` holds where a comparison is undefined). So on a
+/// `FLOAT NOT NULL` column neither `x = x` nor a bound its CHECK implies
+/// is a tautology: each keeps 1 of the 2 rows, and neither draws GBJ602.
 #[test]
-fn unguarded_profiled_run_is_gbj405() {
-    use gbj::analyze::Analysis;
-    use gbj::exec::{ExecOptions, ResourceLimits};
-
-    let corpus = std::fs::read_to_string("corpus/unguarded_execution.sql").unwrap();
-    let without_comments: String = corpus
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("--"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let select = without_comments
-        .split(';')
-        .map(str::trim)
-        .find(|s| s.to_ascii_uppercase().starts_with("SELECT"))
-        .expect("corpus file ends with a SELECT")
-        .to_string();
-
+fn nan_keeps_float_comparisons_from_being_tautologies() {
     let mut db = Database::new();
-    db.run_script(&corpus).unwrap();
-    let (_rows, profile, report) = db.query_report(&select).unwrap();
-
-    // The default engine runs unlimited; a profiled run with no
-    // deadline either is exactly the unguarded case.
-    let unguarded = ExecOptions::default();
-    assert!(unguarded.limits.is_unlimited());
-    let mut analysis = Analysis::new("corpus/unguarded_execution.sql");
-    analysis.check_execution(&report.plan, &unguarded, Some(&profile), false);
-    assert_eq!(analysis.report().codes(), vec![Code::UnguardedExecution]);
-    assert!(
-        analysis.report().has_severity(Severity::Warning),
-        "GBJ405 is a warning:\n{}",
-        analysis.report().render_text()
-    );
-    assert!(
-        !analysis.report().has_severity(Severity::Error),
-        "GBJ405 must not be an error:\n{}",
-        analysis.report().render_text()
-    );
-
-    // A session deadline counts as a budget: the serving layer always
-    // attaches one, so the same profile lints clean.
-    let mut analysis = Analysis::new("corpus/unguarded_execution.sql");
-    analysis.check_execution(&report.plan, &unguarded, Some(&profile), true);
-    assert!(
-        analysis.report().is_empty(),
-        "deadline silences GBJ405:\n{}",
-        analysis.report().render_text()
-    );
-
-    // So does any real ResourceLimits budget.
-    let bounded = ExecOptions {
-        limits: ResourceLimits {
-            max_rows: Some(1_000_000),
-            ..ResourceLimits::default()
-        },
-        ..ExecOptions::default()
-    };
-    let mut analysis = Analysis::new("corpus/unguarded_execution.sql");
-    analysis.check_execution(&report.plan, &bounded, Some(&profile), false);
-    assert!(
-        analysis.report().is_empty(),
-        "a row budget silences GBJ405:\n{}",
-        analysis.report().render_text()
-    );
+    db.run_script(
+        "CREATE TABLE N (x FLOAT NOT NULL CHECK (x >= 0 AND x <= 10)); \
+         INSERT INTO N VALUES (0.0 / 0.0), (1.0);",
+    )
+    .unwrap();
+    for sql in [
+        "SELECT N.x FROM N WHERE N.x = N.x",
+        "SELECT N.x FROM N WHERE N.x <= 10",
+    ] {
+        assert_eq!(
+            db.lint_select(sql).unwrap().codes(),
+            Vec::<Code>::new(),
+            "{sql}"
+        );
+        assert_eq!(db.query(sql).unwrap().len(), 1, "{sql}");
+    }
 }

@@ -1,6 +1,6 @@
 //! Shared helpers for the integration tests.
 //!
-//! Centralises three things every differential test needs:
+//! Centralises what the differential tests need:
 //!
 //! * **a reference that is provably the oracle** — the engine's default
 //!   path is the chunk pipeline, so a reference side built from
@@ -20,7 +20,9 @@
 //!   `CombinerHashAggregate` / `GatherAggregate` where one part and the
 //!   row engine say `HashJoin` / `HashAggregate`, so tests that pin
 //!   cardinalities (not names) look operators up through
-//!   [`find_join`] / [`find_agg`].
+//!   [`find_join`] / [`find_agg`];
+//! * **the range pass's seeds as the engine prices with them** —
+//!   [`price_seeds`].
 //!
 //! Each integration-test binary compiles its own copy of this module,
 //! so not every binary uses every helper.
@@ -28,6 +30,8 @@
 
 use std::num::NonZeroUsize;
 
+use gbj::analyze::SeedDomains;
+use gbj::engine::database::observed_domain;
 use gbj::engine::Database;
 use gbj::exec::{ExecOptions, ExecPath, ExecSummary, Executor, ProfileNode, ResultSet};
 use gbj::plan::LogicalPlan;
@@ -156,4 +160,20 @@ pub fn thread_counts() -> Vec<usize> {
         counts.push(default);
     }
     counts
+}
+
+/// The range pass's seeds as `Database::price` clamps with them: the
+/// catalog's, and — when `observed` — every stored column's
+/// `observed_domain` met into them.
+pub fn price_seeds(db: &Database, observed: bool) -> SeedDomains {
+    let mut seeds = SeedDomains::from_catalog(db.catalog());
+    for def in db.catalog().tables().filter(|_| observed) {
+        let Some(data) = db.storage().table_data(&def.name) else {
+            continue;
+        };
+        for (col, stats) in def.columns.iter().zip(&data.stats().columns) {
+            seeds.merge(&def.name, &col.name, &observed_domain(stats, col.data_type));
+        }
+    }
+    seeds
 }

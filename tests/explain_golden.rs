@@ -291,7 +291,7 @@ fn batch_native_profile_reports_vector_counters_with_row_engine_fingerprint() {
     );
     // The row engine never claims kernel invocations: the columns exist
     // but stay zero, so a non-zero `vec=` is an honest batch-native
-    // marker (GBJ402 audits exactly this claim).
+    // marker.
     assert!(
         metric_lines(&row_render)
             .iter()
@@ -441,11 +441,10 @@ fn both_plan_shapes_produce_audit_sections() {
 }
 
 /// The range pass annotates EXPLAIN with a `domains:` line (inferred
-/// per-column facts for the plan's output) and, when the predicates
-/// imply per-scan restrictions, a `pruning:` side-table line. Both are
-/// catalog-derived and must be byte-stable across runs.
+/// per-column facts for the plan's output). It is catalog-derived and
+/// must be byte-stable across runs.
 #[test]
-fn explain_carries_domains_and_pruning_annotations() {
+fn explain_carries_a_domains_annotation() {
     let (mut db, sql) = build();
     let text = explain_text(&mut db, &format!("EXPLAIN {sql}"));
     let domains: Vec<&str> = text
@@ -469,11 +468,11 @@ fn explain_carries_domains_and_pruning_annotations() {
     }
 }
 
-/// Byte-exact golden for the annotation lines on a fully-controlled
+/// Byte-exact golden for the annotation line on a fully-controlled
 /// schema: CHECK constraints plus the query's own predicates land in
-/// `domains:` (output facts) and `pruning:` (per-scan implications).
+/// `domains:`, and nothing else is printed beside it.
 #[test]
-fn domains_and_pruning_lines_golden() {
+fn domains_line_golden() {
     let mut db = gbj::Database::new();
     db.run_script(
         "CREATE TABLE Meter (MeterId INTEGER PRIMARY KEY, \
@@ -482,14 +481,10 @@ fn domains_and_pruning_lines_golden() {
     .unwrap();
     let text = explain_text(
         &mut db,
-        "EXPLAIN SELECT M.MeterId FROM Meter M WHERE M.Pct >= 10 AND M.Pct <= 20",
+        "EXPLAIN SELECT M.MeterId, M.Pct FROM Meter M WHERE M.Pct >= 10 AND M.Pct <= 20",
     );
     assert!(
-        text.contains("\ndomains: M.MeterId: not-null\n"),
+        text.contains("\ndomains: M.MeterId: not-null; M.Pct: [10,20] not-null\nplan:\n"),
         "output-domain line in:\n{text}"
-    );
-    assert!(
-        text.contains("\npruning: Meter.M.Pct: [10,20] not-null\n"),
-        "pruning side-table line in:\n{text}"
     );
 }
