@@ -46,7 +46,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use gbj_catalog::{Catalog, ColumnDef};
+use gbj_catalog::{Catalog, ColumnDef, TableDef};
 use gbj_expr::{AggregateFunction, BinaryOp, Expr, Lowered, Operand};
 use gbj_plan::LogicalPlan;
 use gbj_types::{ColumnRef, DataType, Field, Schema, Value};
@@ -86,8 +86,15 @@ impl SeedDomains {
     /// nullability is kept.
     #[must_use]
     pub fn from_catalog(catalog: &Catalog) -> SeedDomains {
+        SeedDomains::for_tables(catalog.tables())
+    }
+
+    /// [`SeedDomains::from_catalog`] restricted to `tables` — all a
+    /// range pass over plans that scan only those tables reads.
+    #[must_use]
+    pub fn for_tables<'a>(tables: impl IntoIterator<Item = &'a TableDef>) -> SeedDomains {
         let mut seeds = SeedDomains::default();
-        for table in catalog.tables() {
+        for table in tables {
             for col in &table.columns {
                 seeds.insert(&table.name, &col.name, check_domain(col));
             }

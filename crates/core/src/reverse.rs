@@ -480,7 +480,7 @@ mod tests {
         assert!(pred.contains("(A.UserId = U.UserId)"));
         assert!(pred.contains("(U.Machine = 'dragon')"));
         // The merged block is executable.
-        block.to_plan().unwrap().validate().unwrap();
+        block.lower(&[]).unwrap();
     }
 
     #[test]

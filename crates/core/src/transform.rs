@@ -440,11 +440,9 @@ mod tests {
 
         // The whole thing lowers to a valid plan with the aggregate
         // *below* the join.
-        let plan = block.to_plan().unwrap();
-        plan.validate().unwrap();
-        let tree = plan.display_tree();
+        let tree = block.lower(&[]).unwrap().display_tree();
         let agg_pos = tree.find("Aggregate").unwrap();
-        let join_pos = tree.find("CrossJoin").unwrap();
+        let join_pos = tree.find("Join").unwrap();
         assert!(
             agg_pos > join_pos,
             "aggregate must appear deeper than the join:\n{tree}"
@@ -587,7 +585,7 @@ mod tests {
         // still names the aggregate by the user's alias.
         let s = block.output_schema().unwrap();
         assert_eq!(s.field(2).name, "E_DeptID");
-        block.to_plan().unwrap().validate().unwrap();
+        block.lower(&[]).unwrap();
     }
 
     #[test]

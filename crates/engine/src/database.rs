@@ -11,7 +11,7 @@ use gbj_core::{
 use gbj_exec::{ExecOptions, ExecPath, Executor, ProfileNode, ResourceGuard, ResultSet};
 use gbj_expr::Expr;
 use gbj_fd::FdContext;
-use gbj_optimizer::{shape_cost, CardTree, CostModel, Optimizer, ShapeCost};
+use gbj_optimizer::{shape_cost, CardTree, CostModel, ShapeCost};
 use gbj_plan::{BlockRelation, LogicalPlan, QueryBlock};
 use gbj_sql::{parse_statements, Binder, BoundSelect, Statement};
 use gbj_storage::{ColumnStats, Storage};
@@ -1060,7 +1060,7 @@ impl Database {
                     );
                 }
                 ReverseOutcome::NotApplicable { reason } => {
-                    let plan = self.lower(block, &bound.order_by)?;
+                    let plan = block.lower(&bound.order_by)?;
                     let reason = format!("view not unfolded: {reason}");
                     return Ok(self.lazy_only(reason, None, plan));
                 }
@@ -1113,7 +1113,7 @@ impl Database {
                 Ok(report)
             }
             EagerOutcome::NotApplicable { reason, testfd } => {
-                let plan = self.lower(block, &bound.order_by)?;
+                let plan = block.lower(&bound.order_by)?;
                 let reason = format!("transformation not applied: {reason}");
                 Ok(self.lazy_only(reason, testfd.map(|t| t.to_string()), plan))
             }
@@ -1186,8 +1186,8 @@ impl Database {
         // Lower *both* candidates to their optimized physical-ready
         // shapes, price each one's operators, and fold the cost model
         // over every operator each shape would actually run.
-        let lazy_plan = self.lower(lazy_block, &bound.order_by)?;
-        let eager_plan = self.lower(eager_block, &bound.order_by)?;
+        let lazy_plan = lazy_block.lower(&bound.order_by)?;
+        let eager_plan = eager_block.lower(&bound.order_by)?;
         let [lazy_card, eager_card] = self.price([&lazy_plan, &eager_plan]);
         let lazy_shape = shape_cost(&self.options.cost_model, &lazy_plan, &lazy_card);
         let eager_shape = shape_cost(&self.options.cost_model, &eager_plan, &eager_card);
@@ -1228,24 +1228,6 @@ impl Database {
         })
     }
 
-    /// Lower a block to an optimized plan, with presentation ORDER BY.
-    fn lower(&self, block: &QueryBlock, order_by: &[(ColumnRef, bool)]) -> Result<LogicalPlan> {
-        let mut plan = block.to_plan()?;
-        if !order_by.is_empty() {
-            // Order keys are output columns; reference them by bare name
-            // so both the lazy and eager shapes resolve them.
-            let keys = order_by
-                .iter()
-                .map(|(c, asc)| (Expr::bare(c.column.clone()), *asc))
-                .collect();
-            plan = LogicalPlan::Sort {
-                input: Box::new(plan),
-                keys,
-            };
-        }
-        Optimizer::standard().optimize(&plan)
-    }
-
     /// Price candidate plans: each one's per-node estimates, from the
     /// feedback-aware estimator, and — when
     /// [`EngineOptions::clamp_estimates`] is on — clamped to the
@@ -1273,20 +1255,19 @@ impl Database {
         })
     }
 
-    /// The range pass's seeds for clamping: the catalog's, met with the
-    /// per-column facts in the statistics of every table `plans` scan.
-    /// The candidate shapes of one query scan the same tables, and a
-    /// plan's range pass reads the seeds of its own scans only, so one
-    /// seed set serves them all.
+    /// The range pass's seeds for clamping, for every table `plans`
+    /// scan: the catalog's, met with the per-column facts in the table's
+    /// statistics. The candidate shapes of one query scan the same
+    /// tables, and a plan's range pass reads the seeds of its own scans
+    /// only, so one seed set over those tables serves them all.
     fn observed_seeds(&self, plans: &[&LogicalPlan]) -> SeedDomains {
-        let mut seeds = SeedDomains::from_catalog(self.storage.catalog());
+        let catalog = self.storage.catalog();
         let tables: std::collections::BTreeSet<String> =
             plans.iter().flat_map(|p| plan_scan_tables(p)).collect();
-        for table in &tables {
-            let (Some(def), Some(data)) = (
-                self.storage.catalog().table(table),
-                self.storage.table_data(table),
-            ) else {
+        let defs: Vec<_> = tables.iter().filter_map(|t| catalog.table(t)).collect();
+        let mut seeds = SeedDomains::for_tables(defs.iter().copied());
+        for def in defs {
+            let Some(data) = self.storage.table_data(&def.name) else {
                 continue;
             };
             for (col, stats) in def.columns.iter().zip(&data.stats().columns) {

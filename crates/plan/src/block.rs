@@ -12,9 +12,12 @@
 //! A [`QueryBlock`] captures exactly this: relations (base tables or
 //! nested derived blocks — the latter is how Section 8's aggregated
 //! views appear), the WHERE conjuncts, grouping columns, aggregate
-//! calls, the select list and the ALL/DISTINCT flag. The optimizer
-//! reasons over blocks; [`QueryBlock::to_plan`] lowers a block to the
-//! executable [`LogicalPlan`].
+//! calls, the select list and the ALL/DISTINCT flag. The
+//! transformation reasons over blocks; [`QueryBlock::lower`] builds a
+//! block's executable [`LogicalPlan`](crate::LogicalPlan) in one pass:
+//! relations joined in a connected order, each conjunct at the lowest
+//! join or relation that can evaluate it, scans pruned to the columns
+//! used above them.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -22,7 +25,7 @@ use std::fmt;
 use gbj_expr::{AggregateCall, Expr};
 use gbj_types::{ColumnRef, Error, Result, Schema};
 
-use crate::plan::LogicalPlan;
+use crate::plan::{aggregate_schema, project_schema};
 
 /// A FROM-clause relation inside a block.
 #[derive(Debug, Clone, PartialEq)]
@@ -221,88 +224,17 @@ impl QueryBlock {
         Ok(())
     }
 
-    /// Lower the block to a [`LogicalPlan`].
-    ///
-    /// Shape: scans → cross joins → filter → aggregate → having →
-    /// project (with DISTINCT). This is the paper's `E1` evaluation
-    /// order — group-by *after* the joins. The transformation in
-    /// `gbj-core` produces an alternative block tree whose lowering is
-    /// the `E2` order.
-    pub fn to_plan(&self) -> Result<LogicalPlan> {
-        let mut plan: Option<LogicalPlan> = None;
-        for r in &self.relations {
-            let node = match r {
-                BlockRelation::Base {
-                    table,
-                    qualifier,
-                    schema,
-                } => LogicalPlan::Scan {
-                    table: table.clone(),
-                    qualifier: qualifier.clone(),
-                    schema: schema.clone(),
-                },
-                BlockRelation::Derived { block, qualifier } => LogicalPlan::SubqueryAlias {
-                    input: Box::new(block.to_plan()?),
-                    alias: qualifier.clone(),
-                },
-            };
-            plan = Some(match plan {
-                None => node,
-                Some(acc) => LogicalPlan::CrossJoin {
-                    left: Box::new(acc),
-                    right: Box::new(node),
-                },
-            });
-        }
-        let mut plan = plan.ok_or_else(|| Error::Plan("query block has no relations".into()))?;
-
-        if let Some(pred) = self.predicate_expr() {
-            plan = LogicalPlan::Filter {
-                input: Box::new(plan),
-                predicate: pred,
-            };
-        }
-
-        if self.is_aggregating() {
-            plan = LogicalPlan::Aggregate {
-                input: Box::new(plan),
-                group_by: self.group_by.iter().cloned().map(Expr::Column).collect(),
-                aggregates: self.aggregates.clone(),
-            };
-            if let Some(h) = &self.having {
-                plan = LogicalPlan::Filter {
-                    input: Box::new(plan),
-                    predicate: h.clone(),
-                };
-            }
-        }
-
-        let exprs: Vec<(Expr, String)> = self
-            .select
-            .iter()
-            .map(|item| match item {
-                SelectItem::Column { col, alias } => Ok((Expr::Column(col.clone()), alias.clone())),
-                SelectItem::Aggregate { index } => {
-                    let (_, alias) = self.aggregates.get(*index).ok_or_else(|| {
-                        Error::Plan(format!("select item references unknown aggregate #{index}"))
-                    })?;
-                    Ok((Expr::Column(ColumnRef::bare(alias.clone())), alias.clone()))
-                }
-            })
-            .collect::<Result<_>>()?;
-        if exprs.is_empty() {
-            return Err(Error::Plan("query block has an empty select list".into()));
-        }
-        Ok(LogicalPlan::Project {
-            input: Box::new(plan),
-            exprs,
-            distinct: self.distinct,
-        })
-    }
-
-    /// The block's output schema (select-list shape).
+    /// The block's output schema: that of the projection
+    /// [`QueryBlock::lower`] puts on top, computed without building the
+    /// plan.
     pub fn output_schema(&self) -> Result<Schema> {
-        self.to_plan()?.schema()
+        let exprs = self.projection()?;
+        let mut schema = self.input_schema()?;
+        if self.is_aggregating() {
+            let group_by: Vec<Expr> = self.group_by.iter().cloned().map(Expr::Column).collect();
+            schema = aggregate_schema(&schema, &group_by, &self.aggregates)?;
+        }
+        project_schema(&schema, &exprs)
     }
 }
 
@@ -419,15 +351,17 @@ mod tests {
     fn example1_block_validates_and_lowers() {
         let b = example1_block();
         b.validate().unwrap();
-        let plan = b.to_plan().unwrap();
-        plan.validate().unwrap();
-        let tree = plan.display_tree();
-        // Lowered shape: Project over Aggregate over Filter over CrossJoin.
-        let lines: Vec<&str> = tree.lines().collect();
-        assert!(lines[0].starts_with("Project"));
-        assert!(lines[1].trim_start().starts_with("Aggregate"));
-        assert!(lines[2].trim_start().starts_with("Filter"));
-        assert!(lines[3].trim_start().starts_with("CrossJoin"));
+        let plan = b.lower(&[]).unwrap();
+        // Lowered shape: the join predicate is the join's condition; no
+        // scan is pruned, every column is used above it.
+        assert_eq!(
+            plan.display_tree(),
+            "Project D.DeptID, D.Name, cnt\n  \
+             Aggregate groupBy=[D.DeptID, D.Name] aggs=[COUNT(E.EmpID) AS cnt]\n    \
+             Join on (E.DeptID = D.DeptID)\n      \
+             Scan Employee AS E\n      \
+             Scan Department AS D\n"
+        );
         // Output schema.
         let s = b.output_schema().unwrap();
         assert_eq!(s.len(), 3);
@@ -455,7 +389,7 @@ mod tests {
     fn empty_relations_rejected() {
         let b = QueryBlock::new(vec![]);
         assert!(b.validate().is_err());
-        assert!(b.to_plan().is_err());
+        assert!(b.lower(&[]).is_err());
     }
 
     #[test]
@@ -477,7 +411,7 @@ mod tests {
             alias: "EmpID".into(),
         }];
         b.validate().unwrap();
-        let plan = b.to_plan().unwrap();
+        let plan = b.lower(&[]).unwrap();
         assert!(!plan.display_tree().contains("Aggregate"));
         assert!(!b.is_aggregating());
     }
@@ -513,7 +447,7 @@ mod tests {
             alias: "n".into(),
         }];
         outer.validate().unwrap();
-        let tree = outer.to_plan().unwrap().display_tree();
+        let tree = outer.lower(&[]).unwrap().display_tree();
         assert!(tree.contains("SubqueryAlias V"));
     }
 
@@ -521,7 +455,7 @@ mod tests {
     fn having_lowers_to_filter_above_aggregate() {
         let mut b = example1_block();
         b.having = Some(Expr::bare("cnt").binary(gbj_expr::BinaryOp::Gt, Expr::lit(5i64)));
-        let tree = b.to_plan().unwrap().display_tree();
+        let tree = b.lower(&[]).unwrap().display_tree();
         let lines: Vec<&str> = tree.lines().collect();
         assert!(lines[0].starts_with("Project"));
         assert!(lines[1].trim_start().starts_with("Filter"));
@@ -542,6 +476,6 @@ mod tests {
     fn empty_select_list_rejected_at_lowering() {
         let mut b = example1_block();
         b.select.clear();
-        assert!(b.to_plan().is_err());
+        assert!(b.lower(&[]).is_err());
     }
 }

@@ -35,6 +35,7 @@
 
 pub mod block;
 pub mod distribution;
+mod lower;
 pub mod plan;
 
 pub use block::{BlockRelation, QueryBlock, SelectItem};

@@ -89,65 +89,35 @@ pub enum LogicalPlan {
 impl LogicalPlan {
     /// The node's output schema.
     pub fn schema(&self) -> Result<Schema> {
+        let inputs = self
+            .children()
+            .into_iter()
+            .map(LogicalPlan::schema)
+            .collect::<Result<Vec<_>>>()?;
+        self.schema_over(inputs)
+    }
+
+    /// The node's output schema over its children's, in order.
+    fn schema_over(&self, inputs: Vec<Schema>) -> Result<Schema> {
+        let mut inputs = inputs.into_iter();
+        let mut input = || {
+            inputs
+                .next()
+                .ok_or_else(|| Error::Internal("plan node input schema missing".into()))
+        };
         match self {
             LogicalPlan::Scan { schema, .. } => Ok(schema.clone()),
-            LogicalPlan::Filter { input, .. } | LogicalPlan::Sort { input, .. } => input.schema(),
-            LogicalPlan::Project { input, exprs, .. } => {
-                let in_schema = input.schema()?;
-                let mut fields = Vec::with_capacity(exprs.len());
-                for (e, alias) in exprs {
-                    let dt = e.data_type(&in_schema)?;
-                    let nullable = e.nullable(&in_schema)?;
-                    // A bare column projected under its own name keeps
-                    // its qualifier so later references still resolve.
-                    let field = match e {
-                        Expr::Column(c) if c.column.eq_ignore_ascii_case(alias) => {
-                            let (_, f) = in_schema.resolve(c)?;
-                            f.clone()
-                        }
-                        _ => Field::new(alias.clone(), dt, nullable),
-                    };
-                    fields.push(field);
-                }
-                Ok(Schema::new(fields))
+            LogicalPlan::Filter { .. } | LogicalPlan::Sort { .. } => input(),
+            LogicalPlan::Project { exprs, .. } => project_schema(&input()?, exprs),
+            LogicalPlan::CrossJoin { .. } | LogicalPlan::Join { .. } => {
+                Ok(input()?.join(&input()?))
             }
-            LogicalPlan::CrossJoin { left, right } => Ok(left.schema()?.join(&right.schema()?)),
-            LogicalPlan::Join { left, right, .. } => Ok(left.schema()?.join(&right.schema()?)),
             LogicalPlan::Aggregate {
-                input,
                 group_by,
                 aggregates,
-            } => {
-                let in_schema = input.schema()?;
-                let mut fields = Vec::with_capacity(group_by.len() + aggregates.len());
-                for g in group_by {
-                    match g {
-                        Expr::Column(c) => {
-                            let (_, f) = in_schema.resolve(c)?;
-                            fields.push(f.clone());
-                        }
-                        other => {
-                            return Err(Error::Plan(format!(
-                                "GROUP BY supports column references only, got {other}"
-                            )))
-                        }
-                    }
-                }
-                for (call, alias) in aggregates {
-                    let dt = call.data_type(&in_schema)?;
-                    // COUNT never yields NULL; the others do on empty
-                    // groups.
-                    let nullable = !matches!(
-                        call.func,
-                        gbj_expr::AggregateFunction::Count | gbj_expr::AggregateFunction::CountStar
-                    );
-                    fields.push(Field::new(alias.clone(), dt, nullable));
-                }
-                Ok(Schema::new(fields))
-            }
-            LogicalPlan::SubqueryAlias { input, alias } => {
-                Ok(input.schema()?.with_qualifier(alias))
-            }
+                ..
+            } => aggregate_schema(&input()?, group_by, aggregates),
+            LogicalPlan::SubqueryAlias { alias, .. } => Ok(input()?.with_qualifier(alias)),
         }
     }
 
@@ -256,37 +226,82 @@ impl LogicalPlan {
     }
 
     /// Validate the plan bottom-up: every schema computes, every
-    /// predicate is boolean over its input.
+    /// predicate is boolean over its input. One pass: each node's schema
+    /// is computed once, from its children's.
     pub fn validate(&self) -> Result<()> {
-        for child in self.children() {
-            child.validate()?;
-        }
-        let _ = self.schema()?;
-        match self {
-            LogicalPlan::Filter { input, predicate } => {
-                let s = input.schema()?;
-                if predicate.data_type(&s)? != DataType::Boolean {
-                    return Err(Error::Plan(format!(
-                        "filter predicate {predicate} is not boolean"
-                    )));
-                }
-            }
-            LogicalPlan::Join {
-                left,
-                right,
-                condition,
-            } => {
-                let s = left.schema()?.join(&right.schema()?);
-                if condition.data_type(&s)? != DataType::Boolean {
-                    return Err(Error::Plan(format!(
-                        "join condition {condition} is not boolean"
-                    )));
-                }
-            }
-            _ => {}
-        }
-        Ok(())
+        self.validated_schema().map(drop)
     }
+
+    fn validated_schema(&self) -> Result<Schema> {
+        let inputs = self
+            .children()
+            .into_iter()
+            .map(LogicalPlan::validated_schema)
+            .collect::<Result<Vec<_>>>()?;
+        let schema = self.schema_over(inputs)?;
+        let (what, predicate) = match self {
+            LogicalPlan::Filter { predicate, .. } => ("filter predicate", predicate),
+            LogicalPlan::Join { condition, .. } => ("join condition", condition),
+            _ => return Ok(schema),
+        };
+        if predicate.data_type(&schema)? != DataType::Boolean {
+            return Err(Error::Plan(format!("{what} {predicate} is not boolean")));
+        }
+        Ok(schema)
+    }
+}
+
+/// The schema of `π[exprs]` over `in_schema`.
+pub(crate) fn project_schema(in_schema: &Schema, exprs: &[(Expr, String)]) -> Result<Schema> {
+    let mut fields = Vec::with_capacity(exprs.len());
+    for (e, alias) in exprs {
+        let dt = e.data_type(in_schema)?;
+        let nullable = e.nullable(in_schema)?;
+        // A bare column projected under its own name keeps its
+        // qualifier so later references still resolve.
+        let field = match e {
+            Expr::Column(c) if c.column.eq_ignore_ascii_case(alias) => {
+                let (_, f) = in_schema.resolve(c)?;
+                f.clone()
+            }
+            _ => Field::new(alias.clone(), dt, nullable),
+        };
+        fields.push(field);
+    }
+    Ok(Schema::new(fields))
+}
+
+/// The schema of `F[aggregates] Γ[group_by]` over `in_schema`: the
+/// grouping columns, then one field per aggregate.
+pub(crate) fn aggregate_schema(
+    in_schema: &Schema,
+    group_by: &[Expr],
+    aggregates: &[(AggregateCall, String)],
+) -> Result<Schema> {
+    let mut fields = Vec::with_capacity(group_by.len() + aggregates.len());
+    for g in group_by {
+        match g {
+            Expr::Column(c) => {
+                let (_, f) = in_schema.resolve(c)?;
+                fields.push(f.clone());
+            }
+            other => {
+                return Err(Error::Plan(format!(
+                    "GROUP BY supports column references only, got {other}"
+                )))
+            }
+        }
+    }
+    for (call, alias) in aggregates {
+        let dt = call.data_type(in_schema)?;
+        // COUNT never yields NULL; the others do on empty groups.
+        let nullable = !matches!(
+            call.func,
+            gbj_expr::AggregateFunction::Count | gbj_expr::AggregateFunction::CountStar
+        );
+        fields.push(Field::new(alias.clone(), dt, nullable));
+    }
+    Ok(Schema::new(fields))
 }
 
 impl fmt::Display for LogicalPlan {

@@ -22,7 +22,7 @@ const MAX_VIEW_DEPTH: usize = 16;
 /// A bound query: the canonical block plus presentation-only ORDER BY.
 #[derive(Debug, Clone)]
 pub struct BoundSelect {
-    /// The SPJG block (executable via `to_plan`).
+    /// The SPJG block (executable via `QueryBlock::lower`).
     pub block: QueryBlock,
     /// ORDER BY keys over the *output* schema, with ascending flags.
     pub order_by: Vec<(ColumnRef, bool)>,
@@ -192,11 +192,28 @@ impl<'a> Binder<'a> {
 
         block.validate()?;
 
-        // ORDER BY over the output schema.
+        // ORDER BY over the output schema. A qualified name selected as
+        // a column binds to that item's output name first: a renamed
+        // output (`F.X AS X_1`) has lost its qualifier.
         let out_schema = block.output_schema()?;
         let mut order_by = Vec::new();
         for (name, asc) in &stmt.order_by {
-            let col = name_to_ref(name)?;
+            let mut col = name_to_ref(name)?;
+            if let Some(table) = &col.table {
+                let selected = block.select.iter().find_map(|item| match item {
+                    SelectItem::Column { col: source, alias }
+                        if source.column.eq_ignore_ascii_case(&col.column)
+                            && source
+                                .table
+                                .as_deref()
+                                .is_some_and(|t| t.eq_ignore_ascii_case(table)) =>
+                    {
+                        Some(ColumnRef::bare(alias.clone()))
+                    }
+                    _ => None,
+                });
+                col = selected.unwrap_or(col);
+            }
             let (_, field) = out_schema.resolve(&col)?;
             order_by.push((field.column_ref(), *asc));
         }

@@ -164,6 +164,15 @@ if grep -rnE "DefaultHasher|ShardHasher" crates src tests examples; then
   echo "verify: a second placement hash reappeared beside stream_hash" >&2
   exit 1
 fi
+# One lowering: QueryBlock::lower builds a block's plan in its final
+# shape in one pass. The rule driver, its trait and pass bound, and the
+# four rules it ran to a fixpoint over the literal σ(R1 × R2 × …) were
+# deleted and must not grow back (tests/lowering_golden.rs pins the
+# trees they converged to).
+if grep -rnE "OptimizerRule|Optimizer::standard|max_passes|struct (MergeFilters|PredicatePushdown|ColumnPruning|JoinOrdering)" crates src tests examples; then
+  echo "verify: a rewrite-rule driver reappeared beside QueryBlock::lower" >&2
+  exit 1
+fi
 cargo build --release
 # The four workspace passes below each include the two-valued suites —
 # gbj-expr's tests/lowering_exhaustive.rs (lower_floor / lower_ceil

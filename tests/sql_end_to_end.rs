@@ -4,7 +4,7 @@
 //! the Main Theorem's *necessity* direction (naive pushdown without the
 //! FDs gives a different answer).
 
-use gbj::engine::QueryOutput;
+use gbj::engine::{PushdownPolicy, QueryOutput};
 use gbj::{Database, Value};
 
 /// The paper's Figure 5, verbatim modulo the referenced table existing.
@@ -141,6 +141,55 @@ fn having_order_and_scalar_aggregates() {
         rows.rows[0],
         vec![Value::Int(5), Value::Int(1), Value::Int(10), Value::Int(16)]
     );
+}
+
+/// ORDER BY a qualified column whose output name was de-duplicated
+/// (`X` → `X_1`) binds to that select item, on either side and under
+/// every policy; an unqualified name still resolves against the output
+/// names, and an unknown one is still an error.
+#[test]
+fn order_by_qualified_column_with_a_renamed_output() {
+    let mut db = Database::new();
+    db.run_script(
+        "CREATE TABLE D (DId INTEGER PRIMARY KEY, X INTEGER); \
+         CREATE TABLE F (FId INTEGER PRIMARY KEY, DId INTEGER, X INTEGER); \
+         INSERT INTO D VALUES (1, 30), (2, 10), (3, 20); \
+         INSERT INTO F VALUES (1, 1, 5), (2, 2, 7), (3, 3, 6), (4, 1, 4);",
+    )
+    .unwrap();
+    let column = |rows: &gbj::exec::ResultSet, i: usize| -> Vec<Value> {
+        rows.rows.iter().map(|r| r[i].clone()).collect()
+    };
+    let ints = |xs: &[i64]| -> Vec<Value> { xs.iter().map(|&x| Value::Int(x)).collect() };
+    for policy in [
+        PushdownPolicy::CostBased,
+        PushdownPolicy::Always,
+        PushdownPolicy::Never,
+    ] {
+        db.options_mut().policy = policy;
+        let rows = db
+            .query("SELECT D.X, F.X FROM F, D WHERE F.DId = D.DId ORDER BY F.X")
+            .unwrap();
+        assert_eq!(column(&rows, 1), ints(&[4, 5, 6, 7]), "{policy:?}");
+        assert_eq!(column(&rows, 0), ints(&[30, 30, 20, 10]), "{policy:?}");
+        let same = db
+            .query("SELECT D.X, F.X FROM F, D WHERE F.DId = D.DId ORDER BY X_1")
+            .unwrap();
+        assert_eq!(rows.rows, same.rows, "{policy:?}");
+        let rows = db
+            .query("SELECT F.X, D.X FROM F, D WHERE F.DId = D.DId ORDER BY D.X DESC, F.X")
+            .unwrap();
+        assert_eq!(column(&rows, 1), ints(&[30, 30, 20, 10]), "{policy:?}");
+        assert_eq!(column(&rows, 0), ints(&[4, 5, 6, 7]), "{policy:?}");
+        let rows = db
+            .query("SELECT D.X, F.X FROM F, D WHERE F.DId = D.DId ORDER BY X")
+            .unwrap();
+        assert_eq!(column(&rows, 0), ints(&[10, 20, 30, 30]), "{policy:?}");
+        let err = db
+            .query("SELECT D.X FROM F, D WHERE F.DId = D.DId ORDER BY F.X")
+            .unwrap_err();
+        assert!(err.message().contains("unknown column F.X"), "{err}");
+    }
 }
 
 /// The necessity side of the Main Theorem as a live demonstration:
