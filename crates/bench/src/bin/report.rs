@@ -4,16 +4,19 @@
 //! cargo run --release -p gbj-bench --bin report            # all experiments
 //! cargo run --release -p gbj-bench --bin report -- x1 x8   # a subset
 //! cargo run --release -p gbj-bench --bin report -- --json out.json
+//! cargo run --release -p gbj-bench --bin report -- ops [--facts N] [--dims N] [--runs N]
 //! ```
 //!
 //! An unknown experiment id, or `--json` without a path, exits with
-//! status 2 and lists the known ids.
+//! status 2 and lists the known ids. `ops` is the operator probe (see
+//! [`ops_probe`]); it is not an experiment, so a run of every
+//! experiment leaves it out.
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 use std::collections::BTreeSet;
 use std::num::NonZeroUsize;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use gbj_bench::{compare, measure, median, ExperimentRow};
 use gbj_catalog::{ColumnDef, Constraint, TableDef};
@@ -21,7 +24,7 @@ use gbj_datagen::{
     AdversarialConfig, EmpDeptConfig, PartSupplierConfig, PrinterConfig, SweepConfig,
 };
 use gbj_engine::{Database, PlanChoice, PushdownPolicy};
-use gbj_exec::{select, ColumnarBatch};
+use gbj_exec::{select, ColumnarBatch, OperatorMetrics, ProfileNode};
 use gbj_expr::{BinaryOp, Expr};
 use gbj_fd::{Fd, FdContext, FdSet};
 use gbj_optimizer::{shape_cost, CardTree, CostModel};
@@ -87,12 +90,60 @@ fn parse_args(args: &[String]) -> std::result::Result<Args, String> {
     Ok(Args { run, json })
 }
 
+/// What `report ops` is asked for.
+#[derive(Debug, PartialEq)]
+struct OpsArgs {
+    /// `Fact` rows.
+    facts: usize,
+    /// `Dim` rows.
+    dims: usize,
+    /// Timed runs per template, after one warm-up.
+    runs: usize,
+}
+
+/// Parse the arguments after `ops`: `--facts`, `--dims` and `--runs`,
+/// each a positive count (100 000, 1 000 and 25 when left out).
+fn parse_ops(args: &[String]) -> std::result::Result<OpsArgs, String> {
+    let mut ops = OpsArgs {
+        facts: 100_000,
+        dims: 1_000,
+        runs: 25,
+    };
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let field = match flag.as_str() {
+            "--facts" => &mut ops.facts,
+            "--dims" => &mut ops.dims,
+            "--runs" => &mut ops.runs,
+            other => return Err(format!("unknown ops option `{other}`")),
+        };
+        *field = it
+            .next()
+            .and_then(|v| v.parse().ok())
+            .filter(|&n: &usize| n > 0)
+            .ok_or_else(|| format!("{flag} needs a positive count"))?;
+    }
+    Ok(ops)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(("ops", rest)) = args.split_first().map(|(a, rest)| (a.as_str(), rest)) {
+        let ops = parse_ops(rest).unwrap_or_else(|e| {
+            eprintln!("report: {e}\nusage: report ops [--facts N] [--dims N] [--runs N]");
+            std::process::exit(2);
+        });
+        if let Err(e) = ops_probe(&ops) {
+            eprintln!("report ops failed: {e}");
+            std::process::exit(1);
+        }
+        return;
+    }
     let args = parse_args(&args).unwrap_or_else(|e| {
         let known: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
         eprintln!(
-            "report: {e}\nusage: report [ID ...] [--json PATH]\nknown ids: {}",
+            "report: {e}\nusage: report [ID ...] [--json PATH] | report ops [--facts N] \
+             [--dims N] [--runs N]\nknown ids: {}",
             known.join(" ")
         );
         std::process::exit(2);
@@ -879,6 +930,128 @@ fn x17_sharding() -> Result<Vec<ExperimentRow>> {
     Ok(out)
 }
 
+/// The star schema of `gbjbench`'s `analytic_scan`: `Fact.DimId`
+/// uniform over twice `Dim`'s keys, `DimId`, `V` and `Tag` each NULL in
+/// one row of a hundred, `V` in `0..1000`, 64 tags.
+fn star(facts: usize, dims: usize) -> Result<Database> {
+    let mut db = Database::new();
+    db.run_script(
+        "CREATE TABLE Dim (DimId INTEGER PRIMARY KEY, Cat VARCHAR(20) NOT NULL, \
+                           Region VARCHAR(20) NOT NULL); \
+         CREATE TABLE Fact (FactId INTEGER PRIMARY KEY, DimId INTEGER, V INTEGER, \
+                            Tag VARCHAR(20));",
+    )?;
+    let mut rng = StdRng::seed_from_u64(27);
+    let cats = (dims / 10).clamp(2, 20) as i64;
+    let dim_rows: Vec<Vec<Value>> = (0..dims as i64)
+        .map(|id| {
+            let cat = format!("cat{:02}", rng.gen_range(0..cats));
+            let region = format!("region{}", rng.gen_range(0..8));
+            vec![Value::Int(id), Value::str(cat), Value::str(region)]
+        })
+        .collect();
+    db.insert_rows("Dim", dim_rows)?;
+    let keys = 2 * dims as i64;
+    let fact_rows: Vec<Vec<Value>> = (0..facts as i64)
+        .map(|id| {
+            let cells = [
+                Value::Int(rng.gen_range(0..keys)),
+                Value::Int(rng.gen_range(0..1000)),
+                Value::str(format!("tag{:02}", rng.gen_range(0..64))),
+            ];
+            let nulled = cells.map(|v| if rng.gen_bool(0.01) { Value::Null } else { v });
+            std::iter::once(Value::Int(id)).chain(nulled).collect()
+        })
+        .collect();
+    db.insert_rows("Fact", fact_rows)?;
+    Ok(db)
+}
+
+/// The three star templates of `gbjbench`, by name.
+const STAR_TEMPLATES: [(&str, &str); 3] = [
+    (
+        "fanin_key",
+        "SELECT D.DimId, COUNT(F.FactId), SUM(F.V) \
+         FROM Fact F, Dim D WHERE F.DimId = D.DimId GROUP BY D.DimId",
+    ),
+    (
+        "join_cat",
+        "SELECT D.Cat, COUNT(F.FactId), SUM(F.V) \
+         FROM Fact F, Dim D WHERE F.DimId = D.DimId AND F.V >= 500 GROUP BY D.Cat",
+    ),
+    (
+        "filter_tag",
+        "SELECT F.Tag, COUNT(F.FactId), MIN(F.V) FROM Fact F WHERE F.V < 50 GROUP BY F.Tag",
+    ),
+];
+
+/// A profile tree in pre-order: each operator, indented by depth and
+/// followed by its label's detail, and its metrics.
+fn operators(node: &ProfileNode, depth: usize, out: &mut Vec<(String, OperatorMetrics)>) {
+    let detail = node.label.split_once(' ').map_or("", |(_, detail)| detail);
+    let name = format!("{}{} {detail}", "  ".repeat(depth), node.operator);
+    out.push((name, node.metrics));
+    for child in &node.children {
+        operators(child, depth + 1, out);
+    }
+}
+
+/// `report ops`, the operator probe: each star template over a `Fact`
+/// of `facts` rows and a `Dim` of `dims`, on the product's options (the
+/// chunk pipeline at one part unless `GBJ_TEST_*` says otherwise), one
+/// warm-up then `runs` timed runs. Prints, per operator of the plan that
+/// ran, the minimum over the runs of its `build_ns`, `probe_ns` and
+/// `kernel_ns` (how they nest per operator is in `gbj_exec::metrics`),
+/// and the minimum wall time of the whole query.
+fn ops_probe(args: &OpsArgs) -> Result<()> {
+    let db = star(args.facts, args.dims)?;
+    println!(
+        "operator probe: {} Fact rows, {} Dim rows, minimum of {} runs (µs)",
+        args.facts, args.dims, args.runs
+    );
+    let us = |ns: u64| ns as f64 / 1e3;
+    for (name, sql) in STAR_TEMPLATES {
+        db.query_report(sql)?;
+        let mut wall = Duration::MAX;
+        let mut best: Vec<(String, OperatorMetrics)> = Vec::new();
+        for _ in 0..args.runs {
+            let started = Instant::now();
+            let (_, profile, _) = db.query_report(sql)?;
+            wall = wall.min(started.elapsed());
+            let mut ran = Vec::new();
+            operators(&profile, 0, &mut ran);
+            if best.is_empty() {
+                best = ran;
+                continue;
+            }
+            if best.len() != ran.len() {
+                return Err(internal_err!("{name}: the plan changed between runs"));
+            }
+            for ((_, min), (_, now)) in best.iter_mut().zip(&ran) {
+                min.build_ns = min.build_ns.min(now.build_ns);
+                min.probe_ns = min.probe_ns.min(now.probe_ns);
+                min.kernel_ns = min.kernel_ns.min(now.kernel_ns);
+            }
+        }
+        println!("\n{name}: query {:.1} µs", wall.as_secs_f64() * 1e6);
+        println!(
+            "  {:<64} {:>9} {:>10} {:>10} {:>10}",
+            "operator", "rows", "build", "probe", "kernel"
+        );
+        for (op, m) in &best {
+            let op: String = op.chars().take(64).collect();
+            println!(
+                "  {op:<64} {:>9} {:>10.1} {:>10.1} {:>10.1}",
+                m.rows_out,
+                us(m.build_ns),
+                us(m.probe_ns),
+                us(m.kernel_ns)
+            );
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -904,6 +1077,37 @@ mod tests {
         let args = parse(&["X17", "--json", "out.json", "x9", "x17"]).unwrap();
         assert_eq!(args.run, ["x9", "x17"]);
         assert_eq!(args.json.as_deref(), Some("out.json"));
+    }
+
+    #[test]
+    fn ops_takes_positive_counts() {
+        let parse =
+            |args: &[&str]| parse_ops(&args.iter().map(ToString::to_string).collect::<Vec<_>>());
+        assert_eq!(
+            parse(&[]).unwrap(),
+            OpsArgs {
+                facts: 100_000,
+                dims: 1_000,
+                runs: 25
+            }
+        );
+        assert_eq!(
+            parse(&["--runs", "3", "--facts", "2000"]).unwrap(),
+            OpsArgs {
+                facts: 2000,
+                dims: 1_000,
+                runs: 3
+            }
+        );
+        assert_eq!(
+            parse(&["--dims", "0"]).unwrap_err(),
+            "--dims needs a positive count"
+        );
+        assert_eq!(
+            parse(&["--runs"]).unwrap_err(),
+            "--runs needs a positive count"
+        );
+        assert_eq!(parse(&["x1"]).unwrap_err(), "unknown ops option `x1`");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Grouping and aggregation: hash and sort implementations.
+//! Grouping and aggregation: the one hash aggregate, on both paths.
 //!
 //! Grouping uses SQL2's duplicate semantics — rows with NULL grouping
 //! values form a group of their own ("NULL equals NULL", Section 4.2 of
@@ -32,7 +32,7 @@ use gbj_types::{internal_err, Error, GroupKey, Result, Schema, Value};
 
 use crate::batch::{Bitmap, ColumnVector, ColumnarBatch, StringDict, NULL_CODE};
 use crate::guard::{row_bytes, ResourceGuard};
-use crate::key::{KeyMap, KeyView};
+use crate::key::{KeyMap, KeyView, Nulls};
 use crate::metrics::MetricsSink;
 
 /// Estimated bytes of one aggregation-table entry beyond its key
@@ -681,6 +681,13 @@ impl<'a> AggStates<'a> {
     }
 }
 
+/// Charge a new group's `entry_bytes` before it counts; `bytes` keeps
+/// what the table holds, failed charge included (released on drop).
+fn charge(guard: &ResourceGuard, bytes: &mut u64, entry_bytes: u64) -> Result<()> {
+    *bytes += entry_bytes;
+    guard.charge_memory(entry_bytes)
+}
+
 /// What a two-pass step raises: a pass-2 failure sits at a row before
 /// the charge that stopped pass 1, so it comes first.
 fn first_of(failed: FirstError, unplaced: Option<Error>) -> Result<()> {
@@ -741,10 +748,10 @@ impl SlotKeys {
 /// the guard is released on drop, so error paths need no bookkeeping.
 pub(crate) struct Groups<'a> {
     guard: &'a ResourceGuard,
-    map: KeyMap<u32>,
+    /// Key → slot: a group's slot is its entry number.
+    map: KeyMap<()>,
     keys: SlotKeys,
     states: AggStates<'a>,
-    len: usize,
     bytes: u64,
     /// Scratch: the slot of each row of the chunk being folded.
     slots: Vec<u32>,
@@ -763,7 +770,6 @@ impl<'a> Groups<'a> {
             map: KeyMap::new(),
             keys: SlotKeys::Decoded(Vec::new()),
             states,
-            len: 0,
             bytes: 0,
             slots: Vec::new(),
         }
@@ -784,7 +790,7 @@ impl<'a> Groups<'a> {
 
     /// Distinct groups so far.
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.map.len()
     }
 
     /// Bytes this table has charged to the guard and still holds.
@@ -798,22 +804,20 @@ impl<'a> Groups<'a> {
         self.guard.release_memory(std::mem::take(&mut self.bytes));
     }
 
-    /// Charge a new entry before it counts: decoded-key `row_bytes` +
-    /// [`ACC_ENTRY_BYTES`] per aggregate.
-    fn charge(&mut self, key_bytes: u64) -> Result<()> {
-        let entry_bytes = key_bytes + ACC_ENTRY_BYTES * self.states.aggregates.len().max(1) as u64;
-        self.bytes += entry_bytes;
-        self.guard.charge_memory(entry_bytes)
+    /// What a new entry charges beyond its key: [`ACC_ENTRY_BYTES`] per
+    /// aggregate.
+    fn state_bytes(&self) -> u64 {
+        ACC_ENTRY_BYTES * self.states.aggregates.len().max(1) as u64
     }
 
-    /// Key the table the way `view` is keyed, if it can: an empty table
-    /// takes the view's raw shape, a raw table meeting another shape
-    /// decodes its keys (slots do not move).
-    fn adopt(&mut self, view: &KeyView<'_>) {
-        self.map.adopt(view);
+    /// Key the table the way `view` is keyed for rows `rows`, if it can:
+    /// an empty table takes the view's raw shape, a raw table meeting
+    /// another shape decodes its keys (slots do not move).
+    fn adopt(&mut self, view: &KeyView<'_>, rows: impl Iterator<Item = usize>) {
+        self.map.adopt(view, rows);
         // An empty table is keyed afresh (the map just was); a table
         // whose map was demoted decodes the keys it holds.
-        if self.len == 0 {
+        if self.map.len() == 0 {
             self.keys = match view {
                 KeyView::Int { .. } => SlotKeys::Int {
                     values: Vec::new(),
@@ -834,46 +838,29 @@ impl<'a> Groups<'a> {
     fn decode_keys(&mut self) {
         if !matches!(self.keys, SlotKeys::Decoded(_)) {
             let view = self.keys.view();
-            let decoded = (0..self.len).map(|slot| view.decode(slot)).collect();
+            let decoded = (0..self.map.len()).map(|slot| view.decode(slot)).collect();
             self.keys = SlotKeys::Decoded(decoded);
         }
     }
 
-    /// Find or create the slot of key `i` of `view` (adopted), charging
-    /// a new group before it counts.
-    fn slot(&mut self, view: &KeyView<'_>, i: usize) -> Result<u32> {
-        let next = u32::try_from(self.len)
-            .map_err(|_| internal_err!("group table of {} slots exceeds slot range", self.len))?;
-        let (slot, new) = self.map.entry(view, i, || next);
-        let slot = *slot;
-        if new {
-            self.keys.push(view, i);
-            self.len += 1;
-            self.charge(view.key_bytes(i))?;
-        }
-        Ok(slot)
-    }
-
-    /// Fold one input row into the group `key`.
+    /// Fold one input row into the group `key`, charging a new group
+    /// before it counts: decoded-key `row_bytes` + [`Groups::state_bytes`].
     pub(crate) fn fold(&mut self, key: GroupKey, row: &[Value]) -> Result<()> {
         let slot = match self.map.get_key(&key) {
-            Some(slot) => *slot as usize,
+            Some(slot) => slot,
             None => {
                 self.decode_keys();
-                let slot = self.len;
-                let next = u32::try_from(slot)
-                    .map_err(|_| internal_err!("group table of {slot} slots exceeds slot range"))?;
-                self.charge(row_bytes(&key.0))?;
+                let entry_bytes = row_bytes(&key.0) + self.state_bytes();
+                charge(self.guard, &mut self.bytes, entry_bytes)?;
                 if let SlotKeys::Decoded(keys) = &mut self.keys {
                     keys.push(key.clone());
                 }
-                self.map.insert_key(key, next);
-                self.len += 1;
-                self.states.grow(self.len);
+                let slot = self.map.insert_key(key, ())?;
+                self.states.grow(self.map.len());
                 slot
             }
         };
-        self.states.update_row(slot, row)
+        self.states.update_row(slot as usize, row)
     }
 
     /// Fold every row of `rows` into its group under `group_exprs`,
@@ -892,7 +879,8 @@ impl<'a> Groups<'a> {
     /// Fold the rows `rows` of one chunk, keyed through `keys`, polling
     /// the guard once. Two passes: the slot of every row (new groups
     /// charged in row order), then one loop per aggregate over its
-    /// argument column. The error returned is the one at the smallest
+    /// argument column — or, for arguments evaluated per row, one
+    /// row-major loop. The error returned is the one at the smallest
     /// `(row, aggregate)` position — a new group's memory charge comes
     /// before that row's first aggregate — which is the first error of
     /// a row-major fold.
@@ -903,26 +891,32 @@ impl<'a> Groups<'a> {
         rows: impl ExactSizeIterator<Item = usize> + Clone,
     ) -> Result<()> {
         self.guard.tick_rows(rows.len())?;
-        self.adopt(keys);
-        let cols = match args {
-            ChunkArgs::Columns(cols) => cols,
+        self.adopt(keys, rows.clone());
+        let (slots, unplaced) = self.place(keys, rows.clone());
+        let first = match args {
+            ChunkArgs::Columns(cols) => self.states.update_chunk(&slots, rows, cols),
+            // Row-major over the placed rows: the first error is the
+            // first failing row's.
             ChunkArgs::Rows(batch) => {
-                return rows.into_iter().try_for_each(|i| {
-                    let slot = self.slot(keys, i)?;
-                    self.states.grow(self.len);
-                    self.states.update_row(slot as usize, &batch.row(i))
-                });
+                Ok(slots
+                    .iter()
+                    .zip(rows)
+                    .enumerate()
+                    .find_map(|(pos, (&slot, i))| {
+                        let updated = self.states.update_row(slot as usize, &batch.row(i));
+                        updated.err().map(|error| (pos, error))
+                    }))
             }
         };
-        let (slots, unplaced) = self.place(keys, rows.clone());
-        let first = self.states.update_chunk(&slots, rows, cols);
         self.slots = slots;
         first_of(first?, unplaced)
     }
 
     /// Pass 1 of a two-pass step: the slot of each key `rows` names in
-    /// `view` (adopted), new groups created — and charged — in order.
-    /// Stops at a charge that fails; the states are grown to match.
+    /// `view` (adopted), new groups created — and charged, decoded-key
+    /// `row_bytes` + [`Groups::state_bytes`] each — in order, in one
+    /// typed loop ([`KeyMap::place`]). Stops at a charge that fails; the
+    /// states are grown to match.
     fn place(
         &mut self,
         view: &KeyView<'_>,
@@ -930,18 +924,25 @@ impl<'a> Groups<'a> {
     ) -> (Vec<u32>, Option<Error>) {
         let mut slots = std::mem::take(&mut self.slots);
         slots.clear();
-        let mut unplaced = None;
-        for i in rows {
-            match self.slot(view, i) {
-                Ok(slot) => slots.push(slot),
-                Err(error) => {
-                    unplaced = Some(error);
-                    break;
-                }
+        slots.reserve(rows.size_hint().0);
+        let state_bytes = self.state_bytes();
+        let Groups {
+            guard,
+            map,
+            keys,
+            bytes,
+            ..
+        } = self;
+        let placed = map.place(view, rows, Nulls::Group, |i, slot, (), new| {
+            if new {
+                keys.push(view, i);
+                charge(guard, bytes, view.key_bytes(i) + state_bytes)?;
             }
-        }
-        self.states.grow(self.len);
-        (slots, unplaced)
+            slots.push(slot);
+            Ok(())
+        });
+        self.states.grow(self.map.len());
+        (slots, placed.err())
     }
 
     /// Merge shipped partials: the groups `picked` (slots of `other`, in
@@ -951,7 +952,7 @@ impl<'a> Groups<'a> {
     /// [`Groups::fold_chunk`], one partial being one row.
     pub(crate) fn merge_picked(&mut self, other: &Groups<'_>, picked: &[u32]) -> Result<()> {
         let view = other.keys.view();
-        self.adopt(&view);
+        self.adopt(&view, picked.iter().map(|&s| s as usize));
         let (slots, unplaced) = self.place(&view, picked.iter().map(|&s| s as usize));
         let first = self.states.merge_from(&other.states, picked, &slots);
         self.slots = slots;
@@ -960,15 +961,14 @@ impl<'a> Groups<'a> {
 
     /// The part of `n` each group belongs to, by slot.
     pub(crate) fn shards(&self, n: usize) -> Vec<u32> {
-        self.keys.view().shards(0..self.len, n)
+        self.keys.view().shards(0..self.len(), n)
     }
 
     /// What this table charged for the group in `slot` — also the
     /// payload of a shipped partial: key + one state entry per
     /// aggregate.
     pub(crate) fn entry_bytes(&self, slot: usize) -> u64 {
-        self.keys.view().key_bytes(slot)
-            + ACC_ENTRY_BYTES * self.states.aggregates.len().max(1) as u64
+        self.keys.view().key_bytes(slot) + self.state_bytes()
     }
 
     /// Drain into output columns — the `key_arity` key columns, then

@@ -16,6 +16,26 @@
 //! `state_bytes` are measurements of a particular run and are
 //! deliberately excluded from [`OperatorMetrics::fingerprint`].
 //!
+//! **Timers.** Three phase timers, `build_ns`, `probe_ns` and
+//! `kernel_ns`, and the way they nest is a rule per operator. On the
+//! chunk pipeline:
+//!
+//! | operator | `build_ns` | `probe_ns` | `kernel_ns` |
+//! |---|---|---|---|
+//! | Scan | — | the cursor, dealing batches to parts | — |
+//! | Filter, Project | — | the whole operator | per-chunk evaluation and any exchange: **inside** `probe_ns` |
+//! | Join | the hash build | the pair loop | the exchanges, both concatenations, the pair split, the gather and the residual: **disjoint** from the other two |
+//! | Aggregate | the fold (under a combiner: fold, routing and merge) | the drain | per-chunk key and argument evaluation: **inside** `build_ns`; a gather or exchange before the fold: **disjoint** |
+//! | Sort | the sort | — | the gather: **disjoint** |
+//!
+//! So an operator's own time is `probe_ns` for Filter and Project,
+//! `build_ns + probe_ns + kernel_ns` for Join and Sort, and for an
+//! Aggregate `build_ns + probe_ns` plus the disjoint share of
+//! `kernel_ns`. A movement counts as the moving operator's kernel time.
+//! Over several parts the timers sum the parts' times, not wall time.
+//! The row engine runs no kernel (`kernel_ns` is zero) and times its
+//! phases as the table says.
+//!
 //! The sink is internally atomic so an operator's parts can share it by
 //! reference across the thread team (see [`crate::parallel`]).
 

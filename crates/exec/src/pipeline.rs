@@ -88,7 +88,7 @@ use crate::exchange::{deal, exchange, gather, ROW_FRAME_BYTES};
 use crate::executor::{bind_sort_keys, input_batches, sort_rows, Executor};
 use crate::guard::ResourceGuard;
 use crate::join::bind_join;
-use crate::key::{code_translation, KeyMap, KeyView};
+use crate::key::{code_translation, KeyMap, KeyView, Nulls};
 use crate::metrics::MetricsSink;
 use crate::parallel::{collect_in_order, lock, run_morsels};
 use crate::result::ProfileNode;
@@ -581,18 +581,20 @@ impl Executor<'_> {
                         let mut seen: KeyMap<()> = KeyMap::new();
                         let dedup = |ch: Chunk| {
                             let rows = KeyView::of_rows(&ch.batch);
-                            seen.adopt(&rows);
-                            let kept = ch
-                                .indices()
-                                .filter(|&i| seen.entry(&rows, i, || ()).1)
-                                .map(|i| i as u32)
-                                .collect();
-                            Chunk {
+                            seen.adopt(&rows, ch.indices());
+                            let mut kept = Vec::new();
+                            seen.place(&rows, ch.indices(), Nulls::Group, |i, _, (), new| {
+                                if new {
+                                    kept.push(i as u32);
+                                }
+                                Ok(())
+                            })?;
+                            Ok(Chunk {
                                 batch: ch.batch,
                                 sel: Some(kept),
-                            }
+                            })
                         };
-                        Ok(chunks.into_iter().map(dedup).collect())
+                        chunks.into_iter().map(dedup).collect()
                     })?;
                 }
                 let out_count = parts_len(&parts);
@@ -776,12 +778,18 @@ impl Executor<'_> {
 /// row-id pairs, gather payload columns once per output, and apply the
 /// residual as a selection vector. The index is one [`KeyMap`] from key
 /// to build row ids — raw `i64`s or dictionary codes when both sides'
-/// key is one such column, decoded `=ⁿ` keys otherwise — and both
-/// phases skip rows whose key holds a NULL (invalid slots,
-/// out-of-dictionary codes): the row path's search-condition semantics.
-/// Counter and guard-charge order mirror [`crate::join::hash_join`]
-/// call-for-call, except that the guard is polled once per
-/// [`POLL_ROWS`] rows (and once for their matches), not once per row.
+/// key is one such column (through a directory when the build keys
+/// span a small range), decoded `=ⁿ` keys otherwise — built and probed
+/// [`POLL_ROWS`] rows at a time in one typed loop each
+/// ([`KeyMap::place`], [`KeyMap::probe`]), and both phases skip rows
+/// whose key holds a NULL (invalid slots, out-of-dictionary codes): the
+/// row path's search-condition semantics. Counter and guard-charge
+/// order mirror [`crate::join::hash_join`] call-for-call, except that
+/// the guard is polled once per [`POLL_ROWS`] rows (and once for their
+/// matches), not once per row. Timers: the build and the pair loop are
+/// `build_ns` and `probe_ns`; the concatenation before them and the
+/// split, gather and residual after them are `kernel_ns`, disjoint
+/// from both (see [`crate::metrics`]).
 #[allow(clippy::too_many_arguments)]
 fn join_columnar(
     l_chunks: &[Chunk],
@@ -820,17 +828,17 @@ fn join_columnar(
     let mut build_bytes = 0u64;
     let mut build_entries = 0u64;
     let build_timer = sink.start_timer();
-    let mut index: KeyMap<Vec<u32>> = KeyMap::for_join(&rkeys, &lkeys);
+    let mut index: KeyMap<Vec<u32>> = KeyMap::for_join(&rkeys, &lkeys, 0..rbatch.len());
     let built = strides(rbatch.len()).try_for_each(|stride| {
         guard.tick_rows(stride.len())?;
-        for i in stride.filter(|&i| !rkeys.has_null(i)) {
+        index.place(&rkeys, stride, Nulls::Skip, |i, _, build_rows, _| {
             let per = rkeys.key_bytes(i) + std::mem::size_of::<usize>() as u64;
             build_bytes += per;
             build_entries += 1;
             guard.charge_memory(per)?;
-            index.entry(&rkeys, i, Vec::new).0.push(i as u32);
-        }
-        Ok(())
+            build_rows.push(i as u32);
+            Ok(())
+        })
     });
     sink.record_build(build_timer);
     sink.add_hash_entries(build_entries);
@@ -849,30 +857,13 @@ fn join_columnar(
             }
             _ => None,
         };
-        let hits = |i: usize| -> Option<&Vec<u32>> {
-            if !index.is_raw() {
-                return if lkeys.has_null(i) {
-                    None
-                } else {
-                    index.get(&lkeys, i)
-                };
-            }
-            let key = lkeys.raw(i)?;
-            let key = match &translation {
-                None => key,
-                Some(codes) => (*codes.get(usize::try_from(key).ok()?)?)?,
-            };
-            index.get_raw(Some(key))
-        };
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         for stride in strides(lbatch.len()) {
             guard.tick_rows(stride.len())?;
             let before = pairs.len();
-            for i in stride {
-                if let Some(build_rows) = hits(i) {
-                    pairs.extend(build_rows.iter().map(|&ri| (i as u32, ri)));
-                }
-            }
+            index.probe(&lkeys, translation.as_deref(), stride, |i, build_rows| {
+                pairs.extend(build_rows.iter().map(|&ri| (i as u32, ri)));
+            })?;
             guard.tick_rows(pairs.len() - before)?;
         }
         Ok(pairs)
@@ -887,6 +878,9 @@ fn join_columnar(
             pairs.len()
         ));
     }
+    // Splitting the pairs, gathering the output columns and the residual
+    // are kernel work too, like the concatenation.
+    let kt = sink.start_timer();
     let lsel: Vec<u32> = pairs.iter().map(|&(li, _)| li).collect();
     let rsel: Vec<u32> = pairs.iter().map(|&(_, ri)| ri).collect();
     let total = pairs.len();
@@ -906,6 +900,7 @@ fn join_columnar(
         Some(keep) => Some(select(keep, &out, None)?),
         None => None,
     };
+    sink.record_kernel(kt);
     Ok(Chunk { batch: out, sel })
 }
 

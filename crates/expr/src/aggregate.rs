@@ -310,9 +310,12 @@ impl Accumulator {
     ///
     /// Exactness caveat: for `SUM`/`AVG` over floats the merged total is
     /// `self + other` rather than a replay of the original input order,
-    /// so it can differ from serial in the last ulp when inputs are not
-    /// exactly representable. Integer inputs (including `AVG`'s `f64`
-    /// sums of integers below 2^53) are exact and order-insensitive.
+    /// and float addition is not associative, so the merged result can
+    /// differ from the serial one by far more than an ulp: partials of
+    /// `1e16`, `1.0` and `-1e16` sum to `0.0` in one order and `1.0` in
+    /// another. An integer `SUM` is exact whatever the order, but it can
+    /// overflow in one order and not in another; `AVG`'s `f64` sums of
+    /// integers are exact while every partial stays below 2^53.
     pub fn merge(&mut self, other: &Accumulator) -> Result<()> {
         if self.func != other.func || self.seen.is_some() != other.seen.is_some() {
             return Err(Error::Internal(

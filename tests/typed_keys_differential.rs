@@ -249,6 +249,158 @@ fn typed_keys_reproduce_the_oracle_across_the_matrix() {
     }
 }
 
+/// The widest span of `Int` keys a group table, a dedup set or a join
+/// build indexes directly (`gbj_exec::key::DIRECT_CELLS`), restated.
+const DIRECT_CELLS: i64 = 1 << 16;
+
+/// Key streams built to walk a key table through its arms as the scan
+/// hands it batches: `K` opens a directory at a negative base, widens it
+/// down and up, then passes the cap in the middle of the stream; `E`
+/// and `M` fill exactly the cap at the top and at the bottom of the
+/// `i64` range (`M` then passes it by one); `R` spans past the cap in
+/// its first rows; `S` is dictionary-coded with NULL codes and an entry
+/// no live row uses. `Dim` is a small join build over a negative base.
+fn span_zoo() -> Database {
+    let mut db = Database::new();
+    db.run_script(
+        "CREATE TABLE Dim (Dk INTEGER PRIMARY KEY, Ds VARCHAR(10), Name VARCHAR(10)); \
+         CREATE TABLE T (Id INTEGER PRIMARY KEY, K INTEGER, E INTEGER, M INTEGER, \
+                         R INTEGER, S VARCHAR(10), V INTEGER);",
+    )
+    .expect("ddl");
+    let strings = ["p", "q", "", "a longer key"];
+    let rows = (0..400i64).map(|id| {
+        let k = match id {
+            150 => Some(-6000),
+            _ if id % 9 == 4 => None,
+            0..=19 => Some(id - 10),
+            20..=99 if id % 2 == 0 => Some(-id),
+            20..=99 => Some(id * 600),
+            _ => Some((id * 37) % 200 - 100),
+        };
+        let spread = (id * 997) % DIRECT_CELLS;
+        let e = match id {
+            1 => Some(i64::MAX - (DIRECT_CELLS - 1)),
+            _ if id % 11 == 5 => None,
+            _ => Some(i64::MAX - spread),
+        };
+        let m = match id {
+            250 => Some(i64::MIN + DIRECT_CELLS),
+            3 => Some(i64::MIN + DIRECT_CELLS - 1),
+            _ => Some(i64::MIN + spread),
+        };
+        let r = match id {
+            1 => 1_000_000_007,
+            _ => id % 13,
+        };
+        let s = match id % 7 {
+            3 => Value::Null,
+            _ => Value::str(strings[(id % 11) as usize % strings.len()]),
+        };
+        let int = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+        vec![
+            Value::Int(id),
+            int(k),
+            int(e),
+            int(m),
+            Value::Int(r),
+            s,
+            if id % 10 == 0 {
+                Value::Null
+            } else {
+                Value::Int(id % 50 - 20)
+            },
+        ]
+    });
+    db.insert_rows("T", rows).expect("rows");
+    db.run_script(
+        "INSERT INTO T VALUES (9000, 1, 1, 1, 1, 'ghost', 1); \
+         DELETE FROM T WHERE S = 'ghost';",
+    )
+    .expect("ghost");
+    let dims = (-50..50i64).map(|dk| {
+        let ds = match dk.rem_euclid(5) {
+            0 => Value::Null,
+            // Another dictionary, another code order: the probe
+            // translates.
+            i => Value::str(["zz", "q", "", "p"][i as usize - 1]),
+        };
+        vec![
+            Value::Int(dk),
+            ds,
+            Value::str(format!("d{}", dk.rem_euclid(7))),
+        ]
+    });
+    db.insert_rows("Dim", dims).expect("dims");
+    db
+}
+
+const SPAN_QUERIES: [&str; 13] = [
+    "SELECT T.K, COUNT(*), SUM(T.V), MIN(T.V) FROM T GROUP BY T.K",
+    "SELECT T.E, COUNT(*), SUM(T.V) FROM T GROUP BY T.E",
+    "SELECT T.M, COUNT(T.V), MAX(T.V) FROM T GROUP BY T.M",
+    "SELECT T.R, COUNT(*), SUM(T.V) FROM T GROUP BY T.R",
+    "SELECT T.S, COUNT(*), SUM(T.V) FROM T GROUP BY T.S",
+    "SELECT T.K, T.S, COUNT(*) FROM T GROUP BY T.K, T.S",
+    "SELECT DISTINCT T.K FROM T",
+    "SELECT DISTINCT T.M FROM T",
+    "SELECT DISTINCT T.S FROM T",
+    "SELECT D.Dk, COUNT(T.Id), SUM(T.V) FROM T, Dim D WHERE T.K = D.Dk GROUP BY D.Dk",
+    "SELECT D.Name, COUNT(T.Id), MIN(T.V) FROM T, Dim D WHERE T.S = D.Ds GROUP BY D.Name",
+    "SELECT T.Id, T.K, D.Name FROM T, Dim D WHERE T.K = D.Dk",
+    "SELECT T.Id, D.Dk FROM T, Dim D WHERE T.S = D.Ds AND T.K = D.Dk",
+];
+
+/// Direct-indexed, raw-hashed and decoded keys against the oracle: the
+/// streams of [`span_zoo`] grouped, deduplicated and joined — keys at
+/// both edges of a directory's span, widening it down and up, passing
+/// its cap mid-stream, a negative base, `i64::MIN` / `i64::MAX`, NULL
+/// through validity and through `NULL_CODE`, a dictionary entry no live
+/// row uses — in scan batches of 5 rows and whole blocks, at 1 and 4
+/// parts, with the combiner off and on: the oracle's rows (in its order
+/// at one part) and its fingerprint.
+#[test]
+fn key_directories_reproduce_the_oracle_as_they_widen_and_demote() {
+    let mut db = span_zoo();
+    for sql in SPAN_QUERIES {
+        for policy in [PushdownPolicy::Never, PushdownPolicy::Always] {
+            let plan = plan(&mut db, policy, sql);
+            for batch_size in [None, Some(5)] {
+                db.set_fault_injector(batch_size.map(|size| {
+                    FaultInjector::new(FaultConfig {
+                        batch_size: Some(size),
+                        ..FaultConfig::default()
+                    })
+                }));
+                let (oracle, oracle_profile, _) =
+                    oracle(&db, &plan, ResourceLimits::default()).expect("oracle runs");
+                assert!(!oracle.rows.is_empty(), "{sql}: no rows to compare");
+                for shards in SHARDS {
+                    for combiner in [false, true] {
+                        let ctx = format!(
+                            "{policy:?} batch_size={batch_size:?} shards={shards} \
+                             combiner={combiner}: {sql}"
+                        );
+                        let options = pipeline(shards, 1, combiner, ResourceLimits::default());
+                        let (got, profile, _) =
+                            run(&db, &plan, options).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                        if shards == 1 {
+                            assert_eq!(exact(&got.rows), exact(&oracle.rows), "{ctx}: order");
+                        }
+                        assert_eq!(multiset(&got.rows), multiset(&oracle.rows), "{ctx}: rows");
+                        assert_eq!(
+                            profile.counter_fingerprint(),
+                            oracle_profile.counter_fingerprint(),
+                            "{ctx}: fingerprint"
+                        );
+                    }
+                }
+            }
+            db.set_fault_injector(None);
+        }
+    }
+}
+
 /// The rough heap footprint the engine prices a row at
 /// (`gbj::exec::guard::row_bytes`), restated here so the expectation
 /// below is the test's own.
