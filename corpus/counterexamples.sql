@@ -37,6 +37,46 @@ CREATE TABLE R (b INTEGER PRIMARY KEY, w INTEGER NOT NULL);
 
 SELECT R.b, SUM(L.v) FROM L, R GROUP BY R.b;
 
+-- A nullable UNIQUE is no key: SQL's UNIQUE admits any number of rows
+-- with a NULL U, and those rows agree under =ⁿ while their RowIDs
+-- differ. Without it the closure of {UDim.U} reaches neither a key of
+-- UDim nor GA1+ = {UFact.DId}; TestFD reports Step 4h → GBJ202.
+CREATE TABLE UDim (DId INTEGER, U INTEGER, UNIQUE (U));
+CREATE TABLE UFact (FId INTEGER PRIMARY KEY, DId INTEGER, V INTEGER);
+
+SELECT UDim.U, SUM(UFact.V)
+FROM UFact, UDim
+WHERE UFact.DId = UDim.DId
+GROUP BY UDim.U;
+
+-- A CHECK on a nullable column is no WHERE conjunct: CHECK (G = 1)
+-- admits a row with G NULL, on which it is unknown. Without it, the
+-- disjunct CDim.Y = 3 leaves GA1+ = {G} underivable (Step 4h) → GBJ202,
+-- whether G's CHECK is a column CHECK, a domain's, or an assertion.
+CREATE TABLE CDim (DId INTEGER PRIMARY KEY, X INTEGER, Y INTEGER);
+CREATE TABLE CFact (FId INTEGER PRIMARY KEY, G INTEGER CHECK (G = 1), V INTEGER);
+
+SELECT CDim.DId, SUM(CFact.V)
+FROM CFact, CDim
+WHERE CFact.G = CDim.X OR CDim.Y = 3
+GROUP BY CDim.DId;
+
+CREATE DOMAIN One INTEGER CHECK (VALUE = 1);
+CREATE TABLE DFact (FId INTEGER PRIMARY KEY, G One, V INTEGER);
+
+SELECT CDim.DId, SUM(DFact.V)
+FROM DFact, CDim
+WHERE DFact.G = CDim.X OR CDim.Y = 3
+GROUP BY CDim.DId;
+
+CREATE TABLE AFact (FId INTEGER PRIMARY KEY, G INTEGER, V INTEGER);
+CREATE ASSERTION afact_g_one CHECK (AFact.G = 1);
+
+SELECT CDim.DId, SUM(AFact.V)
+FROM AFact, CDim
+WHERE AFact.G = CDim.X OR CDim.Y = 3
+GROUP BY CDim.DId;
+
 -- NULL-semantics pitfalls (§3: ⌊P⌋ / ⌈P⌉ vs naive 2VL):
 -- `= NULL` is never true under 3VL → GBJ301; `<>` and `NOT` over a
 -- nullable column diverge from their 2VL readings → GBJ303 / GBJ302.

@@ -3,15 +3,13 @@
 //! An [`Analysis`] accumulates diagnostics across the passes for one
 //! query. The engine drives it with whatever artifacts it has — the
 //! logical plan always, the transformation outcome when the optimizer
-//! examined one — and the result is a single [`Report`] plus, for eager
-//! rewrites, the [`FdCertificate`] proving FD1/FD2.
+//! examined one — and the result is a single [`Report`].
 
-use gbj_core::{EagerOutcome, TransformOptions};
-use gbj_fd::FdContext;
+use gbj_core::EagerOutcome;
 use gbj_plan::{LogicalPlan, QueryBlock};
 
 use crate::diag::{Report, Severity};
-use crate::fd_audit::{audit_eager_outcome, FdCertificate};
+use crate::fd_audit::audit_eager_outcome;
 use crate::range_pass::{analyze_plan, RangeAnalysis, SeedDomains};
 use crate::{null_pass, schema_pass};
 
@@ -19,7 +17,6 @@ use crate::{null_pass, schema_pass};
 #[derive(Debug)]
 pub struct Analysis {
     report: Report,
-    certificate: Option<FdCertificate>,
 }
 
 impl Analysis {
@@ -29,7 +26,6 @@ impl Analysis {
     pub fn new(subject: impl Into<String>) -> Analysis {
         Analysis {
             report: Report::new(subject),
-            certificate: None,
         }
     }
 
@@ -51,19 +47,11 @@ impl Analysis {
         analysis
     }
 
-    /// Pass 2: audit the eager-aggregation outcome, attaching the
-    /// replayed FD certificate for a rewrite and the stable refusal
-    /// code otherwise. For rewrites the `=ⁿ` grouping-shape check
-    /// (GBJ304) also runs against the original block.
-    pub fn check_rewrite(
-        &mut self,
-        original: &QueryBlock,
-        outcome: &EagerOutcome,
-        fd_ctx: &FdContext,
-        options: &TransformOptions,
-    ) {
-        let audit = audit_eager_outcome(outcome, fd_ctx, options);
-        self.report.extend(audit.report);
+    /// Pass 2: audit the eager-aggregation outcome — the stable code
+    /// of a refusal, or for a rewrite the `=ⁿ` grouping-shape check
+    /// (GBJ304) against the original block.
+    pub fn check_rewrite(&mut self, original: &QueryBlock, outcome: &EagerOutcome) {
+        self.report.extend(audit_eager_outcome(outcome));
         if let EagerOutcome::Rewritten {
             block, partition, ..
         } = outcome
@@ -72,7 +60,6 @@ impl Analysis {
                 original, block, partition,
             ));
         }
-        self.certificate = audit.certificate;
     }
 
     /// Pass 5 (cost/statistics): record that the §7 cost model declined
@@ -102,12 +89,6 @@ impl Analysis {
         );
     }
 
-    /// The FD certificate, when pass 2 examined a rewrite.
-    #[must_use]
-    pub fn certificate(&self) -> Option<&FdCertificate> {
-        self.certificate.as_ref()
-    }
-
     /// The accumulated report.
     #[must_use]
     pub fn report(&self) -> &Report {
@@ -120,10 +101,10 @@ impl Analysis {
         self.report.has_severity(Severity::Error)
     }
 
-    /// Consume the analysis, yielding the report and certificate.
+    /// Consume the analysis, yielding the report.
     #[must_use]
-    pub fn finish(self) -> (Report, Option<FdCertificate>) {
-        (self.report, self.certificate)
+    pub fn finish(self) -> Report {
+        self.report
     }
 }
 
@@ -149,7 +130,6 @@ mod tests {
         a.check_logical(&plan);
         assert!(a.report().is_empty(), "{}", a.report().render_text());
         assert!(!a.has_errors());
-        assert!(a.certificate().is_none());
     }
 
     #[test]

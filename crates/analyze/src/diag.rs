@@ -3,7 +3,9 @@
 //!
 //! Every diagnostic carries a [`Code`] from the fixed registry below.
 //! Codes are *stable*: once published they keep their meaning forever,
-//! so CI jobs, golden tests and downstream tooling can match on them.
+//! so CI jobs, golden tests and downstream tooling can match on them. A
+//! retired code's number is never reused (DESIGN.md §12 lists the
+//! retired codes).
 //!
 //! Code space:
 //!
@@ -53,8 +55,6 @@ pub enum Code {
     NonBooleanPredicate,
     /// A comparison's operand types are incompatible under 3VL.
     IncomparableTypes,
-    /// An eager-aggregation rewrite carries no TestFD certificate.
-    MissingCertificate,
     /// FD1 `(GA1, GA2) → GA1+` is not derivable (TestFD Step 4h).
     Fd1NotDerivable,
     /// FD2 `(GA1+, GA2) → RowID(R2)` is not derivable: no candidate key
@@ -126,7 +126,6 @@ impl Code {
             Code::UnderivableSchema => "GBJ102",
             Code::NonBooleanPredicate => "GBJ103",
             Code::IncomparableTypes => "GBJ104",
-            Code::MissingCertificate => "GBJ201",
             Code::Fd1NotDerivable => "GBJ202",
             Code::Fd2NotDerivable => "GBJ203",
             Code::NoUsableEqualities => "GBJ204",
@@ -154,7 +153,6 @@ impl Code {
             | Code::UnderivableSchema
             | Code::NonBooleanPredicate
             | Code::IncomparableTypes
-            | Code::MissingCertificate
             | Code::GroupingSemanticsChanged => Severity::Error,
             Code::Fd1NotDerivable
             | Code::Fd2NotDerivable
@@ -182,7 +180,6 @@ impl Code {
             Code::UnderivableSchema => "operator output schema is not derivable from its inputs",
             Code::NonBooleanPredicate => "filter/join predicate is not boolean",
             Code::IncomparableTypes => "comparison operands are type-incompatible under 3VL",
-            Code::MissingCertificate => "eager rewrite carries no FD1/FD2 certificate",
             Code::Fd1NotDerivable => "FD1 (GA1,GA2) -> GA1+ is not derivable (TestFD Step 4h)",
             Code::Fd2NotDerivable => {
                 "FD2: no candidate key of an R2 relation is derivable (TestFD Step 4d)"
@@ -223,7 +220,6 @@ impl Code {
             Code::UnderivableSchema,
             Code::NonBooleanPredicate,
             Code::IncomparableTypes,
-            Code::MissingCertificate,
             Code::Fd1NotDerivable,
             Code::Fd2NotDerivable,
             Code::NoUsableEqualities,

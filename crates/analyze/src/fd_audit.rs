@@ -6,13 +6,13 @@
 //! * `FD1: (GA1, GA2) → GA1+`
 //! * `FD2: (GA1+, GA2) → RowID(R2)`
 //!
-//! The optimizer proves them with `TestFD` (Section 6.3). This pass
-//! *replays* that proof independently of the planner and converts the
-//! trace into an [`FdCertificate`] — the constraint/equality-closure
-//! chain deriving FD1 and FD2, per DNF disjunct — that the engine
-//! attaches to every eager rewrite. A rewrite the engine *chose*
-//! without a replayable derivation is a hard error (GBJ201): the plan
-//! is not known to be equivalent to the original query.
+//! The optimizer proves them with `TestFD` (Section 6.3), once per
+//! candidate partition. A rewrite's certificate is that run's own
+//! trace — the constraint/equality-closure chain deriving FD1 and FD2
+//! per DNF disjunct — which the engine attaches to the eager plan and
+//! EXPLAIN prints under `TestFD:`. This pass runs no TestFD of its own:
+//! TestFD is deterministic, so a second run on the same inputs could
+//! only agree.
 //!
 //! Refused rewrites are reported at Warning/Info severity with a stable
 //! code per refusal cause, so the counterexample corpus can assert
@@ -25,233 +25,13 @@
 //! | GBJ204 | Step 3: no usable Type-1/Type-2 equality clauses       |
 //! | GBJ205 | DNF conversion exceeded the clause budget              |
 //! | GBJ206 | structurally inapplicable (no aggregates, HAVING, …)   |
+//!
+//! A rewrite raises no code here: its certificate is the trace that
+//! made it, so it cannot be missing.
 
-use std::collections::BTreeSet;
-use std::fmt;
+use gbj_core::EagerOutcome;
 
-use gbj_core::testfd::test_fd;
-use gbj_core::theorem3::constraint_conjuncts;
-use gbj_core::{EagerOutcome, Partition, TestFdTrace, TransformOptions};
-use gbj_expr::Expr;
-use gbj_fd::FdContext;
-use gbj_types::ColumnRef;
-
-use crate::diag::{json_escape, Code, Diagnostic, Report};
-
-/// One disjunct's proof obligations, with the closure chain that
-/// discharges (or fails to discharge) them.
-#[derive(Debug, Clone)]
-pub struct DisjunctProof {
-    /// The Type-1/Type-2 atoms of this DNF disjunct.
-    pub atoms: Vec<String>,
-    /// The seed `GA1 ∪ GA2` (Step 4a).
-    pub seed: Vec<String>,
-    /// Closure steps: each line is `+ {cols} via <reason>` (Step 4c).
-    pub chain: Vec<String>,
-    /// The closed attribute set `S`.
-    pub closure: Vec<String>,
-    /// FD2 check (Step 4d): per `R2` relation, is one of its candidate
-    /// keys contained in `S`?
-    pub fd2_key_checks: Vec<(String, bool)>,
-    /// FD1 check (Step 4h): `GA1+ ⊆ S`.
-    pub fd1_ga1_plus_contained: bool,
-}
-
-impl DisjunctProof {
-    /// Whether both FD obligations are discharged for this disjunct.
-    #[must_use]
-    pub fn passes(&self) -> bool {
-        self.fd1_ga1_plus_contained && self.fd2_key_checks.iter().all(|(_, ok)| *ok)
-    }
-}
-
-/// A machine-checked certificate that FD1 and FD2 hold (or a record of
-/// where the derivation fails), produced by replaying `TestFD`.
-#[derive(Debug, Clone)]
-pub struct FdCertificate {
-    /// Qualifiers of the aggregation side.
-    pub r1: Vec<String>,
-    /// Qualifiers of the other side.
-    pub r2: Vec<String>,
-    /// `GA1+` — the inner grouping columns FD1 must derive.
-    pub ga1_plus: Vec<String>,
-    /// CNF clauses kept after Step 2 (all atoms Type 1/2).
-    pub kept_clauses: Vec<String>,
-    /// CNF clauses dropped in Step 2.
-    pub dropped_clauses: Vec<String>,
-    /// Per-DNF-disjunct proofs.
-    pub disjuncts: Vec<DisjunctProof>,
-    /// Whether every disjunct passes — the replayed TestFD answer.
-    pub valid: bool,
-    /// The failure reason when `valid` is false.
-    pub failure: Option<String>,
-}
-
-fn render_cols(cols: &BTreeSet<ColumnRef>) -> Vec<String> {
-    cols.iter().map(ToString::to_string).collect()
-}
-
-impl FdCertificate {
-    /// Build a certificate by replaying `TestFD` on `partition` under
-    /// `fd_ctx` with the given extra conjuncts (Theorem 3's `T1 ∧ T2`).
-    #[must_use]
-    pub fn replay(
-        partition: &Partition,
-        fd_ctx: &FdContext,
-        constraints: &[Expr],
-    ) -> FdCertificate {
-        let outcome = test_fd(partition, fd_ctx, constraints);
-        FdCertificate::from_trace(partition, &outcome.trace, outcome.valid)
-    }
-
-    /// Convert an existing TestFD trace into certificate form.
-    #[must_use]
-    pub fn from_trace(partition: &Partition, trace: &TestFdTrace, valid: bool) -> FdCertificate {
-        let disjuncts = trace
-            .disjuncts
-            .iter()
-            .map(|d| DisjunctProof {
-                atoms: d.atoms.iter().map(ToString::to_string).collect(),
-                seed: render_cols(&d.seed),
-                chain: d
-                    .closure
-                    .steps
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            "+ {{{}}} via {}",
-                            render_cols(&s.added).join(", "),
-                            s.reason
-                        )
-                    })
-                    .collect(),
-                closure: render_cols(&d.closure.result),
-                fd2_key_checks: d.key_checks.clone(),
-                fd1_ga1_plus_contained: d.ga1_plus_contained,
-            })
-            .collect();
-        FdCertificate {
-            r1: partition.r1.iter().cloned().collect(),
-            r2: partition.r2.iter().cloned().collect(),
-            ga1_plus: render_cols(&partition.ga1_plus),
-            kept_clauses: trace.kept_clauses.clone(),
-            dropped_clauses: trace.dropped_clauses.clone(),
-            disjuncts,
-            valid,
-            failure: trace.failure.clone(),
-        }
-    }
-
-    /// Hand-rolled JSON rendering (no serde in the build environment).
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        let strs = |xs: &[String]| {
-            xs.iter()
-                .map(|s| format!("\"{}\"", json_escape(s)))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let mut out = String::from("{");
-        out.push_str(&format!("\"valid\":{},", self.valid));
-        out.push_str(&format!("\"r1\":[{}],", strs(&self.r1)));
-        out.push_str(&format!("\"r2\":[{}],", strs(&self.r2)));
-        out.push_str(&format!("\"ga1_plus\":[{}],", strs(&self.ga1_plus)));
-        out.push_str(&format!("\"kept_clauses\":[{}],", strs(&self.kept_clauses)));
-        out.push_str(&format!(
-            "\"dropped_clauses\":[{}],",
-            strs(&self.dropped_clauses)
-        ));
-        out.push_str("\"disjuncts\":[");
-        for (i, d) in self.disjuncts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            out.push_str(&format!("\"atoms\":[{}],", strs(&d.atoms)));
-            out.push_str(&format!("\"seed\":[{}],", strs(&d.seed)));
-            out.push_str(&format!("\"chain\":[{}],", strs(&d.chain)));
-            out.push_str(&format!("\"closure\":[{}],", strs(&d.closure)));
-            out.push_str("\"fd2_key_checks\":[");
-            for (j, (rel, ok)) in d.fd2_key_checks.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"relation\":\"{}\",\"key_in_closure\":{ok}}}",
-                    json_escape(rel)
-                ));
-            }
-            out.push_str("],");
-            out.push_str(&format!(
-                "\"fd1_ga1_plus_contained\":{}",
-                d.fd1_ga1_plus_contained
-            ));
-            out.push('}');
-        }
-        out.push(']');
-        if let Some(failure) = &self.failure {
-            out.push_str(&format!(",\"failure\":\"{}\"", json_escape(failure)));
-        }
-        out.push('}');
-        out
-    }
-}
-
-impl fmt::Display for FdCertificate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "FD certificate (TestFD replay):")?;
-        writeln!(
-            f,
-            "  R1 = {{{}}}; R2 = {{{}}}; GA1+ = {{{}}}",
-            self.r1.join(", "),
-            self.r2.join(", "),
-            self.ga1_plus.join(", ")
-        )?;
-        if !self.dropped_clauses.is_empty() {
-            writeln!(f, "  dropped clauses: {}", self.dropped_clauses.join("; "))?;
-        }
-        writeln!(f, "  kept clauses: {}", self.kept_clauses.join("; "))?;
-        for (i, d) in self.disjuncts.iter().enumerate() {
-            writeln!(f, "  disjunct E{}: {}", i + 1, d.atoms.join(" AND "))?;
-            writeln!(f, "    seed (GA1 ∪ GA2): {{{}}}", d.seed.join(", "))?;
-            for step in &d.chain {
-                writeln!(f, "    {step}")?;
-            }
-            writeln!(f, "    closure S = {{{}}}", d.closure.join(", "))?;
-            for (rel, ok) in &d.fd2_key_checks {
-                writeln!(
-                    f,
-                    "    FD2: key of {rel} ⊆ S — {}",
-                    if *ok { "derived" } else { "NOT derivable" }
-                )?;
-            }
-            writeln!(
-                f,
-                "    FD1: GA1+ ⊆ S — {}",
-                if d.fd1_ga1_plus_contained {
-                    "derived"
-                } else {
-                    "NOT derivable"
-                }
-            )?;
-        }
-        match (&self.valid, &self.failure) {
-            (true, _) => writeln!(f, "  verdict: VALID — FD1 and FD2 hold in the join result"),
-            (false, Some(why)) => writeln!(f, "  verdict: NOT PROVED — {why}"),
-            (false, None) => writeln!(f, "  verdict: NOT PROVED"),
-        }
-    }
-}
-
-/// The result of auditing one transformation attempt.
-#[derive(Debug, Clone)]
-pub struct FdAudit {
-    /// The replayed certificate, when a partition was examined.
-    pub certificate: Option<FdCertificate>,
-    /// Diagnostics: empty for a certified rewrite, warnings for refused
-    /// rewrites, a GBJ201 error for an uncertified *chosen* rewrite.
-    pub report: Report,
-}
+use crate::diag::{Code, Diagnostic, Report};
 
 /// Map a TestFD failure string to its stable diagnostic code.
 #[must_use]
@@ -269,92 +49,45 @@ pub fn failure_code(reason: &str) -> Code {
     }
 }
 
-/// Assemble the constraint conjuncts exactly as the transformation
-/// does, so the replay sees the same `T1 ∧ T2`.
+/// Audit the outcome of an eager-aggregation attempt: a refused
+/// rewrite's cause as a warning/info diagnostic with a stable code. A
+/// rewritten block audits clean here.
 #[must_use]
-pub fn replay_constraints(fd_ctx: &FdContext, options: &TransformOptions) -> Vec<Expr> {
-    let mut constraints = if options.use_constraint_atoms {
-        constraint_conjuncts(fd_ctx)
-    } else {
-        vec![]
-    };
-    constraints.extend(options.extra_conjuncts.iter().cloned());
-    constraints
-}
-
-/// Audit the outcome of an eager-aggregation attempt.
-///
-/// For a rewritten block the partition's TestFD run is replayed from
-/// scratch — the planner's own trace is *not* trusted — and a failed
-/// replay is a GBJ201 error. For a refused rewrite the refusal cause is
-/// recorded as a warning/info diagnostic with a stable code.
-#[must_use]
-pub fn audit_eager_outcome(
-    outcome: &EagerOutcome,
-    fd_ctx: &FdContext,
-    options: &TransformOptions,
-) -> FdAudit {
+pub fn audit_eager_outcome(outcome: &EagerOutcome) -> Report {
     let mut report = Report::new(String::new());
-    match outcome {
-        EagerOutcome::Rewritten { partition, .. } => {
-            let constraints = replay_constraints(fd_ctx, options);
-            let cert = FdCertificate::replay(partition, fd_ctx, &constraints);
-            if !cert.valid {
-                let why = cert
-                    .failure
-                    .clone()
-                    .unwrap_or_else(|| "replay disagreed with the planner".to_string());
-                report.push(
-                    Diagnostic::new(
-                        Code::MissingCertificate,
-                        format!(
-                            "eager rewrite chosen but the FD1/FD2 derivation does not replay: {why}"
-                        ),
-                    )
-                    .note("the rewritten plan is not known to be equivalent to the original query"),
-                );
+    let EagerOutcome::NotApplicable { reason, testfd } = outcome else {
+        return report;
+    };
+    match testfd {
+        Some(trace) => {
+            let why = trace.failure.clone().unwrap_or_else(|| reason.clone());
+            let code = failure_code(&why);
+            let mut d = Diagnostic::new(code, format!("eager aggregation refused: {why}"));
+            match code {
+                Code::Fd1NotDerivable => {
+                    d = d.note(
+                        "FD1 `(GA1, GA2) → GA1+` has no derivation from keys, \
+                         constraints and the WHERE equality closure",
+                    );
+                }
+                Code::Fd2NotDerivable => {
+                    d = d.note(
+                        "FD2 `(GA1+, GA2) → RowID(R2)` needs a candidate key of \
+                         every R2 relation in the closure",
+                    );
+                }
+                _ => {}
             }
-            FdAudit {
-                certificate: Some(cert),
-                report,
-            }
+            report.push(d);
         }
-        EagerOutcome::NotApplicable { reason, testfd } => {
-            match testfd {
-                Some(trace) => {
-                    let why = trace.failure.clone().unwrap_or_else(|| reason.clone());
-                    let code = failure_code(&why);
-                    let mut d = Diagnostic::new(code, format!("eager aggregation refused: {why}"));
-                    match code {
-                        Code::Fd1NotDerivable => {
-                            d = d.note(
-                                "FD1 `(GA1, GA2) → GA1+` has no derivation from keys, \
-                                 constraints and the WHERE equality closure",
-                            );
-                        }
-                        Code::Fd2NotDerivable => {
-                            d = d.note(
-                                "FD2 `(GA1+, GA2) → RowID(R2)` needs a candidate key of \
-                                 every R2 relation in the closure",
-                            );
-                        }
-                        _ => {}
-                    }
-                    report.push(d);
-                }
-                None => {
-                    report.push(Diagnostic::new(
-                        Code::RewriteInapplicable,
-                        format!("eager aggregation not applicable: {reason}"),
-                    ));
-                }
-            }
-            FdAudit {
-                certificate: None,
-                report,
-            }
+        None => {
+            report.push(Diagnostic::new(
+                Code::RewriteInapplicable,
+                format!("eager aggregation not applicable: {reason}"),
+            ));
         }
     }
+    report
 }
 
 #[cfg(test)]
@@ -362,8 +95,9 @@ mod tests {
     use super::*;
     use crate::diag::Severity;
     use gbj_catalog::{ColumnDef, Constraint, TableDef};
-    use gbj_core::eager_aggregate;
-    use gbj_expr::{AggregateCall, AggregateFunction};
+    use gbj_core::{eager_aggregate, TransformOptions};
+    use gbj_expr::{AggregateCall, AggregateFunction, Expr};
+    use gbj_fd::FdContext;
     use gbj_plan::{BlockRelation, QueryBlock, SelectItem};
     use gbj_types::{DataType, Field, Schema};
 
@@ -449,21 +183,21 @@ mod tests {
     }
 
     #[test]
-    fn valid_rewrite_gets_clean_certificate() {
+    fn valid_rewrite_audits_clean() {
         let ctx = emp_dept_ctx();
         let b = emp_dept_block(false);
-        let opts = TransformOptions::default();
-        let out = eager_aggregate(&b, &ctx, &opts).expect("transform runs");
-        let audit = audit_eager_outcome(&out, &ctx, &opts);
-        assert!(audit.report.is_empty(), "{}", audit.report.render_text());
-        let cert = audit.certificate.expect("certificate attached");
-        assert!(cert.valid);
-        assert!(!cert.disjuncts.is_empty());
-        assert!(cert.disjuncts.iter().all(DisjunctProof::passes));
-        let text = cert.to_string();
-        assert!(text.contains("VALID"), "{text}");
-        assert!(text.contains("FD1"), "{text}");
-        assert!(text.contains("FD2"), "{text}");
+        let out = eager_aggregate(&b, &ctx, &TransformOptions::default()).expect("transform runs");
+        let EagerOutcome::Rewritten { testfd, .. } = &out else {
+            panic!("FD1 and FD2 hold: {out:?}");
+        };
+        let report = audit_eager_outcome(&out);
+        assert!(report.is_empty(), "{}", report.render_text());
+        // The certificate is the planner's own trace: FD2 through the
+        // key of D, FD1 through the join equality.
+        let text = testfd.to_string();
+        assert!(text.contains("key of D in S: yes"), "{text}");
+        assert!(text.contains("GA1+ in S: yes"), "{text}");
+        assert!(text.contains("answer: YES"), "{text}");
     }
 
     #[test]
@@ -479,9 +213,9 @@ mod tests {
         };
         let out = eager_aggregate(&b, &ctx, &opts).expect("transform runs");
         assert!(!out.is_rewritten());
-        let audit = audit_eager_outcome(&out, &ctx, &opts);
-        assert_eq!(audit.report.codes(), vec![Code::Fd1NotDerivable]);
-        assert!(!audit.report.has_severity(Severity::Error));
+        let report = audit_eager_outcome(&out);
+        assert_eq!(report.codes(), vec![Code::Fd1NotDerivable]);
+        assert!(!report.has_severity(Severity::Error));
     }
 
     #[test]
@@ -523,9 +257,9 @@ mod tests {
         };
         let out = eager_aggregate(&b, &ctx, &opts).expect("transform runs");
         assert!(!out.is_rewritten());
-        let audit = audit_eager_outcome(&out, &ctx, &opts);
-        assert_eq!(audit.report.codes(), vec![Code::Fd2NotDerivable]);
-        assert!(!audit.report.has_severity(Severity::Error));
+        let report = audit_eager_outcome(&out);
+        assert_eq!(report.codes(), vec![Code::Fd2NotDerivable]);
+        assert!(!report.has_severity(Severity::Error));
     }
 
     #[test]
@@ -535,9 +269,9 @@ mod tests {
         b.having = Some(Expr::bare("cnt").binary(gbj_expr::BinaryOp::Gt, Expr::lit(1i64)));
         let opts = TransformOptions::default();
         let out = eager_aggregate(&b, &ctx, &opts).expect("transform runs");
-        let audit = audit_eager_outcome(&out, &ctx, &opts);
-        assert_eq!(audit.report.codes(), vec![Code::RewriteInapplicable]);
-        assert!(!audit.report.has_severity(Severity::Warning));
+        let report = audit_eager_outcome(&out);
+        assert_eq!(report.codes(), vec![Code::RewriteInapplicable]);
+        assert!(!report.has_severity(Severity::Warning));
     }
 
     #[test]
@@ -559,23 +293,5 @@ mod tests {
             Code::DnfBudgetExceeded
         );
         assert_eq!(failure_code("anything else"), Code::RewriteInapplicable);
-    }
-
-    #[test]
-    fn certificate_json_is_well_formed_enough() {
-        let ctx = emp_dept_ctx();
-        let b = emp_dept_block(false);
-        let opts = TransformOptions::default();
-        let out = eager_aggregate(&b, &ctx, &opts).expect("transform runs");
-        let audit = audit_eager_outcome(&out, &ctx, &opts);
-        let json = audit.certificate.expect("cert").render_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-        assert!(json.contains("\"valid\":true"));
-        assert!(json.contains("\"fd1_ga1_plus_contained\":true"));
     }
 }

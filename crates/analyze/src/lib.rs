@@ -22,14 +22,13 @@
 //!    output schema derives from its inputs, all column references
 //!    resolve, comparisons are type-compatible under three-valued
 //!    logic. Codes GBJ101–GBJ104.
-//! 2. **FD-derivation audit** ([`fd_audit`]) — for every
-//!    eager-aggregation rewrite, replay `TestFD` (paper §6.3)
-//!    independently of the planner and attach an [`FdCertificate`]:
-//!    the constraint/equality-closure chain deriving `FD1: (GA1, GA2)
-//!    → GA1+` and `FD2: (GA1+, GA2) → RowID(R2)`, per DNF disjunct. A
-//!    chosen rewrite with no replayable derivation is an error
-//!    (GBJ201); refused rewrites carry stable refusal codes
-//!    (GBJ202–GBJ206).
+//! 2. **FD-derivation audit** ([`fd_audit`]) — a refused
+//!    eager-aggregation rewrite carries a stable code naming the
+//!    `TestFD` (paper §6.3) step that failed (GBJ202–GBJ206). A
+//!    rewrite's certificate is the planner's own `TestFD` trace — the
+//!    constraint/equality-closure chain deriving `FD1: (GA1, GA2) →
+//!    GA1+` and `FD2: (GA1+, GA2) → RowID(R2)`, per DNF disjunct —
+//!    and this pass does not run `TestFD` again.
 //! 3. **NULL-semantics lints** ([`null_pass`]) — flag predicate shapes
 //!    where the paper's `⌊P⌋`/`⌈P⌉` three-valued interpretations
 //!    diverge from naive two-valued evaluation (GBJ301–GBJ303), and
@@ -67,5 +66,5 @@ pub mod schema_pass;
 pub use analyzer::Analysis;
 pub use diag::{Code, Diagnostic, PlanPath, Report, Severity};
 pub use domain::{ColumnDomain, Interval, Nullability};
-pub use fd_audit::{audit_eager_outcome, failure_code, DisjunctProof, FdAudit, FdCertificate};
+pub use fd_audit::{audit_eager_outcome, failure_code};
 pub use range_pass::{analyze_plan, DomainNode, RangeAnalysis, SeedDomains};

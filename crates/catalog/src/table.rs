@@ -100,7 +100,9 @@ impl TableDef {
 
     /// All candidate keys: the primary key plus every UNIQUE constraint.
     ///
-    /// These are the `Ki(R)` of the paper's Section 6 (Figure 6).
+    /// These are the `Ki(R)` of the paper's Section 6 (Figure 6). FD
+    /// reasoning (`gbj_fd::FdContext`) keeps only those whose columns
+    /// are all NOT NULL: a UNIQUE admits several NULL keys.
     #[must_use]
     pub fn candidate_keys(&self) -> Vec<&[String]> {
         self.constraints

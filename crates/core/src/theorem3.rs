@@ -5,6 +5,13 @@
 //! be conjoined to the query's WHERE clause without changing its result
 //! — and therefore participate in deriving the functional dependencies.
 //!
+//! Under three-valued logic that holds only for a constraint that
+//! cannot be *unknown*. A CHECK admits a row on which it is unknown
+//! (it holds under `⌈·⌉`), while a WHERE conjunct keeps only the rows
+//! on which it is true (`⌊·⌋`): `CHECK (G = 1)` admits `G IS NULL`, so
+//! `G = 1` is no WHERE conjunct. A constraint is rendered here only if
+//! every column it mentions is declared NOT NULL.
+//!
 //! This module renders catalog constraints as Boolean conjuncts over the
 //! query's column space:
 //!
@@ -28,8 +35,15 @@ use gbj_expr::Expr;
 use gbj_fd::FdContext;
 use gbj_types::ColumnRef;
 
+/// Whether `expr` mentions only columns declared NOT NULL, so that a
+/// constraint it states holds as a WHERE conjunct (module docs).
+fn null_free(ctx: &FdContext, expr: &Expr) -> bool {
+    expr.columns().iter().all(|c| ctx.is_not_null(c))
+}
+
 /// Render the CHECK/domain constraints of every table in the context as
-/// query-space conjuncts (the paper's `T1 ∧ T2`).
+/// query-space conjuncts (the paper's `T1 ∧ T2`), leaving out each one
+/// that mentions a nullable column.
 #[must_use]
 pub fn constraint_conjuncts(ctx: &FdContext) -> Vec<Expr> {
     let mut out = Vec::new();
@@ -70,13 +84,15 @@ pub fn constraint_conjuncts(ctx: &FdContext) -> Vec<Expr> {
             }
         }
     }
+    out.retain(|c| null_free(ctx, c));
     out
 }
 
 /// Re-qualify assertion predicates (stated over *table names*) into the
 /// query's alias space. An assertion is usable only when every table it
-/// mentions maps to exactly one alias in the context; others are
-/// skipped (conservative).
+/// mentions maps to exactly one alias in the context, and only when
+/// every column it mentions is declared NOT NULL; others are skipped
+/// (conservative).
 #[must_use]
 pub fn assertion_conjuncts(ctx: &FdContext, assertions: &[Expr]) -> Vec<Expr> {
     let qualifiers: Vec<String> = ctx.qualifiers().map(str::to_string).collect();
@@ -113,7 +129,9 @@ pub fn assertion_conjuncts(ctx: &FdContext, assertions: &[Expr]) -> Vec<Expr> {
                 _ => continue 'next,
             }
         }
-        out.push(mapped);
+        if null_free(ctx, &mapped) {
+            out.push(mapped);
+        }
     }
     out
 }
@@ -125,16 +143,32 @@ mod tests {
     use gbj_expr::BinaryOp;
     use gbj_types::DataType;
 
-    fn ctx_with_checks() -> FdContext {
-        let def = TableDef::new(
+    /// Employee with a column CHECK on each column, a domain-style
+    /// `VALUE` CHECK among them, and a table CHECK; each column NOT
+    /// NULL unless `nullable` names it.
+    fn employee_with_checks(nullable: &[&str]) -> TableDef {
+        let col = |name: &str| {
+            let c = ColumnDef::new(
+                name,
+                if name == "Region" {
+                    DataType::Utf8
+                } else {
+                    DataType::Int64
+                },
+            );
+            if nullable.contains(&name) {
+                c
+            } else {
+                c.not_null()
+            }
+        };
+        TableDef::new(
             "Employee",
             vec![
-                ColumnDef::new("EmpID", DataType::Int64)
-                    .with_check(Expr::bare("EmpID").binary(BinaryOp::Gt, Expr::lit(0i64))),
-                ColumnDef::new("DeptID", DataType::Int64)
+                col("EmpID").with_check(Expr::bare("EmpID").binary(BinaryOp::Gt, Expr::lit(0i64))),
+                col("DeptID")
                     .with_check(Expr::bare("VALUE").binary(BinaryOp::Lt, Expr::lit(100i64))),
-                ColumnDef::new("Region", DataType::Utf8)
-                    .with_check(Expr::bare("Region").eq(Expr::lit("EU"))),
+                col("Region").with_check(Expr::bare("Region").eq(Expr::lit("EU"))),
             ],
         )
         .with_constraint(Constraint::Check {
@@ -142,10 +176,17 @@ mod tests {
             expr: Expr::bare("EmpID").binary(BinaryOp::NotEq, Expr::bare("DeptID")),
         })
         .validate()
-        .unwrap();
+        .unwrap()
+    }
+
+    fn ctx_with_checks() -> FdContext {
         let mut ctx = FdContext::new();
-        ctx.add_table("E", def);
+        ctx.add_table("E", employee_with_checks(&[]));
         ctx
+    }
+
+    fn rendered(cs: &[Expr]) -> Vec<String> {
+        cs.iter().map(ToString::to_string).collect()
     }
 
     #[test]
@@ -192,6 +233,37 @@ mod tests {
         let mapped = assertion_conjuncts(&ctx, &[a]);
         assert_eq!(mapped.len(), 1);
         assert_eq!(mapped[0].to_string(), "(E.EmpID > 0)");
+    }
+
+    /// A CHECK admits a row on which it is unknown, so a check over a
+    /// nullable column is no WHERE conjunct: neither the column check,
+    /// the `VALUE` check nor the table check that reads it survives.
+    #[test]
+    fn checks_over_nullable_columns_are_left_out() {
+        let mut ctx = FdContext::new();
+        ctx.add_table("E", employee_with_checks(&["Region"]));
+        assert_eq!(
+            rendered(&constraint_conjuncts(&ctx)),
+            ["(E.EmpID > 0)", "(E.DeptID < 100)", "(E.EmpID <> E.DeptID)"]
+        );
+        let mut ctx = FdContext::new();
+        ctx.add_table("E", employee_with_checks(&["DeptID"]));
+        assert_eq!(
+            rendered(&constraint_conjuncts(&ctx)),
+            ["(E.EmpID > 0)", "(E.Region = 'EU')"]
+        );
+    }
+
+    #[test]
+    fn assertions_over_nullable_columns_are_skipped() {
+        let mut ctx = FdContext::new();
+        ctx.add_table("E", employee_with_checks(&["DeptID"]));
+        let on_dept = Expr::col("Employee", "DeptID").eq(Expr::lit(1i64));
+        let on_emp = Expr::col("Employee", "EmpID").eq(Expr::lit(1i64));
+        assert_eq!(
+            rendered(&assertion_conjuncts(&ctx, &[on_dept, on_emp])),
+            ["(E.EmpID = 1)"]
+        );
     }
 
     #[test]

@@ -37,8 +37,9 @@ pub struct TransformOptions {
     /// Skip the fallback for blocks with more relations than this (the
     /// enumeration is exponential in the movable-relation count).
     pub max_repartition_relations: usize,
-    /// Conjoin catalog CHECK/domain constraints (Theorem 3's `T1 ∧ T2`)
-    /// into the TestFD predicate.
+    /// Conjoin catalog CHECK/domain constraints (Theorem 3's `T1 ∧ T2`,
+    /// those over NOT NULL columns: [`crate::theorem3`]) into the
+    /// TestFD predicate.
     pub use_constraint_atoms: bool,
     /// Try Section 9 *column substitution*: rewrite aggregate arguments
     /// along WHERE equalities when the natural partition fails, so an
@@ -525,12 +526,11 @@ mod tests {
 
     #[test]
     fn constraint_atoms_can_rescue_the_rewrite() {
-        // Group by D.Name only, but a CHECK pins Name = DeptID-like
-        // uniqueness? Instead: CHECK (Name = 'HQ') makes Name constant,
-        // so GA = {Name} cannot reach the key… the realistic rescue is a
-        // UNIQUE(Name) constraint:
-        let (mut b, mut_ctx) = emp_dept();
-        let _ = mut_ctx;
+        // Group by D.Name only: a UNIQUE(Name) constraint makes Name a
+        // candidate key of Department, so FD2 holds — when Name is NOT
+        // NULL. A nullable UNIQUE admits two departments named NULL,
+        // which form one =ⁿ group over two RowIDs: no key.
+        let (mut b, _) = emp_dept();
         b.group_by = vec![ColumnRef::qualified("D", "Name")];
         b.select = vec![
             SelectItem::Column {
@@ -539,38 +539,46 @@ mod tests {
             },
             SelectItem::Aggregate { index: 0 },
         ];
-        let mut ctx = FdContext::new();
-        ctx.add_table(
-            "E",
-            TableDef::new(
-                "Employee",
-                vec![
-                    ColumnDef::new("EmpID", DataType::Int64),
-                    ColumnDef::new("DeptID", DataType::Int64),
-                ],
-            )
-            .with_constraint(Constraint::PrimaryKey(vec!["EmpID".into()]))
-            .validate()
-            .unwrap(),
-        );
-        ctx.add_table(
-            "D",
-            TableDef::new(
-                "Department",
-                vec![
-                    ColumnDef::new("DeptID", DataType::Int64),
-                    ColumnDef::new("Name", DataType::Utf8),
-                ],
-            )
-            .with_constraint(Constraint::PrimaryKey(vec!["DeptID".into()]))
-            .with_constraint(Constraint::Unique(vec!["Name".into()]))
-            .validate()
-            .unwrap(),
-        );
-        let out = eager_aggregate(&b, &ctx, &TransformOptions::default()).unwrap();
+        let ctx_with = |name: ColumnDef| {
+            let mut ctx = FdContext::new();
+            ctx.add_table(
+                "E",
+                TableDef::new(
+                    "Employee",
+                    vec![
+                        ColumnDef::new("EmpID", DataType::Int64),
+                        ColumnDef::new("DeptID", DataType::Int64),
+                    ],
+                )
+                .with_constraint(Constraint::PrimaryKey(vec!["EmpID".into()]))
+                .validate()
+                .unwrap(),
+            );
+            ctx.add_table(
+                "D",
+                TableDef::new(
+                    "Department",
+                    vec![ColumnDef::new("DeptID", DataType::Int64), name],
+                )
+                .with_constraint(Constraint::PrimaryKey(vec!["DeptID".into()]))
+                .with_constraint(Constraint::Unique(vec!["Name".into()]))
+                .validate()
+                .unwrap(),
+            );
+            ctx
+        };
+        let opts = TransformOptions::default();
+        let not_null = ctx_with(ColumnDef::new("Name", DataType::Utf8).not_null());
+        let out = eager_aggregate(&b, &not_null, &opts).unwrap();
         assert!(
             out.is_rewritten(),
-            "UNIQUE(Name) makes Name a candidate key, so FD2 holds"
+            "UNIQUE(Name) over a NOT NULL Name makes Name a candidate key, so FD2 holds"
+        );
+        let nullable = ctx_with(ColumnDef::new("Name", DataType::Utf8));
+        let out = eager_aggregate(&b, &nullable, &opts).unwrap();
+        assert!(
+            !out.is_rewritten(),
+            "UNIQUE(Name) over a nullable Name is no key"
         );
     }
 

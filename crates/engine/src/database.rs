@@ -3,7 +3,7 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use gbj_analyze::{analyze_plan, Analysis, ColumnDomain, FdCertificate, Nullability, SeedDomains};
+use gbj_analyze::{analyze_plan, Analysis, ColumnDomain, Nullability, SeedDomains};
 use gbj_catalog::{Assertion, Catalog};
 use gbj_core::{
     eager_aggregate, reverse_transform, EagerOutcome, Partition, ReverseOutcome, TransformOptions,
@@ -46,11 +46,11 @@ pub struct EngineOptions {
     /// Physical execution options.
     pub exec: ExecOptions,
     /// Verify every rewrite with the static analyzer
-    /// ([`gbj_analyze`]): replay the FD1/FD2 derivation for each eager
-    /// rewrite and re-check the chosen plan's schema soundness, turning
-    /// Error-severity diagnostics into planning failures. Defaults to
-    /// on in debug builds (and CI); `GBJ_VERIFY_REWRITES=1`/`0`
-    /// overrides either way.
+    /// ([`gbj_analyze`]): check that each eager rewrite keeps the `=ⁿ`
+    /// grouping semantics (GBJ304) and re-check the chosen plan's schema
+    /// soundness, turning Error-severity diagnostics into planning
+    /// failures. Defaults to on in debug builds (and CI);
+    /// `GBJ_VERIFY_REWRITES=1`/`0` overrides either way.
     pub verify_rewrites: bool,
     /// Close the adaptive loop automatically: after every metered run,
     /// absorb the measured per-node cardinalities into the
@@ -167,8 +167,10 @@ pub struct QueryReport {
     pub plan: LogicalPlan,
     /// The optimized alternative plan (when a valid alternative exists).
     pub alternative: Option<LogicalPlan>,
-    /// The rendered FD1/FD2 certificate (the replayed TestFD
-    /// derivation), attached to every eager-aggregation rewrite.
+    /// The FD1/FD2 certificate of an eager-aggregation rewrite: the
+    /// rendered trace of the TestFD run that proved it, the same text
+    /// as [`QueryReport::testfd`]. `Some` exactly when the forward
+    /// transformation rewrote the block, whichever shape was chosen.
     pub certificate: Option<String>,
     /// The chosen plan's per-node cardinality estimates, as the plan
     /// was priced: feedback-aware with the facts learned as of
@@ -205,9 +207,6 @@ impl QueryReport {
         if let Some(t) = &self.testfd {
             out.push_str("TestFD:\n");
             out.push_str(t);
-        }
-        if let Some(c) = &self.certificate {
-            out.push_str(c);
         }
         out.push_str(&domains_line(&self.plan, catalog));
         out.push_str("plan:\n");
@@ -867,7 +866,7 @@ impl Database {
                 self.options.exec.shards.get()
             ));
         }
-        Ok((analysis.finish().0, report))
+        Ok((analysis.finish(), report))
     }
 
     fn execute_statement(&mut self, stmt: Statement) -> Result<QueryOutput> {
@@ -1070,18 +1069,17 @@ impl Database {
         // The forward transformation.
         let outcome = eager_aggregate(block, &fd_ctx, &transform_opts)?;
         if block.is_aggregating() {
-            // Pass 2 (FD-derivation audit) + the =ⁿ grouping-shape
-            // check: replay TestFD independently of the planner, into
-            // the linting caller's analysis or, in verify-every-rewrite
-            // mode, a private one. There a chosen rewrite without a
-            // replayable FD1/FD2 derivation is a planning error
+            // Pass 2 (the refusal's code) + the =ⁿ grouping-shape check
+            // of a rewrite, into the linting caller's analysis or, in
+            // verify-every-rewrite mode, a private one. There a rewrite
+            // that changes the grouping semantics is a planning error
             // (refusals are warnings, not errors).
             let mut verify = self
                 .options
                 .verify_rewrites
                 .then(|| Analysis::new("verify"));
             if let Some(analysis) = lint.or(verify.as_mut()) {
-                analysis.check_rewrite(block, &outcome, &fd_ctx, &transform_opts);
+                analysis.check_rewrite(block, &outcome);
                 if self.options.verify_rewrites && analysis.has_errors() {
                     return Err(Error::Plan(format!(
                         "rewrite verification failed:\n{}",
@@ -1096,20 +1094,18 @@ impl Database {
                 partition,
                 testfd,
             } => {
-                // Attach the FD1/FD2 certificate: the replayed
-                // constraint/equality-closure derivation.
-                let constraints =
-                    gbj_analyze::fd_audit::replay_constraints(&fd_ctx, &transform_opts);
-                let certificate = FdCertificate::replay(&partition, &fd_ctx, &constraints);
+                // The FD1/FD2 certificate is the trace of the TestFD run
+                // that proved the rewrite, rendered once.
+                let testfd = testfd.to_string();
                 let mut report = self.decide(
                     block,
                     &eager_block,
                     &partition,
-                    Some(testfd.to_string()),
+                    Some(testfd.clone()),
                     PlanChoice::Eager,
                     bound,
                 )?;
-                report.certificate = Some(certificate.to_string());
+                report.certificate = Some(testfd);
                 Ok(report)
             }
             EagerOutcome::NotApplicable { reason, testfd } => {
@@ -1791,17 +1787,33 @@ mod tests {
         // TestFD: two departments could share a name.
         let by_name = "SELECT D.Name, COUNT(E.EmpID) FROM Employee E, Department D \
                  WHERE E.DeptID = D.DeptID GROUP BY D.Name";
-        let mut db = example1_db();
+        let mut db = Database::new();
+        db.run_script(
+            "CREATE TABLE Department (DeptID INT PRIMARY KEY, Name VARCHAR(30)); \
+             CREATE TABLE Employee (EmpID INT PRIMARY KEY, \
+                 DeptID INT NOT NULL REFERENCES Department);",
+        )
+        .unwrap();
+        db.options_mut().policy = PushdownPolicy::Always;
         let report = db.plan_query(by_name).unwrap();
         assert_eq!(report.choice, PlanChoice::Lazy);
 
-        // An assertion pinning E.DeptID to a constant makes the key of
-        // Department derivable (Theorem 3): the rewrite becomes valid.
+        // An assertion pinning a NOT NULL E.DeptID to a constant makes
+        // the key of Department derivable (Theorem 3): the rewrite
+        // becomes valid.
+        db.execute("CREATE ASSERTION all_in_one CHECK (Employee.DeptID = 1)")
+            .unwrap();
+        let report = db.plan_query(by_name).unwrap();
+        assert_eq!(report.choice, PlanChoice::Eager);
+
+        // Over example 1's nullable Employee.DeptID the same assertion
+        // admits DeptID NULL, so it is no WHERE conjunct: still refused.
+        let mut db = example1_db();
         db.execute("CREATE ASSERTION all_in_one CHECK (Employee.DeptID = 1)")
             .unwrap();
         db.options_mut().policy = PushdownPolicy::Always;
         let report = db.plan_query(by_name).unwrap();
-        assert_eq!(report.choice, PlanChoice::Eager);
+        assert_eq!(report.choice, PlanChoice::Lazy);
     }
 
     #[test]

@@ -58,21 +58,34 @@ impl FdContext {
             .map(|(_, d)| d)
     }
 
-    /// All candidate keys of the table known by `qualifier`, with
-    /// columns qualified accordingly.
+    /// The candidate keys of the table known by `qualifier` whose
+    /// columns are all declared NOT NULL, with columns qualified
+    /// accordingly. A nullable UNIQUE is no key: it admits several rows
+    /// with a NULL key, which agree under `=ⁿ`.
     #[must_use]
     pub fn keys_of(&self, qualifier: &str) -> Vec<Vec<ColumnRef>> {
         let Some(def) = self.table(qualifier) else {
             return vec![];
         };
-        def.candidate_keys()
-            .into_iter()
+        null_free_keys(def)
             .map(|key| {
                 key.iter()
                     .map(|c| ColumnRef::qualified(qualifier, c.clone()))
                     .collect()
             })
             .collect()
+    }
+
+    /// Whether `col`, qualified by a query qualifier, is a column
+    /// declared NOT NULL (PRIMARY KEY columns are). An unknown column
+    /// is not.
+    #[must_use]
+    pub fn is_not_null(&self, col: &ColumnRef) -> bool {
+        col.table
+            .as_deref()
+            .and_then(|q| self.table(q))
+            .and_then(|def| def.column(&col.column))
+            .is_some_and(|(_, c)| !c.nullable)
     }
 
     /// All columns of the table known by `qualifier` (qualified),
@@ -94,7 +107,8 @@ impl FdContext {
     /// Build the [`FdSet`] for one conjunction of atoms (a DNF disjunct
     /// `Ei` in TestFD's Step 4):
     ///
-    /// * each candidate key of each table yields a key dependency onto
+    /// * each candidate key of each table whose columns are all NOT
+    ///   NULL (as in [`FdContext::keys_of`]) yields a key dependency onto
     ///   all the table's columns plus its RowID;
     /// * each Type-1 atom (`col = const`) registers a constant column
     ///   (Step 4(b)/(f));
@@ -108,7 +122,7 @@ impl FdContext {
         let mut fds = FdSet::new();
         for (q, def) in &self.tables {
             let all_cols: Vec<ColumnRef> = self.columns_of(q);
-            for key in def.candidate_keys() {
+            for key in null_free_keys(def) {
                 let lhs: Vec<ColumnRef> = key
                     .iter()
                     .map(|c| ColumnRef::qualified(q.clone(), c.clone()))
@@ -141,6 +155,19 @@ impl FdContext {
         }
         fds
     }
+}
+
+/// The candidate keys of `def` whose columns are all declared NOT NULL.
+///
+/// SQL's UNIQUE admits any number of rows with a NULL in a key column,
+/// and under `=ⁿ` those rows agree on the key while their RowIDs
+/// differ, so a nullable UNIQUE is no key for FD2. PRIMARY KEY columns
+/// are NOT NULL by [`TableDef::validate`].
+fn null_free_keys(def: &TableDef) -> impl Iterator<Item = &[String]> {
+    def.candidate_keys().into_iter().filter(|key| {
+        key.iter()
+            .all(|c| def.column(c).is_some_and(|(_, col)| !col.nullable))
+    })
 }
 
 #[cfg(test)]
@@ -235,13 +262,12 @@ mod tests {
         );
     }
 
-    #[test]
-    fn unique_constraints_also_contribute_keys() {
+    fn unique_sid(sid: ColumnDef) -> FdContext {
         let t = TableDef::new(
             "U",
             vec![
                 ColumnDef::new("id", DataType::Int64),
-                ColumnDef::new("sid", DataType::Int64),
+                sid,
                 ColumnDef::new("payload", DataType::Utf8),
             ],
         )
@@ -251,11 +277,34 @@ mod tests {
         .unwrap();
         let mut ctx = FdContext::new();
         ctx.add_table("U", t);
+        ctx
+    }
+
+    #[test]
+    fn unique_constraints_also_contribute_keys() {
+        let ctx = unique_sid(ColumnDef::new("sid", DataType::Int64).not_null());
         let fds = ctx.fd_set(&[]);
         assert!(fds.implies(
             &cols(&[("U", "sid")]),
             &cols(&[("U", "payload"), ("U", "id")])
         ));
+        assert_eq!(ctx.keys_of("U").len(), 2);
+
+        // A nullable UNIQUE admits two rows with sid NULL, which agree
+        // under =ⁿ: it is no key.
+        let ctx = unique_sid(ColumnDef::new("sid", DataType::Int64));
+        let fds = ctx.fd_set(&[]);
+        assert!(!fds.implies(&cols(&[("U", "sid")]), &cols(&[("U", "id")])));
+        assert_eq!(ctx.keys_of("U"), vec![vec![ColumnRef::qualified("U", "id")]]);
+    }
+
+    #[test]
+    fn is_not_null_reads_the_declaration() {
+        let ctx = unique_sid(ColumnDef::new("sid", DataType::Int64));
+        assert!(ctx.is_not_null(&ColumnRef::qualified("U", "id")), "PRIMARY KEY");
+        assert!(!ctx.is_not_null(&ColumnRef::qualified("U", "sid")));
+        assert!(!ctx.is_not_null(&ColumnRef::qualified("U", "ghost")));
+        assert!(!ctx.is_not_null(&ColumnRef::bare("id")));
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //! Each file is a `;`-separated script. DDL and DML statements are
 //! *executed* (so later queries see the schemas, keys and constraints
 //! they declare); every SELECT — and the target of every EXPLAIN — is
-//! analyzed without running it: schema/type soundness, the TestFD
-//! replay of the eager-aggregation decision (with its FD1/FD2
-//! certificate), the NULL-semantics lints, and the range/NDV domain
-//! proofs.
+//! analyzed without running it: schema/type soundness, the refusal
+//! code of a refused eager-aggregation rewrite (the TestFD step that
+//! failed), the NULL-semantics lints, and the range/NDV domain proofs.
 //!
 //! Exit status: `0` when nothing *denied* was produced, `1` when at
 //! least one denied diagnostic was found, `2` on usage, I/O or SQL

@@ -106,6 +106,33 @@ fn explain_shows_choice_costs_and_every_plan_node() {
     assert!(!text.contains("estimate vs actual:"));
 }
 
+/// A certified EXPLAIN prints its FD1/FD2 certificate once: the closure
+/// chain of the TestFD run that proved the rewrite, under `TestFD:`.
+/// The report's certificate is that same trace, and no second copy of
+/// the chain follows it.
+#[test]
+fn explain_prints_the_certificate_chain_once() {
+    let (mut db, sql) = build();
+    db.options_mut().policy = PushdownPolicy::CostBased;
+    let report = db.plan_query(sql).expect("plans");
+    let trace = report
+        .certificate
+        .as_deref()
+        .expect("example 1's rewrite is certified");
+    assert_eq!(report.testfd.as_deref(), Some(trace));
+    let chain = |text: &str| {
+        text.lines()
+            .filter(|l| l.trim_start().starts_with("+ {"))
+            .count()
+    };
+    assert!(chain(trace) > 0, "the closure has steps:\n{trace}");
+
+    let text = explain_text(&mut db, &format!("EXPLAIN {sql}"));
+    assert_eq!(text.matches(trace).count(), 1, "one trace in:\n{text}");
+    assert_eq!(chain(&text), chain(trace), "one closure chain in:\n{text}");
+    assert!(!text.contains("FD certificate"), "a second copy in:\n{text}");
+}
+
 /// `EXPLAIN ANALYZE`: planning and execution time are separate labeled
 /// lines, and the estimate-vs-actual section carries est/actual/q
 /// columns for every node of the executed plan.

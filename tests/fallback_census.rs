@@ -73,10 +73,12 @@ fn corpus_fallbacks_per_reason_are_pinned() {
     assert_eq!(
         batch,
         expect(&[
-            ("Always", "batch", 14),
+            ("Always", "batch", 15),
             ("Always", "row (CrossJoin: no join key)", 1),
-            ("Never", "batch", 14),
+            ("Always", "row (Join: no equi-join key)", 3),
+            ("Never", "batch", 15),
             ("Never", "row (CrossJoin: no join key)", 1),
+            ("Never", "row (Join: no equi-join key)", 3),
         ]),
         "chunk pipeline census moved"
     );
@@ -92,10 +94,12 @@ fn corpus_fallbacks_per_reason_are_pinned() {
     assert_eq!(
         sharded,
         expect(&[
-            ("Always", "sharded(4)", 14),
+            ("Always", "sharded(4)", 15),
             ("Always", "row (CrossJoin: no join key)", 1),
-            ("Never", "sharded(4)", 14),
+            ("Always", "row (Join: no equi-join key)", 3),
+            ("Never", "sharded(4)", 15),
             ("Never", "row (CrossJoin: no join key)", 1),
+            ("Never", "row (Join: no equi-join key)", 3),
         ]),
         "sharded pipeline census moved"
     );
@@ -116,12 +120,14 @@ fn corpus_fallbacks_per_reason_are_pinned() {
     assert_eq!(
         both,
         expect(&[
-            ("Always", "sharded(4)", 14),
+            ("Always", "sharded(4)", 15),
             ("Always", refused, 1),
             ("Always", "row (CrossJoin: no join key)", 1),
-            ("Never", "sharded(4)", 14),
+            ("Always", "row (Join: no equi-join key)", 3),
+            ("Never", "sharded(4)", 15),
             ("Never", refused, 1),
             ("Never", "row (CrossJoin: no join key)", 1),
+            ("Never", "row (Join: no equi-join key)", 3),
         ]),
         "strict-gate refusal census moved"
     );
@@ -138,7 +144,7 @@ fn corpus_fallbacks_per_reason_are_pinned() {
     );
     assert_eq!(
         oracle,
-        expect(&[("Always", "row", 15), ("Never", "row", 15)]),
+        expect(&[("Always", "row", 19), ("Never", "row", 19)]),
         "oracle census moved"
     );
 }

@@ -100,27 +100,35 @@ fn fd2_violation_makes_e1_and_e2_differ() {
     assert!(!e1.multiset_eq(&e2), "Lemma 3: E1 ≠ E2 when FD2 fails");
 }
 
-/// With a UNIQUE constraint making `B` a candidate key, the same query
-/// becomes valid — the minimal change flipping Lemma 3's counterexample
-/// into a theorem instance.
+/// With a UNIQUE constraint making a NOT NULL `B` a candidate key, the
+/// same query becomes valid — the minimal change flipping Lemma 3's
+/// counterexample into a theorem instance. Over a nullable `B` the
+/// UNIQUE is no key and the rewrite stays refused (conservatively here:
+/// the join rejects a NULL `B`; ROADMAP item 10).
 #[test]
 fn restoring_the_key_restores_validity() {
-    let mut db = Database::new();
-    db.run_script(
-        "CREATE TABLE D (Id INTEGER PRIMARY KEY, B INTEGER UNIQUE, H INTEGER); \
-         CREATE TABLE F (Id INTEGER PRIMARY KEY, A INTEGER, V INTEGER); \
-         INSERT INTO D VALUES (100, 1, 7), (101, 2, 8); \
-         INSERT INTO F VALUES (10, 1, 10), (11, 1, 20);",
-    )
-    .unwrap();
     let sql = "SELECT F.A, SUM(F.V) FROM F, D WHERE F.A = D.B GROUP BY F.A";
-    db.options_mut().policy = gbj::engine::PushdownPolicy::Always;
-    let report = db.plan_query(sql).unwrap();
-    assert_eq!(report.choice, PlanChoice::Eager, "UNIQUE(B) restores FD2");
-    let eager = db.query(sql).unwrap();
-    db.options_mut().policy = gbj::engine::PushdownPolicy::Never;
-    let lazy = db.query(sql).unwrap();
-    assert!(eager.multiset_eq(&lazy));
+    for (b, certified) in [("B INTEGER NOT NULL UNIQUE", true), ("B INTEGER UNIQUE", false)] {
+        let mut db = Database::new();
+        db.run_script(&format!(
+            "CREATE TABLE D (Id INTEGER PRIMARY KEY, {b}, H INTEGER); \
+             CREATE TABLE F (Id INTEGER PRIMARY KEY, A INTEGER, V INTEGER); \
+             INSERT INTO D VALUES (100, 1, 7), (101, 2, 8); \
+             INSERT INTO F VALUES (10, 1, 10), (11, 1, 20);"
+        ))
+        .unwrap();
+        db.options_mut().policy = gbj::engine::PushdownPolicy::Always;
+        let report = db.plan_query(sql).unwrap();
+        if certified {
+            assert_eq!(report.choice, PlanChoice::Eager, "UNIQUE(B) restores FD2");
+        } else {
+            assert_eq!(report.choice, PlanChoice::Lazy, "a nullable UNIQUE is no key");
+        }
+        let eager = db.query(sql).unwrap();
+        db.options_mut().policy = gbj::engine::PushdownPolicy::Never;
+        let lazy = db.query(sql).unwrap();
+        assert!(eager.multiset_eq(&lazy));
+    }
 }
 
 fn has_duplicates(rows: &[Vec<Value>]) -> bool {
@@ -181,4 +189,106 @@ fn lemma1_projection_is_irrelevant() {
         .query("SELECT D2.B, SUM(F.V) FROM F, D2 WHERE F.A = D2.B GROUP BY D2.B")
         .unwrap();
     assert!(full.multiset_eq(&projected));
+}
+
+/// Run `sql` over the instance `script` builds under the lazy, eager
+/// and cost-based policies, at one part and at four: every run must
+/// refuse the rewrite and return `expected`, the answer of the query
+/// as written.
+fn assert_written_answer_everywhere(script: &str, sql: &str, expected: &[Vec<Value>]) {
+    use gbj::engine::PushdownPolicy;
+    for parts in [1, 4] {
+        for policy in [
+            PushdownPolicy::Always,
+            PushdownPolicy::CostBased,
+            PushdownPolicy::Never,
+        ] {
+            let mut db = Database::new();
+            db.run_script(script).unwrap();
+            db.set_shards(std::num::NonZeroUsize::new(parts).unwrap());
+            db.options_mut().policy = policy;
+            let mut got = db.query(sql).unwrap().rows;
+            got.sort_by_key(|row| format!("{row:?}"));
+            assert_eq!(got, expected, "{policy:?} at {parts} parts");
+            let report = db.plan_query(sql).unwrap();
+            assert_eq!(
+                report.choice,
+                PlanChoice::Lazy,
+                "{policy:?} at {parts} parts: {}",
+                report.reason
+            );
+            assert!(report.certificate.is_none(), "{policy:?} at {parts} parts");
+        }
+    }
+}
+
+/// A nullable UNIQUE is no key: SQL's UNIQUE admits any number of rows
+/// with a NULL key, which agree under `=ⁿ` while their RowIDs differ,
+/// so FD2 fails. Grouping by `D.U` folds both `D` rows into one NULL
+/// group; grouping `F` first and joining would emit one row per `D` row.
+const NULLABLE_UNIQUE: &str = "CREATE TABLE D (DId INT, U INT, UNIQUE (U)); \
+     CREATE TABLE F (FId INT PRIMARY KEY, DId INT, V INT); \
+     INSERT INTO D VALUES (1, NULL), (1, NULL); \
+     INSERT INTO F VALUES (1, 1, 10), (2, 1, 5);";
+
+#[test]
+fn nullable_unique_is_no_key() {
+    assert_written_answer_everywhere(
+        NULLABLE_UNIQUE,
+        "SELECT D.U, SUM(F.V) FROM F, D WHERE F.DId = D.DId GROUP BY D.U",
+        &[vec![Value::Null, Value::Int(30)]],
+    );
+}
+
+/// The same instance through §8: the view is grouped before the join,
+/// so the query as written returns one row per `D` row, and unfolding
+/// it into one grouped join would merge them.
+#[test]
+fn nullable_unique_does_not_unfold_a_view() {
+    assert_written_answer_everywhere(
+        &format!(
+            "{NULLABLE_UNIQUE} \
+             CREATE VIEW V (DId, S) AS SELECT F.DId, SUM(F.V) FROM F GROUP BY F.DId;"
+        ),
+        "SELECT D.U, V.S FROM V, D WHERE V.DId = D.DId",
+        &[
+            vec![Value::Null, Value::Int(15)],
+            vec![Value::Null, Value::Int(15)],
+        ],
+    );
+}
+
+/// A CHECK admits a row on which it is unknown, so `CHECK (G = 1)` on a
+/// nullable `G` is no WHERE conjunct: with it, TestFD would read `F.G`
+/// as the constant 1 in the disjunct `D.Y = 3`, which nothing in the
+/// query makes true of the row with `G` NULL. `G` is declared as `g`,
+/// between the statements `before` and `after` the table `F`.
+fn assert_nullable_check_is_no_conjunct(before: &str, g: &str, after: &str) {
+    assert_written_answer_everywhere(
+        &format!(
+            "{before} \
+             CREATE TABLE F (FId INT PRIMARY KEY, G {g}, V INT); \
+             {after} \
+             CREATE TABLE D (DId INT PRIMARY KEY, X INT, Y INT); \
+             INSERT INTO F VALUES (1, 1, 10), (2, NULL, 5); \
+             INSERT INTO D VALUES (1, 7, 3);"
+        ),
+        "SELECT D.DId, SUM(F.V) FROM F, D WHERE F.G = D.X OR D.Y = 3 GROUP BY D.DId",
+        &[vec![Value::Int(1), Value::Int(15)]],
+    );
+}
+
+#[test]
+fn nullable_column_check_is_no_conjunct() {
+    assert_nullable_check_is_no_conjunct("", "INT CHECK (G = 1)", "");
+}
+
+#[test]
+fn nullable_domain_check_is_no_conjunct() {
+    assert_nullable_check_is_no_conjunct("CREATE DOMAIN One INT CHECK (VALUE = 1);", "One", "");
+}
+
+#[test]
+fn nullable_assertion_is_no_conjunct() {
+    assert_nullable_check_is_no_conjunct("", "INT", "CREATE ASSERTION g_one CHECK (F.G = 1);");
 }
