@@ -49,6 +49,17 @@ FROM UFact, UDim
 WHERE UFact.DId = UDim.DId
 GROUP BY UDim.U;
 
+-- The same nullable UNIQUE through §8: a view grouping UFact by DId,
+-- joined with UDim on DId. Unfolding it into one grouped join needs FD2,
+-- a key of UDim, and UNIQUE (U) over a nullable U is none, so TestFD
+-- refuses (Step 4d → GBJ203) and the view runs as written.
+CREATE VIEW UFactSums (DId, S) AS
+SELECT UFact.DId, SUM(UFact.V) FROM UFact GROUP BY UFact.DId;
+
+SELECT UDim.U, UFactSums.S
+FROM UFactSums, UDim
+WHERE UFactSums.DId = UDim.DId;
+
 -- A CHECK on a nullable column is no WHERE conjunct: CHECK (G = 1)
 -- admits a row with G NULL, on which it is unknown. Without it, the
 -- disjunct CDim.Y = 3 leaves GA1+ = {G} underivable (Step 4h) → GBJ202,

@@ -5,11 +5,11 @@
 //! logical plan always, the transformation outcome when the optimizer
 //! examined one — and the result is a single [`Report`].
 
-use gbj_core::EagerOutcome;
+use gbj_core::{EagerOutcome, ReverseOutcome};
 use gbj_plan::{LogicalPlan, QueryBlock};
 
 use crate::diag::{Report, Severity};
-use crate::fd_audit::audit_eager_outcome;
+use crate::fd_audit::{audit_eager_outcome, audit_reverse_outcome};
 use crate::range_pass::{analyze_plan, RangeAnalysis, SeedDomains};
 use crate::{null_pass, schema_pass};
 
@@ -60,6 +60,12 @@ impl Analysis {
                 original, block, partition,
             ));
         }
+    }
+
+    /// Pass 2 for a §8 view query: why TestFD refused to unfold the
+    /// view, under the same codes as a refused eager rewrite.
+    pub fn check_unfolding(&mut self, outcome: &ReverseOutcome) {
+        self.report.extend(audit_reverse_outcome(outcome));
     }
 
     /// Pass 5 (cost/statistics): record that the §7 cost model declined

@@ -27,9 +27,10 @@
 //! | GBJ206 | structurally inapplicable (no aggregates, HAVING, …)   |
 //!
 //! A rewrite raises no code here: its certificate is the trace that
-//! made it, so it cannot be missing.
+//! made it, so it cannot be missing. A §8 view that TestFD refuses to
+//! unfold is reported the same way ([`audit_reverse_outcome`]).
 
-use gbj_core::EagerOutcome;
+use gbj_core::{EagerOutcome, ReverseOutcome, TestFdTrace};
 
 use crate::diag::{Code, Diagnostic, Report};
 
@@ -58,36 +59,49 @@ pub fn audit_eager_outcome(outcome: &EagerOutcome) -> Report {
     let EagerOutcome::NotApplicable { reason, testfd } = outcome else {
         return report;
     };
-    match testfd {
-        Some(trace) => {
-            let why = trace.failure.clone().unwrap_or_else(|| reason.clone());
-            let code = failure_code(&why);
-            let mut d = Diagnostic::new(code, format!("eager aggregation refused: {why}"));
-            match code {
-                Code::Fd1NotDerivable => {
-                    d = d.note(
-                        "FD1 `(GA1, GA2) → GA1+` has no derivation from keys, \
-                         constraints and the WHERE equality closure",
-                    );
-                }
-                Code::Fd2NotDerivable => {
-                    d = d.note(
-                        "FD2 `(GA1+, GA2) → RowID(R2)` needs a candidate key of \
-                         every R2 relation in the closure",
-                    );
-                }
-                _ => {}
-            }
-            report.push(d);
-        }
-        None => {
-            report.push(Diagnostic::new(
-                Code::RewriteInapplicable,
-                format!("eager aggregation not applicable: {reason}"),
-            ));
-        }
+    report.push(match testfd {
+        Some(trace) => refusal("eager aggregation refused", reason, trace),
+        None => Diagnostic::new(
+            Code::RewriteInapplicable,
+            format!("eager aggregation not applicable: {reason}"),
+        ),
+    });
+    report
+}
+
+/// Audit the outcome of a §8 view unfolding the same way: TestFD's
+/// refusal under the code its failing step maps to. A view left as
+/// written for a structural reason — TestFD never ran — and an
+/// unfolded view audit clean.
+#[must_use]
+pub fn audit_reverse_outcome(outcome: &ReverseOutcome) -> Report {
+    let mut report = Report::new(String::new());
+    if let ReverseOutcome::NotApplicable {
+        reason,
+        testfd: Some(trace),
+    } = outcome
+    {
+        report.push(refusal("view not unfolded", reason, trace));
     }
     report
+}
+
+/// TestFD's refusal, `what`, under the code of the step that failed.
+fn refusal(what: &str, reason: &str, trace: &TestFdTrace) -> Diagnostic {
+    let why = trace.failure.clone().unwrap_or_else(|| reason.to_string());
+    let code = failure_code(&why);
+    let d = Diagnostic::new(code, format!("{what}: {why}"));
+    match code {
+        Code::Fd1NotDerivable => d.note(
+            "FD1 `(GA1, GA2) → GA1+` has no derivation from keys, \
+             constraints and the WHERE equality closure",
+        ),
+        Code::Fd2NotDerivable => d.note(
+            "FD2 `(GA1+, GA2) → RowID(R2)` needs a candidate key of \
+             every R2 relation in the closure",
+        ),
+        _ => d,
+    }
 }
 
 #[cfg(test)]

@@ -66,5 +66,5 @@ pub mod schema_pass;
 pub use analyzer::Analysis;
 pub use diag::{Code, Diagnostic, PlanPath, Report, Severity};
 pub use domain::{ColumnDomain, Interval, Nullability};
-pub use fd_audit::{audit_eager_outcome, failure_code};
+pub use fd_audit::{audit_eager_outcome, audit_reverse_outcome, failure_code};
 pub use range_pass::{analyze_plan, DomainNode, RangeAnalysis, SeedDomains};

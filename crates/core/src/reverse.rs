@@ -39,6 +39,8 @@ pub enum ReverseOutcome {
     NotApplicable {
         /// Human-readable reason.
         reason: String,
+        /// The TestFD trace, when TestFD ran and refused.
+        testfd: Option<TestFdTrace>,
     },
 }
 
@@ -56,6 +58,7 @@ impl ReverseOutcome {
 fn not_applicable(reason: impl Into<String>) -> ReverseOutcome {
     ReverseOutcome::NotApplicable {
         reason: reason.into(),
+        testfd: None,
     }
 }
 
@@ -272,7 +275,10 @@ pub fn reverse_transform(outer: &QueryBlock, fd_ctx: &FdContext) -> Result<Rever
     let constraints = constraint_conjuncts(fd_ctx);
     let outcome = test_fd(&partition, fd_ctx, &constraints);
     if !outcome.valid {
-        return Ok(not_applicable("TestFD could not prove the unfolding valid"));
+        return Ok(ReverseOutcome::NotApplicable {
+            reason: "TestFD could not prove the unfolding valid".into(),
+            testfd: Some(outcome.trace),
+        });
     }
     Ok(ReverseOutcome::Unfolded {
         block: merged,
@@ -491,7 +497,7 @@ mod tests {
             .push(Expr::col("I", "TotUsage").binary(gbj_expr::BinaryOp::Gt, Expr::lit(10i64)));
         let out = reverse_transform(&outer, &example5_ctx()).unwrap();
         match out {
-            ReverseOutcome::NotApplicable { reason } => {
+            ReverseOutcome::NotApplicable { reason, .. } => {
                 assert!(reason.contains("aggregate output"), "{reason}");
             }
             ReverseOutcome::Unfolded { .. } => panic!("must not unfold"),
@@ -547,8 +553,9 @@ mod tests {
         outer.predicate = vec![Expr::col("I", "UserId").eq(Expr::col("U", "UserId"))];
         let out = reverse_transform(&outer, &example5_ctx()).unwrap();
         match out {
-            ReverseOutcome::NotApplicable { reason } => {
+            ReverseOutcome::NotApplicable { reason, testfd } => {
                 assert!(reason.contains("TestFD"), "{reason}");
+                assert!(testfd.is_some_and(|trace| trace.failure.is_some()));
             }
             ReverseOutcome::Unfolded { .. } => panic!("must not unfold"),
         }
@@ -590,7 +597,7 @@ mod tests {
         }];
         let out = reverse_transform(&outer, &example5_ctx()).unwrap();
         match out {
-            ReverseOutcome::NotApplicable { reason } => {
+            ReverseOutcome::NotApplicable { reason, .. } => {
                 assert!(reason.contains("derived"), "{reason}");
             }
             ReverseOutcome::Unfolded { .. } => panic!(),

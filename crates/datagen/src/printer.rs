@@ -201,7 +201,7 @@ mod tests {
         assert!(report.testfd.is_some());
         assert!(matches!(
             report.choice,
-            PlanChoice::Unfolded | PlanChoice::Lazy
+            PlanChoice::Unfolded | PlanChoice::Eager
         ));
     }
 }

@@ -137,10 +137,12 @@ impl EngineOptions {
 pub enum PlanChoice {
     /// The standard order: joins first, then group-by (`E1`).
     Lazy,
-    /// Group-by pushed below the join (`E2`).
+    /// Group-by pushed below the join (`E2`) — for a query over an
+    /// aggregated view, the view kept as written, grouped before the
+    /// join.
     Eager,
     /// An aggregated view unfolded into the single-block form
-    /// (Section 8's reverse transformation).
+    /// (Section 8's reverse transformation), joined before it groups.
     Unfolded,
 }
 
@@ -1045,20 +1047,18 @@ impl Database {
             })
             .count();
         if !block.is_aggregating() && aggregated_views == 1 {
-            match reverse_transform(block, &fd_ctx)? {
+            let outcome = reverse_transform(block, &fd_ctx)?;
+            if let Some(analysis) = lint {
+                analysis.check_unfolding(&outcome);
+            }
+            match outcome {
                 ReverseOutcome::Unfolded {
                     block: merged,
                     testfd,
                 } => {
-                    return self.choose_plans(
-                        &merged,
-                        block,
-                        Some(testfd.to_string()),
-                        PlanChoice::Unfolded,
-                        bound,
-                    );
+                    return self.choose_plans(&merged, block, Some(testfd.to_string()), bound);
                 }
-                ReverseOutcome::NotApplicable { reason } => {
+                ReverseOutcome::NotApplicable { reason, .. } => {
                     let plan = block.lower(&bound.order_by)?;
                     let reason = format!("view not unfolded: {reason}");
                     return Ok(self.lazy_only(reason, None, plan));
@@ -1102,7 +1102,7 @@ impl Database {
                     &eager_block,
                     &partition,
                     Some(testfd.clone()),
-                    PlanChoice::Eager,
+                    [PlanChoice::Lazy, PlanChoice::Eager],
                     bound,
                 )?;
                 report.certificate = Some(testfd);
@@ -1134,14 +1134,14 @@ impl Database {
         }
     }
 
-    /// Decide between a lazy (merged) and the written (eager) shape for
-    /// an unfolded view query.
+    /// Decide between the unfolded (lazy, merged) and the written
+    /// (eager, view-first) shape of a view query: the first runs as
+    /// [`PlanChoice::Unfolded`], the second as [`PlanChoice::Eager`].
     fn choose_plans(
         &self,
         lazy_block: &QueryBlock,
         eager_block: &QueryBlock,
         testfd: Option<String>,
-        eager_choice: PlanChoice,
         bound: &BoundSelect,
     ) -> Result<QueryReport> {
         // Partition the merged (lazy) block for the report: R1 = the
@@ -1165,7 +1165,7 @@ impl Database {
             eager_block,
             &partition,
             testfd,
-            eager_choice,
+            [PlanChoice::Unfolded, PlanChoice::Eager],
             bound,
         )
     }
@@ -1176,7 +1176,7 @@ impl Database {
         eager_block: &QueryBlock,
         partition: &Partition,
         testfd: Option<String>,
-        eager_choice: PlanChoice,
+        [lazy_choice, eager_choice]: [PlanChoice; 2],
         bound: &BoundSelect,
     ) -> Result<QueryReport> {
         // Lower *both* candidates to their optimized physical-ready
@@ -1208,7 +1208,7 @@ impl Database {
         let (choice, plan, alternative, estimates) = if pick_eager {
             (eager_choice, eager_plan, Some(lazy_plan), eager_card)
         } else {
-            (PlanChoice::Lazy, lazy_plan, Some(eager_plan), lazy_card)
+            (lazy_choice, lazy_plan, Some(eager_plan), lazy_card)
         };
         Ok(QueryReport {
             choice,
@@ -1754,17 +1754,21 @@ mod tests {
             PlanChoice::Unfolded | PlanChoice::Eager
         ));
 
-        // Policy Never forces the unfolded (lazy) shape.
+        // Policy Never forces the unfolded (lazy) shape: no view below
+        // the join.
         db.options_mut().policy = PushdownPolicy::Never;
         let report = db.plan_query(sql).unwrap();
-        assert_eq!(report.choice, PlanChoice::Lazy);
+        assert_eq!(report.choice, PlanChoice::Unfolded);
+        assert!(!report.plan.display_tree().contains("SubqueryAlias"));
         let rows2 = db.query(sql).unwrap();
         assert!(rows.multiset_eq(&rows2));
 
-        // Policy Always keeps the written (eager) shape.
+        // Policy Always keeps the written (eager) shape: the view's
+        // aggregate below the join.
         db.options_mut().policy = PushdownPolicy::Always;
         let report = db.plan_query(sql).unwrap();
-        assert_eq!(report.choice, PlanChoice::Unfolded);
+        assert_eq!(report.choice, PlanChoice::Eager);
+        assert!(report.plan.display_tree().contains("SubqueryAlias"));
         let rows3 = db.query(sql).unwrap();
         assert!(rows.multiset_eq(&rows3));
     }

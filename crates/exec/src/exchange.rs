@@ -68,7 +68,8 @@ fn wire_bytes(batch: &ColumnarBatch, rows: impl ExactSizeIterator<Item = usize> 
 /// (in live order) goes to `dests[k]`. Each destination gets the shared
 /// batch under its own selection vector, rows keeping their order —
 /// nothing is copied here; a row is materialized where an operator
-/// needs it dense (a join's concatenation, the result set). With a
+/// needs it dense (a join's build side, the compaction of a join's
+/// sparse probe windows, the result set). With a
 /// single destination the chunk is handed over untouched and `dests` is
 /// not read.
 pub(crate) fn deal(chunk: Chunk, dests: &[u32], out: &mut [Vec<Chunk>]) -> Result<()> {

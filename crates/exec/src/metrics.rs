@@ -24,7 +24,7 @@
 //! |---|---|---|---|
 //! | Scan | — | the cursor, dealing batches to parts | — |
 //! | Filter, Project | — | the whole operator | per-chunk evaluation and any exchange: **inside** `probe_ns` |
-//! | Join | the hash build | the pair loop | the exchanges, both concatenations, the pair split, the gather and the residual: **disjoint** from the other two |
+//! | Join | the hash build | the probe loop of every window | the exchanges, the build side's concatenation, the compaction of sparse probe runs, the gather and the residual: **disjoint** from the other two |
 //! | Aggregate | the fold (under a combiner: fold, routing and merge) | the drain | per-chunk key and argument evaluation: **inside** `build_ns`; a gather or exchange before the fold: **disjoint** |
 //! | Sort | the sort | — | the gather: **disjoint** |
 //!

@@ -224,7 +224,7 @@ if grep -q 'warning\[\|error\[' /tmp/gbj_lint_valid.txt; then
   exit 1
 fi
 cargo run --release -q --bin gbj-lint -- --codes corpus/counterexamples.sql \
-  | diff <(printf 'GBJ202\nGBJ203\nGBJ206\nGBJ202\nGBJ202\nGBJ202\nGBJ202\nGBJ301\nGBJ303\n') -
+  | diff <(printf 'GBJ202\nGBJ203\nGBJ206\nGBJ202\nGBJ203\nGBJ202\nGBJ202\nGBJ202\nGBJ301\nGBJ303\n') -
 # Domain-analysis corpus: each query trips exactly one GBJ6xx proof
 # diagnostic from the range/NULL-ness/NDV pass, in file order.
 cargo run --release -q --bin gbj-lint -- --codes corpus/domain_counterexamples.sql \

@@ -167,23 +167,31 @@ fn shipped_corpus_matches_expectations() {
         .iter()
         .flat_map(gbj::analyze::Report::codes)
         .collect();
-    assert_eq!(
-        codes,
-        vec![
-            Code::Fd1NotDerivable,
-            Code::Fd2NotDerivable,
-            Code::RewriteInapplicable,
-            // A nullable UNIQUE, then a nullable column's CHECK as a
-            // column CHECK, a domain's and an assertion: none derives
-            // anything.
-            Code::Fd1NotDerivable,
-            Code::Fd1NotDerivable,
-            Code::Fd1NotDerivable,
-            Code::Fd1NotDerivable,
-            Code::NullLiteralComparison,
-            Code::FloorCeilDivergence,
-        ]
-    );
+    // The view kept as written groups below its join: over several
+    // parts, with no certificate, raw rows cross the exchange (GBJ502).
+    let sharded = db.options().exec.shards.get() > 1;
+    let view_ships_raw_rows = sharded.then_some(Code::CombinerNotCertified);
+    let expect: Vec<Code> = [
+        Code::Fd1NotDerivable,
+        Code::Fd2NotDerivable,
+        Code::RewriteInapplicable,
+        // A nullable UNIQUE, forward and through a view (no key of the
+        // joined table: FD2), then a nullable column's CHECK as a column
+        // CHECK, a domain's and an assertion: none derives anything.
+        Code::Fd1NotDerivable,
+        Code::Fd2NotDerivable,
+    ]
+    .into_iter()
+    .chain(view_ships_raw_rows)
+    .chain([
+        Code::Fd1NotDerivable,
+        Code::Fd1NotDerivable,
+        Code::Fd1NotDerivable,
+        Code::NullLiteralComparison,
+        Code::FloorCeilDivergence,
+    ])
+    .collect();
+    assert_eq!(codes, expect);
     assert!(
         reports.iter().all(|r| !r.has_severity(Severity::Error)),
         "counterexamples document refusals; none is an engine invariant break"

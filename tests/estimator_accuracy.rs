@@ -900,7 +900,7 @@ fn audited_estimates_equal_a_fresh_estimate_of_the_plan_that_ran() {
             }
         }
     }
-    assert_eq!(checked, 19 * 3 * 2 * 2, "every corpus query in every cell");
+    assert_eq!(checked, 20 * 3 * 2 * 2, "every corpus query in every cell");
     assert!(
         shapes_differ > 0,
         "the unchosen shape's tree must be told apart somewhere"

@@ -73,10 +73,10 @@ fn corpus_fallbacks_per_reason_are_pinned() {
     assert_eq!(
         batch,
         expect(&[
-            ("Always", "batch", 15),
+            ("Always", "batch", 16),
             ("Always", "row (CrossJoin: no join key)", 1),
             ("Always", "row (Join: no equi-join key)", 3),
-            ("Never", "batch", 15),
+            ("Never", "batch", 16),
             ("Never", "row (CrossJoin: no join key)", 1),
             ("Never", "row (Join: no equi-join key)", 3),
         ]),
@@ -94,10 +94,10 @@ fn corpus_fallbacks_per_reason_are_pinned() {
     assert_eq!(
         sharded,
         expect(&[
-            ("Always", "sharded(4)", 15),
+            ("Always", "sharded(4)", 16),
             ("Always", "row (CrossJoin: no join key)", 1),
             ("Always", "row (Join: no equi-join key)", 3),
-            ("Never", "sharded(4)", 15),
+            ("Never", "sharded(4)", 16),
             ("Never", "row (CrossJoin: no join key)", 1),
             ("Never", "row (Join: no equi-join key)", 3),
         ]),
@@ -120,11 +120,11 @@ fn corpus_fallbacks_per_reason_are_pinned() {
     assert_eq!(
         both,
         expect(&[
-            ("Always", "sharded(4)", 15),
+            ("Always", "sharded(4)", 16),
             ("Always", refused, 1),
             ("Always", "row (CrossJoin: no join key)", 1),
             ("Always", "row (Join: no equi-join key)", 3),
-            ("Never", "sharded(4)", 15),
+            ("Never", "sharded(4)", 16),
             ("Never", refused, 1),
             ("Never", "row (CrossJoin: no join key)", 1),
             ("Never", "row (Join: no equi-join key)", 3),
@@ -144,7 +144,7 @@ fn corpus_fallbacks_per_reason_are_pinned() {
     );
     assert_eq!(
         oracle,
-        expect(&[("Always", "row", 19), ("Never", "row", 19)]),
+        expect(&[("Always", "row", 20), ("Never", "row", 20)]),
         "oracle census moved"
     );
 }

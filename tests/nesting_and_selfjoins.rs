@@ -150,7 +150,7 @@ fn reverse_with_constant_on_view_output() {
     // Unfolded (lazy) plan: the constant must appear over PrinterAuth.
     db.options_mut().policy = PushdownPolicy::Never;
     let report = db.plan_query(sql).unwrap();
-    assert_eq!(report.choice, PlanChoice::Lazy);
+    assert_eq!(report.choice, PlanChoice::Unfolded);
     let tree = report.plan.display_tree();
     assert!(
         tree.contains("A.Machine = 'dragon'"),

@@ -153,7 +153,7 @@ fn example5_reverse_transformation() {
     // plan: the final aggregate sits above the three-table join.
     db.options_mut().policy = PushdownPolicy::Never;
     let report = db.plan_query(cfg.example5_query()).unwrap();
-    assert_eq!(report.choice, PlanChoice::Lazy);
+    assert_eq!(report.choice, PlanChoice::Unfolded);
     let tree = report.plan.display_tree();
     assert!(tree.contains("Scan UserAccount"), "{tree}");
     assert!(tree.contains("Scan PrinterAuth"), "{tree}");

@@ -668,3 +668,136 @@ fn zero_budgets_fail_before_the_first_row() {
         assert_eq!(deadline.ticks(), 0, "{ctx}");
     }
 }
+
+/// A probe table and four builds for the windowed hash join: `U` keys
+/// every non-NULL `Uk` and `Us` once (a unique build, NULL keys beside
+/// them), `M` repeats keys (a duplicate build), `E` and `Z` are empty.
+/// `P.V` cycles 0..100, so `V >= 0`, `V < 50` and `V = 3` keep 100 %,
+/// 50 % and 1 % of the probe rows; `P.Id < 700 OR P.Id > 2300 OR V = 3`
+/// interleaves dense chunks with runs of sparse ones. The string keys
+/// of `P` and of the builds live in different dictionaries.
+fn join_zoo() -> Database {
+    let mut db = Database::new();
+    db.run_script(
+        "CREATE TABLE P (Id INTEGER PRIMARY KEY, K INTEGER, S VARCHAR(10), V INTEGER); \
+         CREATE TABLE U (Uid INTEGER PRIMARY KEY, Uk INTEGER, Us VARCHAR(10), W INTEGER); \
+         CREATE TABLE M (Mid INTEGER PRIMARY KEY, Mk INTEGER, Ms VARCHAR(10), W INTEGER); \
+         CREATE TABLE E (Ek INTEGER PRIMARY KEY, Es VARCHAR(10)); \
+         CREATE TABLE Z (Id INTEGER PRIMARY KEY, K INTEGER, S VARCHAR(10), V INTEGER);",
+    )
+    .expect("ddl");
+    let name = |k: i64| Value::str(format!("s{k}"));
+    let probe = (0..3000i64).map(|id| {
+        let k = (id * 7) % 130 - 10;
+        vec![
+            Value::Int(id),
+            if id % 17 == 0 {
+                Value::Null
+            } else {
+                Value::Int(k)
+            },
+            if id % 13 == 0 { Value::Null } else { name(k) },
+            Value::Int(id % 100),
+        ]
+    });
+    db.insert_rows("P", probe).expect("probe");
+    let unique = (0..100i64).map(|uid| {
+        let key = |v: Value| if uid % 9 == 4 { Value::Null } else { v };
+        vec![
+            Value::Int(uid),
+            key(Value::Int(uid)),
+            key(name(99 - uid)),
+            Value::Int(uid % 60),
+        ]
+    });
+    db.insert_rows("U", unique).expect("unique build");
+    let dup = (0..150i64).map(|mid| {
+        let key = |v: Value| if mid % 11 == 6 { Value::Null } else { v };
+        vec![
+            Value::Int(mid),
+            key(Value::Int(mid % 40)),
+            key(name(mid % 35)),
+            Value::Int(mid % 70),
+        ]
+    });
+    db.insert_rows("M", dup).expect("duplicate build");
+    db
+}
+
+const JOIN_FILTERS: [&str; 4] = [
+    "P.V >= 0",
+    "P.V < 50",
+    "P.V = 3",
+    "(P.Id < 700 OR P.Id > 2300 OR P.V = 3)",
+];
+
+/// Join shapes over [`join_zoo`], `{f}` standing for a filter on `P`.
+const JOIN_QUERIES: [&str; 12] = [
+    "SELECT P.Id, U.W FROM P, U WHERE P.K = U.Uk AND {f}",
+    "SELECT P.Id, U.W FROM U, P WHERE U.Uk = P.K AND {f}",
+    "SELECT P.Id, M.W FROM P, M WHERE P.K = M.Mk AND {f}",
+    "SELECT P.Id, M.W FROM M, P WHERE M.Mk = P.K AND {f}",
+    "SELECT P.Id, U.Uid FROM P, U WHERE P.S = U.Us AND {f}",
+    "SELECT P.Id, M.Mid FROM P, M WHERE P.S = M.Ms AND {f}",
+    "SELECT P.Id, U.W FROM P, U WHERE P.K = U.Uk AND P.V < U.W AND {f}",
+    "SELECT P.Id, M.W FROM P, M WHERE P.K = M.Mk AND P.V > M.W AND {f}",
+    "SELECT U.W, COUNT(*), SUM(P.V) FROM P, U WHERE P.K = U.Uk AND {f} GROUP BY U.W",
+    "SELECT M.W, COUNT(P.Id), MIN(P.V) FROM P, M WHERE P.S = M.Ms AND {f} GROUP BY M.W",
+    "SELECT P.Id, E.Es FROM P, E WHERE P.K = E.Ek AND {f}",
+    "SELECT Z.Id, U.W, P.Id FROM Z, U, P WHERE Z.K = U.Uk AND U.Uk = P.K AND {f}",
+];
+
+/// The windowed hash join against the oracle: unique and duplicate
+/// builds, NULL keys on both sides, an empty build and an empty probe, a
+/// residual conjunct, `VARCHAR` keys over two dictionaries, filters
+/// keeping 100 %, 50 % and 1 % and one mixing dense chunks with sparse
+/// runs, in scan batches of 5 and 1 024 rows, at 1, 2 and 4 parts: the
+/// oracle's rows (in its order at one part) and fingerprint. A sparse
+/// probe side (`P` on the left) at one part is compacted: the join
+/// emits at most one window (plus the build side's concatenation) per
+/// 1 024 live rows.
+#[test]
+fn windowed_joins_reproduce_the_oracle() {
+    let mut db = join_zoo();
+    for template in JOIN_QUERIES {
+        for filter in JOIN_FILTERS {
+            let sql = template.replace("{f}", filter);
+            for policy in [PushdownPolicy::Never, PushdownPolicy::Always] {
+                let plan = plan(&mut db, policy, &sql);
+                for batch_size in [5, 1024] {
+                    db.set_fault_injector(Some(FaultInjector::new(FaultConfig {
+                        batch_size: Some(batch_size),
+                        ..FaultConfig::default()
+                    })));
+                    let (oracle, oracle_profile, _) =
+                        oracle(&db, &plan, ResourceLimits::default()).expect("oracle runs");
+                    for shards in [1, 2, 4] {
+                        let ctx =
+                            format!("{policy:?} batch_size={batch_size} shards={shards}: {sql}");
+                        let options = pipeline(shards, 2, false, ResourceLimits::default());
+                        let (got, profile, _) =
+                            run(&db, &plan, options).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                        if shards == 1 {
+                            assert_eq!(exact(&got.rows), exact(&oracle.rows), "{ctx}: order");
+                        }
+                        assert_eq!(multiset(&got.rows), multiset(&oracle.rows), "{ctx}: rows");
+                        assert_eq!(
+                            profile.counter_fingerprint(),
+                            oracle_profile.counter_fingerprint(),
+                            "{ctx}: fingerprint"
+                        );
+                        if shards == 1 && filter == "P.V = 3" && template.contains("FROM P,") {
+                            let join = profile.find_operator("HashJoin").expect("a hash join");
+                            assert!(
+                                join.metrics.vectors <= 2,
+                                "{ctx}: {} vectors, a sparse probe side is one window",
+                                join.metrics.vectors
+                            );
+                        }
+                    }
+                }
+                db.set_fault_injector(None);
+            }
+        }
+    }
+}
