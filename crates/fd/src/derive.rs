@@ -295,13 +295,19 @@ mod tests {
         let ctx = unique_sid(ColumnDef::new("sid", DataType::Int64));
         let fds = ctx.fd_set(&[]);
         assert!(!fds.implies(&cols(&[("U", "sid")]), &cols(&[("U", "id")])));
-        assert_eq!(ctx.keys_of("U"), vec![vec![ColumnRef::qualified("U", "id")]]);
+        assert_eq!(
+            ctx.keys_of("U"),
+            vec![vec![ColumnRef::qualified("U", "id")]]
+        );
     }
 
     #[test]
     fn is_not_null_reads_the_declaration() {
         let ctx = unique_sid(ColumnDef::new("sid", DataType::Int64));
-        assert!(ctx.is_not_null(&ColumnRef::qualified("U", "id")), "PRIMARY KEY");
+        assert!(
+            ctx.is_not_null(&ColumnRef::qualified("U", "id")),
+            "PRIMARY KEY"
+        );
         assert!(!ctx.is_not_null(&ColumnRef::qualified("U", "sid")));
         assert!(!ctx.is_not_null(&ColumnRef::qualified("U", "ghost")));
         assert!(!ctx.is_not_null(&ColumnRef::bare("id")));

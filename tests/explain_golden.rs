@@ -130,7 +130,10 @@ fn explain_prints_the_certificate_chain_once() {
     let text = explain_text(&mut db, &format!("EXPLAIN {sql}"));
     assert_eq!(text.matches(trace).count(), 1, "one trace in:\n{text}");
     assert_eq!(chain(&text), chain(trace), "one closure chain in:\n{text}");
-    assert!(!text.contains("FD certificate"), "a second copy in:\n{text}");
+    assert!(
+        !text.contains("FD certificate"),
+        "a second copy in:\n{text}"
+    );
 }
 
 /// `EXPLAIN ANALYZE`: planning and execution time are separate labeled

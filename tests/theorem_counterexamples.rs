@@ -108,7 +108,10 @@ fn fd2_violation_makes_e1_and_e2_differ() {
 #[test]
 fn restoring_the_key_restores_validity() {
     let sql = "SELECT F.A, SUM(F.V) FROM F, D WHERE F.A = D.B GROUP BY F.A";
-    for (b, certified) in [("B INTEGER NOT NULL UNIQUE", true), ("B INTEGER UNIQUE", false)] {
+    for (b, certified) in [
+        ("B INTEGER NOT NULL UNIQUE", true),
+        ("B INTEGER UNIQUE", false),
+    ] {
         let mut db = Database::new();
         db.run_script(&format!(
             "CREATE TABLE D (Id INTEGER PRIMARY KEY, {b}, H INTEGER); \
@@ -122,7 +125,11 @@ fn restoring_the_key_restores_validity() {
         if certified {
             assert_eq!(report.choice, PlanChoice::Eager, "UNIQUE(B) restores FD2");
         } else {
-            assert_eq!(report.choice, PlanChoice::Lazy, "a nullable UNIQUE is no key");
+            assert_eq!(
+                report.choice,
+                PlanChoice::Lazy,
+                "a nullable UNIQUE is no key"
+            );
         }
         let eager = db.query(sql).unwrap();
         db.options_mut().policy = gbj::engine::PushdownPolicy::Never;
