@@ -1009,10 +1009,12 @@ fn operators(node: &ProfileNode, depth: usize, out: &mut Vec<(String, OperatorMe
 /// chunk pipeline at one part unless `GBJ_TEST_*` says otherwise), one
 /// warm-up then `runs` timed runs. Over several parts it declares the
 /// partition keys `gbjbench`'s `scaleout` declares (`Fact(FactId)`,
-/// `Dim(DimId)`). Prints, per operator of the plan that ran, the
-/// minimum over the runs of its `build_ns`, `probe_ns` and `kernel_ns`
-/// (how they nest per operator is in `gbj_exec::metrics`), and the
-/// minimum wall time of the whole query.
+/// `Dim(DimId)`). Prints, per operator of the plan that ran, its
+/// `vectors` (the chunks it handled — a count, so a change in how
+/// finely rows arrive shows without a timer) and the minimum over the
+/// runs of its `build_ns`, `probe_ns` and `kernel_ns` (how they nest
+/// per operator is in `gbj_exec::metrics`), and the minimum wall time
+/// of the whole query.
 fn ops_probe(args: &OpsArgs) -> Result<()> {
     let mut db = star(args.facts, args.dims)?;
     let exec = db.options().exec;
@@ -1051,14 +1053,15 @@ fn ops_probe(args: &OpsArgs) -> Result<()> {
         }
         println!("\n{name}: query {:.1} µs", wall.as_secs_f64() * 1e6);
         println!(
-            "  {:<64} {:>9} {:>10} {:>10} {:>10}",
-            "operator", "rows", "build", "probe", "kernel"
+            "  {:<64} {:>9} {:>8} {:>10} {:>10} {:>10}",
+            "operator", "rows", "vectors", "build", "probe", "kernel"
         );
         for (op, m) in &best {
             let op: String = op.chars().take(64).collect();
             println!(
-                "  {op:<64} {:>9} {:>10.1} {:>10.1} {:>10.1}",
+                "  {op:<64} {:>9} {:>8} {:>10.1} {:>10.1} {:>10.1}",
                 m.rows_out,
+                m.vectors,
                 us(m.build_ns),
                 us(m.probe_ns),
                 us(m.kernel_ns)

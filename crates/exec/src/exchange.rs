@@ -2,16 +2,19 @@
 //! pipeline, with bytes-over-the-wire metering.
 //!
 //! The pipeline (see [`crate::pipeline`]) keeps every intermediate
-//! relation as one chunk stream per shard. An *exchange* re-routes each
-//! live row to the part its key hashes to — `GroupKey::shard` of the
-//! key, the low bits of the fixed-seed [`gbj_types::stream_hash`] the
-//! key index and the sketches hash with, so `=ⁿ` semantics apply and
-//! NULL keys land on one fixed part, computed as one destination vector
-//! per batch from the typed key view ([`crate::key::KeyView::shards`])
-//! without building the key; a *gather* concentrates all rows on part
-//! 0 for inherently global operators (scalar aggregates, sorts).
-//! [`deal`] carries a destination vector out — for an exchange and for
-//! the scan split.
+//! relation as one chunk stream per shard, the scan's already placed:
+//! storage hands each part dense batches of its own rows
+//! ([`gbj_storage::ScanSplit`]). An *exchange* re-routes each live row
+//! of an intermediate relation to the part its key hashes to —
+//! `GroupKey::shard` of the key, the low bits of the fixed-seed
+//! [`gbj_types::stream_hash`] the key index and the sketches hash with,
+//! so `=ⁿ` semantics apply and NULL keys land on one fixed part —
+//! computed as one destination vector per chunk from the typed key view
+//! ([`crate::key::KeyView::shards`], through the placement functions of
+//! [`gbj_storage::place`] the scan split routes through too) without
+//! building the key, and carried out by [`deal`]; a *gather*
+//! concentrates all rows on part 0 for inherently global operators
+//! (scalar aggregates, sorts).
 //!
 //! Only rows whose destination differs from their origin are metered as
 //! shipped: co-located rows never cross the wire, which is precisely
@@ -30,7 +33,8 @@
 //! every destination receives rows in a deterministic
 //! `(origin, position)` order at any thread count.
 
-use gbj_types::{internal_err, Result, Value};
+use gbj_storage::place;
+use gbj_types::{Result, Value};
 
 use crate::batch::{ColumnVector, ColumnarBatch};
 use crate::key::{string_bytes, KeyView};
@@ -72,23 +76,12 @@ fn wire_bytes(batch: &ColumnarBatch, rows: impl ExactSizeIterator<Item = usize> 
 /// sparse probe windows, the result set). With a
 /// single destination the chunk is handed over untouched and `dests` is
 /// not read.
-pub(crate) fn deal(chunk: Chunk, dests: &[u32], out: &mut [Vec<Chunk>]) -> Result<()> {
+fn deal(chunk: Chunk, dests: &[u32], out: &mut [Vec<Chunk>]) -> Result<()> {
     if let [only] = out {
         only.push(chunk);
         return Ok(());
     }
-    let mut counts = vec![0usize; out.len()];
-    for &dest in dests {
-        *counts
-            .get_mut(dest as usize)
-            .ok_or_else(|| internal_err!("row routed to part {dest} out of range"))? += 1;
-    }
-    let mut sels: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
-    for (i, &dest) in chunk.indices().zip(dests) {
-        if let Some(sel) = sels.get_mut(dest as usize) {
-            sel.push(i as u32);
-        }
-    }
+    let sels = place::per_part(chunk.indices(), dests, out.len())?;
     for (stream, sel) in out.iter_mut().zip(sels) {
         if !sel.is_empty() {
             stream.push(Chunk {

@@ -11,8 +11,9 @@
 //! - **the `=ⁿ` hash stream** ([`KeyView::shards`]): the bytes
 //!   [`GroupKey`]'s `Hash` would feed [`gbj_types::stream_hash`] — the
 //!   fixed-seed fold the key index and the sketches hash with — written
-//!   straight from the typed column through [`gbj_types::key_hash`], so
-//!   a row lands on `GroupKey::shard` of its decoded key without that
+//!   straight from the typed column by [`gbj_storage::place`], the one
+//!   placement implementation a table's scan split also routes through,
+//!   so a row lands on `GroupKey::shard` of its decoded key without that
 //!   key ever being built;
 //! - **the decoded key** ([`KeyView::decode`]) for whoever does need
 //!   the [`GroupKey`]: the generic arm, per row, and a raw-keyed table
@@ -39,11 +40,12 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::Hasher;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use gbj_storage::keys::{FoldSeed, KeyArms};
-use gbj_types::{internal_err, key_hash, shard_of, stream_hash, GroupKey, Result, Value};
+use gbj_storage::place;
+use gbj_types::{internal_err, GroupKey, Result, Value};
 
 use crate::batch::{Bitmap, ColumnVector, ColumnarBatch, StringDict};
 
@@ -145,36 +147,25 @@ impl<'a> KeyView<'a> {
         (std::mem::size_of::<Vec<Value>>() + arity * std::mem::size_of::<Value>() + strings) as u64
     }
 
-    /// Feed key `i`'s `=ⁿ` hash stream to `state`: byte for byte what
-    /// `decode(i).hash(state)` would write.
-    fn hash_row<H: Hasher>(&self, i: usize, state: &mut H) {
-        match self {
-            KeyView::Int { .. } => match self.raw(i) {
-                Some(v) => key_hash::int(v, state),
-                None => key_hash::null(state),
-            },
-            KeyView::Dict { codes, dict } => match codes.get(i).and_then(|&c| dict.get(c)) {
-                Some(s) => key_hash::str(s, state),
-                None => key_hash::null(state),
-            },
-            KeyView::Columns(cols) => cols.iter().for_each(|c| c.hash_cell(i, state)),
-            KeyView::Keys(keys) => {
-                if let Some(k) = keys.get(i) {
-                    std::hash::Hash::hash(k, state);
-                }
-            }
-        }
-    }
-
-    /// The part of `n` key `i` belongs to: `decode(i).shard(n)`.
-    fn shard(&self, i: usize, n: usize) -> u32 {
-        shard_of(stream_hash(|h| self.hash_row(i, h)), n) as u32
-    }
-
-    /// One destination per row of `rows`, in order: the batch's routing
-    /// vector.
+    /// One destination per row of `rows`, in order — row `i` goes to
+    /// `decode(i).shard(n)` — through storage's one placement
+    /// implementation ([`gbj_storage::place`]): the view is matched
+    /// once, then one typed loop runs over the rows.
     pub(crate) fn shards(&self, rows: impl Iterator<Item = usize>, n: usize) -> Vec<u32> {
-        rows.map(|i| self.shard(i, n)).collect()
+        match self {
+            KeyView::Int { values, validity } => place::by_ints(values, validity, rows, n),
+            KeyView::Dict { codes, dict } => place::by_codes(codes, dict, rows, n),
+            KeyView::Columns(cols) => place::by_key(cols, rows, n),
+            KeyView::Keys(keys) => rows
+                .map(|i| {
+                    place::part(n, |h| {
+                        if let Some(k) = keys.get(i) {
+                            k.hash(h);
+                        }
+                    })
+                })
+                .collect(),
+        }
     }
 }
 

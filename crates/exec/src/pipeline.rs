@@ -28,11 +28,13 @@
 //! [`Executor::run_chunks`] walks the plan together with
 //! [`gbj_plan::distribute`]'s [`Distribution`] tree — the same tree the
 //! optimizer's `plan_distribution` prices — so the pipeline *executes*
-//! placement, it does not decide it. The scan deals its batches out to
-//! the parts (by the declared partition key, else round-robin): one
-//! destination vector per batch, each part taking the shared batch
-//! under its own selection vector ([`deal`]); every operator body then
-//! maps over parts on a team of
+//! placement, it does not decide it. The scan hands each part dense
+//! batches of its own rows (by the declared partition key, else
+//! round-robin): storage splits every scan batch over the parts, in
+//! position order and every column — a sealed block once, on the first
+//! scan at that key and part count, kept beside the block
+//! ([`gbj_storage::ScanCursor::next_split`]) — so a read routes no row;
+//! every operator body then maps over parts on a team of
 //! [`ExecOptions::threads`](crate::ExecOptions) members, the calling
 //! thread one of them; and an input's [`Movement`] is one more breaker
 //! in front of the operator: `Repartition` is an [`exchange`] on the
@@ -87,7 +89,7 @@ use gbj_types::{internal_err, Result, Value};
 
 use crate::aggregate::{compile_aggregates, AggStates, ChunkArgs, CompiledAggregate, Groups};
 use crate::batch::{Bitmap, ColumnVector, ColumnarBatch, StringDict};
-use crate::exchange::{deal, exchange, gather, ROW_FRAME_BYTES};
+use crate::exchange::{exchange, gather, ROW_FRAME_BYTES};
 use crate::executor::{bind_sort_keys, input_batches, sort_rows, Executor};
 use crate::guard::ResourceGuard;
 use crate::join::bind_join;
@@ -455,9 +457,11 @@ impl Executor<'_> {
             // One serial cursor at every part count — same batches, same
             // global batch ordinals, same row-id-keyed NULL flips — so a
             // seeded fault injector cannot tell how many parts there
-            // are. Each batch is then dealt out: by the declared
-            // partition key under `=ⁿ`, else round-robin on the global
-            // row ordinal, as a loader without placement knowledge would.
+            // are. At one part the batches are the stored blocks; over
+            // several each arrives split — by the declared partition key
+            // under `=ⁿ`, else round-robin on the global row ordinal —
+            // into one dense batch per part, a sealed block's split
+            // made once and kept by storage (`ScanCursor::next_split`).
             LogicalPlan::Scan { table, schema, .. } => {
                 let sink = self.sink();
                 let timer = sink.start_timer();
@@ -465,24 +469,31 @@ impl Executor<'_> {
                 if cursor.arity() != schema.len() {
                     return Err(internal_err!("scan schema arity mismatch for {table}"));
                 }
-                let key = dist.partitioning.key();
                 let mut parts: Parts = (0..n).map(|_| Vec::new()).collect();
                 let mut scanned = 0usize;
-                while let Some(batch) = cursor.next_columnar()? {
-                    guard.charge_rows(batch.len())?;
+                let mut count = |rows: usize| -> Result<()> {
+                    guard.charge_rows(rows)?;
                     sink.add_batches(1);
                     sink.add_vectors(1);
-                    let first = scanned;
-                    scanned += batch.len();
-                    // One destination vector per batch.
-                    let dests = match key {
-                        _ if n == 1 => Vec::new(),
-                        Some(ords) => KeyView::of(&batch, ords)?.shards(0..batch.len(), n),
-                        None => (first..scanned)
-                            .map(|ordinal| (ordinal % n) as u32)
-                            .collect(),
-                    };
-                    deal(Chunk { batch, sel: None }, &dests, &mut parts)?;
+                    scanned += rows;
+                    Ok(())
+                };
+                if let [only] = parts.as_mut_slice() {
+                    while let Some(batch) = cursor.next_columnar()? {
+                        count(batch.len())?;
+                        only.push(Chunk { batch, sel: None });
+                    }
+                } else {
+                    let key = dist.partitioning.key();
+                    while let Some(split) = cursor.next_split(key, n)? {
+                        count(split.rows())?;
+                        for (stream, batch) in parts.iter_mut().zip(split.parts()) {
+                            if !batch.is_empty() {
+                                let batch = batch.clone();
+                                stream.push(Chunk { batch, sel: None });
+                            }
+                        }
+                    }
                 }
                 sink.record_probe(timer);
                 let profile = ProfileNode::new(plan.label(), "Scan", scanned, vec![])
@@ -789,10 +800,13 @@ impl Executor<'_> {
 /// A probe chunk is a window as it stands when its live rows fill at
 /// least `1 / WINDOW_FILL` of its batch: a unique build hands the
 /// window's batch on whole, so a window costs per *batch* row, not per
-/// live row. At one part the chunks a filter leaves are that full
-/// (`join_cat`'s keeps half of each scan block) and are probed in
-/// place; at four parts `deal` hands each part chunks of 7–8k live rows
-/// over 240k batch rows (about 3 %), and runs of those are compacted by
+/// live row. The chunks a filter leaves are that full (`join_cat`'s
+/// keeps half of each scan batch) and are probed in place — at one part,
+/// and over several wherever the probe side stays where the scan put
+/// it, since the scan hands each part dense batches of its own rows. An
+/// exchange in front of the join hands each part a selection over every
+/// origin's chunk — at four parts behind `join_cat`'s filter about an
+/// eighth of the batch — and runs of those are compacted by
 /// [`concat_chunks`] into windows of at least [`POLL_ROWS`] live rows.
 /// Taking every chunk as it stands tripled `scaleout`'s p90 and doubled
 /// its peak RSS (EXPERIMENTS.md X29). The rule reads live rows, not
@@ -1524,7 +1538,7 @@ mod tests {
         assert_eq!(canon(res.rows), canon(expect.rows));
     }
 
-    /// The scan deals rows round-robin on the global row ordinal —
+    /// The scan splits rows round-robin on the global row ordinal —
     /// across cursor batches — without a declared key, and by
     /// `GroupKey::shard` of the key columns (all NULL keys on one part)
     /// with one. Either way the parts hold the table's multiset.

@@ -27,7 +27,10 @@
 //! columns without transposing anything, a clone shares every block,
 //! and a write copies the one block it appends to. Rows exist in flight
 //! only: [`Row`] for DML, [`ScanCursor::next_batch`] as the row view the
-//! row engine reads.
+//! row engine reads. Over several parts a scan reads each batch already
+//! split into one dense batch per part ([`ScanCursor::next_split`],
+//! [`ScanSplit`], placed by [`place`]); a sealed block's split is made
+//! once and kept beside the block.
 //!
 //! [`Storage`] couples the data with the [`Catalog`](gbj_catalog::Catalog)
 //! and enforces every declared constraint on insert — NOT NULL, CHECK
@@ -54,12 +57,15 @@
 pub mod columnar;
 pub mod fault;
 pub mod keys;
+pub mod place;
+mod split;
 pub mod stats;
 mod storage;
 mod table;
 
 pub use columnar::{Bitmap, BitmapIter, ColumnVector, ColumnarBatch, StringDict, NULL_CODE};
 pub use fault::{FaultConfig, FaultInjector};
+pub use split::ScanSplit;
 pub use stats::{ColumnStats, DistinctSketch, EquiDepthHistogram, TableStats};
 pub use storage::{ScanCursor, Storage};
 pub use table::{Row, Table};

@@ -654,7 +654,7 @@ impl TableStats {
             if tail_rows > 0 {
                 tail.absorb(column, sealed_blocks(rows), false);
             }
-            ColumnStats::finish(sealed, &tail, rows, column.dict())
+            ColumnStats::finish(sealed, &tail, rows, column.dict().map(|d| &**d))
         };
         TableStats {
             rows,

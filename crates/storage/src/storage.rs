@@ -10,6 +10,7 @@ use gbj_types::{internal_err, DataType, Error, Field, GroupKey, Result, Schema, 
 
 use crate::columnar::{ColumnVector, ColumnarBatch};
 use crate::fault::FaultInjector;
+use crate::split::ScanSplit;
 use crate::table::{Counters, Row, Table, BLOCK_ROWS};
 
 /// The in-memory database: a [`Catalog`] plus one [`Table`] of data per
@@ -183,6 +184,16 @@ impl Storage {
         self.counters.keys_copied.load(Ordering::Relaxed)
     }
 
+    /// How many splits of sealed blocks over several parts scans have
+    /// made ([`ScanCursor::next_split`]) — counted like
+    /// [`Storage::stats_builds`]. A block's split is made once per
+    /// partition key and part count and kept; a scan that asks again
+    /// at the same ones makes none.
+    #[must_use]
+    pub fn blocks_split(&self) -> u64 {
+        self.counters.blocks_split.load(Ordering::Relaxed)
+    }
+
     /// Declare that `table` is hash-partitioned on `cols` for sharded
     /// execution. The declaration is physical layout only — it never
     /// changes query results — and routes rows with
@@ -335,6 +346,42 @@ impl ScanCursor<'_> {
     /// `(seed, table, row_id, column)` so every plan shape observes
     /// identical data.
     pub fn next_columnar(&mut self) -> Result<Option<ColumnarBatch>> {
+        match self.claim()? {
+            Some((start, end)) => self.batch(start, end).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// The next batch split over `n` parts by the partition key `key`
+    /// (by row ordinal when `None`), `None` once exhausted: the batch
+    /// [`ScanCursor::next_columnar`] would hand out — claimed the same
+    /// way, faults and all — with each part's rows copied, in position
+    /// order, into one dense batch of every column ([`ScanSplit`]). A
+    /// batch that is exactly a sealed block, uncut and unflipped, is
+    /// served the split the table keeps beside the block, made on the
+    /// first scan that asked for it; any other batch is split now.
+    pub fn next_split(
+        &mut self,
+        key: Option<&[usize]>,
+        n: usize,
+    ) -> Result<Option<Arc<ScanSplit>>> {
+        let Some((start, end)) = self.claim()? else {
+            return Ok(None);
+        };
+        let whole_block = start.is_multiple_of(BLOCK_ROWS) && end - start == BLOCK_ROWS;
+        let flipped = (0..self.nullable.len()).any(|c| self.flips(c).is_some());
+        if whole_block && !flipped {
+            if let Some(split) = self.table.sealed_split(start / BLOCK_ROWS, key, n) {
+                return split.map(Some);
+            }
+        }
+        let batch = self.batch(start, end)?;
+        ScanSplit::of(&batch, start, key, n).map(|split| Some(Arc::new(split)))
+    }
+
+    /// Claim the next batch's rows, `start..end`: the injector's batch
+    /// failure lands here, before any row is read.
+    fn claim(&mut self) -> Result<Option<(usize, usize)>> {
         let len = self.table.len();
         if self.pos >= len {
             return Ok(None);
@@ -348,11 +395,23 @@ impl ScanCursor<'_> {
             }
         }
         let (start, end) = (self.pos, self.pos.saturating_add(self.batch_size).min(len));
+        self.pos = end;
+        Ok(Some((start, end)))
+    }
+
+    /// Rows `start..end` of every column, as one batch.
+    fn batch(&self, start: usize, end: usize) -> Result<ColumnarBatch> {
         let columns = (0..self.nullable.len())
             .map(|c| self.column(c, start, end))
             .collect::<Result<Vec<_>>>()?;
-        self.pos = end;
-        ColumnarBatch::from_columns(columns, end - start).map(Some)
+        ColumnarBatch::from_columns(columns, end - start)
+    }
+
+    /// The injector that flips cells of column `c` to NULL, if any.
+    fn flips(&self, c: usize) -> Option<&FaultInjector> {
+        self.injector.filter(|inj| {
+            inj.config().null_flip_one_in.is_some() && self.nullable.get(c) == Some(&true)
+        })
     }
 
     /// Rows `start..end` of column `c`: the stored block itself when
@@ -365,9 +424,7 @@ impl ScanCursor<'_> {
             let block = self.table.block(c, b);
             block.ok_or_else(|| internal_err!("{} has no block {b} of column {c}", self.name))
         };
-        let flips = self.injector.filter(|inj| {
-            inj.config().null_flip_one_in.is_some() && self.nullable.get(c) == Some(&true)
-        });
+        let flips = self.flips(c);
         let first = block(start / BLOCK_ROWS)?;
         if flips.is_none() && start.is_multiple_of(BLOCK_ROWS) && end - start == first.len() {
             return Ok(first);

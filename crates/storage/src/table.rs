@@ -6,8 +6,10 @@
 //! column, the few dozen keys of each index set it inserts into
 //! ([`KeySets`]), and — once per [`BLOCK_ROWS`] rows, when the tail
 //! fills — one block's fold into the statistics of the sealed blocks
-//! ([`SealedStats`]). Nothing on the append path grows with the table;
-//! DELETE and UPDATE re-pack it and start both structures afresh.
+//! ([`SealedStats`]) and an empty cell for the block's split over the
+//! parts of a scan ([`crate::split`]). Nothing on the append path grows
+//! with the table; DELETE and UPDATE re-pack it and start all three
+//! afresh.
 //!
 //! **Layout.** Each column is a sequence of dense blocks of
 //! [`BLOCK_ROWS`] rows — every block but the last is full — typed by
@@ -31,12 +33,13 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
 use gbj_types::{internal_err, key_hash, DataType, Error, GroupKey, Result, Schema, Value};
 
 use crate::columnar::{ColumnVector, ColumnarBatch, StringDict, NULL_CODE};
 use crate::keys::{Key, KeySets};
+use crate::split::{ScanSplit, SplitCell};
 use crate::stats::{joint_ndv, SealedStats, StatsCell, TableStats};
 
 /// Rows per stored block — and per scan batch when no injector or
@@ -127,7 +130,7 @@ impl Column {
     }
 
     /// A `Utf8` column's dictionary.
-    pub(crate) fn dict(&self) -> Option<&StringDict> {
+    pub(crate) fn dict(&self) -> Option<&Arc<StringDict>> {
         match self {
             Column::Typed(_) => None,
             Column::Utf8 { dict, .. } => Some(dict),
@@ -190,6 +193,8 @@ pub(crate) struct Counters {
     /// Key-index entries a write copied because a clone shared their
     /// set.
     pub(crate) keys_copied: AtomicU64,
+    /// Splits of sealed blocks made ([`Table::sealed_split`]).
+    pub(crate) blocks_split: AtomicU64,
 }
 
 /// An index over one candidate key of a table.
@@ -294,6 +299,11 @@ pub struct Table {
     /// shares those rows, and the only two places the rows change
     /// ([`Table::push`], [`Table::replace_rows`]) leave it behind.
     stats: Arc<StatsCell>,
+    /// One cell per sealed block, made when the block seals, where its
+    /// split over the parts of a scan is kept ([`Table::sealed_split`]):
+    /// clones share the cells of the blocks they share, and a re-pack
+    /// starts them afresh.
+    splits: Vec<Arc<SplitCell>>,
     /// Counted across every table of a [`Storage`](crate::Storage) and
     /// its clones.
     counters: Arc<Counters>,
@@ -315,6 +325,7 @@ impl Clone for Table {
             ref_lookups: HashMap::new(),
             sealed: Arc::clone(&self.sealed),
             stats: Arc::clone(&self.stats),
+            splits: self.splits.clone(),
             counters: Arc::clone(&self.counters),
         }
     }
@@ -352,6 +363,7 @@ impl Table {
             key_indexes: Vec::new(),
             ref_lookups: HashMap::new(),
             stats: Arc::default(),
+            splits: Vec::new(),
             counters: Arc::default(),
         }
     }
@@ -397,6 +409,48 @@ impl Table {
     /// [`Column::block`]).
     pub(crate) fn block(&self, c: usize, b: usize) -> Option<Arc<ColumnVector>> {
         self.columns.get(c)?.block(b)
+    }
+
+    /// Sealed block `b` split over `n` parts by `key` (see
+    /// [`crate::split`]): the split kept beside the block when it was
+    /// made for `key`, `n` and the columns' dictionaries as they are,
+    /// else made now and kept. `None` when block `b` is not sealed in
+    /// this version of the table.
+    pub(crate) fn sealed_split(
+        &self,
+        b: usize,
+        key: Option<&[usize]>,
+        n: usize,
+    ) -> Option<Result<Arc<ScanSplit>>> {
+        if b >= self.len / BLOCK_ROWS {
+            return None;
+        }
+        // Held while a split is made, so concurrent scans make it once.
+        // The cell changes in one assignment: a poisoned lock still
+        // holds a whole split or none.
+        let mut kept = self
+            .splits
+            .get(b)?
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let dict_of = |c: usize| self.columns.get(c).and_then(Column::dict);
+        if let Some(split) = kept.as_ref().filter(|s| s.serves(key, n, dict_of)) {
+            return Some(Ok(Arc::clone(split)));
+        }
+        let columns = (0..self.columns.len()).map(|c| {
+            self.block(c, b)
+                .ok_or_else(|| internal_err!("no block {b} of column {c}"))
+        });
+        let made = columns
+            .collect::<Result<Vec<_>>>()
+            .and_then(|columns| ColumnarBatch::from_columns(columns, BLOCK_ROWS))
+            .and_then(|batch| ScanSplit::of(&batch, b * BLOCK_ROWS, key, n))
+            .map(Arc::new);
+        if let Ok(split) = &made {
+            self.counters.blocks_split.fetch_add(1, Ordering::Relaxed);
+            *kept = Some(Arc::clone(split));
+        }
+        Some(made)
     }
 
     /// The RowID of the `i`-th stored row (0 out of range).
@@ -528,6 +582,7 @@ impl Table {
             // so that whoever holds these blocks holds their fold.
             self.count_stats_rows(BLOCK_ROWS);
             Arc::make_mut(&mut self.sealed).seal(&self.columns);
+            self.splits.push(Arc::default());
         }
     }
 
@@ -578,6 +633,7 @@ impl Table {
         // Re-packed blocks are other blocks: their fold starts over,
         // and `append` seals them as they fill.
         self.sealed = Arc::new(SealedStats::new(self.columns.len()));
+        self.splits.clear();
         for row in &rows {
             self.append(row.row_id, &row.values);
         }

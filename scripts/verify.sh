@@ -164,6 +164,20 @@ if grep -rnE "DefaultHasher|ShardHasher" crates src tests examples; then
   echo "verify: a second placement hash reappeared beside stream_hash" >&2
   exit 1
 fi
+# One scan split: over several parts a scan hands each part dense
+# batches of its own rows, a sealed block's split made once and kept by
+# storage beside the block (gbj_storage::ScanSplit, through
+# ScanCursor::next_split). The per-read routing it replaced — a
+# destination vector per batch and `deal`'s selection per part, every
+# block hashed again on every read — must not grow back in the
+# pipeline's Scan arm, and `deal` stays the exchange's own.
+scan_arm=$(sed -n '/LogicalPlan::Scan {/,/LogicalPlan::Filter {/p' crates/exec/src/pipeline.rs)
+if ! grep -q "next_split" <<<"$scan_arm" \
+  || grep -nE "deal\(|KeyView|\.shards\(|place::|% n\b|ordinal" <<<"$scan_arm" \
+  || grep -rnE "\bdeal\(" crates/exec/src | grep -v "^crates/exec/src/exchange.rs:"; then
+  echo "verify: the scan routes rows per read again instead of reading storage's split" >&2
+  exit 1
+fi
 # One lowering: QueryBlock::lower builds a block's plan in its final
 # shape in one pass. The rule driver, its trait and pass bound, and the
 # four rules it ran to a fixpoint over the literal σ(R1 × R2 × …) were

@@ -548,6 +548,115 @@ fn faults_identical_across_shard_counts() {
     }
 }
 
+/// The scan split under faults: over a `Fact` of two sealed blocks and
+/// a tail — placed by row ordinal, by its `Int` key and by its string
+/// column — every part count returns the oracle's rows, raises its
+/// first error and reproduces its counter fingerprint, whether the
+/// cursor hands out whole blocks (whose splits storage keeps), cuts
+/// them short, flips cells to NULL, or fails a batch part-way through.
+#[test]
+fn scan_split_under_faults_matches_the_oracle() {
+    let queries = [
+        "SELECT D.DimId, COUNT(F.FactId), SUM(F.V) FROM Fact F, Dim D \
+         WHERE F.DimId = D.DimId GROUP BY D.DimId",
+        "SELECT F.Tag, COUNT(F.FactId), MIN(F.V) FROM Fact F WHERE F.V < 300 GROUP BY F.Tag",
+        "SELECT D.Cat, COUNT(F.FactId) FROM Fact F, Dim D \
+         WHERE F.DimId = D.DimId AND F.V >= 500 GROUP BY D.Cat",
+    ];
+    let faults = [
+        FaultConfig::default(),
+        FaultConfig {
+            seed: 3,
+            null_flip_one_in: Some(4),
+            batch_size: Some(333),
+            ..FaultConfig::default()
+        },
+        FaultConfig {
+            seed: 4,
+            null_flip_one_in: Some(9),
+            ..FaultConfig::default()
+        },
+        FaultConfig {
+            seed: 5,
+            fail_nth_batch: Some(2),
+            ..FaultConfig::default()
+        },
+        FaultConfig {
+            seed: 6,
+            batch_size: Some(700),
+            fail_nth_batch: Some(3),
+            ..FaultConfig::default()
+        },
+    ];
+    // Rows or the error text, and the fingerprint of a run that succeeded.
+    type Outcome = (
+        Result<Vec<Vec<Value>>, String>,
+        Option<Vec<(String, [u64; 4])>>,
+    );
+    let run = |db: &mut Database, shards: Option<usize>, sql: &str| -> Outcome {
+        if let Some(inj) = db.fault_injector() {
+            inj.reset();
+        }
+        let rows = match shards {
+            None => common::as_oracle(db, |db| common::oracle_query(db, sql)),
+            Some(shards) => {
+                db.set_vectorized(true);
+                db.set_shards(std::num::NonZeroUsize::new(shards).expect("nonzero"));
+                db.query(sql)
+            }
+        };
+        match rows {
+            Ok(rows) => {
+                let m = db.last_query_metrics().expect("metrics recorded");
+                (
+                    Ok(common::canon(&rows)),
+                    Some(m.profile.counter_fingerprint()),
+                )
+            }
+            Err(e) => (Err(e.to_string()), None),
+        }
+    };
+    for placement in [None, Some("FactId"), Some("Tag")] {
+        let mut db = Database::new();
+        db.run_script(
+            "CREATE TABLE Dim (DimId INTEGER PRIMARY KEY, Cat VARCHAR(20) NOT NULL); \
+             CREATE TABLE Fact (FactId INTEGER PRIMARY KEY, DimId INTEGER, V INTEGER, \
+                                Tag VARCHAR(20));",
+        )
+        .expect("ddl");
+        let cat = |d: i64| Value::str(format!("cat{}", d % 7));
+        db.insert_rows("Dim", (0..60).map(|d| vec![Value::Int(d), cat(d)]))
+            .expect("dims");
+        let fact = |f: i64| {
+            let tag = (f % 11 != 0).then(|| Value::str(format!("tag{}", f % 13)));
+            vec![
+                Value::Int(f),
+                Value::Int(f * 7 % 90),
+                Value::Int(f * 37 % 1000),
+                tag.unwrap_or(Value::Null),
+            ]
+        };
+        db.insert_rows("Fact", (0..2600).map(fact)).expect("facts");
+        if let Some(column) = placement {
+            db.declare_partition_key("Fact", &[column])
+                .expect("declare");
+        }
+        for fault in &faults {
+            db.set_fault_injector(Some(FaultInjector::new(*fault)));
+            for sql in queries {
+                let oracle = run(&mut db, None, sql);
+                for shards in [1usize, 2, 3, 4, 8] {
+                    assert_eq!(
+                        run(&mut db, Some(shards), sql),
+                        oracle,
+                        "placement {placement:?}, {fault:?}, {shards} parts: {sql}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Serving layer: a snapshot read covers all shards of one epoch —
 /// reconfiguring the server to 4 shards changes neither results nor
 /// the epoch/read-your-writes contract.
